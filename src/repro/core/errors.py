@@ -6,6 +6,10 @@ while still distinguishing configuration mistakes from runtime
 simulation faults.
 """
 
+import dataclasses
+import json
+from typing import Any, Dict, Mapping
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -13,6 +17,38 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A component was constructed or configured with invalid values."""
+
+
+def require(condition: bool, where: str, message: str) -> None:
+    """Raise :class:`ConfigurationError` ``"where: message"`` unless true."""
+    if not condition:
+        raise ConfigurationError(f"{where}: {message}")
+
+
+def checked_kwargs(cls, data: Mapping[str, Any], where: str) -> Dict[str, Any]:
+    """``data`` as constructor kwargs, rejecting unknown fields by name."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{where}: expected a JSON object, got {type(data).__name__}"
+        )
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown fields {unknown}")
+    return dict(data)
+
+
+def json_object(text: str, what: str) -> Mapping[str, Any]:
+    """Parse ``text`` as one JSON object; ``what`` names it in errors."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} is not valid JSON: {exc}")
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{what} must hold a JSON object, got {type(data).__name__}"
+        )
+    return data
 
 
 class SimulationError(ReproError):

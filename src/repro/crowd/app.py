@@ -24,7 +24,7 @@ from repro.crowd.dataset import Dataset, MeasurementRun
 from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
 from repro.crowd.world import RunConditions, SiteProfile, TABLE1_SITES, WorldModel
 
-__all__ = ["CellVsWifiApp"]
+__all__ = ["CellVsWifiApp", "collect_site_runs"]
 
 ONE_MBYTE = 1_048_576
 
@@ -174,3 +174,17 @@ class CellVsWifiApp:
         (or, at crowd scale, :func:`repro.crowd.pipeline.simulate`).
         """
         return Dataset(self.iter_all(sites))
+
+
+def collect_site_runs(site_name: str, seed: int = DEFAULT_SEED) -> list:
+    """Sweep-task entry point: collect one Table-1 site's runs.
+
+    Site collection is independent by construction: every RNG stream
+    the app and world model draw from is named after the site, so
+    collecting sites in parallel and concatenating in site order is
+    bit-identical to :meth:`CellVsWifiApp.collect_all`.
+    """
+    by_name = {site.name: site for site in TABLE1_SITES}
+    if site_name not in by_name:
+        raise KeyError(f"unknown Table-1 site: {site_name!r}")
+    return CellVsWifiApp(seed=seed).collect_site(by_name[site_name])

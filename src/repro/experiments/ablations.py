@@ -31,7 +31,6 @@ from repro.experiments.common import (
 from repro.tcp.config import TcpConfig
 
 __all__ = [
-    "primary_effect_10kb",
     "run_slowstart_ablation",
     "run_join_ablation",
     "run_scheduler_ablation",
@@ -64,11 +63,6 @@ def primary_effect(
         if lte_t and wifi_t:
             samples.append(relative_difference(lte_t, wifi_t))
     return median(samples) if samples else 0.0
-
-
-def primary_effect_10kb(seed, condition_count=6, config=None, options_kwargs=None):
-    """Backward-compatible wrapper for the 10 KB effect."""
-    return primary_effect(seed, TEN_KB, condition_count, config, options_kwargs)
 
 
 @register("ablation_slowstart")
@@ -119,9 +113,9 @@ def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> Expe
 def run_join_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     count = 4 if fast else 10
     config = TcpConfig(initial_ssthresh_segments=32)
-    sequential = primary_effect_10kb(seed, count, config=config)
-    simultaneous = primary_effect_10kb(
-        seed, count, config=config,
+    sequential = primary_effect(seed, TEN_KB, count, config=config)
+    simultaneous = primary_effect(
+        seed, TEN_KB, count, config=config,
         options_kwargs={"simultaneous_join": True, "join_delay_rtts": 0.0},
     )
     metrics = {

@@ -284,7 +284,7 @@ def crowd_dataset(sites, seed: int = DEFAULT_SEED,
 
     tasks = [
         SimTask(
-            fn="repro.parallel.tasks:collect_site_runs",
+            fn="repro.crowd.app:collect_site_runs",
             kwargs={"site_name": site.name, "seed": seed},
             key=f"crowd.{site.name}",
         )

@@ -37,12 +37,15 @@ offending field, unknown JSON fields are rejected by name, and
 ``canonical_dict()`` feeds the sweep result cache.
 """
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import (
+    checked_kwargs as _checked_kwargs,
+    json_object as _json_object,
+    require as _require,
+)
 
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultSpec"]
 
@@ -58,24 +61,6 @@ FAULT_KINDS = (
 
 #: Kinds whose inject edge is meaningless without a clear edge.
 _NEEDS_DURATION = ("rate_collapse", "delay_spike", "burst_loss")
-
-
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(f"{where}: {message}")
-
-
-def _checked_kwargs(cls, data: Mapping[str, Any], where: str) -> Dict[str, Any]:
-    """``data`` as constructor kwargs, rejecting unknown fields by name."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(
-            f"{where}: expected a JSON object, got {type(data).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown fields {unknown}")
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -232,15 +217,7 @@ class FaultSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"fault file is not valid JSON: {exc}")
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"fault file must hold a JSON object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(text, "fault file"))
 
     @classmethod
     def from_file(cls, path: str) -> "FaultSpec":

@@ -84,14 +84,13 @@ def resilience_line(metrics: dict) -> Optional[str]:
     """The self-healing event totals, or ``None`` when all quiet.
 
     One line covering the fleet layer: supervisor restarts, executor
-    redispatches/breaker trips/hedges, sweeps degraded to the local
+    redispatches/breaker trips, sweeps degraded to the local
     pool, and chaos injections (non-zero only under ``REPRO_CHAOS``).
     """
     events = [
         ("restarts", _metric_total(metrics, "fleet.restarts")),
         ("redispatches", _metric_total(metrics, "executor.redispatches")),
         ("breaker trips", _metric_total(metrics, "executor.breaker_trips")),
-        ("hedges", _metric_total(metrics, "executor.hedges")),
         ("degraded sweeps", _metric_total(metrics, "sweep.degraded")),
         ("chaos injected", _metric_total(metrics, "chaos.injected")),
     ]

@@ -13,7 +13,7 @@ across three separated layers:
   ``socket:HOST:PORT,...`` (remote workers started with ``python -m
   repro.parallel worker``);
 * :mod:`repro.parallel.coordinator` — the executor-agnostic
-  :class:`SweepCoordinator` owning caching, single-flight, retries,
+  :class:`SweepRunner` engine owning caching, single-flight, retries,
   poison-task isolation, timeouts, progress, and manifests;
 
 plus the shared :mod:`~repro.parallel.cache` result store (atomic
@@ -26,7 +26,7 @@ socket workers alive through crashes and stalls, while
 :mod:`~repro.parallel.chaos` injects deterministic infrastructure
 faults (``REPRO_CHAOS``) so the healing paths stay tested.
 
-:class:`SweepRunner` remains the one-call surface over all of it.
+:class:`SweepRunner` is the one-call surface over all of it.
 Every backend at every worker count produces bit-identical results:
 tasks carry their own seeds (derived via
 :func:`repro.core.rng.derive_seed`), simulations share no state, and
@@ -36,7 +36,6 @@ finished first.
 
 from repro.parallel.cache import ResultCache, code_fingerprint, spec_key
 from repro.parallel.chaos import ChaosController, ChaosEvent, ChaosSpec
-from repro.parallel.coordinator import SweepCoordinator
 from repro.parallel.executors import (
     EXECUTOR_ENV,
     Executor,
@@ -70,7 +69,6 @@ __all__ = [
     "LocalPoolExecutor",
     "ResultCache",
     "SimTask",
-    "SweepCoordinator",
     "SweepRunner",
     "SweepStats",
     "TaskFailure",

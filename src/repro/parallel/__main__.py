@@ -1,12 +1,7 @@
 """``python -m repro.parallel`` — the sweep service command line.
 
-Subcommands::
-
-    worker --listen HOST:PORT   serve shards to a SocketExecutor
-    submit workload.json        run a workload, stream JSONL results
-    serve  --listen HOST:PORT   accept remote workload submissions
-    cache  stats|gc|clear       administer the shared result store
-    fleet  up|status|down       launch and supervise a worker fleet
+The subcommands are listed once, in ``_USAGE`` below (printed by
+``--help``); each one parses its own flags.
 """
 
 import sys

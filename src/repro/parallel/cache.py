@@ -53,14 +53,12 @@ __all__ = ["CACHE_DIR_ENV", "CACHE_TOGGLE_ENV", "ResultCache",
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_TOGGLE_ENV = "REPRO_CACHE"
-_ENV_DIR = CACHE_DIR_ENV
-_ENV_TOGGLE = CACHE_TOGGLE_ENV
 _DISABLED_VALUES = {"0", "off", "no", "false"}
 
 
 def default_cache_dir() -> str:
     """The cache directory honouring ``REPRO_CACHE_DIR``."""
-    configured = os.environ.get(_ENV_DIR)
+    configured = os.environ.get(CACHE_DIR_ENV)
     if configured:
         return configured
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-sweep")
@@ -68,7 +66,7 @@ def default_cache_dir() -> str:
 
 def cache_enabled_by_env() -> bool:
     """False when ``REPRO_CACHE`` disables caching."""
-    return os.environ.get(_ENV_TOGGLE, "1").lower() not in _DISABLED_VALUES
+    return os.environ.get(CACHE_TOGGLE_ENV, "1").lower() not in _DISABLED_VALUES
 
 
 def canonical_spec(obj: Any) -> Any:

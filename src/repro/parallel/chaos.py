@@ -51,7 +51,6 @@ worker-targeted event but still fires ``cache_corrupt``.  With
 check per seam — nothing else.
 """
 
-import dataclasses
 import json
 import os
 import random
@@ -63,7 +62,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import (
+    checked_kwargs as _checked_kwargs,
+    json_object as _json_object,
+    require as _require,
+)
 
 __all__ = [
     "CHAOS_KINDS",
@@ -102,24 +105,6 @@ _NEEDS_DURATION = ("worker_stall", "heartbeat_drop", "slow_connect")
 
 #: Exit status a chaos-killed worker dies with (mirrors SIGKILL's 137).
 KILL_EXIT_STATUS = 137
-
-
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(f"{where}: {message}")
-
-
-def _checked_kwargs(cls, data: Mapping[str, Any], where: str) -> Dict[str, Any]:
-    """``data`` as constructor kwargs, rejecting unknown fields by name."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(
-            f"{where}: expected a JSON object, got {type(data).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown fields {unknown}")
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -247,15 +232,7 @@ class ChaosSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"chaos file is not valid JSON: {exc}")
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"chaos file must hold a JSON object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(text, "chaos file"))
 
     @classmethod
     def from_file(cls, path: str) -> "ChaosSpec":

@@ -1,6 +1,6 @@
-"""The executor-agnostic sweep coordinator.
+"""The sweep engine: declarative tasks, pluggable executors.
 
-:class:`SweepCoordinator` owns everything about a sweep that is *not*
+:class:`SweepRunner` owns everything about a sweep that is *not*
 "where code runs": deterministic seeding and sharding, result-cache
 lookups with per-key single-flight, per-task retry/backoff budgets,
 poison-task isolation, timeout policy, progress reporting, and
@@ -27,16 +27,28 @@ Execution plan for one ``run(tasks)``:
    a :class:`~repro.core.errors.SweepTaskError` carries the healthy
    results out.
 
-Results are reassembled by task index, so executor choice, worker
-count, shard scheduling, and single-flight interleaving can never
-change (or reorder) the output — only the wall-clock.
+Because each simulation derives all randomness from seeds carried in
+its task spec (see :func:`repro.core.rng.derive_seed`) and shares no
+process state, and results are reassembled by task index, executor
+choice, worker count, shard scheduling, and single-flight interleaving
+can never change (or reorder) the output — only the wall-clock.
 """
 
 import contextlib
 import os
 import time
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.errors import (
     ConfigurationError,
@@ -48,20 +60,17 @@ from repro.obs.manifest import RunManifest
 from repro.obs.progress import SweepProgress, progress_enabled_by_env
 from repro.obs.telemetry import active_bus
 from repro.obs.trace import active_trace_dir
-from repro.parallel.cache import ResultCache, spec_key
-from repro.parallel.executors import (
-    Executor,
-    LocalPoolExecutor,
-    make_executor,
-)
+from repro.parallel.cache import ResultCache, cache_enabled_by_env, spec_key
+from repro.parallel.executors import LOCAL_POOL, Executor, make_executor
 from repro.parallel.task import (
     SimTask,
     SweepStats,
     TaskFailure,
+    resolve_workers,
     run_task_timed,
 )
 
-__all__ = ["SweepCoordinator"]
+__all__ = ["SweepRunner"]
 
 #: Fallback single-flight wait budget when no task timeout bounds it.
 DEFAULT_FLIGHT_TIMEOUT_S = 600.0
@@ -73,8 +82,11 @@ ResultHook = Callable[[int, SimTask, Any, bool], None]
 class _RunState:
     """Mutable bookkeeping for one ``run()`` call."""
 
-    def __init__(self, tasks: List[SimTask]) -> None:
+    def __init__(self, tasks: List[SimTask], cache: Optional[ResultCache],
+                 progress: Optional[SweepProgress]) -> None:
         self.tasks = tasks
+        self.cache = cache
+        self.progress = progress
         self.results: List[Any] = [None] * len(tasks)
         self.walls: List[float] = [0.0] * len(tasks)
         self.pids: List[int] = [os.getpid()] * len(tasks)
@@ -85,21 +97,94 @@ class _RunState:
         self.flight_waits: Set[int] = set()
         self.locked: Set[int] = set()
         self.hits = 0
+        #: Tasks of failed shards, awaiting one-by-one isolation
+        #: re-runs, and the shard error each one starts from.
+        self.needs_isolation: List[int] = []
+        self.shard_errors: Dict[int, str] = {}
+
+    def advance(self, count: int = 1) -> None:
+        if self.progress is not None:
+            self.progress.advance(count)
+
+    def unlock(self, index: int) -> None:
+        """Release ``index``'s single-flight lock if this run holds it."""
+        if index in self.locked:
+            self.cache.release(self.keys[index])
+            self.locked.discard(index)
 
 
-class SweepCoordinator:
-    """Drive a task list to completion on a pluggable executor."""
+class SweepRunner:
+    """Execute a list of :class:`SimTask` with caching and workers.
+
+    Parameters
+    ----------
+    workers:
+        Worker processes; ``None`` resolves via
+        :func:`resolve_workers` (default / ``REPRO_WORKERS`` / 1).
+        ``1`` executes in-process on the local backends — no executor
+        round-trip, no pickling.
+    cache:
+        ``None`` uses the default on-disk cache (subject to the
+        ``REPRO_CACHE`` env toggle); ``False`` disables caching; a
+        :class:`ResultCache` instance is used as given.  The cache is
+        safe to share between concurrent runners: atomic writes plus
+        per-key single-flight mean no key is ever computed twice.
+    seed:
+        Master seed for :meth:`SimTask.seeded` derivation of tasks
+        that do not carry an explicit ``seed`` kwarg.
+    progress:
+        Live progress/ETA on stderr: ``True``/``False``, a configured
+        :class:`~repro.obs.progress.SweepProgress`, or ``None`` to
+        consult the ``REPRO_PROGRESS`` env toggle.
+    max_retries:
+        Extra attempts granted to a task after its first failure
+        (crash, exception, or timeout), with exponential backoff
+        between attempts.  ``0`` fails fast.
+    retry_backoff_s:
+        Wall-clock sleep before the first retry; doubles per attempt.
+    task_timeout_s:
+        Wall-clock budget for a single task.  In the sharded phase the
+        budget scales with shard length; tasks that blow it are
+        re-run individually (where the budget is exact) and their
+        hung worker processes are terminated.  ``None`` disables the
+        timeout.
+    executor:
+        Backend selection: an :class:`~repro.parallel.executors.Executor`
+        instance, a spec string (``"inprocess"``, ``"process"``,
+        ``"socket:HOST:PORT[,...]"``), or ``None`` to resolve via
+        :func:`~repro.parallel.executors.set_default_executor` /
+        ``REPRO_EXECUTOR`` / the ``process`` default.
+    on_result:
+        Streaming hook ``(index, task, value, cached)`` invoked the
+        moment each task resolves (cache hit, fresh execution, or
+        single-flight wait), in completion order.  Presentation only —
+        it must not raise and cannot influence results.
+
+    Failure model (DESIGN.md §15 has the full table): a shard whose
+    worker crashes, raises, or times out does not abort the sweep —
+    its tasks are re-run one-by-one in isolation, so one poison task
+    costs its own retry budget and nothing else, with the provenance
+    in its manifest (``extra.attempts``/``failed``/``error``).
+
+    When ``REPRO_TRACE_DIR`` is active, the cache is bypassed for the
+    run: a cache hit would skip the simulation and silently produce no
+    trace file.
+
+    After each :meth:`run`, ``last_manifests`` holds one
+    :class:`~repro.obs.manifest.RunManifest` per task (provenance:
+    spec hash, seed, cache hit/miss, wall time, worker pid).
+    """
 
     def __init__(
         self,
-        executor: Optional[Executor] = None,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        seed: int = DEFAULT_SEED,
-        progress=None,
+        workers: Optional[int] = None,
+        cache: Union[ResultCache, bool, None] = None,
+        seed: Optional[int] = None,
+        progress: Union[SweepProgress, bool, None] = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         task_timeout_s: Optional[float] = None,
+        executor: Union[Executor, str, None] = None,
         on_result: Optional[ResultHook] = None,
     ) -> None:
         if max_retries < 0:
@@ -112,12 +197,14 @@ class SweepCoordinator:
             raise ConfigurationError(
                 f"task_timeout_s must be positive: {task_timeout_s}"
             )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1: {workers}")
+        self.workers = resolve_workers(workers)
         self.executor = make_executor(executor)
-        self.workers = workers
-        self.cache = cache
-        self.seed = seed
+        if cache is None:
+            cache = cache_enabled_by_env()
+        if isinstance(cache, bool):
+            cache = ResultCache() if cache else None
+        self.cache: Optional[ResultCache] = cache
+        self.seed = seed if seed is not None else DEFAULT_SEED
         self.progress = progress
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -128,19 +215,12 @@ class SweepCoordinator:
         # Telemetry is resolved per run() so a bus enabled later is
         # still seen; None keeps every publish site zero-cost.
         self._bus = None
-        # Full-fleet loss degrades the current run to this local pool
-        # (created on first use); reset per run so a recovered fleet
-        # is used again on the next sweep.
-        self._fallback: Optional[LocalPoolExecutor] = None
-        self._degraded = False
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[SimTask]) -> List[Any]:
         """Run every task; results are ordered like ``tasks``."""
         started = time.perf_counter()
         seeded = [task.seeded(self.seed) for task in tasks]
-        state = _RunState(seeded)
-        self._degraded = False
         self._bus = active_bus()
         if self._bus is not None:
             self._bus.count("sweep.runs")
@@ -154,28 +234,28 @@ class SweepCoordinator:
         # and silently produce no trace file.
         cache = None if active_trace_dir() is not None else self.cache
         progress = self._resolve_progress(len(seeded))
+        state = _RunState(seeded, cache, progress)
         if progress is not None:
             progress.start()
 
-        owned, awaited = self._scan_cache(state, cache, progress)
+        owned, awaited = self._scan_cache(state)
+        executor = self.executor
         try:
             if owned:
                 with self._span("coordinator.dispatch"):
-                    self._execute(state, owned, cache, progress)
+                    executor = self._execute(state, owned)
             if awaited:
-                self._resolve_awaited(state, awaited, cache, progress)
+                self._resolve_awaited(state, awaited, executor)
         finally:
             # Locks of tasks that never published (poison tasks, an
             # executor blow-up) must not strand concurrent runners.
-            if cache is not None:
-                for index in sorted(state.locked):
-                    cache.release(state.keys[index])
-                state.locked.clear()
+            for index in sorted(state.locked):
+                state.unlock(index)
 
         if progress is not None:
             progress.finish()
 
-        self.last_manifests = self._build_manifests(state, cache)
+        self.last_manifests = self._build_manifests(state)
         self.last_stats = SweepStats(
             tasks=len(seeded),
             cache_hits=state.hits,
@@ -204,12 +284,8 @@ class SweepCoordinator:
     # ------------------------------------------------------------------
     # Cache scan: hits, owned misses, awaited misses
     # ------------------------------------------------------------------
-    def _scan_cache(
-        self,
-        state: _RunState,
-        cache: Optional[ResultCache],
-        progress: Optional[SweepProgress],
-    ) -> Tuple[List[int], List[int]]:
+    def _scan_cache(self, state: _RunState) -> Tuple[List[int], List[int]]:
+        cache = state.cache
         if cache is None:
             return list(range(len(state.tasks))), []
         owned: List[int] = []
@@ -217,85 +293,61 @@ class SweepCoordinator:
         for index, task in enumerate(state.tasks):
             key = cache.key_for(task.fn, task.kwargs)
             state.keys[index] = key
-            if self._try_hit(state, cache, index, key):
+            if self._try_hit(state, index):
                 continue
             if cache.acquire(key):
+                state.locked.add(index)
                 # Re-check: a concurrent runner may have published
                 # between our miss and our lock grab.
-                if self._try_hit(state, cache, index, key):
-                    cache.release(key)
-                    continue
-                state.locked.add(index)
-                owned.append(index)
+                if self._try_hit(state, index):
+                    state.unlock(index)
+                else:
+                    owned.append(index)
             else:
                 awaited.append(index)
-        if progress is not None and state.hits:
-            progress.note_cached(state.hits)
+        if state.progress is not None and state.hits:
+            state.progress.note_cached(state.hits)
         return owned, awaited
 
-    def _try_hit(self, state: _RunState, cache: ResultCache,
-                 index: int, key: str) -> bool:
+    def _try_hit(self, state: _RunState, index: int) -> bool:
         with self._span("cache.get"):
-            hit, value = cache.get(key)
-        if not hit:
-            return False
+            hit, value = state.cache.get(state.keys[index])
+        if hit:
+            self._resolve_hit(state, index, value)
+        return hit
+
+    def _resolve_hit(self, state: _RunState, index: int, value: Any) -> None:
+        """Record one result that came out of the cache."""
         state.results[index] = value
         state.hits += 1
         self._emit(state, index, value, cached=True)
-        return True
 
     # ------------------------------------------------------------------
     # Execution: deterministic shards + isolation re-runs
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        state: _RunState,
-        misses: List[int],
-        cache: Optional[ResultCache],
-        progress: Optional[SweepProgress],
-    ) -> None:
-        nshards = self.executor.shard_count(self.workers, len(misses))
-        if nshards <= 1 and getattr(self.executor, "inline_when_serial",
-                                    True):
-            # One shard on an inline-capable backend: run in-process
-            # with per-task retries — no pool, no pickling (the
-            # ``workers=1`` debugging contract).
-            for index in misses:
-                self._run_with_retries(
-                    state, index, run_task_timed, cache, progress,
-                )
-            return
-        needs_isolation: List[int] = []
-        shard_errors: Dict[int, str] = {}
+    def _execute(self, state: _RunState, misses: List[int]) -> Executor:
+        """Run the owned misses; returns the executor the run ended on.
+
+        That is ``self.executor`` unless the fleet was lost, in which
+        case the rest of *this* run (isolation re-runs included) lands
+        on the local pool — a recovered fleet is used again by the
+        next sweep.
+        """
+        executor = self.executor
         try:
-            self._run_sharded(self.executor, state, misses, nshards,
-                              cache, progress, needs_isolation, shard_errors)
+            self._run_on(executor, state, misses)
         except ExecutorError as exc:
             # Full fleet loss (zero reachable workers, or every
             # connection died mid-sweep).  Degrade this run to the
             # local process pool rather than failing a sweep whose
             # tasks are all still perfectly runnable here.
-            self._degrade(exc)
-            unresolved = [
-                index for index in misses
-                if index not in state.executed
-                and index not in state.failures
-                and index not in set(needs_isolation)
-            ]
-            if unresolved:
-                fallback = self._fallback
-                nshards = fallback.shard_count(self.workers,
-                                               len(unresolved))
-                if nshards <= 1:
-                    for index in unresolved:
-                        self._run_with_retries(
-                            state, index, run_task_timed, cache, progress,
-                        )
-                else:
-                    self._run_sharded(fallback, state, unresolved, nshards,
-                                      cache, progress, needs_isolation,
-                                      shard_errors)
-        for index in sorted(needs_isolation):
+            self._warn_degraded(exc)
+            executor = LOCAL_POOL
+            settled = state.executed.union(state.failures,
+                                           state.needs_isolation)
+            self._run_on(executor, state,
+                         [index for index in misses if index not in settled])
+        for index in sorted(state.needs_isolation):
             # The failed shard run counts as an attempt, but never the
             # last one: every casualty gets at least one isolated
             # re-run, so an innocent shard-mate of a poison task
@@ -303,22 +355,25 @@ class SweepCoordinator:
             state.attempts[index] = min(
                 state.attempts.get(index, 0) + 1, self.max_retries
             )
-            self._run_with_retries(
-                state, index, self._isolated_run_one, cache, progress,
-                initial_error=shard_errors.get(index),
-            )
+            self._run_with_retries(state, index, self._isolator(executor),
+                                   state.shard_errors.get(index))
+        return executor
 
-    def _run_sharded(
-        self,
-        executor: Executor,
-        state: _RunState,
-        misses: List[int],
-        nshards: int,
-        cache: Optional[ResultCache],
-        progress: Optional[SweepProgress],
-        needs_isolation: List[int],
-        shard_errors: Dict[int, str],
-    ) -> None:
+    def _run_on(self, executor: Executor, state: _RunState,
+                misses: List[int]) -> None:
+        """Run ``misses`` on ``executor``: inline if one shard, else sharded."""
+        nshards = executor.shard_count(self.workers, len(misses))
+        if nshards <= 1 and executor.inline_when_serial:
+            # One shard on an inline-capable backend: run in-process
+            # with per-task retries — no pool, no pickling (the
+            # ``workers=1`` debugging contract).
+            for index in misses:
+                self._run_with_retries(state, index, run_task_timed)
+        else:
+            self._run_sharded(executor, state, misses, nshards)
+
+    def _run_sharded(self, executor: Executor, state: _RunState,
+                     misses: List[int], nshards: int) -> None:
         """Run ``misses`` as shards on ``executor``, resolving results.
 
         Deterministic sharding: miss j -> shard j % nshards.  The
@@ -344,24 +399,19 @@ class SweepCoordinator:
             shard = shard_indices[shard_id]
             if outcome.ok:
                 for index, (value, wall, pid) in zip(shard, outcome.values):
-                    self._resolve_executed(state, index, value, wall, pid,
-                                           cache)
-                if progress is not None:
-                    progress.advance(len(shard))
+                    self._resolve_executed(state, index, value, wall, pid)
+                state.advance(len(shard))
             else:
                 # A broken shard does not abort the sweep: every task
                 # of every failed shard is retried one-by-one in
                 # isolation, so only the actual poison task can
                 # exhaust its budget.
                 for index in shard:
-                    shard_errors[index] = outcome.error
-                needs_isolation.extend(shard)
+                    state.shard_errors[index] = outcome.error
+                state.needs_isolation.extend(shard)
 
-    def _degrade(self, exc: ExecutorError) -> None:
-        """Switch the rest of this run to the local process pool."""
-        self._degraded = True
-        if self._fallback is None:
-            self._fallback = LocalPoolExecutor()
+    def _warn_degraded(self, exc: ExecutorError) -> None:
+        """Announce that the rest of this run moves to the local pool."""
         warnings.warn(
             f"{self.executor.name} executor unavailable ({exc}); "
             f"degrading this sweep to the local process executor",
@@ -371,17 +421,17 @@ class SweepCoordinator:
         if self._bus is not None:
             self._bus.count("sweep.degraded")
 
-    def _isolated_run_one(self, task: SimTask) -> Tuple[Any, float, int]:
-        executor = self._fallback if self._degraded else self.executor
-        return executor.run_one(task, self.task_timeout_s)
+    def _isolator(
+        self, executor: Executor
+    ) -> Callable[[SimTask], Tuple[Any, float, int]]:
+        """``executor.run_one`` under this runner's exact task budget."""
+        return lambda task: executor.run_one(task, self.task_timeout_s)
 
     def _run_with_retries(
         self,
         state: _RunState,
         index: int,
         run_one: Callable[[SimTask], Tuple[Any, float, int]],
-        cache: Optional[ResultCache],
-        progress: Optional[SweepProgress],
         initial_error: Optional[str] = None,
     ) -> None:
         """Drive one task to success or budget exhaustion."""
@@ -399,57 +449,40 @@ class SweepCoordinator:
                     time.sleep(delay)
                     delay *= 2
                 continue
-            self._resolve_executed(state, index, value, wall, pid, cache)
-            if progress is not None:
-                progress.advance()
+            self._resolve_executed(state, index, value, wall, pid)
+            state.advance()
             return
         state.failures[index] = TaskFailure(
             index=index, key=task.label(), error=error_text,
             attempts=state.attempts.get(index, 0),
         )
-        if cache is not None and index in state.locked:
-            # Never cache a failure placeholder — but do free the key
-            # so a concurrent runner can try its own luck.
-            cache.release(state.keys[index])
-            state.locked.discard(index)
-        if progress is not None:
-            progress.advance()
+        # Never cache a failure placeholder — but do free the key so a
+        # concurrent runner can try its own luck.
+        state.unlock(index)
+        state.advance()
 
-    def _resolve_executed(
-        self,
-        state: _RunState,
-        index: int,
-        value: Any,
-        wall: float,
-        pid: int,
-        cache: Optional[ResultCache],
-    ) -> None:
+    def _resolve_executed(self, state: _RunState, index: int, value: Any,
+                          wall: float, pid: int) -> None:
         """Record one freshly computed result and publish it."""
         state.results[index] = value
         state.walls[index] = wall
         state.pids[index] = pid
         state.executed.add(index)
-        if cache is not None and state.keys[index] is not None:
+        if state.cache is not None and state.keys[index] is not None:
             # Publish immediately (atomic replace), then release the
             # single-flight lock so awaiting runners unblock now, not
             # at sweep end.
             with self._span("cache.put"):
-                cache.put(state.keys[index], value)
-            if index in state.locked:
-                cache.release(state.keys[index])
-                state.locked.discard(index)
+                state.cache.put(state.keys[index], value)
+            state.unlock(index)
         self._emit(state, index, value, cached=False)
 
     # ------------------------------------------------------------------
     # Awaited keys: collect another runner's results (or take over)
     # ------------------------------------------------------------------
-    def _resolve_awaited(
-        self,
-        state: _RunState,
-        awaited: List[int],
-        cache: ResultCache,
-        progress: Optional[SweepProgress],
-    ) -> None:
+    def _resolve_awaited(self, state: _RunState, awaited: List[int],
+                         executor: Executor) -> None:
+        cache = state.cache
         timeout_s = self._flight_timeout_s()
         for index in awaited:
             key = state.keys[index]
@@ -463,19 +496,12 @@ class SweepCoordinator:
                     state.locked.add(index)
                 hit, value = cache.get(key)
             if hit:
-                if index in state.locked:
-                    cache.release(key)
-                    state.locked.discard(index)
-                state.results[index] = value
-                state.hits += 1
+                state.unlock(index)
                 state.flight_waits.add(index)
-                self._emit(state, index, value, cached=True)
-                if progress is not None:
-                    progress.advance()
+                self._resolve_hit(state, index, value)
+                state.advance()
                 continue
-            self._run_with_retries(
-                state, index, self._isolated_run_one, cache, progress,
-            )
+            self._run_with_retries(state, index, self._isolator(executor))
 
     def _flight_timeout_s(self) -> float:
         if self.task_timeout_s is not None:
@@ -509,16 +535,15 @@ class SweepCoordinator:
             configured = progress_enabled_by_env()
         return SweepProgress(total) if configured else None
 
-    def _build_manifests(
-        self, state: _RunState, cache: Optional[ResultCache]
-    ) -> List[RunManifest]:
+    def _build_manifests(self, state: _RunState) -> List[RunManifest]:
         from repro import __version__
 
         # Pure spec identity (fingerprint=""): never force the
         # all-files code_fingerprint() walk when the cache is off —
         # that one-time cost would eat the disabled-tracing overhead
         # budget.  With the cache on, reuse its already-computed one.
-        fingerprint = cache.fingerprint if cache is not None else ""
+        fingerprint = (state.cache.fingerprint
+                       if state.cache is not None else "")
         manifests = []
         for index, task in enumerate(state.tasks):
             extra: Dict[str, Any] = {}

@@ -1,6 +1,6 @@
 """Pluggable sweep execution backends.
 
-The :class:`~repro.parallel.coordinator.SweepCoordinator` owns *what*
+The :class:`~repro.parallel.coordinator.SweepRunner` owns *what*
 runs (cache lookups, retries, manifests); an :class:`Executor` owns
 *where* it runs.  Three backends ship:
 
@@ -37,11 +37,13 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.parallel.task import SimTask, run_shard, run_task_timed
+from repro.parallel.wire import parse_address
 
 __all__ = [
     "EXECUTOR_ENV",
     "Executor",
     "InProcessExecutor",
+    "LOCAL_POOL",
     "LocalPoolExecutor",
     "ShardOutcome",
     "get_default_executor",
@@ -53,23 +55,13 @@ __all__ = [
 #: Environment variable consulted when no executor spec is given.
 EXECUTOR_ENV = "REPRO_EXECUTOR"
 
-#: Spellings accepted for the built-in backends.
-_ALIASES = {
-    "inprocess": "inprocess",
-    "in-process": "inprocess",
-    "serial": "inprocess",
-    "process": "process",
-    "pool": "process",
-    "local": "process",
-}
-
 _default_executor_spec: Optional[str] = None
 
 
 def _normalize_spec(spec: str) -> str:
     text = spec.strip().lower()
-    if text in _ALIASES:
-        return _ALIASES[text]
+    if text in ("inprocess", "process"):
+        return text
     if text.startswith("socket:"):
         # Validate eagerly so a typo'd REPRO_EXECUTOR fails at
         # configuration time, not mid-sweep.
@@ -83,27 +75,8 @@ def _normalize_spec(spec: str) -> str:
 
 def parse_socket_addresses(text: str) -> List[Tuple[str, int]]:
     """Parse ``HOST:PORT[,HOST:PORT...]`` into address tuples."""
-    addresses = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        host, sep, port_text = part.rpartition(":")
-        if not sep or not host:
-            raise ConfigurationError(
-                f"socket executor address must be HOST:PORT, got {part!r}"
-            )
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"socket executor port must be an integer: {part!r}"
-            )
-        if not 0 < port < 65536:
-            raise ConfigurationError(
-                f"socket executor port out of range: {part!r}"
-            )
-        addresses.append((host, port))
+    addresses = [parse_address(part)
+                 for part in text.split(",") if part.strip()]
     if not addresses:
         raise ConfigurationError(
             "socket executor needs at least one HOST:PORT address"
@@ -146,13 +119,10 @@ def make_executor(spec=None) -> "Executor":
         return InProcessExecutor()
     if resolved == "process":
         return LocalPoolExecutor()
-    if resolved.startswith("socket:"):
-        from repro.parallel.socketexec import SocketExecutor
+    # resolve_executor_spec admits nothing else: a ``socket:`` spec.
+    from repro.parallel.socketexec import SocketExecutor
 
-        return SocketExecutor(
-            parse_socket_addresses(resolved[len("socket:"):])
-        )
-    raise ConfigurationError(f"unknown executor {resolved!r}")
+    return SocketExecutor(parse_socket_addresses(resolved[len("socket:"):]))
 
 
 @dataclass
@@ -370,3 +340,10 @@ class LocalPoolExecutor(Executor):
         if "fork" in methods:
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
+
+
+#: The one local pool every fallback lands on: remote backends isolate
+#: poison tasks here, and the coordinator moves the rest of a sweep
+#: here when the fleet is gone.  Stateless — each call spawns (and
+#: reaps) its own process pool — so sharing the instance is free.
+LOCAL_POOL = LocalPoolExecutor()

@@ -1,31 +1,11 @@
-"""The sweep engine facade: declarative tasks, pluggable executors.
+"""Import surface of the sweep engine.
 
-:class:`SweepRunner` keeps the surface every experiment and test has
-always used — ``SweepRunner(workers=...).run(tasks)`` — while the
-machinery behind it now lives in three separated layers:
-
-* :mod:`repro.parallel.task` — :class:`SimTask` specs and the shared
-  execution helpers;
-* :mod:`repro.parallel.executors` — *where* tasks run: in-process,
-  local process pool, or remote socket workers
-  (``--executor``/``REPRO_EXECUTOR``);
-* :mod:`repro.parallel.coordinator` — *what* runs: cache lookups with
-  single-flight, deterministic sharding, retry/backoff, poison-task
-  isolation, timeouts, progress, and manifest provenance.
-
-Because each simulation derives all randomness from seeds carried in
-its task spec (see :func:`repro.core.rng.derive_seed`) and shares no
-process state, any executor at any worker count is bit-identical to
-``workers=1`` in-process execution.
+The engine itself is :class:`repro.parallel.coordinator.SweepRunner`;
+this module re-exports it beside the task types and worker-count
+helpers callers construct sweeps with.
 """
 
-from typing import Any, List, Optional, Sequence, Union
-
-from repro.obs.manifest import RunManifest
-from repro.obs.progress import SweepProgress
-from repro.parallel.cache import ResultCache, cache_enabled_by_env
-from repro.parallel.coordinator import ResultHook, SweepCoordinator
-from repro.parallel.executors import Executor
+from repro.parallel.coordinator import SweepRunner
 from repro.parallel.task import (
     SimTask,
     SweepStats,
@@ -33,8 +13,6 @@ from repro.parallel.task import (
     WORKERS_ENV,
     get_default_workers,
     resolve_workers,
-    run_shard as _run_shard,          # noqa: F401  (compat re-export)
-    run_task_timed as _run_task_timed,  # noqa: F401  (compat re-export)
     set_default_workers,
 )
 
@@ -48,140 +26,3 @@ __all__ = [
     "resolve_workers",
     "set_default_workers",
 ]
-
-
-class SweepRunner:
-    """Execute a list of :class:`SimTask` with caching and workers.
-
-    Parameters
-    ----------
-    workers:
-        Worker processes; ``None`` resolves via
-        :func:`resolve_workers` (default / ``REPRO_WORKERS`` / 1).
-        ``1`` executes in-process on the local backends — no executor
-        round-trip, no pickling.
-    cache:
-        ``None`` uses the default on-disk cache (subject to the
-        ``REPRO_CACHE`` env toggle); ``False`` disables caching; a
-        :class:`ResultCache` instance is used as given.  The cache is
-        safe to share between concurrent runners: atomic writes plus
-        per-key single-flight mean no key is ever computed twice.
-    seed:
-        Master seed for :meth:`SimTask.seeded` derivation of tasks
-        that do not carry an explicit ``seed`` kwarg.
-    progress:
-        Live progress/ETA on stderr: ``True``/``False``, a configured
-        :class:`~repro.obs.progress.SweepProgress`, or ``None`` to
-        consult the ``REPRO_PROGRESS`` env toggle.
-    max_retries:
-        Extra attempts granted to a task after its first failure
-        (crash, exception, or timeout), with exponential backoff
-        between attempts.  ``0`` fails fast.
-    retry_backoff_s:
-        Wall-clock sleep before the first retry; doubles per attempt.
-    task_timeout_s:
-        Wall-clock budget for a single task.  In the sharded phase the
-        budget scales with shard length; tasks that blow it are
-        re-run individually (where the budget is exact) and their
-        hung worker processes are terminated.  ``None`` disables the
-        timeout.
-    executor:
-        Backend selection: an :class:`~repro.parallel.executors.Executor`
-        instance, a spec string (``"inprocess"``, ``"process"``,
-        ``"socket:HOST:PORT[,...]"``), or ``None`` to resolve via
-        :func:`~repro.parallel.executors.set_default_executor` /
-        ``REPRO_EXECUTOR`` / the ``process`` default.
-    on_result:
-        Streaming hook ``(index, task, value, cached)`` invoked the
-        moment each task resolves (cache hit, fresh execution, or
-        single-flight wait), in completion order.  Presentation only —
-        it must not raise and cannot influence results.
-
-    Failure model: a shard whose worker crashes, raises, or times out
-    does not abort the sweep — its tasks are re-run one-by-one with
-    the backend's best isolation, so one poison task costs its own
-    retry budget and nothing else.  Retry and failure provenance lands
-    in each task's :class:`~repro.obs.manifest.RunManifest`
-    (``extra.attempts``, ``extra.failed``, ``extra.error``).  If any
-    task exhausts its budget, :meth:`run` raises
-    :class:`~repro.core.errors.SweepTaskError` *after* recording
-    stats/manifests and caching every healthy result.
-
-    When ``REPRO_TRACE_DIR`` is active, the cache is bypassed for the
-    run: a cache hit would skip the simulation and silently produce no
-    trace file.
-
-    After each :meth:`run`, ``last_manifests`` holds one
-    :class:`~repro.obs.manifest.RunManifest` per task (provenance:
-    spec hash, seed, cache hit/miss, wall time, worker pid).
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        cache: Union[ResultCache, bool, None] = None,
-        seed: Optional[int] = None,
-        progress: Union[SweepProgress, bool, None] = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.05,
-        task_timeout_s: Optional[float] = None,
-        executor: Union[Executor, str, None] = None,
-        on_result: Optional[ResultHook] = None,
-    ) -> None:
-        from repro.core.rng import DEFAULT_SEED
-
-        self.workers = resolve_workers(workers)
-        if cache is None:
-            resolved_cache: Optional[ResultCache] = (
-                ResultCache() if cache_enabled_by_env() else None
-            )
-        elif cache is False:
-            resolved_cache = None
-        elif cache is True:
-            resolved_cache = ResultCache()
-        else:
-            resolved_cache = cache
-        self.cache = resolved_cache
-        self.seed = seed if seed is not None else DEFAULT_SEED
-        self.progress = progress
-        self._coordinator = SweepCoordinator(
-            executor=executor,
-            workers=self.workers,
-            cache=resolved_cache,
-            seed=self.seed,
-            progress=progress,
-            max_retries=max_retries,
-            retry_backoff_s=retry_backoff_s,
-            task_timeout_s=task_timeout_s,
-            on_result=on_result,
-        )
-
-    # -- attributes older call sites read directly ---------------------
-    @property
-    def max_retries(self) -> int:
-        return self._coordinator.max_retries
-
-    @property
-    def retry_backoff_s(self) -> float:
-        return self._coordinator.retry_backoff_s
-
-    @property
-    def task_timeout_s(self) -> Optional[float]:
-        return self._coordinator.task_timeout_s
-
-    @property
-    def executor(self) -> Executor:
-        return self._coordinator.executor
-
-    @property
-    def last_stats(self) -> SweepStats:
-        return self._coordinator.last_stats
-
-    @property
-    def last_manifests(self) -> List[RunManifest]:
-        return self._coordinator.last_manifests
-
-    # ------------------------------------------------------------------
-    def run(self, tasks: Sequence[SimTask]) -> List[Any]:
-        """Run every task; results are ordered like ``tasks``."""
-        return self._coordinator.run(tasks)

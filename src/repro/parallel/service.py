@@ -43,6 +43,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError, ReproError, SweepTaskError
+from repro.parallel import wire
 
 __all__ = ["cache_main", "serve_main", "submit_main"]
 
@@ -118,13 +119,29 @@ def _load_workload(path: str):
         return WorkloadSpec.from_json(handle.read())
 
 
-def _parse_one_address(text: str, flag: str):
-    from repro.parallel.executors import parse_socket_addresses
+def _run_job(workload, workers, executor, full: bool, emit) -> bool:
+    """Run ``workload``, handing every stream event to ``emit``.
 
-    addresses = parse_socket_addresses(text)
-    if len(addresses) != 1:
-        raise ConfigurationError(f"{flag} takes exactly one HOST:PORT")
-    return addresses[0]
+    One ``result`` event per finished transfer (completion order), then
+    the terminal ``done`` event.  Returns True when any task exhausted
+    its retries; configuration and engine errors propagate to the
+    caller, which owns how they are reported.
+    """
+    from repro.workload import Session
+
+    def on_result(index, task, report, cached):
+        emit(_report_payload(index, task, report, cached, full))
+
+    session = Session(seed=workload.seed)
+    failures: List[Dict[str, Any]] = []
+    try:
+        session.run_workload(workload, workers=workers, executor=executor,
+                             on_result=on_result)
+    except SweepTaskError as exc:
+        failures = _failures_payload(exc)
+    emit({"event": "done", "stats": _stats_dict(session.last_stats),
+          "failures": failures})
+    return bool(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -142,44 +159,26 @@ def _telemetry_sink(path: Optional[str]):
 
 
 def _run_local(args) -> int:
-    from repro.workload import Session
-
     try:
         workload = _load_workload(args.workload)
     except (OSError, ConfigurationError, ValueError) as exc:
         print(f"submit: {exc}", file=sys.stderr)
         return 2
-
-    def on_result(index, task, report, cached):
-        _emit(_report_payload(index, task, report, cached,
-                              args.full_reports))
-
-    session = Session(seed=workload.seed)
-    failures: List[Dict[str, Any]] = []
-    exit_code = 0
     try:
         with _telemetry_sink(args.telemetry_out):
-            session.run_workload(
-                workload, workers=args.workers, executor=args.executor,
-                on_result=on_result,
-            )
-    except SweepTaskError as exc:
-        failures = _failures_payload(exc)
-        exit_code = 3
-    except (ConfigurationError, ReproError) as exc:
+            failed = _run_job(workload, args.workers, args.executor,
+                              args.full_reports, _emit)
+    except ReproError as exc:
         print(f"submit: {exc}", file=sys.stderr)
         return 2
-    _emit({"event": "done", "stats": _stats_dict(session.last_stats),
-           "failures": failures})
-    return exit_code
+    return 3 if failed else 0
 
 
 def _run_remote(args) -> int:
     from repro.obs.progress import SweepProgress, progress_enabled_by_env
-    from repro.parallel import wire
 
     try:
-        host, port = _parse_one_address(args.connect, "--connect")
+        host, port = wire.parse_address(args.connect)
         workload = _load_workload(args.workload)
     except (OSError, ConfigurationError, ValueError) as exc:
         print(f"submit: {exc}", file=sys.stderr)
@@ -196,23 +195,7 @@ def _run_remote(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        local_hello = wire.hello_payload()
-        wire.send_json(sock, wire.MSG_HELLO, local_hello)
-        msg_type, payload = wire.recv_frame(sock, timeout_s=30.0)
-        if msg_type == wire.MSG_REFUSED:
-            print(f"submit: refused: {wire.recv_json(payload).get('error')}",
-                  file=sys.stderr)
-            return 2
-        if msg_type != wire.MSG_HELLO:
-            print(f"submit: expected HELLO, got message {msg_type}",
-                  file=sys.stderr)
-            return 2
-        problem = wire.check_hello(local_hello, wire.recv_json(payload),
-                                   who="server")
-        if problem is not None:
-            print(f"submit: {problem}", file=sys.stderr)
-            return 2
+        wire.client_hello(sock, wire.HANDSHAKE_TIMEOUT_S, who="server")
         wire.send_json(sock, wire.MSG_JOB, {
             "workload": workload.to_dict(),
             "workers": args.workers,
@@ -251,10 +234,7 @@ def _run_remote(args) -> int:
         print(f"submit: {exc}", file=sys.stderr)
         return 2
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        wire.close_quietly(sock)
 
 
 def submit_main(argv: Optional[List[str]] = None) -> int:
@@ -310,8 +290,7 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
 # ---------------------------------------------------------------------------
 def _handle_job(conn: socket.socket, job: Dict[str, Any], args,
                 log) -> None:
-    from repro.parallel import wire
-    from repro.workload import Session, WorkloadSpec
+    from repro.workload import WorkloadSpec
 
     send_lock = threading.Lock()
     try:
@@ -345,51 +324,25 @@ def _handle_job(conn: socket.socket, job: Dict[str, Any], args,
             log("client disconnected mid-stream; finishing the sweep "
                 "for the cache")
 
-    def on_result(index, task, report, cached):
-        _send(wire.MSG_REPORT,
-              _report_payload(index, task, report, cached, full))
+    def emit(event: Dict[str, Any]) -> None:
+        _send(wire.MSG_DONE if event["event"] == "done" else wire.MSG_REPORT,
+              event)
 
-    session = Session(seed=workload.seed)
-    failures: List[Dict[str, Any]] = []
     try:
-        session.run_workload(workload, workers=workers, executor=executor,
-                             on_result=on_result)
-    except SweepTaskError as exc:
-        failures = _failures_payload(exc)
-    except (ConfigurationError, ReproError) as exc:
+        _run_job(workload, workers, executor, full, emit)
+    except ReproError as exc:
         _send(wire.MSG_REFUSED, {"error": str(exc)})
-        return
     except Exception as exc:  # noqa: BLE001 - one job, not the server
         # A job blowing up in unexpected ways is *that connection's*
         # problem: report and return to the accept loop intact.
         log(f"job crashed: {type(exc).__name__}: {exc}")
         _send(wire.MSG_REFUSED,
               {"error": f"job crashed: {type(exc).__name__}: {exc}"})
-        return
-    if client_gone.is_set():
-        return
-    _send(wire.MSG_DONE, {
-        "event": "done",
-        "stats": _stats_dict(session.last_stats),
-        "failures": failures,
-    })
 
 
 def _serve_connection(conn: socket.socket, args, log) -> None:
-    from repro.parallel import wire
-
-    local_hello = wire.hello_payload()
-    msg_type, payload = wire.recv_frame(conn, timeout_s=30.0)
-    if msg_type != wire.MSG_HELLO:
-        wire.send_json(conn, wire.MSG_REFUSED, {"error": "expected HELLO"})
+    if not wire.accept_hello(conn, log):
         return
-    problem = wire.check_hello(local_hello, wire.recv_json(payload),
-                               who="client")
-    if problem is not None:
-        log(f"refusing client: {problem}")
-        wire.send_json(conn, wire.MSG_REFUSED, {"error": problem})
-        return
-    wire.send_json(conn, wire.MSG_HELLO, local_hello)
     msg_type, payload = wire.recv_frame(conn, timeout_s=60.0)
     if msg_type != wire.MSG_JOB:
         wire.send_json(conn, wire.MSG_REFUSED,
@@ -400,8 +353,6 @@ def _serve_connection(conn: socket.socket, args, log) -> None:
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
-    from repro.parallel import wire
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel serve",
         description="Accept workload submissions over TCP and stream "
@@ -410,7 +361,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                     "trusted network only.",
     )
     parser.add_argument("--listen", metavar="HOST:PORT",
-                        default="127.0.0.1:0",
+                        type=wire.listen_address, default="127.0.0.1:0",
                         help="bind address (default 127.0.0.1:0; the "
                              "chosen port is printed on stdout)")
     parser.add_argument("--once", action="store_true",
@@ -445,13 +396,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         if not args.quiet:
             print(f"repro-serve: {message}", file=sys.stderr, flush=True)
 
-    host, _, port_text = args.listen.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        parser.error(f"--listen must be HOST:PORT, got {args.listen!r}")
-    if not host or not 0 <= port < 65536:
-        parser.error(f"--listen must be HOST:PORT, got {args.listen!r}")
+    host, port = args.listen
 
     telemetry_server = None
     telemetry_sink = None
@@ -470,48 +415,25 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
         telemetry_sink = TelemetrySink(get_bus(), args.telemetry_out)
 
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        server.bind((host, port))
-        server.listen(4)
-        bound_host, bound_port = server.getsockname()[:2]
-        print(f"repro-serve listening on {bound_host}:{bound_port} "
-              f"pid={os.getpid()}", flush=True)
+    def start_telemetry() -> None:
         if telemetry_server is not None:
             tel_host, tel_port = telemetry_server.start()
             print(f"repro-serve telemetry on {tel_host}:{tel_port}",
                   flush=True)
         if telemetry_sink is not None:
             telemetry_sink.start()
-        while True:
-            conn, peer = server.accept()
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            log(f"connection from {peer[0]}:{peer[1]}")
-            try:
-                _serve_connection(conn, args, log)
-            except wire.WireError as exc:
-                log(f"connection error: {exc}")
-            except Exception as exc:  # noqa: BLE001 - stay serving
-                # Per-connection isolation: nothing one connection
-                # does — a crashing job, a mid-frame disconnect, a
-                # protocol violation — may take the server down.
-                log(f"connection failed: {type(exc).__name__}: {exc}")
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            if args.once:
-                return 0
-    except KeyboardInterrupt:
-        return 0
+
+    try:
+        return wire.serve_connections(
+            (host, port), "repro-serve",
+            lambda conn: _serve_connection(conn, args, log), log,
+            once=args.once, on_listening=start_telemetry,
+        )
     finally:
         if telemetry_sink is not None:
             telemetry_sink.stop()
         if telemetry_server is not None:
             telemetry_server.stop()
-        server.close()
 
 
 # ---------------------------------------------------------------------------

@@ -7,32 +7,13 @@ state, so a fast worker naturally takes more shards than a slow one —
 load balance never affects results, which the coordinator reassembles
 by task index.
 
-Failure containment goes beyond the local pool's (PR 6) passive model:
-
-* **Redispatch** — a shard in flight on a worker that dies, stops
-  heartbeating, or garbles its result frame is re-queued and re-run on
-  a healthy peer, up to ``redispatch_budget`` extra dispatches.  Only
-  when that budget is spent does the shard surface as a failed
-  :class:`~repro.parallel.executors.ShardOutcome` for the coordinator
-  to isolate locally — so infrastructure flakes never consume the
-  coordinator's per-task retry budget.
-* **Reconnect** — a broken connection is retried against the same
-  address with exponential backoff (a supervisor-restarted worker
-  comes back on its old port), bounded by ``reconnect_attempts``.
-* **Circuit breaker** — per-address consecutive failures past
-  ``breaker_threshold`` open the breaker: no dispatch to that worker
-  until ``breaker_cooldown_s`` has passed, then a single half-open
-  probe decides.  Breakers persist across ``run_shards`` calls, so a
-  flapping worker stays quarantined between sweeps.
-* **Hedged dispatch** (optional, ``hedge=True`` or ``REPRO_HEDGE=1``)
-  — once the pending queue is empty, an idle worker re-runs a
-  straggler's shard; the first result wins.  Results are bit-identical
-  by construction (tasks carry derived seeds), so hedging can never
-  change a sweep's output, only its tail latency.
-
-Worker-*reported* task errors (``SHARD_ERR``) are not infrastructure
-failures: they are delivered as-is, exactly once, and never redispatched
-— a poison task must not burn the fleet's redispatch budget.
+Every dispatch ends in one of four verdicts — :data:`OK`,
+:data:`TASK_ERROR`, :data:`TRANSPORT_ERROR`, :data:`DEADLINE_BLOWN`,
+defined below with the response each one gets; they are the
+executor's rows of the failure table in DESIGN.md §15.  Around them,
+each address is guarded by a :class:`CircuitBreaker` and re-dialled
+with bounded exponential backoff (a supervisor-restarted worker comes
+back on its old port).
 
 Only a sweep where *zero* workers ever connected — or where every
 connection died with shards unfinished — raises
@@ -41,7 +22,6 @@ degrading to the local process pool with a one-line warning.
 """
 
 import collections
-import os
 import pickle
 import queue
 import socket
@@ -52,18 +32,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.core.errors import ExecutorError
 from repro.obs.telemetry import active_bus
 from repro.parallel import wire
-from repro.parallel.executors import (
-    Executor,
-    LocalPoolExecutor,
-    ShardOutcome,
-)
+from repro.parallel.executors import LOCAL_POOL, Executor, ShardOutcome
 from repro.parallel.task import SimTask
 
-__all__ = ["CircuitBreaker", "SocketExecutor", "hedge_enabled_by_env"]
-
-#: recv deadline between frames while a shard runs; the worker
-#: heartbeats every second, so 10 missed beats means it is gone.
-HEARTBEAT_TIMEOUT_S = 10.0
+__all__ = ["CircuitBreaker", "SocketExecutor"]
 
 #: Extra dispatches an infrastructure-failed shard may consume before
 #: it is surfaced to the coordinator as a failed outcome.
@@ -79,12 +51,21 @@ RECONNECT_ATTEMPTS = 10
 RECONNECT_BACKOFF_S = 0.2
 RECONNECT_BACKOFF_CAP_S = 2.0
 
-#: Set to 1/on to enable hedged dispatch for straggler shards.
-HEDGE_ENV = "REPRO_HEDGE"
-
-
-def hedge_enabled_by_env() -> bool:
-    return os.environ.get(HEDGE_ENV, "").lower() in {"1", "on", "yes", "true"}
+#: Verdicts of one shard dispatch (DESIGN.md §15's failure table).
+#: The shard ran; its values are delivered.
+OK = "ok"
+#: A task raised on the worker (``SHARD_ERR``): delivered once as a
+#: failed outcome, never redispatched — the coordinator isolates and
+#: retries it under ``max_retries``.
+TASK_ERROR = "task_error"
+#: Lost connection, CRC/truncated/garbled frame, heartbeat silence,
+#: wrong shard id: the connection is dropped and the shard requeued
+#: for a peer while ``REDISPATCH_BUDGET`` lasts.
+TRANSPORT_ERROR = "transport_error"
+#: The scaled shard deadline passed: every peer would blow it too, so
+#: the shard is never requeued — it goes to local isolation, where the
+#: per-task budget is exact.
+DEADLINE_BLOWN = "deadline_blown"
 
 
 class CircuitBreaker:
@@ -141,22 +122,19 @@ class CircuitBreaker:
 class _FleetRun:
     """Shared dispatch state for one ``run_shards`` call.
 
-    Tracks, under one lock, which shards are pending / in flight / and
-    delivered, plus per-shard dispatch counts for the redispatch budget
-    and the hedged set.  Exactly one outcome is ever delivered per
-    shard — hedge twins and late duplicates are dropped here.
+    Tracks, under one lock, which shards are pending and delivered,
+    plus per-shard dispatch counts for the redispatch budget.  Exactly
+    one outcome is ever delivered per shard — late duplicates are
+    dropped here.
     """
 
-    def __init__(self, shards, max_dispatches: int, hedge: bool) -> None:
+    def __init__(self, shards, max_dispatches: int) -> None:
         self.shards = shards
         self.max_dispatches = max_dispatches
-        self.hedge = hedge
         self.lock = threading.Lock()
         self.pending: "collections.deque" = collections.deque(
             range(len(shards)))
         self.dispatches = [0] * len(shards)
-        self.in_flight: Dict[int, Set[str]] = {}
-        self.hedged: Set[int] = set()
         self.delivered: Set[int] = set()
         self.outcomes: "queue.Queue" = queue.Queue()
         self.aborted = False
@@ -165,60 +143,44 @@ class _FleetRun:
         with self.lock:
             return len(self.delivered) == len(self.shards)
 
-    def claim(self, worker_id: str) -> Optional[Tuple[int, bool]]:
-        """Next shard for this worker as ``(shard_id, is_hedge)``."""
+    def claim(self) -> Optional[int]:
+        """Next undelivered pending shard id, or ``None``."""
         with self.lock:
             while self.pending:
                 shard_id = self.pending.popleft()
                 if shard_id in self.delivered:
                     continue
                 self.dispatches[shard_id] += 1
-                self.in_flight.setdefault(shard_id, set()).add(worker_id)
-                return shard_id, False
-            if self.hedge:
-                for shard_id, owners in self.in_flight.items():
-                    if (shard_id in self.delivered
-                            or shard_id in self.hedged
-                            or worker_id in owners
-                            or not owners):
-                        continue
-                    self.hedged.add(shard_id)
-                    self.dispatches[shard_id] += 1
-                    owners.add(worker_id)
-                    return shard_id, True
+                return shard_id
             return None
 
-    def deliver(self, shard_id: int, outcome: ShardOutcome,
-                worker_id: str) -> bool:
-        """Publish an outcome; False when a twin already delivered it."""
+    def deliver(self, shard_id: int, outcome: ShardOutcome) -> bool:
+        """Publish an outcome; False when the shard already delivered."""
         with self.lock:
-            self.in_flight.get(shard_id, set()).discard(worker_id)
             if shard_id in self.delivered:
                 return False
             self.delivered.add(shard_id)
             self.outcomes.put((shard_id, outcome))
             return True
 
-    def release(self, shard_id: int, worker_id: str, error: str) -> str:
-        """A dispatch failed under ``worker_id``: requeue, fail, or drop.
+    def requeue(self, shard_id: int, error: str) -> bool:
+        """A dispatch hit a transport error: requeue, or give up.
 
-        Returns ``"requeued"`` (budget left: a peer will re-run it),
-        ``"failed"`` (budget spent: a failed outcome was delivered), or
-        ``"dropped"`` (a hedge twin is still running it, or it already
-        delivered — nothing to do).
+        Returns True when the shard went back to ``pending`` (budget
+        left: a peer will re-run it).  With the budget spent, a failed
+        outcome carrying ``error`` is delivered instead — the
+        coordinator isolates its tasks locally — and the result is
+        False.
         """
         with self.lock:
-            self.in_flight.get(shard_id, set()).discard(worker_id)
             if shard_id in self.delivered:
-                return "dropped"
-            if self.in_flight.get(shard_id):
-                return "dropped"  # a hedge twin is still on it
+                return False
             if self.dispatches[shard_id] >= self.max_dispatches:
                 self.delivered.add(shard_id)
                 self.outcomes.put((shard_id, ShardOutcome(error=error)))
-                return "failed"
+                return False
             self.pending.append(shard_id)
-            return "requeued"
+            return True
 
 
 class SocketExecutor(Executor):
@@ -234,29 +196,15 @@ class SocketExecutor(Executor):
         self,
         addresses: List[Tuple[str, int]],
         connect_timeout_s: float = 5.0,
-        heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
-        redispatch_budget: int = REDISPATCH_BUDGET,
-        hedge: Optional[bool] = None,
-        breaker_threshold: int = BREAKER_THRESHOLD,
-        breaker_cooldown_s: float = BREAKER_COOLDOWN_S,
-        reconnect_attempts: int = RECONNECT_ATTEMPTS,
-        reconnect_backoff_s: float = RECONNECT_BACKOFF_S,
     ) -> None:
         if not addresses:
             raise ExecutorError("socket executor needs at least one worker")
         self.addresses = list(addresses)
         self.connect_timeout_s = connect_timeout_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.redispatch_budget = max(0, int(redispatch_budget))
-        self.hedge = hedge_enabled_by_env() if hedge is None else bool(hedge)
-        self.reconnect_attempts = max(1, int(reconnect_attempts))
-        self.reconnect_backoff_s = reconnect_backoff_s
-        self._isolation = LocalPoolExecutor()
         #: Breakers persist across run_shards calls: a worker flapping
         #: in sweep N starts sweep N+1 quarantined until its cooldown.
         self._breakers: Dict[str, CircuitBreaker] = {
-            f"{host}:{port}": CircuitBreaker(breaker_threshold,
-                                             breaker_cooldown_s)
+            f"{host}:{port}": CircuitBreaker()
             for host, port in self.addresses
         }
 
@@ -276,7 +224,7 @@ class SocketExecutor(Executor):
         shards: List[List[SimTask]],
         task_timeout_s: Optional[float] = None,
     ) -> Iterator[Tuple[int, ShardOutcome]]:
-        state = _FleetRun(shards, 1 + self.redispatch_budget, self.hedge)
+        state = _FleetRun(shards, 1 + REDISPATCH_BUDGET)
         status: "queue.Queue" = queue.Queue()
         threads = [
             threading.Thread(
@@ -336,7 +284,7 @@ class SocketExecutor(Executor):
         health.  The local pool gives exact timeout enforcement and
         crash containment, matching the ``process`` backend.
         """
-        return self._isolation.run_one(task, task_timeout_s)
+        return LOCAL_POOL.run_one(task, task_timeout_s)
 
     # ------------------------------------------------------------------
     def _serve_address(self, address, state: _FleetRun, status,
@@ -348,74 +296,71 @@ class SocketExecutor(Executor):
         conn: Optional[socket.socket] = None
         reported = False
         reconnects = 0
+
+        def report(ok: bool, error: Optional[str]) -> None:
+            """First handshake outcome, exactly once per address."""
+            nonlocal reported
+            if not reported:
+                status.put((ok, address, error))
+                reported = True
+
         try:
             while not state.finished() and not state.aborted:
                 if conn is None:
                     if not breaker.allows():
-                        if not reported:
-                            status.put((False, address, "circuit open"))
-                            reported = True
+                        report(False, "circuit open")
                         time.sleep(0.05)
                         continue
                     try:
-                        conn = self._connect(address)
+                        conn = wire.dial(address, self.connect_timeout_s,
+                                         who="worker")
                     except (OSError, wire.WireError) as exc:
                         if not reported:
                             # First connect failed: report and give up
                             # this address — run_shards fast-fails a
                             # fully unreachable fleet off these reports.
-                            status.put((False, address, str(exc)))
-                            reported = True
+                            report(False, str(exc))
                             return
                         if breaker.record_failure() and bus is not None:
                             bus.count("executor.breaker_trips",
                                       worker=worker_id)
                         reconnects += 1
-                        if reconnects >= self.reconnect_attempts:
+                        if reconnects >= RECONNECT_ATTEMPTS:
                             return  # address is gone for good
                         time.sleep(min(
-                            self.reconnect_backoff_s * (2 ** (reconnects - 1)),
+                            RECONNECT_BACKOFF_S * (2 ** (reconnects - 1)),
                             RECONNECT_BACKOFF_CAP_S,
                         ))
                         continue
                     breaker.record_success()
-                    if not reported:
-                        status.put((True, address, None))
-                        reported = True
-                claim = state.claim(worker_id)
-                if claim is None:
+                    report(True, None)
+                shard_id = state.claim()
+                if shard_id is None:
                     if state.finished():
                         break
                     time.sleep(0.02)  # stragglers in flight elsewhere
                     continue
-                shard_id, is_hedge = claim
-                if is_hedge and bus is not None:
-                    bus.count("executor.hedges")
-                outcome, alive, requeueable = self._dispatch(
+                outcome, verdict = self._dispatch(
                     conn, shard_id, state.shards[shard_id], task_timeout_s,
                     worker_id=worker_id,
                 )
-                if alive:
+                if verdict in (OK, TASK_ERROR):
                     breaker.record_success()
-                    state.deliver(shard_id, outcome, worker_id)
+                    state.deliver(shard_id, outcome)
                     continue
                 # Connection is unusable from here on.
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                wire.close_quietly(conn)
                 conn = None
-                if not requeueable:
-                    # Shard deadline blown: every peer would blow it
-                    # too — surface it for local isolation instead of
-                    # burning the redispatch budget on a lost cause.
-                    state.deliver(shard_id, outcome, worker_id)
+                if verdict == DEADLINE_BLOWN:
+                    # Surface it for local isolation instead of burning
+                    # the redispatch budget on a lost cause.
+                    state.deliver(shard_id, outcome)
                     continue
                 if breaker.record_failure() and bus is not None:
                     bus.count("executor.breaker_trips", worker=worker_id)
-                disposition = state.release(shard_id, worker_id,
-                                            outcome.error or "worker failed")
-                if disposition == "requeued" and bus is not None:
+                requeued = state.requeue(shard_id,
+                                         outcome.error or "worker failed")
+                if requeued and bus is not None:
                     bus.count("executor.redispatches")
             if conn is not None:
                 try:
@@ -423,66 +368,42 @@ class SocketExecutor(Executor):
                 except OSError:
                     pass
         finally:
-            if not reported:
-                status.put((False, address, "dispatch thread exited"))
+            report(False, "dispatch thread exited")
             if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-    def _connect(self, address) -> socket.socket:
-        conn = socket.create_connection(address,
-                                        timeout=self.connect_timeout_s)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        local_hello = wire.hello_payload()
-        wire.send_json(conn, wire.MSG_HELLO, local_hello)
-        msg_type, payload = wire.recv_frame(
-            conn, timeout_s=self.connect_timeout_s
-        )
-        if msg_type == wire.MSG_REFUSED:
-            raise wire.WireError(
-                f"worker refused: {wire.recv_json(payload).get('error')}"
-            )
-        if msg_type != wire.MSG_HELLO:
-            raise wire.WireError(f"expected HELLO, got message {msg_type}")
-        problem = wire.check_hello(local_hello, wire.recv_json(payload),
-                                   who="worker")
-        if problem is not None:
-            raise wire.WireError(problem)
-        return conn
+                wire.close_quietly(conn)
 
     def _dispatch(self, conn, shard_index, shard, task_timeout_s,
-                  worker_id: str = "") -> Tuple[ShardOutcome, bool, bool]:
+                  worker_id: str = "") -> Tuple[ShardOutcome, str]:
         """Send one shard and await its outcome.
 
-        Returns ``(outcome, connection_still_usable, requeueable)``.
-        ``requeueable`` distinguishes infrastructure failures (dead
-        socket, truncated/garbled frame, protocol violation — a healthy
-        peer may well succeed) from a blown shard deadline (a peer
-        would blow it too).  Heartbeats keep the per-frame recv
-        deadline alive; the absolute shard deadline (``task_timeout_s``
-        scaled by shard length, matching the local pool) is enforced on
-        top.  STATS heartbeat payloads are forwarded to the telemetry
-        bus when the plane is on — purely observational, never part of
-        the outcome.
+        Returns ``(outcome, verdict)`` with the verdict one of
+        :data:`OK`, :data:`TASK_ERROR`, :data:`TRANSPORT_ERROR`
+        (infrastructure: a healthy peer may well succeed) or
+        :data:`DEADLINE_BLOWN` (a peer would blow it too); the
+        connection stays usable after the first two only.  Heartbeats
+        keep the per-frame recv deadline alive; the absolute shard
+        deadline (``task_timeout_s`` scaled by shard length, matching
+        the local pool) is enforced on top.  STATS heartbeat payloads
+        are forwarded to the telemetry bus when the plane is on —
+        purely observational, never part of the outcome.
         """
         bus = active_bus()
         deadline = None
         if task_timeout_s is not None:
-            deadline = time.monotonic() + task_timeout_s * (len(shard) + 1)
+            budget_s = task_timeout_s * (len(shard) + 1)
+            deadline = time.monotonic() + budget_s
+            blown = ShardOutcome(error=(
+                f"shard timed out after {budget_s:g}s "
+                f"(task_timeout_s={task_timeout_s:g})"
+            )), DEADLINE_BLOWN
         try:
             wire.send_pickle(conn, wire.MSG_SHARD, (shard_index, shard))
             while True:
-                wait_s = self.heartbeat_timeout_s
+                wait_s = wire.HEARTBEAT_TIMEOUT_S
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        return ShardOutcome(error=(
-                            f"shard timed out after "
-                            f"{task_timeout_s * (len(shard) + 1):g}s "
-                            f"(task_timeout_s={task_timeout_s:g})"
-                        )), False, False
+                        return blown
                     wait_s = min(wait_s, remaining)
                 msg_type, payload = wire.recv_frame(conn, timeout_s=wait_s)
                 if msg_type == wire.MSG_HEARTBEAT:
@@ -503,29 +424,31 @@ class SocketExecutor(Executor):
                         # all of it means "cannot trust this connection".
                         return ShardOutcome(
                             error=f"undecodable RESULT frame: {exc}"
-                        ), False, True
+                        ), TRANSPORT_ERROR
                     if result_id != shard_index:
                         return ShardOutcome(error=(
                             f"worker answered shard {result_id}, "
                             f"expected {shard_index}"
-                        )), False, True
-                    return ShardOutcome(values=values), True, False
+                        )), TRANSPORT_ERROR
+                    return ShardOutcome(values=values), OK
                 if msg_type == wire.MSG_SHARD_ERR:
-                    # A task raised *on* the worker: task failure, not
-                    # infrastructure — deliver once, never redispatch.
                     body = wire.recv_json(payload)
                     return ShardOutcome(
                         error=str(body.get("error", "unknown worker error"))
-                    ), True, False
+                    ), TASK_ERROR
                 if msg_type == wire.MSG_REFUSED:
                     return ShardOutcome(
                         error=f"worker refused shard: "
                               f"{wire.recv_json(payload).get('error')}"
-                    ), False, True
+                    ), TRANSPORT_ERROR
                 return ShardOutcome(
                     error=f"unexpected message {msg_type} from worker"
-                ), False, True
+                ), TRANSPORT_ERROR
         except (OSError, wire.WireError, pickle.PickleError) as exc:
+            if deadline is not None and time.monotonic() >= deadline:
+                # The recv was cut short by the shard deadline (wait_s
+                # is capped to it), not by the peer going quiet.
+                return blown
             return ShardOutcome(
                 error=f"socket worker failed mid-shard: {exc}"
-            ), False, True
+            ), TRANSPORT_ERROR

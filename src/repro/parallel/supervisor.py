@@ -46,10 +46,17 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.errors import ConfigurationError, ExecutorError
+from repro.core.errors import (
+    ConfigurationError,
+    ExecutorError,
+    checked_kwargs as _checked_kwargs,
+    json_object as _json_object,
+    require as _require,
+)
 from repro.core.proc import pid_start_token, same_process
 from repro.obs.telemetry import active_bus
 from repro.parallel.chaos import CHAOS_INDEX_ENV
+from repro.parallel.wire import MAX_HEARTBEAT_INTERVAL_S
 
 __all__ = ["FLEET_STATE_SCHEMA", "FleetSpec", "FleetSupervisor",
            "default_state_path", "fleet_main"]
@@ -73,23 +80,6 @@ def default_state_path() -> str:
     """Where ``fleet`` subcommands keep state unless ``--state`` says."""
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-sweep",
                         "fleet.json")
-
-
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(f"{where}: {message}")
-
-
-def _checked_kwargs(cls, data: Mapping[str, Any], where: str) -> Dict[str, Any]:
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(
-            f"{where}: expected a JSON object, got {type(data).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown fields {unknown}")
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -123,10 +113,13 @@ class FleetSpec:
         for port in self.ports:
             _require(isinstance(port, int) and 0 < port < 65536,
                      "FleetSpec.ports", f"invalid port {port!r}")
+        # Above a third of the executor's silence deadline, a healthy
+        # worker would be declared dead between two beats.
         _require(isinstance(self.heartbeat_s, (int, float))
-                 and self.heartbeat_s > 0,
+                 and 0 < self.heartbeat_s <= MAX_HEARTBEAT_INTERVAL_S,
                  "FleetSpec.heartbeat_s",
-                 f"must be positive, got {self.heartbeat_s!r}")
+                 f"must be in (0, {MAX_HEARTBEAT_INTERVAL_S:g}], "
+                 f"got {self.heartbeat_s!r}")
         object.__setattr__(self, "command", tuple(self.command))
         _require(len(self.command) >= 1
                  and all(isinstance(arg, str) for arg in self.command),
@@ -150,48 +143,27 @@ class FleetSpec:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
+        """``workers`` plus every field that differs from its default."""
         data: Dict[str, Any] = {"workers": self.workers}
-        if self.host != "127.0.0.1":
-            data["host"] = self.host
-        if self.ports:
-            data["ports"] = list(self.ports)
-        if self.heartbeat_s != 1.0:
-            data["heartbeat_s"] = self.heartbeat_s
-        if self.command != DEFAULT_COMMAND:
-            data["command"] = list(self.command)
-        if self.max_restarts != 3:
-            data["max_restarts"] = self.max_restarts
-        if self.restart_backoff_s != 0.5:
-            data["restart_backoff_s"] = self.restart_backoff_s
-        if self.restart_backoff_cap_s != 8.0:
-            data["restart_backoff_cap_s"] = self.restart_backoff_cap_s
-        if self.label:
-            data["label"] = self.label
+        for spec_field in dataclasses.fields(self)[1:]:
+            value = getattr(self, spec_field.name)
+            if value != spec_field.default:
+                data[spec_field.name] = (
+                    list(value) if isinstance(value, tuple) else value
+                )
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FleetSpec":
-        kwargs = _checked_kwargs(cls, data, "FleetSpec")
-        if "ports" in kwargs:
-            kwargs["ports"] = tuple(kwargs["ports"])
-        if "command" in kwargs:
-            kwargs["command"] = tuple(kwargs["command"])
-        return cls(**kwargs)
+        # __post_init__ turns the JSON lists back into tuples.
+        return cls(**_checked_kwargs(cls, data, "FleetSpec"))
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "FleetSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"fleet file is not valid JSON: {exc}")
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"fleet file must hold a JSON object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(text, "fleet file"))
 
     @classmethod
     def from_file(cls, path: str) -> "FleetSpec":

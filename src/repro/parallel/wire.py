@@ -41,14 +41,18 @@ Message types
 ``REFUSED``    either direction, JSON ``{error}`` before closing
 """
 
+import argparse
+import contextlib
 import json
+import os
 import pickle
 import socket
 import struct
+import time
 import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from repro.core.errors import ReproError
+from repro.core.errors import ConfigurationError, ReproError
 from repro.parallel import chaos
 
 __all__ = [
@@ -64,11 +68,20 @@ __all__ = [
     "MSG_REPORT",
     "MSG_DONE",
     "MSG_REFUSED",
+    "HEARTBEAT_TIMEOUT_S",
+    "MAX_HEARTBEAT_INTERVAL_S",
+    "accept_hello",
+    "client_hello",
+    "close_quietly",
+    "dial",
+    "listen_address",
+    "parse_address",
     "recv_frame",
     "recv_json",
     "send_frame",
     "send_json",
     "send_pickle",
+    "serve_connections",
 ]
 
 #: Bump on any incompatible framing or message-semantics change.
@@ -91,6 +104,18 @@ MSG_DONE = 9
 MSG_REFUSED = 10
 
 _HEADER = struct.Struct(">BII")
+_NO_LOCK = contextlib.nullcontext()
+
+#: recv deadline between frames while a shard runs: a worker silent
+#: for this long is declared dead and its shard redispatched.
+HEARTBEAT_TIMEOUT_S = 10.0
+#: Longest heartbeat interval a worker may be started with — the
+#: telemetry bus's own rule (stale past 3x the interval) applied to the
+#: deadline above, so a healthy worker always gets three beats in.
+MAX_HEARTBEAT_INTERVAL_S = HEARTBEAT_TIMEOUT_S / 3
+
+#: How long the accepting side waits for a new connection's HELLO.
+HANDSHAKE_TIMEOUT_S = 30.0
 
 
 class WireError(ReproError):
@@ -111,29 +136,22 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"",
     costs one ``None`` check.
     """
     header = _HEADER.pack(msg_type, len(payload), zlib.crc32(payload))
+    truncate = False
     controller = chaos.active_controller()
     if controller is not None:
         action = controller.frame_action(is_result=(msg_type == MSG_RESULT))
         if action == "frame_garbage":
             payload = controller.garble(payload)
         elif action == "frame_truncate":
-            frame = header + payload[:max(1, len(payload) // 2)]
-            if lock is not None:
-                with lock:
-                    sock.sendall(frame)
-            else:
-                sock.sendall(frame)
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            return
-    frame = header + payload
-    if lock is not None:
-        with lock:
-            sock.sendall(frame)
-    else:
-        sock.sendall(frame)
+            truncate = True
+            payload = payload[:max(1, len(payload) // 2)]
+    with lock if lock is not None else _NO_LOCK:
+        sock.sendall(header + payload)
+    if truncate:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
 
 def send_json(sock: socket.socket, msg_type: int, obj: Any,
@@ -199,8 +217,6 @@ def recv_json(payload: bytes) -> Any:
 
 def hello_payload() -> dict:
     """The handshake body both sides exchange on connect."""
-    import os
-
     from repro.parallel.cache import code_fingerprint
 
     return {
@@ -220,3 +236,139 @@ def check_hello(local: dict, remote: dict, who: str) -> Optional[str]:
                 f"(fingerprint mismatch) — results would not be "
                 f"comparable; update both checkouts to the same revision")
     return None
+
+
+def close_quietly(sock: socket.socket) -> None:
+    """Close a socket whose peer may already have torn it down."""
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+def accept_hello(conn: socket.socket, log: Callable[[str], None]) -> bool:
+    """Server side of the handshake: HELLO in, check, REFUSED | HELLO out.
+
+    Returns False after answering REFUSED (the caller just closes).
+    """
+    local_hello = hello_payload()
+    msg_type, payload = recv_frame(conn, timeout_s=HANDSHAKE_TIMEOUT_S)
+    if msg_type != MSG_HELLO:
+        send_json(conn, MSG_REFUSED, {"error": "expected HELLO"})
+        return False
+    problem = check_hello(local_hello, recv_json(payload), who="client")
+    if problem is not None:
+        log(f"refusing client: {problem}")
+        send_json(conn, MSG_REFUSED, {"error": problem})
+        return False
+    controller = chaos.active_controller()
+    if controller is not None:
+        delay_s = controller.connect_delay_s()
+        if delay_s > 0:
+            time.sleep(delay_s)  # chaos seam: a peer slow to handshake
+    send_json(conn, MSG_HELLO, local_hello)
+    return True
+
+
+def client_hello(conn: socket.socket, timeout_s: float, who: str) -> None:
+    """Client side: NODELAY, HELLO out, expect HELLO | REFUSED, check.
+
+    ``who`` names the peer in error text.  Raises :class:`WireError`
+    when the peer refuses, answers out of protocol, or must not be
+    mixed with this side (wire version / source fingerprint).
+    """
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    local_hello = hello_payload()
+    send_json(conn, MSG_HELLO, local_hello)
+    msg_type, payload = recv_frame(conn, timeout_s=timeout_s)
+    if msg_type == MSG_REFUSED:
+        raise WireError(f"{who} refused: {recv_json(payload).get('error')}")
+    if msg_type != MSG_HELLO:
+        raise WireError(f"expected HELLO, got message {msg_type}")
+    problem = check_hello(local_hello, recv_json(payload), who=who)
+    if problem is not None:
+        raise WireError(problem)
+
+
+def dial(address: Tuple[str, int], timeout_s: float,
+         who: str) -> socket.socket:
+    """Connect to ``address`` and complete the client handshake."""
+    conn = socket.create_connection(address, timeout=timeout_s)
+    try:
+        client_hello(conn, timeout_s, who)
+    except BaseException:
+        close_quietly(conn)
+        raise
+    return conn
+
+
+def parse_address(text: str, allow_port_zero: bool = False) -> Tuple[str, int]:
+    """Parse one ``HOST:PORT``; port 0 only where the kernel may pick."""
+    part = text.strip()
+    host, sep, port_text = part.rpartition(":")
+    if not sep or not host or "," in part:
+        raise ConfigurationError(f"address must be one HOST:PORT, got {part!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ConfigurationError(f"port must be an integer: {part!r}")
+    lowest = 0 if allow_port_zero else 1
+    if not lowest <= port < 65536:
+        raise ConfigurationError(f"port out of range: {part!r}")
+    return host, port
+
+
+def listen_address(text: str) -> Tuple[str, int]:
+    """argparse ``type=`` for ``--listen HOST:PORT`` (port 0 allowed)."""
+    try:
+        return parse_address(text, allow_port_zero=True)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def serve_connections(
+    address: Tuple[str, int],
+    name: str,
+    handle: Callable[[socket.socket], None],
+    log: Callable[[str], None],
+    once: bool = False,
+    on_listening: Optional[Callable[[], None]] = None,
+) -> int:
+    """Bind, announce, and serve one connection at a time.
+
+    Prints exactly one ``<name> listening on HOST:PORT pid=N`` line on
+    stdout (launchers binding port 0 scrape it), then calls
+    ``on_listening`` and loops ``accept -> handle(conn) -> close``.
+    Per-connection isolation: nothing one connection does — a crashing
+    job, a mid-frame disconnect, a protocol violation — ends the loop.
+    Returns the process exit code (``once`` stops after one connection,
+    Ctrl-C stops cleanly).
+    """
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        server.bind(address)
+        server.listen(4)
+        bound_host, bound_port = server.getsockname()[:2]
+        print(f"{name} listening on {bound_host}:{bound_port} "
+              f"pid={os.getpid()}", flush=True)
+        if on_listening is not None:
+            on_listening()
+        while True:
+            conn, peer = server.accept()
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            log(f"connection from {peer[0]}:{peer[1]}")
+            try:
+                handle(conn)
+            except WireError as exc:
+                log(f"connection error: {exc}")
+            except Exception as exc:  # noqa: BLE001 - stay serving
+                log(f"connection failed: {type(exc).__name__}: {exc}")
+            finally:
+                close_quietly(conn)
+            if once:
+                return 0
+    except KeyboardInterrupt:
+        return 0
+    finally:
+        server.close()

@@ -147,27 +147,10 @@ class _Heartbeat:
 def _handle_connection(conn: socket.socket, heartbeat_s: float,
                        log) -> int:
     """Serve one coordinator connection; returns shards executed."""
+    if not wire.accept_hello(conn, log):
+        return 0
     send_lock = threading.Lock()
-    local_hello = wire.hello_payload()
-    msg_type, payload = wire.recv_frame(conn, timeout_s=30.0)
-    if msg_type != wire.MSG_HELLO:
-        wire.send_json(conn, wire.MSG_REFUSED,
-                       {"error": "expected HELLO"}, lock=send_lock)
-        return 0
-    problem = wire.check_hello(local_hello, wire.recv_json(payload),
-                               who="client")
-    if problem is not None:
-        log(f"refusing client: {problem}")
-        wire.send_json(conn, wire.MSG_REFUSED, {"error": problem},
-                       lock=send_lock)
-        return 0
     controller = chaos.active_controller()
-    if controller is not None:
-        delay_s = controller.connect_delay_s()
-        if delay_s > 0:
-            time.sleep(delay_s)  # chaos seam: a worker slow to handshake
-    wire.send_json(conn, wire.MSG_HELLO, local_hello, lock=send_lock)
-
     stats = _ShardStats()
     shards_done = 0
     while True:
@@ -230,34 +213,12 @@ def serve_worker(host: str, port: int, once: bool = False,
         if not quiet:
             print(f"repro-worker: {message}", file=sys.stderr, flush=True)
 
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        server.bind((host, port))
-        server.listen(4)
-        bound_host, bound_port = server.getsockname()[:2]
-        print(f"repro-worker listening on {bound_host}:{bound_port} "
-              f"pid={os.getpid()}", flush=True)
-        while True:
-            conn, peer = server.accept()
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            log(f"connection from {peer[0]}:{peer[1]}")
-            try:
-                shards = _handle_connection(conn, heartbeat_s, log)
-                log(f"connection closed after {shards} shard(s)")
-            except wire.WireError as exc:
-                log(f"connection error: {exc}")
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            if once:
-                return 0
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        server.close()
+    def handle(conn: socket.socket) -> None:
+        shards = _handle_connection(conn, heartbeat_s, log)
+        log(f"connection closed after {shards} shard(s)")
+
+    return wire.serve_connections((host, port), "repro-worker", handle, log,
+                                  once=once)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -268,7 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "on loopback or a trusted network only.",
     )
     parser.add_argument("--listen", metavar="HOST:PORT",
-                        default="127.0.0.1:0",
+                        type=wire.listen_address, default="127.0.0.1:0",
                         help="bind address (default 127.0.0.1:0 — port 0 "
                              "lets the kernel pick; the chosen port is "
                              "printed on stdout)")
@@ -281,20 +242,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-connection logging on stderr")
     args = parser.parse_args(argv)
-
-    from repro.parallel.executors import parse_socket_addresses
-
-    try:
-        ((host, port),) = parse_socket_addresses(args.listen)
-    except Exception:
-        # parse_socket_addresses rejects port 0; allow it here.
-        host, _, port_text = args.listen.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            parser.error(f"--listen must be HOST:PORT, got {args.listen!r}")
-        if not host or not 0 <= port < 65536:
-            parser.error(f"--listen must be HOST:PORT, got {args.listen!r}")
+    if not 0 < args.heartbeat_s <= wire.MAX_HEARTBEAT_INTERVAL_S:
+        parser.error(
+            f"--heartbeat-s must be in (0, "
+            f"{wire.MAX_HEARTBEAT_INTERVAL_S:g}] — the coordinator "
+            f"declares a worker dead after "
+            f"{wire.HEARTBEAT_TIMEOUT_S:g}s of silence"
+        )
+    host, port = args.listen
     return serve_worker(host, port, once=args.once,
                         heartbeat_s=args.heartbeat_s, quiet=args.quiet)
 

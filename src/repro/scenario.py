@@ -18,7 +18,7 @@ True
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import throughput as metrics
 from repro.core.errors import ConfigurationError, TransferDeadlineExceeded
@@ -27,20 +27,11 @@ from repro.core.rng import DEFAULT_SEED, RngStreams
 from repro.net.fabric import AttachedPath
 from repro.net.path import Path, PathConfig
 from repro.tcp.cc import single_path_factory
-from repro.tcp.cc.registry import CC_REGISTRY
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import ConnectionBase, TcpConnection
 from repro.mptcp.connection import MptcpConnection, MptcpOptions
 
-__all__ = ["Scenario", "TransferResult", "CC_FACTORIES"]
-
-#: Deprecated alias: single-path factories now live in the unified
-#: registry (:mod:`repro.tcp.cc.registry`); kept for one PR.
-CC_FACTORIES: Dict[str, Callable[[TcpConfig], object]] = {
-    name: entry.factory
-    for name, entry in CC_REGISTRY.items()
-    if entry.factory is not None and "single" in entry.scopes
-}
+__all__ = ["Scenario", "TransferResult"]
 
 #: Wall-clock guard for a single simulated transfer, seconds.
 DEFAULT_DEADLINE_S = 600.0

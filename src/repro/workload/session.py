@@ -9,8 +9,8 @@ completion, and snapshot the outcome as a canonical
 
 Batches go through the same interpreter: :meth:`Session.run_many`
 turns each spec into a :class:`~repro.parallel.SimTask` executing
-:func:`repro.parallel.tasks.run_transfer_spec` (i.e. ``Session.run``
-in a worker process), so workloads inherit the sweep engine's result
+:func:`run_transfer_spec` (i.e. ``Session.run`` in a worker
+process), so workloads inherit the sweep engine's result
 cache and its bit-identical ``workers=N`` determinism.
 
 Reproducibility contract: for a spec with an explicit ``seed``,
@@ -39,10 +39,10 @@ from repro.tcp.connection import ConnectionBase
 from repro.workload.report import TransferReport
 from repro.workload.spec import TransferSpec, WorkloadSpec
 
-__all__ = ["Session"]
+__all__ = ["Session", "run_transfer_spec"]
 
 #: ``"module:callable"`` reference executed by sweep workers.
-RUN_SPEC_FN = "repro.parallel.tasks:run_transfer_spec"
+RUN_SPEC_FN = "repro.workload.session:run_transfer_spec"
 
 
 class Session:
@@ -195,7 +195,7 @@ class Session:
         A spec with an explicit seed pins the ``seed`` kwarg so its
         cache key is independent of the sweep master seed; otherwise
         the engine injects a seed derived from the spec's key (see
-        :meth:`~repro.parallel.runner.SimTask.seeded`).
+        :meth:`~repro.parallel.task.SimTask.seeded`).
 
         Any run-level fidelity override is folded into the spec *here*,
         before the task (and therefore its cache key) is built, so
@@ -251,3 +251,15 @@ class Session:
             workload.transfers, workers=workers, cache=cache,
             seed=workload.seed, executor=executor, on_result=on_result,
         )
+
+
+def run_transfer_spec(
+    spec: TransferSpec, seed: Optional[int] = None
+) -> TransferReport:
+    """Worker entry point: interpret one transfer spec.
+
+    ``seed`` is the sweep engine's derived fallback for specs that
+    carry none (injected by :meth:`~repro.parallel.task.SimTask.seeded`);
+    an explicit ``spec.seed`` always wins.
+    """
+    return Session().run(spec, seed=seed)

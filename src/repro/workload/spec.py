@@ -30,7 +30,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import (
+    ConfigurationError,
+    checked_kwargs as _checked_kwargs,
+    json_object as _json_object,
+    require as _require,
+)
 from repro.core.rng import DEFAULT_SEED
 from repro.faults.spec import FaultSpec
 from repro.linkem.conditions import LocationCondition
@@ -67,11 +72,6 @@ _MPTCP_OPTION_FIELDS = tuple(
 )
 
 _TCP_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(TcpConfig))
-
-
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(f"{where}: {message}")
 
 
 def config_overrides(config: Optional[TcpConfig]) -> Optional[Dict[str, Any]]:
@@ -476,15 +476,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "WorkloadSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"workload file is not valid JSON: {exc}")
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"workload file must hold a JSON object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(text, "workload file"))
 
     def canonical_dict(self) -> Dict[str, Any]:
         return self.to_dict()
@@ -492,16 +484,3 @@ class WorkloadSpec:
     def canonical_json(self) -> str:
         return json.dumps(self.canonical_dict(), sort_keys=True,
                           separators=(",", ":"))
-
-
-def _checked_kwargs(cls, data: Mapping[str, Any], where: str) -> Dict[str, Any]:
-    """``data`` as constructor kwargs, rejecting unknown fields by name."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(
-            f"{where}: expected a JSON object, got {type(data).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown fields {unknown}")
-    return dict(data)

@@ -126,12 +126,3 @@ class TestAblationHelpers:
         effect = primary_effect(DEFAULT_SEED, nbytes=10 * 1024,
                                 condition_count=3)
         assert effect > 0.0
-
-    def test_backward_compatible_wrapper(self):
-        from repro.experiments.ablations import (
-            primary_effect,
-            primary_effect_10kb,
-        )
-
-        assert primary_effect_10kb(DEFAULT_SEED, 2) == primary_effect(
-            DEFAULT_SEED, 10 * 1024, 2)

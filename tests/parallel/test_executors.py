@@ -52,13 +52,16 @@ class TestSpecResolution:
         assert resolve_executor_spec() == "process"
 
     def test_aliases(self):
-        for alias in ("inprocess", "in-process", "serial"):
-            assert resolve_executor_spec(alias) == "inprocess"
-        for alias in ("process", "pool", "local", "  PROCESS "):
-            assert resolve_executor_spec(alias) == "process"
+        # Case and padding are normalised; the documented names are
+        # the only spellings.
+        assert resolve_executor_spec(" InProcess ") == "inprocess"
+        assert resolve_executor_spec("  PROCESS ") == "process"
+        for gone in ("in-process", "serial", "pool", "local"):
+            with pytest.raises(ConfigurationError):
+                resolve_executor_spec(gone)
 
     def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
         assert resolve_executor_spec() == "inprocess"
 
     def test_explicit_beats_default_beats_env(self, monkeypatch):

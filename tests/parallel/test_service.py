@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.linkem.conditions import make_conditions
 from repro.parallel import set_default_workers
 from repro.parallel.executors import set_default_executor
@@ -371,3 +372,31 @@ class TestHandleJobIsolation:
             assert finished["sweep"]
         finally:
             server.close()
+
+
+class TestListenAddress:
+    """`worker --listen` and `serve --listen` share one parser."""
+
+    def _error(self, main, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--listen", value])
+        assert excinfo.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        return last_line.split("error: ", 1)[1]
+
+    @pytest.mark.parametrize(
+        "value", ["a:1,b:2", "host:70000", ":80", "host:x"])
+    def test_malformed_values_get_the_same_error(self, value, capsys):
+        from repro.parallel.service import serve_main
+        from repro.parallel.worker import main as worker_main
+
+        worker_error = self._error(worker_main, value, capsys)
+        assert worker_error == self._error(serve_main, value, capsys)
+        assert worker_error.startswith("argument --listen:")
+
+    def test_port_zero_is_a_listen_address_only(self):
+        from repro.parallel import wire
+
+        assert wire.listen_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        with pytest.raises(ConfigurationError):
+            wire.parse_address("127.0.0.1:0")

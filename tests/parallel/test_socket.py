@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.core.errors import ExecutorError
+from repro.core.errors import ExecutorError, SweepTaskError
 from repro.experiments.common import mptcp_task, tcp_task
 from repro.linkem.conditions import make_conditions
 from repro.parallel import SimTask, SweepRunner, set_default_workers
@@ -308,29 +308,39 @@ class TestCircuitBreaker:
         clock["now"] += 5.0
         assert breaker.allows()
 
+    def test_breaker_accessor_exposes_fleet_state(self, two_workers):
+        from repro.parallel.socketexec import SocketExecutor
+
+        addrs = [addr for _, addr in two_workers]
+        executor = SocketExecutor([
+            (addr.rsplit(":", 1)[0], int(addr.rsplit(":", 1)[1]))
+            for addr in addrs
+        ])
+        for addr in addrs:
+            assert executor.breaker(addr).allows()
+            assert not executor.breaker(addr).open
+
 
 class TestFleetRun:
-    """Dispatch-state bookkeeping: budgets, duplicates, hedging."""
+    """Dispatch-state bookkeeping: budgets and duplicates."""
 
-    def _run(self, nshards=2, max_dispatches=2, hedge=False):
+    def _run(self, nshards=2, max_dispatches=2):
         from repro.parallel.socketexec import _FleetRun
 
-        return _FleetRun([["task"]] * nshards, max_dispatches, hedge)
+        return _FleetRun([["task"]] * nshards, max_dispatches)
 
     def test_claims_drain_in_order_then_none(self):
         state = self._run(nshards=2)
-        assert state.claim("a") == (0, False)
-        assert state.claim("b") == (1, False)
-        assert state.claim("a") is None  # nothing pending, no hedging
+        assert state.claim() == 0
+        assert state.claim() == 1
+        assert state.claim() is None  # nothing pending
 
     def test_release_requeues_until_budget_then_fails(self):
-        from repro.parallel.executors import ShardOutcome  # noqa: F401
-
         state = self._run(nshards=1, max_dispatches=2)
-        assert state.claim("a") == (0, False)
-        assert state.release(0, "a", "boom") == "requeued"
-        assert state.claim("b") == (0, False)  # redispatched to a peer
-        assert state.release(0, "b", "boom again") == "failed"
+        assert state.claim() == 0
+        assert state.requeue(0, "boom") is True
+        assert state.claim() == 0  # redispatched to a peer
+        assert state.requeue(0, "boom again") is False  # budget spent
         shard_id, outcome = state.outcomes.get_nowait()
         assert shard_id == 0
         assert outcome.error == "boom again"
@@ -339,34 +349,62 @@ class TestFleetRun:
     def test_duplicate_delivery_is_dropped(self):
         from repro.parallel.executors import ShardOutcome
 
-        state = self._run(nshards=1, max_dispatches=3, hedge=True)
-        state.claim("a")
-        state.claim("b")  # hedge twin
-        assert state.deliver(0, ShardOutcome(values=[1]), "a") is True
-        assert state.deliver(0, ShardOutcome(values=[1]), "b") is False
+        # Worker "a" goes silent, the shard is requeued to "b", and
+        # then both answer: only the first outcome may be published.
+        state = self._run(nshards=1, max_dispatches=3)
+        state.claim()
+        assert state.requeue(0, "a went silent") is True
+        state.claim()
+        assert state.deliver(0, ShardOutcome(values=[1])) is True
+        assert state.deliver(0, ShardOutcome(values=[1])) is False
         assert state.outcomes.qsize() == 1
 
-    def test_hedge_only_when_pending_empty_and_not_owner(self):
-        state = self._run(nshards=2, max_dispatches=3, hedge=True)
-        assert state.claim("a") == (0, False)
-        # Pending work left: "b" gets shard 1, not a hedge of shard 0.
-        assert state.claim("b") == (1, False)
-        # The owner never hedges its own shard: "a" owns 0, so its
-        # only hedge option is "b"'s shard 1.
-        assert state.claim("a") == (1, True)
-        state = self._run(nshards=1, max_dispatches=3, hedge=True)
-        assert state.claim("a") == (0, False)
-        assert state.claim("a") is None  # own shard
-        assert state.claim("b") == (0, True)  # a real hedge
-        assert state.claim("c") is None  # hedged at most once
 
-    def test_release_with_hedge_twin_in_flight_is_dropped(self):
-        state = self._run(nshards=1, max_dispatches=3, hedge=True)
-        state.claim("a")
-        state.claim("b")  # hedge twin
-        assert state.release(0, "a", "a died") == "dropped"
-        assert not state.finished()  # twin still owns it
-        assert state.outcomes.qsize() == 0
+class TestDispatchVerdicts:
+    """Task errors and blown deadlines end in local isolation — neither
+    is an infrastructure failure, so neither is ever redispatched."""
+
+    @pytest.fixture
+    def bus(self):
+        from repro.obs import telemetry
+
+        telemetry.disable()
+        yield telemetry.enable()
+        telemetry.disable()
+
+    def test_task_error_on_a_worker_is_isolated_then_retried(
+            self, two_workers, bus):
+        spec = "socket:" + ",".join(addr for _, addr in two_workers)
+        bad = SimTask(fn="tests.faults._tasks:fail_always_task",
+                      kwargs={"seed": 0}, key="bad")
+        runner = SweepRunner(workers=3, cache=False, executor=spec,
+                             max_retries=1, retry_backoff_s=0.0)
+        with pytest.raises(SweepTaskError) as excinfo:
+            runner.run(_double_tasks(2) + [bad])
+        assert excinfo.value.results[:2] == [
+            {"value": i * 2, "seed": i} for i in range(2)]
+        (failure,) = excinfo.value.failures
+        assert failure.key == "bad"
+        assert "this task always fails" in failure.error
+        # The SHARD_ERR dispatch was attempt 1, the isolated re-run 2.
+        assert failure.attempts == 2
+        assert "executor.redispatches" not in bus.registry.snapshot()
+
+    def test_blown_shard_deadline_goes_to_isolation_not_a_peer(
+            self, two_workers, bus):
+        spec = "socket:" + ",".join(addr for _, addr in two_workers)
+        hung = SimTask(fn="tests.faults._tasks:sleep_task",
+                       kwargs={"duration_s": 4.0, "seed": 0}, key="hung")
+        runner = SweepRunner(workers=2, cache=False, executor=spec,
+                             max_retries=0, task_timeout_s=0.5)
+        with pytest.raises(SweepTaskError) as excinfo:
+            runner.run(_double_tasks(1) + [hung])
+        assert excinfo.value.results[0] == {"value": 0, "seed": 0}
+        (failure,) = excinfo.value.failures
+        assert failure.key == "hung"
+        # Reported by the isolated re-run, where the budget is exact.
+        assert "task_timeout_s=0.5" in failure.error
+        assert "executor.redispatches" not in bus.registry.snapshot()
 
 
 class TestDegradeTelemetry:
@@ -387,35 +425,3 @@ class TestDegradeTelemetry:
             assert bus.registry.snapshot().get("sweep.degraded") == 1.0
         finally:
             telemetry.disable()
-
-
-class TestHedgedDispatch:
-    def test_hedging_keeps_results_identical(self, two_workers,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_HEDGE", "1")
-        spec = "socket:" + ",".join(addr for _, addr in two_workers)
-        tasks = [
-            SimTask(fn="tests.parallel._tasks:slow_double",
-                    kwargs={"value": i, "seed": i, "duration_s": 0.1},
-                    key=f"h{i}")
-            for i in range(3)
-        ]
-        reference = SweepRunner(workers=1, cache=False,
-                                executor="inprocess").run(tasks)
-        # 4 dispatch slots vs 3 shards: idle workers hedge stragglers;
-        # first result wins and results cannot change.
-        results = SweepRunner(workers=4, cache=False,
-                              executor=spec).run(tasks)
-        assert results == reference
-
-    def test_breaker_accessor_exposes_fleet_state(self, two_workers):
-        from repro.parallel.socketexec import SocketExecutor
-
-        addrs = [addr for _, addr in two_workers]
-        executor = SocketExecutor([
-            (addr.rsplit(":", 1)[0], int(addr.rsplit(":", 1)[1]))
-            for addr in addrs
-        ])
-        for addr in addrs:
-            assert executor.breaker(addr).allows()
-            assert not executor.breaker(addr).open

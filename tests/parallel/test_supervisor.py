@@ -75,6 +75,24 @@ class TestFleetSpec:
             FleetSpec(workers=1, restart_backoff_s=2.0,
                       restart_backoff_cap_s=1.0)
 
+    def test_heartbeat_must_fit_the_silence_deadline(self):
+        from repro.parallel.wire import (
+            HEARTBEAT_TIMEOUT_S,
+            MAX_HEARTBEAT_INTERVAL_S,
+        )
+        from repro.parallel.worker import main as worker_main
+
+        # Beating slower than a third of the executor's silence
+        # deadline gets a healthy worker declared dead mid-shard.
+        assert MAX_HEARTBEAT_INTERVAL_S * 3 == pytest.approx(
+            HEARTBEAT_TIMEOUT_S)
+        FleetSpec(workers=1, heartbeat_s=MAX_HEARTBEAT_INTERVAL_S)
+        with pytest.raises(ConfigurationError, match="heartbeat_s"):
+            FleetSpec(workers=1, heartbeat_s=HEARTBEAT_TIMEOUT_S)
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main(["--heartbeat-s", f"{HEARTBEAT_TIMEOUT_S:g}"])
+        assert excinfo.value.code == 2
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fields"):
             FleetSpec.from_json('{"workers": 2, "replicas": 3}')

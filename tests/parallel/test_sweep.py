@@ -55,7 +55,7 @@ def _small_tasks(seed: int = 7):
 
 class TestSimTask:
     def test_resolves_module_callable(self):
-        task = SimTask(fn="repro.parallel.tasks:run_transfer_spec")
+        task = SimTask(fn="repro.workload.session:run_transfer_spec")
         assert callable(task.resolve())
 
     def test_rejects_malformed_path(self):
@@ -64,7 +64,7 @@ class TestSimTask:
 
     def test_rejects_missing_attribute(self):
         with pytest.raises(ConfigurationError):
-            SimTask(fn="repro.parallel.tasks:nope").resolve()
+            SimTask(fn="repro.workload.session:nope").resolve()
 
     def test_seeded_derives_from_key_not_order(self):
         task = SimTask(fn="m:f", kwargs={"x": 1}, key="alpha")

@@ -188,7 +188,7 @@ class TestCacheKeys:
 
     def test_spec_key_stable_across_processes(self):
         spec = tcp_spec(seed=13)
-        key = spec_key("repro.parallel.tasks:run_transfer_spec",
+        key = spec_key("repro.workload.session:run_transfer_spec",
                        {"spec": spec, "seed": 13}, fingerprint="pinned")
         program = (
             "import sys, json\n"
@@ -198,7 +198,7 @@ class TestCacheKeys:
             "condition = ConditionSpec.from_condition(make_conditions(seed=3)[0])\n"
             "spec = TransferSpec(kind='tcp', condition=condition,\n"
             "                    nbytes=64 * 1024, path='wifi', seed=13)\n"
-            "print(spec_key('repro.parallel.tasks:run_transfer_spec',\n"
+            "print(spec_key('repro.workload.session:run_transfer_spec',\n"
             "               {'spec': spec, 'seed': 13}, fingerprint='pinned'))\n"
         )
         output = subprocess.run(
