@@ -16,19 +16,26 @@ mechanism rather than incidental:
    on a lossy, asymmetric location.
 """
 
-from typing import Dict, List
+from typing import List, Optional
 
-from repro.analysis.stats import median, relative_difference
+from repro.analysis.stats import median
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
     ExperimentResult,
-    config_seed,
+    WARM_FLOW_CONFIG,
+    _SESSION,
     flow_conditions,
     mptcp_spec,
     register,
-    run_spec,
+    tcp_spec,
 )
+from repro.experiments.fig08 import (
+    primary_choice_grid,
+    primary_relative_differences,
+)
+from repro.linkem.conditions import make_conditions
 from repro.tcp.config import TcpConfig
+from repro.workload import TransferReport
 
 __all__ = [
     "run_slowstart_ablation",
@@ -41,32 +48,19 @@ TEN_KB = 10 * 1024
 ONE_MBYTE = 1_048_576
 
 
-def primary_effect(
-    seed: int,
-    nbytes: int = TEN_KB,
-    condition_count: int = 6,
-    config: TcpConfig = None,
-    options_kwargs: Dict = None,
-) -> float:
-    """Median Fig. 8 relative difference at ``nbytes`` under given knobs."""
-    samples: List[float] = []
-    for condition in flow_conditions(seed)[:condition_count]:
-        runs = {}
-        for primary in ("lte", "wifi"):
-            runs[primary] = run_spec(mptcp_spec(
-                condition, primary, "decoupled", ONE_MBYTE,
-                seed=config_seed(seed, f"{condition.condition_id}.{primary}"),
-                options=options_kwargs or None, config=config,
-            ))
-        lte_t = runs["lte"].throughput_at_bytes(nbytes)
-        wifi_t = runs["wifi"].throughput_at_bytes(nbytes)
-        if lte_t and wifi_t:
-            samples.append(relative_difference(lte_t, wifi_t))
+def primary_effect(reports: List[TransferReport], nbytes: int = TEN_KB) -> float:
+    """Median Fig. 8 relative difference at ``nbytes``.
+
+    ``reports`` are one :func:`~repro.experiments.fig08.primary_choice_grid`
+    run (at ``repeats=1``, under whatever knobs the ablation sets).
+    """
+    samples = primary_relative_differences(reports, {"flow": nbytes})["flow"]
     return median(samples) if samples else 0.0
 
 
 @register("ablation_slowstart")
-def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
+def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
+                           workers: Optional[int] = None) -> ExperimentResult:
     """The *flow-size gradient* of the primary effect needs the window ramp.
 
     The paper's Fig. 8 finding is a gradient: the primary choice
@@ -76,12 +70,18 @@ def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> Expe
     size — the gradient collapses.
     """
     count = 4 if fast else 10
-    warm = TcpConfig(initial_ssthresh_segments=32)
-    huge = TcpConfig(initial_cwnd_segments=1000)
-    baseline_small = primary_effect(seed, TEN_KB, count, config=warm)
-    baseline_large = primary_effect(seed, ONE_MBYTE, count, config=warm)
-    no_ramp_small = primary_effect(seed, TEN_KB, count, config=huge)
-    no_ramp_large = primary_effect(seed, ONE_MBYTE, count, config=huge)
+    baseline = primary_choice_grid(seed, count, repeats=1)
+    no_ramp = primary_choice_grid(
+        seed, count, repeats=1,
+        config=TcpConfig(initial_cwnd_segments=1000),
+    )
+    reports = _SESSION.run_many(baseline + no_ramp, workers=workers)
+    baseline_runs = reports[:len(baseline)]
+    no_ramp_runs = reports[len(baseline):]
+    baseline_small = primary_effect(baseline_runs, TEN_KB)
+    baseline_large = primary_effect(baseline_runs, ONE_MBYTE)
+    no_ramp_small = primary_effect(no_ramp_runs, TEN_KB)
+    no_ramp_large = primary_effect(no_ramp_runs, ONE_MBYTE)
     baseline_gradient = baseline_small - baseline_large
     no_ramp_gradient = no_ramp_small - no_ramp_large
     metrics = {
@@ -110,14 +110,20 @@ def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> Expe
 
 
 @register("ablation_join")
-def run_join_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
+def run_join_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
+                      workers: Optional[int] = None) -> ExperimentResult:
+    # The sequential grid is the slow-start ablation's baseline, so
+    # after that one only the simultaneous-join half executes.
     count = 4 if fast else 10
-    config = TcpConfig(initial_ssthresh_segments=32)
-    sequential = primary_effect(seed, TEN_KB, count, config=config)
-    simultaneous = primary_effect(
-        seed, TEN_KB, count, config=config,
-        options_kwargs={"simultaneous_join": True, "join_delay_rtts": 0.0},
+    sequential_grid = primary_choice_grid(seed, count, repeats=1)
+    simultaneous_grid = primary_choice_grid(
+        seed, count, repeats=1,
+        options={"simultaneous_join": True, "join_delay_rtts": 0.0},
     )
+    reports = _SESSION.run_many(sequential_grid + simultaneous_grid,
+                                workers=workers)
+    sequential = primary_effect(reports[:len(sequential_grid)])
+    simultaneous = primary_effect(reports[len(sequential_grid):])
     metrics = {
         "primary_effect_10KB_sequential_join": sequential,
         "primary_effect_10KB_simultaneous_join": simultaneous,
@@ -139,16 +145,19 @@ def run_join_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> Experimen
 
 
 @register("ablation_scheduler")
-def run_scheduler_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    conditions = flow_conditions(seed)
-    condition = conditions[0]  # strongly asymmetric
-    results = {}
-    for scheduler in ("minrtt", "roundrobin"):
-        run = run_spec(mptcp_spec(
-            condition, "wifi", "decoupled", ONE_MBYTE,
-            seed=seed, options={"scheduler": scheduler},
-        ))
-        results[scheduler] = run.throughput_mbps or 0.0
+def run_scheduler_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
+                           workers: Optional[int] = None) -> ExperimentResult:
+    condition = flow_conditions(seed)[0]  # strongly asymmetric
+    schedulers = ("minrtt", "roundrobin")
+    reports = _SESSION.run_many([
+        mptcp_spec(condition, "wifi", "decoupled", ONE_MBYTE,
+                   seed=seed, options={"scheduler": scheduler})
+        for scheduler in schedulers
+    ], workers=workers)
+    results = {
+        scheduler: report.throughput_mbps or 0.0
+        for scheduler, report in zip(schedulers, reports)
+    }
     metrics = {
         f"throughput_{name}": value for name, value in results.items()
     }
@@ -174,14 +183,15 @@ def run_delack_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> Experim
     slightly slower window ramp — quantifying why the default receiver
     model quick-ACKs (as Linux effectively does under bulk load).
     """
-    from repro.linkem.conditions import build_scenario, make_conditions
-
     condition = make_conditions(seed=seed)[5]
     results = {}
     for label, delayed in (("quickack", False), ("delack", True)):
-        scenario = build_scenario(condition, seed=seed)
-        config = TcpConfig(delayed_acks=delayed)
-        connection = scenario.tcp("wifi", ONE_MBYTE, config=config)
+        # The ACK counter lives on the receiver, so this one needs the
+        # live connection rather than a report.
+        scenario, connection = _SESSION.open(tcp_spec(
+            condition, "wifi", ONE_MBYTE, seed=seed,
+            config=TcpConfig(delayed_acks=delayed),
+        ))
         run = scenario.run_transfer(connection)
         results[label] = {
             "duration_s": run.duration_s or 0.0,
@@ -215,16 +225,19 @@ def run_delack_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> Experim
 
 
 @register("ablation_coupling")
-def run_coupling_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    conditions = flow_conditions(seed)
-    condition = conditions[5]
-    config = TcpConfig(initial_ssthresh_segments=32)
-    results = {}
-    for cc in ("decoupled", "coupled", "olia"):
-        run = run_spec(mptcp_spec(
-            condition, "wifi", cc, ONE_MBYTE, seed=seed, config=config,
-        ))
-        results[cc] = run.throughput_mbps or 0.0
+def run_coupling_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
+                          workers: Optional[int] = None) -> ExperimentResult:
+    condition = flow_conditions(seed)[5]
+    algorithms = ("decoupled", "coupled", "olia")
+    reports = _SESSION.run_many([
+        mptcp_spec(condition, "wifi", cc, ONE_MBYTE, seed=seed,
+                   config=WARM_FLOW_CONFIG)
+        for cc in algorithms
+    ], workers=workers)
+    results = {
+        cc: report.throughput_mbps or 0.0
+        for cc, report in zip(algorithms, reports)
+    }
     metrics = {f"throughput_{name}": value for name, value in results.items()}
     metrics["all_complete"] = float(all(v > 0 for v in results.values()))
     return ExperimentResult(

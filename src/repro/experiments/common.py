@@ -6,18 +6,19 @@ paper's target values for side-by-side comparison.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.bootstrap import bootstrap_ci
+from repro.analysis.cdf import Cdf
+from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
 from repro.linkem.conditions import LocationCondition, make_conditions
 from repro.mptcp.connection import MptcpOptions
 from repro.parallel import SimTask, SweepRunner
-from repro.scenario import TransferResult
 from repro.tcp.config import TcpConfig
 from repro.workload import (
     ConditionSpec,
     Session,
-    TransferReport,
     TransferSpec,
     config_overrides,
 )
@@ -26,15 +27,12 @@ from repro.workload.spec import mptcp_option_overrides
 __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
-    "run_spec",
-    "run_tcp_at",
-    "run_mptcp_at",
     "run_sweep",
     "tcp_spec",
     "mptcp_spec",
-    "tcp_task",
-    "mptcp_task",
+    "configuration_specs",
     "crowd_dataset",
+    "TCP_VARIANTS",
     "MPTCP_VARIANTS",
     "FLOW_SIZES",
     "FLOW_CAPABLE",
@@ -80,6 +78,11 @@ def flow_conditions(seed: int, fast: bool = False):
         lossy.append(dataclasses.replace(condition, wifi=wifi))
     return lossy[:6] if fast else lossy
 
+#: The two single-path TCP rows of §3.3: (label, path).  With
+#: :data:`MPTCP_VARIANTS` they are "the six configurations" measured
+#: at every location.
+TCP_VARIANTS = [("LTE", "lte"), ("WiFi", "wifi")]
+
 #: The four MPTCP variants of §3.3: (label, primary, congestion control).
 MPTCP_VARIANTS = [
     ("MPTCP(LTE, Decoupled)", "lte", "decoupled"),
@@ -111,8 +114,52 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-#: Shared stateless interpreter: every experiment transfer runs
-#: through the same spec → scenario → report pipeline.
+def relative_difference_cdfs(
+    samples: Dict[str, List[float]]
+) -> Tuple[Dict[str, Cdf], str]:
+    """CDFs of the non-empty sample sets, and their overlaid plot."""
+    cdfs = {name: Cdf(values) for name, values in samples.items() if values}
+    plot = ascii_cdf(
+        {name: cdf.points() for name, cdf in cdfs.items()},
+        x_label="relative difference (%)",
+    )
+    return cdfs, plot
+
+
+def flow_size_result(
+    experiment_id: str,
+    title: str,
+    samples: Dict[str, List[float]],
+    ordering: Tuple[str, str, str],
+    targets: Dict[str, float],
+) -> ExperimentResult:
+    """Figs. 8 and 13: one relative-difference CDF per flow size.
+
+    Metrics are each size's median with a bootstrap CI, then
+    ``ordering = (key, larger, smaller)``: whether the ``larger``
+    size's median exceeds the ``smaller`` one's.
+    """
+    cdfs, body = relative_difference_cdfs(samples)
+    metrics = {}
+    for name, cdf in cdfs.items():
+        interval = bootstrap_ci(cdf.samples)
+        metrics[f"median_rel_diff[{name}]"] = cdf.median
+        metrics[f"median_ci_low[{name}]"] = interval.low
+        metrics[f"median_ci_high[{name}]"] = interval.high
+    key, larger, smaller = ordering
+    metrics[key] = float(cdfs[larger].median > cdfs[smaller].median)
+    return ExperimentResult(
+        experiment_id=experiment_id, title=title, body=body,
+        metrics=metrics, paper_targets={**targets, key: 1.0},
+    )
+
+
+#: Shared interpreter: every transfer-only experiment builds a
+#: ``List[TransferSpec]`` (explicit seeds), hands it to
+#: ``_SESSION.run_many(specs, workers=workers)`` and reduces the
+#: returned reports — so each inherits ``--workers``, ``--executor``,
+#: ``--progress`` and the result cache.  ``_SESSION.open`` is the seam
+#: for the few experiments that need the live connection.
 _SESSION = Session()
 
 
@@ -174,57 +221,21 @@ def mptcp_spec(
     )
 
 
-def run_spec(spec: TransferSpec, seed: Optional[int] = None) -> TransferReport:
-    """Execute one transfer spec in-process (see :class:`Session`)."""
-    return _SESSION.run(spec, seed=seed)
+def configuration_specs(
+    condition: Union[LocationCondition, ConditionSpec], nbytes: int, **kwargs
+) -> List[TransferSpec]:
+    """The six configurations at one location, in declaration order.
 
-
-def run_tcp_at(
-    condition: LocationCondition,
-    path: str,
-    nbytes: int,
-    direction: str = "down",
-    cc: str = "cubic",
-    seed: int = DEFAULT_SEED,
-    deadline_s: float = 240.0,
-    config: Optional[TcpConfig] = None,
-) -> TransferResult:
-    """One single-path TCP transfer, returning the *live* result.
-
-    Prefer :func:`tcp_spec` + :func:`run_spec`; this seam remains for
-    callers that need the live connection (monitors, mid-run events).
+    :data:`TCP_VARIANTS` then :data:`MPTCP_VARIANTS`; ``kwargs`` (seed,
+    direction, config …) apply to all six specs.
     """
-    spec = tcp_spec(condition, path, nbytes, direction=direction, cc=cc,
-                    seed=seed, deadline_s=deadline_s, config=config)
-    scenario, connection = _SESSION.open(spec)
-    # Experiments render stalled transfers on purpose (Fig. 15 panels),
-    # so deadline expiry is data here, not an error.
-    return scenario.run_transfer(connection, deadline_s=spec.deadline_s,
-                                 partial_ok=True)
-
-
-def run_mptcp_at(
-    condition: LocationCondition,
-    primary: str,
-    congestion_control: str,
-    nbytes: int,
-    direction: str = "down",
-    seed: int = DEFAULT_SEED,
-    deadline_s: float = 240.0,
-    options: Optional[MptcpOptions] = None,
-    config: Optional[TcpConfig] = None,
-) -> TransferResult:
-    """One MPTCP transfer, returning the *live* result.
-
-    Prefer :func:`mptcp_spec` + :func:`run_spec`; this seam remains
-    for callers that need the live connection.
-    """
-    spec = mptcp_spec(condition, primary, congestion_control, nbytes,
-                      direction=direction, seed=seed, deadline_s=deadline_s,
-                      options=options, config=config)
-    scenario, connection = _SESSION.open(spec)
-    return scenario.run_transfer(connection, deadline_s=spec.deadline_s,
-                                 partial_ok=True)
+    return [
+        tcp_spec(condition, path, nbytes, **kwargs)
+        for _, path in TCP_VARIANTS
+    ] + [
+        mptcp_spec(condition, primary, cc, nbytes, **kwargs)
+        for _, primary, cc in MPTCP_VARIANTS
+    ]
 
 
 def run_sweep(
@@ -240,36 +251,6 @@ def run_sweep(
     order, bit-identical regardless of the worker count.
     """
     return SweepRunner(workers=workers, cache=cache, seed=seed).run(tasks)
-
-
-def tcp_task(
-    condition: Union[LocationCondition, ConditionSpec],
-    path: str,
-    nbytes: int,
-    key: Optional[str] = None,
-    **kwargs,
-) -> SimTask:
-    """Sweep task for one TCP :func:`tcp_spec` transfer.
-
-    The worker executes the spec through a Session and returns the
-    picklable :class:`~repro.workload.TransferReport`.
-    """
-    return _SESSION.task_for(tcp_spec(condition, path, nbytes, label=key,
-                                      **kwargs))
-
-
-def mptcp_task(
-    condition: Union[LocationCondition, ConditionSpec],
-    primary: str,
-    congestion_control: str,
-    nbytes: int,
-    key: Optional[str] = None,
-    **kwargs,
-) -> SimTask:
-    """Sweep task for one MPTCP :func:`mptcp_spec` transfer."""
-    return _SESSION.task_for(mptcp_spec(condition, primary,
-                                        congestion_control, nbytes,
-                                        label=key, **kwargs))
 
 
 def crowd_dataset(sites, seed: int = DEFAULT_SEED,
@@ -325,9 +306,9 @@ def register(experiment_id: str, flow_capable: bool = False):
 
     ``flow_capable=True`` declares that the experiment's outputs stay
     valid when its transfers run on the flow-level engine (see
-    :mod:`repro.flow`): every transfer goes through
-    :func:`run_spec`/:func:`tcp_task`/:func:`mptcp_task` and only
-    aggregate throughput/duration is consumed.
+    :mod:`repro.flow`): every transfer is a :class:`TransferSpec`
+    run through ``Session.run_many`` and only aggregate
+    throughput/duration is consumed.
     """
 
     def wrap(fn):

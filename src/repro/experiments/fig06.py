@@ -8,20 +8,23 @@ the app-data samples come from the analytic crowd pipeline — so this
 experiment also validates that the two modelling levels agree.
 """
 
+from typing import List, Optional
+
 from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
-from repro.crowd.app import CellVsWifiApp
 from repro.crowd.world import TABLE1_SITES
 from repro.experiments.common import (
     ExperimentResult,
+    _SESSION,
+    crowd_dataset,
     register,
-    run_spec,
     tcp_spec,
 )
 from repro.linkem.conditions import make_conditions
+from repro.workload import TransferSpec
 
-__all__ = ["run", "ks_distance"]
+__all__ = ["run", "ks_distance", "location_grid"]
 
 ONE_MBYTE = 1_048_576
 
@@ -32,33 +35,36 @@ def ks_distance(a: Cdf, b: Cdf) -> float:
     return max(abs(a.evaluate(x) - b.evaluate(x)) for x in points)
 
 
-@register("fig06", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    app_data = CellVsWifiApp(seed=seed).collect_all(sites).analysis_set()
-
+def location_grid(seed: int, fast: bool = False) -> List[TransferSpec]:
+    """(WiFi↓, LTE↓, WiFi↑, LTE↑) 1 MB TCP specs per location × repeat."""
     conditions = make_conditions(seed=seed)
-    if fast:
-        conditions = conditions[:8]
-    repeats = 1 if fast else 3
+    return [
+        tcp_spec(condition, path, ONE_MBYTE, direction=direction,
+                 seed=seed + repeat * 9973)
+        for condition in (conditions[:8] if fast else conditions)
+        for repeat in range(1 if fast else 3)
+        for direction in ("down", "up")
+        for path in ("wifi", "lte")
+    ]
 
+
+@register("fig06", flow_capable=True)
+def run(seed: int = DEFAULT_SEED, fast: bool = False,
+        workers: Optional[int] = None) -> ExperimentResult:
+    sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
+    app_data = crowd_dataset(sites, seed=seed, workers=workers).analysis_set()
+
+    reports = _SESSION.run_many(location_grid(seed, fast), workers=workers)
     up_diffs = []
     down_diffs = []
-    for condition in conditions:
-        for repeat in range(repeats):
-            run_seed = seed + repeat * 9973
-            wifi_down, lte_down, wifi_up, lte_up = (
-                run_spec(tcp_spec(condition, path, ONE_MBYTE,
-                                  direction=direction, seed=run_seed))
-                for direction in ("down", "up")
-                for path in ("wifi", "lte")
+    for start in range(0, len(reports), 4):
+        wifi_down, lte_down, wifi_up, lte_up = reports[start:start + 4]
+        if wifi_down.completed and lte_down.completed:
+            down_diffs.append(
+                wifi_down.throughput_mbps - lte_down.throughput_mbps
             )
-            if wifi_down.completed and lte_down.completed:
-                down_diffs.append(
-                    wifi_down.throughput_mbps - lte_down.throughput_mbps
-                )
-            if wifi_up.completed and lte_up.completed:
-                up_diffs.append(wifi_up.throughput_mbps - lte_up.throughput_mbps)
+        if wifi_up.completed and lte_up.completed:
+            up_diffs.append(wifi_up.throughput_mbps - lte_up.throughput_mbps)
 
     app_up = Cdf(app_data.uplink_diffs())
     app_down = Cdf(app_data.downlink_diffs())

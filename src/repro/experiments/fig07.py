@@ -20,13 +20,12 @@ from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
     ExperimentResult,
     MPTCP_VARIANTS,
-    mptcp_task,
+    TCP_VARIANTS,
+    _SESSION,
+    configuration_specs,
     register,
-    run_sweep,
-    tcp_task,
 )
 from repro.linkem.conditions import LocationCondition, make_conditions
-from repro.parallel import SimTask
 
 __all__ = ["run", "flow_size_sweep", "SWEEP_SIZES_KB"]
 
@@ -34,28 +33,26 @@ ONE_MBYTE = 1_048_576
 SWEEP_SIZES_KB = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1024]
 
 
-def _transfer_tasks(
-    condition: LocationCondition, seed: int
-) -> List[Tuple[str, SimTask]]:
-    """The six (label, task) transfer specs of one Fig. 7 panel."""
-    tasks = [
-        ("LTE", tcp_task(condition, "lte", ONE_MBYTE, seed=seed)),
-        ("WiFi", tcp_task(condition, "wifi", ONE_MBYTE, seed=seed)),
-    ]
-    for label, primary, cc in MPTCP_VARIANTS:
-        tasks.append(
-            (label, mptcp_task(condition, primary, cc, ONE_MBYTE, seed=seed))
-        )
-    return tasks
+TCP_NAMES = [label for label, _ in TCP_VARIANTS]
+MPTCP_NAMES = [label for label, _, _ in MPTCP_VARIANTS]
 
 
-def _curve(summary, sizes_kb: List[int]) -> List[Tuple[float, float]]:
+def _curve(report, sizes_kb: List[int]) -> List[Tuple[float, float]]:
+    """(flow size KB, throughput Mbps) read off one transfer's ACK log."""
     points = []
     for kb in sizes_kb:
-        tput = summary.throughput_at_bytes(kb * 1024)
+        tput = report.throughput_at_bytes(kb * 1024)
         if tput is not None:
             points.append((float(kb), tput))
     return points
+
+
+def _curves(reports, sizes_kb: List[int]) -> Dict[str, List[Tuple[float, float]]]:
+    """One :func:`_curve` per configuration, keyed by its label."""
+    return {
+        label: _curve(report, sizes_kb)
+        for label, report in zip(TCP_NAMES + MPTCP_NAMES, reports)
+    }
 
 
 def flow_size_sweep(
@@ -66,12 +63,10 @@ def flow_size_sweep(
 ) -> Dict[str, List[Tuple[float, float]]]:
     """(flow size KB, throughput Mbps) series for the six configs."""
     sizes_kb = sizes_kb if sizes_kb is not None else SWEEP_SIZES_KB
-    labels, tasks = zip(*_transfer_tasks(condition, seed))
-    summaries = run_sweep(tasks, workers=workers, seed=seed)
-    return {
-        label: _curve(summary, sizes_kb)
-        for label, summary in zip(labels, summaries)
-    }
+    reports = _SESSION.run_many(
+        configuration_specs(condition, ONE_MBYTE, seed=seed), workers=workers
+    )
+    return _curves(reports, sizes_kb)
 
 
 def _at_size(series: Dict[str, List[Tuple[float, float]]], kb: float, name: str) -> float:
@@ -98,22 +93,11 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
 
     # Both panels' transfers go through one sweep so all twelve
     # independent simulations can run concurrently.
-    specs_a = _transfer_tasks(disparate, seed)
-    specs_b = _transfer_tasks(comparable, seed)
-    summaries = run_sweep(
-        [task for _, task in specs_a + specs_b], workers=workers, seed=seed
-    )
-    sweep_a = {
-        label: _curve(summary, sizes)
-        for (label, _), summary in zip(specs_a, summaries[: len(specs_a)])
-    }
-    sweep_b = {
-        label: _curve(summary, sizes)
-        for (label, _), summary in zip(specs_b, summaries[len(specs_a):])
-    }
-
-    tcp_names = ["LTE", "WiFi"]
-    mptcp_names = [label for label, _, _ in MPTCP_VARIANTS]
+    specs_a = configuration_specs(disparate, ONE_MBYTE, seed=seed)
+    specs_b = configuration_specs(comparable, ONE_MBYTE, seed=seed)
+    reports = _SESSION.run_many(specs_a + specs_b, workers=workers)
+    sweep_a = _curves(reports[:len(specs_a)], sizes)
+    sweep_b = _curves(reports[len(specs_a):], sizes)
 
     body = "\n".join([
         f"(a) Disparate links — condition #{disparate.condition_id} "
@@ -130,22 +114,22 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
     metrics = {
         # 7a: best MPTCP stays below best TCP even at 1 MB.
         "a_best_mptcp_over_best_tcp_at_1MB": (
-            _best(sweep_a, last_kb, mptcp_names)
-            / _best(sweep_a, last_kb, tcp_names)
+            _best(sweep_a, last_kb, MPTCP_NAMES)
+            / _best(sweep_a, last_kb, TCP_NAMES)
         ),
         # 7b: best MPTCP beats best TCP at 1 MB...
         "b_best_mptcp_over_best_tcp_at_1MB": (
-            _best(sweep_b, last_kb, mptcp_names)
-            / _best(sweep_b, last_kb, tcp_names)
+            _best(sweep_b, last_kb, MPTCP_NAMES)
+            / _best(sweep_b, last_kb, TCP_NAMES)
         ),
         # ...but best TCP wins for small flows in both regimes.
         "a_best_tcp_over_best_mptcp_at_10KB": (
-            _best(sweep_a, small_kb, tcp_names)
-            / max(_best(sweep_a, small_kb, mptcp_names), 1e-9)
+            _best(sweep_a, small_kb, TCP_NAMES)
+            / max(_best(sweep_a, small_kb, MPTCP_NAMES), 1e-9)
         ),
         "b_best_tcp_over_best_mptcp_at_10KB": (
-            _best(sweep_b, small_kb, tcp_names)
-            / max(_best(sweep_b, small_kb, mptcp_names), 1e-9)
+            _best(sweep_b, small_kb, TCP_NAMES)
+            / max(_best(sweep_b, small_kb, MPTCP_NAMES), 1e-9)
         ),
     }
     targets = {

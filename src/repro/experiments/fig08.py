@@ -7,94 +7,86 @@ at 10 KB, 49 % at 100 KB, 28 % at 1 MB — the smaller the flow, the
 more the primary choice matters.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.analysis.cdf import Cdf
-from repro.analysis.plotting import ascii_cdf
 from repro.analysis.stats import relative_difference
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
     ExperimentResult,
     FLOW_SIZES,
     WARM_FLOW_CONFIG,
+    _SESSION,
     config_seed,
     flow_conditions,
+    flow_size_result,
     mptcp_spec,
     register,
-    run_spec,
 )
+from repro.tcp.config import TcpConfig
+from repro.workload import TransferReport, TransferSpec
 
-__all__ = ["run", "primary_relative_differences"]
+__all__ = ["run", "primary_choice_grid", "primary_relative_differences"]
 
 ONE_MBYTE = 1_048_576
 
 
-def primary_relative_differences(
+def primary_choice_grid(
     seed: int,
     condition_count: int = 20,
     repeats: int = 2,
-    congestion_control: str = "decoupled",
+    config: TcpConfig = WARM_FLOW_CONFIG,
+    options: Optional[Dict] = None,
+) -> List[TransferSpec]:
+    """One (LTE-primary, WiFi-primary) spec pair per location × repeat.
+
+    Shared with the slow-start and join ablations, whose grids are this
+    one at ``repeats=1`` under other knobs.
+    """
+    return [
+        mptcp_spec(
+            condition, primary, "decoupled", ONE_MBYTE,
+            seed=config_seed(seed + repeat * 7919,
+                             f"{condition.condition_id}.{primary}"),
+            options=options, config=config,
+        )
+        for condition in flow_conditions(seed)[:condition_count]
+        for repeat in range(repeats)
+        for primary in ("lte", "wifi")
+    ]
+
+
+def primary_relative_differences(
+    reports: List[TransferReport],
+    sizes: Dict[str, int] = FLOW_SIZES,
 ) -> Dict[str, List[float]]:
-    """Per-flow-size samples of the Fig. 8 relative difference."""
-    conditions = flow_conditions(seed)[:condition_count]
-    samples: Dict[str, List[float]] = {name: [] for name in FLOW_SIZES}
-    for condition in conditions:
-        for repeat in range(repeats):
-            run_seed = seed + repeat * 7919
-            lte_run, wifi_run = (
-                run_spec(mptcp_spec(
-                    condition, primary, congestion_control, ONE_MBYTE,
-                    seed=config_seed(
-                        run_seed, f"{condition.condition_id}.{primary}"
-                    ),
-                    config=WARM_FLOW_CONFIG,
-                ))
-                for primary in ("lte", "wifi")
-            )
-            for name, nbytes in FLOW_SIZES.items():
-                lte_tput = lte_run.throughput_at_bytes(nbytes)
-                wifi_tput = wifi_run.throughput_at_bytes(nbytes)
-                if lte_tput and wifi_tput:
-                    samples[name].append(
-                        relative_difference(lte_tput, wifi_tput)
-                    )
+    """Per-flow-size Fig. 8 samples from a :func:`primary_choice_grid` run."""
+    samples: Dict[str, List[float]] = {name: [] for name in sizes}
+    for lte_run, wifi_run in zip(reports[::2], reports[1::2]):
+        for name, nbytes in sizes.items():
+            lte_tput = lte_run.throughput_at_bytes(nbytes)
+            wifi_tput = wifi_run.throughput_at_bytes(nbytes)
+            if lte_tput and wifi_tput:
+                samples[name].append(relative_difference(lte_tput, wifi_tput))
     return samples
 
 
 @register("fig08", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    samples = primary_relative_differences(
+def run(seed: int = DEFAULT_SEED, fast: bool = False,
+        workers: Optional[int] = None) -> ExperimentResult:
+    grid = primary_choice_grid(
         seed,
         condition_count=6 if fast else 20,
         repeats=1 if fast else 2,
     )
-    cdfs = {name: Cdf(values) for name, values in samples.items() if values}
-
-    body = ascii_cdf(
-        {name: cdf.points() for name, cdf in cdfs.items()},
-        x_label="relative difference (%)",
-    )
-    from repro.analysis.bootstrap import bootstrap_ci
-
-    metrics = {}
-    for name, cdf in cdfs.items():
-        interval = bootstrap_ci(cdf.samples)
-        metrics[f"median_rel_diff[{name}]"] = cdf.median
-        metrics[f"median_ci_low[{name}]"] = interval.low
-        metrics[f"median_ci_high[{name}]"] = interval.high
-    metrics["ordering_small_gt_large"] = float(
-        cdfs["10KB"].median > cdfs["1MB"].median
-    )
-    targets = {
-        "median_rel_diff[10KB]": 60.0,
-        "median_rel_diff[100KB]": 49.0,
-        "median_rel_diff[1MB]": 28.0,
-        "ordering_small_gt_large": 1.0,
-    }
-    return ExperimentResult(
-        experiment_id="fig08",
-        title="Relative difference between MPTCP_LTE and MPTCP_WiFi by flow size",
-        body=body,
-        metrics=metrics,
-        paper_targets=targets,
+    reports = _SESSION.run_many(grid, workers=workers)
+    return flow_size_result(
+        "fig08",
+        "Relative difference between MPTCP_LTE and MPTCP_WiFi by flow size",
+        primary_relative_differences(reports),
+        ordering=("ordering_small_gt_large", "10KB", "1MB"),
+        targets={
+            "median_rel_diff[10KB]": 60.0,
+            "median_rel_diff[100KB]": 49.0,
+            "median_rel_diff[1MB]": 28.0,
+        },
     )

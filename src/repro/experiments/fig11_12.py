@@ -13,13 +13,14 @@ from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
     ExperimentResult,
     WARM_FLOW_CONFIG,
-    mptcp_task,
+    _SESSION,
+    mptcp_spec,
     register,
-    run_sweep,
 )
+from repro.experiments.fig07 import _curve
 from repro.experiments.fig09_10 import _illustrative_conditions
 from repro.linkem.conditions import LocationCondition
-from repro.parallel import SimTask
+from repro.workload import TransferSpec
 
 __all__ = ["run", "size_profile"]
 
@@ -27,10 +28,10 @@ ONE_MBYTE = 1_048_576
 PROFILE_SIZES_KB = list(range(25, 1025, 50))
 
 
-def _profile_tasks(condition: LocationCondition, seed: int) -> List[SimTask]:
+def _profile_specs(condition: LocationCondition, seed: int) -> List[TransferSpec]:
     """The two primary-subflow transfers of one Fig. 11/12 panel."""
     return [
-        mptcp_task(condition, primary, "decoupled", ONE_MBYTE, seed=seed,
+        mptcp_spec(condition, primary, "decoupled", ONE_MBYTE, seed=seed,
                    config=WARM_FLOW_CONFIG)
         for primary in ("lte", "wifi")
     ]
@@ -39,15 +40,10 @@ def _profile_tasks(condition: LocationCondition, seed: int) -> List[SimTask]:
 def _profile_from(
     lte_summary, wifi_summary, sizes_kb: List[int]
 ) -> Dict[str, List[Tuple[float, float]]]:
-    absolute: Dict[str, List[Tuple[float, float]]] = {}
-    for label, summary in (("MPTCP(LTE)", lte_summary),
-                           ("MPTCP(WiFi)", wifi_summary)):
-        points = []
-        for kb in sizes_kb:
-            tput = summary.throughput_at_bytes(kb * 1024)
-            if tput is not None:
-                points.append((float(kb), tput))
-        absolute[label] = points
+    absolute = {
+        "MPTCP(LTE)": _curve(lte_summary, sizes_kb),
+        "MPTCP(WiFi)": _curve(wifi_summary, sizes_kb),
+    }
     ratio = []
     for (kb, lte_t), (_, wifi_t) in zip(absolute["MPTCP(LTE)"], absolute["MPTCP(WiFi)"]):
         if wifi_t > 0:
@@ -60,8 +56,8 @@ def size_profile(
     workers: Optional[int] = None,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """MPTCP(LTE) and MPTCP(WiFi) throughput vs flow size, plus ratio."""
-    lte_summary, wifi_summary = run_sweep(
-        _profile_tasks(condition, seed), workers=workers, seed=seed
+    lte_summary, wifi_summary = _SESSION.run_many(
+        _profile_specs(condition, seed), workers=workers
     )
     return _profile_from(lte_summary, wifi_summary, sizes_kb)
 
@@ -88,10 +84,9 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
     sizes = PROFILE_SIZES_KB[::4] if fast else PROFILE_SIZES_KB
 
     # One sweep covers both panels' four independent transfers.
-    summaries = run_sweep(
-        _profile_tasks(lte_better, seed) + _profile_tasks(wifi_better, seed),
+    summaries = _SESSION.run_many(
+        _profile_specs(lte_better, seed) + _profile_specs(wifi_better, seed),
         workers=workers,
-        seed=seed,
     )
     profiles = {
         "fig11": _profile_from(summaries[0], summaries[1], sizes),

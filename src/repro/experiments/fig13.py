@@ -1,102 +1,39 @@
 """Figure 13: coupled vs decoupled congestion control by flow size.
 
 CDF of ``|MPTCP_coupled − MPTCP_decoupled| / MPTCP_coupled`` at the 7
-dual-CC locations, 10 runs per configuration, both directions.  Paper
+dual-CC locations, 5 runs per configuration, both directions.  Paper
 medians: 16 % at 10 KB, 16 % at 100 KB, 34 % at 1 MB — congestion
 control matters most for long flows.
+
+This is the r_cwnd (``"CC"``) reduction of the campaign Fig. 14 also
+reads (:func:`repro.experiments.fig14.dual_cc_grid`), so whichever of
+the two runs second is served from the result cache.
 """
 
-from typing import Dict, List
+from typing import Optional
 
-from repro.analysis.cdf import Cdf
-from repro.analysis.plotting import ascii_cdf
-from repro.analysis.stats import relative_difference
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
     ExperimentResult,
-    FLOW_SIZES,
-    WARM_FLOW_CONFIG,
-    config_seed,
-    flow_conditions,
-    mptcp_spec,
+    flow_size_result,
     register,
-    run_spec,
 )
-from repro.linkem.conditions import DUAL_CC_CONDITION_IDS
+from repro.experiments.fig14 import measure_dual_cc
 
-__all__ = ["run", "cc_relative_differences"]
-
-ONE_MBYTE = 1_048_576
-
-
-def cc_relative_differences(
-    seed: int,
-    runs_per_config: int = 10,
-    directions: tuple = ("down", "up"),
-    condition_ids: tuple = DUAL_CC_CONDITION_IDS,
-) -> Dict[str, List[float]]:
-    """Per-flow-size samples of the Fig. 13 r_cwnd metric."""
-    conditions = {c.condition_id: c for c in flow_conditions(seed)}
-    samples: Dict[str, List[float]] = {name: [] for name in FLOW_SIZES}
-    for condition_id in condition_ids:
-        condition = conditions[condition_id]
-        for direction in directions:
-            for repeat in range(runs_per_config):
-                run_seed = seed + repeat * 104729 + condition_id
-                for primary in ("lte", "wifi"):
-                    coupled, decoupled = (
-                        run_spec(mptcp_spec(
-                            condition, primary, cc, ONE_MBYTE,
-                            direction=direction,
-                            seed=config_seed(run_seed, f"{primary}.{cc}"),
-                            config=WARM_FLOW_CONFIG,
-                        ))
-                        for cc in ("coupled", "decoupled")
-                    )
-                    for name, nbytes in FLOW_SIZES.items():
-                        coupled_t = coupled.throughput_at_bytes(nbytes)
-                        decoupled_t = decoupled.throughput_at_bytes(nbytes)
-                        if coupled_t and decoupled_t:
-                            samples[name].append(
-                                relative_difference(decoupled_t, coupled_t)
-                            )
-    return samples
+__all__ = ["run"]
 
 
 @register("fig13", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    samples = cc_relative_differences(
-        seed,
-        runs_per_config=1 if fast else 5,
-        directions=("down",) if fast else ("down", "up"),
-        condition_ids=DUAL_CC_CONDITION_IDS[:3] if fast else DUAL_CC_CONDITION_IDS,
-    )
-    cdfs = {name: Cdf(values) for name, values in samples.items() if values}
-    body = ascii_cdf(
-        {name: cdf.points() for name, cdf in cdfs.items()},
-        x_label="relative difference (%)",
-    )
-    from repro.analysis.bootstrap import bootstrap_ci
-
-    metrics = {}
-    for name, cdf in cdfs.items():
-        interval = bootstrap_ci(cdf.samples)
-        metrics[f"median_rel_diff[{name}]"] = cdf.median
-        metrics[f"median_ci_low[{name}]"] = interval.low
-        metrics[f"median_ci_high[{name}]"] = interval.high
-    metrics["ordering_large_gt_small"] = float(
-        cdfs["1MB"].median > cdfs["10KB"].median
-    )
-    targets = {
-        "median_rel_diff[10KB]": 16.0,
-        "median_rel_diff[100KB]": 16.0,
-        "median_rel_diff[1MB]": 34.0,
-        "ordering_large_gt_small": 1.0,
-    }
-    return ExperimentResult(
-        experiment_id="fig13",
-        title="Coupled vs decoupled congestion control by flow size",
-        body=body,
-        metrics=metrics,
-        paper_targets=targets,
+def run(seed: int = DEFAULT_SEED, fast: bool = False,
+        workers: Optional[int] = None) -> ExperimentResult:
+    return flow_size_result(
+        "fig13",
+        "Coupled vs decoupled congestion control by flow size",
+        measure_dual_cc(seed, fast, workers)["CC"],
+        ordering=("ordering_large_gt_small", "1MB", "10KB"),
+        targets={
+            "median_rel_diff[10KB]": 16.0,
+            "median_rel_diff[100KB]": 16.0,
+            "median_rel_diff[1MB]": 34.0,
+        },
     )

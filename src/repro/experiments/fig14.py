@@ -6,106 +6,117 @@ of r_cwnd (from changing the congestion control, network held fixed).
 Paper medians — Network: 60/43/25 %, CC: 16/16/34 % for
 10 KB/100 KB/1 MB: the network choice dominates for small flows, the
 CC choice for large ones.
+
+Fig. 13 is the ``"CC"`` half of the same campaign: one grid
+(:func:`dual_cc_grid`), two reductions — as in the paper, where both
+figures are read off the same dual-CC measurement runs.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.analysis.cdf import Cdf
-from repro.analysis.plotting import ascii_cdf
 from repro.analysis.stats import relative_difference
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
     ExperimentResult,
     FLOW_SIZES,
     WARM_FLOW_CONFIG,
+    _SESSION,
     config_seed,
     flow_conditions,
     mptcp_spec,
     register,
-    run_spec,
+    relative_difference_cdfs,
 )
 from repro.linkem.conditions import DUAL_CC_CONDITION_IDS
+from repro.workload import TransferReport, TransferSpec
 
-__all__ = ["run", "network_and_cc_differences"]
+__all__ = ["run", "dual_cc_grid", "network_and_cc_differences",
+           "measure_dual_cc"]
 
 ONE_MBYTE = 1_048_576
 
+#: The four (primary, CC) configurations of one dual-CC run, in
+#: measurement order.
+_CONFIGS = [(primary, cc) for primary in ("lte", "wifi")
+            for cc in ("coupled", "decoupled")]
+
+#: (metric, variant, base): r_network changes the primary with the CC
+#: held fixed, r_cwnd changes the CC with the primary held fixed.
+_PAIRS = [
+    ("Network", ("lte", cc), ("wifi", cc)) for cc in ("coupled", "decoupled")
+] + [
+    ("CC", (primary, "decoupled"), (primary, "coupled"))
+    for primary in ("lte", "wifi")
+]
+
+
+def dual_cc_grid(seed: int, fast: bool = False) -> List[TransferSpec]:
+    """All four (primary × CC) configurations per location × direction × run.
+
+    The 7 dual-CC locations, both directions, 5 runs per configuration
+    (280 specs; ``fast``: 3 locations, downlink, 1 run).
+    """
+    conditions = {c.condition_id: c for c in flow_conditions(seed)}
+    return [
+        mptcp_spec(
+            conditions[condition_id], primary, cc, ONE_MBYTE,
+            direction=direction,
+            seed=config_seed(seed + repeat * 104729 + condition_id,
+                             f"{primary}.{cc}"),
+            config=WARM_FLOW_CONFIG,
+        )
+        for condition_id in DUAL_CC_CONDITION_IDS[:3 if fast else None]
+        for direction in (("down",) if fast else ("down", "up"))
+        for repeat in range(1 if fast else 5)
+        for primary, cc in _CONFIGS
+    ]
+
 
 def network_and_cc_differences(
-    seed: int,
-    runs_per_config: int = 5,
-    directions: tuple = ("down", "up"),
-    condition_ids: tuple = DUAL_CC_CONDITION_IDS,
+    reports: List[TransferReport],
 ) -> Dict[str, Dict[str, List[float]]]:
     """Samples of r_network and r_cwnd per flow size (§3.5).
 
-    Measures all four (primary × CC) configurations per run, then forms
-    both pairwise metrics exactly as the paper defines them.
+    Each consecutive four reports of a :func:`dual_cc_grid` run are
+    one measurement of all (primary × CC) configurations; both
+    pairwise metrics are formed exactly as the paper defines them.
     """
-    conditions = {c.condition_id: c for c in flow_conditions(seed)}
     out = {
         "Network": {name: [] for name in FLOW_SIZES},
         "CC": {name: [] for name in FLOW_SIZES},
     }
-    for condition_id in condition_ids:
-        condition = conditions[condition_id]
-        for direction in directions:
-            for repeat in range(runs_per_config):
-                run_seed = seed + repeat * 104729 + condition_id
-                tput: Dict[tuple, Dict[str, float]] = {}
-                for primary in ("lte", "wifi"):
-                    for cc in ("coupled", "decoupled"):
-                        result = run_spec(mptcp_spec(
-                            condition, primary, cc, ONE_MBYTE,
-                            direction=direction,
-                            seed=config_seed(run_seed, f"{primary}.{cc}"),
-                            config=WARM_FLOW_CONFIG,
-                        ))
-                        tput[(primary, cc)] = {
-                            name: result.throughput_at_bytes(nbytes) or 0.0
-                            for name, nbytes in FLOW_SIZES.items()
-                        }
-                for name in FLOW_SIZES:
-                    for cc in ("coupled", "decoupled"):
-                        base = tput[("wifi", cc)][name]
-                        variant = tput[("lte", cc)][name]
-                        if base > 0 and variant > 0:
-                            out["Network"][name].append(
-                                relative_difference(variant, base)
-                            )
-                    for primary in ("lte", "wifi"):
-                        base = tput[(primary, "coupled")][name]
-                        variant = tput[(primary, "decoupled")][name]
-                        if base > 0 and variant > 0:
-                            out["CC"][name].append(
-                                relative_difference(variant, base)
-                            )
+    for start in range(0, len(reports), len(_CONFIGS)):
+        run = dict(zip(_CONFIGS, reports[start:start + len(_CONFIGS)]))
+        for name, nbytes in FLOW_SIZES.items():
+            for metric, variant, base in _PAIRS:
+                variant_t = run[variant].throughput_at_bytes(nbytes)
+                base_t = run[base].throughput_at_bytes(nbytes)
+                if variant_t and base_t:
+                    out[metric][name].append(
+                        relative_difference(variant_t, base_t)
+                    )
     return out
 
 
+def measure_dual_cc(
+    seed: int, fast: bool, workers: Optional[int]
+) -> Dict[str, Dict[str, List[float]]]:
+    """Run (or read back from the cache) the dual-CC campaign."""
+    reports = _SESSION.run_many(dual_cc_grid(seed, fast), workers=workers)
+    return network_and_cc_differences(reports)
+
+
 @register("fig14", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
-    diffs = network_and_cc_differences(
-        seed,
-        runs_per_config=1 if fast else 5,
-        directions=("down",) if fast else ("down", "up"),
-        condition_ids=DUAL_CC_CONDITION_IDS[:3] if fast else DUAL_CC_CONDITION_IDS,
-    )
+def run(seed: int = DEFAULT_SEED, fast: bool = False,
+        workers: Optional[int] = None) -> ExperimentResult:
+    diffs = measure_dual_cc(seed, fast, workers)
     panels = []
     metrics = {}
     for name in FLOW_SIZES:
-        cdfs = {
-            label: Cdf(values[name])
-            for label, values in diffs.items()
-            if values[name]
-        }
-        panels.append(
-            f"flow size {name}:\n"
-            + ascii_cdf(
-                {label: cdf.points() for label, cdf in cdfs.items()},
-                x_label="relative difference (%)",
-            )
+        cdfs, plot = relative_difference_cdfs(
+            {label: values[name] for label, values in diffs.items()}
         )
+        panels.append(f"flow size {name}:\n" + plot)
         for label, cdf in cdfs.items():
             metrics[f"median[{label},{name}]"] = cdf.median
     metrics["network_dominates_10KB"] = float(

@@ -12,51 +12,62 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rng import DEFAULT_SEED
+from repro.experiments.common import (
+    MPTCP_VARIANTS,
+    TCP_VARIANTS,
+    configuration_specs,
+)
 from repro.linkem.conditions import LocationCondition, build_scenario, make_conditions
-from repro.mptcp.connection import MptcpOptions
 from repro.policy.estimator import ConditionEstimator
 from repro.policy.policies import Decision, OraclePolicy, SelectionPolicy
 from repro.policy.probes import PathProbe
+from repro.workload import Session
 
-__all__ = ["PolicyEvaluation", "evaluate_policies", "STRATEGIES", "measure_strategies"]
+__all__ = ["PolicyEvaluation", "evaluate_policies", "STRATEGIES",
+           "measure_locations", "measure_strategies"]
 
-#: The concrete strategies a decision can resolve to.
+#: The concrete strategies a decision can resolve to: the paper's six
+#: configurations, in :func:`configuration_specs` order.
 STRATEGIES: Dict[str, Decision] = {
-    "tcp-wifi": Decision("tcp", "wifi"),
-    "tcp-lte": Decision("tcp", "lte"),
-    "mptcp-wifi-decoupled": Decision("mptcp", "wifi", "decoupled"),
-    "mptcp-lte-decoupled": Decision("mptcp", "lte", "decoupled"),
-    "mptcp-wifi-coupled": Decision("mptcp", "wifi", "coupled"),
-    "mptcp-lte-coupled": Decision("mptcp", "lte", "coupled"),
+    decision.strategy_name: decision
+    for decision in (
+        [Decision("tcp", path) for _, path in TCP_VARIANTS]
+        + [Decision("mptcp", primary, cc) for _, primary, cc in MPTCP_VARIANTS]
+    )
 }
 
 
-def _run_decision(
-    condition: LocationCondition, decision: Decision, nbytes: int, seed: int,
-    deadline_s: float = 240.0,
-) -> float:
-    scenario = build_scenario(condition, seed=seed)
-    if decision.kind == "tcp":
-        connection = scenario.tcp(decision.path, nbytes)
-    else:
-        options = MptcpOptions(
-            primary=decision.path,
-            congestion_control=decision.congestion_control,
-        )
-        connection = scenario.mptcp(nbytes, options=options)
-    result = scenario.run_transfer(connection, deadline_s=deadline_s,
-                                   partial_ok=True)
-    return result.duration_s if result.completed else deadline_s
+def measure_locations(
+    conditions: Sequence[LocationCondition], nbytes: int, seed: int,
+    workers: Optional[int] = None,
+) -> List[Dict[str, float]]:
+    """Per location, the completion time of every strategy.
+
+    One spec grid (six configurations per location) through
+    ``Session.run_many``; a transfer that misses its deadline counts
+    as taking the whole deadline.
+    """
+    specs = [
+        spec for condition in conditions
+        for spec in configuration_specs(condition, nbytes, seed=seed)
+    ]
+    reports = Session().run_many(specs, workers=workers)
+    durations = [
+        report.duration_s if report.completed else spec.deadline_s
+        for spec, report in zip(specs, reports)
+    ]
+    return [
+        dict(zip(STRATEGIES, durations[start:start + len(STRATEGIES)]))
+        for start in range(0, len(durations), len(STRATEGIES))
+    ]
 
 
 def measure_strategies(
     condition: LocationCondition, nbytes: int, seed: int,
+    workers: Optional[int] = None,
 ) -> Dict[str, float]:
     """Completion time of every strategy at one location."""
-    return {
-        name: _run_decision(condition, decision, nbytes, seed)
-        for name, decision in STRATEGIES.items()
-    }
+    return measure_locations([condition], nbytes, seed, workers)[0]
 
 
 def probe_condition(
@@ -112,6 +123,7 @@ def evaluate_policies(
     flow_bytes: int,
     seed: int = DEFAULT_SEED,
     conditions: Optional[List[LocationCondition]] = None,
+    workers: Optional[int] = None,
 ) -> PolicyEvaluation:
     """Score ``policies`` on ``flow_bytes`` transfers across locations."""
     conditions = conditions if conditions is not None else make_conditions(seed=seed)
@@ -121,9 +133,9 @@ def evaluate_policies(
     for policy in all_policies:
         evaluation.choices[policy.name] = {}
 
-    for condition in conditions:
+    all_measured = measure_locations(conditions, flow_bytes, seed, workers)
+    for condition, measured in zip(conditions, all_measured):
         cid = condition.condition_id
-        measured = measure_strategies(condition, flow_bytes, seed)
         evaluation.measured[cid] = measured
         estimator = probe_condition(condition, seed)
         oracle.inform(measured, STRATEGIES)

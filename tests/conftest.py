@@ -1,4 +1,9 @@
-"""Shared test configuration: a global per-test wall-clock guard.
+"""Shared test configuration: a hermetic result cache and a global
+per-test wall-clock guard.
+
+The suite never reads or writes the developer's ``~/.cache/repro-sweep``:
+a session-scoped fixture points ``REPRO_CACHE_DIR`` at a temp directory
+(tests that set their own directory keep doing so).
 
 A hung event loop (or a deadlocked worker pool) must fail the suite
 quickly instead of stalling it.  CI installs ``pytest-timeout`` and
@@ -21,6 +26,14 @@ def _timeout_s() -> int:
                                   _DEFAULT_TIMEOUT_S))
     except ValueError:
         return _DEFAULT_TIMEOUT_S
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hermetic_result_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("repro-cache")))
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -122,7 +122,9 @@ class TestThroughputEvolution:
 class TestAblationHelpers:
     def test_primary_effect_positive(self):
         from repro.experiments.ablations import primary_effect
+        from repro.experiments.fig08 import primary_choice_grid
+        from repro.workload import Session
 
-        effect = primary_effect(DEFAULT_SEED, nbytes=10 * 1024,
-                                condition_count=3)
+        grid = primary_choice_grid(DEFAULT_SEED, condition_count=3, repeats=1)
+        effect = primary_effect(Session().run_many(grid), nbytes=10 * 1024)
         assert effect > 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError, SweepTaskError
-from repro.experiments.common import mptcp_task, tcp_task
+from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
 from repro.parallel import (
     SimTask,
@@ -20,6 +20,7 @@ from repro.parallel.executors import (
     parse_socket_addresses,
     resolve_executor_spec,
 )
+from repro.workload import Session
 
 FLOW_BYTES = 20 * 1024
 
@@ -39,12 +40,12 @@ def _isolated_executor_env(monkeypatch):
 def _transfer_tasks(seed: int = 7):
     """Four real simulation tasks (the reference identity workload)."""
     condition = make_conditions(seed=1)[4]
-    return [
-        tcp_task(condition, "wifi", FLOW_BYTES, seed=seed),
-        tcp_task(condition, "lte", FLOW_BYTES, seed=seed),
-        mptcp_task(condition, "wifi", "decoupled", FLOW_BYTES, seed=seed),
-        mptcp_task(condition, "lte", "coupled", FLOW_BYTES, seed=seed),
-    ]
+    return [Session().task_for(spec) for spec in (
+        tcp_spec(condition, "wifi", FLOW_BYTES, seed=seed),
+        tcp_spec(condition, "lte", FLOW_BYTES, seed=seed),
+        mptcp_spec(condition, "wifi", "decoupled", FLOW_BYTES, seed=seed),
+        mptcp_spec(condition, "lte", "coupled", FLOW_BYTES, seed=seed),
+    )]
 
 
 class TestSpecResolution:

@@ -9,10 +9,11 @@ import sys
 import pytest
 
 from repro.core.errors import ExecutorError, SweepTaskError
-from repro.experiments.common import mptcp_task, tcp_task
+from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
 from repro.parallel import SimTask, SweepRunner, set_default_workers
 from repro.parallel.executors import set_default_executor
+from repro.workload import Session
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))
@@ -78,11 +79,11 @@ def _free_port() -> int:
 
 def _transfer_tasks(seed: int = 7):
     condition = make_conditions(seed=1)[4]
-    return [
-        tcp_task(condition, "wifi", FLOW_BYTES, seed=seed),
-        tcp_task(condition, "lte", FLOW_BYTES, seed=seed),
-        mptcp_task(condition, "wifi", "decoupled", FLOW_BYTES, seed=seed),
-    ]
+    return [Session().task_for(spec) for spec in (
+        tcp_spec(condition, "wifi", FLOW_BYTES, seed=seed),
+        tcp_spec(condition, "lte", FLOW_BYTES, seed=seed),
+        mptcp_spec(condition, "wifi", "decoupled", FLOW_BYTES, seed=seed),
+    )]
 
 
 def _double_tasks(count: int = 6):

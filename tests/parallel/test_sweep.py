@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import derive_seed
-from repro.experiments.common import crowd_dataset, mptcp_task, tcp_task
+from repro.experiments.common import crowd_dataset, mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
 from repro.parallel import (
     ResultCache,
@@ -17,6 +17,7 @@ from repro.parallel import (
     set_default_workers,
 )
 from repro.parallel.cache import canonical_spec, spec_key
+from repro.workload import Session
 
 FLOW_BYTES = 20 * 1024
 
@@ -43,14 +44,14 @@ def _isolated_sweep_env(monkeypatch):
 def _small_tasks(seed: int = 7):
     """Six quick transfer tasks spanning both task kinds."""
     conditions = make_conditions(seed=1)
-    tasks = []
+    specs = []
     for condition in conditions[4:6]:
-        tasks.append(tcp_task(condition, "wifi", FLOW_BYTES, seed=seed))
-        tasks.append(tcp_task(condition, "lte", FLOW_BYTES, seed=seed))
-        tasks.append(
-            mptcp_task(condition, "wifi", "decoupled", FLOW_BYTES, seed=seed)
+        specs.append(tcp_spec(condition, "wifi", FLOW_BYTES, seed=seed))
+        specs.append(tcp_spec(condition, "lte", FLOW_BYTES, seed=seed))
+        specs.append(
+            mptcp_spec(condition, "wifi", "decoupled", FLOW_BYTES, seed=seed)
         )
-    return tasks
+    return [Session().task_for(spec) for spec in specs]
 
 
 class TestSimTask:
@@ -233,3 +234,63 @@ class TestExperimentLevelParity:
         parallel = fig09_10.run(fast=True, workers=4)
         assert serial.body == parallel.body
         assert serial.metrics == parallel.metrics
+
+    @pytest.mark.parametrize("module, fn", [
+        ("fig06", "run"),
+        ("fig08", "run"),
+        ("fig13", "run"),
+        ("fig14", "run"),
+        ("ablations", "run_slowstart_ablation"),
+    ])
+    def test_spec_grid_renders_identically_any_workers_cold_or_warm(
+        self, module, fn, monkeypatch, tmp_path
+    ):
+        import importlib
+
+        run = getattr(
+            importlib.import_module(f"repro.experiments.{module}"), fn
+        )
+        reference = run(fast=True, workers=1).render()   # REPRO_CACHE=0
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cold = run(fast=True, workers=2).render()
+        assert _session_stats().executed > 0
+        warm = run(fast=True, workers=2).render()
+        assert _session_stats().executed == 0
+        assert reference == cold == warm
+
+    def test_fig14_after_fig13_executes_nothing(self, monkeypatch, tmp_path):
+        # Two reductions of one grid: the second figure is all hits.
+        from repro.experiments import fig13, fig14
+
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        fig13.run(fast=True)
+        first = _session_stats()
+        assert first.executed == first.tasks > 0
+        fig14.run(fast=True)
+        second = _session_stats()
+        assert (second.tasks, second.cache_hits, second.executed) == (
+            first.tasks, first.tasks, 0
+        )
+
+    def test_ablation_join_after_slowstart_runs_only_the_join_grid(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.experiments import ablations
+
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        ablations.run_slowstart_ablation(fast=True)
+        ablations.run_join_ablation(fast=True)
+        stats = _session_stats()
+        # Sequential-join half = slow-start's baseline grid (cached);
+        # only the simultaneous-join half is new work.
+        assert stats.cache_hits == stats.executed == stats.tasks // 2 > 0
+
+
+def _session_stats():
+    """SweepStats of the experiments' last ``Session.run_many``."""
+    from repro.experiments import common
+
+    return common._SESSION.last_stats
