@@ -68,32 +68,39 @@ class QuantileSketch:
         self._max = -math.inf
 
     # -- ingestion -------------------------------------------------------
-    def _bucket(self, magnitude: float) -> int:
-        return math.ceil(math.log(magnitude) / self._log_gamma)
-
     def add(self, value: float, count: int = 1) -> None:
         """Fold ``count`` occurrences of ``value`` into the sketch."""
+        self.add_many((value,), count)
+
+    def add_many(self, values: Iterable[float], count: int = 1) -> None:
+        """Fold ``count`` occurrences of every value (the one ingest loop)."""
         if count <= 0:
             raise ConfigurationError(f"count must be positive: {count}")
-        if value != value:  # NaN
-            raise ConfigurationError("cannot sketch NaN")
-        if value > ZERO_EPSILON:
-            key = self._bucket(value)
-            self._pos[key] = self._pos.get(key, 0) + count
-        elif value < -ZERO_EPSILON:
-            key = self._bucket(-value)
-            self._neg[key] = self._neg.get(key, 0) + count
-        else:
-            self._zero += count
-        self._count += count
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
+        pos, neg, log_gamma = self._pos, self._neg, self._log_gamma
+        log, ceil = math.log, math.ceil
+        zero = total = 0
+        low, high = self._min, self._max
+        try:
+            for value in values:
+                if value != value:  # NaN
+                    raise ConfigurationError("cannot sketch NaN")
+                if value > ZERO_EPSILON:
+                    key = ceil(log(value) / log_gamma)
+                    pos[key] = pos.get(key, 0) + count
+                elif value < -ZERO_EPSILON:
+                    key = ceil(log(-value) / log_gamma)
+                    neg[key] = neg.get(key, 0) + count
+                else:
+                    zero += count
+                total += count
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+        finally:  # a NaN leaves everything before it folded in
+            self._zero += zero
+            self._count += total
+            self._min, self._max = low, high
 
     # -- queries ---------------------------------------------------------
     def __len__(self) -> int:

@@ -26,6 +26,7 @@ shard order to stay deterministic; the sketch sink does not care.
 
 import csv
 import warnings
+from collections import Counter
 from typing import Dict, List, Optional, TextIO
 
 from repro.analysis.sketch import LabeledCounters, QuantileSketch
@@ -79,70 +80,50 @@ class CrowdSketch:
         pipeline; partial and 3G runs are tallied so the filter
         behavior itself stays observable.
         """
-        counters = self.counters
-        sk = self.sketches
-        up_diff = sk["up_diff"]
-        down_diff = sk["down_diff"]
-        rtt_diff = sk["rtt_diff"]
-        wifi_down_sk = sk["wifi_down"]
-        cell_down_sk = sk["cell_down"]
-        app_diff = sk["app_down_diff"]
-        inc = counters.inc
+        wifi_ok, cell_ok, tech = cols.wifi_ok, cols.cell_ok, cols.tech
+        complete = [i for i in range(len(cols)) if wifi_ok[i] and cell_ok[i]]
+        keep = [i for i in complete if tech[i] != 2]
+        wifi_down = [cols.wifi_down[i] for i in keep]
+        cell_down = [cols.cell_down[i] for i in keep]
+        series = {
+            "down_diff": [w - c for w, c in zip(wifi_down, cell_down)],
+            "up_diff": [cols.wifi_up[i] - cols.cell_up[i] for i in keep],
+            "rtt_diff": [cols.wifi_rtt[i] - cols.cell_rtt[i] for i in keep],
+            "wifi_down": wifi_down,
+            "cell_down": cell_down,
+            "app_down_diff": [cols.app_wifi_down[i] - cols.app_cell_down[i]
+                              for i in keep],
+        }
+        for name, values in series.items():
+            self.sketches[name].add_many(values)
 
-        n = len(cols)
-        inc("runs", n)
-        site = cols.site
-        op = cols.operator
-        app = cols.app
-        tech = cols.tech
-        wifi_ok = cols.wifi_ok
-        cell_ok = cols.cell_ok
-        wifi_down = cols.wifi_down
-        wifi_up = cols.wifi_up
-        cell_down = cols.cell_down
-        cell_up = cols.cell_up
-        wifi_rtt = cols.wifi_rtt
-        cell_rtt = cols.cell_rtt
-        app_wifi = cols.app_wifi_down
-        app_cell = cols.app_cell_down
-
-        for i in range(n):
-            if not (wifi_ok[i] and cell_ok[i]):
-                inc("runs_partial")
-                continue
-            inc("runs_complete")
-            if tech[i] == 2:
-                inc("runs_filtered_3g")
-                continue
-            inc("runs_analysis")
-            site_name = site_names[site[i]]
-            op_name = operator_names[op[i]]
-            app_name = app_names[app[i]]
-            tech_name = TECHNOLOGIES[tech[i]]
-            inc(f"site_runs[{site_name}]")
-            inc(f"op_runs[{op_name}]")
-            inc(f"app_runs[{app_name}]")
-            inc(f"tech_runs[{tech_name}]")
-
-            d_down = wifi_down[i] - cell_down[i]
-            d_up = wifi_up[i] - cell_up[i]
-            d_rtt = wifi_rtt[i] - cell_rtt[i]
-            down_diff.add(d_down)
-            up_diff.add(d_up)
-            rtt_diff.add(d_rtt)
-            wifi_down_sk.add(wifi_down[i])
-            cell_down_sk.add(cell_down[i])
-            app_diff.add(app_wifi[i] - app_cell[i])
-            if d_down < 0:
-                inc("wins_down")
-                inc(f"site_wins_down[{site_name}]")
-                inc(f"op_wins_down[{op_name}]")
-            if d_up < 0:
-                inc("wins_up")
-            if d_rtt > 0:
-                inc("wins_rtt")  # LTE had the lower ping RTT
-            if app_cell[i] > app_wifi[i]:
-                inc(f"app_wins[{app_name}]")
+        wins_down = [i for i, d in zip(keep, series["down_diff"]) if d < 0]
+        app_wins = [i for i, d in zip(keep, series["app_down_diff"]) if d < 0]
+        inc = self.counters.inc
+        inc("runs", len(cols))
+        for key, count in (
+            ("runs_partial", len(cols) - len(complete)),
+            ("runs_complete", len(complete)),
+            ("runs_filtered_3g", len(complete) - len(keep)),
+            ("runs_analysis", len(keep)),
+            ("wins_down", len(wins_down)),
+            ("wins_up", sum(d < 0 for d in series["up_diff"])),
+            ("wins_rtt", sum(d > 0 for d in series["rtt_diff"])),  # lower LTE ping
+        ):
+            if count:
+                inc(key, count)
+        # Labelled tallies: count per index, format a key once per label.
+        for label, column, rows, names in (
+            ("site_runs", cols.site, keep, site_names),
+            ("op_runs", cols.operator, keep, operator_names),
+            ("app_runs", cols.app, keep, app_names),
+            ("tech_runs", tech, keep, TECHNOLOGIES),
+            ("site_wins_down", cols.site, wins_down, site_names),
+            ("op_wins_down", cols.operator, wins_down, operator_names),
+            ("app_wins", cols.app, app_wins, app_names),
+        ):
+            for index, count in Counter(map(column.__getitem__, rows)).items():
+                inc(f"{label}[{names[index]}]", count)
 
     # -- accessors (the paper's headline statistics) -------------------
     def _fraction(self, numerator: str) -> float:

@@ -9,9 +9,12 @@ of 8192 runs is ~20 short lists that are recycled after the sink
 consumes them.
 
 Determinism contract: run ``i`` of the population is a pure function
-of ``(population, world, i)``.  Every run gets its own SHA-256-derived
-RNG stream (the repo-wide :func:`~repro.core.rng.derive_seed` idiom)
-with a frozen draw order, so
+of ``(population, world, i)``.  One :class:`random.Random` is seeded
+(:func:`~repro.core.rng.derive_seed`) per block of 64 run indices and
+one per block of 64 users for the per-user attributes; in its block's
+stream a run owns a fixed slice of 20 uniforms (a user 4), drawn in a
+frozen slot order whether or not a branch uses them, and a batch that
+starts mid-block winds the stream forward to its slice.  So
 
 * batch boundaries cannot matter: sampling ``[0, n)`` in one batch or
   in any partition of batches yields bit-identical columns
@@ -19,22 +22,27 @@ with a frozen draw order, so
 * the scalar reference path :meth:`CrowdSampler.sample_run` — one
   run, one small record — is bit-identical to the batched path by
   construction *and* by test.
+
+Normal variates are Box-Muller pairs computed inline from two slots.
+The layout is not versioned in :class:`PopulationSpec`: the sweep
+cache key carries the code fingerprint, so shards drawn by an older
+layout are never served.
 """
 
+import math
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import DEFAULT_SEED, derive_seed
 from repro.crowd.dataset import MeasurementRun
 from repro.crowd.geo import GeoPoint
-from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
+from repro.crowd.tcpmodel import ONE_MBYTE, probe_link_mbps
 from repro.crowd.world import CrowdWorld, TABLE1_SITES, _cumulative, _pick
 
 __all__ = ["PopulationSpec", "RunColumns", "CrowdRun", "CrowdSampler",
            "ONE_MBYTE"]
-
-ONE_MBYTE = 1_048_576
 
 #: Cellular technology codes used in columns (index into this tuple).
 TECHNOLOGIES = ("LTE", "HSPA+", "3G")
@@ -78,6 +86,14 @@ class PopulationSpec:
             )
         if not self.site_names:
             raise ConfigurationError("population needs at least one site")
+        known = {site.name for site in TABLE1_SITES}
+        for name, weight in zip(self.site_names, self.site_weights):
+            if name not in known:
+                raise ConfigurationError(f"site_names: unknown site {name!r}")
+            if not weight >= 0.0:
+                raise ConfigurationError(
+                    f"site_weights: {name!r} has weight {weight!r}, need >= 0"
+                )
         for p in (self.wifi_failure_p, self.cell_disabled_p,
                   self.single_tech_p):
             if not 0.0 <= p <= 1.0:
@@ -235,16 +251,19 @@ class CrowdSampler:
     NON_LTE_FRACTION = 0.15
     #: Effective log-sigma of a 10-ping average (0.08 / sqrt(10)).
     PING_AVG_SIGMA = 0.0253
+    #: Runs (users) per seeded stream and uniforms each owns in it:
+    #: part of the determinism contract, not tunables.
+    BLOCK = 64
+    RUN_SLOTS = 20
+    USER_SLOTS = 4
 
     def __init__(self, world: CrowdWorld, population: PopulationSpec):
         self.world = world
         self.population = population
         self._base = derive_seed(population.seed, "crowd.scale")
         self._site_cum = _cumulative(list(population.site_weights))
-        self._sites = [
-            next(s for s in TABLE1_SITES if s.name == name)
-            for name in population.site_names
-        ]
+        by_name = {site.name: site for site in TABLE1_SITES}
+        self._sites = [by_name[name] for name in population.site_names]
         self._medians = [world.site_medians(name)
                          for name in population.site_names]
 
@@ -278,19 +297,26 @@ class CrowdSampler:
             cursor += step
 
     # ------------------------------------------------------------------
+    def _stream(self, kind: str, index: int, slots: int) -> Callable[[], float]:
+        """``random()`` of ``index``'s block stream, wound to its slice."""
+        block, offset = divmod(index, self.BLOCK)
+        rand = random.Random(derive_seed(self._base, f"{kind}.{block}")).random
+        for _ in range(offset * slots):
+            rand()
+        return rand
+
     def _sample_into(self, cols: RunColumns, start: int, count: int) -> None:
         """The single frozen draw path both surfaces share.
 
-        One hot loop, local bindings for everything, appending into
-        column lists.  The draw order below is part of the determinism
-        contract — never reorder it.
+        One hot loop, local bindings for everything.  Every run draws
+        its ``RUN_SLOTS`` uniforms up front, used or not, and every
+        user its ``USER_SLOTS``; the slot order below is part of the
+        determinism contract — never reorder it.  A Box-Muller pair
+        takes two slots (``u_*`` the radius, ``v_*`` the angle).
         """
-        import math
-        import random
-
         pop = self.population
         world = self.world
-        base = self._base
+        block = self.BLOCK
         runs_per_user = pop.runs_per_user
         site_cum = self._site_cum
         sites = self._sites
@@ -302,141 +328,118 @@ class CrowdSampler:
         noise_sigma = pop.noise_sigma
         ping_sigma = self.PING_AVG_SIGMA
         non_lte = self.NON_LTE_FRACTION
-        exp = math.exp
-        estimate = estimate_tcp_throughput_mbps
+        single_tech_p = pop.single_tech_p
+        wifi_failure_p = pop.wifi_failure_p
+        cell_disabled_p = pop.cell_disabled_p
+        exp, log, sqrt = math.exp, math.log, math.sqrt
+        cos, sin = math.cos, math.sin
+        two_pi = 2.0 * math.pi
+        probe = probe_link_mbps
 
-        append_user = cols.user_id.append
-        append_site = cols.site.append
-        append_op = cols.operator.append
-        append_app = cols.app.append
-        append_hour = cols.hour.append
-        append_lat = cols.lat.append
-        append_lon = cols.lon.append
-        append_tech = cols.tech.append
-        append_wok = cols.wifi_ok.append
-        append_cok = cols.cell_ok.append
-        append_wd = cols.wifi_down.append
-        append_wu = cols.wifi_up.append
-        append_cd = cols.cell_down.append
-        append_cu = cols.cell_up.append
-        append_wr = cols.wifi_rtt.append
-        append_cr = cols.cell_rtt.append
-        append_awd = cols.app_wifi_down.append
-        append_acd = cols.app_cell_down.append
-
-        for index in range(start, start + count):
-            user, run_of_user = divmod(index, runs_per_user)
-            rng = random.Random(derive_seed(base, f"run.{user}.{run_of_user}"))
-            gauss = rng.gauss
-            uniform = rng.uniform
-            rand = rng.random
-
-            # -- user attributes (identical across a user's runs: the
-            # attribute stream is keyed on the user alone) ------------
-            if runs_per_user == 1:
-                attr_rng = rng
-            else:
-                attr_rng = random.Random(derive_seed(base, f"user.{user}"))
-            site_idx = _pick(site_cum, attr_rng.random())
-            op_idx = world.pick_operator(attr_rng.random())
-            app_idx = world.pick_app(attr_rng.random())
-            hour_base = attr_rng.random() * 24.0
-
-            # -- run-level ground truth -------------------------------
-            hour = (hour_base + 5.0 * run_of_user + uniform(-1.5, 1.5)) % 24.0
-            wifi_cap, cell_cap, wifi_rtt_m, cell_rtt_m = world.modifiers(
-                op_idx, hour
-            )
-            wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = medians[site_idx]
-            site = sites[site_idx]
-            lat = site.lat + gauss(0.0, 0.15)
-            lon = site.lon + gauss(0.0, 0.15)
-            wifi_down = wifi_med * wifi_cap * exp(sigma * gauss(0.0, 1.0))
-            cell_down = lte_med * cell_cap * exp(sigma * gauss(0.0, 1.0))
-            wifi_up = wifi_down * uniform(0.35, 0.8)
-            cell_up = cell_down * uniform(0.3, 0.7) * uplink_tilt
-            wifi_rtt = (wifi_rtt_med * wifi_rtt_m
-                        * exp(rtt_sigma * gauss(0.0, 1.0)))
-            cell_rtt = (lte_rtt_med * cell_rtt_m
-                        * exp(rtt_sigma * gauss(0.0, 1.0)))
-
-            roll = rand()
-            if roll < non_lte / 2.0:
-                tech = 2  # 3G: legacy cellular, much slower
-                cell_down *= 0.15
-                cell_up *= 0.15
-                cell_rtt *= 2.0
-            elif roll < non_lte:
-                tech = 1  # HSPA+
-            else:
-                tech = 0  # LTE
-            wifi_down = max(0.1, wifi_down)
-            wifi_up = max(0.05, wifi_up)
-            cell_down = max(0.1, cell_down)
-            cell_up = max(0.05, cell_up)
-            wifi_rtt = min(max(5.0, wifi_rtt), 1200.0)
-            cell_rtt = min(max(15.0, cell_rtt), 1200.0)
-
-            # -- the Fig. 2 flowchart branches -------------------------
-            single = rand() < pop.single_tech_p
-            single_cell = single and rand() < 0.5
-            wifi_ok = ((not single) or (not single_cell)) and (
-                rand() >= pop.wifi_failure_p
-            )
-            cell_ok = ((not single) or single_cell) and (
-                rand() >= pop.cell_disabled_p
-            )
-
-            # -- measured values (1-MB TCP probe + noise; ping average
-            # modelled as one lognormal draw of the mean) --------------
-            if wifi_ok:
-                meas_wifi_down = estimate(wifi_down, wifi_rtt) * exp(
-                    noise_sigma * gauss(0.0, 1.0)
+        columns = [getattr(cols, name) for name in COLUMN_NAMES]
+        rows: List[tuple] = []
+        current_user = -1
+        end = start + count
+        while start < end:
+            # One run-block stream at a time; its rows are transposed
+            # into the columns when the block (or the batch) ends.
+            rand = self._stream("runs", start, self.RUN_SLOTS)
+            stop = min(end, start - start % block + block)
+            for index in range(start, stop):
+                (u_hour, u_geo, v_geo, u_rate, v_rate, u_wifi_up, u_cell_up,
+                 u_rtt, v_rtt, u_tech, u_single, u_which, u_wifi_fail,
+                 u_cell_off, u_wifi, v_wifi, u_cell, v_cell, u_ping, v_ping) = (
+                    rand(), rand(), rand(), rand(), rand(), rand(), rand(),
+                    rand(), rand(), rand(), rand(), rand(), rand(), rand(),
+                    rand(), rand(), rand(), rand(), rand(), rand(),
                 )
-                meas_wifi_up = estimate(wifi_up, wifi_rtt) * exp(
-                    noise_sigma * gauss(0.0, 1.0)
-                )
-                meas_wifi_rtt = wifi_rtt * exp(ping_sigma * gauss(0.0, 1.0))
-            else:
-                meas_wifi_down = meas_wifi_up = meas_wifi_rtt = 0.0
-            if cell_ok:
-                meas_cell_down = estimate(cell_down, cell_rtt) * exp(
-                    noise_sigma * gauss(0.0, 1.0)
-                )
-                meas_cell_up = estimate(cell_up, cell_rtt) * exp(
-                    noise_sigma * gauss(0.0, 1.0)
-                )
-                meas_cell_rtt = cell_rtt * exp(ping_sigma * gauss(0.0, 1.0))
-            else:
-                meas_cell_down = meas_cell_up = meas_cell_rtt = 0.0
 
-            # -- per-app experienced throughput (same links, the app's
-            # flow size; reuses the ground truth, no extra draws) ------
-            app = apps[app_idx]
-            if wifi_ok:
-                app_wifi = estimate(wifi_down, wifi_rtt, app.down_bytes)
-            else:
-                app_wifi = 0.0
-            if cell_ok:
-                app_cell = estimate(cell_down, cell_rtt, app.down_bytes)
-            else:
-                app_cell = 0.0
+                # -- user attributes (identical across a user's runs: the
+                # attribute stream is keyed on the user alone) ------------
+                user, run_of_user = divmod(index, runs_per_user)
+                if user != current_user:
+                    if user % block == 0 or current_user < 0:
+                        user_rand = self._stream("users", user, self.USER_SLOTS)
+                    current_user = user
+                    site_idx = _pick(site_cum, user_rand())
+                    op_idx = world.pick_operator(user_rand())
+                    app_idx = world.pick_app(user_rand())
+                    hour_base = user_rand() * 24.0
+                    site = sites[site_idx]
+                    wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = medians[site_idx]
+                    app_bytes = apps[app_idx].down_bytes
 
-            append_user(user)
-            append_site(site_idx)
-            append_op(op_idx)
-            append_app(app_idx)
-            append_hour(hour)
-            append_lat(lat)
-            append_lon(lon)
-            append_tech(tech)
-            append_wok(wifi_ok)
-            append_cok(cell_ok)
-            append_wd(meas_wifi_down)
-            append_wu(meas_wifi_up)
-            append_cd(meas_cell_down)
-            append_cu(meas_cell_up)
-            append_wr(meas_wifi_rtt)
-            append_cr(meas_cell_rtt)
-            append_awd(app_wifi)
-            append_acd(app_cell)
+                # -- run-level ground truth -------------------------------
+                hour = (hour_base + 5.0 * run_of_user + 3.0 * u_hour - 1.5) % 24.0
+                wifi_cap, cell_cap, wifi_rtt_m, cell_rtt_m = world.modifiers(
+                    op_idx, hour
+                )
+                radius = 0.15 * sqrt(-2.0 * log(1.0 - u_geo))
+                lat = site.lat + radius * cos(two_pi * v_geo)
+                lon = site.lon + radius * sin(two_pi * v_geo)
+                radius = sigma * sqrt(-2.0 * log(1.0 - u_rate))
+                wifi_down = wifi_med * wifi_cap * exp(radius * cos(two_pi * v_rate))
+                cell_down = lte_med * cell_cap * exp(radius * sin(two_pi * v_rate))
+                wifi_up = wifi_down * (0.35 + 0.45 * u_wifi_up)
+                cell_up = cell_down * (0.3 + 0.4 * u_cell_up) * uplink_tilt
+                radius = rtt_sigma * sqrt(-2.0 * log(1.0 - u_rtt))
+                wifi_rtt = (wifi_rtt_med * wifi_rtt_m
+                            * exp(radius * cos(two_pi * v_rtt)))
+                cell_rtt = (lte_rtt_med * cell_rtt_m
+                            * exp(radius * sin(two_pi * v_rtt)))
+
+                if u_tech < non_lte / 2.0:
+                    tech = 2  # 3G: legacy cellular, much slower
+                    cell_down *= 0.15
+                    cell_up *= 0.15
+                    cell_rtt *= 2.0
+                elif u_tech < non_lte:
+                    tech = 1  # HSPA+
+                else:
+                    tech = 0  # LTE
+                wifi_down = wifi_down if wifi_down > 0.1 else 0.1
+                wifi_up = wifi_up if wifi_up > 0.05 else 0.05
+                cell_down = cell_down if cell_down > 0.1 else 0.1
+                cell_up = cell_up if cell_up > 0.05 else 0.05
+                wifi_rtt = min(max(5.0, wifi_rtt), 1200.0)
+                cell_rtt = min(max(15.0, cell_rtt), 1200.0)
+
+                # -- the Fig. 2 flowchart branches -------------------------
+                single = u_single < single_tech_p
+                single_cell = single and u_which < 0.5
+                wifi_ok = not single_cell and u_wifi_fail >= wifi_failure_p
+                cell_ok = (single_cell or not single) and (
+                    u_cell_off >= cell_disabled_p
+                )
+
+                # -- measured values: per link, the TCP probes (1 MB each
+                # way and the app's flow size, same ground truth) with
+                # noise; the ping average is one lognormal draw of the mean
+                radius = ping_sigma * sqrt(-2.0 * log(1.0 - u_ping))
+                if wifi_ok:
+                    down, up, app_wifi = probe(wifi_down, wifi_up, wifi_rtt, app_bytes)
+                    noise = noise_sigma * sqrt(-2.0 * log(1.0 - u_wifi))
+                    meas_wifi_down = down * exp(noise * cos(two_pi * v_wifi))
+                    meas_wifi_up = up * exp(noise * sin(two_pi * v_wifi))
+                    meas_wifi_rtt = wifi_rtt * exp(radius * cos(two_pi * v_ping))
+                else:
+                    meas_wifi_down = meas_wifi_up = meas_wifi_rtt = app_wifi = 0.0
+                if cell_ok:
+                    down, up, app_cell = probe(cell_down, cell_up, cell_rtt, app_bytes)
+                    noise = noise_sigma * sqrt(-2.0 * log(1.0 - u_cell))
+                    meas_cell_down = down * exp(noise * cos(two_pi * v_cell))
+                    meas_cell_up = up * exp(noise * sin(two_pi * v_cell))
+                    meas_cell_rtt = cell_rtt * exp(radius * sin(two_pi * v_ping))
+                else:
+                    meas_cell_down = meas_cell_up = meas_cell_rtt = app_cell = 0.0
+
+                rows.append((
+                    user, site_idx, op_idx, app_idx, hour, lat, lon, tech,
+                    wifi_ok, cell_ok,
+                    meas_wifi_down, meas_wifi_up, meas_cell_down, meas_cell_up,
+                    meas_wifi_rtt, meas_cell_rtt, app_wifi, app_cell,
+                ))
+            for column, values in zip(columns, zip(*rows)):
+                column.extend(values)
+            rows.clear()
+            start = stop

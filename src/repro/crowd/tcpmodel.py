@@ -7,12 +7,55 @@ This analytic model — handshake, slow-start ramp, then link-rate
 transfer — matches the packet simulator closely (validated in
 ``tests/crowd/test_tcpmodel.py``), and the Fig. 6 experiment checks
 the two agree at the CDF level.
+
+The slow-start ramp depends on the flow size alone, so it is tabulated
+once per size and a transfer time is one ``bisect`` into that table;
+the round-by-round loop lives on as the oracle in the test module.
 """
+
+from bisect import bisect_left
+from functools import lru_cache
+from typing import Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.units import throughput_mbps
 
-__all__ = ["transfer_time_s", "estimate_tcp_throughput_mbps"]
+__all__ = ["transfer_time_s", "estimate_tcp_throughput_mbps",
+           "probe_link_mbps"]
+
+ONE_MBYTE = 1_048_576
+
+
+@lru_cache(maxsize=256)
+def _ramp(nbytes: int, mss_bytes: int,
+          initial_cwnd: int) -> Tuple[int, Tuple[int, ...]]:
+    """``(total_segments, cwnds)``: ``cwnds[k]`` opens slow-start round
+    ``k``, before which ``cwnds[k] - cwnds[0]`` segments have left; the
+    table ends with the round that would finish the flow."""
+    if initial_cwnd < 1:  # the ramp would never grow
+        raise ConfigurationError(f"initial cwnd must be >= 1: {initial_cwnd}")
+    total_segments = max(1, (nbytes + mss_bytes - 1) // mss_bytes)
+    cwnds = [initial_cwnd]
+    while 2 * cwnds[-1] - initial_cwnd < total_segments:
+        cwnds.append(2 * cwnds[-1])
+    return total_segments, tuple(cwnds)
+
+
+def _ramp_time_s(nbytes: int, rate_bps: float, rtt: float,
+                 mss_bytes: int = 1448, initial_cwnd: int = 10) -> float:
+    """The model's core, on pre-validated SI inputs (bytes/s, seconds).
+
+    Slow start runs while the window is below the bandwidth-delay
+    product: if that outlasts the flow, it took one RTT per round;
+    otherwise the remainder drains at the link rate.
+    """
+    total_segments, cwnds = _ramp(nbytes, mss_bytes, initial_cwnd)
+    rounds = bisect_left(cwnds, rate_bps * rtt / mss_bytes)
+    if rounds == len(cwnds):
+        return rtt * (1 + rounds)
+    return rtt * (1.5 + rounds) + (
+        total_segments - (cwnds[rounds] - cwnds[0])
+    ) * mss_bytes / rate_bps
 
 
 def transfer_time_s(
@@ -35,31 +78,39 @@ def transfer_time_s(
         raise ConfigurationError(f"negative RTT: {rtt_ms}")
     if nbytes <= 0:
         return 0.0
-    rtt = rtt_ms / 1000.0
-    rate_bps = rate_mbps * 1e6 / 8.0
-    total_segments = max(1, (nbytes + mss_bytes - 1) // mss_bytes)
-    bdp_segments = max(1.0, rate_bps * rtt / mss_bytes)
-
-    elapsed = rtt  # SYN / SYN-ACK
-    sent = 0.0
-    cwnd = float(initial_cwnd)
-    while sent < total_segments and cwnd < bdp_segments:
-        round_segments = min(cwnd, total_segments - sent)
-        sent += round_segments
-        elapsed += rtt
-        cwnd *= 2.0
-    if sent < total_segments:
-        elapsed += (total_segments - sent) * mss_bytes / rate_bps + rtt / 2.0
-    return elapsed
+    return _ramp_time_s(nbytes, rate_mbps * 1e6 / 8.0, rtt_ms / 1000.0,
+                        mss_bytes, initial_cwnd)
 
 
 def estimate_tcp_throughput_mbps(
     rate_mbps: float,
     rtt_ms: float,
-    nbytes: int = 1_048_576,
+    nbytes: int = ONE_MBYTE,
     mss_bytes: int = 1448,
     initial_cwnd: int = 10,
 ) -> float:
     """Average throughput (Mbit/s) of an ``nbytes`` transfer."""
     elapsed = transfer_time_s(rate_mbps, rtt_ms, nbytes, mss_bytes, initial_cwnd)
     return throughput_mbps(nbytes, elapsed)
+
+
+def probe_link_mbps(down_mbps: float, up_mbps: float, rtt_ms: float,
+                    app_bytes: int) -> Tuple[float, float, float]:
+    """``(1 MB down, 1 MB up, app_bytes down)`` in Mbit/s over one link.
+
+    Each equals :func:`estimate_tcp_throughput_mbps` on the same
+    inputs; the crowd sampler's per-link probe in one call.
+    """
+    if down_mbps <= 0 or up_mbps <= 0 or rtt_ms < 0:
+        raise ConfigurationError(
+            f"need positive rates and RTT >= 0: {down_mbps}, {up_mbps}, {rtt_ms}"
+        )
+    rtt = rtt_ms / 1000.0
+    down_bps = down_mbps * 1e6 / 8.0
+    # throughput_mbps() inline: a positive rate makes every time positive.
+    return (
+        ONE_MBYTE / _ramp_time_s(ONE_MBYTE, down_bps, rtt) * 8.0 / 1e6,
+        ONE_MBYTE / _ramp_time_s(ONE_MBYTE, up_mbps * 1e6 / 8.0, rtt)
+        * 8.0 / 1e6,
+        app_bytes / _ramp_time_s(app_bytes, down_bps, rtt) * 8.0 / 1e6,
+    )

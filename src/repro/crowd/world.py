@@ -16,6 +16,7 @@ downlink) throughput and ping RTTs:
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -434,17 +435,16 @@ class CrowdWorld(WorldModel):
         this once per run.
         """
         operator = self.operators[operator_index]
-        wifi_cap = self.wifi_diurnal.capacity_mult(hour)
-        cell_cap = (
-            math.exp(operator.tput_log_offset)
-            * self.cell_diurnal.capacity_mult(hour)
+        exp = math.exp
+        wifi_load = self.wifi_diurnal.log_load(hour)
+        cell_load = self.cell_diurnal.log_load(hour)
+        return (
+            exp(-wifi_load),
+            exp(operator.tput_log_offset) * exp(-cell_load),
+            exp(self.wifi_diurnal.rtt_coupling * wifi_load),
+            exp(operator.rtt_log_offset)
+            * exp(self.cell_diurnal.rtt_coupling * cell_load),
         )
-        wifi_rtt = self.wifi_diurnal.rtt_mult(hour)
-        cell_rtt = (
-            math.exp(operator.rtt_log_offset)
-            * self.cell_diurnal.rtt_mult(hour)
-        )
-        return wifi_cap, cell_cap, wifi_rtt, cell_rtt
 
     def profile_dict(self) -> dict:
         """JSON-safe description of the heterogeneity axes."""
@@ -485,7 +485,4 @@ def _cumulative(weights: List[float]) -> List[float]:
 
 
 def _pick(cumulative: List[float], u: float) -> int:
-    for index, edge in enumerate(cumulative):
-        if u < edge:
-            return index
-    return len(cumulative) - 1
+    return min(bisect_right(cumulative, u), len(cumulative) - 1)

@@ -122,6 +122,50 @@ class TestQuantileAccuracy:
             QuantileSketch(alpha=1.5)
 
 
+class TestAddMany:
+    """``add_many`` is ``add`` in one loop — same state, bit for bit."""
+
+    SAMPLES = _mixed_samples(3000) + [
+        0.0, -0.0, 5e-10, -5e-10, 1e-9, -1e-9,  # the exact-zero band
+        2e-9, -2e-9, 1e-300, 1e300, -1e300,
+    ]
+
+    def test_equals_repeated_add(self):
+        for alpha in (0.01, 0.005):
+            one_by_one = QuantileSketch(alpha=alpha)
+            for value in self.SAMPLES:
+                one_by_one.add(value)
+            batched = QuantileSketch(alpha=alpha)
+            batched.add_many(self.SAMPLES[:1000])
+            batched.add_many(iter(self.SAMPLES[1000:]))  # any iterable
+            batched.add_many([])
+            assert batched.to_dict() == one_by_one.to_dict()
+            assert batched.min == one_by_one.min
+            assert batched.max == one_by_one.max
+
+    def test_weighted_batch_equals_weighted_adds(self):
+        one_by_one, batched = QuantileSketch(), QuantileSketch()
+        for value in self.SAMPLES[:200]:
+            one_by_one.add(value, 3)
+        batched.add_many(self.SAMPLES[:200], 3)
+        assert batched.to_dict() == one_by_one.to_dict()
+        for bad in (0, -1):
+            with pytest.raises(ConfigurationError):
+                batched.add_many([1.0], bad)
+            with pytest.raises(ConfigurationError):
+                batched.add(1.0, bad)
+        assert batched.to_dict() == one_by_one.to_dict()
+
+    def test_nan_raises_and_keeps_what_came_before(self):
+        batched = QuantileSketch()
+        with pytest.raises(ConfigurationError):
+            batched.add_many([1.0, -2.0, 0.0, float("nan"), 3.0])
+        one_by_one = QuantileSketch()
+        for value in (1.0, -2.0, 0.0):
+            one_by_one.add(value)
+        assert batched.to_dict() == one_by_one.to_dict()
+
+
 class TestMergeAlgebra:
     def test_merge_commutative(self):
         a = _sketch_of(_lognormal_samples(800, seed=1))

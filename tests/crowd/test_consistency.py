@@ -2,8 +2,11 @@
 
 A heterogeneous million-user population is only a faithful scale-up
 if its aggregates still land on the paper's published numbers.  These
-tests run a 16k-user population (large enough that sampling error is
-well below the asserted tolerances) and check:
+tests run a 64k-user population — every per-site fraction that is
+checked rests on at least 480 analysis runs, so its binomial sigma is
+at most 0.023 and the 0.08 tolerance is at least 3.5 sigma (at 16k
+users / 120 runs it was 1.9 sigma for the thinnest site, which passed
+or failed by seed) — and check:
 
 * Table 1 — per-site LTE-win-downlink fractions within 0.08 of the
   published column (sites with enough runs to measure), aggregate
@@ -24,10 +27,11 @@ from repro.crowd.sampling import PopulationSpec
 from repro.crowd.world import TABLE1_SITES
 from repro.experiments.common import crowd_dataset
 
-USERS = 16_000
+USERS = 64_000
 
-#: Minimum analysis runs before a per-site fraction is worth checking.
-MIN_SITE_RUNS = 120
+#: Minimum analysis runs before a per-site fraction is worth checking
+#: (sigma <= sqrt(0.25 / 480) = 0.023 against the 0.08 tolerance).
+MIN_SITE_RUNS = 480
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,57 @@
 """Tests for the analytic TCP-throughput model, cross-validated against
 the packet simulator."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import PathConfig, Scenario
 from repro.core.errors import ConfigurationError
-from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps, transfer_time_s
+from repro.crowd.tcpmodel import (
+    estimate_tcp_throughput_mbps,
+    probe_link_mbps,
+    transfer_time_s,
+)
 
 MB = 1_048_576
+MSS = 1448
+
+
+def loop_transfer_time_s(rate_mbps, rtt_ms, nbytes, mss_bytes=MSS,
+                         initial_cwnd=10):
+    """The round-by-round model ``transfer_time_s`` used to run.
+
+    Kept verbatim as the oracle for the closed form.
+    """
+    if rate_mbps <= 0:
+        raise ConfigurationError(f"rate must be positive: {rate_mbps}")
+    if rtt_ms < 0:
+        raise ConfigurationError(f"negative RTT: {rtt_ms}")
+    if nbytes <= 0:
+        return 0.0
+    rtt = rtt_ms / 1000.0
+    rate_bps = rate_mbps * 1e6 / 8.0
+    total_segments = max(1, (nbytes + mss_bytes - 1) // mss_bytes)
+    bdp_segments = max(1.0, rate_bps * rtt / mss_bytes)
+
+    elapsed = rtt  # SYN / SYN-ACK
+    sent = 0.0
+    cwnd = float(initial_cwnd)
+    while sent < total_segments and cwnd < bdp_segments:
+        round_segments = min(cwnd, total_segments - sent)
+        sent += round_segments
+        elapsed += rtt
+        cwnd *= 2.0
+    if sent < total_segments:
+        elapsed += (total_segments - sent) * mss_bytes / rate_bps + rtt / 2.0
+    return elapsed
+
+
+def _rate_for_bdp(segments, rtt_ms):
+    """The rate whose bandwidth-delay product is ``segments`` MSS."""
+    return segments * MSS * 8.0 / 1e6 / (rtt_ms / 1000.0)
 
 
 class TestTransferTime:
@@ -36,6 +80,84 @@ class TestTransferTime:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             transfer_time_s(0.0, 40.0, 1000)
+
+
+class TestClosedFormMatchesLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rate=st.floats(min_value=0.05, max_value=500.0),
+        rtt=st.floats(min_value=1.0, max_value=1200.0),
+        nbytes=st.integers(min_value=1, max_value=8 * MB),
+    )
+    @example(rate=10.0, rtt=40.0, nbytes=1)           # one segment
+    @example(rate=10.0, rtt=40.0, nbytes=MSS)         # exactly one MSS
+    @example(rate=10.0, rtt=40.0, nbytes=150 * MSS)   # 10+20+40+80 exactly
+    @example(rate=500.0, rtt=1200.0, nbytes=8 * MB)   # never leaves slow start
+    @example(rate=0.05, rtt=1.0, nbytes=MB)           # BDP below one segment
+    def test_within_1e12_of_the_loop(self, rate, rtt, nbytes):
+        assert transfer_time_s(rate, rtt, nbytes) == pytest.approx(
+            loop_transfer_time_s(rate, rtt, nbytes), rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize("segments", [10, 20, 40, 80, 160, 320, 640])
+    @pytest.mark.parametrize("nbytes", [1, MSS, 10 * MSS, 70 * MSS, MB, 4 * MB])
+    def test_bdp_exactly_on_a_window(self, segments, nbytes):
+        # The ramp stops at the first window >= BDP: a BDP that is
+        # exactly a window (and one ulp either side) is the boundary.
+        exact = _rate_for_bdp(segments, 80.0)
+        for rate in (math.nextafter(exact, 0.0), exact,
+                     math.nextafter(exact, math.inf)):
+            assert transfer_time_s(rate, 80.0, nbytes) == pytest.approx(
+                loop_transfer_time_s(rate, 80.0, nbytes), rel=1e-12, abs=0.0
+            )
+
+    def test_other_mss_and_initial_window(self):
+        for mss, iw in ((536, 2), (1448, 4), (9000, 10), (1, 1)):
+            for nbytes in (1, 1000, 100_000, MB):
+                assert transfer_time_s(8.0, 60.0, nbytes, mss, iw) == (
+                    pytest.approx(
+                        loop_transfer_time_s(8.0, 60.0, nbytes, mss, iw),
+                        rel=1e-12, abs=0.0,
+                    )
+                )
+
+    def test_degenerate_inputs_unchanged(self):
+        for rate in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                transfer_time_s(rate, 40.0, 1000)
+        with pytest.raises(ConfigurationError):
+            transfer_time_s(10.0, -0.1, 1000)
+        assert transfer_time_s(10.0, 40.0, 0) == 0.0
+        assert transfer_time_s(10.0, 40.0, -5) == 0.0
+        assert estimate_tcp_throughput_mbps(10.0, 40.0, 0) == 0.0
+        # A zero RTT is legal: pure serialization time.
+        assert transfer_time_s(8.0, 0.0, 1000) == pytest.approx(1448 / 1e6)
+        # The loop spun forever on this; the table builder refuses.
+        with pytest.raises(ConfigurationError):
+            transfer_time_s(10.0, 40.0, 1000, initial_cwnd=0)
+
+
+class TestLinkProbe:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        down=st.floats(min_value=0.1, max_value=500.0),
+        up=st.floats(min_value=0.05, max_value=500.0),
+        rtt=st.floats(min_value=5.0, max_value=1200.0),
+        app_bytes=st.sampled_from([64 * 1024, 256 * 1024, MB, 4 * MB]),
+    )
+    def test_is_three_estimates_bit_for_bit(self, down, up, rtt, app_bytes):
+        # One model: the sampler's per-link probe is the public
+        # estimator three times over, not an approximation of it.
+        assert probe_link_mbps(down, up, rtt, app_bytes) == (
+            estimate_tcp_throughput_mbps(down, rtt),
+            estimate_tcp_throughput_mbps(up, rtt),
+            estimate_tcp_throughput_mbps(down, rtt, app_bytes),
+        )
+
+    def test_rejects_what_the_estimator_rejects(self):
+        for args in ((0.0, 1.0, 40.0), (1.0, 0.0, 40.0), (1.0, 1.0, -1.0)):
+            with pytest.raises(ConfigurationError):
+                probe_link_mbps(*args, MB)
 
 
 class TestThroughputEstimate:
