@@ -12,9 +12,13 @@ published next to the model error it buys.  Results land in
 
 Both legs run serially in-process (``workers=1``): the point is the
 per-engine cost, not pool scaling, and serial timing is what makes
-the ≥100× claim machine-independent.  Exit 1 if the speedup falls
-below ``--required-speedup`` (100× full, 5× smoke) or validation
-leaves its calibrated bounds.
+the ratio machine-independent.  Exit 1 if the speedup falls below
+``--required-speedup`` (30× full, 5× smoke) or validation leaves its
+calibrated bounds.  The floor was 100× until the packet core's hot
+path was rewritten: the ratio's *denominator* got faster (this sweep
+fell from 12.1 s to 4.0–5.8 s of packet time on the 2-vCPU box while
+the flow leg stayed at 0.11–0.15 s), so the same flow engine now
+reads 33–41×.
 """
 
 import argparse
@@ -28,7 +32,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_flow.json")
 
 #: Minimum acceptable packet/flow wall-clock ratio on the full sweep.
-REQUIRED_SPEEDUP = 100.0
+REQUIRED_SPEEDUP = 30.0
 #: Smoke subsets are too small to amortize imports; a loose floor
 #: still catches "flow engine silently fell back to packet".
 SMOKE_REQUIRED_SPEEDUP = 5.0

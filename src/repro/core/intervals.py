@@ -33,20 +33,38 @@ class IntervalSet:
         """Insert ``[start, end)``, merging overlaps.
 
         Returns the number of *new* units added (0 if the range was
-        entirely duplicate).
+        entirely duplicate): the merged span minus the lengths of the
+        intervals it replaced, so the cost is that of the intervals
+        touched, never of the whole set.
         """
         if end <= start:
             return 0
-        before = self.total_bytes
+        starts = self._starts
+        ends = self._ends
+        # In-order arrival (the common case by far): the range starts
+        # inside, at the edge of, or beyond the last interval.
+        if not starts or start > ends[-1]:
+            starts.append(start)
+            ends.append(end)
+            return end - start
+        if start >= starts[-1]:
+            last_end = ends[-1]
+            if end <= last_end:
+                return 0
+            ends[-1] = end
+            return end - last_end
         # Find all intervals overlapping or adjacent to [start, end).
-        lo = bisect.bisect_left(self._ends, start)
-        hi = bisect.bisect_right(self._starts, end)
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end)
+        replaced = 0
         if lo < hi:
-            start = min(start, self._starts[lo])
-            end = max(end, self._ends[hi - 1])
-        self._starts[lo:hi] = [start]
-        self._ends[lo:hi] = [end]
-        return self.total_bytes - before
+            start = min(start, starts[lo])
+            end = max(end, ends[hi - 1])
+            for index in range(lo, hi):
+                replaced += ends[index] - starts[index]
+        starts[lo:hi] = [start]
+        ends[lo:hi] = [end]
+        return end - start - replaced
 
     def contains_range(self, start: int, end: int) -> bool:
         """True if every unit of ``[start, end)`` is present."""

@@ -390,15 +390,20 @@ class MptcpConnection(ConnectionBase):
         if self.options.scheduler == "redundant":
             self._pump_redundant()
             return
-        while self.source.has_data():
-            eligible = [
-                sf for sf in self._subflows
-                if sf.can_send() and self._schedulable(sf)
-            ]
+        source = self.source
+        subflows = self._subflows
+        pick = self._scheduler.pick
+        mss_bytes = self.config.mss_bytes
+        # Outside Backup mode every subflow is schedulable.
+        backup_mode = self.options.mode == BACKUP_MODE
+        while source.has_data():
+            eligible = [sf for sf in subflows if sf.can_send()]
+            if backup_mode:
+                eligible = [sf for sf in eligible if self._schedulable(sf)]
             if not eligible:
                 break
-            subflow = self._scheduler.pick(eligible)
-            chunk = self.source.next_chunk(self.config.mss_bytes)
+            subflow = pick(eligible)
+            chunk = source.next_chunk(mss_bytes)
             if chunk is None:
                 break
             if self.obs is not None:

@@ -41,6 +41,8 @@ class MinRttScheduler(Scheduler):
     """Prefer the subflow with the lowest smoothed RTT (Linux default)."""
 
     def pick(self, eligible: List[Subflow]) -> Subflow:
+        if len(eligible) == 1:
+            return eligible[0]
         return min(eligible, key=lambda sf: (sf.srtt, sf.subflow_id))
 
 

@@ -16,6 +16,7 @@ signal to the endpoint).
 """
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.core.errors import ConfigurationError, SimulationError
@@ -111,7 +112,9 @@ class Link(ABC):
             return
         self.blackhole = blackhole
         if blackhole:
-            self.queue.clear()
+            # Flushed packets are lost to the unplug like any other:
+            # counted, so sent == delivered + dropped + blackholed.
+            self.blackholed_packets += self.queue.clear()
         self._notify_state("blackhole_on" if blackhole else "blackhole_off")
 
     def spike_delay(self, extra_s: float) -> None:
@@ -135,7 +138,8 @@ class Link(ABC):
         if self.blackhole or not self.up:
             self.blackholed_packets += 1
             return
-        if self.loss.should_drop(packet):
+        loss = self.loss
+        if type(loss) is not NoLoss and loss.should_drop(packet):
             self.channel_drops += 1
             return
         if packet.sent_at < 0:
@@ -156,7 +160,8 @@ class Link(ABC):
             observer(packet, now)
 
     def _deliver_after_propagation(self, packet: Packet) -> None:
-        self.loop.call_later(self.propagation_delay_s, lambda: self._deliver(packet))
+        self.loop.call_later(self.propagation_delay_s,
+                             partial(self._deliver, packet))
 
     def _deliver(self, packet: Packet) -> None:
         if self.blackhole:
@@ -233,13 +238,16 @@ class FixedRateLink(Link):
         if packet is None:
             return
         self._transmitting = True
-        self._emit_transmit(packet)
+        if self.on_transmit or packet.sent_at < 0:
+            self._emit_transmit(packet)
         tx_time = packet.wire_bytes / self.rate_bytes_per_sec
-        self.loop.call_later(tx_time, lambda: self._finish_transmission(packet))
+        self.loop.call_later(tx_time,
+                             partial(self._finish_transmission, packet))
 
     def _finish_transmission(self, packet: Packet) -> None:
         self._transmitting = False
-        self._deliver_after_propagation(packet)
+        self.loop.call_later(self.propagation_delay_s,
+                             partial(self._deliver, packet))
         if not self.queue.empty:
             self._start_transmission()
 
@@ -273,7 +281,7 @@ class TraceDrivenLink(Link):
             self.loop.now
         )
         self._opportunity_scheduled = True
-        self.loop.call_at(next_time, lambda: self._opportunity(count))
+        self.loop.call_at(next_time, partial(self._opportunity, count))
 
     def _opportunity(self, count: int) -> None:
         self._opportunity_scheduled = False

@@ -68,27 +68,24 @@ class DropTailQueue:
     def empty(self) -> bool:
         return not self._queue
 
-    def _fits(self, packet: Packet) -> bool:
-        if self.max_packets is not None and len(self._queue) + 1 > self.max_packets:
-            return False
-        if self.max_bytes is not None and self._bytes + packet.wire_bytes > self.max_bytes:
-            return False
-        return True
-
     def offer(self, packet: Packet) -> bool:
         """Try to enqueue ``packet``; return False if it was tail-dropped."""
         stats = self.stats
         wire_bytes = packet.wire_bytes
-        if not self._fits(packet):
+        queue = self._queue
+        max_packets = self.max_packets
+        max_bytes = self.max_bytes
+        depth = len(queue) + 1
+        if (max_packets is not None and depth > max_packets) or (
+            max_bytes is not None and self._bytes + wire_bytes > max_bytes
+        ):
             stats.dropped += 1
             stats.bytes_dropped += wire_bytes
             return False
-        queue = self._queue
         queue.append(packet)
         self._bytes += wire_bytes
         stats.enqueued += 1
         stats.bytes_enqueued += wire_bytes
-        depth = len(queue)
         if depth > stats.max_depth_packets:
             stats.max_depth_packets = depth
         if self._bytes > stats.max_depth_bytes:

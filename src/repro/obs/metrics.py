@@ -322,39 +322,51 @@ def collect_transfer_metrics(connection, paths: Iterable) -> Dict[str, float]:
     ``QueueStats``, link delivery totals) — a pure read, safe to call
     on live or completed connections.
     """
-    registry = MetricsRegistry()
+    # Runs after every transfer, so the flat dict is filled directly:
+    # one rendered label set per subflow and per link direction, where
+    # a MetricsRegistry would build a labels dict, a sorted key and two
+    # renderings per series.  The result is part of every report digest
+    # and must equal the registry's snapshot in keys, order and value
+    # types (counters float, gauges as set); tests/obs keeps that
+    # registry-built reference.
+    out: Dict[str, float] = {}
+    handshakes: Dict[str, List[float]] = {}
     for subflow in connection.subflows:
-        labels = {"path": subflow.name, "subflow": str(subflow.subflow_id)}
+        rendered = f"{{path={subflow.name},subflow={subflow.subflow_id}}}"
         stats = subflow.sender.stats
-        registry.counter("segments_sent", **labels).inc(stats.segments_sent)
-        registry.counter("bytes_sent", **labels).inc(stats.bytes_sent)
-        registry.counter("retransmits", **labels).inc(stats.retransmits)
-        registry.counter("fast_retransmits", **labels).inc(
-            stats.fast_retransmits
-        )
-        registry.counter("timeouts", **labels).inc(stats.timeouts)
+        out["segments_sent" + rendered] = float(stats.segments_sent)
+        out["bytes_sent" + rendered] = float(stats.bytes_sent)
+        out["retransmits" + rendered] = float(stats.retransmits)
+        out["fast_retransmits" + rendered] = float(stats.fast_retransmits)
+        out["timeouts" + rendered] = float(stats.timeouts)
         if subflow.handshake_rtt is not None:
-            registry.histogram("handshake_rtt_s", path=subflow.name).observe(
+            handshakes.setdefault(subflow.name, []).append(
                 subflow.handshake_rtt
             )
+    # One histogram per path: subflows sharing a path share it.
+    for name, samples in handshakes.items():
+        rendered = f"{{path={name}}}"
+        total = 0.0
+        for sample in samples:  # not sum(): 3.12+ compensates, 3.11 does not
+            total += sample
+        out["handshake_rtt_s_count" + rendered] = float(len(samples))
+        out["handshake_rtt_s_sum" + rendered] = total
+        out["handshake_rtt_s_min" + rendered] = min(samples)
+        out["handshake_rtt_s_max" + rendered] = max(samples)
     for path in paths:
         for direction, link in (("up", path.uplink), ("down", path.downlink)):
-            labels = {"path": path.name, "dir": direction}
+            rendered = f"{{dir={direction},path={path.name}}}"
             qstats = link.queue.stats
-            registry.counter("queue_drops", **labels).inc(qstats.dropped)
-            registry.gauge("queue_max_depth_packets", **labels).set(
+            out["queue_drops" + rendered] = float(qstats.dropped)
+            out["queue_max_depth_packets" + rendered] = (
                 qstats.max_depth_packets
             )
-            registry.gauge("queue_max_depth_bytes", **labels).set(
-                qstats.max_depth_bytes
-            )
-            registry.counter("link_delivered_bytes", **labels).inc(
+            out["queue_max_depth_bytes" + rendered] = qstats.max_depth_bytes
+            out["link_delivered_bytes" + rendered] = float(
                 link.delivered_bytes
             )
-            registry.counter("link_channel_drops", **labels).inc(
-                link.channel_drops
-            )
-    return registry.snapshot()
+            out["link_channel_drops" + rendered] = float(link.channel_drops)
+    return dict(sorted(out.items()))
 
 
 def metrics_for_subflow(

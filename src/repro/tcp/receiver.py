@@ -63,6 +63,9 @@ class SubflowReceiver:
         return len(self._out_of_order)
 
     def _sack_blocks(self) -> Tuple[Tuple[int, int], ...]:
+        if not self._out_of_order:
+            # Nothing buffered: the only interval is [0, rcv_nxt).
+            return ()
         blocks: List[Tuple[int, int]] = [
             (start, end) for start, end in self._received if end > self.rcv_nxt
         ]
@@ -105,27 +108,27 @@ class SubflowReceiver:
 
     def on_data_packet(self, packet: Packet) -> None:
         """Handle an arriving data segment, ACKing cumulatively."""
-        data_seq = packet.data_seq if packet.data_seq is not None else packet.seq
-        if packet.end_seq <= self.rcv_nxt:
+        seq = packet.seq
+        length = packet.payload_bytes
+        data_seq = packet.data_seq if packet.data_seq is not None else seq
+        rcv_nxt = self.rcv_nxt
+        if seq + length <= rcv_nxt:
             # Entirely old data (spurious retransmission): re-ACK now.
             self.duplicate_segments += 1
             self._ack(packet, immediate=True)
             return
-        self._received.add(packet.seq, packet.end_seq)
-        if packet.seq > self.rcv_nxt:
+        self._received.add(seq, seq + length)
+        if seq > rcv_nxt:
             # A hole precedes this segment: buffer it and dup-ACK
             # immediately (fast retransmit depends on it).
-            if packet.seq not in self._out_of_order:
-                self._out_of_order[packet.seq] = (
-                    packet.payload_bytes, data_seq
-                )
-                self._buffered_bytes += packet.payload_bytes
+            if seq not in self._out_of_order:
+                self._out_of_order[seq] = (length, data_seq)
+                self._buffered_bytes += length
             self._ack(packet, immediate=True)
             return
         # In-order (possibly partially duplicate) segment.
-        overlap = self.rcv_nxt - packet.seq
-        self._accept(packet.seq + overlap, packet.payload_bytes - overlap,
-                     data_seq + overlap)
+        overlap = rcv_nxt - seq
+        self._accept(rcv_nxt, length - overlap, data_seq + overlap)
         filled_hole = bool(self._out_of_order)
         self._drain_out_of_order()
         # An ACK that fills a hole should also go out immediately.

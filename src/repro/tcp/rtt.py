@@ -32,7 +32,12 @@ class RttEstimator:
     def rto(self) -> float:
         """Current retransmission timeout, including exponential backoff."""
         rto = self._rto * self._backoff
-        return min(max(rto, self._config.min_rto_s), self._config.max_rto_s)
+        config = self._config
+        if rto < config.min_rto_s:
+            rto = config.min_rto_s
+        if rto > config.max_rto_s:
+            rto = config.max_rto_s
+        return rto
 
     @property
     def smoothed_rtt(self) -> float:

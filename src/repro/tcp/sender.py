@@ -8,12 +8,30 @@ RFC 6298 retransmission timer with exponential backoff.  RTT samples
 come from the receiver's timestamp echo (RFC 7323 style), so they stay
 clean even during recovery.  Window growth is delegated to a pluggable
 :class:`~repro.tcp.cc.base.CongestionControl`.
+
+Bookkeeping is sized for one ACK, not one window.  Unacknowledged
+segments sit in a list in sequence order (``send_chunk`` only ever
+appends at ``snd_nxt``); a cumulative ACK advances a head index and
+the dead prefix is sliced off every :data:`_TRIM_THRESHOLD` records.
+The SACK scoreboard is *resumable*: for each block start it remembers
+how far that block has been applied, as ``(end, absolute position)``
+— a position counts records since the sender was created, so trimming
+does not move it.  The receiver only ever extends a block rightwards
+(or merges it into the block on its left when a hole fills) and can
+never report bytes beyond ``snd_nxt``, so the next ACK carrying the
+same start has news only past the remembered position.  Records
+tile the sequence space, hence at most one — the one just before the
+remembered position — can straddle the old block edge; the scan steps
+back over it.  A block that comes back *smaller* (ACKs reordered by a
+delay spike) covers nothing new and is skipped.
 """
 
 import math
-from collections import OrderedDict
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, List
+from itertools import islice
+from operator import attrgetter
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.events import EventLoop, Timer
 from repro.core.packet import Packet, PacketFlags
@@ -23,6 +41,12 @@ from repro.tcp.rtt import RttEstimator
 from repro.tcp.source import Chunk
 
 __all__ = ["SubflowSender", "SenderStats"]
+
+#: Acknowledged records are sliced off the front of the outstanding
+#: list once this many have accumulated.
+_TRIM_THRESHOLD = 256
+
+_record_seq = attrgetter("seq")
 
 
 @dataclass(slots=True)
@@ -52,7 +76,8 @@ class SubflowSender:
 
     __slots__ = (
         "loop", "config", "cc", "rtt", "_transmit", "flow_id", "subflow_id",
-        "snd_una", "snd_nxt", "_outstanding", "_pipe", "_dupacks",
+        "snd_una", "snd_nxt", "_outstanding", "_head", "_trimmed",
+        "_sack_marks", "_pipe", "_dupacks",
         "_in_recovery", "_recovery_point", "_recovery_epoch",
         "_max_sacked_end", "_head_retries", "_dead", "peer_window_bytes",
         "stats", "_rto_timer", "on_data_acked", "on_window_open", "on_dead",
@@ -79,7 +104,14 @@ class SubflowSender:
 
         self.snd_una = 0
         self.snd_nxt = 0
-        self._outstanding: "OrderedDict[int, _SegmentRecord]" = OrderedDict()
+        #: Sent segments in sequence order; those before ``_head`` are
+        #: cumulatively ACKed and await the next trim.
+        self._outstanding: List[_SegmentRecord] = []
+        self._head = 0
+        self._trimmed = 0  # records already sliced off the front
+        #: SACK block start -> (block end applied, absolute position
+        #: of the first record at or past that end).
+        self._sack_marks: Dict[int, Tuple[int, int]] = {}
         self._pipe = 0  # outstanding, un-SACKed segments
         self._dupacks = 0
         self._in_recovery = False
@@ -120,7 +152,7 @@ class SubflowSender:
     @property
     def done(self) -> bool:
         """True when every byte handed to this sender has been ACKed."""
-        return not self._outstanding and self.snd_una == self.snd_nxt
+        return not self._unacked() and self.snd_una == self.snd_nxt
 
     @property
     def dead(self) -> bool:
@@ -130,16 +162,22 @@ class SubflowSender:
     def in_recovery(self) -> bool:
         return self._in_recovery
 
+    def _unacked(self) -> int:
+        """Segments sent and not yet cumulatively ACKed (SACKed or not)."""
+        return len(self._outstanding) - self._head
+
     def window_space(self) -> int:
         """Whole segments that fit in min(cwnd, peer receive window)."""
         if self._dead:
             return 0
-        cwnd_space = int(self.cc.cwnd) - self._pipe
+        space = int(self.cc.cwnd) - self._pipe
         flight_bytes = self.snd_nxt - self.snd_una
         rwnd_space = (
             self.peer_window_bytes - flight_bytes
         ) // self.config.mss_bytes
-        return max(0, min(cwnd_space, rwnd_space))
+        if rwnd_space < space:
+            space = rwnd_space
+        return space if space > 0 else 0
 
     # ------------------------------------------------------------------
     # Transmission
@@ -150,7 +188,7 @@ class SubflowSender:
         record = _SegmentRecord(
             seq=self.snd_nxt, length=length, data_seq=data_seq, sent_at=self.loop.now
         )
-        self._outstanding[record.seq] = record
+        self._outstanding.append(record)
         self._pipe += 1
         self.snd_nxt += length
         self._emit(record)
@@ -158,6 +196,7 @@ class SubflowSender:
             self._rto_timer.start(self.rtt.rto)
 
     def _emit(self, record: _SegmentRecord, retransmission: bool = False) -> None:
+        now = self.loop.now
         packet = Packet(
             flow_id=self.flow_id,
             subflow_id=self.subflow_id,
@@ -167,14 +206,15 @@ class SubflowSender:
             payload_bytes=record.length,
             data_seq=record.data_seq,
             retransmitted=retransmission,
-            sent_at=self.loop.now,
+            sent_at=now,
         )
-        record.sent_at = self.loop.now
-        record.retransmitted = record.retransmitted or retransmission
-        self.stats.segments_sent += 1
-        self.stats.bytes_sent += record.length
+        record.sent_at = now
+        stats = self.stats
+        stats.segments_sent += 1
+        stats.bytes_sent += record.length
         if retransmission:
-            self.stats.retransmits += 1
+            record.retransmitted = True
+            stats.retransmits += 1
         if self.obs is not None:
             # Adjacent to the stats increments so trace-derived counts
             # reconcile exactly with SenderStats (see repro.obs.summary).
@@ -214,7 +254,7 @@ class SubflowSender:
         ack = packet.ack
         if ack > self.snd_una:
             self._on_new_ack(ack)
-        elif ack == self.snd_una and self._outstanding:
+        elif ack == self.snd_una and self._unacked():
             self._on_dup_ack()
         if self._in_recovery and sack_advanced:
             self._sack_retransmit()
@@ -224,37 +264,66 @@ class SubflowSender:
             return False
         advanced = False
         outstanding = self._outstanding
+        count = len(outstanding)
+        head = self._head
+        trimmed = self._trimmed
+        marks = self._sack_marks
         pipe = self._pipe
         max_sacked = self._max_sacked_end
         for start, end in packet.sack:
             if end > max_sacked:
                 max_sacked = end
-            for seq, record in outstanding.items():
-                if record.sacked:
-                    continue
-                if seq >= start and seq + record.length <= end:
+            mark = marks.get(start)
+            if mark is None:
+                index = bisect_left(outstanding, start, head, count,
+                                    key=_record_seq)
+            elif end <= mark[0]:
+                continue
+            else:
+                # One back: the record straddling the old block edge.
+                index = max(head, mark[1] - trimmed - 1)
+            while index < count:
+                record = outstanding[index]
+                seq = record.seq
+                if seq >= end:
+                    break
+                if (not record.sacked and seq >= start
+                        and seq + record.length <= end):
                     record.sacked = True
                     pipe -= 1
                     advanced = True
-                elif seq >= end:
-                    break
+                index += 1
+            marks[start] = (end, trimmed + index)
         self._pipe = pipe
         self._max_sacked_end = max_sacked
         return advanced
 
     def _on_new_ack(self, ack: int) -> None:
         acked_chunks: List[Chunk] = []
-        acked_segments = 0
         outstanding = self._outstanding
-        while outstanding:
-            seq, record = next(iter(outstanding.items()))
-            if seq + record.length > ack:
+        count = len(outstanding)
+        first = head = self._head
+        pipe = self._pipe
+        while head < count:
+            record = outstanding[head]
+            if record.seq + record.length > ack:
                 break
-            outstanding.popitem(last=False)
+            head += 1
             if not record.sacked:
-                self._pipe -= 1
+                pipe -= 1
             acked_chunks.append((record.data_seq, record.length))
-            acked_segments += 1
+        acked_segments = head - first
+        unacked = count - head
+        self._pipe = pipe
+        if head > _TRIM_THRESHOLD:
+            del outstanding[:head]
+            self._trimmed += head
+            head = 0
+        self._head = head
+        marks = self._sack_marks
+        if marks:
+            for start in [start for start in marks if start <= ack]:
+                del marks[start]
         self.snd_una = ack
         self._dupacks = 0
         self._head_retries = 0
@@ -275,13 +344,13 @@ class SubflowSender:
             self.cc.on_ack(float(acked_segments))
             if self.obs is not None:
                 self._emit_cwnd("ack")
-            if self._outstanding and self._max_sacked_end > self.snd_una:
+            if unacked and self._max_sacked_end > ack:
                 # Holes left behind by an RTO (we are no longer in fast
                 # recovery): keep repairing them, paced by the window.
                 self._retransmit_head()
                 self._sack_retransmit()
 
-        if self._outstanding:
+        if unacked:
             self._rto_timer.start(self.rtt.rto)
         else:
             self._rto_timer.stop()
@@ -308,7 +377,7 @@ class SubflowSender:
         self._recovery_point = self.snd_nxt
         self._recovery_epoch += 1
         # RFC 5681 FlightSize counts SACKed-but-unacked data too.
-        self.cc.on_enter_recovery(float(len(self._outstanding)))
+        self.cc.on_enter_recovery(float(self._unacked()))
         self.stats.fast_retransmits += 1
         if self.obs is not None:
             self.obs.emit(
@@ -334,7 +403,7 @@ class SubflowSender:
         return (self.loop.now - record.sent_at) > self.rtt.rto
 
     def _retransmit_head(self) -> None:
-        for record in self._outstanding.values():
+        for record in islice(self._outstanding, self._head, None):
             if record.sacked:
                 continue
             if self._retransmission_allowed(record):
@@ -351,12 +420,12 @@ class SubflowSender:
         lost_boundary = self._max_sacked_end - (
             self.config.dupack_threshold * self.config.mss_bytes
         )
-        for record in self._outstanding.values():
+        for record in islice(self._outstanding, self._head, None):
             if budget <= 0:
                 break
             if record.seq >= lost_boundary:
                 break
-            if not self._retransmission_allowed(record):
+            if record.sacked or not self._retransmission_allowed(record):
                 continue
             record.rxt_epoch = self._recovery_epoch
             self._emit(record, retransmission=True)
@@ -367,7 +436,7 @@ class SubflowSender:
     # Timeout handling
     # ------------------------------------------------------------------
     def _on_rto(self) -> None:
-        if self._dead or not self._outstanding:
+        if self._dead or not self._unacked():
             return
         self.stats.timeouts += 1
         self._head_retries += 1
@@ -385,7 +454,7 @@ class SubflowSender:
         self._in_recovery = False
         self._dupacks = 0
         self._recovery_epoch += 1
-        self.cc.on_timeout(float(len(self._outstanding)))
+        self.cc.on_timeout(float(self._unacked()))
         self.rtt.back_off()
         if self.obs is not None:
             self._emit_cwnd("rto")
@@ -413,8 +482,12 @@ class SubflowSender:
         # means the far receiver buffered them out of order; if they
         # never became in-order there, the connection never saw them.
         # The connection filters out anything already reassembled.
-        chunks = [(r.data_seq, r.length) for r in self._outstanding.values()]
+        chunks = [
+            (r.data_seq, r.length) for r in self._outstanding[self._head:]
+        ]
         self._outstanding.clear()
+        self._head = 0
+        self._sack_marks.clear()
         self._pipe = 0
         return chunks
 

@@ -23,6 +23,11 @@ from repro.tcp.source import Chunk
 
 __all__ = ["Subflow", "SubflowState"]
 
+#: The flags of all but the handshake and teardown packets of a
+#: transfer.  Flag members are singletons, so ``is`` tests "exactly
+#: ACK" without going through ``enum.Flag`` operators.
+_PLAIN_ACK = PacketFlags.ACK
+
 
 class SubflowState(enum.Enum):
     CLOSED = "closed"
@@ -31,6 +36,9 @@ class SubflowState(enum.Enum):
     CLOSING = "closing"
     DONE = "done"
     DEAD = "dead"
+
+
+_SENDING_STATES = (SubflowState.ESTABLISHED, SubflowState.CLOSING)
 
 
 class Subflow:
@@ -56,6 +64,7 @@ class Subflow:
         self.flow_id = flow_id
         self.subflow_id = subflow_id
         self.direction = direction
+        self._down = direction == "down"
         self.config = config
         self.is_primary = is_primary
         self.backup = backup
@@ -153,11 +162,12 @@ class Subflow:
 
     def can_send(self) -> bool:
         """Whether the scheduler may assign a data chunk right now."""
+        # ESTABLISHED/CLOSING already means alive, and a dead sender
+        # reports no window space.
         return (
-            self.alive
-            and self.state in (SubflowState.ESTABLISHED, SubflowState.CLOSING)
-            and self.sender_established
-            and not self.sender.dead
+            self.state in _SENDING_STATES
+            and (self.server_established if self._down
+                 else self.client_established)
             and self.sender.window_space() > 0
         )
 
@@ -228,6 +238,14 @@ class Subflow:
     def _client_receive(self, packet: Packet) -> None:
         if self.state == SubflowState.DEAD:
             return
+        if packet.flags is _PLAIN_ACK:
+            # Data segment (down) or acknowledgment (up): everything
+            # between handshake and teardown.
+            if not self._down:
+                self.sender.on_ack_packet(packet)
+            elif packet.payload_bytes > 0:
+                self.receiver.on_data_packet(packet)
+            return
         if packet.is_syn and packet.is_ack:
             self._handle_synack()
             return
@@ -271,6 +289,13 @@ class Subflow:
     # ------------------------------------------------------------------
     def _server_receive(self, packet: Packet) -> None:
         if self.state == SubflowState.DEAD:
+            return
+        if packet.flags is _PLAIN_ACK and self.server_established:
+            if self._down:
+                if packet.payload_bytes == 0:
+                    self.sender.on_ack_packet(packet)
+            elif packet.payload_bytes > 0:
+                self.receiver.on_data_packet(packet)
             return
         if packet.is_syn and not packet.is_ack:
             self._send_synack()

@@ -53,6 +53,25 @@ class TestEventLoop:
         with pytest.raises(SimulationError):
             EventLoop().call_later(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # ``nan < now`` is False, so a ``when < now`` guard lets NaN
+        # into the heap, where it breaks ordering for every later event.
+        loop = EventLoop()
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            loop.call_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            loop.call_later(nan, lambda: None)
+        timer = Timer(loop, lambda: None)
+        with pytest.raises(SimulationError):
+            timer.start(nan)
+        assert loop.pending() == 0
+        fired = []
+        for when in (3.0, 1.0, 2.0):
+            loop.call_at(when, lambda when=when: fired.append(when))
+        loop.run()
+        assert fired == [1.0, 2.0, 3.0]
+
     def test_cancelled_event_does_not_fire(self):
         loop = EventLoop()
         fired = []

@@ -1,5 +1,7 @@
 """Unit and property tests for the interval set used in reassembly."""
 
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,3 +134,76 @@ class TestIntervalSetProperties:
         for start, end in gaps:
             gap_units |= set(range(start, end))
         assert gap_units == set(range(600)) - model
+
+
+class _RescanIntervalSet(IntervalSet):
+    """The pre-fast-path ``add``: re-sum the whole set before and after.
+
+    Kept as the reference the in-order fast paths and the
+    "merged span minus replaced intervals" return value are checked
+    against.
+    """
+
+    def add(self, start, end):
+        if end <= start:
+            return 0
+        before = self.total_bytes
+        lo = bisect.bisect_left(self._ends, start)
+        hi = bisect.bisect_right(self._starts, end)
+        if lo < hi:
+            start = min(start, self._starts[lo])
+            end = max(end, self._ends[hi - 1])
+        self._starts[lo:hi] = [start]
+        self._ends[lo:hi] = [end]
+        return self.total_bytes - before
+
+
+@st.composite
+def arrival_patterns(draw):
+    """Mostly in-order segments with holes, fills, overlaps and repeats."""
+    ranges = []
+    cursor = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        kind = draw(st.sampled_from(
+            ["next", "next", "next", "skip", "repeat", "inside", "any"]
+        ))
+        length = draw(st.integers(min_value=0, max_value=30))
+        if kind == "next":
+            start = cursor
+        elif kind == "skip":
+            start = cursor + draw(st.integers(min_value=1, max_value=40))
+        elif kind == "repeat" and ranges:
+            start, end = draw(st.sampled_from(ranges))
+            length = end - start
+        elif kind == "inside" and cursor > 0:
+            start = draw(st.integers(min_value=0, max_value=cursor - 1))
+        else:
+            start = draw(st.integers(min_value=0, max_value=cursor + 50))
+        ranges.append((start, start + length))
+        cursor = max(cursor, start + length)
+    return ranges
+
+
+class TestAddAgainstRescanReference:
+    @given(arrival_patterns(), st.integers(min_value=0, max_value=80))
+    @settings(max_examples=300, deadline=None)
+    def test_every_step_matches_reference_and_set_model(self, ranges, origin):
+        fast, reference, model = IntervalSet(), _RescanIntervalSet(), set()
+        for start, end in ranges:
+            units = set(range(start, end))
+            added = fast.add(start, end)
+            assert added == reference.add(start, end) == len(units - model)
+            model |= units
+            assert list(fast) == list(reference)
+            assert fast.total_bytes == len(model)
+            run_end = origin
+            while run_end in model:
+                run_end += 1
+            assert fast.contiguous_from(origin) == run_end
+            gaps = fast.missing_within(start - 5, end + 5)
+            assert gaps == reference.missing_within(start - 5, end + 5)
+            missing = set()
+            for gap_start, gap_end in gaps:
+                assert gap_start < gap_end
+                missing |= set(range(gap_start, gap_end))
+            assert missing == set(range(start - 5, end + 5)) - model

@@ -1,11 +1,14 @@
 """Tests for fixed-rate and trace-driven links."""
 
+import random
+
 import pytest
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.events import EventLoop
 from repro.core.packet import Packet
 from repro.net.link import FixedRateLink, TraceDrivenLink
+from repro.net.loss import BernoulliLoss
 from repro.net.queue import DropTailQueue
 from repro.net.trace import DeliveryTrace
 
@@ -89,6 +92,66 @@ class TestFixedRateLink:
         loop.run()
         assert delivered == []
         assert link.blackholed_packets == 1
+
+    def test_unplug_counts_the_packets_it_flushes(self):
+        # Five packets into a 1 Mbit/s link, then the phone is pulled:
+        # one is in flight (vanishes at delivery time), four are queued
+        # (flushed).  All five must land in ``blackholed_packets``.
+        loop = EventLoop()
+        link = FixedRateLink(loop, rate_mbps=1.0)
+        delivered = []
+        link.connect(delivered.append)
+        for _ in range(5):
+            link.send(_packet())
+        link.set_blackhole(True)
+        loop.run()
+        assert delivered == []
+        assert link.queue.stats.enqueued == 5
+        assert link.queue.stats.dequeued == 1
+        assert link.queue.stats.dropped == 0
+        assert link.blackholed_packets == 5
+
+    def test_packets_conserved_across_unplug_and_replug(self):
+        loop = EventLoop()
+        link = FixedRateLink(
+            loop, rate_mbps=1.0, propagation_delay_s=0.005,
+            queue=DropTailQueue(max_packets=4),
+            loss=BernoulliLoss(0.2, random.Random(4)),
+        )
+        link.connect(lambda p: None)
+        sent = 0
+
+        def send(count):
+            nonlocal sent
+            for _ in range(count):
+                link.send(_packet())
+                sent += 1
+
+        def accounted():
+            # Every in-flight packet holds exactly one pending event
+            # (end of serialization, then end of propagation).
+            return (link.delivered_packets + link.queue.stats.dropped
+                    + link.channel_drops + link.blackholed_packets
+                    + len(link.queue) + loop.pending())
+
+        send(12)
+        assert link.queue.stats.dropped > 0 and link.channel_drops > 0
+        assert accounted() == sent
+        loop.run(until=0.001)  # mid-serialization of the first packet
+        link.set_blackhole(True)
+        assert len(link.queue) == 0 and link.blackholed_packets == 4
+        assert accounted() == sent
+        send(3)  # into the void
+        loop.run(until=0.05)  # the in-flight packet vanishes on arrival
+        assert link.delivered_packets == 0
+        assert link.blackholed_packets == 4 + 3 + 1
+        assert accounted() == sent
+        link.set_blackhole(False)
+        send(6)
+        assert accounted() == sent
+        loop.run()
+        assert link.delivered_packets > 0
+        assert accounted() == sent == 21
 
     def test_admin_down_blocks_new_sends(self):
         loop = EventLoop()

@@ -118,6 +118,122 @@ class TestCollectTransferMetrics:
         ]
 
 
+def _registry_snapshot(connection, paths):
+    """``collect_transfer_metrics`` as it was first written: through a
+    :class:`MetricsRegistry`.  The production function now fills the
+    flat dict directly; this is the reference it must stay equal to."""
+    registry = MetricsRegistry()
+    for subflow in connection.subflows:
+        labels = {"path": subflow.name, "subflow": str(subflow.subflow_id)}
+        stats = subflow.sender.stats
+        registry.counter("segments_sent", **labels).inc(stats.segments_sent)
+        registry.counter("bytes_sent", **labels).inc(stats.bytes_sent)
+        registry.counter("retransmits", **labels).inc(stats.retransmits)
+        registry.counter("fast_retransmits", **labels).inc(
+            stats.fast_retransmits
+        )
+        registry.counter("timeouts", **labels).inc(stats.timeouts)
+        if subflow.handshake_rtt is not None:
+            registry.histogram("handshake_rtt_s", path=subflow.name).observe(
+                subflow.handshake_rtt
+            )
+    for path in paths:
+        for direction, link in (("up", path.uplink), ("down", path.downlink)):
+            labels = {"path": path.name, "dir": direction}
+            qstats = link.queue.stats
+            registry.counter("queue_drops", **labels).inc(qstats.dropped)
+            registry.gauge("queue_max_depth_packets", **labels).set(
+                qstats.max_depth_packets
+            )
+            registry.gauge("queue_max_depth_bytes", **labels).set(
+                qstats.max_depth_bytes
+            )
+            registry.counter("link_delivered_bytes", **labels).inc(
+                link.delivered_bytes
+            )
+            registry.counter("link_channel_drops", **labels).inc(
+                link.channel_drops
+            )
+    return registry.snapshot()
+
+
+class TestCollectMatchesRegistry:
+    """The snapshot is in every report and digest: same keys, same
+    order, same value *types* as the registry would have produced."""
+
+    def _scenario(self, lossy=False):
+        from repro import PathConfig, Scenario
+
+        scenario = Scenario(seed=9)
+        scenario.add_path(PathConfig(
+            name="wifi", down_mbps=8, up_mbps=3, rtt_ms=30,
+            queue_packets=15, loss_rate=0.02 if lossy else 0.0))
+        scenario.add_path(PathConfig(name="lte", down_mbps=5, up_mbps=2,
+                                     rtt_ms=80, queue_packets=30))
+        return scenario
+
+    def _assert_identical(self, connection, scenario):
+        got = collect_transfer_metrics(connection, scenario.paths)
+        want = _registry_snapshot(connection, scenario.paths)
+        assert got == want
+        assert list(got) == list(want)
+        assert {k: type(v) for k, v in got.items()} == {
+            k: type(v) for k, v in want.items()
+        }
+        return got
+
+    def test_tcp(self):
+        scenario = self._scenario(lossy=True)
+        connection = scenario.tcp("wifi", 200_000)
+        scenario.run_transfer(connection)
+        got = self._assert_identical(connection, scenario)
+        assert got["retransmits{path=wifi,subflow=0}"] > 0
+        assert type(got["queue_max_depth_packets{dir=down,path=wifi}"]) is int
+        assert type(got["queue_drops{dir=down,path=wifi}"]) is float
+
+    def test_two_subflow_mptcp(self):
+        scenario = self._scenario(lossy=True)
+        connection = scenario.mptcp(300_000)
+        scenario.run_transfer(connection)
+        got = self._assert_identical(connection, scenario)
+        assert got["handshake_rtt_s_count{path=lte}"] == 1.0
+
+    def test_subflows_sharing_a_path_share_its_histogram(self):
+        from repro.mptcp.connection import MptcpOptions
+
+        scenario = self._scenario()
+        connection = scenario.mptcp(
+            300_000, options=MptcpOptions(subflows_per_path=2))
+        scenario.run_transfer(connection)
+        got = self._assert_identical(connection, scenario)
+        assert len(connection.subflows) == 4
+        assert got["handshake_rtt_s_count{path=wifi}"] == 2.0
+        assert (got["handshake_rtt_s_min{path=wifi}"]
+                <= got["handshake_rtt_s_max{path=wifi}"])
+
+    def test_backup_subflow_that_never_establishes(self):
+        from repro.mptcp.connection import MptcpOptions
+
+        scenario = self._scenario()
+        scenario.path("lte").unplug()  # the backup's SYNs vanish
+        connection = scenario.mptcp(
+            100_000, options=MptcpOptions(primary="wifi", mode="backup"))
+        scenario.run_transfer(connection)
+        got = self._assert_identical(connection, scenario)
+        assert connection.subflow_on("lte").handshake_rtt is None
+        assert not any(key.startswith("handshake_rtt_s")
+                       and key.endswith("{path=lte}") for key in got)
+        assert got["segments_sent{path=lte,subflow=1}"] == 0.0
+
+    def test_mid_transfer_snapshot(self):
+        scenario = self._scenario()
+        connection = scenario.mptcp(2_000_000)
+        connection.start()
+        scenario.run(until=0.5)
+        assert not connection.complete
+        self._assert_identical(connection, scenario)
+
+
 class TestReconcile:
     def test_exact_match_is_empty(self):
         metrics = {
