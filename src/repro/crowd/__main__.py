@@ -80,8 +80,10 @@ def _scale_main(args: argparse.Namespace) -> int:
             csv_stream.close()
 
     if args.metrics_out:
-        result.fleet.write(args.metrics_out)
-        print(f"[fleet metrics: {args.metrics_out}]", file=sys.stderr)
+        from repro.obs.manifest import write_manifests
+
+        write_manifests(result.manifests, args.metrics_out)
+        print(f"[shard manifests: {args.metrics_out}]", file=sys.stderr)
 
     sketch = result.sketch
     if args.json:
@@ -90,7 +92,7 @@ def _scale_main(args: argparse.Namespace) -> int:
             "runs": result.total_runs,
             "wall_s": round(result.wall_s, 3),
             "users_per_sec": round(result.users_per_sec, 1),
-            "shards": len(result.fleet.shards),
+            "shards": len(result.manifests),
             "sink": result.sink_kind,
         }
         if sketch is not None:
@@ -163,7 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     scale.add_argument("--progress", action="store_true",
                        help="live shard progress/ETA on stderr")
     scale.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write per-shard fleet metrics JSON "
+                       help="write the per-shard run manifests as JSON "
                             "(render with: python -m repro.obs "
                             "summarize FILE)")
     scale.add_argument("--json", action="store_true",

@@ -24,7 +24,7 @@ O(shard) memory cost.
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.errors import ConfigurationError
 from repro.crowd.aggregate import (
@@ -36,7 +36,7 @@ from repro.crowd.aggregate import (
 )
 from repro.crowd.sampling import CrowdSampler, PopulationSpec
 from repro.crowd.world import CrowdWorld
-from repro.obs.fleet import FleetMetrics, FleetRecorder
+from repro.obs.manifest import RunManifest, outstanding
 from repro.obs.telemetry import active_bus
 from repro.parallel import SimTask, SweepRunner, SweepStats, resolve_workers
 
@@ -100,6 +100,51 @@ def run_crowd_shard(
 
 
 @dataclass
+class ShardRecord:
+    """One shard's execution, read off its manifest."""
+
+    shard: int
+    units: int
+    wall_s: float
+    cached: bool
+    #: Shards still outstanding when this one resolved (queue depth).
+    queue_depth: int
+
+    @property
+    def units_per_sec(self) -> float:
+        return self.units / self.wall_s if self.wall_s > 0 else 0.0
+
+
+@dataclass
+class FleetMetrics:
+    """The per-shard picture of one crowd sweep, in shard order."""
+
+    shards: List[ShardRecord]
+    elapsed_s: float
+
+    @classmethod
+    def from_manifests(cls, manifests: List[RunManifest],
+                       elapsed_s: float) -> "FleetMetrics":
+        return cls(
+            shards=[
+                ShardRecord(shard, manifest.extra["units"],
+                            manifest.wall_time_s, manifest.cache_hit, depth)
+                for shard, (manifest, depth)
+                in enumerate(zip(manifests, outstanding(manifests)))
+            ],
+            elapsed_s=elapsed_s,
+        )
+
+    @property
+    def total_units(self) -> int:
+        return sum(record.units for record in self.shards)
+
+    @property
+    def max_queue_depth(self) -> int:
+        return max((r.queue_depth for r in self.shards), default=0)
+
+
+@dataclass
 class CrowdResult:
     """What ``simulate`` hands back."""
 
@@ -107,10 +152,17 @@ class CrowdResult:
     sink_kind: str
     value: Any
     sketch: Optional[CrowdSketch]
-    fleet: FleetMetrics
+    #: The sweep's run record, one per shard (``extra["units"]`` is the
+    #: shard's cohort size); ``--metrics-out`` writes exactly this.
+    manifests: List[RunManifest]
     stats: SweepStats
     shard_users: int
     batch: int
+
+    @property
+    def fleet(self) -> FleetMetrics:
+        return FleetMetrics.from_manifests(self.manifests,
+                                           self.stats.elapsed_s)
 
     @property
     def users(self) -> int:
@@ -122,19 +174,19 @@ class CrowdResult:
 
     @property
     def wall_s(self) -> float:
-        return self.fleet.elapsed_s
+        return self.stats.elapsed_s
 
     @property
     def users_per_sec(self) -> float:
-        if self.fleet.elapsed_s <= 0:
+        if self.wall_s <= 0:
             return 0.0
-        return self.population.users / self.fleet.elapsed_s
+        return self.population.users / self.wall_s
 
     def summary(self) -> str:
         text = (
             f"{self.users:,} users ({self.total_runs:,} runs) in "
             f"{self.wall_s:.1f}s — {self.users_per_sec:,.0f} users/sec "
-            f"across {len(self.fleet.shards)} shards "
+            f"across {len(self.manifests)} shards "
             f"[{self.stats.executor}, {self.stats.workers} worker"
             f"{'s' if self.stats.workers != 1 else ''}]"
         )
@@ -228,17 +280,14 @@ def simulate(
         for index in range(nshards)
     ]
 
-    recorder = FleetRecorder(label=label, total_shards=nshards, unit="users")
     pending: Dict[int, dict] = {}
     next_ordered = [0]
     bus = active_bus()
 
     def on_result(index: int, task: SimTask, value: dict,
                   cached: bool) -> None:
-        record = recorder.record(index, value["units"], cached)
         if bus is not None:
             bus.count("crowd.users_done", value["units"])
-            bus.record("crowd.shard_queue_depth", record.queue_depth)
         if not sink.ORDERED:
             _absorb(sink, value)
             return
@@ -258,18 +307,15 @@ def simulate(
         on_result=on_result,
     )
     runner.run(tasks)
-    walls = {
-        index: manifest.wall_time_s
-        for index, manifest in enumerate(runner.last_manifests)
-    }
-    fleet = recorder.finish(walls)
+    for task, manifest in zip(tasks, runner.last_manifests):
+        manifest.extra["units"] = task.kwargs["count"]
 
     return CrowdResult(
         population=population,
         sink_kind=sink_kind,
         value=sink.result(),
         sketch=sink.sketch if isinstance(sink, SketchSink) else None,
-        fleet=fleet,
+        manifests=runner.last_manifests,
         stats=runner.last_stats,
         shard_users=shard_users,
         batch=batch,

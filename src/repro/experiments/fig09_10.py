@@ -13,61 +13,37 @@ from repro.analysis.plotting import ascii_series
 from repro.analysis.throughput import average_throughput_series
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
+    _SESSION,
     ExperimentResult,
     WARM_FLOW_CONFIG,
     mptcp_spec,
     register,
-    run_sweep,
 )
-from repro.parallel import SimTask
-from repro.workload import Session, TransferSpec
+from repro.workload import TransferReport
 
-__all__ = ["run", "throughput_evolution"]
+__all__ = ["run", "evolution_series"]
 
 ONE_MBYTE = 1_048_576
 
+#: The paper's Fig. 9/10 time axis: the grid's specs carry it as their
+#: deadline, so a transfer stops here instead of running to completion.
+HORIZON_S = 2.0
 
-def throughput_evolution(
-    spec: TransferSpec,
-    horizon_s: float = 2.0,
-    seed: Optional[int] = None,
+
+def evolution_series(
+    report: TransferReport, horizon_s: float = HORIZON_S,
 ) -> Dict[str, List[Tuple[float, float]]]:
-    """Average-throughput-vs-time series for MPTCP and its subflows.
-
-    Unlike a plain transfer this runs to a fixed time *horizon*, not
-    to completion, so it interprets the spec via :meth:`Session.open`
-    and drives the loop itself — including honoring ``REPRO_TRACE_DIR``
-    (``Session.run`` does this for ordinary transfers).
-    """
-    import os
-
-    from repro.obs.trace import (
-        TraceRecorder, active_trace_dir, trace_filename,
-    )
-
-    trace_dir = active_trace_dir()
-    recorder = TraceRecorder() if trace_dir is not None else None
-    session = Session()
-    scenario, connection = session.open(spec, seed=seed, recorder=recorder)
-    connection.start()
-    connection.close()
-    scenario.run(until=horizon_s)
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        recorder.save(os.path.join(
-            trace_dir, trace_filename(spec.key(), spec.seed or seed),
-        ))
-
+    """Average-throughput-vs-time series for MPTCP and its subflows."""
+    started_at = report.started_at or 0.0
     series = {
         "MPTCP": average_throughput_series(
-            connection.delivery_log, connection.started_at or 0.0,
-            end_time=horizon_s,
+            report.delivery_log, started_at, end_time=horizon_s,
         )
     }
-    for path_name, log in connection.subflow_delivery_logs.items():
+    for path_name, log in report.subflow_delivery_logs.items():
         label = "LTE" if path_name == "lte" else "WiFi"
         series[label] = average_throughput_series(
-            log, connection.started_at or 0.0, end_time=horizon_s
+            log, started_at, end_time=horizon_s
         )
     return series
 
@@ -126,35 +102,25 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
         workers: Optional[int] = None) -> ExperimentResult:
     lte_better, wifi_better = _illustrative_conditions()
 
-    # All four (condition, primary) simulations are independent; run
-    # them as one sweep.  ``throughput_evolution`` itself is the task
-    # callable — its series-of-points return value is plain data.
+    # All four (condition, primary) simulations are independent: one
+    # spec grid, stopped at the figure's horizon by the deadline.
     panel_specs = [
-        (fig, condition, better, primary)
-        for fig, condition, better in (
-            ("fig09", lte_better, "lte"),
-            ("fig10", wifi_better, "wifi"),
-        )
+        (fig, condition, primary)
+        for fig, condition in (("fig09", lte_better), ("fig10", wifi_better))
         for primary in ("wifi", "lte")
     ]
-    evolutions = run_sweep(
+    reports = _SESSION.run_many(
         [
-            SimTask(
-                fn="repro.experiments.fig09_10:throughput_evolution",
-                kwargs={"spec": mptcp_spec(
-                    condition, primary, "decoupled", 4 * ONE_MBYTE,
-                    seed=seed, config=WARM_FLOW_CONFIG,
-                ), "seed": seed},
-                key=f"{fig}.{primary}",
-            )
-            for fig, condition, _, primary in panel_specs
+            mptcp_spec(condition, primary, "decoupled", 4 * ONE_MBYTE,
+                       seed=seed, deadline_s=HORIZON_S,
+                       config=WARM_FLOW_CONFIG)
+            for _, condition, primary in panel_specs
         ],
         workers=workers,
-        seed=seed,
     )
     series_by_key = {
-        (fig, primary): series
-        for (fig, condition, _, primary), series in zip(panel_specs, evolutions)
+        (fig, primary): evolution_series(report)
+        for (fig, _, primary), report in zip(panel_specs, reports)
     }
 
     panels = []

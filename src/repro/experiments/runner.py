@@ -332,14 +332,13 @@ def _write_experiment_manifest(trace_dir: str, name: str,
     """
     from repro import __version__
     from repro.obs.manifest import RunManifest
-    from repro.parallel.cache import spec_key
+    from repro.parallel.cache import spec_hash
 
     RunManifest(
         key=name,
-        spec_hash=spec_key(
+        spec_hash=spec_hash(
             f"repro.experiments.{name}:run",
             {"seed": args.seed, "fast": args.fast},
-            fingerprint="",
         ),
         seed=args.seed,
         cache_hit=False,

@@ -6,12 +6,12 @@ One instrumentation pathway for the whole simulator:
   (:class:`TraceRecorder`), exported as JSONL.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms
   (:class:`MetricsRegistry`) snapshotted onto ``TransferReport``.
-* :mod:`repro.obs.manifest` — per-task provenance
-  (:class:`RunManifest`) stamped by the sweep engine.
+* :mod:`repro.obs.manifest` — the run record of a sweep: one
+  :class:`RunManifest` per task, emitted by the sweep engine the
+  moment the task resolves; sweep stats, the crowd per-shard table and
+  ``obs summarize FILE.manifests.json`` are reductions of that list.
 * :mod:`repro.obs.progress` — live sweep progress/ETA
-  (:class:`SweepProgress`).
-* :mod:`repro.obs.fleet` — per-shard throughput/queue-depth metrics
-  for sharded crowd-scale sweeps (:class:`FleetRecorder`).
+  (:class:`SweepProgress`), fed from the same emit.
 * :mod:`repro.obs.telemetry` — the *live* plane: a process-wide
   :class:`TelemetryBus` fed by worker STATS heartbeats and
   coordinator/Session/crowd publishers, with a Prometheus-style HTTP
@@ -27,13 +27,6 @@ layer: both accept a ``recorder=`` and feed the same event stream
 
 from repro.net.capture import PacketCapture
 from repro.net.telemetry import QueueDepthTracker
-from repro.obs.fleet import (
-    FleetMetrics,
-    FleetRecorder,
-    ShardRecord,
-    load_fleet_metrics,
-    render_fleet,
-)
 from repro.obs.manifest import RunManifest, diff_manifests, render_diff
 from repro.obs.metrics import (
     Counter,
@@ -83,12 +76,9 @@ __all__ = [
     "TELEMETRY_ENV",
     "TRACE_DIR_ENV",
     "Counter",
-    "FleetMetrics",
-    "FleetRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ShardRecord",
     "SpanTimer",
     "PacketCapture",
     "QueueDepthTracker",
@@ -108,9 +98,7 @@ __all__ = [
     "collect_transfer_metrics",
     "diff_manifests",
     "load_events",
-    "load_fleet_metrics",
     "load_telemetry_snapshots",
-    "render_fleet",
     "render_prometheus",
     "progress_enabled_by_env",
     "reconcile",

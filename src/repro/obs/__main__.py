@@ -3,6 +3,7 @@
 Usage::
 
     python -m repro.obs summarize TRACE.jsonl
+    python -m repro.obs summarize NAME.manifests.json # a sweep's run record
     python -m repro.obs summarize telemetry.jsonl     # sink timeline
     python -m repro.obs diff A.manifest.json B.manifest.json
     python -m repro.obs top --connect HOST:PORT
@@ -13,60 +14,43 @@ import argparse
 import sys
 
 from repro.core.errors import ReproError
-from repro.obs.manifest import RunManifest, render_diff
+from repro.obs.manifest import (
+    RunManifest,
+    read_manifests,
+    render_diff,
+    render_manifests,
+)
 from repro.obs.summary import render_summary, summarize_events
+from repro.obs.telemetry import (
+    load_telemetry_snapshots,
+    render_telemetry_timeline,
+)
 from repro.obs.trace import load_events
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    if _try_summarize_fleet(args.trace):
-        return 0
-    if _try_summarize_telemetry(args.trace):
-        return 0
-    try:
-        events = load_events(args.trace)
-    except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
-        print(
-            f"summarize: cannot read {args.trace}: {exc} "
-            "(expected a JSONL trace, a fleet-metrics JSON document, "
-            "or a telemetry snapshot file)",
-            file=sys.stderr,
-        )
-        return 2
-    summary = summarize_events(events)
-    print(render_summary(summary, timeline_points=args.timeline_points))
-    return 0
-
-
-def _try_summarize_fleet(path: str) -> bool:
-    """Render fleet-metrics JSON (``--metrics-out``) if ``path`` is one.
-
-    Returns False when the file is not a fleet document, so the caller
-    falls through to the JSONL trace path.
-    """
-    from repro.obs.fleet import load_fleet_metrics, render_fleet
-
-    try:
-        metrics = load_fleet_metrics(path)
-    except (OSError, ValueError, KeyError, TypeError):
-        return False
-    print(render_fleet(metrics))
-    return True
-
-
-def _try_summarize_telemetry(path: str) -> bool:
-    """Render a ``--telemetry-out`` sink file if ``path`` is one."""
-    from repro.obs.telemetry import (
-        load_telemetry_snapshots,
-        render_telemetry_timeline,
+    """A file is whichever format loads: manifests, telemetry, trace."""
+    formats = (
+        (read_manifests, render_manifests),
+        (load_telemetry_snapshots, render_telemetry_timeline),
+        (load_events, lambda events: render_summary(
+            summarize_events(events), timeline_points=args.timeline_points)),
     )
-
-    try:
-        snapshots = load_telemetry_snapshots(path)
-    except (OSError, ValueError, KeyError, TypeError):
-        return False
-    print(render_telemetry_timeline(snapshots))
-    return True
+    for load, render in formats:
+        try:
+            loaded = load(args.trace)
+        except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
+            error = exc
+            continue
+        print(render(loaded))
+        return 0
+    print(
+        f"summarize: cannot read {args.trace}: {error} "
+        "(expected a JSONL trace, a run-manifests JSON document, "
+        "or a telemetry snapshot file)",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -91,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     summarize = sub.add_parser(
         "summarize",
-        help="digest a JSONL trace, fleet-metrics JSON, or telemetry "
+        help="digest a JSONL trace, run-manifests JSON, or telemetry "
              "snapshot file",
     )
     summarize.add_argument("trace", help="path to a .jsonl trace file")

@@ -6,12 +6,18 @@ the cache, how long it took and in which worker process — so a figure
 built from thousands of cached and freshly-executed tasks stays
 attributable.  ``python -m repro.obs diff`` compares two manifests
 (e.g. the same task across two checkouts) field by field.
+
+The manifest list is the one run record of a sweep: every report on it
+(``SweepStats``, the crowd per-shard table, ``python -m repro.obs
+summarize FILE.manifests.json``) is a reduction of that list.
 """
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.stats import percentile
 from repro.core.errors import ConfigurationError
 
 __all__ = ["RunManifest", "diff_manifests", "render_diff"]
@@ -30,6 +36,7 @@ class RunManifest:
     workers: int                # sweep-level worker count
     package_version: str        # repro.__version__ at run time
     code_fingerprint: str = ""  # cache fingerprint, "" when cache off
+    resolved_s: float = 0.0     # sweep start -> this task resolved
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -51,6 +58,7 @@ class RunManifest:
                 workers=int(data["workers"]),
                 package_version=str(data["package_version"]),
                 code_fingerprint=str(data.get("code_fingerprint", "")),
+                resolved_s=float(data.get("resolved_s", 0.0)),
                 extra=dict(data.get("extra", {})),
             )
         except KeyError as exc:
@@ -84,7 +92,61 @@ def read_manifests(path: str) -> List[RunManifest]:
         data = json.load(handle)
     if isinstance(data, dict):
         data = [data]
+    if not data:
+        raise ConfigurationError(f"{path} holds no manifests")
     return [RunManifest.from_dict(item) for item in data]
+
+
+def tally(manifests: Sequence[RunManifest]) -> Dict[str, int]:
+    """Task counts of one sweep, keyed like ``SweepStats`` fields."""
+    hits = sum(1 for m in manifests if m.cache_hit)
+    return {
+        "tasks": len(manifests),
+        "cache_hits": hits,
+        "executed": len(manifests) - hits,
+        "retried": sum(1 for m in manifests if m.extra.get("retried")),
+        "failed": sum(1 for m in manifests if m.extra.get("failed")),
+        "flight_waits": sum(1 for m in manifests
+                            if "single_flight" in m.extra),
+    }
+
+
+def outstanding(manifests: Sequence[RunManifest]) -> List[int]:
+    """Per task: how many tasks were still unresolved when it resolved."""
+    order = sorted(m.resolved_s for m in manifests)
+    return [len(order) - bisect_right(order, m.resolved_s)
+            for m in manifests]
+
+
+def render_manifests(manifests: Sequence[RunManifest]) -> str:
+    """Human-readable sweep digest for ``obs summarize``."""
+    walls = [m.wall_time_s for m in manifests if not m.cache_hit] or [0.0]
+    queue = outstanding(manifests)
+    elapsed = max(m.resolved_s for m in manifests)
+    with_units = any("units" in m.extra for m in manifests)
+    lines = [
+        "manifests: " + "   ".join(
+            f"{name} {count}" for name, count in tally(manifests).items()),
+        f"  compute: {sum(walls):.2f}s in {elapsed:.2f}s elapsed   "
+        f"executed wall p50/p95: {percentile(walls, 50):.2f}s / "
+        f"{percentile(walls, 95):.2f}s   max outstanding: {max(queue)}",
+    ]
+    header = f"  {'task':>5}  {'wall_s':>8}  {'done_s':>8}  {'queue':>5}  cached"
+    if with_units:
+        header += f"  {'units':>9}  {'units/s':>9}"
+    lines += ["", header + "  key"]
+    for index, (m, depth) in enumerate(zip(manifests, queue)):
+        row = (f"  {index:>5}  {m.wall_time_s:>8.3f}  {m.resolved_s:>8.3f}  "
+               f"{depth:>5}  {'yes' if m.cache_hit else 'no':>6}")
+        if with_units:
+            units = m.extra.get("units", 0)
+            rate = units / m.wall_time_s if m.wall_time_s > 0 else 0.0
+            row += f"  {units:>9}  {rate:>9,.0f}"
+        # Whatever else was stamped: attempts/retried/failed/error/...
+        notes = [f"{name}={value}" for name, value in sorted(m.extra.items())
+                 if name != "units"]
+        lines.append("  ".join([row, m.key] + notes))
+    return "\n".join(lines)
 
 
 def diff_manifests(

@@ -285,32 +285,14 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """Flatten every instrument into ``{name{labels}: value}``.
 
-        Histograms expand into ``_count``/``_sum``/``_min``/``_max``
-        series.  The result is plain floats, picklable, and stable
-        under dict-comparison — it is what lands on
-        ``TransferReport.metrics``.
+        The :meth:`iter_samples` expansion, keyed by rendered name.  The
+        result is plain floats, picklable, and stable under
+        dict-comparison — it is what lands on ``TransferReport.metrics``.
         """
-        out: Dict[str, float] = {}
-        for (name, labels), counter in self._counters.items():
-            out[name + _render_labels(labels)] = counter.value
-        for (name, labels), gauge in self._gauges.items():
-            out[name + _render_labels(labels)] = gauge.value
-        for (name, labels), histogram in self._histograms.items():
-            rendered = _render_labels(labels)
-            out[f"{name}_count{rendered}"] = float(histogram.count)
-            out[f"{name}_sum{rendered}"] = histogram.total
-            if histogram.count:
-                out[f"{name}_min{rendered}"] = histogram.minimum
-                out[f"{name}_max{rendered}"] = histogram.maximum
-        for (name, labels), series in self._timeseries.items():
-            if not len(series):
-                continue
-            rendered = _render_labels(labels)
-            out[f"{name}_last{rendered}"] = series.last
-            out[f"{name}_min{rendered}"] = series.minimum
-            out[f"{name}_max{rendered}"] = series.maximum
-            out[f"{name}_rate{rendered}"] = series.rate()
-        return dict(sorted(out.items()))
+        return dict(sorted(
+            (name + _render_labels(labels), value)
+            for _, name, labels, value in self.iter_samples()
+        ))
 
 
 def collect_transfer_metrics(connection, paths: Iterable) -> Dict[str, float]:

@@ -1,8 +1,8 @@
 """Live telemetry plane: a process-wide bus, exporters, and sinks.
 
-Everything else in :mod:`repro.obs` is post-hoc — traces, manifests,
-fleet metrics are inspected after the sweep ends.  The telemetry
-plane watches the run *while it happens*, the way the paper's
+Everything else in :mod:`repro.obs` is post-hoc — traces and manifests
+are inspected after the sweep ends.  The telemetry plane watches the
+run *while it happens*, the way the paper's
 crowd-sourced backend (§2) could watch millions of measurements
 arrive: workers stream ``STATS`` heartbeats, the coordinator and
 Session publish progress counters, and consumers (``repro.obs top``,
@@ -10,9 +10,9 @@ a Prometheus scrape, a JSONL sink) read a consistent snapshot at any
 moment.
 
 Contract (same as tracing, PR 3): **presentation only**.  Telemetry
-on/off is bit-identical in results and ≤3% overhead
-(``benchmarks/bench_obs.py`` asserts both).  The enforcement pattern
-is the zero-cost guard: every producer does ::
+on/off is bit-identical in results (``tests/obs/test_telemetry.py``);
+its cost is the ledger leg ``obs.telemetry.overhead_ratio``.  The
+enforcement pattern is the zero-cost guard: every producer does ::
 
     bus = active_bus()          # None unless telemetry is enabled
     ...

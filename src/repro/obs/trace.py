@@ -13,9 +13,9 @@ Overhead model
 --------------
 Instrumented components hold a plain attribute that is ``None`` by
 default; every emission site is guarded by ``if obs is not None``.
-With no recorder attached the only cost is that pointer test, so the
-simulation's hot paths stay within the benchmark guard
-(``benchmarks/bench_obs.py``).  The recorder itself is strictly
+With no recorder attached the only cost is that pointer test; with
+one, the ledger leg ``obs.trace.overhead_ratio``
+(``benchmarks/ledger/run.py``).  The recorder itself is strictly
 passive: it never schedules events, never consumes RNG, and never
 mutates the objects it observes, so a traced run is bit-identical to
 an untraced one.

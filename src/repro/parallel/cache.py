@@ -130,16 +130,29 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def spec_key(fn: str, kwargs: dict, fingerprint: Optional[str] = None) -> str:
-    """The content address of one task result."""
-    if fingerprint is None:
-        fingerprint = code_fingerprint()
+def spec_hash(fn: str, kwargs: dict) -> str:
+    """Fingerprint-free identity of one task; canonicalises its kwargs.
+
+    Taken once per task per sweep: the manifest carries it and the
+    cache address derives from it (:meth:`ResultCache.key_of`).
+    """
     payload = json.dumps(
-        {"fn": fn, "kwargs": canonical_spec(kwargs), "code": fingerprint},
+        {"fn": fn, "kwargs": canonical_spec(kwargs)},
         sort_keys=True,
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _address(identity: str, fingerprint: str) -> str:
+    return hashlib.sha256(f"{identity}.{fingerprint}".encode()).hexdigest()
+
+
+def spec_key(fn: str, kwargs: dict, fingerprint: Optional[str] = None) -> str:
+    """The content address of one task result."""
+    if fingerprint is None:
+        fingerprint = code_fingerprint()
+    return _address(spec_hash(fn, kwargs), fingerprint)
 
 
 #: Entry header: magic + sha256(payload).  The digest makes corruption
@@ -199,7 +212,11 @@ class ResultCache:
         return self._fingerprint
 
     def key_for(self, fn: str, kwargs: dict) -> str:
-        return spec_key(fn, kwargs, self.fingerprint)
+        return self.key_of(spec_hash(fn, kwargs))
+
+    def key_of(self, identity: str) -> str:
+        """The address of the task whose :func:`spec_hash` is ``identity``."""
+        return _address(identity, self.fingerprint)
 
     def _path(self, key: str) -> str:
         # Two-level fan-out keeps directory listings manageable.

@@ -23,8 +23,11 @@ Execution plan for one ``run(tasks)``:
 4. failed shards degrade to per-task isolation re-runs through
    ``executor.run_one`` under the retry budget;
 5. awaited keys are collected (or taken over if their owner vanished);
-6. manifests and stats are recorded; if any task exhausted its budget
-   a :class:`~repro.core.errors.SweepTaskError` carries the healthy
+6. every resolution has by then passed through
+   :meth:`SweepRunner._emit` — manifest written; progress, bus and
+   ``on_result`` told — and ``last_stats`` reduces the manifests; if any
+   task exhausted its budget a
+   :class:`~repro.core.errors.SweepTaskError` carries the healthy
    results out.
 
 Because each simulation derives all randomness from seeds carried in
@@ -50,6 +53,7 @@ from typing import (
     Union,
 )
 
+from repro import __version__
 from repro.core.errors import (
     ConfigurationError,
     ExecutorError,
@@ -60,7 +64,7 @@ from repro.obs.manifest import RunManifest
 from repro.obs.progress import SweepProgress, progress_enabled_by_env
 from repro.obs.telemetry import active_bus
 from repro.obs.trace import active_trace_dir
-from repro.parallel.cache import ResultCache, cache_enabled_by_env, spec_key
+from repro.parallel.cache import ResultCache, cache_enabled_by_env, spec_hash
 from repro.parallel.executors import LOCAL_POOL, Executor, make_executor
 from repro.parallel.task import (
     SimTask,
@@ -80,31 +84,29 @@ ResultHook = Callable[[int, SimTask, Any, bool], None]
 
 
 class _RunState:
-    """Mutable bookkeeping for one ``run()`` call."""
+    """Bookkeeping for one ``run()``: a resolved task's facts live only
+    in its manifest, the rest tracks tasks still in flight."""
 
     def __init__(self, tasks: List[SimTask], cache: Optional[ResultCache],
-                 progress: Optional[SweepProgress]) -> None:
+                 progress: Optional[SweepProgress], started: float) -> None:
+        self.started = started
         self.tasks = tasks
         self.cache = cache
         self.progress = progress
+        # Never force the all-files code_fingerprint() walk when the
+        # cache is off; with it on, reuse its already-computed one.
+        self.fingerprint = cache.fingerprint if cache is not None else ""
         self.results: List[Any] = [None] * len(tasks)
-        self.walls: List[float] = [0.0] * len(tasks)
-        self.pids: List[int] = [os.getpid()] * len(tasks)
+        self.manifests: List[Optional[RunManifest]] = [None] * len(tasks)
+        #: Hashed once: cache key and manifest ``spec_hash`` come from it.
+        self.hashes = [spec_hash(task.fn, task.kwargs) for task in tasks]
         self.keys: List[Optional[str]] = [None] * len(tasks)
         self.attempts: Dict[int, int] = {}
-        self.failures: Dict[int, TaskFailure] = {}
-        self.executed: Set[int] = set()
-        self.flight_waits: Set[int] = set()
         self.locked: Set[int] = set()
-        self.hits = 0
         #: Tasks of failed shards, awaiting one-by-one isolation
         #: re-runs, and the shard error each one starts from.
         self.needs_isolation: List[int] = []
         self.shard_errors: Dict[int, str] = {}
-
-    def advance(self, count: int = 1) -> None:
-        if self.progress is not None:
-            self.progress.advance(count)
 
     def unlock(self, index: int) -> None:
         """Release ``index``'s single-flight lock if this run holds it."""
@@ -172,7 +174,8 @@ class SweepRunner:
 
     After each :meth:`run`, ``last_manifests`` holds one
     :class:`~repro.obs.manifest.RunManifest` per task (provenance:
-    spec hash, seed, cache hit/miss, wall time, worker pid).
+    spec hash, seed, cache hit/miss, wall time, worker pid, when it
+    resolved) and ``last_stats`` their :class:`SweepStats` reduction.
     """
 
     def __init__(
@@ -234,7 +237,7 @@ class SweepRunner:
         # and silently produce no trace file.
         cache = None if active_trace_dir() is not None else self.cache
         progress = self._resolve_progress(len(seeded))
-        state = _RunState(seeded, cache, progress)
+        state = _RunState(seeded, cache, progress, started)
         if progress is not None:
             progress.start()
 
@@ -255,30 +258,22 @@ class SweepRunner:
         if progress is not None:
             progress.finish()
 
-        self.last_manifests = self._build_manifests(state)
-        self.last_stats = SweepStats(
-            tasks=len(seeded),
-            cache_hits=state.hits,
-            executed=len(state.executed) + len(
-                set(state.failures) - state.executed
-            ),
-            workers=self.workers,
-            elapsed_s=time.perf_counter() - started,
-            retried=sum(
-                1 for index, count in state.attempts.items()
-                if count > 1 and index not in state.failures
-            ),
-            failed=len(state.failures),
-            executor=self.executor.name,
-            flight_waits=len(state.flight_waits),
+        self.last_manifests = state.manifests
+        self.last_stats = SweepStats.from_manifests(
+            state.manifests, self.workers, executor.name,
+            time.perf_counter() - state.started,
         )
-        if state.failures:
+        failures = [
+            TaskFailure(index=index, key=manifest.key,
+                        error=manifest.extra["error"],
+                        attempts=manifest.extra["attempts"])
+            for index, manifest in enumerate(state.manifests)
+            if manifest.extra.get("failed")
+        ]
+        if failures:
             # Stats, manifests, and every healthy result are already
             # recorded (and cached) before the sweep reports failure.
-            raise SweepTaskError(
-                [state.failures[index] for index in sorted(state.failures)],
-                results=state.results,
-            )
+            raise SweepTaskError(failures, results=state.results)
         return state.results
 
     # ------------------------------------------------------------------
@@ -290,9 +285,8 @@ class SweepRunner:
             return list(range(len(state.tasks))), []
         owned: List[int] = []
         awaited: List[int] = []
-        for index, task in enumerate(state.tasks):
-            key = cache.key_for(task.fn, task.kwargs)
-            state.keys[index] = key
+        for index, identity in enumerate(state.hashes):
+            key = state.keys[index] = cache.key_of(identity)
             if self._try_hit(state, index):
                 continue
             if cache.acquire(key):
@@ -305,22 +299,14 @@ class SweepRunner:
                     owned.append(index)
             else:
                 awaited.append(index)
-        if state.progress is not None and state.hits:
-            state.progress.note_cached(state.hits)
         return owned, awaited
 
     def _try_hit(self, state: _RunState, index: int) -> bool:
         with self._span("cache.get"):
             hit, value = state.cache.get(state.keys[index])
         if hit:
-            self._resolve_hit(state, index, value)
+            self._emit(state, index, value, cache_hit=True)
         return hit
-
-    def _resolve_hit(self, state: _RunState, index: int, value: Any) -> None:
-        """Record one result that came out of the cache."""
-        state.results[index] = value
-        state.hits += 1
-        self._emit(state, index, value, cached=True)
 
     # ------------------------------------------------------------------
     # Execution: deterministic shards + isolation re-runs
@@ -343,10 +329,11 @@ class SweepRunner:
             # tasks are all still perfectly runnable here.
             self._warn_degraded(exc)
             executor = LOCAL_POOL
-            settled = state.executed.union(state.failures,
-                                           state.needs_isolation)
-            self._run_on(executor, state,
-                         [index for index in misses if index not in settled])
+            isolating = set(state.needs_isolation)
+            self._run_on(executor, state, [
+                index for index in misses
+                if state.manifests[index] is None and index not in isolating
+            ])
         for index in sorted(state.needs_isolation):
             # The failed shard run counts as an attempt, but never the
             # last one: every casualty gets at least one isolated
@@ -400,7 +387,6 @@ class SweepRunner:
             if outcome.ok:
                 for index, (value, wall, pid) in zip(shard, outcome.values):
                     self._resolve_executed(state, index, value, wall, pid)
-                state.advance(len(shard))
             else:
                 # A broken shard does not abort the sweep: every task
                 # of every failed shard is retried one-by-one in
@@ -450,24 +436,15 @@ class SweepRunner:
                     delay *= 2
                 continue
             self._resolve_executed(state, index, value, wall, pid)
-            state.advance()
             return
-        state.failures[index] = TaskFailure(
-            index=index, key=task.label(), error=error_text,
-            attempts=state.attempts.get(index, 0),
-        )
         # Never cache a failure placeholder — but do free the key so a
         # concurrent runner can try its own luck.
         state.unlock(index)
-        state.advance()
+        self._emit(state, index, None, error=error_text)
 
     def _resolve_executed(self, state: _RunState, index: int, value: Any,
                           wall: float, pid: int) -> None:
         """Record one freshly computed result and publish it."""
-        state.results[index] = value
-        state.walls[index] = wall
-        state.pids[index] = pid
-        state.executed.add(index)
         if state.cache is not None and state.keys[index] is not None:
             # Publish immediately (atomic replace), then release the
             # single-flight lock so awaiting runners unblock now, not
@@ -475,7 +452,7 @@ class SweepRunner:
             with self._span("cache.put"):
                 state.cache.put(state.keys[index], value)
             state.unlock(index)
-        self._emit(state, index, value, cached=False)
+        self._emit(state, index, value, wall=wall, pid=pid)
 
     # ------------------------------------------------------------------
     # Awaited keys: collect another runner's results (or take over)
@@ -497,9 +474,7 @@ class SweepRunner:
                 hit, value = cache.get(key)
             if hit:
                 state.unlock(index)
-                state.flight_waits.add(index)
-                self._resolve_hit(state, index, value)
-                state.advance()
+                self._emit(state, index, value, cache_hit=True, waited=True)
                 continue
             self._run_with_retries(state, index, self._isolator(executor))
 
@@ -515,17 +490,52 @@ class SweepRunner:
             return contextlib.nullcontext()
         return self._bus.timer(name)
 
-    def _emit(self, state: _RunState, index: int, value: Any,
-              cached: bool) -> None:
-        if self._bus is not None:
-            self._bus.count("sweep.tasks_done")
-            if cached:
-                self._bus.count("sweep.cache_hits")
-            total = self._bus.registry.gauge("sweep.tasks_total").value
-            done = self._bus.registry.counter("sweep.tasks_done").value
-            self._bus.record("sweep.queue_depth", max(0.0, total - done))
-        if self.on_result is not None:
-            self.on_result(index, state.tasks[index], value, cached)
+    def _emit(self, state: _RunState, index: int, value: Any, *,
+              cache_hit: bool = False, wall: float = 0.0,
+              pid: Optional[int] = None, error: Optional[str] = None,
+              waited: bool = False) -> None:
+        """Resolve one task: write its manifest, then report it — the
+        only place either happens, so no two views can disagree."""
+        task = state.tasks[index]
+        attempts = state.attempts.pop(index, 1)
+        extra: Dict[str, Any] = {}
+        if error is not None:
+            extra = {"attempts": attempts, "failed": True, "error": error}
+        elif attempts > 1:
+            extra = {"attempts": attempts, "retried": True}
+        if waited:
+            extra["single_flight"] = "waited"
+        state.results[index] = value
+        state.manifests[index] = RunManifest(
+            key=task.label(),
+            spec_hash=state.hashes[index],
+            seed=task.kwargs.get("seed"),
+            cache_hit=cache_hit,
+            wall_time_s=wall,
+            worker_pid=os.getpid() if pid is None else pid,
+            workers=self.workers,
+            package_version=__version__,
+            code_fingerprint=state.fingerprint,
+            resolved_s=time.perf_counter() - state.started,
+            extra=extra,
+        )
+        if state.progress is not None:
+            if cache_hit:
+                state.progress.note_cached(1)
+            else:
+                state.progress.advance()
+        bus = self._bus
+        if bus is not None:
+            bus.count("sweep.tasks_done")
+            if cache_hit:
+                bus.count("sweep.cache_hits")
+            if error is not None:
+                bus.count("sweep.tasks_failed")
+            total = bus.registry.gauge("sweep.tasks_total").value
+            done = bus.registry.counter("sweep.tasks_done").value
+            bus.record("sweep.queue_depth", max(0.0, total - done))
+        if self.on_result is not None and error is None:
+            self.on_result(index, task, value, cache_hit)
 
     def _resolve_progress(self, total: int) -> Optional[SweepProgress]:
         configured = self.progress
@@ -534,38 +544,3 @@ class SweepRunner:
         if configured is None:
             configured = progress_enabled_by_env()
         return SweepProgress(total) if configured else None
-
-    def _build_manifests(self, state: _RunState) -> List[RunManifest]:
-        from repro import __version__
-
-        # Pure spec identity (fingerprint=""): never force the
-        # all-files code_fingerprint() walk when the cache is off —
-        # that one-time cost would eat the disabled-tracing overhead
-        # budget.  With the cache on, reuse its already-computed one.
-        fingerprint = (state.cache.fingerprint
-                       if state.cache is not None else "")
-        manifests = []
-        for index, task in enumerate(state.tasks):
-            extra: Dict[str, Any] = {}
-            failure = state.failures.get(index)
-            if failure is not None:
-                extra = {"attempts": failure.attempts, "failed": True,
-                         "error": failure.error}
-            elif state.attempts.get(index, 1) > 1:
-                extra = {"attempts": state.attempts[index], "retried": True}
-            if index in state.flight_waits:
-                extra = {**extra, "single_flight": "waited"}
-            manifests.append(RunManifest(
-                key=task.label(),
-                spec_hash=spec_key(task.fn, task.kwargs, fingerprint=""),
-                seed=task.kwargs.get("seed"),
-                cache_hit=(index not in state.executed
-                           and index not in state.failures),
-                wall_time_s=state.walls[index],
-                worker_pid=state.pids[index],
-                workers=self.workers,
-                package_version=__version__,
-                code_fingerprint=fingerprint,
-                extra=extra,
-            ))
-        return manifests

@@ -13,10 +13,11 @@ import importlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import derive_seed
+from repro.obs.manifest import RunManifest, tally
 
 __all__ = [
     "SimTask",
@@ -146,7 +147,7 @@ class TaskFailure:
 
 @dataclass
 class SweepStats:
-    """Bookkeeping from the last :meth:`SweepRunner.run` call."""
+    """The last :meth:`SweepRunner.run` call, reduced from its manifests."""
 
     tasks: int = 0
     cache_hits: int = 0
@@ -157,11 +158,18 @@ class SweepStats:
     retried: int = 0
     #: Tasks that exhausted the retry budget (see :class:`TaskFailure`).
     failed: int = 0
-    #: Executor backend name the sweep ran on (``"process"`` default).
+    #: Executor backend the sweep *ended* on (``"process"`` once degraded).
     executor: str = "process"
     #: Cache hits resolved by waiting on another runner's computation
     #: (single-flight; subset of ``cache_hits``).
     flight_waits: int = 0
+
+    @classmethod
+    def from_manifests(cls, manifests: Sequence[RunManifest], workers: int,
+                       executor: str, elapsed_s: float) -> "SweepStats":
+        """Nothing is counted while a sweep runs; this is the count."""
+        return cls(workers=workers, executor=executor, elapsed_s=elapsed_s,
+                   **tally(manifests))
 
     def summary(self) -> str:
         text = (

@@ -72,11 +72,19 @@ class TestCrowdScaleCli:
         assert main(["--users", "500", "--shard-users", "200",
                      "--metrics-out", str(target)] + SCALE_ARGS) == 0
         capsys.readouterr()
-        from repro.obs.fleet import load_fleet_metrics
+        from repro.obs.__main__ import main as obs_main
+        from repro.obs.manifest import read_manifests
 
-        fleet = load_fleet_metrics(str(target))
-        assert fleet.total_units == 500
-        assert len(fleet.shards) == 3
+        manifests = read_manifests(str(target))
+        assert [m.extra["units"] for m in manifests] == [200, 200, 100]
+        assert [m.key for m in manifests] == [
+            f"crowd.crowd.shard.{index}" for index in range(3)
+        ]
+        # The README pair: --metrics-out FILE, then obs summarize FILE.
+        assert obs_main(["summarize", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "manifests: tasks 3" in out
+        assert "units/s" in out
 
     def test_csv_sink_writes_rows(self, tmp_path, capsys):
         target = tmp_path / "runs.csv"

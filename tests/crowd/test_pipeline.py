@@ -12,8 +12,15 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.crowd.aggregate import CrowdSketch
-from repro.crowd.pipeline import DEFAULT_BATCH, run_crowd_shard, simulate
+from repro.crowd.pipeline import (
+    DEFAULT_BATCH,
+    FleetMetrics,
+    ShardRecord,
+    run_crowd_shard,
+    simulate,
+)
 from repro.crowd.sampling import CrowdSampler, PopulationSpec
+from repro.obs.manifest import RunManifest
 
 USERS = 1500
 
@@ -134,3 +141,58 @@ class TestSimulateSurface:
         )
         assert all(r.wall_s > 0 for r in fleet.shards)
         assert fleet.max_queue_depth <= len(fleet.shards) - 1
+        # The table is a reduction of the run record, nothing besides.
+        assert [r.wall_s for r in fleet.shards] == [
+            m.wall_time_s for m in baseline.manifests
+        ]
+        assert fleet.elapsed_s == baseline.stats.elapsed_s == baseline.wall_s
+
+
+def _shard_manifest(shard, units, wall_s, resolved_s, cached=False):
+    return RunManifest(
+        key=f"crowd.crowd.shard.{shard}", spec_hash="ab" * 32, seed=1,
+        cache_hit=cached, wall_time_s=wall_s, worker_pid=1, workers=2,
+        package_version="1.0.0", resolved_s=resolved_s,
+        extra={"units": units},
+    )
+
+
+class TestFleetReduction:
+    """``CrowdResult.fleet`` from hand-made manifests (was obs.fleet)."""
+
+    @pytest.fixture()
+    def fleet(self):
+        # Shard 1 resolved first, then the cached shard 0, then shard 2.
+        return FleetMetrics.from_manifests([
+            _shard_manifest(0, 500, 0.0, resolved_s=0.5, cached=True),
+            _shard_manifest(1, 500, 0.4, resolved_s=0.4),
+            _shard_manifest(2, 250, 0.1, resolved_s=0.6),
+        ], elapsed_s=0.7)
+
+    def test_queue_depth_follows_completion_order(self, fleet):
+        assert [r.queue_depth for r in fleet.shards] == [1, 2, 0]
+        assert fleet.max_queue_depth == 2
+
+    def test_records_are_shard_ordered_with_manifest_walls(self, fleet):
+        assert [r.shard for r in fleet.shards] == [0, 1, 2]
+        assert [r.wall_s for r in fleet.shards] == [0.0, 0.4, 0.1]
+        assert [r.cached for r in fleet.shards] == [True, False, False]
+        assert fleet.elapsed_s == 0.7
+
+    def test_totals(self, fleet):
+        assert fleet.total_units == 1250
+        assert [r.units for r in fleet.shards] == [500, 500, 250]
+
+    def test_units_per_sec(self, fleet):
+        assert fleet.shards[1].units_per_sec == pytest.approx(1250.0)
+        assert fleet.shards[0].units_per_sec == 0.0  # cached: no wall
+        record = ShardRecord(shard=0, units=100, wall_s=0.5,
+                             cached=False, queue_depth=0)
+        assert record.units_per_sec == pytest.approx(200.0)
+
+    def test_files_without_resolved_s_have_no_queue(self):
+        fleet = FleetMetrics.from_manifests(
+            [_shard_manifest(i, 10, 0.1, resolved_s=0.0) for i in range(3)],
+            elapsed_s=0.3,
+        )
+        assert fleet.max_queue_depth == 0

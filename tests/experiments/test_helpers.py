@@ -104,19 +104,23 @@ class TestFig17Rendering:
 
 class TestThroughputEvolution:
     def test_series_keys(self):
+        from repro.experiments.common import mptcp_spec
         from repro.experiments.fig09_10 import (
             _illustrative_conditions,
-            throughput_evolution,
+            evolution_series,
         )
-
-        from repro.experiments.common import mptcp_spec
+        from repro.workload import Session
 
         lte_better, _ = _illustrative_conditions()
-        spec = mptcp_spec(lte_better, "lte", "decoupled", 512 * 1024,
-                          seed=DEFAULT_SEED)
-        series = throughput_evolution(spec, horizon_s=1.0)
-        assert set(series) == {"MPTCP", "WiFi", "LTE"}
+        spec = mptcp_spec(lte_better, "lte", "decoupled", 4 * 1024 * 1024,
+                          seed=DEFAULT_SEED, deadline_s=1.0)
+        (report,) = Session().run_many([spec], workers=1, cache=False)
+        series = evolution_series(report, horizon_s=1.0)
+        assert list(series) == ["MPTCP", "LTE", "WiFi"]  # primary first
         assert series["MPTCP"][-1][0] == pytest.approx(1.0, abs=0.06)
+        # The deadline stopped the transfer at the horizon.
+        assert not report.completed
+        assert all(t <= 1.0 for t, _ in report.delivery_log)
 
 
 class TestAblationHelpers:

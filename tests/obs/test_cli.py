@@ -46,6 +46,71 @@ class TestSummarizeCommand:
         assert "cwnd timeline" in capsys.readouterr().out
 
 
+class TestSummarizeManifests:
+    """A sweep's run record: ``run-spec --trace`` / ``--metrics-out``."""
+
+    def _write(self, tmp_path, rows):
+        target = tmp_path / "sweep.manifests.json"
+        target.write_text(json.dumps(rows))
+        return str(target)
+
+    def _row(self, key, **overrides):
+        data = dict(
+            key=key, spec_hash="aa", seed=7, cache_hit=False,
+            wall_time_s=0.5, worker_pid=1, workers=2,
+            package_version="1.0.0", resolved_s=0.6, extra={},
+        )
+        data.update(overrides)
+        return data
+
+    def test_renders_totals_and_rows(self, tmp_path, capsys):
+        path = self._write(tmp_path, [
+            self._row("tcp.1.wifi"),
+            self._row("tcp.2.wifi", cache_hit=True, wall_time_s=0.0,
+                      resolved_s=0.1),
+            self._row("tcp.3.wifi", wall_time_s=0.0, resolved_s=0.9,
+                      extra={"attempts": 3, "failed": True,
+                             "error": "ValueError: nope"}),
+        ])
+        assert main(["summarize", path]) == 0
+        out = capsys.readouterr().out
+        assert "manifests: tasks 3   cache_hits 1   executed 2" in out
+        assert "failed 1" in out
+        assert "tcp.3.wifi  attempts=3  error=ValueError: nope" in out
+        assert "units" not in out
+
+    def test_units_columns_for_crowd_shards(self, tmp_path, capsys):
+        path = self._write(tmp_path, [
+            self._row(f"crowd.crowd.shard.{i}", extra={"units": 250})
+            for i in range(2)
+        ])
+        assert main(["summarize", path]) == 0
+        out = capsys.readouterr().out
+        assert "units/s" in out
+        assert "250        500  crowd.crowd.shard.0" in out
+
+    def test_file_written_before_resolved_s_existed(self, tmp_path, capsys):
+        row = self._row("old")
+        del row["resolved_s"]
+        assert main(["summarize", self._write(tmp_path, [row])]) == 0
+        assert "max outstanding: 0" in capsys.readouterr().out
+
+    def test_single_manifest_document_is_a_one_task_sweep(self, tmp_path,
+                                                          capsys):
+        path = _manifest_file(tmp_path, "one.json")
+        assert main(["summarize", path]) == 0
+        assert "manifests: tasks 1" in capsys.readouterr().out
+
+    def test_not_a_run_record_falls_through_to_exit_2(self, tmp_path,
+                                                      capsys):
+        for rows in ([], [{"key": "half a manifest"}], [1, 2, 3]):
+            assert main(["summarize", self._write(tmp_path, rows)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "summarize: cannot read" in captured.err
+            assert "Traceback" not in captured.err
+
+
 class TestDiffCommand:
     def test_identical_manifests_exit_zero(self, tmp_path, capsys):
         a = _manifest_file(tmp_path, "a.json")

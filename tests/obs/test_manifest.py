@@ -6,8 +6,11 @@ from repro.core.errors import ConfigurationError
 from repro.obs.manifest import (
     RunManifest,
     diff_manifests,
+    outstanding,
     read_manifests,
     render_diff,
+    render_manifests,
+    tally,
     write_manifests,
 )
 
@@ -51,6 +54,12 @@ class TestRoundTrip:
         assert manifest.code_fingerprint == ""
         assert manifest.extra == {}
 
+    def test_files_older_than_resolved_s_still_load(self):
+        data = _manifest(resolved_s=1.5).to_dict()
+        assert data["resolved_s"] == 1.5
+        del data["resolved_s"]
+        assert RunManifest.from_dict(data).resolved_s == 0.0
+
     def test_seed_may_be_none(self):
         manifest = _manifest(seed=None)
         assert RunManifest.from_json(manifest.to_json()).seed is None
@@ -68,6 +77,96 @@ class TestBatches:
         target = tmp_path / "one.json"
         manifest.write(str(target))
         assert read_manifests(str(target)) == [manifest]
+
+    def test_run_record_round_trips_every_field(self, tmp_path):
+        target = tmp_path / "sweep.manifests.json"
+        write_manifests(_sweep(), str(target))
+        assert read_manifests(str(target)) == _sweep()
+
+    def test_empty_or_foreign_documents_rejected(self, tmp_path):
+        for name, text in (("empty.json", "[]"),
+                           ("other.json", '{"schema": "something/else"}'),
+                           ("scalars.json", "[1, 2, 3]")):
+            target = tmp_path / name
+            target.write_text(text)
+            with pytest.raises((ConfigurationError, TypeError)):
+                read_manifests(str(target))
+
+
+def _sweep(units=False):
+    """A five-task sweep resolved out of order, one of every outcome."""
+    def extra(**stamped):
+        return {**stamped, **({"units": 500} if units else {})}
+
+    return [
+        _manifest(key="hit", cache_hit=True, wall_time_s=0.0,
+                  resolved_s=0.01, extra=extra()),
+        _manifest(key="slow", wall_time_s=0.4, resolved_s=0.9,
+                  extra=extra()),
+        _manifest(key="flaky", wall_time_s=0.2, resolved_s=0.5,
+                  extra=extra(attempts=2, retried=True)),
+        _manifest(key="poison", wall_time_s=0.0, resolved_s=0.7,
+                  extra=extra(attempts=3, failed=True,
+                              error="RuntimeError: boom")),
+        _manifest(key="awaited", cache_hit=True, wall_time_s=0.0,
+                  resolved_s=0.3, extra=extra(single_flight="waited")),
+    ]
+
+
+class TestReductions:
+    def test_tally_uses_the_sweep_stats_vocabulary(self):
+        assert tally(_sweep()) == {
+            "tasks": 5, "cache_hits": 2, "executed": 3,
+            "retried": 1, "failed": 1, "flight_waits": 1,
+        }
+        assert tally([])["tasks"] == 0
+
+    def test_outstanding_is_the_rank_of_resolved_s(self):
+        # hit first (4 left), awaited, flaky, poison, slow last.
+        assert outstanding(_sweep()) == [4, 0, 2, 1, 3]
+
+    def test_outstanding_without_resolved_s_is_flat(self):
+        assert outstanding([_manifest(), _manifest(), _manifest()]) == [0] * 3
+
+
+class TestRenderManifests:
+    def test_header_totals_and_percentiles(self):
+        text = render_manifests(_sweep())
+        assert ("manifests: tasks 5   cache_hits 2   executed 3   "
+                "retried 1   failed 1   flight_waits 1") in text
+        # Executed walls only (0.4, 0.2, 0.0): hits never dilute them.
+        assert "compute: 0.60s in 0.90s elapsed" in text
+        assert "p50/p95: 0.20s / 0.38s" in text
+        assert "max outstanding: 4" in text
+
+    def test_one_row_per_task_with_provenance_notes(self):
+        rows = render_manifests(_sweep()).splitlines()[-5:]
+        assert [row.split()[0] for row in rows] == list("01234")
+        by_key = {row.split()[5]: row for row in rows}
+        assert " yes " in by_key["hit"] and " no " in by_key["slow"]
+        assert "attempts=2  retried=True" in by_key["flaky"]
+        assert "failed=True" in by_key["poison"]
+        assert "error=RuntimeError: boom" in by_key["poison"]
+        assert "single_flight=waited" in by_key["awaited"]
+        assert by_key["slow"].endswith("slow")
+
+    def test_units_columns_only_when_stamped(self):
+        plain = render_manifests(_sweep())
+        assert "units" not in plain
+        text = render_manifests(_sweep(units=True))
+        assert "units/s" in text
+        slow = next(line for line in text.splitlines()
+                    if line.endswith("slow"))
+        assert slow.split()[5:7] == ["500", "1,250"]   # 500 units / 0.4 s
+        assert "units=" not in text  # a column, not a note
+
+    def test_all_hits_and_pre_resolved_s_files(self):
+        text = render_manifests([
+            _manifest(key="a", cache_hit=True, wall_time_s=0.0),
+            _manifest(key="b", cache_hit=True, wall_time_s=0.0),
+        ])
+        assert "compute: 0.00s in 0.00s elapsed" in text
+        assert "max outstanding: 0" in text
 
 
 class TestDiff:

@@ -568,5 +568,5 @@ class TestProducers:
                       shard_users=50, label="tele-test")
         snap = bus.registry.snapshot()
         assert snap["crowd.users_done"] == 200.0
-        assert snap["crowd.shard_queue_depth"] == 0.0
+        assert snap["sweep.queue_depth"] == 0.0
         assert on.value == off.value

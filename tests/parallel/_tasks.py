@@ -34,3 +34,18 @@ def logged_task(log_path: str = "", value: int = 0, seed: int = 0) -> dict:
         handle.write(f"{value} pid={os.getpid()}\n")
     time.sleep(0.05)
     return {"value": value * 2, "seed": seed}
+
+
+def fail_once(flag_path: str = "", value: int = 0, seed: int = 0) -> dict:
+    """Raise on the first execution, succeed on the retry.
+
+    The "already failed" flag is a file created with ``O_EXCL`` so
+    exactly one attempt raises no matter which process runs it; the
+    worker survives (an exception, not a crash), so this is safe on
+    the in-process backend too.
+    """
+    try:
+        os.close(os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return {"value": value * 2, "seed": seed}
+    raise RuntimeError("first attempt fails")

@@ -147,6 +147,20 @@ class TestSocketExecutor:
             results = runner.run(_double_tasks())
         assert results == [{"value": i * 2, "seed": i} for i in range(6)]
 
+    def test_degraded_sweep_reports_the_executor_it_ended_on(self):
+        # Regression: the stats named the configured backend, so a
+        # sweep that never reached a socket worker read "[socket]".
+        runner = SweepRunner(
+            workers=2, cache=False,
+            executor=f"socket:127.0.0.1:{_free_port()}",
+        )
+        with pytest.warns(RuntimeWarning, match="degrading"):
+            runner.run(_double_tasks())
+        assert runner.last_stats.executor == "process"
+        assert "[socket]" not in runner.last_stats.summary()
+        assert runner.last_stats.executed == 6
+        assert runner.executor.name == "socket"  # the next sweep retries it
+
     def test_unreachable_fleet_raises_at_executor_level(self):
         from repro.parallel.socketexec import SocketExecutor
 

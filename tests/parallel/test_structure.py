@@ -88,3 +88,77 @@ def test_design_failure_table_cites_existing_tests():
                                exercised_by))
         assert cited, row
         assert cited <= defined, sorted(cited - defined)
+
+
+def _calls_by_function(tree):
+    """``(enclosing function name, call node)`` for every call."""
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    yield function.name, node
+
+
+def test_a_resolved_task_is_reported_in_emit_only():
+    """Progress, the per-task bus series and on_result: one call site.
+
+    Per-run announcements (``progress.start/finish``, ``sweep.runs``,
+    ``sweep.tasks_total``), span timers and ``executor.roundtrip_s``
+    are not per-task reports and live where they always did.
+    """
+    per_task_series = {"sweep.tasks_done", "sweep.tasks_failed",
+                       "sweep.cache_hits", "sweep.queue_depth"}
+    with open(coordinator.__file__, encoding="utf-8") as f:
+        source = f.read()
+    reporters = {"progress": set(), "bus": set(), "on_result": set()}
+    for function, call in _calls_by_function(ast.parse(source)):
+        target = call.func
+        if not isinstance(target, ast.Attribute):
+            continue
+        if target.attr in ("advance", "note_cached"):
+            reporters["progress"].add(function)
+        elif target.attr == "on_result":
+            reporters["on_result"].add(function)
+        elif (target.attr in ("count", "record") and call.args
+              and isinstance(call.args[0], ast.Constant)
+              and call.args[0].value in per_task_series):
+            per_task_series.discard(call.args[0].value)
+            reporters["bus"].add(function)
+    assert reporters == {"progress": {"_emit"}, "bus": {"_emit"},
+                         "on_result": {"_emit"}}
+    assert per_task_series == set()  # every series is really published
+    assert "_build_manifests" not in source
+
+
+def test_spec_identity_is_canonicalised_once_per_task(tmp_path, monkeypatch):
+    from repro.parallel import ResultCache, SimTask, cache as cache_module
+
+    depth = [0]
+    top_level = []
+    real = cache_module.canonical_spec
+
+    def counting(obj):
+        if depth[0] == 0:
+            top_level.append(obj)
+        depth[0] += 1
+        try:
+            return real(obj)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cache_module, "canonical_spec", counting)
+    tasks = [SimTask(fn="tests.parallel._tasks:double",
+                     kwargs={"value": value, "seed": 1},
+                     key=f"double.{value}") for value in range(5)]
+    store = ResultCache(str(tmp_path))
+    for expected_hits in (0, 5):  # cold, then warm
+        del top_level[:]
+        engine = coordinator.SweepRunner(workers=1, cache=store,
+                                         executor="inprocess")
+        engine.run(tasks)
+        assert engine.last_stats.cache_hits == expected_hits
+        assert len(top_level) == len(tasks)
+        # Both identities of a task come from that one pass.
+        for task, manifest in zip(tasks, engine.last_manifests):
+            assert store.key_of(manifest.spec_hash) == store.key_for(
+                task.fn, task.kwargs)
