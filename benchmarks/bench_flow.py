@@ -17,8 +17,10 @@ the ratio machine-independent.  Exit 1 if the speedup falls below
 calibrated bounds.  The floor was 100× until the packet core's hot
 path was rewritten: the ratio's *denominator* got faster (this sweep
 fell from 12.1 s to 4.0–5.8 s of packet time on the 2-vCPU box while
-the flow leg stayed at 0.11–0.15 s), so the same flow engine now
-reads 33–41×.
+the flow leg stayed at 0.11–0.15 s), so the same flow engine read
+33–41×.  The flow engine's own hot-path rewrite (DESIGN.md §10) then
+took the flow leg to 0.064–0.070 s: 67–87× over three runs, same
+validation errors.
 """
 
 import argparse

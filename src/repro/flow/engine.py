@@ -10,6 +10,18 @@ events are simply regenerated from the new rates (the dt-simulator
 idiom), so a transfer costs tens of iterations instead of one event
 per segment.
 
+The work is split by what can change it.  Everything in a subflow's
+share that only a fault edge can move — capacity, loss limit, queue
+and window bounds — is a :class:`~repro.flow.model.ShareTerms`, derived
+when the subflow is built and again in :meth:`_Subflow.on_path_change`,
+the one notification of a fault edge.  :meth:`_FlowRun.run` is one flat
+loop over locals that evaluates those terms against progress (bytes
+delivered, the live window) at every breakpoint; the ``_Subflow``
+methods are the cold paths — handshake, ramp steps, fault edges, traced
+``sched`` events — and the reference the loop is tested against
+(``tests/flow/test_hot_path.py``).  An untraced run pays one
+``recorder is not None`` test per would-be event.
+
 The output is the same canonical
 :class:`~repro.workload.report.TransferReport` the packet engine
 produces: a densified delivery log (so ``time_to_bytes`` and the
@@ -31,6 +43,7 @@ worker count.
 """
 
 import math
+from math import exp
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -45,10 +58,9 @@ from repro.flow.model import (
     ge_stationary_loss,
     loss_transient_factor,
     path_flow_params,
-    pipe_capacity_bytes,
-    steady_goodput_bytes_s,
+    share_terms,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import subflow_series
 from repro.obs.trace import TraceRecorder
 from repro.tcp.config import TcpConfig
 from repro.workload.report import TransferReport
@@ -58,9 +70,8 @@ __all__ = ["run_flow_spec"]
 
 _EPS = 1e-9
 #: Loss events (segments × loss rate) past which the slow-start
-#: transient is below float resolution: exp(-50) ≈ 2e-22, so the
-#: blended cap is bit-identical to the converged one and can be
-#: memoized independently of further progress.
+#: transient is below float resolution (exp(-50) ≈ 2e-22): from there
+#: on the cap *is* the converged one.
 _TRANSIENT_SPENT = 50.0 * LOSS_CONVERGENCE_EVENTS
 #: Densification step of the delivery logs (matches the packet-side
 #: throughput-series step in :mod:`repro.analysis.throughput`).
@@ -73,10 +84,12 @@ _MAX_ITERATIONS = 200_000
 class _PathState:
     """One path's live share inputs: base params + active fault edges."""
 
+    __slots__ = ("params", "down", "admin_down", "rate_factor",
+                 "extra_delay_s", "loss_rate", "rtt_s", "wire_bytes_s",
+                 "_saved_loss")
+
     def __init__(self, params: FlowPathParams) -> None:
         self.params = params
-        #: Bumped on every fault edge; subflow rate memos key on it.
-        self.epoch = 0
         #: Links dropped (``outage``/``blackhole``): packets vanish.
         self.down = False
         #: Explicit admin removal (``iface_down``, detected blackhole):
@@ -86,21 +99,11 @@ class _PathState:
         self.rate_factor = 1.0
         self.extra_delay_s = 0.0
         self.loss_rate = params.loss_rate
+        self.rtt_s = params.rtt_s
+        self.wire_bytes_s = params.wire_bytes_s
         self._saved_loss: Dict[int, float] = {}
 
-    @property
-    def rtt_s(self) -> float:
-        # A delay spike adds one-way delay on both links of the path.
-        return self.params.rtt_s + 2.0 * self.extra_delay_s
-
-    @property
-    def wire_bytes_s(self) -> float:
-        if self.down:
-            return 0.0
-        return self.params.wire_bytes_s * self.rate_factor
-
     def apply_edge(self, index: int, event: FaultEvent, edge: str) -> None:
-        self.epoch += 1
         inject = edge == "inject"
         kind = event.kind
         if kind == "outage":
@@ -128,10 +131,21 @@ class _PathState:
                 self.loss_rate = self._saved_loss.pop(
                     index, self.params.loss_rate
                 )
+        # A delay spike adds one-way delay on both links of the path.
+        self.rtt_s = self.params.rtt_s + 2.0 * self.extra_delay_s
+        self.wire_bytes_s = (
+            0.0 if self.down else self.params.wire_bytes_s * self.rate_factor
+        )
 
 
 class _Subflow:
     """One subflow's bandwidth-share state machine."""
+
+    __slots__ = ("subflow_id", "state", "config", "cc", "is_mptcp", "mss",
+                 "established_at", "established", "gated", "cwnd",
+                 "ssthresh", "steady", "next_ramp_at", "interrupted",
+                 "delivered", "drain_target", "log", "sent_bytes_int",
+                 "send_events", "handshake_rtt_s", "usable", "terms")
 
     def __init__(
         self,
@@ -148,6 +162,7 @@ class _Subflow:
         self.config = config
         self.cc = cc
         self.is_mptcp = is_mptcp
+        self.mss = config.mss_bytes
         #: Handshake completion; ``None`` = not scheduled yet
         #: (singlepath standby subflows open only on failover).
         self.established_at = established_at
@@ -173,51 +188,26 @@ class _Subflow:
         self.sent_bytes_int = 0
         self.send_events = 0
         self.handshake_rtt_s: Optional[float] = None
-        # Rate-model memos (see steady_cap / pipe_bytes).
-        self._cap_key: Optional[Tuple[int, float]] = None
-        self._cap_value = 0.0
-        self._pipe_key: Optional[Tuple[int, float]] = None
-        self._pipe_value = 0.0
+        self._refresh_terms()
 
     # -- share inputs ---------------------------------------------------
-    @property
-    def path_usable(self) -> bool:
-        if self.state.down:
-            return False
-        if self.is_mptcp and self.state.admin_down:
-            return False
-        return True
+    def _refresh_terms(self) -> None:
+        """Re-derive what a fault edge can move (see ``ShareTerms``)."""
+        state = self.state
+        self.usable = not (
+            state.down or (self.is_mptcp and state.admin_down)
+        )
+        self.terms = share_terms(
+            state.wire_bytes_s if self.usable else 0.0, state.rtt_s,
+            state.loss_rate, self.config, self.cc,
+            state.params.queue_packets,
+        )
 
     def steady_cap(self) -> float:
-        # Pure in (fault-state epoch, delivered); the engine evaluates
-        # it several times per breakpoint, so memoize on exact state —
-        # a cache hit returns the identical float (determinism-safe).
-        # On a lossless path the cap does not depend on progress at
-        # all, and once the loss transient has fully decayed (beyond
-        # float resolution) it never changes again; both collapse the
-        # key so the memo survives across breakpoints.
-        loss = self.state.loss_rate
-        segments = self.delivered / self.config.mss_bytes
-        if loss <= 0.0:
-            key = (self.state.epoch, -1.0)
-        elif segments * loss >= _TRANSIENT_SPENT:
-            key = (self.state.epoch, -2.0)
+        segments = self.delivered / self.mss
+        if segments * self.terms.loss_rate >= _TRANSIENT_SPENT:
             segments = math.inf
-        else:
-            key = (self.state.epoch, self.delivered)
-        if key == self._cap_key:
-            return self._cap_value
-        if not self.path_usable:
-            value = 0.0
-        else:
-            value = steady_goodput_bytes_s(
-                self.state.wire_bytes_s, self.state.rtt_s,
-                loss, self.config, self.cc,
-                segments_delivered=segments,
-            )
-        self._cap_key = key
-        self._cap_value = value
-        return value
+        return self.terms.goodput(segments)
 
     def rate(self) -> float:
         """Current goodput share, bytes per second."""
@@ -233,45 +223,9 @@ class _Subflow:
             return 0.0
         if self.steady:
             return cap
-        cwnd_rate = self.cwnd * self.config.mss_bytes / self.state.rtt_s
-        return min(cap, cwnd_rate)
-
-    def pipe_bytes(self, rate: float) -> float:
-        """This subflow's maximum commitment (BDP + bloated queue)."""
-        key = (self.state.epoch, rate)
-        if key == self._pipe_key:
-            return self._pipe_value
-        value = pipe_capacity_bytes(
-            rate, self.state.rtt_s, self.state.loss_rate,
-            self.config, self.cc, self.state.params.queue_packets,
-        )
-        self._pipe_key = key
-        self._pipe_value = value
-        return value
-
-    def inflight_bytes(self, rate: float) -> float:
-        """Committed-but-undelivered bytes currently in the pipe.
-
-        The live congestion window bounds the commitment while the
-        subflow is still ramping; at steady state the window has grown
-        to cover the whole pipe (including the DropTail queue it keeps
-        full on a capacity-limited path).
-        """
-        if rate <= 0.0:
-            return 0.0
-        pipe = self.pipe_bytes(rate)
-        if self.steady:
-            return pipe
-        return min(self.cwnd * self.config.mss_bytes, pipe)
+        return min(cap, self.cwnd * self.mss / self.terms.rtt_s)
 
     # -- transitions ----------------------------------------------------
-    def next_time(self, now: float) -> Optional[float]:
-        if not self.established:
-            if self.established_at is not None and self.established_at > now:
-                return self.established_at
-            return None
-        return self.next_ramp_at
-
     def establish(self, now: float) -> None:
         self.established = True
         self.handshake_rtt_s = self.state.rtt_s
@@ -281,7 +235,7 @@ class _Subflow:
     def _begin_ramp(self, now: float) -> None:
         self.steady = False
         self.next_ramp_at = (
-            now + self.state.rtt_s if self.path_usable and not self.gated
+            now + self.state.rtt_s if self.usable and not self.gated
             else None
         )
 
@@ -296,13 +250,12 @@ class _Subflow:
         # path the excess sits in the bottleneck queue (bufferbloat),
         # and that commitment is what the drain model measures.
         # Delivered rate stays capped throughout (see :meth:`rate`).
-        target = max(cap * self.state.rtt_s, self.pipe_bytes(cap))
-        if self.cwnd * self.config.mss_bytes >= target - 0.5:
+        target = max(cap * self.state.rtt_s, self.terms.pipe(cap))
+        if self.cwnd * self.mss >= target - 0.5:
             # Stay event-driven while the loss transient is still
             # decaying the cap; go silent once converged.
             transient = loss_transient_factor(
-                self.delivered / self.config.mss_bytes,
-                self.state.loss_rate,
+                self.delivered / self.mss, self.state.loss_rate,
             )
             if transient > 0.02:
                 self.next_ramp_at = now + self.state.rtt_s
@@ -317,10 +270,11 @@ class _Subflow:
         self.next_ramp_at = now + self.state.rtt_s
 
     def on_path_change(self, now: float) -> None:
-        """Re-derive ramp state after a fault edge touched the path."""
+        """Re-derive terms and ramp state after a fault edge."""
+        self._refresh_terms()
         if not self.established:
             return
-        if not self.path_usable:
+        if not self.usable:
             self.interrupted = True
             self.next_ramp_at = None
             return
@@ -330,7 +284,7 @@ class _Subflow:
             # old share as ssthresh.
             cap = self.steady_cap()
             cap_segments = (
-                cap * self.state.rtt_s / self.config.mss_bytes
+                cap * self.state.rtt_s / self.mss
                 if cap > 0.0 else self.cwnd
             )
             self.ssthresh = max(2.0, cap_segments / 2.0)
@@ -421,17 +375,13 @@ class _FlowRun:
         self.edge_i = 0
         self.applied: List[AppliedFault] = []
         self.now = 0.0
-        self.delivered = 0.0
         self.log: List[Tuple[float, float]] = [(0.0, 0.0)]
         self.completed_at: Optional[float] = None
-        #: True once the remaining bytes are split into per-subflow
-        #: committed-backlog drains (see :meth:`_allocate_drain`).
-        self._draining = False
-        self._fire_due_edges()  # schedules armed at t=0 apply before data
+        # Schedules armed at t=0 apply before data: the subflows are
+        # built from the already-spiked path states.
+        self.subflows: List[_Subflow] = []
+        self._fire_due_edges()
         self.subflows = self._build_subflows()
-        #: Multipath runs track scheduler commitment (drain model);
-        #: single-subflow runs finish on plain delivery.
-        self._multipath = len(self.subflows) > 1
         self._mode = (
             spec.mptcp_options().mode if spec.kind != KIND_TCP else "tcp"
         )
@@ -490,9 +440,15 @@ class _FlowRun:
 
     # -- gating / failover ----------------------------------------------
     def _refresh_gating(self) -> None:
+        """Who may carry data; a no-op outside backup/singlepath modes.
+
+        Not a pure function of the path states: while a singlepath
+        primary is unusable, every call opens the *next* standby, so
+        the loop visits it at every breakpoint, not on edges only.
+        """
         if self._mode == "backup":
             active_ok = any(
-                sf.path_usable and sf.established_at is not None
+                sf.usable and sf.established_at is not None
                 for sf in self.subflows
                 if sf.state.params.name not in self._backup_names
             )
@@ -505,7 +461,7 @@ class _FlowRun:
                         sf.on_ungated(self.now)
         elif self._mode == "singlepath":
             primary = self.subflows[0]
-            if not primary.path_usable:
+            if not primary.usable:
                 for sf in self.subflows[1:]:
                     if sf.established_at is None:
                         # Failover: open the standby subflow now.
@@ -513,83 +469,39 @@ class _FlowRun:
                         primary.gated = True
                         break
 
-    # -- observation -----------------------------------------------------
-    def _emit(self, kind: str, time: float, **kwargs) -> None:
-        if self.recorder is not None:
-            self.recorder.emit(kind, time, **kwargs)
-
-    def _emit_send(self, subflow: _Subflow, time: float) -> None:
-        """One ``send`` per subflow per rate interval (not per segment)."""
-        total = int(round(subflow.delivered))
-        delta = total - subflow.sent_bytes_int
-        if delta <= 0:
-            return
-        subflow.sent_bytes_int = total
-        subflow.send_events += 1
-        self._emit(
-            "send", time, path=subflow.state.params.name, flow_id=0,
-            subflow_id=subflow.subflow_id, length=delta, rxt=False,
-        )
-
     # -- execution -------------------------------------------------------
     def _fire_due_edges(self) -> None:
+        now = self.now
+        recorder = self.recorder
         while (
             self.edge_i < len(self.edges)
-            and self.edges[self.edge_i][0] <= self.now + _EPS
+            and self.edges[self.edge_i][0] <= now + _EPS
         ):
             _, _, index, edge, event = self.edges[self.edge_i]
             self.edge_i += 1
             self.states[event.path].apply_edge(index, event, edge)
             self.applied.append(
-                AppliedFault(self.now, edge, index, event.kind, event.path)
+                AppliedFault(now, edge, index, event.kind, event.path)
             )
-            self._emit(
-                "fault_state", self.now, path=event.path,
-                state=f"{event.kind}:{edge}", index=index,
-            )
-            for sf in getattr(self, "subflows", ()):
+            if recorder is not None:
+                recorder.emit(
+                    "fault_state", now, path=event.path,
+                    state=f"{event.kind}:{edge}", index=index,
+                )
+            for sf in self.subflows:
                 if sf.state.params.name == event.path:
-                    sf.on_path_change(self.now)
-                    self._emit_sched(sf)
+                    sf.on_path_change(now)
+                    if recorder is not None:
+                        self._emit_sched(sf)
             # Rates just moved: any committed-backlog split is stale.
             # Clearing it re-derives the commitment from the new shares
             # (the packet stack's failover reinjection, approximately).
-            self._clear_drain()
-
-    def _clear_drain(self) -> None:
-        self._draining = False
-        for sf in getattr(self, "subflows", ()):
-            sf.drain_target = None
-
-    def _allocate_drain(self, rates: List[float]) -> None:
-        """Split the remaining bytes along current in-flight pipes.
-
-        Called the moment the scheduler's total *commitment*
-        (delivered + in-flight) covers the transfer — the source has
-        drained.  From here each subflow only delivers what was
-        already assigned to it, and the slowest pipe sets the
-        completion time (the straggler tail of the paper's Figs.
-        9/10).  A subflow that joins after this point carries nothing,
-        exactly like an MP_JOIN completing after the source emptied.
-        """
-        remaining = max(0.0, float(self.spec.nbytes) - self.delivered)
-        inflight = [
-            sf.inflight_bytes(rate)
-            for sf, rate in zip(self.subflows, rates)
-        ]
-        total = sum(inflight)
-        if total <= _EPS:
-            return
-        for sf, committed in zip(self.subflows, inflight):
-            sf.drain_target = (
-                sf.delivered + remaining * committed / total
-                if committed > 0.0 else None
-            )
-        self._draining = True
+            for sf in self.subflows:
+                sf.drain_target = None
 
     def _emit_sched(self, subflow: _Subflow) -> None:
         if subflow.established:
-            self._emit(
+            self.recorder.emit(
                 "sched", self.now, path=subflow.state.params.name,
                 flow_id=0, subflow_id=subflow.subflow_id,
                 rate_bytes_s=round(subflow.rate(), 3),
@@ -598,108 +510,215 @@ class _FlowRun:
     def run(self) -> None:
         nbytes = float(self.spec.nbytes)
         deadline = self.spec.deadline_s
+        subflows = self.subflows
+        indices = range(len(subflows))
+        #: Multipath runs track scheduler commitment (drain model);
+        #: single-subflow runs finish on plain delivery.
+        multipath = len(subflows) > 1
+        gating = self._mode in ("backup", "singlepath")
+        edges = self.edges
+        recorder = self.recorder
+        log = self.log
+        rates = [0.0] * len(subflows)
+        inflight = [0.0] * len(subflows)
+        now = 0.0
+        now_eps = _EPS
+        delivered = 0.0
+        #: True once the remaining bytes are split into per-subflow
+        #: committed-backlog drains (``drain_target``): from there each
+        #: subflow only delivers what was already assigned to it and
+        #: the slowest pipe sets the completion time (the straggler
+        #: tail of the paper's Figs. 9/10).  A fault edge voids it.
+        draining = False
+        next_edge_at = (
+            edges[self.edge_i][0] if self.edge_i < len(edges) else math.inf
+        )
         for _ in range(_MAX_ITERATIONS):
-            rates = [sf.rate() for sf in self.subflows]
-            total_rate = sum(rates)
+            # One pass: shares, the next share transition and the
+            # scheduler's commitment.  Floats accumulate left to right
+            # (builtin sum() compensates on CPython >= 3.12 only and
+            # would part ways with 3.10/3.11 from the third subflow).
             t_next = deadline
-            if self.edge_i < len(self.edges):
-                t_next = min(t_next, max(self.now, self.edges[self.edge_i][0]))
-            for sf in self.subflows:
-                transition = sf.next_time(self.now)
-                if transition is not None and transition > self.now + _EPS:
-                    t_next = min(t_next, transition)
+            if next_edge_at < t_next:
+                t_next = next_edge_at if next_edge_at > now else now
+            total_rate = 0.0
+            inflight_total = 0.0
+            for i in indices:
+                sf = subflows[i]
+                rate = pipe = 0.0
+                if not sf.established:
+                    transition = sf.established_at
+                else:
+                    transition = sf.next_ramp_at
+                    target = sf.drain_target
+                    if not sf.gated and (
+                        target is None or sf.delivered < target - 0.5
+                    ):
+                        # The share rule, inlined.  It must equal
+                        # _Subflow.rate() (= ShareTerms.goodput ∧ the
+                        # live window) and, below, ShareTerms.pipe —
+                        # whose rtt_s <= 0 guard PathSpec rules out
+                        # here.  A model change touches all three;
+                        # tests/flow/test_hot_path.py holds them equal.
+                        terms = sf.terms
+                        rate = terms.cap
+                        if terms.decays:
+                            segments = sf.delivered / sf.mss
+                            rate = terms.converged
+                            if segments * terms.loss_rate < _TRANSIENT_SPENT:
+                                rate += (terms.cap - rate) * exp(
+                                    -segments * terms.loss_rate
+                                    / LOSS_CONVERGENCE_EVENTS
+                                )
+                        if rate <= 0.0:
+                            rate = 0.0
+                        else:
+                            if not sf.steady:
+                                window = sf.cwnd * sf.mss
+                                cwnd_rate = window / terms.rtt_s
+                                if cwnd_rate < rate:
+                                    rate = cwnd_rate
+                            total_rate += rate
+                            if multipath and not draining:
+                                # Committed-but-undelivered bytes: the
+                                # pipe, bounded by the live window
+                                # while the subflow still ramps.
+                                pipe = rate * terms.rtt_s + terms.queue_bytes
+                                if terms.pipe_limit < pipe:
+                                    pipe = terms.pipe_limit
+                                if not sf.steady and window < pipe:
+                                    pipe = window
+                                inflight_total += pipe
+                if (
+                    transition is not None
+                    and now_eps < transition < t_next
+                ):
+                    t_next = transition
+                rates[i] = rate
+                inflight[i] = pipe
             finishing = False
-            if self._draining:
+            if draining:
                 # Each subflow drains its own committed share; its
                 # target-reach instant is a share transition.
-                for sf, rate in zip(self.subflows, rates):
-                    if sf.drain_target is not None and rate > _EPS:
-                        t_reach = (
-                            self.now + (sf.drain_target - sf.delivered) / rate
-                        )
+                for i in indices:
+                    sf = subflows[i]
+                    if sf.drain_target is not None and rates[i] > _EPS:
+                        t_reach = now + (
+                            sf.drain_target - sf.delivered
+                        ) / rates[i]
                         if t_reach <= t_next + _EPS:
-                            t_next = min(t_next, max(self.now, t_reach))
-            elif self._multipath and total_rate > _EPS:
+                            if t_reach < now:
+                                t_reach = now
+                            if t_reach < t_next:
+                                t_next = t_reach
+            elif multipath and total_rate > _EPS:
                 # The source drains when the scheduler's commitment
                 # (delivered + in-flight) covers the transfer, which
                 # runs ahead of delivery by the in-flight sum.
-                inflight_total = sum(
-                    sf.inflight_bytes(rate)
-                    for sf, rate in zip(self.subflows, rates)
-                )
-                remaining = nbytes - self.delivered
-                if remaining <= inflight_total + 0.5:
-                    self._allocate_drain(rates)
-                    if self._draining:
-                        continue
-                else:
-                    t_drain = (
-                        self.now
-                        + (remaining - inflight_total) / total_rate
-                    )
+                remaining = nbytes - delivered
+                if remaining > inflight_total + 0.5:
+                    t_drain = now + (remaining - inflight_total) / total_rate
                     if t_drain <= t_next + _EPS:
-                        t_next = min(t_next, max(self.now, t_drain))
+                        if t_drain < now:
+                            t_drain = now
+                        if t_drain < t_next:
+                            t_next = t_drain
+                elif inflight_total > _EPS:
+                    # Split the remaining bytes along the in-flight
+                    # pipes.  A subflow that joins after this point
+                    # carries nothing, exactly like an MP_JOIN
+                    # completing after the source emptied.
+                    if remaining < 0.0:
+                        remaining = 0.0
+                    for i in indices:
+                        sf = subflows[i]
+                        sf.drain_target = (
+                            sf.delivered
+                            + remaining * inflight[i] / inflight_total
+                            if inflight[i] > 0.0 else None
+                        )
+                    draining = True
+                    continue
             elif total_rate > _EPS:
-                t_finish = (
-                    self.now + (nbytes - self.delivered) / total_rate
-                )
+                t_finish = now + (nbytes - delivered) / total_rate
                 if t_finish <= t_next + _EPS:
-                    t_next = min(t_next, t_finish)
+                    if t_finish < t_next:
+                        t_next = t_finish
                     finishing = True
-            dt = max(0.0, t_next - self.now)
+            dt = t_next - now
             if dt > 0.0:
-                for sf, rate in zip(self.subflows, rates):
-                    if rate > 0.0:
-                        delta = rate * dt
+                for i in indices:
+                    if rates[i] > 0.0:
+                        sf = subflows[i]
+                        delta = rates[i] * dt
                         if sf.drain_target is not None:
-                            delta = min(
-                                delta,
-                                max(0.0, sf.drain_target - sf.delivered),
-                            )
+                            room = sf.drain_target - sf.delivered
+                            if room < delta:
+                                delta = room
                         if delta > 0.0:
-                            sf.delivered += delta
-                            self.delivered += delta
-                            sf.log.append((t_next, sf.delivered))
-                            self._emit_send(sf, t_next)
-                self.log.append((t_next, min(self.delivered, nbytes)))
-            self.now = t_next
-            if finishing and self.delivered >= nbytes - 0.5:
-                self.delivered = nbytes
-                self.completed_at = self.now
-                return
-            if self._draining and self.delivered >= nbytes - 0.5:
-                pending = any(
+                            sf.delivered = progress = sf.delivered + delta
+                            delivered += delta
+                            sf.log.append((t_next, progress))
+                            # One ``send`` per subflow per rate
+                            # interval (not per segment).
+                            sent = round(progress)
+                            length = sent - sf.sent_bytes_int
+                            if length > 0:
+                                sf.sent_bytes_int = sent
+                                sf.send_events += 1
+                                if recorder is not None:
+                                    recorder.emit(
+                                        "send", t_next,
+                                        path=sf.state.params.name,
+                                        flow_id=0,
+                                        subflow_id=sf.subflow_id,
+                                        length=length, rxt=False,
+                                    )
+                log.append(
+                    (t_next, delivered if delivered < nbytes else nbytes)
+                )
+            self.now = now = t_next
+            now_eps = now + _EPS
+            if delivered >= nbytes - 0.5 and (finishing or (
+                draining and not any(
                     sf.drain_target is not None
                     and sf.delivered < sf.drain_target - 0.5
-                    for sf in self.subflows
+                    for sf in subflows
                 )
-                if not pending:
-                    self.delivered = nbytes
-                    self.completed_at = self.now
-                    return
-            if self.now >= deadline - _EPS:
+            )):
+                self.completed_at = now
                 return
-            self._fire_due_edges()
-            for sf in self.subflows:
-                if (
-                    not sf.established
-                    and sf.established_at is not None
-                    and sf.established_at <= self.now + _EPS
-                ):
-                    sf.establish(self.now)
-                    self._emit(
-                        "subflow_add", self.now,
-                        path=sf.state.params.name, flow_id=0,
-                        subflow_id=sf.subflow_id,
-                        rtt_s=sf.handshake_rtt_s,
-                    )
-                    self._emit_sched(sf)
+            if now >= deadline - _EPS:
+                return
+            if next_edge_at <= now_eps:
+                self._fire_due_edges()
+                draining = False
+                next_edge_at = (
+                    edges[self.edge_i][0] if self.edge_i < len(edges)
+                    else math.inf
+                )
+            for sf in subflows:
+                if not sf.established:
+                    if (
+                        sf.established_at is not None
+                        and sf.established_at <= now_eps
+                    ):
+                        sf.establish(now)
+                        if recorder is not None:
+                            recorder.emit(
+                                "subflow_add", now,
+                                path=sf.state.params.name, flow_id=0,
+                                subflow_id=sf.subflow_id,
+                                rtt_s=sf.handshake_rtt_s,
+                            )
+                            self._emit_sched(sf)
                 elif (
                     sf.next_ramp_at is not None
-                    and sf.next_ramp_at <= self.now + _EPS
+                    and sf.next_ramp_at <= now_eps
                 ):
-                    sf.ramp_step(self.now)
-            self._refresh_gating()
+                    sf.ramp_step(now)
+            if gating:
+                self._refresh_gating()
         raise ConfigurationError(
             f"flow engine exceeded {_MAX_ITERATIONS} iterations for "
             f"spec {self.spec.key()!r} — degenerate fault schedule?"
@@ -707,25 +726,19 @@ class _FlowRun:
 
     # -- reporting -------------------------------------------------------
     def report(self) -> TransferReport:
-        registry = MetricsRegistry()
         subflow_logs: Dict[str, List[Tuple[float, int]]] = {}
+        rows = []
         for sf in self.subflows:
             if sf.established_at is None and not sf.established:
                 continue  # singlepath standby that never opened
             name = sf.state.params.name
             subflow_logs[name] = _densify(sf.log) if sf.log else []
-            labels = {"path": name, "subflow": str(sf.subflow_id)}
             # segments_sent counts emitted (aggregate) send events so
             # the reduced trace reconciles exactly with the snapshot.
-            registry.counter("segments_sent", **labels).inc(sf.send_events)
-            registry.counter("bytes_sent", **labels).inc(sf.sent_bytes_int)
-            registry.counter("retransmits", **labels).inc(0)
-            registry.counter("fast_retransmits", **labels).inc(0)
-            registry.counter("timeouts", **labels).inc(0)
-            if sf.established and sf.handshake_rtt_s is not None:
-                registry.histogram("handshake_rtt_s", path=name).observe(
-                    sf.handshake_rtt_s
-                )
+            rows.append((
+                name, sf.subflow_id, sf.send_events, sf.sent_bytes_int,
+                0, 0, 0, sf.handshake_rtt_s if sf.established else None,
+            ))
         return TransferReport(
             total_bytes=self.spec.nbytes,
             started_at=0.0,
@@ -735,7 +748,7 @@ class _FlowRun:
             retransmits=0,
             timeouts=0,
             label=self.spec.key(),
-            metrics=registry.snapshot(),
+            metrics=dict(sorted(subflow_series(rows).items())),
             faults=[fault.to_dict() for fault in self.applied],
         )
 

@@ -186,6 +186,73 @@ def loss_transient_factor(segments_delivered: float, loss_rate: float) -> float:
     )
 
 
+@dataclass(frozen=True, slots=True)
+class ShareTerms:
+    """What of one subflow's share only a fault edge can move.
+
+    Progress (bytes delivered, the live window) enters through
+    :meth:`goodput` and :meth:`pipe` alone, so the flow engine computes
+    these once per fault epoch and evaluates them at every breakpoint.
+    """
+
+    #: Header/loss-discounted link capacity ∧ ``rwnd / rtt``.
+    cap: float
+    #: Long-run rate, ``min(cap, loss limit)``.
+    converged: float
+    #: The slow-start transient rides above ``converged`` and decays
+    #: with progress; ``False`` when capacity or flow control binds.
+    decays: bool
+    loss_rate: float
+    rtt_s: float
+    #: Standing DropTail backlog behind a capacity-limited subflow.
+    queue_bytes: float
+    #: Window bound on the pipe: ``rwnd`` ∧ ``loss limit * rtt``.
+    pipe_limit: float
+
+    def goodput(self, segments_delivered: float) -> float:
+        if not self.decays:
+            return max(0.0, self.cap)
+        transient = loss_transient_factor(segments_delivered, self.loss_rate)
+        return max(
+            0.0, self.converged + (self.cap - self.converged) * transient
+        )
+
+    def pipe(self, rate_bytes_s: float) -> float:
+        if rate_bytes_s <= 0.0 or self.rtt_s <= 0.0:
+            return 0.0
+        return min(rate_bytes_s * self.rtt_s + self.queue_bytes,
+                   self.pipe_limit)
+
+
+def share_terms(
+    wire_bytes_s: float,
+    rtt_s: float,
+    loss_rate: float,
+    config: TcpConfig,
+    cc: str,
+    queue_packets: int,
+) -> ShareTerms:
+    """The one statement of the share model's per-epoch terms."""
+    mss = config.mss_bytes
+    packet_bytes = mss + TCP_HEADER_BYTES
+    cap = 0.0
+    if wire_bytes_s > 0.0:
+        cap = wire_bytes_s * (mss / packet_bytes) * (1.0 - loss_rate)
+        if rtt_s > 0.0:
+            cap = min(cap, config.receive_window_bytes / rtt_s)
+    loss_limit = loss_limited_bytes_s(mss, rtt_s, loss_rate, cc)
+    converged = min(cap, loss_limit)
+    pipe_limit = float(config.receive_window_bytes)
+    if math.isfinite(loss_limit):
+        pipe_limit = min(pipe_limit, loss_limit * rtt_s)
+    return ShareTerms(
+        cap=cap, converged=converged, decays=converged < cap,
+        loss_rate=loss_rate, rtt_s=rtt_s,
+        queue_bytes=queue_packets * packet_bytes * DRAIN_QUEUE_FILL,
+        pipe_limit=pipe_limit,
+    )
+
+
 def steady_goodput_bytes_s(
     wire_bytes_s: float,
     rtt_s: float,
@@ -202,19 +269,8 @@ def steady_goodput_bytes_s(
     :data:`LOSS_CONVERGENCE_EVENTS`); ``segments_delivered`` defaults
     to the fully converged long-run rate.
     """
-    if wire_bytes_s <= 0.0:
-        return 0.0
-    mss = config.mss_bytes
-    efficiency = mss / (mss + TCP_HEADER_BYTES)
-    cap = wire_bytes_s * efficiency * (1.0 - loss_rate)
-    if rtt_s > 0.0:
-        cap = min(cap, config.receive_window_bytes / rtt_s)
-    loss_limit = loss_limited_bytes_s(mss, rtt_s, loss_rate, cc)
-    converged = min(cap, loss_limit)
-    if converged >= cap:
-        return max(0.0, cap)
-    transient = loss_transient_factor(segments_delivered, loss_rate)
-    return max(0.0, converged + (cap - converged) * transient)
+    terms = share_terms(wire_bytes_s, rtt_s, loss_rate, config, cc, 0)
+    return terms.goodput(segments_delivered)
 
 
 def pipe_capacity_bytes(
@@ -241,18 +297,7 @@ def pipe_capacity_bytes(
 
     A still-ramping window commits only itself; the engine bounds this
     pipe by the live congestion window (see
-    :meth:`repro.flow.engine._Subflow.inflight_bytes`).
+    :meth:`repro.flow.engine._FlowRun.run`).
     """
-    if rate_bytes_s <= 0.0 or rtt_s <= 0.0:
-        return 0.0
-    mss = config.mss_bytes
-    packet_bytes = mss + TCP_HEADER_BYTES
-    pipe = (
-        rate_bytes_s * rtt_s
-        + queue_packets * packet_bytes * DRAIN_QUEUE_FILL
-    )
-    pipe = min(pipe, float(config.receive_window_bytes))
-    loss_limit = loss_limited_bytes_s(mss, rtt_s, loss_rate, cc)
-    if math.isfinite(loss_limit):
-        pipe = min(pipe, loss_limit * rtt_s)
-    return pipe
+    terms = share_terms(0.0, rtt_s, loss_rate, config, cc, queue_packets)
+    return terms.pipe(rate_bytes_s)

@@ -295,36 +295,34 @@ class MetricsRegistry:
         ))
 
 
-def collect_transfer_metrics(connection, paths: Iterable) -> Dict[str, float]:
-    """Aggregate one finished transfer into a flat metrics snapshot.
+def subflow_series(rows: Iterable[tuple]) -> Dict[str, float]:
+    """The per-subflow and per-path handshake series of a snapshot.
 
-    ``connection`` is any :class:`~repro.tcp.connection.ConnectionBase`;
-    ``paths`` the :class:`~repro.net.path.Path` objects it ran over.
-    Pulls from counters the stack already maintains (``SenderStats``,
-    ``QueueStats``, link delivery totals) — a pure read, safe to call
-    on live or completed connections.
+    ``rows`` are ``(path, subflow_id, segments_sent, bytes_sent,
+    retransmits, fast_retransmits, timeouts, handshake_rtt)``, the last
+    ``None`` for a subflow that never established.  Both engines fill
+    their report's metrics through here, so the key format is written
+    once; the result is unsorted (callers add their own series, then
+    sort).
     """
     # Runs after every transfer, so the flat dict is filled directly:
-    # one rendered label set per subflow and per link direction, where
-    # a MetricsRegistry would build a labels dict, a sorted key and two
-    # renderings per series.  The result is part of every report digest
-    # and must equal the registry's snapshot in keys, order and value
-    # types (counters float, gauges as set); tests/obs keeps that
-    # registry-built reference.
+    # one rendered label set per subflow, where a MetricsRegistry would
+    # build a labels dict, a sorted key and two renderings per series.
+    # The result is part of every report digest and must equal the
+    # registry's snapshot in keys and value types (counters float,
+    # gauges as set); tests/obs keeps that registry-built reference.
     out: Dict[str, float] = {}
     handshakes: Dict[str, List[float]] = {}
-    for subflow in connection.subflows:
-        rendered = f"{{path={subflow.name},subflow={subflow.subflow_id}}}"
-        stats = subflow.sender.stats
-        out["segments_sent" + rendered] = float(stats.segments_sent)
-        out["bytes_sent" + rendered] = float(stats.bytes_sent)
-        out["retransmits" + rendered] = float(stats.retransmits)
-        out["fast_retransmits" + rendered] = float(stats.fast_retransmits)
-        out["timeouts" + rendered] = float(stats.timeouts)
-        if subflow.handshake_rtt is not None:
-            handshakes.setdefault(subflow.name, []).append(
-                subflow.handshake_rtt
-            )
+    for (path, subflow_id, segments_sent, bytes_sent, retransmits,
+         fast_retransmits, timeouts, handshake_rtt) in rows:
+        rendered = f"{{path={path},subflow={subflow_id}}}"
+        out["segments_sent" + rendered] = float(segments_sent)
+        out["bytes_sent" + rendered] = float(bytes_sent)
+        out["retransmits" + rendered] = float(retransmits)
+        out["fast_retransmits" + rendered] = float(fast_retransmits)
+        out["timeouts" + rendered] = float(timeouts)
+        if handshake_rtt is not None:
+            handshakes.setdefault(path, []).append(handshake_rtt)
     # One histogram per path: subflows sharing a path share it.
     for name, samples in handshakes.items():
         rendered = f"{{path={name}}}"
@@ -335,6 +333,27 @@ def collect_transfer_metrics(connection, paths: Iterable) -> Dict[str, float]:
         out["handshake_rtt_s_sum" + rendered] = total
         out["handshake_rtt_s_min" + rendered] = min(samples)
         out["handshake_rtt_s_max" + rendered] = max(samples)
+    return out
+
+
+def collect_transfer_metrics(connection, paths: Iterable) -> Dict[str, float]:
+    """Aggregate one finished transfer into a flat metrics snapshot.
+
+    ``connection`` is any :class:`~repro.tcp.connection.ConnectionBase`;
+    ``paths`` the :class:`~repro.net.path.Path` objects it ran over.
+    Pulls from counters the stack already maintains (``SenderStats``,
+    ``QueueStats``, link delivery totals) — a pure read, safe to call
+    on live or completed connections.
+    """
+    rows = []
+    for subflow in connection.subflows:
+        stats = subflow.sender.stats
+        rows.append((
+            subflow.name, subflow.subflow_id, stats.segments_sent,
+            stats.bytes_sent, stats.retransmits, stats.fast_retransmits,
+            stats.timeouts, subflow.handshake_rtt,
+        ))
+    out = subflow_series(rows)
     for path in paths:
         for direction, link in (("up", path.uplink), ("down", path.downlink)):
             rendered = f"{{dir={direction},path={path.name}}}"

@@ -69,6 +69,9 @@ def cache_enabled_by_env() -> bool:
     return os.environ.get(CACHE_TOGGLE_ENV, "1").lower() not in _DISABLED_VALUES
 
 
+_SCALARS = frozenset((bool, int, float, str))
+
+
 def canonical_spec(obj: Any) -> Any:
     """Reduce ``obj`` to a canonical JSON-serialisable structure.
 
@@ -81,6 +84,16 @@ def canonical_spec(obj: Any) -> Any:
     cannot express raises ``TypeError`` — task kwargs must stay
     declarative and picklable anyway.
     """
+    # Almost every call lands on a leaf or a plain container: settle
+    # those by exact type before probing for the spec protocols.  The
+    # isinstance tests further down still catch their subclasses.
+    kind = type(obj)
+    if obj is None or kind in _SCALARS:
+        return obj
+    if kind is dict:
+        return {str(key): canonical_spec(value) for key, value in obj.items()}
+    if kind is list or kind is tuple:
+        return [canonical_spec(item) for item in obj]
     if not isinstance(obj, type) and hasattr(obj, "canonical_dict"):
         spec = canonical_spec(obj.canonical_dict())
         spec["__spec__"] = f"{type(obj).__module__}.{type(obj).__qualname__}"
@@ -96,7 +109,7 @@ def canonical_spec(obj: Any) -> Any:
         return {str(key): canonical_spec(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical_spec(item) for item in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(
         f"task kwargs must be JSON/dataclass-representable, got {type(obj)!r}"

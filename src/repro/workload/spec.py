@@ -168,11 +168,15 @@ class PathSpec:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        # All scalars: no need for ``dataclasses.asdict``'s deep copy.
+        return {name: getattr(self, name) for name in _PATH_SPEC_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PathSpec":
         return cls(**_checked_kwargs(cls, data, "PathSpec"))
+
+
+_PATH_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(PathSpec))
 
 
 @dataclass(frozen=True)
