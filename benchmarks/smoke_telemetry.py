@@ -32,13 +32,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _write_workload(directory: str) -> str:
     from repro.linkem.conditions import make_conditions
-    from repro.workload.spec import (
-        ConditionSpec,
-        TransferSpec,
-        WorkloadSpec,
-    )
+    from repro.workload.spec import TransferSpec, WorkloadSpec
 
-    condition = ConditionSpec.from_condition(make_conditions(seed=5)[1])
+    condition = make_conditions(seed=5)[1]
     workload = WorkloadSpec(
         name="telemetry-smoke", seed=11,
         transfers=(

@@ -25,7 +25,7 @@ from repro.linkem.conditions import make_conditions
 def replay_session(session, condition) -> None:
     print(f"--- {session} [{classify_session(session).value}] "
           f"at condition #{condition.condition_id} ---")
-    engine = ReplayEngine(condition.shell())
+    engine = ReplayEngine(condition)
     results = engine.run_all_configs(session)
     table = Table(["configuration", "app response time (s)", "completed"])
     times = {}

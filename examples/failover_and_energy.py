@@ -21,7 +21,7 @@ from repro.energy import (
     PowerMonitor,
     WIFI_POWER_MODEL,
 )
-from repro.mptcp.events import schedule_multipath_off, schedule_unplug
+from repro.faults import FaultEvent, FaultSpec
 
 MB = 1024 * 1024
 
@@ -37,12 +37,12 @@ def build(seed=1):
     return scenario, logs
 
 
-def run_failure_scenario(title, inject, horizon_s=40.0):
+def run_failure_scenario(title, fault, horizon_s=40.0):
     scenario, logs = build()
     options = MptcpOptions(primary="lte", congestion_control="decoupled",
                            mode="backup")
     connection = scenario.mptcp(4 * MB, options=options)
-    inject(scenario)
+    scenario.inject_faults(FaultSpec(events=(fault,)))
     connection.start()
     connection.close()
     scenario.run(until=horizon_s)
@@ -86,12 +86,11 @@ def energy_study():
 def main() -> None:
     run_failure_scenario(
         "iproute 'multipath off' on LTE at t=9s (stack notified, fails over)",
-        lambda sc: schedule_multipath_off(sc.loop, sc.path("lte"), 9.0),
+        FaultEvent("iface_down", "lte", at_s=9.0),
     )
     run_failure_scenario(
         "LTE phone unplugged at t=3s (silent blackhole, transfer stalls)",
-        lambda sc: schedule_unplug(sc.loop, sc.path("lte"), 3.0,
-                                   detected=False),
+        FaultEvent("blackhole", "lte", at_s=3.0),
     )
     energy_study()
 

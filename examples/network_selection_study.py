@@ -15,7 +15,7 @@ from collections import Counter
 from repro import MptcpOptions
 from repro.analysis.report import Table
 from repro.core.rng import DEFAULT_SEED
-from repro.linkem.conditions import build_scenario, make_conditions
+from repro.linkem import make_conditions, mpshell
 
 SHORT_FLOW = 20 * 1024
 LONG_FLOW = 1024 * 1024
@@ -25,11 +25,11 @@ def best_strategy(condition, nbytes, seed=DEFAULT_SEED):
     """Measure all strategies at a location; return (winner, table row)."""
     results = {}
     for path in ("wifi", "lte"):
-        scenario = build_scenario(condition, seed=seed)
+        scenario = mpshell(condition, seed=seed)
         run = scenario.run_transfer(scenario.tcp(path, nbytes))
         results[f"TCP-{path}"] = run.duration_s or float("inf")
     for primary in ("wifi", "lte"):
-        scenario = build_scenario(condition, seed=seed)
+        scenario = mpshell(condition, seed=seed)
         options = MptcpOptions(primary=primary, congestion_control="decoupled")
         run = scenario.run_transfer(scenario.mptcp(nbytes, options=options))
         results[f"MPTCP-{primary}"] = run.duration_s or float("inf")

@@ -15,7 +15,7 @@ from repro.analysis.report import Table
 ONE_MBYTE = 1024 * 1024
 
 
-def build_scenario() -> Scenario:
+def cafe_scenario() -> Scenario:
     """A client in a cafe: decent WiFi, slightly slower LTE."""
     scenario = Scenario(seed=1)
     scenario.add_path(PathConfig(
@@ -36,14 +36,14 @@ def main() -> None:
     )
 
     for path in ("wifi", "lte"):
-        scenario = build_scenario()
+        scenario = cafe_scenario()
         result = scenario.run_transfer(scenario.tcp(path, ONE_MBYTE))
         table.add_row([f"TCP over {path.upper()}", result.duration_s,
                        result.throughput_mbps])
 
     for primary in ("wifi", "lte"):
         for cc in ("coupled", "decoupled"):
-            scenario = build_scenario()
+            scenario = cafe_scenario()
             options = MptcpOptions(primary=primary, congestion_control=cc)
             connection = scenario.mptcp(ONE_MBYTE, options=options)
             result = scenario.run_transfer(connection)

@@ -16,8 +16,7 @@ sketches, and sharded across workers::
     python -m repro.crowd --users 200000 --json --metrics-out fleet.json
 
 The default ``--sink sketch`` keeps memory flat at any population
-size; ``--sink dataset`` (materialize every run) is deprecated at
-crowd scale and warns beyond 200k runs.
+size; ``--sink csv`` streams one row per run to ``--csv-out``.
 """
 
 import argparse
@@ -114,14 +113,7 @@ def _scale_main(args: argparse.Namespace) -> int:
         return 0
 
     print(result.summary())
-    if result.sink_kind == "dataset":
-        dataset = result.value
-        analysis = dataset.analysis_set()
-        print(f"dataset: {len(dataset):,} runs materialized "
-              f"({len(analysis):,} in the analysis set) — note: the "
-              f"dataset sink is deprecated at crowd scale; the sketch "
-              f"sink computes the same statistics in O(1) memory")
-    elif result.sink_kind == "csv":
+    if result.sink_kind == "csv":
         print(f"csv: {result.value:,} rows -> {args.csv_out}")
     return 0
 
@@ -152,8 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "--workers; never changes results)")
     scale.add_argument("--sink", choices=SINK_KINDS, default="sketch",
                        help="what to keep: streaming sketches (default, "
-                            "O(1) memory), the materialized dataset "
-                            "(deprecated at scale), or csv rows")
+                            "O(1) memory) or csv rows")
     scale.add_argument("--csv-out", metavar="FILE", default=None,
                        help="output file for --sink csv")
     scale.add_argument("--workers", type=int, default=None,

@@ -12,33 +12,27 @@ reproduce the single-stream result bit for bit.
 Sinks adapt the pipeline to what the caller wants to keep:
 
 * :class:`SketchSink` (the default) — streaming aggregates only.
-* :class:`DatasetSink` — materializes the legacy
-  :class:`~repro.crowd.dataset.Dataset`.  O(users) memory; kept for
-  small-N cross-checks and deprecated as a crowd-scale default.
 * :class:`CsvSink` — streams CSV rows to a file as batches arrive.
 
 Sharded execution serializes a sink's state with
 ``partial()``/``absorb()``: the worker consumes its cohort into a
 fresh sink and ships the partial back; the parent folds partials
-together.  ``ORDERED`` sinks (dataset, csv) need partials absorbed in
-shard order to stay deterministic; the sketch sink does not care.
+together.  ``ORDERED`` sinks (csv) need partials absorbed in shard
+order to stay deterministic; the sketch sink does not care.
 """
 
 import csv
-import warnings
 from collections import Counter
 from typing import Dict, List, Optional, TextIO
 
 from repro.analysis.sketch import LabeledCounters, QuantileSketch
 from repro.core.errors import ConfigurationError
-from repro.crowd.dataset import Dataset
 from repro.crowd.sampling import PopulationSpec, RunColumns, TECHNOLOGIES
 from repro.crowd.world import CrowdWorld
 
 __all__ = [
     "CrowdSketch",
     "SketchSink",
-    "DatasetSink",
     "CsvSink",
     "make_sink",
     "SINK_KINDS",
@@ -240,45 +234,6 @@ class SketchSink(_SinkBase):
         return self.sketch
 
 
-#: Above this population, materializing every run is almost certainly
-#: a mistake; the dataset sink warns once.
-DATASET_SINK_WARN_USERS = 200_000
-
-
-class DatasetSink(_SinkBase):
-    """Materialize a legacy :class:`Dataset` — O(users) memory.
-
-    Deprecated as a crowd-scale default: use the sketch sink unless
-    the run objects themselves are needed (k-means maps, CSV export of
-    small cohorts, cross-checks against the 750-user pipeline).
-    """
-
-    ORDERED = True
-    kind = "dataset"
-
-    def __init__(self, world: CrowdWorld, population: PopulationSpec):
-        super().__init__(world, population)
-        if population.total_runs > DATASET_SINK_WARN_USERS:
-            warnings.warn(
-                f"DatasetSink materializes all {population.total_runs} runs "
-                "in memory; use the sketch sink for crowd-scale "
-                "populations (dataset materialization is deprecated as "
-                "the at-scale default)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        self._runs: list = []
-
-    def consume(self, cols: RunColumns) -> None:
-        self._runs.extend(cols.to_measurement_runs())
-
-    def absorb(self, partial: Dict[str, list]) -> None:
-        self.consume(RunColumns.from_lists(partial))
-
-    def result(self) -> Dataset:
-        return Dataset(self._runs)
-
-
 class CsvSink(_SinkBase):
     """Stream rows to a CSV file as batches arrive (O(batch) memory)."""
 
@@ -327,7 +282,7 @@ class CsvSink(_SinkBase):
         return self.rows_written
 
 
-SINK_KINDS = ("sketch", "dataset", "csv")
+SINK_KINDS = ("sketch", "csv")
 
 
 def make_sink(
@@ -340,8 +295,6 @@ def make_sink(
     """Build a sink by CLI name."""
     if kind == "sketch":
         return SketchSink(world, population, alpha=alpha)
-    if kind == "dataset":
-        return DatasetSink(world, population)
     if kind == "csv":
         if csv_stream is None:
             raise ConfigurationError("csv sink needs an output stream")

@@ -16,10 +16,9 @@ final aggregate is bit-identical for any batch size, shard size,
 executor backend, or worker count — asserted by
 ``tests/crowd/test_pipeline.py``.
 
-Ordered sinks (dataset, csv) receive shard partials in shard order —
-the pipeline buffers the occasional out-of-order arrival — so their
-output equals the serial run too, at the documented O(users) or
-O(shard) memory cost.
+Ordered sinks (csv) receive shard partials in shard order — the
+pipeline buffers the occasional out-of-order arrival — so their
+output equals the serial run too, at O(shard) memory cost.
 """
 
 import math
@@ -225,9 +224,9 @@ def simulate(
     :class:`~repro.parallel.SweepRunner`.  ``batch`` is the sampling
     batch inside a worker; ``shard_users`` the cohort size per shard
     (default: sized so ~4 shards per worker, never below ``batch``).
-    ``sink`` is a sink instance, a kind name (``"sketch"``,
-    ``"dataset"``, ``"csv"`` — csv needs an instance), or ``None`` for
-    the streaming sketch sink.
+    ``sink`` is a sink instance, a kind name (``"sketch"``, ``"csv"``
+    — csv needs ``csv_stream``), or ``None`` for the streaming sketch
+    sink.
 
     None of ``batch``, ``shard_users``, ``workers``, or ``executor``
     can change the result — only the wall-clock.

@@ -6,28 +6,22 @@ paper's target values for side-by-side comparison.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.bootstrap import bootstrap_ci
 from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
-from repro.linkem.conditions import LocationCondition, make_conditions
+from repro.linkem.conditions import ConditionSpec, make_conditions
 from repro.mptcp.connection import MptcpOptions
 from repro.parallel import SimTask, SweepRunner
 from repro.tcp.config import TcpConfig
-from repro.workload import (
-    ConditionSpec,
-    Session,
-    TransferSpec,
-    config_overrides,
-)
+from repro.workload import Session, TransferSpec, config_overrides
 from repro.workload.spec import mptcp_option_overrides
 
 __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
-    "run_sweep",
     "tcp_spec",
     "mptcp_spec",
     "configuration_specs",
@@ -48,7 +42,7 @@ FLOW_SIZES = {"10KB": 10 * 1024, "100KB": 100 * 1024, "1MB": 1024 * 1024}
 WARM_FLOW_CONFIG = TcpConfig(initial_ssthresh_segments=32)
 
 
-def flow_conditions(seed: int, fast: bool = False):
+def flow_conditions(seed: int, fast: bool = False) -> List[ConditionSpec]:
     """The 20 locations as seen by the §3 flow-level experiments.
 
     Trace-driven links plus temporal jitter: each configuration's runs
@@ -75,7 +69,7 @@ def flow_conditions(seed: int, fast: bool = False):
                 loss_rng.choice([0.003, 0.006, 0.01, 0.012]),
             ),
         )
-        lossy.append(dataclasses.replace(condition, wifi=wifi))
+        lossy.append(condition.with_path(wifi))
     return lossy[:6] if fast else lossy
 
 #: The two single-path TCP rows of §3.3: (label, path).  With
@@ -163,16 +157,8 @@ def flow_size_result(
 _SESSION = Session()
 
 
-def _condition_spec(
-    condition: Union[LocationCondition, ConditionSpec]
-) -> ConditionSpec:
-    if isinstance(condition, ConditionSpec):
-        return condition
-    return ConditionSpec.from_condition(condition)
-
-
 def tcp_spec(
-    condition: Union[LocationCondition, ConditionSpec],
+    condition: ConditionSpec,
     path: str,
     nbytes: int,
     direction: str = "down",
@@ -184,14 +170,14 @@ def tcp_spec(
 ) -> TransferSpec:
     """Declarative spec of one single-path TCP transfer."""
     return TransferSpec(
-        kind="tcp", condition=_condition_spec(condition), nbytes=nbytes,
+        kind="tcp", condition=condition, nbytes=nbytes,
         direction=direction, cc=cc, path=path, seed=seed,
         deadline_s=deadline_s, config=config_overrides(config), label=label,
     )
 
 
 def mptcp_spec(
-    condition: Union[LocationCondition, ConditionSpec],
+    condition: ConditionSpec,
     primary: str,
     congestion_control: str,
     nbytes: int,
@@ -214,7 +200,7 @@ def mptcp_spec(
         congestion_control = options.congestion_control
         options = mptcp_option_overrides(options)
     return TransferSpec(
-        kind="mptcp", condition=_condition_spec(condition), nbytes=nbytes,
+        kind="mptcp", condition=condition, nbytes=nbytes,
         direction=direction, cc=congestion_control, primary=primary,
         seed=seed, deadline_s=deadline_s, options=options or None,
         config=config_overrides(config), label=label,
@@ -222,7 +208,7 @@ def mptcp_spec(
 
 
 def configuration_specs(
-    condition: Union[LocationCondition, ConditionSpec], nbytes: int, **kwargs
+    condition: ConditionSpec, nbytes: int, **kwargs
 ) -> List[TransferSpec]:
     """The six configurations at one location, in declaration order.
 
@@ -236,21 +222,6 @@ def configuration_specs(
         mptcp_spec(condition, primary, cc, nbytes, **kwargs)
         for _, primary, cc in MPTCP_VARIANTS
     ]
-
-
-def run_sweep(
-    tasks: Sequence[SimTask],
-    workers: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    cache=None,
-) -> List[Any]:
-    """Run a sweep's task list through the parallel engine.
-
-    ``workers=None`` resolves the CLI/env default (see
-    :func:`repro.parallel.resolve_workers`); results come back in task
-    order, bit-identical regardless of the worker count.
-    """
-    return SweepRunner(workers=workers, cache=cache, seed=seed).run(tasks)
 
 
 def crowd_dataset(sites, seed: int = DEFAULT_SEED,
@@ -272,7 +243,7 @@ def crowd_dataset(sites, seed: int = DEFAULT_SEED,
         for site in sites
     ]
     runs = []
-    for site_runs in run_sweep(tasks, workers=workers, seed=seed):
+    for site_runs in SweepRunner(workers=workers, seed=seed).run(tasks):
         runs.extend(site_runs)
     return Dataset(runs)
 

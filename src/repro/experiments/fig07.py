@@ -25,7 +25,7 @@ from repro.experiments.common import (
     configuration_specs,
     register,
 )
-from repro.linkem.conditions import LocationCondition, make_conditions
+from repro.linkem.conditions import ConditionSpec, make_conditions
 
 __all__ = ["run", "flow_size_sweep", "SWEEP_SIZES_KB"]
 
@@ -56,7 +56,7 @@ def _curves(reports, sizes_kb: List[int]) -> Dict[str, List[Tuple[float, float]]
 
 
 def flow_size_sweep(
-    condition: LocationCondition,
+    condition: ConditionSpec,
     seed: int,
     sizes_kb: Optional[List[int]] = None,
     workers: Optional[int] = None,

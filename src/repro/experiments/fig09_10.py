@@ -19,6 +19,8 @@ from repro.experiments.common import (
     mptcp_spec,
     register,
 )
+from repro.linkem.conditions import ConditionSpec
+from repro.linkem.shells import PathSpec
 from repro.workload import TransferReport
 
 __all__ = ["run", "evolution_series"]
@@ -77,22 +79,23 @@ def _pick(conditions, prefer: str):
 #: is the mirror image.  Values sit inside the ranges observed across
 #: the 20-location registry.
 def _illustrative_conditions():
-    from repro.linkem.conditions import LocationCondition
-    from repro.linkem.shells import LinkSpec
-
-    lte_better = LocationCondition(
+    lte_better = ConditionSpec(
         condition_id=901, city="(illustrative)", description="crowded cafe AP",
-        wifi=LinkSpec("wifi", down_mbps=1.6, up_mbps=0.8, rtt_ms=420.0,
-                      queue_packets=100),
-        lte=LinkSpec("lte", down_mbps=7.5, up_mbps=3.0, rtt_ms=70.0,
+        paths=(
+            PathSpec("wifi", "wifi", down_mbps=1.6, up_mbps=0.8, rtt_ms=420.0,
+                     queue_packets=100),
+            PathSpec("lte", "lte", down_mbps=7.5, up_mbps=3.0, rtt_ms=70.0,
                      queue_packets=700),
+        ),
     )
-    wifi_better = LocationCondition(
+    wifi_better = ConditionSpec(
         condition_id=902, city="(illustrative)", description="apartment WiFi",
-        wifi=LinkSpec("wifi", down_mbps=6.0, up_mbps=3.0, rtt_ms=150.0,
-                      queue_packets=150),
-        lte=LinkSpec("lte", down_mbps=1.4, up_mbps=0.6, rtt_ms=260.0,
+        paths=(
+            PathSpec("wifi", "wifi", down_mbps=6.0, up_mbps=3.0, rtt_ms=150.0,
+                     queue_packets=150),
+            PathSpec("lte", "lte", down_mbps=1.4, up_mbps=0.6, rtt_ms=260.0,
                      queue_packets=500),
+        ),
     )
     return lte_better, wifi_better
 

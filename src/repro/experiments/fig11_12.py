@@ -19,7 +19,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.fig07 import _curve
 from repro.experiments.fig09_10 import _illustrative_conditions
-from repro.linkem.conditions import LocationCondition
+from repro.linkem.conditions import ConditionSpec
 from repro.workload import TransferSpec
 
 __all__ = ["run", "size_profile"]
@@ -28,7 +28,7 @@ ONE_MBYTE = 1_048_576
 PROFILE_SIZES_KB = list(range(25, 1025, 50))
 
 
-def _profile_specs(condition: LocationCondition, seed: int) -> List[TransferSpec]:
+def _profile_specs(condition: ConditionSpec, seed: int) -> List[TransferSpec]:
     """The two primary-subflow transfers of one Fig. 11/12 panel."""
     return [
         mptcp_spec(condition, primary, "decoupled", ONE_MBYTE, seed=seed,
@@ -52,7 +52,7 @@ def _profile_from(
 
 
 def size_profile(
-    condition: LocationCondition, seed: int, sizes_kb: List[int],
+    condition: ConditionSpec, seed: int, sizes_kb: List[int],
     workers: Optional[int] = None,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """MPTCP(LTE) and MPTCP(WiFi) throughput vs flow size, plus ratio."""

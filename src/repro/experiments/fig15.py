@@ -24,12 +24,8 @@ from repro.analysis.plotting import ascii_timeline
 from repro.core.rng import DEFAULT_SEED
 from repro.energy.monitor import InterfaceActivityLog
 from repro.experiments.common import ExperimentResult, register
+from repro.faults.spec import FaultEvent, FaultSpec
 from repro.mptcp.connection import MptcpConnection, MptcpOptions
-from repro.mptcp.events import (
-    schedule_multipath_off,
-    schedule_replug,
-    schedule_unplug,
-)
 from repro.net.path import PathConfig
 from repro.scenario import Scenario
 from repro.tcp.config import TcpConfig
@@ -87,7 +83,7 @@ def run_panel(
     mode: str = "backup",
     primary: str = "lte",
     horizon_s: float = 25.0,
-    inject: Optional[Callable[[Scenario], None]] = None,
+    faults: Optional[FaultSpec] = None,
     description: str = "",
 ) -> PanelResult:
     """Run one Fig. 15 scenario and capture per-interface activity."""
@@ -104,8 +100,8 @@ def run_panel(
     # resumes within seconds of replugging at t = 68 s.
     config = TcpConfig(max_rto_s=16.0)
     connection = scenario.mptcp(nbytes, options=options, config=config)
-    if inject is not None:
-        inject(scenario)
+    if faults is not None:
+        scenario.inject_faults(faults)
     connection.start()
     connection.close()
     scenario.run(until=horizon_s)
@@ -114,6 +110,18 @@ def run_panel(
         connection=connection, scenario=scenario, horizon_s=horizon_s,
     )
 
+
+#: §3.6's two ways of disabling an interface, as fault schedules:
+#: iproute "multipath off" is ``iface_down`` (the stack is notified);
+#: unplugging the phone is ``blackhole`` (silent, unless ``detected``).
+PANEL_FAULTS: Dict[str, FaultSpec] = {
+    "e": FaultSpec(events=(FaultEvent("iface_down", "lte", at_s=9.0),)),
+    "f": FaultSpec(events=(FaultEvent("iface_down", "wifi", at_s=11.0),)),
+    "g": FaultSpec(events=(
+        FaultEvent("blackhole", "lte", at_s=3.0, duration_s=65.0),)),
+    "h": FaultSpec(events=(
+        FaultEvent("blackhole", "wifi", at_s=6.0, detected=True),)),
+}
 
 #: Panel name → factory replicating the paper's eight sub-figures.
 PANELS: Dict[str, Callable[[int], PanelResult]] = {
@@ -137,29 +145,25 @@ PANELS: Dict[str, Callable[[int], PanelResult]] = {
     "e": lambda seed: run_panel(
         "e", seed, nbytes=5 * MB, mode="backup", primary="lte",
         horizon_s=45.0,
-        inject=lambda sc: schedule_multipath_off(sc.loop, sc.path("lte"), 9.0),
+        faults=PANEL_FAULTS["e"],
         description="Backup (LTE primary); LTE 'multipath off' at t=9 s",
     ),
     "f": lambda seed: run_panel(
         "f", seed, nbytes=5 * MB, mode="backup", primary="wifi",
         horizon_s=40.0,
-        inject=lambda sc: schedule_multipath_off(sc.loop, sc.path("wifi"), 11.0),
+        faults=PANEL_FAULTS["f"],
         description="Backup (WiFi primary); WiFi 'multipath off' at t=11 s",
     ),
     "g": lambda seed: run_panel(
         "g", seed, nbytes=5 * MB, mode="backup", primary="lte",
         horizon_s=110.0,
-        inject=lambda sc: (
-            schedule_unplug(sc.loop, sc.path("lte"), 3.0, detected=False),
-            schedule_replug(sc.loop, sc.path("lte"), 68.0),
-        ),
+        faults=PANEL_FAULTS["g"],
         description="Backup (LTE primary); unplug LTE at t=3 s, replug at t=68 s",
     ),
     "h": lambda seed: run_panel(
         "h", seed, nbytes=5 * MB, mode="backup", primary="wifi",
         horizon_s=30.0,
-        inject=lambda sc: schedule_unplug(sc.loop, sc.path("wifi"), 6.0,
-                                          detected=True),
+        faults=PANEL_FAULTS["h"],
         description="Backup (WiFi primary); unplug WiFi at t=6 s (detected)",
     ),
 }

@@ -13,9 +13,9 @@ from repro.analysis.report import Table
 from repro.core.rng import DEFAULT_SEED
 from repro.energy.monitor import InterfaceActivityLog, PowerMonitor
 from repro.energy.states import LTE_POWER_MODEL, WIFI_POWER_MODEL
-from repro.experiments.common import ExperimentResult, register, run_sweep
-from repro.parallel import SimTask
+from repro.experiments.common import ExperimentResult, register
 from repro.mptcp.connection import MptcpOptions
+from repro.parallel import SimTask, SweepRunner
 from repro.net.path import PathConfig
 from repro.scenario import Scenario
 
@@ -128,7 +128,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
                         "fast_dormancy": fast_dormancy},
                 key=f"fig16.energy.{duration}.{fast_dormancy}",
             ))
-    outcomes = run_sweep(tasks, workers=workers, seed=seed)
+    outcomes = SweepRunner(workers=workers, seed=seed).run(tasks)
     panels = outcomes[0]
     energies = {
         (duration, fast_dormancy): outcome

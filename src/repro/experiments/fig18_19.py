@@ -32,7 +32,7 @@ def replay_over_conditions(
     conditions = make_conditions(seed=seed)[:condition_count]
     per_condition: List[Dict[str, float]] = []
     for condition in conditions:
-        engine = ReplayEngine(condition.shell(seed=seed))
+        engine = ReplayEngine(condition)
         results = engine.run_all_configs(
             session, deadline_s=deadline_s, seed=seed + condition.condition_id
         )

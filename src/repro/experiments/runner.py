@@ -42,6 +42,7 @@ from repro.parallel import (
     set_default_workers,
 )
 from repro.parallel.cache import CACHE_TOGGLE_ENV
+from repro.parallel.chaos import apply_chaos_flag
 
 __all__ = ["main", "run_spec_main", "load_all_experiments",
            "EXPERIMENT_MODULES"]
@@ -134,16 +135,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
                              "Results must stay bit-identical.")
 
 
-def _apply_chaos_flag(path: Optional[str]) -> None:
-    """Validate and export ``--chaos FILE`` before any sweep starts."""
-    if not path:
-        return
-    from repro.parallel.chaos import CHAOS_ENV, ChaosSpec
-
-    ChaosSpec.from_file(path)  # surface a bad spec before running
-    os.environ[CHAOS_ENV] = os.path.abspath(path)
-
-
 def _workload_with_faults(workload, path: str):
     """Attach a file's :class:`FaultSpec` to every fault-free transfer.
 
@@ -195,7 +186,7 @@ def run_spec_main(argv: Optional[List[str]] = None) -> int:
         set_default_executor(args.executor)
         resolve_executor_spec()  # surface a bad $REPRO_EXECUTOR early
         workers = resolve_workers(args.workers)
-        _apply_chaos_flag(args.chaos)
+        apply_chaos_flag(args.chaos)
         with open(args.workload, "r", encoding="utf-8") as handle:
             workload = WorkloadSpec.from_json(handle.read())
         if args.faults:
@@ -271,7 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_default_executor(args.executor)
         resolve_executor_spec()  # surface a bad $REPRO_EXECUTOR early
         workers = resolve_workers(args.workers)
-        _apply_chaos_flag(args.chaos)
+        apply_chaos_flag(args.chaos)
     except (OSError, ConfigurationError) as exc:
         parser.error(str(exc))
     set_default_workers(workers)

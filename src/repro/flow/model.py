@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from repro.core.packet import TCP_HEADER_BYTES
 from repro.core.rng import RngStreams
+from repro.linkem.shells import PathSpec
 from repro.tcp.config import TcpConfig
-from repro.workload.spec import PathSpec
 
 __all__ = [
     "CONGESTION_AVOIDANCE_GROWTH",
@@ -116,14 +116,14 @@ def path_flow_params(
 ) -> FlowPathParams:
     """Materialize one condition path for the flow model.
 
-    Goes through :meth:`~repro.linkem.shells.LinkSpec.to_path_config`
+    Goes through :meth:`~repro.linkem.shells.PathSpec.to_path_config`
     — the exact constructor the packet engine uses — so temporal
     jitter consumes the same ``jitter.{name}`` RNG draws and
     trace-driven links report the same synthesized mean rate.  A flow
     run at seed *s* therefore sees bit-identical effective link
     parameters to the packet run at seed *s*.
     """
-    config = path_spec.to_link_spec().to_path_config(path_spec.name, rng)
+    config = path_spec.to_path_config(rng)
     rate_mbps = (
         config.effective_down_mbps if direction == "down"
         else config.effective_up_mbps

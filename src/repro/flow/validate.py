@@ -34,8 +34,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
+from repro.linkem.conditions import ConditionSpec, make_conditions
 from repro.workload.session import Session
-from repro.workload.spec import ConditionSpec, TransferSpec
+from repro.workload.spec import TransferSpec
 
 __all__ = [
     "DEFAULT_ERROR_BOUND",
@@ -232,11 +233,7 @@ class ValidationReport:
 
 def validation_conditions(count: int = 4) -> List[ConditionSpec]:
     """The default-seed emulated locations the bounds were fit on."""
-    from repro.linkem.conditions import make_conditions
-
-    return [
-        ConditionSpec.from_condition(c) for c in make_conditions()[:count]
-    ]
+    return make_conditions()[:count]
 
 
 def _median(values: Sequence[Optional[float]], what: str) -> float:

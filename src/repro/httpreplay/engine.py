@@ -17,7 +17,8 @@ from repro.core.errors import ConfigurationError
 from repro.httpreplay.recorder import RecordShell, ReplayArchive
 from repro.httpreplay.replayer import ReplayShell
 from repro.httpreplay.session import AppSession, RecordedConnection
-from repro.linkem.shells import MpShell
+from repro.linkem.conditions import ConditionSpec
+from repro.linkem.shells import mpshell
 from repro.mptcp.connection import MptcpOptions
 from repro.scenario import Scenario
 from repro.tcp.connection import ConnectionBase
@@ -148,10 +149,10 @@ class _ConnectionDriver:
 
 
 class ReplayEngine:
-    """Replays app sessions inside an MpShell-emulated network."""
+    """Replays app sessions inside the MpShell emulating a location."""
 
-    def __init__(self, shell: MpShell):
-        self.shell = shell
+    def __init__(self, condition: ConditionSpec):
+        self.condition = condition
 
     def _make_transport(
         self, scenario: Scenario, config: TransportConfig
@@ -181,15 +182,18 @@ class ReplayEngine:
             recorder.record(session)
             archive = recorder.archive
         replay = ReplayShell(archive)
-        scenario = self.shell.build(seed=seed)
+        scenario = mpshell(self.condition, seed=seed)
         unfinished: List[_ConnectionDriver] = []
         finish_times: Dict[int, float] = {}
 
         def finished(driver: _ConnectionDriver) -> None:
             unfinished.remove(driver)
             finish_times[driver.recorded.connection_id] = driver.finished_at
+            if not unfinished:
+                # ``run`` returns at the last finish instant, not at
+                # ``deadline_s``.
+                scenario.loop.stop()
 
-        drivers = []
         for recorded in session.connections:
             if not recorded.transactions:
                 continue
@@ -199,12 +203,11 @@ class ReplayEngine:
                 scenario, recorded, transport, replay, one_way, finished,
                 upload_path=config.path,
             )
-            drivers.append(driver)
             unfinished.append(driver)
             scenario.loop.call_at(recorded.open_offset_s, driver.start)
 
-        while unfinished and scenario.loop.pending() and scenario.loop.now < deadline_s:
-            scenario.loop.run(until=min(deadline_s, scenario.loop.now + 1.0))
+        if unfinished:
+            scenario.loop.run(until=deadline_s)
 
         response_time = max(finish_times.values()) if finish_times else deadline_s
         return AppReplayResult(

@@ -6,28 +6,33 @@ abstractions in-simulator:
 
 * :mod:`repro.linkem.traces` — synthetic LTE/WiFi delivery-opportunity
   traces (Mahimahi file format compatible);
-* :mod:`repro.linkem.shells` — LinkShell / DelayShell / MpShell
-  equivalents that assemble :class:`~repro.scenario.Scenario` objects;
-* :mod:`repro.linkem.conditions` — the registry of 20 emulated network
+* :mod:`repro.linkem.shells` — :class:`PathSpec` (one emulated
+  interface: LinkShell + DelayShell as data) and :func:`mpshell`, the
+  MpShell equivalent that assembles a :class:`~repro.scenario.Scenario`;
+* :mod:`repro.linkem.conditions` — :class:`ConditionSpec` (one
+  location's interfaces) and the registry of 20 emulated network
   conditions standing in for the paper's Table 2 locations.
+
+>>> from repro.linkem import make_conditions, mpshell
+>>> scenario = mpshell(make_conditions()[0], seed=7)
+>>> sorted(scenario.path_names)
+['lte', 'wifi']
 """
 
 from repro.linkem.traces import synth_lte_trace, synth_wifi_trace
-from repro.linkem.shells import LinkSpec, MpShell
+from repro.linkem.shells import PathSpec, mpshell
 from repro.linkem.conditions import (
-    LocationCondition,
+    ConditionSpec,
     TABLE2_LOCATIONS,
     make_conditions,
-    build_scenario,
 )
 
 __all__ = [
     "synth_lte_trace",
     "synth_wifi_trace",
-    "LinkSpec",
-    "MpShell",
-    "LocationCondition",
+    "PathSpec",
+    "mpshell",
+    "ConditionSpec",
     "TABLE2_LOCATIONS",
     "make_conditions",
-    "build_scenario",
 ]

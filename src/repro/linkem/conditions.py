@@ -16,18 +16,22 @@ are the strongest WiFi-advantage locations, IDs 3 and 4 the strongest
 LTE-advantage ones (cf. Figs. 18 and 20), and 5–20 cover the middle.
 """
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
+from repro.core.errors import (
+    ConfigurationError,
+    checked_kwargs as _checked_kwargs,
+    require as _require,
+)
 from repro.core.rng import DEFAULT_SEED, RngStreams
-from repro.linkem.shells import LinkSpec, MpShell
-from repro.scenario import Scenario
+from repro.linkem.shells import PathSpec
 
 __all__ = [
     "TABLE2_LOCATIONS",
-    "LocationCondition",
+    "ConditionSpec",
     "make_conditions",
-    "build_scenario",
 ]
 
 #: (city, description) rows exactly as printed in the paper's Table 2.
@@ -60,33 +64,84 @@ TABLE2_LOCATIONS: List[Tuple[str, str]] = [
 DUAL_CC_CONDITION_IDS = (1, 2, 3, 4, 5, 6, 7)
 
 
-@dataclass
-class LocationCondition:
-    """One emulated measurement location."""
+@dataclass(frozen=True)
+class ConditionSpec:
+    """One emulated measurement location (paper Table 2 row)."""
 
     condition_id: int
-    city: str
-    description: str
-    wifi: LinkSpec
-    lte: LinkSpec
+    paths: Tuple[PathSpec, ...]
+    city: str = ""
+    description: str = ""
+
+    def __post_init__(self) -> None:
+        paths = tuple(
+            PathSpec.from_dict(p) if isinstance(p, Mapping) else p
+            for p in self.paths
+        )
+        object.__setattr__(self, "paths", paths)
+        _require(len(paths) >= 1, "ConditionSpec.paths",
+                 "must declare at least one path")
+        names = [p.name for p in paths]
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        _require(not duplicates, "ConditionSpec.paths",
+                 f"duplicate path names: {duplicates}")
+
+    @property
+    def path_names(self) -> Tuple[str, ...]:
+        return tuple(p.name for p in self.paths)
+
+    def path(self, name: str) -> PathSpec:
+        """The interface called ``name``."""
+        for path in self.paths:
+            if path.name == name:
+                return path
+        raise ConfigurationError(
+            f"condition #{self.condition_id} has no {name!r} path; "
+            f"have {list(self.path_names)}"
+        )
+
+    @property
+    def wifi(self) -> PathSpec:
+        return self.path("wifi")
+
+    @property
+    def lte(self) -> PathSpec:
+        return self.path("lte")
 
     @property
     def wifi_advantage_mbps(self) -> float:
         """Nominal Tput(WiFi) − Tput(LTE) on the downlink."""
         return self.wifi.down_mbps - self.lte.down_mbps
 
-    def shell(self, seed: int = DEFAULT_SEED) -> MpShell:
-        """The MpShell emulating this location."""
-        return MpShell(wifi=self.wifi, lte=self.lte, seed=seed)
+    def with_path(self, path: PathSpec) -> "ConditionSpec":
+        """A copy with the same-named interface replaced by ``path``."""
+        self.path(path.name)  # typed error when there is none to replace
+        return dataclasses.replace(self, paths=tuple(
+            path if p.name == path.name else p for p in self.paths
+        ))
 
-    def __repr__(self) -> str:
-        return (
-            f"LocationCondition(#{self.condition_id} {self.city}: "
-            f"wifi {self.wifi.down_mbps:.1f}/{self.wifi.up_mbps:.1f} Mbps "
-            f"{self.wifi.rtt_ms:.0f} ms, "
-            f"lte {self.lte.down_mbps:.1f}/{self.lte.up_mbps:.1f} Mbps "
-            f"{self.lte.rtt_ms:.0f} ms)"
+    # The identity: benchmarks/ledger/workloads.py (frozen) calls this on
+    # registry rows; it goes with the next ``benchmark`` PR.
+    @classmethod
+    def from_condition(cls, condition: "ConditionSpec") -> "ConditionSpec":
+        return condition
+
+    # -- serialization --------------------------------------------------
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "condition_id": self.condition_id,
+            "city": self.city,
+            "description": self.description,
+            "paths": [p.to_dict() for p in self.paths],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ConditionSpec":
+        kwargs = _checked_kwargs(cls, data, "ConditionSpec")
+        kwargs["paths"] = tuple(
+            PathSpec.from_dict(p) for p in kwargs.get("paths", ())
         )
+        return cls(**kwargs)
 
 
 def _lognormal(rng, median: float, sigma: float, lo: float, hi: float) -> float:
@@ -99,7 +154,7 @@ def make_conditions(
     count: int = 20,
     trace_driven: bool = False,
     temporal_sigma: float = 0.0,
-) -> List[LocationCondition]:
+) -> List[ConditionSpec]:
     """Generate the emulated-location registry.
 
     Deterministic for a given ``seed``.  With ``trace_driven=True``
@@ -110,12 +165,13 @@ def make_conditions(
     measured at different moments.
     """
     streams = RngStreams(seed).fork("linkem.conditions")
-    raw: List[Tuple[float, LinkSpec, LinkSpec]] = []
+    raw: List[Tuple[float, PathSpec, PathSpec]] = []
     for index in range(count):
         rng = streams.get(f"location.{index}")
         wifi_down = _lognormal(rng, 9.0, 0.85, 0.8, 45.0)
         lte_down = _lognormal(rng, 7.0, 0.70, 0.7, 35.0)
-        wifi = LinkSpec(
+        wifi = PathSpec(
+            name="wifi",
             technology="wifi",
             down_mbps=wifi_down,
             up_mbps=max(0.5, wifi_down * rng.uniform(0.35, 0.7)),
@@ -125,7 +181,8 @@ def make_conditions(
             trace_driven=trace_driven,
             temporal_sigma=temporal_sigma,
         )
-        lte = LinkSpec(
+        lte = PathSpec(
+            name="lte",
             technology="lte",
             down_mbps=lte_down,
             up_mbps=max(0.4, lte_down * rng.uniform(0.3, 0.6)),
@@ -147,20 +204,11 @@ def make_conditions(
     for condition_id, (_, wifi, lte) in enumerate(ordered, start=1):
         city, description = TABLE2_LOCATIONS[(condition_id - 1) % len(TABLE2_LOCATIONS)]
         conditions.append(
-            LocationCondition(
+            ConditionSpec(
                 condition_id=condition_id,
                 city=city,
                 description=description,
-                wifi=wifi,
-                lte=lte,
+                paths=(wifi, lte),
             )
         )
     return conditions
-
-
-def build_scenario(
-    condition: LocationCondition, seed: Optional[int] = None
-) -> Scenario:
-    """Fresh scenario (event loop + wifi/lte paths) for one condition."""
-    shell = condition.shell(seed=seed if seed is not None else DEFAULT_SEED)
-    return shell.build()

@@ -1,33 +1,40 @@
 """Mahimahi-style shells assembled on top of the simulator.
 
 Mahimahi composes a network out of nested shells (``mm-delay`` inside
-``mm-link`` …).  Here a :class:`LinkSpec` declares one emulated
-interface (rate or trace, delay, buffer, loss) and :class:`MpShell`
-— the paper's multi-link extension — assembles a
-:class:`~repro.scenario.Scenario` exposing a ``wifi`` and an ``lte``
-path, ready to carry TCP or MPTCP connections.
+``mm-link`` …).  Here a :class:`PathSpec` declares one emulated
+interface (rate or trace, delay, buffer, loss) and :func:`mpshell`
+— the paper's multi-link MpShell — assembles a
+:class:`~repro.scenario.Scenario` exposing one path per interface of
+a location (``wifi`` and ``lte`` for every Table-2 row), ready to
+carry TCP or MPTCP connections.
 """
 
+import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import (
+    checked_kwargs as _checked_kwargs,
+    require as _require,
+)
 from repro.core.rng import DEFAULT_SEED, RngStreams
 from repro.linkem.traces import synth_lte_trace, synth_wifi_trace
 from repro.net.path import PathConfig
 from repro.scenario import Scenario
 
-__all__ = ["LinkSpec", "MpShell"]
+__all__ = ["PathSpec", "mpshell"]
 
 
-@dataclass
-class LinkSpec:
-    """Declarative description of one emulated interface.
+@dataclass(frozen=True)
+class PathSpec:
+    """One emulated interface: a named, serializable link description.
 
     ``technology`` selects the trace synthesizer ("wifi" or "lte")
     when ``trace_driven`` is set; otherwise the link is fixed-rate.
     """
 
+    name: str
     technology: str
     down_mbps: float
     up_mbps: float
@@ -42,23 +49,29 @@ class LinkSpec:
     temporal_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.technology not in ("wifi", "lte"):
-            raise ConfigurationError(
-                f"technology must be 'wifi' or 'lte': {self.technology!r}"
-            )
-        if self.down_mbps <= 0 or self.up_mbps <= 0:
-            raise ConfigurationError("link rates must be positive")
-        if self.temporal_sigma < 0:
-            raise ConfigurationError("temporal_sigma must be >= 0")
+        _require(bool(self.name) and isinstance(self.name, str),
+                 "PathSpec.name", f"must be a non-empty string, got {self.name!r}")
+        _require(self.technology in ("wifi", "lte"), "PathSpec.technology",
+                 f"must be 'wifi' or 'lte', got {self.technology!r}")
+        _require(self.down_mbps > 0, "PathSpec.down_mbps",
+                 f"must be positive, got {self.down_mbps!r}")
+        _require(self.up_mbps > 0, "PathSpec.up_mbps",
+                 f"must be positive, got {self.up_mbps!r}")
+        _require(self.rtt_ms > 0, "PathSpec.rtt_ms",
+                 f"must be positive, got {self.rtt_ms!r}")
+        _require(0.0 <= self.loss_rate < 1.0, "PathSpec.loss_rate",
+                 f"must be in [0, 1), got {self.loss_rate!r}")
+        _require(self.queue_packets >= 1, "PathSpec.queue_packets",
+                 f"must be >= 1, got {self.queue_packets!r}")
+        _require(self.temporal_sigma >= 0, "PathSpec.temporal_sigma",
+                 f"must be >= 0, got {self.temporal_sigma!r}")
 
-    def to_path_config(self, name: str, rng_streams: RngStreams) -> PathConfig:
+    def to_path_config(self, rng_streams: RngStreams) -> PathConfig:
         """Materialize this spec as a path configuration."""
-        import math
-
         factor = 1.0
         rtt_factor = 1.0
         if self.temporal_sigma > 0:
-            jitter_rng = rng_streams.get(f"jitter.{name}")
+            jitter_rng = rng_streams.get(f"jitter.{self.name}")
             factor = math.exp(self.temporal_sigma * jitter_rng.gauss(0.0, 1.0))
             # Delays vary between runs too (load-dependent queueing in
             # the access network), though less than rates do.
@@ -70,7 +83,7 @@ class LinkSpec:
         rtt_ms = self.rtt_ms * rtt_factor
         down_trace = up_trace = None
         if self.trace_driven:
-            rng = rng_streams.get(f"trace.{name}")
+            rng = rng_streams.get(f"trace.{self.name}")
             if self.technology == "lte":
                 down_trace = synth_lte_trace(rng, down_mbps)
                 up_trace = synth_lte_trace(rng, up_mbps)
@@ -78,7 +91,7 @@ class LinkSpec:
                 down_trace = synth_wifi_trace(rng, down_mbps)
                 up_trace = synth_wifi_trace(rng, up_mbps)
         return PathConfig(
-            name=name,
+            name=self.name,
             up_mbps=up_mbps,
             down_mbps=down_mbps,
             rtt_ms=rtt_ms,
@@ -88,36 +101,30 @@ class LinkSpec:
             loss_rate=self.loss_rate,
         )
 
+    # -- serialization --------------------------------------------------
+    def to_dict(self) -> Dict[str, Any]:
+        # All scalars: no need for ``dataclasses.asdict``'s deep copy.
+        return {name: getattr(self, name) for name in _PATH_SPEC_FIELDS}
 
-class MpShell:
-    """The paper's multi-link shell: one WiFi and one LTE interface.
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "PathSpec":
+        return cls(**_checked_kwargs(cls, data, "PathSpec"))
 
-    >>> shell = MpShell(
-    ...     wifi=LinkSpec("wifi", down_mbps=12, up_mbps=6, rtt_ms=35),
-    ...     lte=LinkSpec("lte", down_mbps=9, up_mbps=4, rtt_ms=80),
-    ... )
-    >>> scenario = shell.build()
-    >>> sorted(scenario.path_names)
-    ['lte', 'wifi']
+
+_PATH_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(PathSpec))
+
+
+def mpshell(condition, seed: Optional[int] = None, recorder=None) -> Scenario:
+    """The paper's MpShell: a fresh scenario emulating ``condition``.
+
+    New event loop, new links, one path per interface of the
+    :class:`~repro.linkem.conditions.ConditionSpec` — the one place a
+    location becomes a network.  Path order follows the spec; every RNG
+    stream (loss, jitter, trace synthesis) is keyed by path *name*, so
+    the realization depends on ``seed`` alone.
     """
-
-    def __init__(
-        self,
-        wifi: LinkSpec,
-        lte: LinkSpec,
-        seed: int = DEFAULT_SEED,
-    ) -> None:
-        self.wifi = wifi
-        self.lte = lte
-        self.seed = seed
-
-    def build(self, seed: Optional[int] = None) -> Scenario:
-        """Assemble a fresh scenario (new event loop, new links)."""
-        scenario = Scenario(seed=seed if seed is not None else self.seed)
-        scenario.add_path(self.wifi.to_path_config("wifi", scenario.rng))
-        scenario.add_path(self.lte.to_path_config("lte", scenario.rng))
-        return scenario
-
-    @property
-    def specs(self) -> Dict[str, LinkSpec]:
-        return {"wifi": self.wifi, "lte": self.lte}
+    scenario = Scenario(seed=DEFAULT_SEED if seed is None else seed,
+                        recorder=recorder)
+    for path_spec in condition.paths:
+        scenario.add_path(path_spec.to_path_config(scenario.rng))
+    return scenario

@@ -15,12 +15,6 @@ from repro.mptcp.scheduler import (
     make_scheduler,
 )
 from repro.mptcp.connection import MptcpConnection, MptcpOptions
-from repro.mptcp.events import (
-    schedule_multipath_off,
-    schedule_multipath_on,
-    schedule_unplug,
-    schedule_replug,
-)
 
 __all__ = [
     "Scheduler",
@@ -29,8 +23,4 @@ __all__ = [
     "make_scheduler",
     "MptcpConnection",
     "MptcpOptions",
-    "schedule_multipath_off",
-    "schedule_multipath_on",
-    "schedule_unplug",
-    "schedule_replug",
 ]

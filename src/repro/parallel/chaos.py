@@ -76,6 +76,7 @@ __all__ = [
     "active_controller",
     "set_controller",
     "disable",
+    "apply_chaos_flag",
     "CHAOS_ENV",
     "CHAOS_INDEX_ENV",
 ]
@@ -433,6 +434,20 @@ def active_controller() -> Optional[ChaosController]:
             _controller = ChaosController(ChaosSpec.from_file(path)) \
                 if path else None
     return _controller
+
+
+def apply_chaos_flag(path: Optional[str]) -> None:
+    """Validate and export ``--chaos FILE`` before anything starts.
+
+    The one helper behind every CLI's flag: a missing or malformed
+    spec fails here (``OSError``/``ConfigurationError``, for the
+    caller's ``prog: message`` and exit 2) instead of as a traceback
+    out of :func:`active_controller` mid-sweep or inside a worker.
+    """
+    if not path:
+        return
+    ChaosSpec.from_file(path)
+    os.environ[CHAOS_ENV] = os.path.abspath(path)
 
 
 def set_controller(controller: Optional[ChaosController]) -> None:

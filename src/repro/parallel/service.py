@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError, ReproError, SweepTaskError
 from repro.parallel import wire
+from repro.parallel.chaos import apply_chaos_flag
 
 __all__ = ["cache_main", "serve_main", "submit_main"]
 
@@ -269,10 +270,11 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
                              "spec (sets REPRO_CHAOS for this process and "
                              "its workers; see repro.parallel.chaos)")
     args = parser.parse_args(argv)
-    if args.chaos:
-        from repro.parallel.chaos import CHAOS_ENV
-
-        os.environ[CHAOS_ENV] = os.path.abspath(args.chaos)
+    try:
+        apply_chaos_flag(args.chaos)
+    except (OSError, ConfigurationError) as exc:
+        print(f"submit: {exc}", file=sys.stderr)
+        return 2
     if args.connect and args.telemetry_out:
         parser.error("--telemetry-out applies to local runs; for remote "
                      "jobs point it at the server's serve --telemetry-out")
@@ -387,10 +389,11 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-connection logging on stderr")
     args = parser.parse_args(argv)
-    if args.chaos:
-        from repro.parallel.chaos import CHAOS_ENV
-
-        os.environ[CHAOS_ENV] = os.path.abspath(args.chaos)
+    try:
+        apply_chaos_flag(args.chaos)
+    except (OSError, ConfigurationError) as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
 
     def log(message: str) -> None:
         if not args.quiet:

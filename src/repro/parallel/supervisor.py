@@ -55,7 +55,7 @@ from repro.core.errors import (
 )
 from repro.core.proc import pid_start_token, same_process
 from repro.obs.telemetry import active_bus
-from repro.parallel.chaos import CHAOS_INDEX_ENV
+from repro.parallel.chaos import CHAOS_INDEX_ENV, apply_chaos_flag
 from repro.parallel.wire import MAX_HEARTBEAT_INTERVAL_S
 
 __all__ = ["FLEET_STATE_SCHEMA", "FleetSpec", "FleetSupervisor",
@@ -527,14 +527,11 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
         try:
             spec = (FleetSpec.from_file(args.spec) if args.spec
                     else FleetSpec(workers=args.workers))
-        except ConfigurationError as exc:
+            apply_chaos_flag(args.chaos)  # the children inherit it
+        except (OSError, ConfigurationError) as exc:
             print(f"fleet up: {exc}", file=sys.stderr)
             return 2
-        env = None
-        if args.chaos:
-            env = dict(os.environ)
-            env["REPRO_CHAOS"] = os.path.abspath(args.chaos)
-        supervisor = FleetSupervisor(spec, state_path=args.state, env=env)
+        supervisor = FleetSupervisor(spec, state_path=args.state)
         try:
             supervisor.up()
         except ExecutorError as exc:

@@ -17,7 +17,8 @@ from repro.experiments.common import (
     TCP_VARIANTS,
     configuration_specs,
 )
-from repro.linkem.conditions import LocationCondition, build_scenario, make_conditions
+from repro.linkem.conditions import ConditionSpec, make_conditions
+from repro.linkem.shells import mpshell
 from repro.policy.estimator import ConditionEstimator
 from repro.policy.policies import Decision, OraclePolicy, SelectionPolicy
 from repro.policy.probes import PathProbe
@@ -38,7 +39,7 @@ STRATEGIES: Dict[str, Decision] = {
 
 
 def measure_locations(
-    conditions: Sequence[LocationCondition], nbytes: int, seed: int,
+    conditions: Sequence[ConditionSpec], nbytes: int, seed: int,
     workers: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Per location, the completion time of every strategy.
@@ -63,7 +64,7 @@ def measure_locations(
 
 
 def measure_strategies(
-    condition: LocationCondition, nbytes: int, seed: int,
+    condition: ConditionSpec, nbytes: int, seed: int,
     workers: Optional[int] = None,
 ) -> Dict[str, float]:
     """Completion time of every strategy at one location."""
@@ -71,12 +72,12 @@ def measure_strategies(
 
 
 def probe_condition(
-    condition: LocationCondition, seed: int, probe: Optional[PathProbe] = None,
+    condition: ConditionSpec, seed: int, probe: Optional[PathProbe] = None,
 ) -> ConditionEstimator:
     """Run client-style probes at a location, building estimates."""
     probe = probe if probe is not None else PathProbe()
     estimator = ConditionEstimator()
-    scenario = build_scenario(condition, seed=seed)
+    scenario = mpshell(condition, seed=seed)
     for path_name in ("wifi", "lte"):
         report = probe.run(scenario, path_name)
         estimator.observe(report, now=scenario.loop.now)
@@ -122,7 +123,7 @@ def evaluate_policies(
     policies: Sequence[SelectionPolicy],
     flow_bytes: int,
     seed: int = DEFAULT_SEED,
-    conditions: Optional[List[LocationCondition]] = None,
+    conditions: Optional[List[ConditionSpec]] = None,
     workers: Optional[int] = None,
 ) -> PolicyEvaluation:
     """Score ``policies`` on ``flow_bytes`` transfers across locations."""

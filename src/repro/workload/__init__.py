@@ -3,7 +3,9 @@
 The workload layer separates *what to measure* from *how it runs*:
 
 * :mod:`repro.workload.spec` — frozen, validated, JSON-round-trippable
-  descriptions of paths, conditions, transfers, and named batches;
+  descriptions of transfers and named batches, over the
+  :class:`PathSpec`/:class:`ConditionSpec` location vocabulary that
+  :mod:`repro.linkem` defines (re-exported here);
 * :mod:`repro.workload.report` — :class:`TransferReport`, the single
   picklable outcome type shared by the Session, the sweep engine, and
   the result cache;
@@ -11,11 +13,10 @@ The workload layer separates *what to measure* from *how it runs*:
   interpreter that turns a spec into a scenario, drives the transfer,
   and returns the report.
 
->>> from repro.workload import Session, TransferSpec, ConditionSpec
->>> from repro.linkem.conditions import make_conditions
->>> cond = ConditionSpec.from_condition(make_conditions()[0])
->>> spec = TransferSpec(kind="tcp", condition=cond, nbytes=100_000,
-...                     path="wifi", seed=7)
+>>> from repro.workload import Session, TransferSpec
+>>> from repro.linkem import make_conditions
+>>> spec = TransferSpec(kind="tcp", condition=make_conditions()[0],
+...                     nbytes=100_000, path="wifi", seed=7)
 >>> report = Session().run(spec)
 >>> report.completed
 True

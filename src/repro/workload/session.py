@@ -14,12 +14,11 @@ process), so workloads inherit the sweep engine's result
 cache and its bit-identical ``workers=N`` determinism.
 
 Reproducibility contract: for a spec with an explicit ``seed``,
-``Session.run`` performs exactly the scenario construction and
-transfer drive of the pre-spec helpers (``build_scenario`` →
-``scenario.tcp``/``scenario.mptcp`` → ``run_transfer``), so rendered
-figures are byte-identical to the argument-tuple era.  Specs without
-a seed get one derived from the sweep master seed and the spec's
-:meth:`~repro.workload.spec.TransferSpec.key`.
+``Session.run`` is exactly :func:`~repro.linkem.shells.mpshell` →
+``scenario.tcp``/``scenario.mptcp`` → ``run_transfer`` driven inline
+(``tests/workload/test_session.py`` holds the two to equality).  Specs
+without a seed get one derived from the sweep master seed and the
+spec's :meth:`~repro.workload.spec.TransferSpec.key`.
 """
 
 import os
@@ -28,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.rng import DEFAULT_SEED
 from repro.flow.fidelity import apply_fidelity_override
+from repro.linkem.shells import mpshell
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import collect_transfer_metrics
 from repro.obs.telemetry import active_bus
@@ -70,21 +70,8 @@ class Session:
         self, spec: TransferSpec, seed: Optional[int] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> Scenario:
-        """A fresh scenario with the spec's condition paths attached.
-
-        Path order follows the spec; every RNG stream (loss, jitter,
-        trace synthesis) is keyed by path *name*, so this reproduces
-        ``build_scenario`` bit-for-bit for the paper's wifi+lte shape.
-        """
-        scenario = Scenario(seed=self._seed_for(spec, seed),
-                            recorder=recorder)
-        for path_spec in spec.condition.paths:
-            scenario.add_path(
-                path_spec.to_link_spec().to_path_config(
-                    path_spec.name, scenario.rng
-                )
-            )
-        return scenario
+        """The spec's condition inside a fresh MpShell."""
+        return mpshell(spec.condition, self._seed_for(spec, seed), recorder)
 
     def open(
         self, spec: TransferSpec, seed: Optional[int] = None,

@@ -9,10 +9,10 @@ and cross process boundaries without pickling live objects.
 
 The vocabulary:
 
-* :class:`PathSpec` — one emulated interface (a named
-  :class:`~repro.linkem.shells.LinkSpec`);
-* :class:`ConditionSpec` — one emulated measurement location (the
-  serialized form of :class:`~repro.linkem.conditions.LocationCondition`);
+* :class:`~repro.linkem.shells.PathSpec` — one emulated interface;
+* :class:`~repro.linkem.conditions.ConditionSpec` — one emulated
+  measurement location (both defined in :mod:`repro.linkem`, where
+  the registry and the MpShell assembly live, and re-exported here);
 * :class:`TransferSpec` — one bulk transfer at a condition (TCP or
   MPTCP, flow size, direction, congestion control, seed, deadline,
   :class:`~repro.tcp.config.TcpConfig` overrides);
@@ -38,8 +38,8 @@ from repro.core.errors import (
 )
 from repro.core.rng import DEFAULT_SEED
 from repro.faults.spec import FaultSpec
-from repro.linkem.conditions import LocationCondition
-from repro.linkem.shells import LinkSpec
+from repro.linkem.conditions import ConditionSpec
+from repro.linkem.shells import PathSpec
 from repro.mptcp.connection import MptcpOptions
 from repro.tcp.cc.registry import validate_cc
 from repro.tcp.config import TcpConfig
@@ -105,155 +105,6 @@ def mptcp_option_overrides(options: MptcpOptions) -> Optional[Dict[str, Any]]:
         if getattr(options, name) != getattr(defaults, name)
     }
     return overrides or None
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """One emulated interface: a named, serializable link description."""
-
-    name: str
-    technology: str
-    down_mbps: float
-    up_mbps: float
-    rtt_ms: float
-    loss_rate: float = 0.0
-    queue_packets: int = 250
-    trace_driven: bool = False
-    temporal_sigma: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name) and isinstance(self.name, str),
-                 "PathSpec.name", f"must be a non-empty string, got {self.name!r}")
-        _require(self.technology in ("wifi", "lte"), "PathSpec.technology",
-                 f"must be 'wifi' or 'lte', got {self.technology!r}")
-        _require(self.down_mbps > 0, "PathSpec.down_mbps",
-                 f"must be positive, got {self.down_mbps!r}")
-        _require(self.up_mbps > 0, "PathSpec.up_mbps",
-                 f"must be positive, got {self.up_mbps!r}")
-        _require(self.rtt_ms > 0, "PathSpec.rtt_ms",
-                 f"must be positive, got {self.rtt_ms!r}")
-        _require(0.0 <= self.loss_rate < 1.0, "PathSpec.loss_rate",
-                 f"must be in [0, 1), got {self.loss_rate!r}")
-        _require(self.queue_packets >= 1, "PathSpec.queue_packets",
-                 f"must be >= 1, got {self.queue_packets!r}")
-        _require(self.temporal_sigma >= 0, "PathSpec.temporal_sigma",
-                 f"must be >= 0, got {self.temporal_sigma!r}")
-
-    # -- conversions ----------------------------------------------------
-    def to_link_spec(self) -> LinkSpec:
-        return LinkSpec(
-            technology=self.technology,
-            down_mbps=self.down_mbps,
-            up_mbps=self.up_mbps,
-            rtt_ms=self.rtt_ms,
-            loss_rate=self.loss_rate,
-            queue_packets=self.queue_packets,
-            trace_driven=self.trace_driven,
-            temporal_sigma=self.temporal_sigma,
-        )
-
-    @classmethod
-    def from_link_spec(cls, name: str, link: LinkSpec) -> "PathSpec":
-        return cls(
-            name=name,
-            technology=link.technology,
-            down_mbps=link.down_mbps,
-            up_mbps=link.up_mbps,
-            rtt_ms=link.rtt_ms,
-            loss_rate=link.loss_rate,
-            queue_packets=link.queue_packets,
-            trace_driven=link.trace_driven,
-            temporal_sigma=link.temporal_sigma,
-        )
-
-    # -- serialization --------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        # All scalars: no need for ``dataclasses.asdict``'s deep copy.
-        return {name: getattr(self, name) for name in _PATH_SPEC_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PathSpec":
-        return cls(**_checked_kwargs(cls, data, "PathSpec"))
-
-
-_PATH_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(PathSpec))
-
-
-@dataclass(frozen=True)
-class ConditionSpec:
-    """One emulated measurement location (paper Table 2 row)."""
-
-    condition_id: int
-    paths: Tuple[PathSpec, ...]
-    city: str = ""
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        paths = tuple(
-            PathSpec.from_dict(p) if isinstance(p, Mapping) else p
-            for p in self.paths
-        )
-        object.__setattr__(self, "paths", paths)
-        _require(len(paths) >= 1, "ConditionSpec.paths",
-                 "must declare at least one path")
-        names = [p.name for p in paths]
-        duplicates = sorted({n for n in names if names.count(n) > 1})
-        _require(not duplicates, "ConditionSpec.paths",
-                 f"duplicate path names: {duplicates}")
-
-    @property
-    def path_names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.paths)
-
-    # -- conversions ----------------------------------------------------
-    @classmethod
-    def from_condition(cls, condition: LocationCondition) -> "ConditionSpec":
-        """Serialize a live :class:`LocationCondition` (wifi then lte)."""
-        return cls(
-            condition_id=condition.condition_id,
-            city=condition.city,
-            description=condition.description,
-            paths=(
-                PathSpec.from_link_spec("wifi", condition.wifi),
-                PathSpec.from_link_spec("lte", condition.lte),
-            ),
-        )
-
-    def to_condition(self) -> LocationCondition:
-        """Rebuild the live :class:`LocationCondition`.
-
-        Only possible for the paper's two-interface shape (one ``wifi``
-        and one ``lte`` path); generic path sets are built directly by
-        the :class:`~repro.workload.session.Session`.
-        """
-        by_name = {p.name: p for p in self.paths}
-        _require(set(by_name) == {"wifi", "lte"}, "ConditionSpec.paths",
-                 "to_condition() needs exactly a 'wifi' and an 'lte' path, "
-                 f"got {sorted(by_name)}")
-        return LocationCondition(
-            condition_id=self.condition_id,
-            city=self.city,
-            description=self.description,
-            wifi=by_name["wifi"].to_link_spec(),
-            lte=by_name["lte"].to_link_spec(),
-        )
-
-    # -- serialization --------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "condition_id": self.condition_id,
-            "city": self.city,
-            "description": self.description,
-            "paths": [p.to_dict() for p in self.paths],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ConditionSpec":
-        kwargs = _checked_kwargs(cls, data, "ConditionSpec")
-        kwargs["paths"] = tuple(
-            PathSpec.from_dict(p) for p in kwargs.get("paths", ())
-        )
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

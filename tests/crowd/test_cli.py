@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.crowd.__main__ import main
 
 
@@ -99,12 +101,11 @@ class TestCrowdScaleCli:
         assert main(["--users", "100", "--sink", "csv"] + SCALE_ARGS) == 2
         assert "--csv-out" in capsys.readouterr().err
 
-    def test_dataset_sink_prints_deprecation_note(self, capsys):
-        assert main(["--users", "300", "--sink", "dataset"]
-                    + SCALE_ARGS) == 0
-        out = capsys.readouterr().out
-        assert "materialized" in out
-        assert "deprecated" in out
+    def test_dataset_sink_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--users", "300", "--sink", "dataset"] + SCALE_ARGS)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'dataset'" in capsys.readouterr().err
 
     def test_invalid_users_rejected(self, capsys):
         assert main(["--users", "0"] + SCALE_ARGS) == 2

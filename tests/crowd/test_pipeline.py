@@ -11,7 +11,7 @@ import io
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.crowd.aggregate import CrowdSketch
+from repro.crowd.aggregate import CrowdSketch, _SinkBase
 from repro.crowd.pipeline import (
     DEFAULT_BATCH,
     FleetMetrics,
@@ -19,7 +19,7 @@ from repro.crowd.pipeline import (
     run_crowd_shard,
     simulate,
 )
-from repro.crowd.sampling import CrowdSampler, PopulationSpec
+from repro.crowd.sampling import CrowdSampler, PopulationSpec, RunColumns
 from repro.obs.manifest import RunManifest
 
 USERS = 1500
@@ -67,12 +67,30 @@ class TestDeterminism:
 
 class TestSinks:
     def test_dataset_sink_equals_unsharded_columns(self, crowd_world):
+        # An ordered sink that materializes every run: ordered shards
+        # ≡ the serial sampler.
+        class RunsSink(_SinkBase):
+            ORDERED = True
+            kind = "runs"
+
+            def __init__(self, world, population):
+                super().__init__(world, population)
+                self.runs = []
+
+            def absorb(self, partial):
+                self.runs.extend(
+                    RunColumns.from_lists(partial).to_measurement_runs())
+
+            def result(self):
+                return self.runs
+
         spec = PopulationSpec(users=400)
-        result = simulate(population=spec, sink="dataset", shard_users=90,
-                          cache=False, executor="inprocess", workers=1)
+        result = simulate(population=spec, sink=RunsSink(crowd_world, spec),
+                          shard_users=90, cache=False, executor="inprocess",
+                          workers=1)
         expected = CrowdSampler(crowd_world, spec).sample_batch(
             0, 400).to_measurement_runs()
-        assert list(result.value) == expected
+        assert result.value == expected
         assert result.sketch is None
 
     def test_csv_sink_identical_across_shard_counts(self):
@@ -94,8 +112,9 @@ class TestSinks:
             _simulate(users=10, sink="csv")
 
     def test_unknown_sink_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _simulate(users=10, sink="parquet")
+        for kind in ("parquet", "dataset"):
+            with pytest.raises(ConfigurationError):
+                _simulate(users=10, sink=kind)
 
 
 class TestSimulateSurface:

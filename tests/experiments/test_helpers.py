@@ -61,6 +61,31 @@ class TestFig15Panels:
 
         assert sorted(PANELS) == list("abcdefgh")
 
+    def test_injected_panels_are_fault_schedules_at_the_papers_instants(self):
+        from repro.experiments.fig15 import PANEL_FAULTS, run_panel
+        from repro.faults import FaultSpec
+
+        expected = {
+            "e": [(9.0, "inject", "iface_down", "lte")],
+            "f": [(11.0, "inject", "iface_down", "wifi")],
+            "g": [(3.0, "inject", "blackhole", "lte"),
+                  (68.0, "clear", "blackhole", "lte")],
+            "h": [(6.0, "inject", "blackhole", "wifi")],
+        }
+        assert sorted(PANEL_FAULTS) == sorted(expected)
+        assert PANEL_FAULTS["h"].events[0].detected
+        assert not PANEL_FAULTS["g"].events[0].detected
+        for panel, faults in PANEL_FAULTS.items():
+            assert FaultSpec.from_json(faults.to_json()) == faults
+            # A transfer short enough to finish first: the edges fire
+            # at their instants whatever the connection is doing.
+            result = run_panel(panel, nbytes=64 * 1024, horizon_s=70.0,
+                               faults=faults)
+            assert [
+                (edge["t"], edge["edge"], edge["kind"], edge["path"])
+                for edge in result.scenario.applied_faults()
+            ] == expected[panel]
+
 
 class TestFig16Helpers:
     def test_power_panels_have_expected_levels(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments.runner import main
 from repro.linkem.conditions import make_conditions
 from repro.parallel import set_default_workers
-from repro.workload import ConditionSpec, TransferSpec, WorkloadSpec
+from repro.workload import TransferSpec, WorkloadSpec
 
 FLOW_BYTES = 32 * 1024
 
@@ -20,7 +20,7 @@ def _clean_workers():
 
 
 def _workload_file(tmp_path):
-    condition = ConditionSpec.from_condition(make_conditions(seed=2)[0])
+    condition = make_conditions(seed=2)[0]
     workload = WorkloadSpec(name="cli-demo", seed=4, transfers=(
         TransferSpec(kind="tcp", condition=condition, nbytes=FLOW_BYTES,
                      path="wifi", seed=1),

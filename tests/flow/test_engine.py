@@ -7,14 +7,14 @@ from repro.faults.spec import FaultEvent, FaultSpec
 from repro.linkem.conditions import make_conditions
 from repro.obs.summary import summarize_events
 from repro.obs.trace import TraceRecorder
-from repro.workload import ConditionSpec, Session, TransferSpec
+from repro.workload import Session, TransferSpec
 
 #: Event kinds the flow engine is allowed to emit (reduced stream).
 FLOW_EVENT_KINDS = {"send", "sched", "subflow_add", "fault_state"}
 
 
 def _condition(index=0):
-    return ConditionSpec.from_condition(make_conditions()[index])
+    return make_conditions()[index]
 
 
 def _mptcp_spec(nbytes=1_000_000, seed=7, **overrides):

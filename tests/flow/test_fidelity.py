@@ -10,14 +10,14 @@ from repro.flow.fidelity import (
 )
 from repro.linkem.conditions import make_conditions
 from repro.parallel.cache import canonical_spec, spec_key
-from repro.workload import ConditionSpec, Session, TransferSpec
+from repro.workload import Session, TransferSpec
 from repro.workload.session import RUN_SPEC_FN
 
 
 def _spec(**overrides):
     kwargs = dict(
         kind="tcp",
-        condition=ConditionSpec.from_condition(make_conditions()[0]),
+        condition=make_conditions()[0],
         path="wifi", nbytes=100_000, seed=3,
     )
     kwargs.update(overrides)

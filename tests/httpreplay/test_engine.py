@@ -10,16 +10,16 @@ from repro.httpreplay.engine import (
 from repro.httpreplay.message import HttpRequest, HttpResponse
 from repro.httpreplay.patterns import dropbox_launch
 from repro.httpreplay.session import AppSession, RecordedConnection, Transaction
-from repro.linkem.shells import LinkSpec, MpShell
+from repro.linkem import ConditionSpec, PathSpec
 
 
-def _shell(wifi_down=10.0, lte_down=8.0):
-    return MpShell(
-        wifi=LinkSpec("wifi", down_mbps=wifi_down, up_mbps=wifi_down / 2,
-                      rtt_ms=35),
-        lte=LinkSpec("lte", down_mbps=lte_down, up_mbps=lte_down / 2,
-                     rtt_ms=80),
-    )
+def _condition(wifi_down=10.0, lte_down=8.0):
+    return ConditionSpec(condition_id=1, paths=(
+        PathSpec("wifi", "wifi", down_mbps=wifi_down, up_mbps=wifi_down / 2,
+                 rtt_ms=35),
+        PathSpec("lte", "lte", down_mbps=lte_down, up_mbps=lte_down / 2,
+                 rtt_ms=80),
+    ))
 
 
 def _tiny_session():
@@ -58,49 +58,47 @@ class TestStandardConfigs:
 
 class TestReplayEngine:
     def test_tiny_session_completes_on_all_configs(self):
-        engine = ReplayEngine(_shell())
+        engine = ReplayEngine(_condition())
         results = engine.run_all_configs(_tiny_session(), deadline_s=60.0)
         assert len(results) == 6
         assert all(r.completed for r in results.values())
 
     def test_response_time_includes_think_times(self):
-        engine = ReplayEngine(_shell())
+        engine = ReplayEngine(_condition())
         result = engine.run(_tiny_session(), STANDARD_CONFIGS[0])
         assert result.response_time_s > 0.1  # at least the client think
 
     def test_all_requests_matched_by_replay_shell(self):
-        engine = ReplayEngine(_shell())
+        engine = ReplayEngine(_condition())
         result = engine.run(_tiny_session(), STANDARD_CONFIGS[0])
         assert result.replay_misses == 0
         assert result.replay_hits == 2
 
     def test_slower_network_slower_response(self):
         session = dropbox_launch()
-        fast = ReplayEngine(_shell(wifi_down=20.0)).run(
+        fast = ReplayEngine(_condition(wifi_down=20.0)).run(
             session, STANDARD_CONFIGS[0])
-        slow = ReplayEngine(_shell(wifi_down=1.0)).run(
+        slow = ReplayEngine(_condition(wifi_down=1.0)).run(
             session, STANDARD_CONFIGS[0])
         assert slow.response_time_s > fast.response_time_s
 
     def test_tcp_config_uses_named_path(self):
         # With a dead-slow LTE, LTE-TCP must be much slower than WiFi-TCP.
-        shell = _shell(wifi_down=20.0, lte_down=0.5)
-        engine = ReplayEngine(shell)
+        engine = ReplayEngine(_condition(wifi_down=20.0, lte_down=0.5))
         session = dropbox_launch()
         wifi = engine.run(session, STANDARD_CONFIGS[0])
         lte = engine.run(session, STANDARD_CONFIGS[1])
         assert lte.response_time_s > wifi.response_time_s
 
     def test_deadline_caps_incomplete_replays(self):
-        shell = _shell(wifi_down=0.3, lte_down=0.3)
-        engine = ReplayEngine(shell)
+        engine = ReplayEngine(_condition(wifi_down=0.3, lte_down=0.3))
         session = dropbox_launch()
         result = engine.run(session, STANDARD_CONFIGS[0], deadline_s=0.5)
         assert not result.completed
         assert result.response_time_s == 0.5
 
     def test_connection_finish_times_recorded(self):
-        engine = ReplayEngine(_shell())
+        engine = ReplayEngine(_condition())
         session = dropbox_launch()
         result = engine.run(session, STANDARD_CONFIGS[0])
         assert set(result.connection_finish_times) == {
@@ -108,7 +106,58 @@ class TestReplayEngine:
         }
 
     def test_deterministic(self):
-        engine = ReplayEngine(_shell())
+        engine = ReplayEngine(_condition())
         a = engine.run(_tiny_session(), STANDARD_CONFIGS[2], seed=3)
         b = engine.run(_tiny_session(), STANDARD_CONFIGS[2], seed=3)
         assert a.response_time_s == b.response_time_s
+
+
+class TestReturnsAtTheFinishInstant:
+    """``run`` is one ``loop.run``, stopped by the last driver to finish
+    — not a wake-up every simulated second to poll for it."""
+
+    @pytest.fixture
+    def scenarios(self, monkeypatch):
+        from repro.httpreplay import engine
+
+        built = []
+
+        def recording_mpshell(*args, **kwargs):
+            built.append(engine_mpshell(*args, **kwargs))
+            return built[-1]
+
+        engine_mpshell = engine.mpshell
+        monkeypatch.setattr(engine, "mpshell", recording_mpshell)
+        return built
+
+    def test_short_session_leaves_the_clock_at_its_finish(self, scenarios):
+        result = ReplayEngine(_condition()).run(
+            _tiny_session(), STANDARD_CONFIGS[0])
+        assert result.completed
+        assert result.response_time_s < 1.0
+        (scenario,) = scenarios
+        assert scenario.loop.now == result.response_time_s
+
+    def test_unfinishable_session_returns_at_the_deadline(self, scenarios):
+        result = ReplayEngine(_condition(wifi_down=0.3, lte_down=0.3)).run(
+            dropbox_launch(), STANDARD_CONFIGS[0], deadline_s=0.5)
+        assert not result.completed
+        assert result.response_time_s == 0.5
+        (scenario,) = scenarios
+        assert scenario.loop.now == 0.5
+
+
+class TestConditionWithoutTheConfiguredPath:
+    def test_dual_lte_location_is_a_typed_error(self):
+        from repro.core.errors import ConfigurationError
+
+        dual_lte = ConditionSpec(condition_id=30, paths=(
+            PathSpec("lte", "lte", down_mbps=9, up_mbps=4, rtt_ms=70),
+            PathSpec("lte2", "lte", down_mbps=6, up_mbps=2, rtt_ms=95),
+        ))
+        engine = ReplayEngine(dual_lte)
+        for config in (STANDARD_CONFIGS[0], STANDARD_CONFIGS[2]):
+            assert config.path == "wifi"
+            with pytest.raises(ConfigurationError, match=r"lte.*lte2"):
+                engine.run(_tiny_session(), config)
+        assert engine.run(_tiny_session(), STANDARD_CONFIGS[1]).completed

@@ -3,19 +3,19 @@
 
 from repro.httpreplay.engine import ReplayEngine, STANDARD_CONFIGS
 from repro.httpreplay.patterns import dropbox_upload
-from repro.linkem.shells import LinkSpec, MpShell
+from repro.linkem import ConditionSpec, PathSpec
 
 
-def _shell(wifi_up=4.0, lte_up=4.0):
-    return MpShell(
-        wifi=LinkSpec("wifi", down_mbps=10, up_mbps=wifi_up, rtt_ms=35),
-        lte=LinkSpec("lte", down_mbps=10, up_mbps=lte_up, rtt_ms=80),
-    )
+def _condition(wifi_up=4.0, lte_up=4.0):
+    return ConditionSpec(condition_id=1, paths=(
+        PathSpec("wifi", "wifi", down_mbps=10, up_mbps=wifi_up, rtt_ms=35),
+        PathSpec("lte", "lte", down_mbps=10, up_mbps=lte_up, rtt_ms=80),
+    ))
 
 
 class TestUploadTransactions:
     def test_upload_session_completes(self):
-        engine = ReplayEngine(_shell())
+        engine = ReplayEngine(_condition())
         result = engine.run(dropbox_upload(), STANDARD_CONFIGS[0],
                             deadline_s=120.0)
         assert result.completed
@@ -23,23 +23,22 @@ class TestUploadTransactions:
 
     def test_response_time_dominated_by_upload(self):
         # 2 MB at 4 Mbit/s uplink is ~4.2 s of serialization alone.
-        engine = ReplayEngine(_shell(wifi_up=4.0))
+        engine = ReplayEngine(_condition(wifi_up=4.0))
         result = engine.run(dropbox_upload(), STANDARD_CONFIGS[0],
                             deadline_s=120.0)
         assert result.response_time_s > 3.5
 
     def test_uplink_rate_governs_response_time(self):
-        slow = ReplayEngine(_shell(wifi_up=1.0)).run(
+        slow = ReplayEngine(_condition(wifi_up=1.0)).run(
             dropbox_upload(), STANDARD_CONFIGS[0], deadline_s=180.0)
-        fast = ReplayEngine(_shell(wifi_up=8.0)).run(
+        fast = ReplayEngine(_condition(wifi_up=8.0)).run(
             dropbox_upload(), STANDARD_CONFIGS[0], deadline_s=180.0)
         assert slow.response_time_s > 2 * fast.response_time_s
 
     def test_upload_rides_configured_path(self):
         # With a dead-slow LTE uplink, the LTE-TCP configuration must
         # be much slower than WiFi-TCP for the upload session.
-        shell = _shell(wifi_up=8.0, lte_up=0.5)
-        engine = ReplayEngine(shell)
+        engine = ReplayEngine(_condition(wifi_up=8.0, lte_up=0.5))
         wifi = engine.run(dropbox_upload(), STANDARD_CONFIGS[0],
                           deadline_s=180.0)
         lte = engine.run(dropbox_upload(), STANDARD_CONFIGS[1],
@@ -59,7 +58,7 @@ class TestUploadTransactions:
         assert biggest < _ConnectionDriver.UPLOAD_THRESHOLD_BYTES
 
     def test_mptcp_config_uploads_on_primary(self):
-        engine = ReplayEngine(_shell())
+        engine = ReplayEngine(_condition())
         result = engine.run(dropbox_upload(), STANDARD_CONFIGS[3],  # LTE prim
                             deadline_s=120.0)
         assert result.completed

@@ -5,11 +5,7 @@ import pytest
 from repro import MptcpOptions, PathConfig, Scenario
 from repro.core.errors import ConfigurationError
 from repro.core.packet import PacketFlags
-from repro.mptcp.events import (
-    schedule_multipath_off,
-    schedule_replug,
-    schedule_unplug,
-)
+from repro.faults import FaultEvent, FaultSpec
 from repro.tcp.subflow import SubflowState
 
 KB = 1024
@@ -26,6 +22,13 @@ def _scenario(wifi=(10.0, 5.0, 40.0), lte=(8.0, 4.0, 80.0), seed=1):
         queue_packets=600,
     ))
     return scenario
+
+
+def _fail(scenario, kind, path, at_s, **extra):
+    """Arm one §3.6 failure: ``iface_down`` is "multipath off" (the
+    stack is notified), ``blackhole`` the silent unplug."""
+    scenario.inject_faults(
+        FaultSpec(events=(FaultEvent(kind, path, at_s, **extra),)))
 
 
 def _run(scenario, nbytes, **options):
@@ -138,7 +141,7 @@ class TestBackupMode:
 
     def test_admin_failover_to_backup(self):
         scenario = _scenario()
-        schedule_multipath_off(scenario.loop, scenario.path("lte"), 0.5)
+        _fail(scenario, "iface_down", "lte", 0.5)
         connection = scenario.mptcp(
             2 * MB, options=MptcpOptions(primary="lte", mode="backup"))
         connection.start()
@@ -149,8 +152,7 @@ class TestBackupMode:
 
     def test_silent_unplug_stalls(self):
         scenario = _scenario()
-        schedule_unplug(scenario.loop, scenario.path("lte"), 0.5,
-                        detected=False)
+        _fail(scenario, "blackhole", "lte", 0.5)
         connection = scenario.mptcp(
             2 * MB, options=MptcpOptions(primary="lte", mode="backup"))
         connection.start()
@@ -160,8 +162,7 @@ class TestBackupMode:
 
     def test_detected_unplug_fails_over(self):
         scenario = _scenario()
-        schedule_unplug(scenario.loop, scenario.path("lte"), 0.5,
-                        detected=True)
+        _fail(scenario, "blackhole", "lte", 0.5, detected=True)
         connection = scenario.mptcp(
             2 * MB, options=MptcpOptions(primary="lte", mode="backup"))
         connection.start()
@@ -171,9 +172,7 @@ class TestBackupMode:
 
     def test_replug_resumes_transfer(self):
         scenario = _scenario()
-        schedule_unplug(scenario.loop, scenario.path("lte"), 0.5,
-                        detected=False)
-        schedule_replug(scenario.loop, scenario.path("lte"), 4.0)
+        _fail(scenario, "blackhole", "lte", 0.5, duration_s=3.5)
         connection = scenario.mptcp(
             500 * KB, options=MptcpOptions(primary="lte", mode="backup"))
         connection.start()
@@ -188,8 +187,7 @@ class TestBackupMode:
             lambda p, t: updates.append(t)
             if p.flags & PacketFlags.WINDOW_UPDATE else None
         )
-        schedule_unplug(scenario.loop, scenario.path("lte"), 0.5,
-                        detected=False)
+        _fail(scenario, "blackhole", "lte", 0.5)
         connection = scenario.mptcp(
             2 * MB, options=MptcpOptions(primary="lte", mode="backup"))
         connection.start()
@@ -200,7 +198,7 @@ class TestBackupMode:
 class TestFullModeFailover:
     def test_failover_reinjects_and_completes(self):
         scenario = _scenario()
-        schedule_multipath_off(scenario.loop, scenario.path("wifi"), 0.3)
+        _fail(scenario, "iface_down", "wifi", 0.3)
         connection = scenario.mptcp(
             1 * MB, options=MptcpOptions(primary="wifi", mode="full"))
         connection.start()
@@ -211,7 +209,7 @@ class TestFullModeFailover:
 
     def test_dead_subflow_marked(self):
         scenario = _scenario()
-        schedule_multipath_off(scenario.loop, scenario.path("wifi"), 0.3)
+        _fail(scenario, "iface_down", "wifi", 0.3)
         connection = scenario.mptcp(
             1 * MB, options=MptcpOptions(primary="wifi"))
         connection.start()
@@ -233,7 +231,7 @@ class TestSinglePathMode:
 
     def test_failover_creates_subflow_on_demand(self):
         scenario = _scenario()
-        schedule_multipath_off(scenario.loop, scenario.path("wifi"), 0.3)
+        _fail(scenario, "iface_down", "wifi", 0.3)
         connection = scenario.mptcp(
             1 * MB, options=MptcpOptions(primary="wifi", mode="singlepath"))
         connection.start()

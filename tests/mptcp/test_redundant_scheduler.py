@@ -2,7 +2,7 @@
 
 
 from repro import MptcpOptions, PathConfig, Scenario
-from repro.mptcp.events import schedule_unplug
+from repro.faults import FaultEvent, FaultSpec
 from repro.mptcp.scheduler import RedundantScheduler, make_scheduler
 
 
@@ -69,8 +69,8 @@ class TestRedundantScheduler:
         # With every chunk duplicated, silently losing one path cannot
         # stall the transfer (unlike Backup mode's Fig. 15g).
         scenario = _scenario()
-        schedule_unplug(scenario.loop, scenario.path("lte"), 0.2,
-                        detected=False)
+        scenario.inject_faults(FaultSpec(events=(
+            FaultEvent("blackhole", "lte", at_s=0.2),)))
         options = MptcpOptions(primary="wifi", scheduler="redundant",
                                congestion_control="decoupled")
         connection = scenario.mptcp(300 * 1024, options=options)

@@ -123,12 +123,12 @@ class TestPacketCapture:
         ]
 
     def test_window_update_flagged(self):
-        from repro.mptcp.events import schedule_unplug
+        from repro.faults import FaultEvent, FaultSpec
 
         scenario = _scenario()
         capture = PacketCapture(scenario.path("wifi"))
-        schedule_unplug(scenario.loop, scenario.path("lte"), 0.3,
-                        detected=False)
+        scenario.inject_faults(FaultSpec(events=(
+            FaultEvent("blackhole", "lte", at_s=0.3),)))
         connection = scenario.mptcp(
             500 * 1024, options=MptcpOptions(primary="lte", mode="backup"))
         connection.start()

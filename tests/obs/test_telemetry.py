@@ -25,7 +25,7 @@ from repro.obs.telemetry import (
 )
 from repro.parallel import SimTask, SweepRunner, set_default_workers
 from repro.parallel.executors import set_default_executor
-from repro.workload import ConditionSpec, Session, TransferSpec
+from repro.workload import Session, TransferSpec
 
 FLOW_BYTES = 16 * 1024
 
@@ -527,7 +527,7 @@ class TestProducers:
         telemetry.disable()
         spec = TransferSpec(
             kind="tcp",
-            condition=ConditionSpec.from_condition(make_conditions(seed=5)[1]),
+            condition=make_conditions(seed=5)[1],
             nbytes=FLOW_BYTES, path="wifi", seed=3, fidelity="flow",
         )
         bus = telemetry.enable()
@@ -539,7 +539,7 @@ class TestProducers:
     def test_reports_bit_identical_with_telemetry_on(self):
         spec = TransferSpec(
             kind="tcp",
-            condition=ConditionSpec.from_condition(make_conditions(seed=5)[1]),
+            condition=make_conditions(seed=5)[1],
             nbytes=FLOW_BYTES, path="wifi", seed=3,
         )
         off = Session(seed=3).run(spec)

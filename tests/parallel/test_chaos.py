@@ -286,6 +286,66 @@ class TestActivation:
 
 
 # ---------------------------------------------------------------------------
+# ``--chaos FILE``: one helper, validated by every CLI before it starts
+# ---------------------------------------------------------------------------
+def _chaos_clis():
+    from repro.experiments.runner import run_spec_main
+    from repro.parallel.service import serve_main, submit_main
+    from repro.parallel.supervisor import fleet_main
+
+    workload = os.path.join(REPO_ROOT, "examples", "workload.json")
+    return {
+        "run-spec": lambda flag: run_spec_main([workload] + flag),
+        "submit": lambda flag: submit_main([workload] + flag),
+        "serve": lambda flag: serve_main(flag),
+        "fleet up": lambda flag: fleet_main(["up"] + flag),
+    }
+
+
+_BAD_CHAOS_FILES = {
+    "missing file": None,
+    "malformed JSON": "{not json",
+    "unknown field": json.dumps({
+        "events": [{"kind": "worker_kill", "after_tasks": 1}],
+        "surprise": 1,
+    }),
+}
+
+
+class TestChaosFlag:
+    @pytest.mark.parametrize("bad", sorted(_BAD_CHAOS_FILES))
+    @pytest.mark.parametrize("prog", ["run-spec", "submit", "serve",
+                                      "fleet up"])
+    def test_bad_file_is_refused_before_anything_starts(
+            self, prog, bad, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "chaos.json"
+        if _BAD_CHAOS_FILES[bad] is not None:
+            path.write_text(_BAD_CHAOS_FILES[bad])
+        # Nothing may be launched: a sweep, a listening socket, a worker.
+        for owner, attr in ((subprocess, "Popen"), (SweepRunner, "run")):
+            monkeypatch.setattr(owner, attr, lambda *a, **k: pytest.fail(
+                f"{prog} started work before validating --chaos"))
+        assert _chaos_clis()[prog](["--chaos", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{prog}: ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert CHAOS_ENV not in os.environ
+
+    def test_good_file_is_exported_as_an_absolute_path(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV, "")  # restored to unset on teardown
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chaos.json").write_text(ChaosSpec(events=(
+            ChaosEvent(kind="worker_kill", after_tasks=1),)).to_json())
+        chaos.apply_chaos_flag(None)
+        assert os.environ[CHAOS_ENV] == ""
+        chaos.apply_chaos_flag("chaos.json")
+        assert os.environ[CHAOS_ENV] == str(tmp_path / "chaos.json")
+        assert chaos.active_controller().spec.events[0].kind == "worker_kill"
+
+
+# ---------------------------------------------------------------------------
 # Integration: chaos specs armed in real socket workers
 # ---------------------------------------------------------------------------
 def _spawn_chaos_worker(chaos_path, index):

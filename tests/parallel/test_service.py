@@ -14,7 +14,7 @@ from repro.parallel import set_default_workers
 from repro.parallel.executors import set_default_executor
 from repro.parallel.service import submit_main
 from repro.parallel.__main__ import main as parallel_main
-from repro.workload import ConditionSpec, TransferSpec, WorkloadSpec
+from repro.workload import TransferSpec, WorkloadSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))
@@ -35,7 +35,7 @@ def _isolated_sweep_env(monkeypatch):
 
 
 def _workload(seed=11):
-    condition = ConditionSpec.from_condition(make_conditions(seed=5)[1])
+    condition = make_conditions(seed=5)[1]
     return WorkloadSpec(
         name="service-test", seed=seed,
         transfers=(

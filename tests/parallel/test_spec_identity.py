@@ -139,5 +139,10 @@ def test_spec_hashes_recorded_at_the_parent_still_hold():
     assert hashes == [
         "3236cb98e34510f521f165743823ca3399157a45dd19313938ffb6db8ec781f3",
         "ab4016df587f5e80b15762650b17b608939479a8589fb4b9eb172abccfa09614",
-        "d2071b9b896dee299427f44aa91293a4dd26475d1765448fcb0147e0b4ecd6ae",
+        # Re-recorded when the registry began returning ConditionSpec
+        # rows: the kwarg is a bare registry row, whose ``__dataclass__``
+        # tag named ``repro.linkem.conditions.LocationCondition`` (a
+        # deleted type).  No product code hashes a bare condition; the
+        # two task hashes above are the parent's.
+        "723a4c82e00bb5bf33b18d0dac74209c92e6c8c0c40078b8ccbb92f0430b4d89",
     ]

@@ -206,7 +206,7 @@ class TestSpecKeys:
     def test_dataclasses_canonicalize(self):
         condition = make_conditions(seed=1)[0]
         spec = canonical_spec({"condition": condition})
-        assert spec["condition"]["__dataclass__"].endswith("LocationCondition")
+        assert spec["condition"]["__dataclass__"].endswith("ConditionSpec")
         assert spec_key("m:f", {"condition": condition}, "f") == spec_key(
             "m:f", {"condition": condition}, "f"
         )

@@ -90,14 +90,15 @@ class TestMptcpReliability:
                                                   seed):
         """Administratively killing a path mid-transfer must still
         deliver every byte exactly once via the surviving path."""
-        from repro.mptcp.events import schedule_multipath_off
+        from repro.faults import FaultEvent, FaultSpec
 
         scenario = Scenario(seed=seed)
         scenario.add_path(PathConfig(name="wifi", down_mbps=6.0, up_mbps=3.0,
                                      rtt_ms=35.0, queue_packets=120))
         scenario.add_path(PathConfig(name="lte", down_mbps=5.0, up_mbps=2.5,
                                      rtt_ms=90.0, queue_packets=400))
-        schedule_multipath_off(scenario.loop, scenario.path("wifi"), fail_at)
+        scenario.inject_faults(FaultSpec(events=(
+            FaultEvent("iface_down", "wifi", at_s=fail_at),)))
         connection = scenario.mptcp(
             nbytes, options=MptcpOptions(primary="wifi"))
         result = scenario.run_transfer(connection, deadline_s=120.0)

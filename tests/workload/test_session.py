@@ -1,8 +1,9 @@
-"""Session interpreter: legacy byte-identity, batches, caching."""
+"""Session interpreter: inline byte-identity, batches, caching."""
 
 import pytest
 
-from repro.linkem.conditions import build_scenario, make_conditions
+from repro.linkem.conditions import make_conditions
+from repro.linkem.shells import mpshell
 from repro.mptcp.connection import MptcpOptions
 from repro.parallel import ResultCache, set_default_workers
 from repro.tcp.config import TcpConfig
@@ -25,7 +26,7 @@ def _condition():
 
 
 def _specs(seed=21):
-    condition = ConditionSpec.from_condition(_condition())
+    condition = _condition()
     return [
         TransferSpec(kind="tcp", condition=condition, nbytes=FLOW_BYTES,
                      path="wifi", seed=seed),
@@ -37,18 +38,18 @@ def _specs(seed=21):
 
 
 class TestLegacyByteIdentity:
-    """Session.run must reproduce the pre-spec construction exactly."""
+    """Session.run ≡ driving the same connection inline on an mpshell."""
 
     def test_tcp_matches_inline_scenario(self):
         condition = _condition()
         spec = TransferSpec(
-            kind="tcp", condition=ConditionSpec.from_condition(condition),
+            kind="tcp", condition=condition,
             nbytes=FLOW_BYTES, path="wifi", seed=31,
             config={"initial_ssthresh_segments": 32},
         )
         report = Session().run(spec)
 
-        scenario = build_scenario(condition, seed=31)
+        scenario = mpshell(condition, seed=31)
         connection = scenario.tcp(
             "wifi", FLOW_BYTES, direction="down", cc="cubic",
             config=TcpConfig(initial_ssthresh_segments=32),
@@ -60,13 +61,13 @@ class TestLegacyByteIdentity:
     def test_mptcp_matches_inline_scenario(self):
         condition = _condition()
         spec = TransferSpec(
-            kind="mptcp", condition=ConditionSpec.from_condition(condition),
+            kind="mptcp", condition=condition,
             nbytes=FLOW_BYTES, primary="lte", cc="coupled", seed=8,
             options={"join_delay_rtts": 0.0},
         )
         report = Session().run(spec)
 
-        scenario = build_scenario(condition, seed=8)
+        scenario = mpshell(condition, seed=8)
         connection = scenario.mptcp(
             FLOW_BYTES, direction="down",
             options=MptcpOptions(primary="lte", congestion_control="coupled",
@@ -130,3 +131,29 @@ class TestBatches:
         assert session.last_stats.cache_hits == len(workload.transfers)
         assert session.last_stats.executed == 0
         assert warm == cold
+
+
+class TestDualCellularLocation:
+    """A location the wifi+lte pair could not express: two LTE paths."""
+
+    def test_two_lte_paths_run_mptcp_at_both_fidelities(self):
+        from repro.workload import PathSpec
+
+        condition = ConditionSpec(
+            condition_id=30, city="(out of sample)", paths=(
+                PathSpec("lte", "lte", down_mbps=9, up_mbps=4, rtt_ms=70,
+                         queue_packets=600),
+                PathSpec("lte2", "lte", down_mbps=6, up_mbps=2, rtt_ms=95,
+                         queue_packets=600, trace_driven=True,
+                         temporal_sigma=0.2),
+            ))
+        assert mpshell(condition, seed=5).path_names == ["lte", "lte2"]
+        spec = TransferSpec(kind="mptcp", condition=condition,
+                            nbytes=512 * 1024, primary="lte2",
+                            cc="coupled", seed=5)
+        for fidelity in ("packet", "flow"):
+            report = Session().run(spec.with_fidelity(fidelity))
+            assert report.completed
+            assert sorted(report.subflow_delivery_logs) == ["lte", "lte2"]
+            assert all(log and log[-1][1] > 0
+                       for log in report.subflow_delivery_logs.values())

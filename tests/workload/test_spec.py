@@ -20,7 +20,7 @@ from repro.workload import (
 )
 from repro.workload.spec import mptcp_option_overrides
 
-CONDITION = ConditionSpec.from_condition(make_conditions(seed=3)[0])
+CONDITION = make_conditions(seed=3)[0]
 
 
 def tcp_spec(**overrides) -> TransferSpec:
@@ -37,11 +37,6 @@ class TestRoundTrips:
 
     def test_condition_spec_round_trip(self):
         assert ConditionSpec.from_dict(CONDITION.to_dict()) == CONDITION
-
-    def test_condition_round_trips_location_condition(self):
-        condition = make_conditions(seed=9)[4]
-        rebuilt = ConditionSpec.from_condition(condition).to_condition()
-        assert rebuilt == condition
 
     def test_transfer_spec_round_trip_through_json(self):
         spec = TransferSpec(
@@ -194,8 +189,8 @@ class TestCacheKeys:
             "import sys, json\n"
             "from repro.linkem.conditions import make_conditions\n"
             "from repro.parallel.cache import spec_key\n"
-            "from repro.workload import ConditionSpec, TransferSpec\n"
-            "condition = ConditionSpec.from_condition(make_conditions(seed=3)[0])\n"
+            "from repro.workload import TransferSpec\n"
+            "condition = make_conditions(seed=3)[0]\n"
             "spec = TransferSpec(kind='tcp', condition=condition,\n"
             "                    nbytes=64 * 1024, path='wifi', seed=13)\n"
             "print(spec_key('repro.workload.session:run_transfer_spec',\n"
