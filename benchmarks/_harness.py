@@ -12,11 +12,7 @@ import os
 from typing import Dict, Optional
 
 from repro.experiments.common import ExperimentResult
-from repro.parallel import (
-    resolve_executor_spec,
-    resolve_workers,
-    set_default_workers,
-)
+from repro.parallel import resolve_executor_spec, resolve_workers
 
 __all__ = ["run_once", "emit", "bench_environment"]
 
@@ -70,7 +66,6 @@ def run_once(benchmark, fn, capfd=None, **kwargs) -> ExperimentResult:
     only the wall-clock changes, which is the point of a benchmark
     knob).
     """
-    set_default_workers(resolve_workers())
     result = benchmark.pedantic(
         lambda: fn(**kwargs), rounds=1, iterations=1, warmup_rounds=0,
     )

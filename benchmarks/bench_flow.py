@@ -99,10 +99,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     from _harness import bench_environment
 
     from repro.flow.validate import validate_fidelity, validation_conditions
-    from repro.parallel.cache import CACHE_TOGGLE_ENV
     from repro.workload.session import Session
 
-    os.environ[CACHE_TOGGLE_ENV] = "0"
+    os.environ["REPRO_CACHE"] = "0"
     required = args.required_speedup
     if required is None:
         required = SMOKE_REQUIRED_SPEEDUP if args.smoke else REQUIRED_SPEEDUP

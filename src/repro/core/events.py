@@ -230,10 +230,6 @@ class EventLoop:
         if until is not None and until > self._now:
             self._now = until
 
-    def run_until_idle(self, max_events: int = 50_000_000) -> None:
-        """Run until no events remain (alias of :meth:`run` without bound)."""
-        self.run(until=None, max_events=max_events)
-
 
 class Timer:
     """A restartable one-shot timer (e.g. a TCP retransmission timer).

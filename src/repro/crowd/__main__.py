@@ -24,6 +24,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.aggregate import SINK_KINDS
@@ -31,6 +32,9 @@ from repro.crowd.app import CellVsWifiApp
 from repro.crowd.world import TABLE1_SITES
 
 __all__ = ["main"]
+
+
+_SCALE_FLAGS = ("--workers", "--executor", "--progress")
 
 
 def _find_site(name: str):
@@ -66,9 +70,6 @@ def _scale_main(args: argparse.Namespace) -> int:
                 sink=args.sink,
                 batch=args.batch if args.batch else DEFAULT_BATCH,
                 shard_users=args.shard_users,
-                workers=args.workers,
-                executor=args.executor,
-                progress=args.progress or None,
                 csv_stream=csv_stream,
             )
         except ConfigurationError as exc:
@@ -147,14 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "O(1) memory) or csv rows")
     scale.add_argument("--csv-out", metavar="FILE", default=None,
                        help="output file for --sink csv")
-    scale.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: $REPRO_WORKERS, "
-                            "else 1; results identical for any value)")
-    scale.add_argument("--executor", default=None,
-                       help="sweep backend: inprocess, process, or "
-                            "socket:HOST:PORT,... (results identical)")
-    scale.add_argument("--progress", action="store_true",
-                       help="live shard progress/ETA on stderr")
+    env.add_flags(scale, *_SCALE_FLAGS)
     scale.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write the per-shard run manifests as JSON "
                             "(render with: python -m repro.obs "
@@ -164,7 +158,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.users is not None:
-        return _scale_main(args)
+        with env.exported("crowd", args, *_SCALE_FLAGS):
+            return _scale_main(args)
 
     if args.list_sites:
         for site in TABLE1_SITES:

@@ -16,7 +16,7 @@ mechanism rather than incidental:
    on a lossy, asymmetric location.
 """
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.stats import median
 from repro.core.rng import DEFAULT_SEED
@@ -59,8 +59,8 @@ def primary_effect(reports: List[TransferReport], nbytes: int = TEN_KB) -> float
 
 
 @register("ablation_slowstart")
-def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
-                           workers: Optional[int] = None) -> ExperimentResult:
+def run_slowstart_ablation(seed: int = DEFAULT_SEED,
+                           fast: bool = False) -> ExperimentResult:
     """The *flow-size gradient* of the primary effect needs the window ramp.
 
     The paper's Fig. 8 finding is a gradient: the primary choice
@@ -75,7 +75,7 @@ def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
         seed, count, repeats=1,
         config=TcpConfig(initial_cwnd_segments=1000),
     )
-    reports = _SESSION.run_many(baseline + no_ramp, workers=workers)
+    reports = _SESSION.run_many(baseline + no_ramp)
     baseline_runs = reports[:len(baseline)]
     no_ramp_runs = reports[len(baseline):]
     baseline_small = primary_effect(baseline_runs, TEN_KB)
@@ -110,8 +110,8 @@ def run_slowstart_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
 
 
 @register("ablation_join")
-def run_join_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
-                      workers: Optional[int] = None) -> ExperimentResult:
+def run_join_ablation(seed: int = DEFAULT_SEED,
+                      fast: bool = False) -> ExperimentResult:
     # The sequential grid is the slow-start ablation's baseline, so
     # after that one only the simultaneous-join half executes.
     count = 4 if fast else 10
@@ -120,8 +120,7 @@ def run_join_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
         seed, count, repeats=1,
         options={"simultaneous_join": True, "join_delay_rtts": 0.0},
     )
-    reports = _SESSION.run_many(sequential_grid + simultaneous_grid,
-                                workers=workers)
+    reports = _SESSION.run_many(sequential_grid + simultaneous_grid)
     sequential = primary_effect(reports[:len(sequential_grid)])
     simultaneous = primary_effect(reports[len(sequential_grid):])
     metrics = {
@@ -145,15 +144,15 @@ def run_join_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
 
 
 @register("ablation_scheduler")
-def run_scheduler_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
-                           workers: Optional[int] = None) -> ExperimentResult:
+def run_scheduler_ablation(seed: int = DEFAULT_SEED,
+                           fast: bool = False) -> ExperimentResult:
     condition = flow_conditions(seed)[0]  # strongly asymmetric
     schedulers = ("minrtt", "roundrobin")
     reports = _SESSION.run_many([
         mptcp_spec(condition, "wifi", "decoupled", ONE_MBYTE,
                    seed=seed, options={"scheduler": scheduler})
         for scheduler in schedulers
-    ], workers=workers)
+    ])
     results = {
         scheduler: report.throughput_mbps or 0.0
         for scheduler, report in zip(schedulers, reports)
@@ -176,7 +175,8 @@ def run_scheduler_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
 
 
 @register("ablation_delack")
-def run_delack_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
+def run_delack_ablation(seed: int = DEFAULT_SEED,
+                        fast: bool = False) -> ExperimentResult:
     """Quick-ACK vs RFC 1122 delayed ACKs on a bulk transfer.
 
     Delayed ACKs halve the receiver's ACK traffic at the cost of a
@@ -225,15 +225,15 @@ def run_delack_ablation(seed: int = DEFAULT_SEED, fast: bool = False) -> Experim
 
 
 @register("ablation_coupling")
-def run_coupling_ablation(seed: int = DEFAULT_SEED, fast: bool = False,
-                          workers: Optional[int] = None) -> ExperimentResult:
+def run_coupling_ablation(seed: int = DEFAULT_SEED,
+                          fast: bool = False) -> ExperimentResult:
     condition = flow_conditions(seed)[5]
     algorithms = ("decoupled", "coupled", "olia")
     reports = _SESSION.run_many([
         mptcp_spec(condition, "wifi", cc, ONE_MBYTE, seed=seed,
                    config=WARM_FLOW_CONFIG)
         for cc in algorithms
-    ], workers=workers)
+    ])
     results = {
         cc: report.throughput_mbps or 0.0
         for cc, report in zip(algorithms, reports)

@@ -150,10 +150,11 @@ def flow_size_result(
 
 #: Shared interpreter: every transfer-only experiment builds a
 #: ``List[TransferSpec]`` (explicit seeds), hands it to
-#: ``_SESSION.run_many(specs, workers=workers)`` and reduces the
-#: returned reports — so each inherits ``--workers``, ``--executor``,
-#: ``--progress`` and the result cache.  ``_SESSION.open`` is the seam
-#: for the few experiments that need the live connection.
+#: ``_SESSION.run_many(specs)`` and reduces the returned reports — so
+#: each honours every run-level setting of :mod:`repro.core.env`
+#: (worker count, executor, cache, progress, tracing, chaos).
+#: ``_SESSION.open`` is the seam for the few experiments that need the
+#: live connection.
 _SESSION = Session()
 
 
@@ -224,8 +225,7 @@ def configuration_specs(
     ]
 
 
-def crowd_dataset(sites, seed: int = DEFAULT_SEED,
-                  workers: Optional[int] = None):
+def crowd_dataset(sites, seed: int = DEFAULT_SEED):
     """The crowdsourced dataset for ``sites``, collected site-parallel.
 
     Equivalent to ``CellVsWifiApp(seed=seed).collect_all(sites)``: every
@@ -243,7 +243,7 @@ def crowd_dataset(sites, seed: int = DEFAULT_SEED,
         for site in sites
     ]
     runs = []
-    for site_runs in SweepRunner(workers=workers, seed=seed).run(tasks):
+    for site_runs in SweepRunner(seed=seed).run(tasks):
         runs.extend(site_runs)
     return Dataset(runs)
 

@@ -17,7 +17,7 @@ Two claims are checked against the original 750-user reproduction:
   documented tolerance (sketch alpha + finite-sample spread).
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.report import Table
@@ -34,8 +34,7 @@ CHECK_QUANTILES = (10, 25, 50, 75, 90)
 
 
 @register("crowd-scale")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     """Run the crowd-scale pipeline and check paper consistency.
 
     ``fast`` uses 20k users (a couple of seconds); the full run uses
@@ -44,7 +43,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
     """
     users = 20_000 if fast else 200_000
     population = PopulationSpec(users=users, seed=seed)
-    result = simulate(population=population, workers=workers)
+    result = simulate(population=population)
     sketch = result.sketch
 
     table = Table(
@@ -67,9 +66,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
 
     # Fig. 3/4 consistency: sketch quantiles vs the exact CDFs of the
     # original site-by-site reference pipeline.
-    reference = crowd_dataset(
-        TABLE1_SITES, seed=seed, workers=workers
-    ).analysis_set()
+    reference = crowd_dataset(TABLE1_SITES, seed=seed).analysis_set()
     ref_down = Cdf(reference.downlink_diffs())
     ref_up = Cdf(reference.uplink_diffs())
     check = Table(

@@ -1,10 +1,11 @@
 """Failover under injected faults: the Fig. 15 story as declarative data.
 
-Fig. 15 drives its unplug/multipath-off events imperatively against
-live scenario objects.  This experiment replays the same failure
-modes — plus two degradations the paper's testbed could not script
-(bursty loss, capacity collapse) — through :mod:`repro.faults`: every
-schedule is a :class:`~repro.faults.spec.FaultSpec` attached to a
+Fig. 15 injects its unplug/multipath-off events as fault schedules
+into one live scenario per panel, serially, to capture per-interface
+packet activity.  This experiment sweeps the same failure modes — plus
+two degradations the paper's testbed could not script (bursty loss,
+capacity collapse) — as transfer specs: every schedule is a
+:class:`~repro.faults.spec.FaultSpec` attached to a
 :class:`~repro.workload.spec.TransferSpec`, so the whole campaign is
 JSON-shaped data, sweeps through the hardened engine, and is
 bit-identical for any ``--workers`` count.
@@ -30,7 +31,7 @@ Scenarios:
   clean baseline.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
@@ -149,10 +150,9 @@ def _outcome_line(report: TransferReport) -> str:
 
 
 @register("failover", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     specs = build_specs(seed, fast=fast)
-    reports = _SESSION.run_many(specs, workers=workers)
+    reports = _SESSION.run_many(specs)
     by_label: Dict[str, Tuple[TransferSpec, TransferReport]] = {
         spec.key(): (spec, report) for spec, report in zip(specs, reports)
     }

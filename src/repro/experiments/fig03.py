@@ -4,8 +4,6 @@ The paper's headline: LTE outperforms WiFi in 42 % of uplink samples
 and 35 % of downlink samples — 40 % combined.
 """
 
-from typing import Optional
-
 from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
@@ -16,10 +14,9 @@ __all__ = ["run"]
 
 
 @register("fig03")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    dataset = crowd_dataset(sites, seed=seed, workers=workers).analysis_set()
+    dataset = crowd_dataset(sites, seed=seed).analysis_set()
 
     up = Cdf(dataset.uplink_diffs())
     down = Cdf(dataset.downlink_diffs())

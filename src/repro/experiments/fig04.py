@@ -4,8 +4,6 @@ Paper headline: LTE has lower ping RTT in 20 % of runs, despite
 cellular networks being assumed higher-delay.
 """
 
-from typing import Optional
-
 from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
@@ -16,10 +14,9 @@ __all__ = ["run"]
 
 
 @register("fig04")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    dataset = crowd_dataset(sites, seed=seed, workers=workers).analysis_set()
+    dataset = crowd_dataset(sites, seed=seed).analysis_set()
 
     diffs = dataset.rtt_diffs()  # RTT(WiFi) - RTT(LTE)
     cdf = Cdf(diffs)

@@ -8,7 +8,7 @@ the app-data samples come from the analytic crowd pipeline — so this
 experiment also validates that the two modelling levels agree.
 """
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
@@ -49,12 +49,11 @@ def location_grid(seed: int, fast: bool = False) -> List[TransferSpec]:
 
 
 @register("fig06", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    app_data = crowd_dataset(sites, seed=seed, workers=workers).analysis_set()
+    app_data = crowd_dataset(sites, seed=seed).analysis_set()
 
-    reports = _SESSION.run_many(location_grid(seed, fast), workers=workers)
+    reports = _SESSION.run_many(location_grid(seed, fast))
     up_diffs = []
     down_diffs = []
     for start in range(0, len(reports), 4):

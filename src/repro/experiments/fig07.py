@@ -59,13 +59,11 @@ def flow_size_sweep(
     condition: ConditionSpec,
     seed: int,
     sizes_kb: Optional[List[int]] = None,
-    workers: Optional[int] = None,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """(flow size KB, throughput Mbps) series for the six configs."""
     sizes_kb = sizes_kb if sizes_kb is not None else SWEEP_SIZES_KB
     reports = _SESSION.run_many(
-        configuration_specs(condition, ONE_MBYTE, seed=seed), workers=workers
-    )
+        configuration_specs(condition, ONE_MBYTE, seed=seed))
     return _curves(reports, sizes_kb)
 
 
@@ -81,8 +79,7 @@ def _best(series, kb: float, names) -> float:
 
 
 @register("fig07")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     conditions = make_conditions(seed=seed)
     disparate = conditions[0]   # ID 1: WiFi >> LTE
     comparable = next(
@@ -95,7 +92,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
     # independent simulations can run concurrently.
     specs_a = configuration_specs(disparate, ONE_MBYTE, seed=seed)
     specs_b = configuration_specs(comparable, ONE_MBYTE, seed=seed)
-    reports = _SESSION.run_many(specs_a + specs_b, workers=workers)
+    reports = _SESSION.run_many(specs_a + specs_b)
     sweep_a = _curves(reports[:len(specs_a)], sizes)
     sweep_b = _curves(reports[len(specs_a):], sizes)
 

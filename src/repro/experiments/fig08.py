@@ -71,14 +71,13 @@ def primary_relative_differences(
 
 
 @register("fig08", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     grid = primary_choice_grid(
         seed,
         condition_count=6 if fast else 20,
         repeats=1 if fast else 2,
     )
-    reports = _SESSION.run_many(grid, workers=workers)
+    reports = _SESSION.run_many(grid)
     return flow_size_result(
         "fig08",
         "Relative difference between MPTCP_LTE and MPTCP_WiFi by flow size",

@@ -7,7 +7,7 @@ case where WiFi is faster.  Each panel shows the whole-connection
 average throughput over time plus the per-subflow contributions.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.plotting import ascii_series
 from repro.analysis.throughput import average_throughput_series
@@ -101,8 +101,7 @@ def _illustrative_conditions():
 
 
 @register("fig09_10")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     lte_better, wifi_better = _illustrative_conditions()
 
     # All four (condition, primary) simulations are independent: one
@@ -119,7 +118,6 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
                        config=WARM_FLOW_CONFIG)
             for _, condition, primary in panel_specs
         ],
-        workers=workers,
     )
     series_by_key = {
         (fig, primary): evolution_series(report)

@@ -6,7 +6,7 @@ the right primary matters most, proportionally, for small flows.
 Fig. 11 is measured where LTE is faster; Fig. 12 where WiFi is faster.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.plotting import ascii_series
 from repro.core.rng import DEFAULT_SEED
@@ -22,7 +22,7 @@ from repro.experiments.fig09_10 import _illustrative_conditions
 from repro.linkem.conditions import ConditionSpec
 from repro.workload import TransferSpec
 
-__all__ = ["run", "size_profile"]
+__all__ = ["run"]
 
 ONE_MBYTE = 1_048_576
 PROFILE_SIZES_KB = list(range(25, 1025, 50))
@@ -51,17 +51,6 @@ def _profile_from(
     return {**absolute, "ratio LTE/WiFi": ratio}
 
 
-def size_profile(
-    condition: ConditionSpec, seed: int, sizes_kb: List[int],
-    workers: Optional[int] = None,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """MPTCP(LTE) and MPTCP(WiFi) throughput vs flow size, plus ratio."""
-    lte_summary, wifi_summary = _SESSION.run_many(
-        _profile_specs(condition, seed), workers=workers
-    )
-    return _profile_from(lte_summary, wifi_summary, sizes_kb)
-
-
 def _gap_and_ratio(profile, kb: float) -> Tuple[float, float]:
     def value(name):
         for x, y in profile[name]:
@@ -78,15 +67,13 @@ def _gap_and_ratio(profile, kb: float) -> Tuple[float, float]:
 
 
 @register("fig11_12")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     lte_better, wifi_better = _illustrative_conditions()
     sizes = PROFILE_SIZES_KB[::4] if fast else PROFILE_SIZES_KB
 
     # One sweep covers both panels' four independent transfers.
     summaries = _SESSION.run_many(
         _profile_specs(lte_better, seed) + _profile_specs(wifi_better, seed),
-        workers=workers,
     )
     profiles = {
         "fig11": _profile_from(summaries[0], summaries[1], sizes),

@@ -10,8 +10,6 @@ reads (:func:`repro.experiments.fig14.dual_cc_grid`), so whichever of
 the two runs second is served from the result cache.
 """
 
-from typing import Optional
-
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
     ExperimentResult,
@@ -24,12 +22,11 @@ __all__ = ["run"]
 
 
 @register("fig13", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     return flow_size_result(
         "fig13",
         "Coupled vs decoupled congestion control by flow size",
-        measure_dual_cc(seed, fast, workers)["CC"],
+        measure_dual_cc(seed, fast)["CC"],
         ordering=("ordering_large_gt_small", "1MB", "10KB"),
         targets={
             "median_rel_diff[10KB]": 16.0,

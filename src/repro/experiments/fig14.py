@@ -12,7 +12,7 @@ Fig. 13 is the ``"CC"`` half of the same campaign: one grid
 figures are read off the same dual-CC measurement runs.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.stats import relative_difference
 from repro.core.rng import DEFAULT_SEED
@@ -99,17 +99,16 @@ def network_and_cc_differences(
 
 
 def measure_dual_cc(
-    seed: int, fast: bool, workers: Optional[int]
+    seed: int, fast: bool,
 ) -> Dict[str, Dict[str, List[float]]]:
     """Run (or read back from the cache) the dual-CC campaign."""
-    reports = _SESSION.run_many(dual_cc_grid(seed, fast), workers=workers)
+    reports = _SESSION.run_many(dual_cc_grid(seed, fast))
     return network_and_cc_differences(reports)
 
 
 @register("fig14", flow_capable=True)
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
-    diffs = measure_dual_cc(seed, fast, workers)
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
+    diffs = measure_dual_cc(seed, fast)
     panels = []
     metrics = {}
     for name in FLOW_SIZES:

@@ -6,7 +6,7 @@ headline claim: because a lone SYN or FIN keeps the LTE radio in its
 little energy for flows shorter than about 15 seconds.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.plotting import ascii_series
 from repro.analysis.report import Table
@@ -112,8 +112,7 @@ def backup_flow_energy(
 
 
 @register("fig16")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     durations = [3.0, 8.0] if fast else [3.0, 8.0, 15.0, 30.0, 60.0]
 
     # The power panels and every (duration, dormancy) energy figure are
@@ -128,7 +127,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False,
                         "fast_dormancy": fast_dormancy},
                 key=f"fig16.energy.{duration}.{fast_dormancy}",
             ))
-    outcomes = SweepRunner(workers=workers, seed=seed).run(tasks)
+    outcomes = SweepRunner(seed=seed).run(tasks)
     panels = outcomes[0]
     energies = {
         (duration, fast_dormancy): outcome

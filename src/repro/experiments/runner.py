@@ -23,26 +23,17 @@ engine (see ``examples/workload.json`` for the format).
 
 import argparse
 import importlib
-import inspect
 import os
 import sys
 import time
 from typing import List, Optional
 
+from repro.core import env
 from repro.core.errors import ConfigurationError, SweepTaskError
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import EXPERIMENTS, FLOW_CAPABLE
-from repro.flow.fidelity import resolve_fidelity, set_default_fidelity
-from repro.obs.progress import PROGRESS_ENV
-from repro.obs.trace import TRACE_DIR_ENV
-from repro.parallel import (
-    resolve_executor_spec,
-    resolve_workers,
-    set_default_executor,
-    set_default_workers,
-)
-from repro.parallel.cache import CACHE_TOGGLE_ENV
-from repro.parallel.chaos import apply_chaos_flag
+from repro.flow.fidelity import resolve_fidelity
+from repro.parallel import resolve_workers
 
 __all__ = ["main", "run_spec_main", "load_all_experiments",
            "EXPERIMENT_MODULES"]
@@ -79,60 +70,10 @@ def load_all_experiments() -> None:
         )
 
 
-def _run_kwargs(fn, workers: int) -> dict:
-    """Pass ``workers`` only to experiments whose sweeps accept it."""
-    if "workers" in inspect.signature(fn).parameters:
-        return {"workers": workers}
-    return {}
-
-
-def _apply_obs_flags(trace_dir: Optional[str], progress: bool) -> None:
-    """Export observability flags via env so worker processes inherit.
-
-    ``--trace DIR`` enables full JSONL tracing for every transfer in
-    the run (cache bypassed so traces are actually produced);
-    ``--progress`` turns on the sweep progress/ETA line.
-    """
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
-        os.environ[TRACE_DIR_ENV] = trace_dir
-    if progress:
-        os.environ[PROGRESS_ENV] = "1"
-
-
-def _add_fidelity_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fidelity", choices=("packet", "flow"),
-                        default=None,
-                        help="run every transfer at this fidelity "
-                             "(default: each spec's own, normally "
-                             "packet; flow is the 100-1000x faster "
-                             "analytic engine — aggregates only). "
-                             "Overrides $REPRO_FIDELITY.")
-
-
-def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--executor", default=None,
-                        help="sweep backend: inprocess (serial, easiest "
-                             "to debug), process (local pool, the "
-                             "default), or socket:HOST:PORT,... (remote "
-                             "'python -m repro.parallel worker' fleet). "
-                             "Results are identical for any backend. "
-                             "Overrides $REPRO_EXECUTOR.")
-
-
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", metavar="DIR", default=None,
-                        help="write JSONL transport traces and run "
-                             "manifests into DIR (sets REPRO_TRACE_DIR; "
-                             "bypasses the result cache)")
-    parser.add_argument("--progress", action="store_true",
-                        help="live sweep progress/ETA on stderr "
-                             "(sets REPRO_PROGRESS=1)")
-    parser.add_argument("--chaos", metavar="FILE", default=None,
-                        help="inject deterministic infrastructure faults "
-                             "from a ChaosSpec JSON file (see "
-                             "examples/chaos.json; sets REPRO_CHAOS). "
-                             "Results must stay bit-identical.")
+#: The run-level flags both commands take (declared once, in
+#: :data:`repro.core.env.FLAGS`).
+_RUN_FLAGS = ("--workers", "--no-cache", "--fidelity", "--executor",
+              "--trace", "--progress", "--chaos")
 
 
 def _workload_with_faults(workload, path: str):
@@ -155,38 +96,25 @@ def _workload_with_faults(workload, path: str):
 
 def run_spec_main(argv: Optional[List[str]] = None) -> int:
     """``repro-experiments run-spec``: execute a workload JSON file."""
-    from repro.workload import Session, WorkloadSpec
-
     parser = argparse.ArgumentParser(
         prog="repro-experiments run-spec",
         description="Execute a declarative workload (WorkloadSpec JSON).",
     )
     parser.add_argument("workload", help="path to a workload JSON file")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: $REPRO_WORKERS, "
-                             "else 1; results are identical for any value)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not populate the on-disk "
-                             "sweep result cache")
     parser.add_argument("--faults", metavar="FILE", default=None,
                         help="apply a FaultSpec JSON schedule (see "
                              "examples/faults.json) to every transfer "
                              "that does not already carry one")
-    _add_fidelity_argument(parser)
-    _add_executor_argument(parser)
-    _add_obs_arguments(parser)
+    env.add_flags(parser, *_RUN_FLAGS)
     args = parser.parse_args(argv)
+    with env.exported("run-spec", args, *_RUN_FLAGS):
+        return _run_spec(args)
 
-    if args.no_cache:
-        os.environ[CACHE_TOGGLE_ENV] = "0"
-    _apply_obs_flags(args.trace, args.progress)
+
+def _run_spec(args: argparse.Namespace) -> int:
+    from repro.workload import Session, WorkloadSpec
+
     try:
-        set_default_fidelity(args.fidelity)
-        resolve_fidelity()  # surface a bad $REPRO_FIDELITY before running
-        set_default_executor(args.executor)
-        resolve_executor_spec()  # surface a bad $REPRO_EXECUTOR early
-        workers = resolve_workers(args.workers)
-        apply_chaos_flag(args.chaos)
         with open(args.workload, "r", encoding="utf-8") as handle:
             workload = WorkloadSpec.from_json(handle.read())
         if args.faults:
@@ -197,7 +125,7 @@ def run_spec_main(argv: Optional[List[str]] = None) -> int:
 
     session = Session(seed=workload.seed)
     try:
-        reports = session.run_workload(workload, workers=workers)
+        reports = session.run_workload(workload)
     except SweepTaskError as exc:
         # Healthy transfers already ran (and were cached); report the
         # permanently-failed ones and exit non-zero.
@@ -244,32 +172,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--fast", action="store_true",
                         help="reduced sweep sizes (seconds instead of minutes)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for sweep execution "
-                             "(default: $REPRO_WORKERS, else 1; results "
-                             "are identical for any value)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not populate the on-disk "
-                             "sweep result cache")
-    _add_fidelity_argument(parser)
-    _add_executor_argument(parser)
-    _add_obs_arguments(parser)
+    env.add_flags(parser, *_RUN_FLAGS)
     args = parser.parse_args(argv)
+    with env.exported("repro-experiments", args, *_RUN_FLAGS):
+        return _run_experiments(parser, args)
 
-    try:
-        set_default_fidelity(args.fidelity)
-        fidelity = resolve_fidelity()
-        set_default_executor(args.executor)
-        resolve_executor_spec()  # surface a bad $REPRO_EXECUTOR early
-        workers = resolve_workers(args.workers)
-        apply_chaos_flag(args.chaos)
-    except (OSError, ConfigurationError) as exc:
-        parser.error(str(exc))
-    set_default_workers(workers)
-    if args.no_cache:
-        os.environ[CACHE_TOGGLE_ENV] = "0"
-    _apply_obs_flags(args.trace, args.progress)
 
+def _run_experiments(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> int:
     load_all_experiments()
     if args.list:
         for name in EXPERIMENT_MODULES:
@@ -284,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
-    if fidelity == "flow":
+    if resolve_fidelity() == "flow":
         packet_only = [n for n in names if not FLOW_CAPABLE.get(n)]
         if packet_only:
             capable = sorted(n for n, ok in FLOW_CAPABLE.items() if ok)
@@ -300,21 +210,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     for name in names:
         started = time.time()
-        fn = EXPERIMENTS[name]
-        result = fn(seed=args.seed, fast=args.fast,
-                    **_run_kwargs(fn, workers))
+        result = EXPERIMENTS[name](seed=args.seed, fast=args.fast)
         print(result.render())
         elapsed = time.time() - started
         print(f"[{name} finished in {elapsed:.1f}s]\n")
         if args.trace:
-            _write_experiment_manifest(
-                args.trace, name, args, workers, elapsed
-            )
+            _write_experiment_manifest(args.trace, name, args, elapsed)
     return 0
 
 
 def _write_experiment_manifest(trace_dir: str, name: str,
-                               args: argparse.Namespace, workers: int,
+                               args: argparse.Namespace,
                                elapsed_s: float) -> None:
     """Stamp a provenance sidecar next to the figure's traces.
 
@@ -335,7 +241,7 @@ def _write_experiment_manifest(trace_dir: str, name: str,
         cache_hit=False,
         wall_time_s=elapsed_s,
         worker_pid=os.getpid(),
-        workers=workers,
+        workers=resolve_workers(),
         package_version=__version__,
     ).write(os.path.join(trace_dir, f"{name}.manifest.json"))
 

@@ -6,7 +6,7 @@ prints the same columns as the paper: location, coordinates, run
 count, and the percentage of runs where LTE beat WiFi.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.report import Table
 from repro.core.rng import DEFAULT_SEED
@@ -24,11 +24,10 @@ def _nearest_site_name(cluster) -> str:
 
 
 @register("table1")
-def run(seed: int = DEFAULT_SEED, fast: bool = False,
-        workers: Optional[int] = None) -> ExperimentResult:
+def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     """Reproduce Table 1.  ``fast`` restricts to the 8 largest sites."""
     sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    dataset = crowd_dataset(sites, seed=seed, workers=workers)
+    dataset = crowd_dataset(sites, seed=seed)
     analysis = dataset.analysis_set()
     clusters = cluster_runs(analysis.runs, radius_km=100.0)
 

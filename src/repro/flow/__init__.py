@@ -23,16 +23,6 @@ Submodules (imported lazily to keep the spec layer import-light):
 * :mod:`repro.flow.validate` — cross-fidelity validation harness.
 """
 
-from repro.flow.fidelity import (
-    FIDELITY_ENV,
-    apply_fidelity_override,
-    resolve_fidelity,
-    set_default_fidelity,
-)
+from repro.flow.fidelity import apply_fidelity_override, resolve_fidelity
 
-__all__ = [
-    "FIDELITY_ENV",
-    "apply_fidelity_override",
-    "resolve_fidelity",
-    "set_default_fidelity",
-]
+__all__ = ["apply_fidelity_override", "resolve_fidelity"]

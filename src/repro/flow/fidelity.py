@@ -3,10 +3,10 @@
 A :class:`~repro.workload.spec.TransferSpec` carries its own
 ``fidelity`` field, but campaigns often want to flip an entire run
 without editing specs — "rerun this workload at flow fidelity".  This
-module is the single resolution point: an explicit process default
-(``set_default_fidelity``, used by the ``--fidelity`` CLI flags) wins,
-then the ``REPRO_FIDELITY`` environment variable, then the spec's own
-field.
+module is the single resolution point: the ``REPRO_FIDELITY``
+environment variable (which the ``--fidelity`` CLI flags export for the
+length of their command, see :mod:`repro.core.env`), else the spec's
+own field.
 
 The override is applied *before* sweep tasks are built (see
 :meth:`~repro.workload.session.Session.task_for`), so the rewritten
@@ -14,59 +14,32 @@ spec — and therefore the cache key — always reflects the fidelity that
 actually ran.
 """
 
-import os
 from typing import TYPE_CHECKING, Optional
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.workload.spec import TransferSpec
 
-__all__ = [
-    "FIDELITY_ENV",
-    "apply_fidelity_override",
-    "resolve_fidelity",
-    "set_default_fidelity",
-]
-
-#: Environment override: run every spec at this fidelity.
-FIDELITY_ENV = "REPRO_FIDELITY"
-
-_default_fidelity: Optional[str] = None
+__all__ = ["apply_fidelity_override", "resolve_fidelity"]
 
 
-def _validated(value: str, where: str) -> str:
+def resolve_fidelity() -> Optional[str]:
+    """The run-level override (``REPRO_FIDELITY``), or ``None``: spec decides."""
+    value = env.text(env.FIDELITY)
+    if value is None:
+        return None
     # Imported here: the spec module imports the workload package,
     # which imports this module back (Session dispatches on fidelity).
     from repro.workload.spec import FIDELITIES
 
     if value not in FIDELITIES:
         raise ConfigurationError(
-            f"{where}: must be one of {list(FIDELITIES)}, got {value!r}"
+            f"{env.FIDELITY}: must be one of {list(FIDELITIES)}, "
+            f"got {value!r}"
         )
     return value
-
-
-def set_default_fidelity(fidelity: Optional[str]) -> None:
-    """Set (or clear, with ``None``) the process-wide fidelity override."""
-    global _default_fidelity
-    _default_fidelity = (
-        None if fidelity is None else _validated(fidelity, "fidelity")
-    )
-
-
-def resolve_fidelity() -> Optional[str]:
-    """The active run-level override, or ``None`` (spec decides).
-
-    Precedence: :func:`set_default_fidelity` (CLI flags), then the
-    ``REPRO_FIDELITY`` environment variable.
-    """
-    if _default_fidelity is not None:
-        return _default_fidelity
-    env = os.environ.get(FIDELITY_ENV)
-    if env is not None and env != "":
-        return _validated(env, FIDELITY_ENV)
-    return None
 
 
 def apply_fidelity_override(spec: "TransferSpec") -> "TransferSpec":

@@ -33,6 +33,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.linkem.conditions import ConditionSpec, make_conditions
 from repro.workload.session import Session
@@ -356,10 +357,7 @@ def main(argv: Optional[Sequence[int]] = None) -> int:
         "--fast", action="store_true",
         help="CI-sized subset: 2 conditions, sizes 100KB/1MB",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="sweep worker processes (default: REPRO_WORKERS/auto)",
-    )
+    env.add_flags(parser, "--workers")
     parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
@@ -369,9 +367,8 @@ def main(argv: Optional[Sequence[int]] = None) -> int:
     sizes = dict(VALIDATION_SIZES)
     if args.fast:
         sizes.pop("4MB")
-    report = validate_fidelity(
-        conditions=conditions, sizes=sizes, workers=args.workers
-    )
+    with env.exported("flow.validate", args, "--workers"):
+        report = validate_fidelity(conditions=conditions, sizes=sizes)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

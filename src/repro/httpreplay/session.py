@@ -78,9 +78,6 @@ class AppSession:
             return 0
         return max(c.response_bytes for c in self.connections)
 
-    def connections_by_size(self) -> List[RecordedConnection]:
-        return sorted(self.connections, key=lambda c: -c.response_bytes)
-
     def __repr__(self) -> str:
         return (
             f"AppSession({self.name}: {self.connection_count} connections, "

@@ -132,10 +132,6 @@ class PacketCapture:
         return [p for p in self.packets if predicate(p)]
 
     @property
-    def data_packets(self) -> List[CapturedPacket]:
-        return self.filter(lambda p: p.payload_bytes > 0)
-
-    @property
     def bytes_received(self) -> int:
         """Payload bytes the client received on this interface."""
         return sum(p.payload_bytes for p in self.packets

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     reconcile,
 )
 from repro.obs.progress import (
-    PROGRESS_ENV,
     SweepProgress,
     progress_enabled_by_env,
 )
@@ -50,7 +49,6 @@ from repro.obs.summary import (
     summarize_events,
 )
 from repro.obs.telemetry import (
-    TELEMETRY_ENV,
     TelemetryBus,
     TelemetryServer,
     TelemetrySink,
@@ -62,7 +60,6 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import (
     EVENT_KINDS,
-    TRACE_DIR_ENV,
     TraceEvent,
     TraceRecorder,
     active_trace_dir,
@@ -72,9 +69,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "EVENT_KINDS",
-    "PROGRESS_ENV",
-    "TELEMETRY_ENV",
-    "TRACE_DIR_ENV",
     "Counter",
     "Gauge",
     "Histogram",

@@ -6,21 +6,19 @@ Thousands-of-runs sweeps are opaque without feedback; a
 cache hits, throughput, and an ETA extrapolated from wall time so far.
 
 Enabled per-run via ``SweepRunner(progress=True)`` or globally with
-``REPRO_PROGRESS=1`` (the ``--progress`` CLI flag sets the latter so
-forked workers inherit it).  Progress is presentation only: it never
+``REPRO_PROGRESS=1`` (what the ``--progress`` CLI flag exports, see
+:mod:`repro.core.env`).  Progress is presentation only: it never
 influences sharding, seeding, or results.
 """
 
-import os
 import sys
 import time
 from typing import Optional, TextIO
 
-__all__ = ["MIN_REDRAW_INTERVAL_S", "PROGRESS_ENV", "SweepProgress",
-           "progress_enabled_by_env"]
+from repro.core import env
 
-#: Environment toggle: "1"/"true"/"yes" (case-insensitive) enables.
-PROGRESS_ENV = "REPRO_PROGRESS"
+__all__ = ["MIN_REDRAW_INTERVAL_S", "SweepProgress",
+           "progress_enabled_by_env"]
 
 #: Default floor between stderr redraws.  A fully-cached sweep can
 #: resolve thousands of tasks in a few milliseconds; unthrottled, each
@@ -32,9 +30,7 @@ MIN_REDRAW_INTERVAL_S = 0.1
 
 
 def progress_enabled_by_env() -> bool:
-    return os.environ.get(PROGRESS_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
+    return env.flag(env.PROGRESS, False)
 
 
 def _format_eta(seconds: float) -> str:

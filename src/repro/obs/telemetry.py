@@ -29,7 +29,6 @@ programmatically via :func:`enable`.  ``serve --telemetry-port`` and
 """
 
 import json
-import os
 import re
 import threading
 import time
@@ -37,12 +36,12 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry, SpanTimer
 
 __all__ = [
     "STALE_INTERVALS",
-    "TELEMETRY_ENV",
     "TELEMETRY_SCHEMA",
     "TelemetryBus",
     "TelemetryServer",
@@ -58,9 +57,6 @@ __all__ = [
     "telemetry_enabled_by_env",
 ]
 
-#: Environment variable that switches the telemetry plane on.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-
 #: Marker key identifying a telemetry-snapshot JSONL document.
 TELEMETRY_SCHEMA = "repro.obs.telemetry/v1"
 
@@ -69,8 +65,7 @@ STALE_INTERVALS = 3.0
 
 
 def telemetry_enabled_by_env() -> bool:
-    value = os.environ.get(TELEMETRY_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
+    return env.flag(env.TELEMETRY, False)
 
 
 @dataclass

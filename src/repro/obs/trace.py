@@ -22,23 +22,19 @@ an untraced one.
 """
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 
 __all__ = [
     "EVENT_KINDS",
-    "TRACE_DIR_ENV",
     "TraceEvent",
     "TraceRecorder",
     "active_trace_dir",
     "trace_filename",
 ]
-
-#: Environment variable naming a directory to export JSONL traces to.
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: The closed event taxonomy (see DESIGN.md §8).  A closed set keeps
 #: downstream tooling (summaries, diffs) total: an unknown kind is a
@@ -65,9 +61,8 @@ EVENT_KINDS = frozenset({
 
 
 def active_trace_dir() -> Optional[str]:
-    """The trace export directory, if tracing is enabled via env."""
-    configured = os.environ.get(TRACE_DIR_ENV, "").strip()
-    return configured or None
+    """The trace export directory (``REPRO_TRACE_DIR``), if tracing is on."""
+    return env.text(env.TRACE_DIR)
 
 
 def trace_filename(key: str, seed: Optional[int]) -> str:

@@ -37,23 +37,18 @@ finished first.
 from repro.parallel.cache import ResultCache, code_fingerprint, spec_key
 from repro.parallel.chaos import ChaosController, ChaosEvent, ChaosSpec
 from repro.parallel.executors import (
-    EXECUTOR_ENV,
     Executor,
     InProcessExecutor,
     LocalPoolExecutor,
-    get_default_executor,
     make_executor,
     resolve_executor_spec,
-    set_default_executor,
 )
 from repro.parallel.runner import (
     SimTask,
     SweepRunner,
     SweepStats,
     TaskFailure,
-    get_default_workers,
     resolve_workers,
-    set_default_workers,
 )
 from repro.parallel.supervisor import FleetSpec, FleetSupervisor
 
@@ -61,7 +56,6 @@ __all__ = [
     "ChaosController",
     "ChaosEvent",
     "ChaosSpec",
-    "EXECUTOR_ENV",
     "Executor",
     "FleetSpec",
     "FleetSupervisor",
@@ -73,12 +67,8 @@ __all__ = [
     "SweepStats",
     "TaskFailure",
     "code_fingerprint",
-    "get_default_executor",
-    "get_default_workers",
     "make_executor",
     "resolve_executor_spec",
     "resolve_workers",
-    "set_default_executor",
-    "set_default_workers",
     "spec_key",
 ]

@@ -30,7 +30,7 @@ Environment knobs:
 ``REPRO_CACHE_DIR``
     Cache directory (default ``~/.cache/repro-sweep``).
 ``REPRO_CACHE``
-    Set to ``0``/``off``/``no`` to disable caching entirely.
+    Set to ``0``/``false``/``no``/``off`` to disable caching entirely.
 """
 
 import dataclasses
@@ -44,29 +44,23 @@ import time
 import warnings
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core import env
 from repro.core.proc import pid_start_token, same_process
 from repro.parallel import chaos
 
-__all__ = ["CACHE_DIR_ENV", "CACHE_TOGGLE_ENV", "ResultCache",
-           "cache_enabled_by_env", "canonical_spec", "code_fingerprint",
-           "default_cache_dir", "spec_key"]
-
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-CACHE_TOGGLE_ENV = "REPRO_CACHE"
-_DISABLED_VALUES = {"0", "off", "no", "false"}
+__all__ = ["ResultCache", "cache_enabled_by_env", "canonical_spec",
+           "code_fingerprint", "default_cache_dir", "spec_key"]
 
 
 def default_cache_dir() -> str:
     """The cache directory honouring ``REPRO_CACHE_DIR``."""
-    configured = os.environ.get(CACHE_DIR_ENV)
-    if configured:
-        return configured
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro-sweep")
+    return env.text(env.CACHE_DIR) or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro-sweep")
 
 
 def cache_enabled_by_env() -> bool:
     """False when ``REPRO_CACHE`` disables caching."""
-    return os.environ.get(CACHE_TOGGLE_ENV, "1").lower() not in _DISABLED_VALUES
+    return env.flag(env.CACHE, True)
 
 
 _SCALARS = frozenset((bool, int, float, str))

@@ -42,9 +42,11 @@ heartbeat counts depend on scheduling noise.
     it as a miss, never return garbage.
 
 Activation: set ``REPRO_CHAOS`` to a spec path (the CLI flag
-``--chaos FILE`` does this for child processes too) and give each
-fleet member a role index via ``REPRO_CHAOS_INDEX``.  The supervisor
-numbers its workers 0..N-1; a process without an index is role ``-1``
+``--chaos FILE`` exports it for the command and its children, after
+the spec has been loaded once so a bad file fails before anything
+starts — see :mod:`repro.core.env`) and give each fleet member a
+role index via ``REPRO_CHAOS_INDEX``.  The supervisor numbers its
+workers 0..N-1; a process without an index is role ``-1``
 (an observer — typically the coordinator), which matches no
 worker-targeted event but still fires ``cache_corrupt``.  With
 ``REPRO_CHAOS`` unset, the hot path costs one module-global ``None``
@@ -62,7 +64,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core import env
 from repro.core.errors import (
+    ConfigurationError,
     checked_kwargs as _checked_kwargs,
     json_object as _json_object,
     require as _require,
@@ -76,15 +80,7 @@ __all__ = [
     "active_controller",
     "set_controller",
     "disable",
-    "apply_chaos_flag",
-    "CHAOS_ENV",
-    "CHAOS_INDEX_ENV",
 ]
-
-#: Environment variable holding the chaos spec path.
-CHAOS_ENV = "REPRO_CHAOS"
-#: Environment variable holding this process's fleet role index.
-CHAOS_INDEX_ENV = "REPRO_CHAOS_INDEX"
 
 #: The closed chaos taxonomy (see module docstring and DESIGN.md §15).
 CHAOS_KINDS = (
@@ -283,7 +279,9 @@ class ChaosController:
                  actions=None) -> None:
         self.spec = spec
         if index is None:
-            index = int(os.environ.get(CHAOS_INDEX_ENV, "-1"))
+            index = env.integer(env.CHAOS_INDEX)
+        if index is None:
+            index = -1  # no role: an observer, typically the coordinator
         self.index = index
         self._actions = actions if actions is not None else _RealActions()
         self._lock = threading.Lock()
@@ -430,24 +428,17 @@ def active_controller() -> Optional[ChaosController]:
         return _controller
     with _resolve_lock:
         if _controller is _UNRESOLVED:
-            path = os.environ.get(CHAOS_ENV, "").strip()
-            _controller = ChaosController(ChaosSpec.from_file(path)) \
-                if path else None
+            path = env.text(env.CHAOS)
+            if path is None:
+                _controller = None
+            else:
+                try:
+                    spec = ChaosSpec.from_file(path)
+                except (OSError, ConfigurationError) as exc:
+                    raise ConfigurationError(
+                        f"{env.CHAOS}: {exc}") from None
+                _controller = ChaosController(spec)
     return _controller
-
-
-def apply_chaos_flag(path: Optional[str]) -> None:
-    """Validate and export ``--chaos FILE`` before anything starts.
-
-    The one helper behind every CLI's flag: a missing or malformed
-    spec fails here (``OSError``/``ConfigurationError``, for the
-    caller's ``prog: message`` and exit 2) instead of as a traceback
-    out of :func:`active_controller` mid-sweep or inside a worker.
-    """
-    if not path:
-        return
-    ChaosSpec.from_file(path)
-    os.environ[CHAOS_ENV] = os.path.abspath(path)
 
 
 def set_controller(controller: Optional[ChaosController]) -> None:

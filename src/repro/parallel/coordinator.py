@@ -122,7 +122,7 @@ class SweepRunner:
     ----------
     workers:
         Worker processes; ``None`` resolves via
-        :func:`resolve_workers` (default / ``REPRO_WORKERS`` / 1).
+        :func:`resolve_workers` (``REPRO_WORKERS``, else 1).
         ``1`` executes in-process on the local backends — no executor
         round-trip, no pickling.
     cache:
@@ -154,8 +154,7 @@ class SweepRunner:
         Backend selection: an :class:`~repro.parallel.executors.Executor`
         instance, a spec string (``"inprocess"``, ``"process"``,
         ``"socket:HOST:PORT[,...]"``), or ``None`` to resolve via
-        :func:`~repro.parallel.executors.set_default_executor` /
-        ``REPRO_EXECUTOR`` / the ``process`` default.
+        ``REPRO_EXECUTOR``, else the ``process`` default.
     on_result:
         Streaming hook ``(index, task, value, cached)`` invoked the
         moment each task resolves (cache hit, fresh execution, or

@@ -17,8 +17,8 @@ runs (cache lookups, retries, manifests); an :class:`Executor` owns
     repro.parallel worker --listen HOST:PORT``) over the
     length-prefixed TCP protocol of :mod:`repro.parallel.wire`.
 
-Selection: explicit argument > :func:`set_default_executor` >
-``REPRO_EXECUTOR`` > ``"process"``.  Determinism is the backends'
+Selection: explicit argument > ``REPRO_EXECUTOR`` > ``"process"``
+(the one rule of :mod:`repro.core.env`).  Determinism is the backends'
 contract: sharding is computed by the coordinator from task order
 alone, every task carries its own seed, and results are reassembled
 by task index — so any backend at any worker count produces
@@ -26,7 +26,6 @@ bit-identical sweep results.
 """
 
 import multiprocessing
-import os
 from concurrent.futures import (
     ProcessPoolExecutor,
     TimeoutError as FuturesTimeout,
@@ -35,30 +34,27 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.parallel.task import SimTask, run_shard, run_task_timed
 from repro.parallel.wire import parse_address
 
 __all__ = [
-    "EXECUTOR_ENV",
     "Executor",
     "InProcessExecutor",
     "LOCAL_POOL",
     "LocalPoolExecutor",
     "ShardOutcome",
-    "get_default_executor",
     "make_executor",
     "resolve_executor_spec",
-    "set_default_executor",
 ]
-
-#: Environment variable consulted when no executor spec is given.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-_default_executor_spec: Optional[str] = None
 
 
 def _normalize_spec(spec: str) -> str:
+    if not isinstance(spec, str):
+        raise ConfigurationError(
+            f"executor must be a spec string, got {spec!r}"
+        )
     text = spec.strip().lower()
     if text in ("inprocess", "process"):
         return text
@@ -84,33 +80,24 @@ def parse_socket_addresses(text: str) -> List[Tuple[str, int]]:
     return addresses
 
 
-def set_default_executor(spec: Optional[str]) -> None:
-    """Set the process-wide default executor spec (``None`` resets)."""
-    global _default_executor_spec
-    _default_executor_spec = None if spec is None else _normalize_spec(spec)
-
-
-def get_default_executor() -> Optional[str]:
-    return _default_executor_spec
-
-
 def resolve_executor_spec(spec: Optional[str] = None) -> str:
-    """Resolve the executor spec string without instantiating it."""
+    """Explicit argument > ``REPRO_EXECUTOR`` > ``"process"``, normalised."""
     if spec is not None:
         return _normalize_spec(spec)
-    if _default_executor_spec is not None:
-        return _default_executor_spec
-    env = os.environ.get(EXECUTOR_ENV)
-    if env and env.strip():
-        return _normalize_spec(env)
-    return "process"
+    configured = env.text(env.EXECUTOR)
+    if configured is None:
+        return "process"
+    try:
+        return _normalize_spec(configured)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{env.EXECUTOR}: {exc}") from None
 
 
 def make_executor(spec=None) -> "Executor":
     """Instantiate the executor selected by ``spec``.
 
     ``spec`` may be an :class:`Executor` instance (used as given), a
-    spec string, or ``None`` (resolved via default/env).
+    spec string, or ``None`` (resolved via ``REPRO_EXECUTOR``).
     """
     if isinstance(spec, Executor):
         return spec

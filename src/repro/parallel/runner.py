@@ -10,10 +10,7 @@ from repro.parallel.task import (
     SimTask,
     SweepStats,
     TaskFailure,
-    WORKERS_ENV,
-    get_default_workers,
     resolve_workers,
-    set_default_workers,
 )
 
 __all__ = [
@@ -21,8 +18,5 @@ __all__ = [
     "SweepRunner",
     "SweepStats",
     "TaskFailure",
-    "WORKERS_ENV",
-    "get_default_workers",
     "resolve_workers",
-    "set_default_workers",
 ]

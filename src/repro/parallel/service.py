@@ -35,16 +35,17 @@ Stream protocol (stdout of ``submit``): one JSON object per line.
 import argparse
 import dataclasses
 import json
-import os
 import socket
 import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.core import env
 from repro.core.errors import ConfigurationError, ReproError, SweepTaskError
 from repro.parallel import wire
-from repro.parallel.chaos import apply_chaos_flag
+from repro.parallel.executors import resolve_executor_spec
+from repro.parallel.task import resolve_workers
 
 __all__ = ["cache_main", "serve_main", "submit_main"]
 
@@ -167,7 +168,8 @@ def _run_local(args) -> int:
         return 2
     try:
         with _telemetry_sink(args.telemetry_out):
-            failed = _run_job(workload, args.workers, args.executor,
+            # The flags are in the environment (env.exported).
+            failed = _run_job(workload, None, None,
                               args.full_reports, _emit)
     except ReproError as exc:
         print(f"submit: {exc}", file=sys.stderr)
@@ -238,6 +240,11 @@ def _run_remote(args) -> int:
         wire.close_quietly(sock)
 
 
+#: ``--executor``/``--workers`` also travel in the JOB frame as the
+#: client's request when ``--connect`` is given.
+_SUBMIT_FLAGS = ("--executor", "--workers", "--no-cache", "--chaos")
+
+
 def submit_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel submit",
@@ -248,16 +255,7 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--connect", metavar="HOST:PORT", default=None,
                         help="submit to a 'python -m repro.parallel "
                              "serve' process instead of running locally")
-    parser.add_argument("--executor", default=None,
-                        help="sweep backend: inprocess, process, or "
-                             "socket:HOST:PORT,... (default: "
-                             "$REPRO_EXECUTOR, else process)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes/shards (default: "
-                             "$REPRO_WORKERS, else 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not populate the shared "
-                             "result cache (local runs only)")
+    env.add_flags(parser, *_SUBMIT_FLAGS)
     parser.add_argument("--full-reports", action="store_true",
                         help="stream full round-trippable report dicts "
                              "instead of compact summaries")
@@ -265,26 +263,15 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
                         help="write periodic telemetry snapshots (JSONL) "
                              "to FILE during a local run; render later "
                              "with 'python -m repro.obs summarize FILE'")
-    parser.add_argument("--chaos", metavar="FILE", default=None,
-                        help="arm this deterministic infrastructure chaos "
-                             "spec (sets REPRO_CHAOS for this process and "
-                             "its workers; see repro.parallel.chaos)")
     args = parser.parse_args(argv)
-    try:
-        apply_chaos_flag(args.chaos)
-    except (OSError, ConfigurationError) as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 2
     if args.connect and args.telemetry_out:
         parser.error("--telemetry-out applies to local runs; for remote "
                      "jobs point it at the server's serve --telemetry-out")
-    if args.no_cache:
-        from repro.parallel.cache import CACHE_TOGGLE_ENV
-
-        os.environ[CACHE_TOGGLE_ENV] = "0"
-    if args.connect:
-        return _run_remote(args)
-    return _run_local(args)
+    if args.connect and args.no_cache:
+        parser.error("--no-cache applies to local runs; a server owns its "
+                     "result cache (start it under REPRO_CACHE=0)")
+    with env.exported("submit", args, *_SUBMIT_FLAGS):
+        return _run_remote(args) if args.connect else _run_local(args)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +290,23 @@ def _handle_job(conn: socket.socket, job: Dict[str, Any], args,
         return
     # Server-side flags win over the client's request: the operator
     # who started `serve` owns this machine's parallelism and fleet.
+    # (Which is why they are arguments here and not exported: a job's
+    # own request would otherwise beat them.)
     workers = args.workers if args.workers is not None else job.get("workers")
     executor = args.executor if args.executor is not None \
         else job.get("executor")
-    full = bool(job.get("full_reports"))
+    full = job.get("full_reports", False)
+    try:
+        # The frame is bytes we did not write: check it where it lands.
+        workers = resolve_workers(workers)
+        executor = resolve_executor_spec(executor)
+        if not isinstance(full, bool):
+            raise ConfigurationError(
+                f"full_reports must be true or false, got {full!r}")
+    except ConfigurationError as exc:
+        wire.send_json(conn, wire.MSG_REFUSED,
+                       {"error": f"bad job: {exc}"}, lock=send_lock)
+        return
     log(f"job: workload {workload.name!r}, "
         f"{len(workload.transfers)} transfer(s)")
 
@@ -354,11 +354,16 @@ def _serve_connection(conn: socket.socket, args, log) -> None:
     _handle_job(conn, wire.recv_json(payload), args, log)
 
 
+_SERVE_FLAGS = ("--executor", "--workers", "--chaos")
+
+
 def serve_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel serve",
         description="Accept workload submissions over TCP and stream "
-                    "results back as they finish. SECURITY: serves "
+                    "results back as they finish; --executor/--workers "
+                    "given here are forced on every job, over the "
+                    "client's request. SECURITY: serves "
                     "anyone who can connect — listen on loopback or a "
                     "trusted network only.",
     )
@@ -368,11 +373,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                              "chosen port is printed on stdout)")
     parser.add_argument("--once", action="store_true",
                         help="exit after the first job completes")
-    parser.add_argument("--executor", default=None,
-                        help="force this sweep backend for every job "
-                             "(overrides the client's request)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="force this worker count for every job")
+    env.add_flags(parser, *_SERVE_FLAGS)
     parser.add_argument("--telemetry-port", type=int, default=None,
                         metavar="PORT",
                         help="expose live telemetry over HTTP on this "
@@ -382,18 +383,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--telemetry-out", metavar="FILE", default=None,
                         help="write periodic telemetry snapshots (JSONL) "
                              "to FILE while serving")
-    parser.add_argument("--chaos", metavar="FILE", default=None,
-                        help="arm this deterministic infrastructure chaos "
-                             "spec (sets REPRO_CHAOS; see "
-                             "repro.parallel.chaos)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-connection logging on stderr")
     args = parser.parse_args(argv)
-    try:
-        apply_chaos_flag(args.chaos)
-    except (OSError, ConfigurationError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
 
     def log(message: str) -> None:
         if not args.quiet:
@@ -426,17 +418,20 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         if telemetry_sink is not None:
             telemetry_sink.start()
 
-    try:
-        return wire.serve_connections(
-            (host, port), "repro-serve",
-            lambda conn: _serve_connection(conn, args, log), log,
-            once=args.once, on_listening=start_telemetry,
-        )
-    finally:
-        if telemetry_sink is not None:
-            telemetry_sink.stop()
-        if telemetry_server is not None:
-            telemetry_server.stop()
+    # Nothing above has started anything.  Only --chaos is exported:
+    # --executor/--workers are forced on each job as arguments.
+    with env.exported("serve", args, "--chaos"):
+        try:
+            return wire.serve_connections(
+                (host, port), "repro-serve",
+                lambda conn: _serve_connection(conn, args, log), log,
+                once=args.once, on_listening=start_telemetry,
+            )
+        finally:
+            if telemetry_sink is not None:
+                telemetry_sink.stop()
+            if telemetry_server is not None:
+                telemetry_server.stop()
 
 
 # ---------------------------------------------------------------------------

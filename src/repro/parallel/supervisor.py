@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.env import CHAOS_INDEX, add_flags, exported, for_child
 from repro.core.errors import (
     ConfigurationError,
     ExecutorError,
@@ -55,7 +56,6 @@ from repro.core.errors import (
 )
 from repro.core.proc import pid_start_token, same_process
 from repro.obs.telemetry import active_bus
-from repro.parallel.chaos import CHAOS_INDEX_ENV, apply_chaos_flag
 from repro.parallel.wire import MAX_HEARTBEAT_INTERVAL_S
 
 __all__ = ["FLEET_STATE_SCHEMA", "FleetSpec", "FleetSupervisor",
@@ -242,7 +242,8 @@ class FleetSupervisor:
         return self.addresses
 
     def _child_env(self, record: _WorkerRecord) -> Dict[str, str]:
-        env = dict(os.environ if self._env is None else self._env)
+        env = for_child(self._env)
+        env[CHAOS_INDEX] = str(record.index)
         # The worker must import repro regardless of its cwd.
         import repro
 
@@ -251,7 +252,6 @@ class FleetSupervisor:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_dir, env.get("PYTHONPATH")) if p
         )
-        env[CHAOS_INDEX_ENV] = str(record.index)
         return env
 
     def _launch(self, record: _WorkerRecord) -> None:
@@ -507,9 +507,7 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
                          "(default %(default)s)")
     up.add_argument("--state", metavar="FILE", default=default_state_path(),
                     help="fleet state file (default %(default)s)")
-    up.add_argument("--chaos", metavar="FILE",
-                    help="arm this chaos spec in every worker "
-                         "(sets REPRO_CHAOS for the children)")
+    add_flags(up, "--chaos")
 
     status = sub.add_parser("status", help="probe the recorded fleet")
     status.add_argument("--state", metavar="FILE",
@@ -524,31 +522,32 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.action == "up":
-        try:
-            spec = (FleetSpec.from_file(args.spec) if args.spec
-                    else FleetSpec(workers=args.workers))
-            apply_chaos_flag(args.chaos)  # the children inherit it
-        except (OSError, ConfigurationError) as exc:
-            print(f"fleet up: {exc}", file=sys.stderr)
-            return 2
-        supervisor = FleetSupervisor(spec, state_path=args.state)
-        try:
-            supervisor.up()
-        except ExecutorError as exc:
-            print(f"fleet up: {exc}", file=sys.stderr)
-            supervisor.down()
-            return 2
-        print(f"repro-fleet up {spec.workers} worker(s): "
-              f"{supervisor.executor_spec}", flush=True)
-        try:
-            supervisor.supervise(
-                on_action=lambda action: print(f"repro-fleet: {action}",
-                                               file=sys.stderr, flush=True))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            supervisor.down()
-        return 0
+        # Exported so the children inherit it (see repro.core.env).
+        with exported("fleet up", args, "--chaos"):
+            try:
+                spec = (FleetSpec.from_file(args.spec) if args.spec
+                        else FleetSpec(workers=args.workers))
+            except (OSError, ConfigurationError) as exc:
+                print(f"fleet up: {exc}", file=sys.stderr)
+                return 2
+            supervisor = FleetSupervisor(spec, state_path=args.state)
+            try:
+                supervisor.up()
+            except ExecutorError as exc:
+                print(f"fleet up: {exc}", file=sys.stderr)
+                supervisor.down()
+                return 2
+            print(f"repro-fleet up {spec.workers} worker(s): "
+                  f"{supervisor.executor_spec}", flush=True)
+            try:
+                supervisor.supervise(
+                    on_action=lambda action: print(f"repro-fleet: {action}",
+                                                   file=sys.stderr, flush=True))
+            except KeyboardInterrupt:
+                pass
+            finally:
+                supervisor.down()
+            return 0
 
     if args.action == "status":
         try:

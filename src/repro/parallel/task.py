@@ -6,7 +6,7 @@ be picklable, so tasks can cross a process boundary (local pool or
 socket wire) and live in the on-disk cache.  The module also carries
 the small execution helpers every backend shares — run one task with
 timing provenance, run a shard of tasks in order — plus the
-worker-count resolution knobs (``REPRO_WORKERS``).
+worker-count resolver (``REPRO_WORKERS``).
 """
 
 import importlib
@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.core.rng import derive_seed
 from repro.obs.manifest import RunManifest, tally
@@ -23,52 +24,27 @@ __all__ = [
     "SimTask",
     "SweepStats",
     "TaskFailure",
-    "WORKERS_ENV",
-    "get_default_workers",
     "resolve_workers",
     "run_shard",
     "run_task_timed",
-    "set_default_workers",
 ]
 
-#: Environment variable consulted when no worker count is given.
-WORKERS_ENV = "REPRO_WORKERS"
-
-_default_workers: Optional[int] = None
-
-
-def set_default_workers(workers: Optional[int]) -> None:
-    """Set the process-wide default worker count (``None`` resets)."""
-    global _default_workers
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1: {workers}")
-    _default_workers = workers
-
-
-def get_default_workers() -> Optional[int]:
-    return _default_workers
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument > :func:`set_default_workers` > env > 1."""
+    """Explicit argument > ``REPRO_WORKERS`` > 1 (see :mod:`repro.core.env`)."""
     if workers is not None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1: {workers}")
-        return workers
-    if _default_workers is not None:
-        return _default_workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
+        # A JOB frame or a JSON document can carry anything here.
+        if isinstance(workers, bool) or not isinstance(workers, int) \
+                or workers < 1:
             raise ConfigurationError(
-                f"{WORKERS_ENV} must be an integer: {env!r}"
+                f"workers must be an int >= 1, got {workers!r}"
             )
-        if value < 1:
-            raise ConfigurationError(f"{WORKERS_ENV} must be >= 1: {value}")
-        return value
-    return 1
+        return workers
+    value = env.integer(env.WORKERS)
+    if value is None:
+        return 1
+    if value < 1:
+        raise ConfigurationError(f"{env.WORKERS} must be >= 1: {value}")
+    return value
 
 
 @dataclass(frozen=True)

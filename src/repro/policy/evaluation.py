@@ -40,7 +40,6 @@ STRATEGIES: Dict[str, Decision] = {
 
 def measure_locations(
     conditions: Sequence[ConditionSpec], nbytes: int, seed: int,
-    workers: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Per location, the completion time of every strategy.
 
@@ -52,7 +51,7 @@ def measure_locations(
         spec for condition in conditions
         for spec in configuration_specs(condition, nbytes, seed=seed)
     ]
-    reports = Session().run_many(specs, workers=workers)
+    reports = Session().run_many(specs)
     durations = [
         report.duration_s if report.completed else spec.deadline_s
         for spec, report in zip(specs, reports)
@@ -65,10 +64,9 @@ def measure_locations(
 
 def measure_strategies(
     condition: ConditionSpec, nbytes: int, seed: int,
-    workers: Optional[int] = None,
 ) -> Dict[str, float]:
     """Completion time of every strategy at one location."""
-    return measure_locations([condition], nbytes, seed, workers)[0]
+    return measure_locations([condition], nbytes, seed)[0]
 
 
 def probe_condition(
@@ -124,7 +122,6 @@ def evaluate_policies(
     flow_bytes: int,
     seed: int = DEFAULT_SEED,
     conditions: Optional[List[ConditionSpec]] = None,
-    workers: Optional[int] = None,
 ) -> PolicyEvaluation:
     """Score ``policies`` on ``flow_bytes`` transfers across locations."""
     conditions = conditions if conditions is not None else make_conditions(seed=seed)
@@ -134,7 +131,7 @@ def evaluate_policies(
     for policy in all_policies:
         evaluation.choices[policy.name] = {}
 
-    all_measured = measure_locations(conditions, flow_bytes, seed, workers)
+    all_measured = measure_locations(conditions, flow_bytes, seed)
     for condition, measured in zip(conditions, all_measured):
         cid = condition.condition_id
         evaluation.measured[cid] = measured

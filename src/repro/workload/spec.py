@@ -263,12 +263,6 @@ class TransferSpec:
                           separators=(",", ":"))
 
     # -- derivation helpers ---------------------------------------------
-    def with_seed(self, seed: Optional[int]) -> "TransferSpec":
-        """A copy with ``seed`` filled in (no-op when already set)."""
-        if self.seed is not None or seed is None:
-            return self
-        return dataclasses.replace(self, seed=seed)
-
     def with_faults(self, faults: Optional[FaultSpec]) -> "TransferSpec":
         """A copy with ``faults`` attached (no-op when already set).
 

@@ -17,6 +17,10 @@ import signal
 
 import pytest
 
+from repro.core import env
+from repro.obs import telemetry
+from repro.parallel import chaos
+
 _DEFAULT_TIMEOUT_S = 120
 
 
@@ -34,6 +38,27 @@ def _hermetic_result_cache(tmp_path_factory):
         patch.setenv("REPRO_CACHE_DIR",
                      str(tmp_path_factory.mktemp("repro-cache")))
         yield
+
+
+@pytest.fixture
+def isolated_env(request, monkeypatch):
+    """Opt-in: result cache off, every other run-level variable unset.
+
+    A module's ``KEEP_ENV`` names variables to leave visible (CI varies
+    ``REPRO_EXECUTOR`` under some).  The two settings a process holds
+    once resolved — chaos controller, telemetry bus — are dropped on
+    the way in and out.
+    """
+    keep = (env.CACHE_DIR, *getattr(request.module, "KEEP_ENV", ()))
+    for variable in env.VARIABLES:
+        if variable.name not in keep:
+            monkeypatch.delenv(variable.name, raising=False)
+    monkeypatch.setenv(env.CACHE, "0")
+    chaos.disable()
+    telemetry.disable()
+    yield
+    chaos.disable()
+    telemetry.disable()
 
 
 @pytest.fixture(autouse=True)

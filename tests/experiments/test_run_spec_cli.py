@@ -2,21 +2,11 @@
 
 import json
 
-import pytest
-
 from repro.experiments.runner import main
 from repro.linkem.conditions import make_conditions
-from repro.parallel import set_default_workers
 from repro.workload import TransferSpec, WorkloadSpec
 
 FLOW_BYTES = 32 * 1024
-
-
-@pytest.fixture(autouse=True)
-def _clean_workers():
-    set_default_workers(None)
-    yield
-    set_default_workers(None)
 
 
 def _workload_file(tmp_path):

@@ -17,7 +17,6 @@ from repro.energy.monitor import InterfaceActivityLog
 from repro.experiments.common import mptcp_spec
 from repro.experiments.failover import CONDITION
 from repro.faults import FaultEvent, FaultSpec
-from repro.parallel.runner import set_default_workers
 from repro.tcp.config import TcpConfig
 from repro.workload import Session
 
@@ -28,13 +27,7 @@ KB = 1024
 _FAST_FAILOVER = TcpConfig(max_rto_s=4.0, max_data_retries=6)
 
 
-@pytest.fixture(autouse=True)
-def _isolated_sweep_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    set_default_workers(None)
-    yield
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _blackhole_spec(seed: int, nbytes: int = 1024 * KB):

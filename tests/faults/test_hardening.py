@@ -7,25 +7,14 @@ import pytest
 
 from repro.core.errors import ConfigurationError, SweepTaskError
 from repro.parallel.cache import ResultCache
-from repro.parallel.executors import set_default_executor
-from repro.parallel.runner import SimTask, SweepRunner, set_default_workers
+from repro.parallel.runner import SimTask, SweepRunner
 
 _TASKS = "tests.faults._tasks"
 
 
-@pytest.fixture(autouse=True)
-def _isolated_sweep_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    # These tests crash and hang workers on purpose, which only the
-    # process-pool backend can contain — pin it even when the suite
-    # runs under a REPRO_EXECUTOR matrix entry.
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    yield
-    set_default_executor(None)
-    set_default_workers(None)
+# These tests crash and hang workers on purpose, which only the
+# process-pool backend can contain: the fixture unsets REPRO_EXECUTOR.
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _ok_tasks(count=4):

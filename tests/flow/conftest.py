@@ -2,18 +2,7 @@
 
 import pytest
 
-from repro.flow.fidelity import set_default_fidelity
-from repro.parallel import set_default_workers
-
 
 @pytest.fixture(autouse=True)
-def _isolated_flow_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_FIDELITY", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
-    set_default_workers(None)
-    set_default_fidelity(None)
-    yield
-    set_default_workers(None)
-    set_default_fidelity(None)
+def _isolated_flow_env(isolated_env):
+    """Every test in this directory opts into the shared fixture."""

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.flow.fidelity import (
-    apply_fidelity_override,
-    resolve_fidelity,
-    set_default_fidelity,
-)
+from repro.flow.fidelity import apply_fidelity_override, resolve_fidelity
 from repro.linkem.conditions import make_conditions
 from repro.parallel.cache import canonical_spec, spec_key
 from repro.workload import Session, TransferSpec
@@ -62,18 +58,6 @@ def test_invalid_env_override_rejected(monkeypatch):
         resolve_fidelity()
 
 
-def test_explicit_default_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FIDELITY", "flow")
-    set_default_fidelity("packet")
-    assert resolve_fidelity() == "packet"
-    assert apply_fidelity_override(_spec(fidelity="flow")).fidelity == "packet"
-
-
-def test_invalid_default_rejected():
-    with pytest.raises(ConfigurationError, match="fidelity"):
-        set_default_fidelity("quantum")
-
-
 def test_cache_keys_differ_by_fidelity():
     packet, flow = _spec(), _spec(fidelity="flow")
     assert canonical_spec(packet) != canonical_spec(flow)
@@ -94,8 +78,7 @@ def test_runner_rejects_packet_only_experiments(capsys):
     err = capsys.readouterr().err
     assert "fig04" in err
     assert "flow-capable experiments" in err
-    # --fidelity must not leak into later runner invocations.
-    set_default_fidelity(None)
+    assert resolve_fidelity() is None  # the flag ended with the command
 
 
 def test_runner_lists_flow_capable_experiments():

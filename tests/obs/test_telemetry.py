@@ -23,27 +23,13 @@ from repro.obs.telemetry import (
     render_telemetry_timeline,
     telemetry_enabled_by_env,
 )
-from repro.parallel import SimTask, SweepRunner, set_default_workers
-from repro.parallel.executors import set_default_executor
+from repro.parallel import SimTask, SweepRunner
 from repro.workload import Session, TransferSpec
 
 FLOW_BYTES = 16 * 1024
 
 
-@pytest.fixture(autouse=True)
-def _clean_plane(monkeypatch):
-    """Every test starts (and ends) with the plane off and env clear."""
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    telemetry.disable()
-    yield
-    telemetry.disable()
-    set_default_executor(None)
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 class _FakeClock:

@@ -6,6 +6,7 @@ workers and assert the acceptance criterion of the robustness PR:
 **results stay bit-identical while the fleet is being hurt**.
 """
 
+import argparse
 import json
 import os
 import re
@@ -16,41 +17,24 @@ import time
 
 import pytest
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.obs import telemetry
-from repro.parallel import SimTask, SweepRunner, set_default_workers
+from repro.parallel import SimTask, SweepRunner
 from repro.parallel.chaos import (
-    CHAOS_ENV,
-    CHAOS_INDEX_ENV,
     KILL_EXIT_STATUS,
     ChaosController,
     ChaosEvent,
     ChaosSpec,
 )
 from repro.parallel import chaos
-from repro.parallel.executors import set_default_executor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))
 ))
 
 
-@pytest.fixture(autouse=True)
-def _isolated_chaos_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv(CHAOS_ENV, raising=False)
-    monkeypatch.delenv(CHAOS_INDEX_ENV, raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    chaos.disable()
-    telemetry.disable()
-    yield
-    chaos.disable()
-    telemetry.disable()
-    set_default_executor(None)
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 class _Actions:
@@ -267,8 +251,8 @@ class TestActivation:
         )
         path = tmp_path / "chaos.json"
         path.write_text(spec.to_json())
-        monkeypatch.setenv(CHAOS_ENV, str(path))
-        monkeypatch.setenv(CHAOS_INDEX_ENV, "3")
+        monkeypatch.setenv(env.CHAOS, str(path))
+        monkeypatch.setenv(env.CHAOS_INDEX, "3")
         chaos.disable()
         controller = chaos.active_controller()
         assert controller is not None
@@ -325,24 +309,31 @@ class TestChaosFlag:
         for owner, attr in ((subprocess, "Popen"), (SweepRunner, "run")):
             monkeypatch.setattr(owner, attr, lambda *a, **k: pytest.fail(
                 f"{prog} started work before validating --chaos"))
-        assert _chaos_clis()[prog](["--chaos", str(path)]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            _chaos_clis()[prog](["--chaos", str(path)])
+        assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{prog}: ")
         assert captured.err.count("\n") == 1  # one line, no traceback
-        assert CHAOS_ENV not in os.environ
+        assert env.CHAOS not in os.environ
 
     def test_good_file_is_exported_as_an_absolute_path(self, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "")  # restored to unset on teardown
+        monkeypatch.setenv(env.CHAOS, "")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "chaos.json").write_text(ChaosSpec(events=(
             ChaosEvent(kind="worker_kill", after_tasks=1),)).to_json())
-        chaos.apply_chaos_flag(None)
-        assert os.environ[CHAOS_ENV] == ""
-        chaos.apply_chaos_flag("chaos.json")
-        assert os.environ[CHAOS_ENV] == str(tmp_path / "chaos.json")
-        assert chaos.active_controller().spec.events[0].kind == "worker_kill"
+        with env.exported("test", argparse.Namespace(chaos=None), "--chaos"):
+            assert os.environ[env.CHAOS] == ""
+        with env.exported("test", argparse.Namespace(chaos="chaos.json"),
+                          "--chaos"):
+            assert os.environ[env.CHAOS] == str(tmp_path / "chaos.json")
+            controller = chaos.active_controller()
+            assert controller.spec.events[0].kind == "worker_kill"
+        # The flag, and the controller held under it, end with the command.
+        assert os.environ[env.CHAOS] == ""
+        assert chaos.active_controller() is None
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +341,18 @@ class TestChaosFlag:
 # ---------------------------------------------------------------------------
 def _spawn_chaos_worker(chaos_path, index):
     """One loopback worker with the chaos spec armed at role ``index``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
+    child = env.for_child()
+    child[env.CHAOS] = str(chaos_path)
+    child[env.CHAOS_INDEX] = str(index)
+    child["PYTHONPATH"] = os.pathsep.join(
         path for path in (os.path.join(REPO_ROOT, "src"), REPO_ROOT,
-                          env.get("PYTHONPATH")) if path
+                          child.get("PYTHONPATH")) if path
     )
-    env[CHAOS_ENV] = str(chaos_path)
-    env[CHAOS_INDEX_ENV] = str(index)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.parallel", "worker",
          "--listen", "127.0.0.1:0", "--quiet", "--heartbeat-s", "0.05"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, env=env, cwd=REPO_ROOT,
+        text=True, env=child, cwd=REPO_ROOT,
     )
     line = proc.stdout.readline()
     match = re.match(r"repro-worker listening on (\S+:\d+) pid=\d+", line)

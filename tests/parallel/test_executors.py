@@ -5,12 +5,7 @@ import pytest
 from repro.core.errors import ConfigurationError, SweepTaskError
 from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
-from repro.parallel import (
-    SimTask,
-    SweepRunner,
-    set_default_executor,
-    set_default_workers,
-)
+from repro.parallel import SimTask, SweepRunner
 from repro.parallel.executors import (
     Executor,
     InProcessExecutor,
@@ -25,16 +20,7 @@ from repro.workload import Session
 FLOW_BYTES = 20 * 1024
 
 
-@pytest.fixture(autouse=True)
-def _isolated_executor_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    yield
-    set_default_executor(None)
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _transfer_tasks(seed: int = 7):
@@ -66,8 +52,9 @@ class TestSpecResolution:
         assert resolve_executor_spec() == "inprocess"
 
     def test_explicit_beats_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        set_default_executor("inprocess")
+        # Three outcomes and no fourth: argument, variable, default.
+        assert resolve_executor_spec() == "process"
+        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
         assert resolve_executor_spec() == "inprocess"
         assert resolve_executor_spec("process") == "process"
 

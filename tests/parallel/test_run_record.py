@@ -22,23 +22,12 @@ from repro.obs.manifest import tally
 from repro.obs.progress import SweepProgress
 from repro.obs.top import resilience_line
 from repro.parallel import ResultCache, SimTask, SweepRunner
-from repro.parallel.executors import set_default_executor
-from repro.parallel.task import SweepStats, set_default_workers
+from repro.parallel.task import SweepStats
 
 _TASKS = "tests.parallel._tasks"
 
 
-@pytest.fixture(autouse=True)
-def _clean_plane(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    telemetry.disable()
-    yield
-    telemetry.disable()
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _double(value):

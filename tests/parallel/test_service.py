@@ -1,5 +1,6 @@
 """The service CLI: submit (local and remote), serve, JSONL stream."""
 
+import argparse
 import json
 import os
 import re
@@ -10,8 +11,6 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.linkem.conditions import make_conditions
-from repro.parallel import set_default_workers
-from repro.parallel.executors import set_default_executor
 from repro.parallel.service import submit_main
 from repro.parallel.__main__ import main as parallel_main
 from repro.workload import TransferSpec, WorkloadSpec
@@ -22,16 +21,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
 FLOW_BYTES = 16 * 1024
 
 
-@pytest.fixture(autouse=True)
-def _isolated_sweep_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    yield
-    set_default_executor(None)
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _workload(seed=11):
@@ -162,6 +152,22 @@ class TestSubmitRemote:
         (done,) = remote_dones
         assert done["failures"] == []
         assert done["stats"]["tasks"] == 2
+
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--no-cache"], "--no-cache applies to local runs"),
+        (["--telemetry-out", "t.jsonl"],
+         "--telemetry-out applies to local runs"),
+    ])
+    def test_local_only_flags_are_rejected_with_connect(
+            self, flag, message, tmp_path, capsys):
+        # Nothing listens on port 1: a flag that was silently ignored
+        # would get as far as "cannot reach".
+        with pytest.raises(SystemExit) as excinfo:
+            submit_main([_write_workload(tmp_path), "--connect",
+                         "127.0.0.1:1", *flag])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestConnectRetry:
@@ -299,8 +305,6 @@ class TestHandleJobIsolation:
     """In-process `_handle_job`: the catch-all and the gone client."""
 
     def _args(self):
-        import argparse
-
         return argparse.Namespace(workers=None, executor="inprocess")
 
     def test_crashing_job_is_refused_not_raised(self, monkeypatch):
@@ -327,6 +331,34 @@ class TestHandleJobIsolation:
             assert msg_type == wire.MSG_REFUSED
             error = wire.recv_json(payload)["error"]
             assert "job crashed" in error and "ZeroDivisionError" in error
+        finally:
+            server.close()
+            client.close()
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", "2"), ("workers", 0), ("workers", True),
+        ("workers", 2.5), ("workers", [2]), ("executor", "quantum"),
+        ("executor", 7), ("full_reports", "yes"),
+    ])
+    def test_mistyped_job_field_is_a_bad_job_not_a_crash(self, field, value):
+        import socket as socket_module
+
+        from repro.parallel import wire
+        from repro.parallel.service import _handle_job
+
+        logged = []
+        server, client = socket_module.socketpair()
+        try:
+            client.settimeout(5.0)
+            _handle_job(server,
+                        {"workload": _workload().to_dict(), field: value},
+                        argparse.Namespace(workers=None, executor=None),
+                        logged.append)
+            msg_type, payload = wire.recv_frame(client)
+            assert msg_type == wire.MSG_REFUSED
+            error = wire.recv_json(payload)["error"]
+            assert error.startswith("bad job: ") and repr(value) in error
+            assert logged == []  # refused before the job was announced
         finally:
             server.close()
             client.close()

@@ -15,9 +15,8 @@ import time
 
 import pytest
 
-from repro.parallel import SimTask, SweepRunner, set_default_workers
+from repro.parallel import SimTask, SweepRunner
 from repro.parallel.cache import ResultCache
-from repro.parallel.executors import set_default_executor
 from repro.parallel.service import cache_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -27,16 +26,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
 _TASKS = "tests.parallel._tasks"
 
 
-@pytest.fixture(autouse=True)
-def _isolated_sweep_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    yield
-    set_default_executor(None)
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _tasks(count=3):

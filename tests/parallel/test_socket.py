@@ -11,8 +11,7 @@ import pytest
 from repro.core.errors import ExecutorError, SweepTaskError
 from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
-from repro.parallel import SimTask, SweepRunner, set_default_workers
-from repro.parallel.executors import set_default_executor
+from repro.parallel import SimTask, SweepRunner
 from repro.workload import Session
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -21,16 +20,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
 FLOW_BYTES = 20 * 1024
 
 
-@pytest.fixture(autouse=True)
-def _isolated_sweep_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    yield
-    set_default_executor(None)
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _spawn_worker(*extra_args):

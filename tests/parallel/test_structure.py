@@ -5,6 +5,7 @@ import os
 import re
 
 import repro.parallel
+from repro.core import env
 from repro.parallel import coordinator, runner
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -56,10 +57,13 @@ def test_readme_env_table_matches_the_source():
                 with open(os.path.join(directory, name),
                           encoding="utf-8") as f:
                     in_source.update(re.findall(r"REPRO_[A-Z_]+", f.read()))
+    # | `NAME` | effect | accepted values | default |
     with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as f:
-        documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)`", f.read(),
-                                    flags=re.MULTILINE))
-    assert documented == in_source
+        documented = dict(re.findall(
+            r"^\| `(REPRO_[A-Z_]+)` *\|[^|]*\| *([^|]*?) *\|", f.read(),
+            flags=re.MULTILINE))
+    assert set(documented) == in_source
+    assert documented == {v.name: v.accepts for v in env.VARIABLES}
 
 
 def test_one_engine_class_and_a_resolvable_surface():

@@ -10,8 +10,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.proc import pid_alive
 from repro.obs import telemetry
-from repro.parallel import SimTask, SweepRunner, set_default_workers
-from repro.parallel.executors import set_default_executor
+from repro.parallel import SimTask, SweepRunner
 from repro.parallel.supervisor import (
     FLEET_STATE_SCHEMA,
     FleetSpec,
@@ -22,19 +21,7 @@ from repro.parallel.supervisor import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _isolated_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    set_default_executor(None)
-    set_default_workers(None)
-    telemetry.disable()
-    yield
-    telemetry.disable()
-    set_default_executor(None)
-    set_default_workers(None)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _fast_spec(**overrides):

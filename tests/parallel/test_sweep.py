@@ -1,7 +1,5 @@
 """Tests for the parallel sweep engine: determinism, sharding, cache."""
 
-import os
-
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -13,8 +11,6 @@ from repro.parallel import (
     SimTask,
     SweepRunner,
     resolve_workers,
-    set_default_executor,
-    set_default_workers,
 )
 from repro.parallel.cache import canonical_spec, spec_key
 from repro.workload import Session
@@ -22,23 +18,12 @@ from repro.workload import Session
 FLOW_BYTES = 20 * 1024
 
 
-@pytest.fixture(autouse=True)
-def _isolated_sweep_env(monkeypatch):
-    """Keep tests off the user's on-disk cache and env knobs.
-
-    Tests that want caching pass an explicit :class:`ResultCache`,
-    which takes precedence over the env toggle.
-    """
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    # REPRO_EXECUTOR is deliberately left alone: CI runs this suite
-    # under an executor matrix, and every test here must pass
-    # unchanged on any backend.
-    set_default_executor(None)
-    set_default_workers(None)
-    yield
-    set_default_executor(None)
-    set_default_workers(None)
+# Tests that want caching pass an explicit ResultCache, which beats the
+# fixture's REPRO_CACHE=0.  REPRO_EXECUTOR is deliberately left alone:
+# CI runs this module under an executor matrix, and every test here
+# must pass unchanged on any backend.
+KEEP_ENV = ("REPRO_EXECUTOR",)
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _small_tasks(seed: int = 7):
@@ -78,33 +63,22 @@ class TestSimTask:
 
 
 class TestWorkersResolution:
-    def teardown_method(self):
-        set_default_workers(None)
-        os.environ.pop("REPRO_WORKERS", None)
-
+    # The precedence table for all ten variables is tests/test_env.py.
     def test_defaults_to_one(self):
-        os.environ.pop("REPRO_WORKERS", None)
-        set_default_workers(None)
         assert resolve_workers() == 1
 
-    def test_explicit_wins(self):
+    def test_explicit_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "5")
         assert resolve_workers(3) == 3
 
-    def test_env_fallback(self):
-        set_default_workers(None)
-        os.environ["REPRO_WORKERS"] = "5"
+    def test_env_fallback(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "5")
         assert resolve_workers() == 5
 
-    def test_global_default_beats_env(self):
-        os.environ["REPRO_WORKERS"] = "5"
-        set_default_workers(2)
-        assert resolve_workers() == 2
-
-    def test_invalid_rejected(self):
+    def test_invalid_rejected(self, monkeypatch):
         with pytest.raises(ConfigurationError):
             resolve_workers(0)
-        os.environ["REPRO_WORKERS"] = "zero"
-        set_default_workers(None)
+        monkeypatch.setenv("REPRO_WORKERS", "zero")
         with pytest.raises(ConfigurationError):
             resolve_workers()
 
@@ -123,13 +97,14 @@ class TestParallelSerialDeterminism:
         for task, report in zip(tasks, results):
             assert report.total_bytes == task.kwargs["spec"].nbytes
 
-    def test_crowd_dataset_matches_collect_all(self):
+    def test_crowd_dataset_matches_collect_all(self, monkeypatch):
         from repro.crowd.app import CellVsWifiApp
         from repro.crowd.world import TABLE1_SITES
 
         sites = TABLE1_SITES[:3]
         serial = CellVsWifiApp(seed=11).collect_all(sites)
-        sharded = crowd_dataset(sites, seed=11, workers=2)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        sharded = crowd_dataset(sites, seed=11)
         assert sharded.to_csv() == serial.to_csv()
 
 
@@ -216,22 +191,40 @@ class TestSpecKeys:
             canonical_spec({"fn": lambda: None})
 
 
+def _run_with_workers(run, workers, monkeypatch):
+    """An experiment takes its worker count from the environment."""
+    used = []
+    real = SweepRunner.run
+
+    def recording(self, tasks):
+        used.append(self.workers)
+        return real(self, tasks)
+
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_WORKERS", str(workers))
+        patch.setattr(SweepRunner, "run", recording)
+        result = run(fast=True)
+    assert set(used) == {workers}  # it swept, and at that count
+    return result
+
+
 class TestExperimentLevelParity:
-    def test_fig04_metrics_identical_across_worker_counts(self):
+    def test_fig04_metrics_identical_across_worker_counts(self, monkeypatch):
         from repro.experiments import fig04
 
-        serial = fig04.run(fast=True, workers=1)
-        parallel = fig04.run(fast=True, workers=2)
+        serial = _run_with_workers(fig04.run, 1, monkeypatch)
+        parallel = _run_with_workers(fig04.run, 2, monkeypatch)
         assert serial.metrics == parallel.metrics
         assert serial.body == parallel.body
 
-    def test_fig09_10_spec_sweep_body_identical_across_worker_counts(self):
+    def test_fig09_10_spec_sweep_body_identical_across_worker_counts(
+            self, monkeypatch):
         # Spec-driven sweep: the rendered figure body must be
         # byte-identical for --workers 1 vs 4.
         from repro.experiments import fig09_10
 
-        serial = fig09_10.run(fast=True, workers=1)
-        parallel = fig09_10.run(fast=True, workers=4)
+        serial = _run_with_workers(fig09_10.run, 1, monkeypatch)
+        parallel = _run_with_workers(fig09_10.run, 4, monkeypatch)
         assert serial.body == parallel.body
         assert serial.metrics == parallel.metrics
 
@@ -250,12 +243,13 @@ class TestExperimentLevelParity:
         run = getattr(
             importlib.import_module(f"repro.experiments.{module}"), fn
         )
-        reference = run(fast=True, workers=1).render()   # REPRO_CACHE=0
+        # REPRO_CACHE=0 (the fixture) for the serial reference.
+        reference = _run_with_workers(run, 1, monkeypatch).render()
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cold = run(fast=True, workers=2).render()
+        cold = _run_with_workers(run, 2, monkeypatch).render()
         assert _session_stats().executed > 0
-        warm = run(fast=True, workers=2).render()
+        warm = _run_with_workers(run, 2, monkeypatch).render()
         assert _session_stats().executed == 0
         assert reference == cold == warm
 

@@ -10,13 +10,7 @@ from repro.parallel import chaos, wire
 from repro.parallel.chaos import ChaosController, ChaosEvent, ChaosSpec
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_chaos(monkeypatch):
-    monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
-    monkeypatch.delenv(chaos.CHAOS_INDEX_ENV, raising=False)
-    chaos.disable()
-    yield
-    chaos.disable()
+pytestmark = pytest.mark.usefixtures("isolated_env")  # no ambient chaos
 
 
 @pytest.fixture

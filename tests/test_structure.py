@@ -74,3 +74,19 @@ def test_spec_types_are_defined_once_and_re_exported():
     assert len(source.strip().splitlines()) <= 3
     row = repro.linkem.make_conditions()[0]
     assert repro.linkem.ConditionSpec.from_condition(row) is row
+
+
+def test_one_module_touches_the_environment_and_the_old_rung_is_gone():
+    touching = [hit.split(":")[0]
+                for hit in _grep(re.compile(r"os\.environ"), "src/repro")]
+    assert set(touching) == {"src/repro/core/env.py"}
+    # Spelled in pieces so this file passes its own search.
+    gone = [f"{verb}_default_{what}" for verb in ("set", "get")
+            for what in ("workers", "executor", "fidelity")]
+    gone += ["_default_" + what
+             for what in ("workers", "executor_spec", "fidelity")]
+    gone += ["_run_" + "kwargs", "_apply_obs_" + "flags"]
+    gone += [f"_add_{what}_argument"
+             for what in ("fidelity", "executor", "obs")]
+    assert _grep(re.compile("|".join(gone)), "src", "tests", "docs",
+                 "benchmarks/_harness.py", "README.md", "DESIGN.md") == []

@@ -5,20 +5,15 @@ import pytest
 from repro.linkem.conditions import make_conditions
 from repro.linkem.shells import mpshell
 from repro.mptcp.connection import MptcpOptions
-from repro.parallel import ResultCache, set_default_workers
+from repro.parallel import ResultCache
 from repro.tcp.config import TcpConfig
 from repro.workload import ConditionSpec, Session, TransferSpec, WorkloadSpec
 
 FLOW_BYTES = 48 * 1024
 
 
-@pytest.fixture(autouse=True)
-def _isolated_sweep_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    set_default_workers(None)
-    yield
-    set_default_workers(None)
+KEEP_ENV = ("REPRO_EXECUTOR",)  # CI's executor matrix covers this module
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 def _condition():
