@@ -26,11 +26,10 @@ def replay_session(session, condition) -> None:
     print(f"--- {session} [{classify_session(session).value}] "
           f"at condition #{condition.condition_id} ---")
     engine = ReplayEngine(condition)
-    results = engine.run_all_configs(session)
     table = Table(["configuration", "app response time (s)", "completed"])
     times = {}
     for config in STANDARD_CONFIGS:
-        result = results[config.name]
+        result = engine.run(session, config)  # fresh network each time
         times[config.name] = result.response_time_s
         table.add_row([config.name, result.response_time_s,
                        "yes" if result.completed else "NO"])

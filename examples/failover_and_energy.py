@@ -12,40 +12,34 @@ little energy for flows shorter than the tail.
 Run:  python examples/failover_and_energy.py
 """
 
-from repro import MptcpOptions, PathConfig, Scenario
+from repro import MptcpOptions
 from repro.analysis.plotting import ascii_timeline
 from repro.analysis.report import Table
-from repro.energy import (
-    InterfaceActivityLog,
-    LTE_POWER_MODEL,
-    PowerMonitor,
-    WIFI_POWER_MODEL,
-)
+from repro.energy import LTE_POWER_MODEL, PowerMonitor, activity_logs
+from repro.experiments.fig15 import TESTBED
 from repro.faults import FaultEvent, FaultSpec
+from repro.linkem.shells import mpshell
 
 MB = 1024 * 1024
 
 
-def build(seed=1):
-    scenario = Scenario(seed=seed)
-    scenario.add_path(PathConfig(name="wifi", down_mbps=2.0, up_mbps=1.0,
-                                 rtt_ms=50))
-    scenario.add_path(PathConfig(name="lte", down_mbps=2.5, up_mbps=1.2,
-                                 rtt_ms=80, queue_packets=500))
-    logs = {name: InterfaceActivityLog(scenario.path(name))
-            for name in ("wifi", "lte")}
-    return scenario, logs
-
-
-def run_failure_scenario(title, fault, horizon_s=40.0):
-    scenario, logs = build()
-    options = MptcpOptions(primary="lte", congestion_control="decoupled",
+def backup_flow(primary, nbytes, horizon_s, fault=None, seed=1):
+    """One Backup-mode transfer on the §3.6 testbed, both radios watched."""
+    scenario = mpshell(TESTBED, seed=seed)
+    logs = activity_logs(scenario)
+    options = MptcpOptions(primary=primary, congestion_control="decoupled",
                            mode="backup")
-    connection = scenario.mptcp(4 * MB, options=options)
-    scenario.inject_faults(FaultSpec(events=(fault,)))
+    connection = scenario.mptcp(nbytes, options=options)
+    if fault is not None:
+        scenario.inject_faults(FaultSpec(events=(fault,)))
     connection.start()
     connection.close()
     scenario.run(until=horizon_s)
+    return connection, logs
+
+
+def run_failure_scenario(title, fault, horizon_s=40.0):
+    connection, logs = backup_flow("lte", 4 * MB, horizon_s, fault)
     print(f"--- {title} ---")
     print(ascii_timeline(
         {"LTE": logs["lte"].activity_times,
@@ -65,13 +59,7 @@ def energy_study():
         nbytes = int(2e6 / 8 * target_s)
         energies = {}
         for primary, role in (("lte", "active"), ("wifi", "backup")):
-            scenario, logs = build()
-            options = MptcpOptions(primary=primary, mode="backup",
-                                   congestion_control="decoupled")
-            connection = scenario.mptcp(nbytes, options=options)
-            connection.start()
-            connection.close()
-            scenario.run(until=target_s + 40.0)
+            connection, logs = backup_flow(primary, nbytes, target_s + 40.0)
             end = (connection.completed_at or target_s) + LTE_POWER_MODEL.tail_s
             energies[role] = PowerMonitor(
                 logs["lte"], LTE_POWER_MODEL).radio_energy_j(0.0, end)

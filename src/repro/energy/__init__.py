@@ -9,7 +9,7 @@ shorter than 15 s.
 """
 
 from repro.energy.states import RadioPowerModel, LTE_POWER_MODEL, WIFI_POWER_MODEL, BASE_POWER_W
-from repro.energy.monitor import PowerMonitor, InterfaceActivityLog
+from repro.energy.monitor import PowerMonitor, InterfaceActivityLog, activity_logs
 
 __all__ = [
     "RadioPowerModel",
@@ -18,4 +18,5 @@ __all__ = [
     "BASE_POWER_W",
     "PowerMonitor",
     "InterfaceActivityLog",
+    "activity_logs",
 ]

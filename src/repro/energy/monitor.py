@@ -7,29 +7,35 @@ that activity into power-vs-time traces (Fig. 16) and energy integrals
 (§3.6.2).
 """
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.packet import Packet, PacketFlags
 from repro.energy.states import BASE_POWER_W, RadioPowerModel
 from repro.net.path import Path
+from repro.scenario import Scenario
 
-__all__ = ["InterfaceActivityLog", "PowerMonitor"]
+__all__ = ["InterfaceActivityLog", "PowerMonitor", "activity_logs"]
 
 
 class InterfaceActivityLog:
     """Records every packet event seen by the client on one interface.
 
     Also keeps per-event flags so Fig. 15-style packet timelines can
-    distinguish SYN/FIN wakeups from data.
+    distinguish SYN/FIN wakeups from data.  Plain data (no reference
+    to the tapped path): a log pickles, and compares by its events.
     """
 
     def __init__(self, path: Path):
-        self.path = path
         #: (time, flags, payload_bytes, direction) per event; direction
         #: is "tx" (client sent) or "rx" (client received).
         self.events: List[Tuple[float, PacketFlags, int, str]] = []
         path.uplink.on_transmit.append(self._on_tx)
         path.downlink.on_deliver.append(self._on_rx)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InterfaceActivityLog):
+            return NotImplemented
+        return self.events == other.events
 
     def _on_tx(self, packet: Packet, when: float) -> None:
         self.events.append((when, packet.flags, packet.payload_bytes, "tx"))
@@ -55,6 +61,14 @@ class InterfaceActivityLog:
     def last_activity(self) -> Optional[float]:
         times = self.activity_times
         return times[-1] if times else None
+
+
+def activity_logs(scenario: Scenario) -> Dict[str, InterfaceActivityLog]:
+    """Watch every radio: one log per attached path, by path name."""
+    return {
+        name: InterfaceActivityLog(scenario.path(name))
+        for name in scenario.path_names
+    }
 
 
 class PowerMonitor:

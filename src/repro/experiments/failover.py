@@ -1,10 +1,10 @@
 """Failover under injected faults: the Fig. 15 story as declarative data.
 
 Fig. 15 injects its unplug/multipath-off events as fault schedules
-into one live scenario per panel, serially, to capture per-interface
-packet activity.  This experiment sweeps the same failure modes — plus
-two degradations the paper's testbed could not script (bursty loss,
-capacity collapse) — as transfer specs: every schedule is a
+into one live scenario per panel, to capture per-interface packet
+activity.  This experiment sweeps the same failure modes on the same
+testbed — plus two degradations the paper's testbed could not script
+(bursty loss, capacity collapse) — as transfer specs: every schedule is a
 :class:`~repro.faults.spec.FaultSpec` attached to a
 :class:`~repro.workload.spec.TransferSpec`, so the whole campaign is
 JSON-shaped data, sweeps through the hardened engine, and is
@@ -41,31 +41,15 @@ from repro.experiments.common import (
     register,
     tcp_spec,
 )
+from repro.experiments.fig15 import RTO_CLAMP, TESTBED
 from repro.faults.spec import FaultEvent, FaultSpec
 from repro.tcp.config import TcpConfig
 from repro.workload.report import TransferReport
-from repro.workload.spec import ConditionSpec, PathSpec, TransferSpec
+from repro.workload.spec import TransferSpec
 
-__all__ = ["run", "build_specs", "CONDITION"]
+__all__ = ["run", "build_specs"]
 
 MB = 1024 * 1024
-
-#: The Fig. 15 emulation shape (one WiFi, one LTE interface).
-CONDITION = ConditionSpec(
-    condition_id=90,
-    city="synthetic",
-    description="failover test shape (Fig. 15 link parameters)",
-    paths=(
-        PathSpec(name="wifi", technology="wifi", down_mbps=2.0, up_mbps=1.0,
-                 rtt_ms=50, queue_packets=150),
-        PathSpec(name="lte", technology="lte", down_mbps=2.5, up_mbps=1.2,
-                 rtt_ms=80, queue_packets=500),
-    ),
-)
-
-#: Fig. 15's mobile-stack RTO clamp: recovery is noticed within
-#: seconds of the fault clearing, not after a 60 s backoff.
-_RTO_CLAMP = TcpConfig(max_rto_s=16.0)
 
 #: Aggressive mobile retry budget: the primary subflow gives up on a
 #: blackholed path within a few seconds so failover is observable
@@ -77,11 +61,11 @@ def build_specs(seed: int, fast: bool = False) -> List[TransferSpec]:
     """The five transfers (clean baseline + four fault scenarios)."""
     nbytes = (1 * MB) if fast else (2 * MB)
     specs = [
-        tcp_spec(CONDITION, "wifi", nbytes, seed=seed, deadline_s=120.0,
+        tcp_spec(TESTBED, "wifi", nbytes, seed=seed, deadline_s=120.0,
                  label="baseline"),
         mptcp_spec(
-            CONDITION, "lte", "decoupled", nbytes, seed=seed,
-            deadline_s=120.0, options={"mode": "backup"}, config=_RTO_CLAMP,
+            TESTBED, "lte", "decoupled", nbytes, seed=seed,
+            deadline_s=120.0, options={"mode": "backup"}, config=RTO_CLAMP,
             label="blackhole",
         ).with_faults(FaultSpec(
             label="silent LTE unplug (Fig. 15g)",
@@ -89,7 +73,7 @@ def build_specs(seed: int, fast: bool = False) -> List[TransferSpec]:
                                duration_s=30.0),),
         )),
         mptcp_spec(
-            CONDITION, "wifi", "decoupled", nbytes, seed=seed,
+            TESTBED, "wifi", "decoupled", nbytes, seed=seed,
             deadline_s=120.0, options={"mode": "backup"},
             config=_FAST_FAILOVER, label="blackhole_failover",
         ).with_faults(FaultSpec(
@@ -97,15 +81,15 @@ def build_specs(seed: int, fast: bool = False) -> List[TransferSpec]:
             events=(FaultEvent(kind="blackhole", path="wifi", at_s=2.0),),
         )),
         mptcp_spec(
-            CONDITION, "wifi", "decoupled", nbytes, seed=seed,
-            deadline_s=120.0, options={"mode": "backup"}, config=_RTO_CLAMP,
+            TESTBED, "wifi", "decoupled", nbytes, seed=seed,
+            deadline_s=120.0, options={"mode": "backup"}, config=RTO_CLAMP,
             label="iface_down",
         ).with_faults(FaultSpec(
             label="detected WiFi removal (Fig. 15h)",
             events=(FaultEvent(kind="iface_down", path="wifi", at_s=2.0),),
         )),
         tcp_spec(
-            CONDITION, "wifi", nbytes, seed=seed, deadline_s=120.0,
+            TESTBED, "wifi", nbytes, seed=seed, deadline_s=120.0,
             label="burst_loss",
         ).with_faults(FaultSpec(
             label="Gilbert-Elliott burst loss",
@@ -114,7 +98,7 @@ def build_specs(seed: int, fast: bool = False) -> List[TransferSpec]:
                                p_bad_to_good=0.2, p_bad=0.3),),
         )),
         tcp_spec(
-            CONDITION, "wifi", nbytes, seed=seed, deadline_s=120.0,
+            TESTBED, "wifi", nbytes, seed=seed, deadline_s=120.0,
             label="rate_collapse",
         ).with_faults(FaultSpec(
             label="capacity collapse to 10%",

@@ -18,37 +18,64 @@ Eight panels reproduce §3.6.1:
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.plotting import ascii_timeline
+from repro.core.packet import PacketFlags
 from repro.core.rng import DEFAULT_SEED
-from repro.energy.monitor import InterfaceActivityLog
-from repro.experiments.common import ExperimentResult, register
+from repro.energy.monitor import InterfaceActivityLog, activity_logs
+from repro.experiments.common import (
+    ExperimentResult,
+    _SESSION,
+    mptcp_spec,
+    register,
+)
 from repro.faults.spec import FaultEvent, FaultSpec
-from repro.mptcp.connection import MptcpConnection, MptcpOptions
-from repro.net.path import PathConfig
-from repro.scenario import Scenario
+from repro.parallel import SimTask, SweepRunner
 from repro.tcp.config import TcpConfig
+from repro.workload.spec import ConditionSpec, PathSpec
 
-__all__ = ["run", "PanelResult", "run_panel", "PANELS"]
+__all__ = ["run", "PanelResult", "run_panel", "PANELS", "TESTBED"]
 
 MB = 1024 * 1024
+
+#: The §3.6 testbed: one fixed-rate WiFi and one fixed-rate LTE link.
+TESTBED = ConditionSpec(
+    condition_id=90,
+    description="§3.6 failover/energy testbed",
+    paths=(
+        PathSpec("wifi", "wifi", down_mbps=2.0, up_mbps=1.0, rtt_ms=50,
+                 queue_packets=150),
+        PathSpec("lte", "lte", down_mbps=2.5, up_mbps=1.2, rtt_ms=80,
+                 queue_packets=500),
+    ),
+)
+
+#: Mobile stacks clamp the retransmission-timer backoff well below
+#: the RFC's 60 s so connectivity restoration is noticed quickly;
+#: this also matches the paper's Fig. 15g, where the transfer
+#: resumes within seconds of replugging at t = 68 s.
+RTO_CLAMP = TcpConfig(max_rto_s=16.0)
 
 
 @dataclass
 class PanelResult:
-    """Everything captured for one Fig. 15 panel."""
+    """Everything captured for one Fig. 15 panel, as plain data."""
 
     panel: str
     description: str
     logs: Dict[str, InterfaceActivityLog]
-    connection: MptcpConnection
-    scenario: Scenario
     horizon_s: float
+    #: Instant the last byte was delivered in order (``None``: never).
+    completed_at: Optional[float]
+    #: (time, cumulative in-order bytes) per delivery.
+    delivery_log: List[Tuple[float, int]]
+    #: Every fault edge that fired, as ``Scenario.applied_faults`` dicts.
+    applied_faults: List[dict]
 
     @property
     def completed(self) -> bool:
-        return self.connection.complete
+        return self.completed_at is not None
 
     def events_on(self, path: str) -> List[float]:
         return self.logs[path].activity_times
@@ -58,6 +85,16 @@ class PanelResult:
             1 for _, _, payload, _ in self.logs[path].events if payload > 0
         )
 
+    def progress_between(self, t0: float, t1: float) -> int:
+        """In-order bytes delivered within (t0, t1]."""
+        before = after = 0
+        for t, total in self.delivery_log:
+            if t <= t0:
+                before = total
+            if t <= t1:
+                after = total
+        return after - before
+
     def render(self) -> str:
         lanes = {
             "LTE": self.events_on("lte"),
@@ -65,15 +102,6 @@ class PanelResult:
         }
         header = f"({self.panel}) {self.description}"
         return header + "\n" + ascii_timeline(lanes, 0.0, self.horizon_s)
-
-
-def _scenario(seed: int) -> Scenario:
-    scenario = Scenario(seed=seed)
-    scenario.add_path(PathConfig(name="wifi", down_mbps=2.0, up_mbps=1.0,
-                                 rtt_ms=50, queue_packets=150))
-    scenario.add_path(PathConfig(name="lte", down_mbps=2.5, up_mbps=1.2,
-                                 rtt_ms=80, queue_packets=500))
-    return scenario
 
 
 def run_panel(
@@ -85,29 +113,23 @@ def run_panel(
     horizon_s: float = 25.0,
     faults: Optional[FaultSpec] = None,
     description: str = "",
+    condition: ConditionSpec = TESTBED,
 ) -> PanelResult:
-    """Run one Fig. 15 scenario and capture per-interface activity."""
-    scenario = _scenario(seed)
-    logs = {
-        name: InterfaceActivityLog(scenario.path(name))
-        for name in ("wifi", "lte")
-    }
-    options = MptcpOptions(primary=primary, congestion_control="decoupled",
-                           mode=mode)
-    # Mobile stacks clamp the retransmission-timer backoff well below
-    # the RFC's 60 s so connectivity restoration is noticed quickly;
-    # this also matches the paper's Fig. 15g, where the transfer
-    # resumes within seconds of replugging at t = 68 s.
-    config = TcpConfig(max_rto_s=16.0)
-    connection = scenario.mptcp(nbytes, options=options, config=config)
-    if faults is not None:
-        scenario.inject_faults(faults)
+    """Run one §3.6 flow and capture per-interface activity."""
+    spec = mptcp_spec(
+        condition, primary, "decoupled", nbytes, seed=seed,
+        options={"mode": mode}, config=RTO_CLAMP,
+    ).with_faults(faults)
+    scenario, connection = _SESSION.open(spec)
+    logs = activity_logs(scenario)
     connection.start()
     connection.close()
     scenario.run(until=horizon_s)
     return PanelResult(
-        panel=panel, description=description, logs=logs,
-        connection=connection, scenario=scenario, horizon_s=horizon_s,
+        panel=panel, description=description, logs=logs, horizon_s=horizon_s,
+        completed_at=connection.completed_at,
+        delivery_log=list(connection.delivery_log),
+        applied_faults=scenario.applied_faults(),
     )
 
 
@@ -123,81 +145,52 @@ PANEL_FAULTS: Dict[str, FaultSpec] = {
         FaultEvent("blackhole", "wifi", at_s=6.0, detected=True),)),
 }
 
-#: Panel name → factory replicating the paper's eight sub-figures.
-PANELS: Dict[str, Callable[[int], PanelResult]] = {
-    "a": lambda seed: run_panel(
-        "a", seed, nbytes=9 * MB, mode="full", primary="lte",
-        description="Full-MPTCP, LTE primary",
-    ),
-    "b": lambda seed: run_panel(
-        "b", seed, nbytes=9 * MB, mode="full", primary="wifi",
-        description="Full-MPTCP, WiFi primary",
-    ),
-    "c": lambda seed: run_panel(
-        "c", seed, nbytes=5 * MB, mode="backup", primary="lte",
-        description="Backup mode, LTE primary, WiFi backup",
-    ),
-    "d": lambda seed: run_panel(
-        "d", seed, nbytes=8 * MB, mode="backup", primary="wifi",
-        horizon_s=45.0,
-        description="Backup mode, WiFi primary, LTE backup",
-    ),
-    "e": lambda seed: run_panel(
-        "e", seed, nbytes=5 * MB, mode="backup", primary="lte",
-        horizon_s=45.0,
-        faults=PANEL_FAULTS["e"],
-        description="Backup (LTE primary); LTE 'multipath off' at t=9 s",
-    ),
-    "f": lambda seed: run_panel(
-        "f", seed, nbytes=5 * MB, mode="backup", primary="wifi",
-        horizon_s=40.0,
-        faults=PANEL_FAULTS["f"],
-        description="Backup (WiFi primary); WiFi 'multipath off' at t=11 s",
-    ),
-    "g": lambda seed: run_panel(
-        "g", seed, nbytes=5 * MB, mode="backup", primary="lte",
-        horizon_s=110.0,
-        faults=PANEL_FAULTS["g"],
-        description="Backup (LTE primary); unplug LTE at t=3 s, replug at t=68 s",
-    ),
-    "h": lambda seed: run_panel(
-        "h", seed, nbytes=5 * MB, mode="backup", primary="wifi",
-        horizon_s=30.0,
-        faults=PANEL_FAULTS["h"],
-        description="Backup (WiFi primary); unplug WiFi at t=6 s (detected)",
-    ),
+#: Panel name → the :func:`run_panel` arguments replicating the
+#: paper's eight sub-figures.
+PANELS: Dict[str, Dict[str, Any]] = {
+    "a": dict(nbytes=9 * MB, mode="full", primary="lte",
+              description="Full-MPTCP, LTE primary"),
+    "b": dict(nbytes=9 * MB, mode="full", primary="wifi",
+              description="Full-MPTCP, WiFi primary"),
+    "c": dict(nbytes=5 * MB, mode="backup", primary="lte",
+              description="Backup mode, LTE primary, WiFi backup"),
+    "d": dict(nbytes=8 * MB, mode="backup", primary="wifi", horizon_s=45.0,
+              description="Backup mode, WiFi primary, LTE backup"),
+    "e": dict(nbytes=5 * MB, mode="backup", primary="lte", horizon_s=45.0,
+              faults=PANEL_FAULTS["e"],
+              description="Backup (LTE primary); LTE 'multipath off' at t=9 s"),
+    "f": dict(nbytes=5 * MB, mode="backup", primary="wifi", horizon_s=40.0,
+              faults=PANEL_FAULTS["f"],
+              description="Backup (WiFi primary); WiFi 'multipath off' at t=11 s"),
+    "g": dict(nbytes=5 * MB, mode="backup", primary="lte", horizon_s=110.0,
+              faults=PANEL_FAULTS["g"],
+              description="Backup (LTE primary); unplug LTE at t=3 s, replug at t=68 s"),
+    "h": dict(nbytes=5 * MB, mode="backup", primary="wifi", horizon_s=30.0,
+              faults=PANEL_FAULTS["h"],
+              description="Backup (WiFi primary); unplug WiFi at t=6 s (detected)"),
 }
-
-
-def _progress_between(connection: MptcpConnection, t0: float, t1: float) -> int:
-    """In-order bytes delivered within (t0, t1]."""
-    before = after = 0
-    for t, total in connection.delivery_log:
-        if t <= t0:
-            before = total
-        if t <= t1:
-            after = total
-    return after - before
 
 
 @register("fig15")
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     panel_names = ["c", "e", "g", "h"] if fast else list(PANELS)
-    results = {name: PANELS[name](seed) for name in panel_names}
+    tasks = [
+        SimTask(fn="repro.experiments.fig15:run_panel",
+                kwargs={"panel": name, "seed": seed, **PANELS[name]},
+                key=f"fig15.{name}")
+        for name in panel_names
+    ]
+    results = dict(zip(panel_names, SweepRunner(seed=seed).run(tasks)))
 
     body = "\n\n".join(results[name].render() for name in panel_names)
     metrics: Dict[str, float] = {}
 
-    if "a" in results:
-        metrics["a_both_paths_carry_data"] = float(
-            results["a"].data_packet_count("wifi") > 100
-            and results["a"].data_packet_count("lte") > 100
-        )
-    if "b" in results:
-        metrics["b_both_paths_carry_data"] = float(
-            results["b"].data_packet_count("wifi") > 100
-            and results["b"].data_packet_count("lte") > 100
-        )
+    for name in ("a", "b"):
+        if name in results:
+            metrics[f"{name}_both_paths_carry_data"] = float(all(
+                results[name].data_packet_count(path) > 100
+                for path in ("wifi", "lte")
+            ))
     if "c" in results:
         # The backup (WiFi) carries only handshake/teardown packets.
         metrics["c_backup_data_packets"] = float(
@@ -218,24 +211,23 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     if "g" in results:
         g = results["g"]
         metrics["g_stalled_while_unplugged"] = float(
-            _progress_between(g.connection, 5.0, 65.0) == 0
+            g.progress_between(5.0, 65.0) == 0
         )
         metrics["g_resumes_after_replug"] = float(
-            _progress_between(g.connection, 68.0, g.horizon_s) > 0
+            g.progress_between(68.0, g.horizon_s) > 0
         )
-        from repro.core.packet import PacketFlags
-
         metrics["g_backup_window_updates"] = float(len(
-            results["g"].logs["wifi"].times_with_flag(PacketFlags.WINDOW_UPDATE)
+            g.logs["wifi"].times_with_flag(PacketFlags.WINDOW_UPDATE)
         ))
     if "h" in results:
         h = results["h"]
-        lte_data_times = [
-            t for t, _, payload, _ in h.logs["lte"].events if payload > 0
-        ]
-        first_lte_data = min(lte_data_times) if lte_data_times else float("inf")
-        metrics["h_failover_latency_s"] = first_lte_data - 6.0
-        metrics["h_failover_within_2s"] = float(first_lte_data - 6.0 < 2.0)
+        first_lte_data = min(
+            (t for t, _, payload, _ in h.logs["lte"].events if payload > 0),
+            default=float("inf"),
+        )
+        latency = first_lte_data - PANEL_FAULTS["h"].events[0].at_s
+        metrics["h_failover_latency_s"] = latency
+        metrics["h_failover_within_2s"] = float(latency < 2.0)
         metrics["h_completed"] = float(h.completed)
 
     targets = {

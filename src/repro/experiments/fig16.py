@@ -6,105 +6,98 @@ headline claim: because a lone SYN or FIN keeps the LTE radio in its
 little energy for flows shorter than about 15 seconds.
 """
 
+import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.analysis.plotting import ascii_series
 from repro.analysis.report import Table
 from repro.core.rng import DEFAULT_SEED
-from repro.energy.monitor import InterfaceActivityLog, PowerMonitor
+from repro.energy.monitor import PowerMonitor
 from repro.energy.states import LTE_POWER_MODEL, WIFI_POWER_MODEL
 from repro.experiments.common import ExperimentResult, register
-from repro.mptcp.connection import MptcpOptions
+from repro.experiments.fig15 import TESTBED, PanelResult
 from repro.parallel import SimTask, SweepRunner
-from repro.net.path import PathConfig
-from repro.scenario import Scenario
 
-__all__ = ["run", "backup_flow_energy", "power_panels"]
+__all__ = ["run", "flow_pair", "energy_flow_pair", "backup_flow_energy",
+           "power_panels"]
 
 MB = 1024 * 1024
 MODELS = {"lte": LTE_POWER_MODEL, "wifi": WIFI_POWER_MODEL}
 
-
-def _scenario(seed: int) -> Tuple[Scenario, Dict[str, InterfaceActivityLog]]:
-    scenario = Scenario(seed=seed)
-    scenario.add_path(PathConfig(name="wifi", down_mbps=2.0, up_mbps=1.0,
-                                 rtt_ms=50, queue_packets=150))
-    scenario.add_path(PathConfig(name="lte", down_mbps=2.0, up_mbps=1.0,
-                                 rtt_ms=80, queue_packets=500))
-    logs = {
-        name: InterfaceActivityLog(scenario.path(name))
-        for name in ("wifi", "lte")
-    }
-    return scenario, logs
+#: Fig. 15's testbed with the LTE link evened out to WiFi's 2/1 Mbit/s,
+#: so a flow lasts the same whichever radio carries it.
+EVEN_TESTBED = TESTBED.with_path(
+    dataclasses.replace(TESTBED.lte, down_mbps=2.0, up_mbps=1.0)
+)
 
 
-def _run_backup_flow(
-    primary: str, nbytes: int, seed: int, horizon_s: float
-) -> Tuple[Dict[str, InterfaceActivityLog], float]:
-    """Backup-mode transfer; returns activity logs and completion time."""
-    scenario, logs = _scenario(seed)
-    options = MptcpOptions(primary=primary, congestion_control="decoupled",
-                           mode="backup")
-    connection = scenario.mptcp(nbytes, options=options)
-    connection.start()
-    connection.close()
-    scenario.run(until=horizon_s)
-    return logs, (connection.completed_at or horizon_s)
+def flow_pair(nbytes: int, horizon_s: float, seed: int) -> List[SimTask]:
+    """One Backup-mode flow twice: LTE active, then LTE as the backup."""
+    return [
+        SimTask(
+            fn="repro.experiments.fig15:run_panel",
+            kwargs={"panel": primary, "seed": seed,
+                    "nbytes": nbytes, "primary": primary,
+                    "horizon_s": horizon_s, "condition": EVEN_TESTBED},
+            key=f"fig16.{primary}.{nbytes}.{horizon_s}",
+        )
+        for primary in ("lte", "wifi")
+    ]
 
 
-def power_panels(seed: int = DEFAULT_SEED) -> Dict[str, List[Tuple[float, float]]]:
+def energy_flow_pair(flow_duration_target_s: float, seed: int) -> List[SimTask]:
+    """A :func:`flow_pair` lasting ~the target at the links' 2 Mbit/s."""
+    nbytes = max(20_000, int(2e6 / 8 * flow_duration_target_s))
+    return flow_pair(nbytes, flow_duration_target_s + 40.0, seed)
+
+
+def power_panels(
+    lte_active: PanelResult, wifi_active: PanelResult
+) -> Dict[str, List[Tuple[float, float]]]:
     """The four Fig. 16 power-vs-time traces (watts incl. 1 W base).
 
     A ~20 s flow in Backup mode: with WiFi as the backup, LTE is the
-    active radio (panels a and d's mirror), and vice versa.
+    active radio (panels a and d), and vice versa (panels b and c).
     """
-    panels: Dict[str, List[Tuple[float, float]]] = {}
-    horizon = 50.0
-    # LTE active (WiFi backup): panels (a) LTE and (d) WiFi-backup.
-    logs, _ = _run_backup_flow("lte", 5 * MB, seed, horizon)
-    panels["a: LTE, non-backup"] = PowerMonitor(
-        logs["lte"], MODELS["lte"]).power_series(0, horizon)
-    panels["d: WiFi, backup"] = PowerMonitor(
-        logs["wifi"], MODELS["wifi"]).power_series(0, horizon)
-    # WiFi active (LTE backup): panels (b) WiFi and (c) LTE-backup.
-    logs, _ = _run_backup_flow("wifi", 5 * MB, seed, horizon)
-    panels["b: WiFi, non-backup"] = PowerMonitor(
-        logs["wifi"], MODELS["wifi"]).power_series(0, horizon)
-    panels["c: LTE, backup"] = PowerMonitor(
-        logs["lte"], MODELS["lte"]).power_series(0, horizon)
-    return panels
+    def series(flow: PanelResult, radio: str) -> List[Tuple[float, float]]:
+        return PowerMonitor(flow.logs[radio], MODELS[radio]).power_series(
+            0, flow.horizon_s)
+
+    return {
+        "a: LTE, non-backup": series(lte_active, "lte"),
+        "d: WiFi, backup": series(lte_active, "wifi"),
+        "b: WiFi, non-backup": series(wifi_active, "wifi"),
+        "c: LTE, backup": series(wifi_active, "lte"),
+    }
 
 
 def backup_flow_energy(
-    flow_duration_target_s: float,
-    seed: int = DEFAULT_SEED,
+    lte_active: PanelResult,
+    lte_backup: PanelResult,
     fast_dormancy: bool = False,
 ) -> Dict[str, float]:
     """LTE radio energy with LTE active vs LTE as backup (§3.6.2).
 
-    The flow size is chosen so the transfer lasts roughly the target
-    duration at the active link's 2 Mbit/s.  With ``fast_dormancy``
-    the LTE model uses the paper's suggested mitigation: a ~3 s tail
-    instead of ~15 s.
+    The two flows are one :func:`energy_flow_pair`, simulated.  With
+    ``fast_dormancy`` the LTE model uses the paper's suggested
+    mitigation: a ~3 s tail instead of ~15 s — a property of the power
+    model alone, so both variants read the same two flows.
     """
     model = MODELS["lte"]
     if fast_dormancy:
         model = model.with_fast_dormancy()
-    nbytes = max(20_000, int(2e6 / 8 * flow_duration_target_s))
-    horizon = flow_duration_target_s + 40.0
-    # LTE carries the data.
-    logs_active, done_active = _run_backup_flow("lte", nbytes, seed, horizon)
-    lte_active_j = PowerMonitor(logs_active["lte"], model).radio_energy_j(
-        0.0, done_active + model.tail_s
-    )
-    # LTE is the backup: only SYN/FIN wakeups.
-    logs_backup, done_backup = _run_backup_flow("wifi", nbytes, seed, horizon)
-    lte_backup_j = PowerMonitor(logs_backup["lte"], model).radio_energy_j(
-        0.0, done_backup + model.tail_s
-    )
+
+    def lte_energy_j(flow: PanelResult) -> float:
+        done = flow.completed_at or flow.horizon_s
+        return PowerMonitor(flow.logs["lte"], model).radio_energy_j(
+            0.0, done + model.tail_s
+        )
+
+    # LTE carries the data, vs only its SYN/FIN wakeups.
+    lte_active_j = lte_energy_j(lte_active)
+    lte_backup_j = lte_energy_j(lte_backup)
     saving = 1.0 - lte_backup_j / lte_active_j if lte_active_j > 0 else 0.0
     return {
-        "flow_duration_s": max(done_active, done_backup),
         "lte_active_j": lte_active_j,
         "lte_backup_j": lte_backup_j,
         "saving_fraction": saving,
@@ -115,26 +108,14 @@ def backup_flow_energy(
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     durations = [3.0, 8.0] if fast else [3.0, 8.0, 15.0, 30.0, 60.0]
 
-    # The power panels and every (duration, dormancy) energy figure are
-    # independent simulations: one sweep covers them all.
-    tasks = [SimTask(fn="repro.experiments.fig16:power_panels",
-                     kwargs={"seed": seed}, key="fig16.panels")]
+    # Every distinct flow is simulated once; the power panels and both
+    # power models' energy figures are reductions of the same flows.
+    tasks = flow_pair(5 * MB, 50.0, seed)
     for duration in durations:
-        for fast_dormancy in (False, True):
-            tasks.append(SimTask(
-                fn="repro.experiments.fig16:backup_flow_energy",
-                kwargs={"flow_duration_target_s": duration, "seed": seed,
-                        "fast_dormancy": fast_dormancy},
-                key=f"fig16.energy.{duration}.{fast_dormancy}",
-            ))
-    outcomes = SweepRunner(seed=seed).run(tasks)
-    panels = outcomes[0]
-    energies = {
-        (duration, fast_dormancy): outcome
-        for (duration, fast_dormancy), outcome in zip(
-            [(d, fd) for d in durations for fd in (False, True)], outcomes[1:]
-        )
-    }
+        tasks += energy_flow_pair(duration, seed)
+    flows = SweepRunner(seed=seed).run(tasks)
+    pairs = [flows[i:i + 2] for i in range(0, len(flows), 2)]
+    panels = power_panels(*pairs[0])
 
     parts = []
     for name, series in panels.items():
@@ -149,9 +130,9 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         title="§3.6.2: LTE radio energy, active vs backup interface",
     )
     metrics: Dict[str, float] = {}
-    for duration in durations:
-        result = energies[(duration, False)]
-        dormant = energies[(duration, True)]
+    for duration, pair in zip(durations, pairs[1:]):
+        result = backup_flow_energy(*pair)
+        dormant = backup_flow_energy(*pair, fast_dormancy=True)
         table.add_row([
             duration,
             result["lte_active_j"],

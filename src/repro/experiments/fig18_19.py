@@ -13,50 +13,65 @@ from typing import Dict, List
 from repro.analysis.report import Table
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import ExperimentResult, register
-from repro.httpreplay.engine import ReplayEngine, STANDARD_CONFIGS
+from repro.httpreplay.engine import AppReplayResult, STANDARD_CONFIGS
 from repro.httpreplay.oracles import normalized_oracle_means
-from repro.httpreplay.patterns import cnn_launch
-from repro.httpreplay.session import AppSession
 from repro.linkem.conditions import make_conditions
+from repro.parallel import SimTask, SweepRunner
 
-__all__ = ["run", "replay_over_conditions"]
+__all__ = ["run", "replay_grid", "response_times"]
 
 
-def replay_over_conditions(
-    session: AppSession,
+def replay_grid(
+    app: str,
     seed: int,
     condition_count: int = 20,
     deadline_s: float = 240.0,
-) -> List[Dict[str, float]]:
-    """Response times for all six configs at each condition."""
-    conditions = make_conditions(seed=seed)[:condition_count]
-    per_condition: List[Dict[str, float]] = []
-    for condition in conditions:
-        engine = ReplayEngine(condition)
-        results = engine.run_all_configs(
-            session, deadline_s=deadline_s, seed=seed + condition.condition_id
+) -> List[SimTask]:
+    """One replay of ``app`` per condition × configuration.
+
+    Condition-major, :data:`STANDARD_CONFIGS` order within a condition;
+    all six configurations at a location see the same network
+    realization (``seed + condition_id``).
+    """
+    return [
+        SimTask(
+            fn="repro.httpreplay.engine:replay_app",
+            kwargs={"app": app, "app_seed": seed, "condition": condition,
+                    "config": config.name,
+                    "seed": seed + condition.condition_id,
+                    "deadline_s": deadline_s},
+            key=f"replay.{app}.{condition.condition_id}.{config.name}",
         )
-        per_condition.append(
-            {name: result.response_time_s for name, result in results.items()}
-        )
-    return per_condition
+        for condition in make_conditions(seed=seed)[:condition_count]
+        for config in STANDARD_CONFIGS
+    ]
+
+
+def response_times(results: List[AppReplayResult]) -> List[Dict[str, float]]:
+    """Per condition (grid order): configuration name → response time."""
+    per = len(STANDARD_CONFIGS)
+    return [
+        {r.config_name: r.response_time_s for r in results[start:start + per]}
+        for start in range(0, len(results), per)
+    ]
 
 
 def _build_result(
     experiment_id: str,
     title: str,
-    session: AppSession,
+    app: str,
     seed: int,
     fast: bool,
     oracle_targets: Dict[str, float],
     headline: str,
+    mptcp_should_win: bool,
 ) -> ExperimentResult:
-    count = 4 if fast else 20
-    per_condition = replay_over_conditions(session, seed, condition_count=count)
+    grid = replay_grid(app, seed, condition_count=4 if fast else 20)
+    per_condition = response_times(SweepRunner(seed=seed).run(grid))
 
     table = Table(
         ["condition"] + [c.name for c in STANDARD_CONFIGS],
-        title=f"{experiment_id}: {session.name} response time (s) per config",
+        title=f"{experiment_id}: {app} response time (s) per config",
     )
     for index, times in enumerate(per_condition[:4], start=1):
         table.add_row([index] + [f"{times[c.name]:.1f}" for c in STANDARD_CONFIGS])
@@ -69,8 +84,7 @@ def _build_result(
     metrics: Dict[str, float] = {}
     for scheme, value in means.items():
         oracle_table.add_row([scheme, f"{value:.2f}"])
-        key = f"normalized[{scheme}]"
-        metrics[key] = value
+        metrics[f"normalized[{scheme}]"] = value
 
     single = means["Single-Path-TCP Oracle"]
     best_mptcp = min(v for k, v in means.items() if "MPTCP" in k)
@@ -78,11 +92,11 @@ def _build_result(
     # right one.  The paper's short-flow finding is "no appreciable
     # benefit" (the single-path oracle matches or beats the MPTCP
     # oracles); the long-flow finding is a clear MPTCP win.
-    metrics["mptcp_benefit_over_single_path"] = single - best_mptcp
-    if "short" in headline:
-        metrics[headline] = float(single - best_mptcp < 0.05)
-    else:
-        metrics[headline] = float(single - best_mptcp > 0.05)
+    benefit = single - best_mptcp
+    metrics["mptcp_benefit_over_single_path"] = benefit
+    metrics[headline] = float(
+        benefit > 0.05 if mptcp_should_win else benefit < 0.05
+    )
     metrics["network_selection_saving"] = 1.0 - single
     return ExperimentResult(
         experiment_id=experiment_id,
@@ -98,7 +112,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     return _build_result(
         experiment_id="fig18_19",
         title="CNN (short-flow dominated) replay and oracles",
-        session=cnn_launch(seed),
+        app="cnn_launch",
         seed=seed,
         fast=fast,
         oracle_targets={
@@ -110,4 +124,5 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             "short_flow_single_path_oracle_wins": 1.0,
         },
         headline="short_flow_single_path_oracle_wins",
+        mptcp_should_win=False,
     )

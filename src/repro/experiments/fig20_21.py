@@ -11,7 +11,6 @@ feeds the primary subflow and the right congestion control is used.
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import ExperimentResult, register
 from repro.experiments.fig18_19 import _build_result
-from repro.httpreplay.patterns import dropbox_click
 
 __all__ = ["run"]
 
@@ -21,7 +20,7 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     return _build_result(
         experiment_id="fig20_21",
         title="Dropbox (long-flow dominated) replay and oracles",
-        session=dropbox_click(seed),
+        app="dropbox_click",
         seed=seed,
         fast=fast,
         oracle_targets={
@@ -33,4 +32,5 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             "long_flow_mptcp_oracle_wins": 1.0,
         },
         headline="long_flow_mptcp_oracle_wins",
+        mptcp_should_win=True,
     )

@@ -35,6 +35,7 @@ from repro.httpreplay.engine import (
     STANDARD_CONFIGS,
     ReplayEngine,
     AppReplayResult,
+    replay_app,
 )
 from repro.httpreplay.oracles import ORACLES, oracle_response_times
 
@@ -61,6 +62,7 @@ __all__ = [
     "STANDARD_CONFIGS",
     "ReplayEngine",
     "AppReplayResult",
+    "replay_app",
     "ORACLES",
     "oracle_response_times",
 ]

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
-from repro.httpreplay.recorder import RecordShell, ReplayArchive
+from repro.httpreplay.patterns import PATTERN_BUILDERS
+from repro.httpreplay.recorder import RecordShell
 from repro.httpreplay.replayer import ReplayShell
 from repro.httpreplay.session import AppSession, RecordedConnection
 from repro.linkem.conditions import ConditionSpec
@@ -23,7 +24,8 @@ from repro.mptcp.connection import MptcpOptions
 from repro.scenario import Scenario
 from repro.tcp.connection import ConnectionBase
 
-__all__ = ["TransportConfig", "STANDARD_CONFIGS", "AppReplayResult", "ReplayEngine"]
+__all__ = ["TransportConfig", "STANDARD_CONFIGS", "AppReplayResult",
+           "ReplayEngine", "replay_app"]
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ class _ConnectionDriver:
                 direction="up",
             )
             upload.on_complete.append(
-                lambda _conn: self._request_arrived(index, transaction,
-                                                    response)
+                lambda _conn: self._schedule_response(
+                    index, response, transaction.server_think_s)
             )
             upload.start()
             upload.close()
@@ -121,9 +123,6 @@ class _ConnectionDriver:
         else:
             delay = transaction.server_think_s + self.request_one_way_s
         self._schedule_response(index, response, delay)
-
-    def _request_arrived(self, index, transaction, response) -> None:
-        self._schedule_response(index, response, transaction.server_think_s)
 
     def _schedule_response(self, index: int, response, delay: float) -> None:
         nbytes = max(1, response.wire_bytes)
@@ -172,16 +171,13 @@ class ReplayEngine:
         self,
         session: AppSession,
         config: TransportConfig,
-        archive: Optional[ReplayArchive] = None,
         deadline_s: float = 300.0,
         seed: Optional[int] = None,
     ) -> AppReplayResult:
         """Replay ``session`` under ``config``; returns the app metrics."""
-        if archive is None:
-            recorder = RecordShell()
-            recorder.record(session)
-            archive = recorder.archive
-        replay = ReplayShell(archive)
+        recorder = RecordShell()
+        recorder.record(session)
+        replay = ReplayShell(recorder.archive)
         scenario = mpshell(self.condition, seed=seed)
         unfinished: List[_ConnectionDriver] = []
         finish_times: Dict[int, float] = {}
@@ -206,35 +202,52 @@ class ReplayEngine:
             unfinished.append(driver)
             scenario.loop.call_at(recorded.open_offset_s, driver.start)
 
-        if unfinished:
-            scenario.loop.run(until=deadline_s)
+        if not unfinished:
+            # Nothing would ever finish: a deadline-sized response time
+            # must not enter an oracle mean as a success.
+            raise ConfigurationError(
+                f"session {session.name!r} has no transactions to replay"
+            )
+        scenario.loop.run(until=deadline_s)
 
-        response_time = max(finish_times.values()) if finish_times else deadline_s
+        completed = not unfinished
         return AppReplayResult(
             session_name=session.name,
             config_name=config.name,
-            response_time_s=response_time if not unfinished else deadline_s,
-            completed=not unfinished,
+            response_time_s=(
+                max(finish_times.values()) if completed else deadline_s
+            ),
+            completed=completed,
             connection_finish_times=finish_times,
             replay_hits=replay.hits,
             replay_misses=replay.misses,
         )
 
-    def run_all_configs(
-        self,
-        session: AppSession,
-        configs: Optional[List[TransportConfig]] = None,
-        deadline_s: float = 300.0,
-        seed: Optional[int] = None,
-    ) -> Dict[str, AppReplayResult]:
-        """Replay under every configuration (fresh network each time)."""
-        configs = configs if configs is not None else STANDARD_CONFIGS
-        recorder = RecordShell()
-        recorder.record(session)
-        archive = recorder.archive
-        return {
-            config.name: self.run(
-                session, config, archive=archive, deadline_s=deadline_s, seed=seed
-            )
-            for config in configs
-        }
+
+def replay_app(
+    app: str,
+    app_seed: int,
+    condition: ConditionSpec,
+    config: str,
+    seed: int,
+    deadline_s: float = 300.0,
+) -> AppReplayResult:
+    """:meth:`ReplayEngine.run` as a sweep task: all arguments plain data.
+
+    ``app`` names a :data:`PATTERN_BUILDERS` pattern (built from
+    ``app_seed``), ``config`` one of :data:`STANDARD_CONFIGS`; ``seed``
+    realizes ``condition``'s network.
+    """
+    configs = {c.name: c for c in STANDARD_CONFIGS}
+    if app not in PATTERN_BUILDERS:
+        raise ConfigurationError(
+            f"unknown app pattern {app!r}; have {sorted(PATTERN_BUILDERS)}"
+        )
+    if config not in configs:
+        raise ConfigurationError(
+            f"unknown configuration {config!r}; have {list(configs)}"
+        )
+    return ReplayEngine(condition).run(
+        PATTERN_BUILDERS[app](app_seed), configs[config],
+        deadline_s=deadline_s, seed=seed,
+    )

@@ -56,7 +56,6 @@ def normalized_oracle_means(
     if not per_condition:
         raise ConfigurationError("need at least one condition")
     sums: Dict[str, float] = {name: 0.0 for name in ORACLES}
-    baseline_sum = 0.0
     for response_times in per_condition:
         if BASELINE_CONFIG not in response_times:
             raise ConfigurationError(f"missing baseline {BASELINE_CONFIG}")
@@ -65,7 +64,6 @@ def normalized_oracle_means(
             raise ConfigurationError("baseline response time must be positive")
         for oracle, value in oracle_response_times(response_times).items():
             sums[oracle] += value / baseline
-        baseline_sum += 1.0
     means = {oracle: total / len(per_condition) for oracle, total in sums.items()}
     means[BASELINE_CONFIG] = 1.0
     return means

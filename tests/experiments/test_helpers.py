@@ -55,11 +55,23 @@ class TestFig15Panels:
         # Backup WiFi: handshake/teardown only.
         assert panel.data_packet_count("wifi") == 0
         assert "test" in panel.render()
+        # Plain data: what a sweep worker returns and the cache stores.
+        import pickle
+
+        restored = pickle.loads(pickle.dumps(panel))
+        assert restored == panel
+        assert restored.render() == panel.render()
 
     def test_panels_registry_has_all_eight(self):
-        from repro.experiments.fig15 import PANELS
+        import inspect
+
+        from repro.experiments.fig15 import PANELS, run_panel
 
         assert sorted(PANELS) == list("abcdefgh")
+        # A table of ``run_panel`` keyword arguments, not closures.
+        accepted = set(inspect.signature(run_panel).parameters)
+        for kwargs in PANELS.values():
+            assert set(kwargs) <= accepted - {"panel", "seed", "condition"}
 
     def test_injected_panels_are_fault_schedules_at_the_papers_instants(self):
         from repro.experiments.fig15 import PANEL_FAULTS, run_panel
@@ -83,15 +95,22 @@ class TestFig15Panels:
                                faults=faults)
             assert [
                 (edge["t"], edge["edge"], edge["kind"], edge["path"])
-                for edge in result.scenario.applied_faults()
+                for edge in result.applied_faults
             ] == expected[panel]
 
 
 class TestFig16Helpers:
-    def test_power_panels_have_expected_levels(self):
-        from repro.experiments.fig16 import power_panels
+    @staticmethod
+    def _simulate(tasks):
+        from repro.parallel import SweepRunner
 
-        panels = power_panels(DEFAULT_SEED)
+        return SweepRunner(workers=1, cache=False).run(tasks)
+
+    def test_power_panels_have_expected_levels(self):
+        from repro.experiments.fig16 import MB, flow_pair, power_panels
+
+        panels = power_panels(
+            *self._simulate(flow_pair(5 * MB, 50.0, DEFAULT_SEED)))
         assert set(panels) == {
             "a: LTE, non-backup", "b: WiFi, non-backup",
             "c: LTE, backup", "d: WiFi, backup",
@@ -102,18 +121,41 @@ class TestFig16Helpers:
         assert wifi_active == pytest.approx(2.0)  # 1 W base + 1 W radio
 
     def test_backup_energy_monotone_saving(self):
-        from repro.experiments.fig16 import backup_flow_energy
+        from repro.experiments.fig16 import backup_flow_energy, energy_flow_pair
 
-        short = backup_flow_energy(3.0)
-        long_ = backup_flow_energy(30.0)
+        short = backup_flow_energy(
+            *self._simulate(energy_flow_pair(3.0, DEFAULT_SEED)))
+        long_ = backup_flow_energy(
+            *self._simulate(energy_flow_pair(30.0, DEFAULT_SEED)))
         assert long_["saving_fraction"] > short["saving_fraction"]
 
     def test_fast_dormancy_always_helps(self):
-        from repro.experiments.fig16 import backup_flow_energy
+        from repro.experiments.fig16 import backup_flow_energy, energy_flow_pair
 
-        plain = backup_flow_energy(5.0)
-        dormant = backup_flow_energy(5.0, fast_dormancy=True)
+        # Dormancy is a property of the power model: same two flows.
+        flows = self._simulate(energy_flow_pair(5.0, DEFAULT_SEED))
+        plain = backup_flow_energy(*flows)
+        dormant = backup_flow_energy(*flows, fast_dormancy=True)
         assert dormant["saving_fraction"] > plain["saving_fraction"]
+
+    @pytest.mark.parametrize("fast, expected", [(True, 6), (False, 12)])
+    def test_every_distinct_flow_is_simulated_once(
+            self, fast, expected, monkeypatch):
+        from repro.experiments import fig16
+        from repro.parallel import SweepRunner
+
+        swept = []
+        real = SweepRunner.run
+
+        def recording(self, tasks):
+            swept.append(tasks)
+            return real(self, tasks)
+
+        monkeypatch.setattr(SweepRunner, "run", recording)
+        fig16.run(fast=fast)
+        (tasks,) = swept  # one sweep per run()
+        assert len(tasks) == expected
+        assert len({task.key for task in tasks}) == expected
 
 
 class TestFig17Rendering:

@@ -13,9 +13,9 @@ keys every sweep task.
 import pytest
 
 from repro.core.packet import PacketFlags
-from repro.energy.monitor import InterfaceActivityLog
+from repro.energy.monitor import activity_logs
 from repro.experiments.common import mptcp_spec
-from repro.experiments.failover import CONDITION
+from repro.experiments.fig15 import TESTBED
 from repro.faults import FaultEvent, FaultSpec
 from repro.tcp.config import TcpConfig
 from repro.workload import Session
@@ -33,7 +33,7 @@ pytestmark = pytest.mark.usefixtures("isolated_env")
 def _blackhole_spec(seed: int, nbytes: int = 1024 * KB):
     """Backup mode, WiFi primary; WiFi silently blackholes at t=2s."""
     return mptcp_spec(
-        CONDITION, "wifi", "decoupled", nbytes, seed=seed, deadline_s=90.0,
+        TESTBED, "wifi", "decoupled", nbytes, seed=seed, deadline_s=90.0,
         options={"mode": "backup"}, config=_FAST_FAILOVER,
         label=f"fig15g-blackhole-{seed}",
     ).with_faults(FaultSpec(
@@ -49,10 +49,7 @@ class TestFig15gSequence:
         session = Session()
         spec = _blackhole_spec(seed=5)
         scenario, connection = session.open(spec)
-        logs = {
-            name: InterfaceActivityLog(scenario.path(name))
-            for name in ("wifi", "lte")
-        }
+        logs = activity_logs(scenario)
         connection.start()
         connection.close()
         scenario.loop.run(until=90.0)

@@ -124,23 +124,23 @@ class TestFaultSpecRoundTrip:
 
 class TestTransferSpecIntegration:
     def test_fault_paths_must_be_condition_paths(self):
-        from repro.experiments.failover import CONDITION
+        from repro.experiments.fig15 import TESTBED
         from repro.workload.spec import TransferSpec
 
         with pytest.raises(ConfigurationError, match="TransferSpec.faults"):
             TransferSpec(
-                kind="tcp", condition=CONDITION, nbytes=1000, path="wifi",
+                kind="tcp", condition=TESTBED, nbytes=1000, path="wifi",
                 faults=FaultSpec(events=(
                     FaultEvent(kind="outage", path="dsl", at_s=1.0),
                 )),
             )
 
     def test_transfer_spec_round_trips_faults(self):
-        from repro.experiments.failover import CONDITION
+        from repro.experiments.fig15 import TESTBED
         from repro.workload.spec import TransferSpec
 
         spec = TransferSpec(
-            kind="tcp", condition=CONDITION, nbytes=1000, path="wifi",
+            kind="tcp", condition=TESTBED, nbytes=1000, path="wifi",
             faults=FaultSpec(events=(
                 FaultEvent(kind="outage", path="wifi", at_s=1.0),
             )),

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.httpreplay.engine import (
     ReplayEngine,
     STANDARD_CONFIGS,
     TransportConfig,
+    replay_app,
 )
 from repro.httpreplay.message import HttpRequest, HttpResponse
 from repro.httpreplay.patterns import dropbox_launch
@@ -50,8 +52,6 @@ class TestStandardConfigs:
         assert "MPTCP-Decoupled-LTE" in names
 
     def test_invalid_kind_rejected(self):
-        from repro.core.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             TransportConfig("x", "udp", "wifi", "cubic")
 
@@ -59,9 +59,11 @@ class TestStandardConfigs:
 class TestReplayEngine:
     def test_tiny_session_completes_on_all_configs(self):
         engine = ReplayEngine(_condition())
-        results = engine.run_all_configs(_tiny_session(), deadline_s=60.0)
-        assert len(results) == 6
-        assert all(r.completed for r in results.values())
+        results = [engine.run(_tiny_session(), config, deadline_s=60.0)
+                   for config in STANDARD_CONFIGS]
+        assert [r.config_name for r in results] == [
+            c.name for c in STANDARD_CONFIGS]
+        assert all(r.completed for r in results)
 
     def test_response_time_includes_think_times(self):
         engine = ReplayEngine(_condition())
@@ -112,6 +114,48 @@ class TestReplayEngine:
         assert a.response_time_s == b.response_time_s
 
 
+class TestNothingToReplay:
+    """An empty recording is a caller error, not a 300 s "success"."""
+
+    @pytest.mark.parametrize("session", [
+        AppSession("empty", []),
+        AppSession("hollow", [RecordedConnection(
+            connection_id=1, open_offset_s=0.0, transactions=[])]),
+    ], ids=lambda session: session.name)
+    def test_session_without_transactions_is_a_typed_error(self, session):
+        with pytest.raises(ConfigurationError,
+                           match=f"{session.name}.*no transactions"):
+            ReplayEngine(_condition()).run(session, STANDARD_CONFIGS[0])
+
+
+class TestReplayApp:
+    """``replay_app``: ``ReplayEngine.run`` with everything named."""
+
+    def test_equals_engine_run_on_the_same_pattern_and_seed(self):
+        config = STANDARD_CONFIGS[3]
+        assert replay_app(
+            "dropbox_launch", 7, _condition(), config.name, seed=11,
+            deadline_s=60.0,
+        ) == ReplayEngine(_condition()).run(
+            dropbox_launch(7), config, deadline_s=60.0, seed=11)
+
+    @pytest.mark.parametrize("app, config, complaint", [
+        ("tiktok_launch", "WiFi-TCP", "unknown app pattern 'tiktok_launch'"),
+        ("dropbox_launch", "QUIC-WiFi", "unknown configuration 'QUIC-WiFi'"),
+    ])
+    def test_unknown_names_are_typed_errors(self, app, config, complaint):
+        with pytest.raises(ConfigurationError, match=complaint):
+            replay_app(app, 1, _condition(), config, seed=1)
+
+    def test_result_survives_a_pickle_round_trip(self):
+        import pickle
+
+        result = replay_app("dropbox_launch", 7, _condition(), "LTE-TCP",
+                            seed=11)
+        assert result.completed and result.connection_finish_times
+        assert pickle.loads(pickle.dumps(result)) == result
+
+
 class TestReturnsAtTheFinishInstant:
     """``run`` is one ``loop.run``, stopped by the last driver to finish
     — not a wake-up every simulated second to poll for it."""
@@ -149,8 +193,6 @@ class TestReturnsAtTheFinishInstant:
 
 class TestConditionWithoutTheConfiguredPath:
     def test_dual_lte_location_is_a_typed_error(self):
-        from repro.core.errors import ConfigurationError
-
         dual_lte = ConditionSpec(condition_id=30, paths=(
             PathSpec("lte", "lte", down_mbps=9, up_mbps=4, rtt_ms=70),
             PathSpec("lte2", "lte", down_mbps=6, up_mbps=2, rtt_ms=95),

@@ -191,20 +191,25 @@ class TestSpecKeys:
             canonical_spec({"fn": lambda: None})
 
 
-def _run_with_workers(run, workers, monkeypatch):
-    """An experiment takes its worker count from the environment."""
-    used = []
+def _run_with_workers(run, workers, monkeypatch, swept=None):
+    """An experiment takes its worker count from the environment.
+
+    ``swept`` collects the :class:`SweepRunner` of every sweep the run
+    makes (``last_stats`` says what each executed).
+    """
+    swept = [] if swept is None else swept
     real = SweepRunner.run
 
     def recording(self, tasks):
-        used.append(self.workers)
+        swept.append(self)
         return real(self, tasks)
 
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_WORKERS", str(workers))
         patch.setattr(SweepRunner, "run", recording)
         result = run(fast=True)
-    assert set(used) == {workers}  # it swept, and at that count
+    # It swept, and at that count.
+    assert {runner.workers for runner in swept} == {workers}
     return result
 
 
@@ -233,6 +238,10 @@ class TestExperimentLevelParity:
         ("fig08", "run"),
         ("fig13", "run"),
         ("fig14", "run"),
+        ("fig15", "run"),
+        ("fig16", "run"),
+        ("fig18_19", "run"),
+        ("fig20_21", "run"),
         ("ablations", "run_slowstart_ablation"),
     ])
     def test_spec_grid_renders_identically_any_workers_cold_or_warm(
@@ -247,11 +256,12 @@ class TestExperimentLevelParity:
         reference = _run_with_workers(run, 1, monkeypatch).render()
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cold = _run_with_workers(run, 2, monkeypatch).render()
-        assert _session_stats().executed > 0
-        warm = _run_with_workers(run, 2, monkeypatch).render()
-        assert _session_stats().executed == 0
-        assert reference == cold == warm
+        cold, warm = [], []
+        cold_text = _run_with_workers(run, 2, monkeypatch, cold).render()
+        assert sum(runner.last_stats.executed for runner in cold) > 0
+        warm_text = _run_with_workers(run, 2, monkeypatch, warm).render()
+        assert [runner.last_stats.executed for runner in warm] == [0] * len(cold)
+        assert reference == cold_text == warm_text
 
     def test_fig14_after_fig13_executes_nothing(self, monkeypatch, tmp_path):
         # Two reductions of one grid: the second figure is all hits.

@@ -20,6 +20,7 @@ REPLACED = re.compile(
     r"LinkSpec|LocationCondition|build_scenario|to_link_spec|from_link_spec"
     r"|to_condition|_condition_spec|schedule_multipath|schedule_unplug"
     r"|schedule_replug|run_sweep|DatasetSink|class MpShell|MpShell\(|\.shell\("
+    r"|run_all_configs|replay_over_conditions"
 )
 
 
@@ -50,6 +51,19 @@ def test_replaced_identifiers_appear_nowhere():
     assert _grep(REPLACED, "src", "examples", "docs", "README.md") == []
     assert not os.path.exists(
         os.path.join(REPO_ROOT, "src", "repro", "mptcp", "events.py"))
+
+
+def test_experiments_have_one_way_to_build_a_network_and_run_a_batch():
+    hand_built = re.compile(
+        r"Scenario\(|PathConfig\(|def _scenario|def _run_backup_flow")
+    assert _grep(hand_built, "src/repro/experiments") == []
+    # §3.6 and §5 are a grid plus a reducer: one sweep per run().
+    for module, sweeps in (("fig15", 1), ("fig16", 1), ("fig18_19", 1),
+                           ("fig20_21", 0)):  # reuses fig18_19's
+        path = f"src/repro/experiments/{module}.py"
+        assert len(_grep(re.compile(r"SweepRunner\("), path)) == sweeps, path
+    assert _grep(re.compile(r"\blambda\b"),
+                 "src/repro/experiments/fig15.py") == []
 
 
 def test_one_link_materializer_and_one_assembly():
