@@ -11,17 +11,19 @@ Two families of helpers live here:
   canonical :class:`~repro.workload.TransferReport`.
 * **timeseries** — Figures 9 and 10 of the paper plot "the average
   throughput from the time the MPTCP session is established, to the
-  current time t"; :func:`average_throughput_series` turns a delivery
-  log — a list of ``(time, cumulative bytes)`` points — into exactly
-  that series, plus a windowed instantaneous variant.
+  current time t"; :func:`average_throughput_series` turns a
+  :class:`DeliveryLog` — ``(time, cumulative bytes)`` points — into
+  exactly that series, plus a windowed instantaneous variant.
 """
 
-import bisect
-from typing import List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.units import throughput_mbps
 
 __all__ = [
+    "DeliveryLog",
     "average_throughput_series",
     "instantaneous_throughput_series",
     "mean_throughput_mbps",
@@ -32,7 +34,53 @@ __all__ = [
 
 Point = Tuple[float, float]
 
-DeliveryLog = Sequence[Tuple[float, int]]
+
+class DeliveryLog:
+    """Cumulative in-order bytes vs time, held as two columns.
+
+    ``times`` (``array('d')``) and ``cums`` (``array('q')``) *are* the
+    log — 16 B a point, pickled as raw buffers, bisected directly; a
+    writer appends to both.  Reads like the list of ``(time, bytes)``
+    pairs it replaced, and ``==`` accepts one.
+    """
+
+    __slots__ = ("times", "cums")
+
+    def __init__(self, times: Iterable[float] = (), cums: Iterable[int] = ()):
+        self.times = array("d", times)
+        self.cums = array("q", cums)
+
+    def copy(self) -> "DeliveryLog":
+        """An independent snapshot (two memcpys)."""
+        return DeliveryLog(self.times, self.cums)
+
+    __copy__ = copy
+
+    def delivered_by(self, when: float) -> int:
+        """Cumulative bytes at the last point with ``time <= when``."""
+        index = bisect_right(self.times, when)
+        return self.cums[index - 1] if index else 0
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[Tuple[float, int]]:
+        return zip(self.times, self.cums)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DeliveryLog(self.times[index], self.cums[index])
+        return self.times[index], self.cums[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DeliveryLog):
+            return self.times == other.times and self.cums == other.cums
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DeliveryLog({list(self.times)!r}, {list(self.cums)!r})"
 
 
 def transfer_duration_s(
@@ -63,16 +111,15 @@ def time_to_bytes(
 ) -> Optional[float]:
     """Seconds from start until ``nbytes`` were delivered in order.
 
-    This is the paper's flow-size metric; it bisects the recorded
-    ``(time, cumulative in-order bytes)`` delivery log.
+    This is the paper's flow-size metric; it bisects the log's
+    cumulative in-order byte column.
     """
     if started_at is None or nbytes <= 0:
         return None
-    cums = [c for _, c in delivery_log]
-    index = bisect.bisect_left(cums, nbytes)
-    if index >= len(cums):
+    index = bisect_left(delivery_log.cums, nbytes)
+    if index >= len(delivery_log):
         return None
-    return delivery_log[index][0] - started_at
+    return delivery_log.times[index] - started_at
 
 
 def throughput_at_bytes(
@@ -88,7 +135,7 @@ def throughput_at_bytes(
 
 
 def average_throughput_series(
-    delivery_log: Sequence[Tuple[float, int]],
+    delivery_log: DeliveryLog,
     start_time: float,
     step_s: float = 0.05,
     end_time: Optional[float] = None,
@@ -101,25 +148,21 @@ def average_throughput_series(
     if not delivery_log:
         return []
     if end_time is None:
-        end_time = delivery_log[-1][0]
+        end_time = delivery_log.times[-1]
     points: List[Point] = []
-    index = 0
-    delivered = 0
     step = 1
     while True:
         t = start_time + step * step_s  # avoid float accumulation drift
         if t > end_time + 1e-9:
             break
-        while index < len(delivery_log) and delivery_log[index][0] <= t + 1e-9:
-            delivered = delivery_log[index][1]
-            index += 1
+        delivered = delivery_log.delivered_by(t + 1e-9)
         points.append((t, throughput_mbps(delivered, t - start_time)))
         step += 1
     return points
 
 
 def instantaneous_throughput_series(
-    delivery_log: Sequence[Tuple[float, int]],
+    delivery_log: DeliveryLog,
     start_time: float,
     window_s: float = 0.2,
     step_s: float = 0.05,
@@ -133,18 +176,8 @@ def instantaneous_throughput_series(
     if not delivery_log:
         return []
     if end_time is None:
-        end_time = delivery_log[-1][0]
-    times = [t for t, _ in delivery_log]
-    cums = [c for _, c in delivery_log]
-
-    def delivered_by(when: float) -> float:
-        import bisect
-
-        index = bisect.bisect_right(times, when) - 1
-        if index < 0:
-            return 0.0
-        return cums[index]
-
+        end_time = delivery_log.times[-1]
+    delivered_by = delivery_log.delivered_by
     points: List[Point] = []
     step = 1
     while True:

@@ -111,13 +111,8 @@ def build_specs(seed: int, fast: bool = False) -> List[TransferSpec]:
 
 def _progress_between(report: TransferReport, t0: float, t1: float) -> int:
     """In-order bytes delivered within ``(t0, t1]``."""
-    before = after = 0
-    for t, total in report.delivery_log:
-        if t <= t0:
-            before = total
-        if t <= t1:
-            after = total
-    return after - before
+    log = report.delivery_log
+    return log.delivered_by(t1) - log.delivered_by(t0)
 
 
 def _outcome_line(report: TransferReport) -> str:

@@ -18,9 +18,10 @@ Eight panels reproduce §3.6.1:
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.plotting import ascii_timeline
+from repro.analysis.throughput import DeliveryLog
 from repro.core.packet import PacketFlags
 from repro.core.rng import DEFAULT_SEED
 from repro.energy.monitor import InterfaceActivityLog, activity_logs
@@ -69,7 +70,7 @@ class PanelResult:
     #: Instant the last byte was delivered in order (``None``: never).
     completed_at: Optional[float]
     #: (time, cumulative in-order bytes) per delivery.
-    delivery_log: List[Tuple[float, int]]
+    delivery_log: DeliveryLog
     #: Every fault edge that fired, as ``Scenario.applied_faults`` dicts.
     applied_faults: List[dict]
 
@@ -87,13 +88,8 @@ class PanelResult:
 
     def progress_between(self, t0: float, t1: float) -> int:
         """In-order bytes delivered within (t0, t1]."""
-        before = after = 0
-        for t, total in self.delivery_log:
-            if t <= t0:
-                before = total
-            if t <= t1:
-                after = total
-        return after - before
+        log = self.delivery_log
+        return log.delivered_by(t1) - log.delivered_by(t0)
 
     def render(self) -> str:
         lanes = {
@@ -128,7 +124,7 @@ def run_panel(
     return PanelResult(
         panel=panel, description=description, logs=logs, horizon_s=horizon_s,
         completed_at=connection.completed_at,
-        delivery_log=list(connection.delivery_log),
+        delivery_log=connection.delivery_log.copy(),
         applied_faults=scenario.applied_faults(),
     )
 

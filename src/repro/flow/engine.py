@@ -46,6 +46,7 @@ import math
 from math import exp
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.throughput import DeliveryLog
 from repro.core.errors import ConfigurationError
 from repro.core.rng import DEFAULT_SEED, RngStreams
 from repro.faults.injector import AppliedFault
@@ -322,8 +323,8 @@ def _fault_edges(spec: TransferSpec) -> List[Tuple[float, int, int, str, FaultEv
     return edges
 
 
-def _densify(points: List[Tuple[float, float]]) -> List[Tuple[float, int]]:
-    """Breakpoints → a packet-log-shaped cumulative (time, bytes) list.
+def _densify(points: List[Tuple[float, float]]) -> DeliveryLog:
+    """Breakpoints → a packet-log-shaped cumulative (time, bytes) log.
 
     Inserts grid points every ``_LOG_STEP_S`` inside long constant-rate
     intervals so bisection helpers (``time_to_bytes``) resolve
@@ -331,7 +332,7 @@ def _densify(points: List[Tuple[float, float]]) -> List[Tuple[float, int]]:
     counts plus the first point (matching packet logs, which only
     record deliveries).
     """
-    out: List[Tuple[float, int]] = []
+    times, cums = [], []
     last_bytes = -1
     for i, (t, cum) in enumerate(points):
         if i > 0:
@@ -345,13 +346,15 @@ def _densify(points: List[Tuple[float, float]]) -> List[Tuple[float, int]]:
                         break
                     ck = int(round(c0 + (cum - c0) * (tk - t0) / span))
                     if ck > last_bytes:
-                        out.append((tk, ck))
+                        times.append(tk)
+                        cums.append(ck)
                         last_bytes = ck
         ci = int(round(cum))
-        if ci > last_bytes or not out:
-            out.append((t, ci))
+        if ci > last_bytes or not times:
+            times.append(t)
+            cums.append(ci)
             last_bytes = ci
-    return out
+    return DeliveryLog(times, cums)
 
 
 class _FlowRun:
@@ -726,13 +729,13 @@ class _FlowRun:
 
     # -- reporting -------------------------------------------------------
     def report(self) -> TransferReport:
-        subflow_logs: Dict[str, List[Tuple[float, int]]] = {}
+        subflow_logs: Dict[str, DeliveryLog] = {}
         rows = []
         for sf in self.subflows:
             if sf.established_at is None and not sf.established:
                 continue  # singlepath standby that never opened
             name = sf.state.params.name
-            subflow_logs[name] = _densify(sf.log) if sf.log else []
+            subflow_logs[name] = _densify(sf.log)
             # segments_sent counts emitted (aggregate) send events so
             # the reduced trace reconciles exactly with the snapshot.
             rows.append((

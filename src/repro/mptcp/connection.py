@@ -20,6 +20,7 @@ Semantics follow the Linux MPTCP v0.88 stack the paper used:
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.throughput import DeliveryLog
 from repro.core.errors import ConfigurationError
 from repro.core.events import EventLoop
 from repro.net.fabric import AttachedPath
@@ -158,7 +159,7 @@ class MptcpConnection(ConnectionBase):
         self._subflows: List[Subflow] = []
         self._pending_attachments: List[Tuple[AttachedPath, bool]] = []
         #: (time, cumulative bytes) per subflow name, for Figs. 9 and 10.
-        self.subflow_delivery_logs: Dict[str, List[Tuple[float, int]]] = {}
+        self.subflow_delivery_logs: Dict[str, DeliveryLog] = {}
         self._window_update_sent = False
         self._next_subflow_id = 0
         #: Per-subflow byte cursors used by the redundant scheduler.
@@ -212,7 +213,7 @@ class MptcpConnection(ConnectionBase):
         subflow.on_dead = self._on_subflow_dead
         subflow.on_rto = self._on_subflow_rto
         self._subflows.append(subflow)
-        self.subflow_delivery_logs.setdefault(attached.name, [])
+        self.subflow_delivery_logs.setdefault(attached.name, DeliveryLog())
         if self.obs is not None:
             # Covers subflows created after attachment too, e.g. the
             # deferred fallbacks of Single-Path mode.
@@ -266,7 +267,8 @@ class MptcpConnection(ConnectionBase):
         if self.started_at is not None:
             return
         self.started_at = self.loop.now
-        self.delivery_log.append((self.loop.now, 0))
+        self._log_time(self.loop.now)
+        self._log_bytes(0)
         self.primary_subflow.connect()
         if self.options.simultaneous_join:
             for subflow in self._subflows:
@@ -288,8 +290,9 @@ class MptcpConnection(ConnectionBase):
 
     def _on_subflow_data(self, subflow: Subflow, data_seq: int, length: int) -> None:
         log = self.subflow_delivery_logs[subflow.name]
-        previous = log[-1][1] if log else 0
-        log.append((self.loop.now, previous + length))
+        cums = log.cums
+        log.times.append(self.loop.now)
+        cums.append((cums[-1] if cums else 0) + length)
         self._handle_data(subflow, data_seq, length)
 
     def _on_subflow_dead(self, subflow: Subflow) -> None:

@@ -18,7 +18,7 @@ True
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis import throughput as metrics
 from repro.core.errors import ConfigurationError, TransferDeadlineExceeded
@@ -45,7 +45,7 @@ class TransferResult:
     total_bytes: int
     started_at: Optional[float]
     completed_at: Optional[float]
-    delivery_log: List[Tuple[float, int]]
+    delivery_log: metrics.DeliveryLog
 
     @property
     def completed(self) -> bool:
@@ -264,5 +264,5 @@ class Scenario:
             total_bytes=connection.total_bytes,
             started_at=connection.started_at,
             completed_at=connection.completed_at,
-            delivery_log=list(connection.delivery_log),
+            delivery_log=connection.delivery_log.copy(),
         )

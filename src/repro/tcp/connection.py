@@ -69,7 +69,9 @@ class ConnectionBase:
         self._received = IntervalSet()
         self._delivered_prefix = 0
         #: (time, cumulative in-order bytes) whenever the prefix advances.
-        self.delivery_log: List[Tuple[float, int]] = []
+        self.delivery_log = metrics.DeliveryLog()
+        self._log_time = self.delivery_log.times.append
+        self._log_bytes = self.delivery_log.cums.append
         self.on_complete: List[Callable[["ConnectionBase"], None]] = []
         self._progress_thresholds: List[Tuple[int, Callable[[], None]]] = []
         self._closed_by_app = False
@@ -168,7 +170,8 @@ class ConnectionBase:
         prefix = self._received.contiguous_from(0)
         if prefix > self._delivered_prefix:
             self._delivered_prefix = prefix
-            self.delivery_log.append((self.loop.now, prefix))
+            self._log_time(self.loop.now)
+            self._log_bytes(prefix)
             self._fire_progress()
             self._maybe_complete()
 
@@ -260,7 +263,8 @@ class TcpConnection(ConnectionBase):
         if self.started_at is not None:
             return
         self.started_at = self.loop.now
-        self.delivery_log.append((self.loop.now, 0))
+        self._log_time(self.loop.now)
+        self._log_bytes(0)
         self.subflow.connect()
         self._maybe_complete()
 

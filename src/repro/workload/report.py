@@ -13,14 +13,34 @@ same way.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from math import isfinite
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.analysis import throughput as metrics
+from repro.analysis.throughput import DeliveryLog
+from repro.core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.scenario import TransferResult
 
 __all__ = ["TransferReport"]
+
+
+def _log_from_rows(name: str, rows: Any) -> DeliveryLog:
+    """JSON ``[[time, bytes], ...]`` rows as columns, or a typed error."""
+    log = DeliveryLog()
+    index = -1
+    try:
+        for index, (t, n) in enumerate(rows):
+            if not isfinite(t):
+                raise ValueError(f"time {t!r} is not finite")
+            log.times.append(t)
+            log.cums.append(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        where = f"{name}[{index}]" if index >= 0 else name
+        raise ConfigurationError(
+            f"{where}: not a [time, bytes] row ({exc})") from exc
+    return log
 
 
 @dataclass
@@ -30,8 +50,8 @@ class TransferReport:
     total_bytes: int
     started_at: Optional[float]
     completed_at: Optional[float]
-    delivery_log: List[Tuple[float, int]] = field(default_factory=list)
-    subflow_delivery_logs: Dict[str, List[Tuple[float, int]]] = field(
+    delivery_log: DeliveryLog = field(default_factory=DeliveryLog)
+    subflow_delivery_logs: Dict[str, DeliveryLog] = field(
         default_factory=dict
     )
     retransmits: int = 0
@@ -78,9 +98,8 @@ class TransferReport:
         This is the service wire format: ``python -m repro.parallel
         submit/serve`` stream reports as JSON, which — unlike pickle —
         is safe to ingest from a half-trusted peer and stable across
-        interpreter versions.  Tuples inside the delivery logs become
-        lists (JSON has no tuple), so equality across a round trip is
-        checked on this dict form.
+        interpreter versions.  A delivery log becomes a list of
+        ``[time, bytes]`` rows.
         """
         return {
             "total_bytes": self.total_bytes,
@@ -100,23 +119,30 @@ class TransferReport:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TransferReport":
-        return cls(
-            total_bytes=int(data["total_bytes"]),
-            started_at=data.get("started_at"),
-            completed_at=data.get("completed_at"),
-            delivery_log=[(float(t), int(n))
-                          for t, n in data.get("delivery_log", [])],
-            subflow_delivery_logs={
-                str(name): [(float(t), int(n)) for t, n in log]
-                for name, log in data.get("subflow_delivery_logs",
-                                          {}).items()
-            },
-            retransmits=int(data.get("retransmits", 0)),
-            timeouts=int(data.get("timeouts", 0)),
-            label=data.get("label"),
-            metrics=dict(data.get("metrics", {})),
-            faults=list(data.get("faults", [])),
-        )
+        """Decode :meth:`to_dict`'s form, or :class:`ConfigurationError`."""
+        try:
+            return cls(
+                total_bytes=int(data["total_bytes"]),
+                started_at=data.get("started_at"),
+                completed_at=data.get("completed_at"),
+                delivery_log=_log_from_rows(
+                    "delivery_log", data.get("delivery_log", [])),
+                subflow_delivery_logs={
+                    str(name): _log_from_rows(
+                        f"subflow_delivery_logs[{name!r}]", log)
+                    for name, log in data.get("subflow_delivery_logs",
+                                              {}).items()
+                },
+                retransmits=int(data.get("retransmits", 0)),
+                timeouts=int(data.get("timeouts", 0)),
+                label=data.get("label"),
+                metrics=dict(data.get("metrics", {})),
+                faults=list(data.get("faults", [])),
+            )
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
+            raise ConfigurationError(
+                f"TransferReport: malformed field ({exc!r})") from exc
 
     def summary_dict(self) -> Dict[str, Any]:
         """The compact per-result line a streaming client sees first."""
@@ -141,7 +167,7 @@ class TransferReport:
         """Snapshot a live :class:`~repro.scenario.TransferResult`."""
         connection = result.connection
         subflow_logs = {
-            name: list(log)
+            name: log.copy()
             for name, log in getattr(
                 connection, "subflow_delivery_logs", {}
             ).items()
@@ -151,7 +177,7 @@ class TransferReport:
             total_bytes=result.total_bytes,
             started_at=result.started_at,
             completed_at=result.completed_at,
-            delivery_log=list(result.delivery_log),
+            delivery_log=result.delivery_log,
             subflow_delivery_logs=subflow_logs,
             retransmits=stats.retransmits,
             timeouts=stats.timeouts,

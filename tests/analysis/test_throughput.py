@@ -3,13 +3,15 @@
 import pytest
 
 from repro.analysis.throughput import (
+    DeliveryLog,
     average_throughput_series,
     instantaneous_throughput_series,
 )
 
 
 # 1 MB delivered linearly over 1 second starting at t=0.
-LINEAR_LOG = [(k / 10.0, k * 100_000) for k in range(11)]
+LINEAR_LOG = DeliveryLog([k / 10.0 for k in range(11)],
+                         [k * 100_000 for k in range(11)])
 
 
 class TestAverageSeries:
@@ -22,14 +24,14 @@ class TestAverageSeries:
 
     def test_ramping_delivery_shows_growth(self):
         # All bytes arrive in the second half.
-        log = [(0.0, 0), (0.5, 0), (1.0, 1_000_000)]
+        log = DeliveryLog([0.0, 0.5, 1.0], [0, 0, 1_000_000])
         series = average_throughput_series(log, 0.0, step_s=0.25)
         rates = dict(series)
         assert rates[0.25] == 0.0
         assert rates[1.0] == pytest.approx(8.0, rel=0.01)
 
     def test_empty_log(self):
-        assert average_throughput_series([], 0.0) == []
+        assert average_throughput_series(DeliveryLog(), 0.0) == []
 
     def test_end_time_extends_series(self):
         series = average_throughput_series(LINEAR_LOG, 0.0, step_s=0.5,
@@ -53,4 +55,4 @@ class TestInstantaneousSeries:
         assert series[-1][1] == 0.0
 
     def test_empty_log(self):
-        assert instantaneous_throughput_series([], 0.0) == []
+        assert instantaneous_throughput_series(DeliveryLog(), 0.0) == []

@@ -1,6 +1,5 @@
 """Flow engine behaviour: determinism, faults, traces, deadlines."""
 
-import dataclasses
 import json
 
 from repro.faults.spec import FaultEvent, FaultSpec
@@ -27,7 +26,7 @@ def _mptcp_spec(nbytes=1_000_000, seed=7, **overrides):
 
 
 def _as_json(report):
-    return json.dumps(dataclasses.asdict(report), sort_keys=True)
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 def test_flow_run_is_deterministic():

@@ -104,3 +104,16 @@ def test_one_module_touches_the_environment_and_the_old_rung_is_gone():
              for what in ("fidelity", "executor", "obs")]
     assert _grep(re.compile("|".join(gone)), "src", "tests", "docs",
                  "benchmarks/_harness.py", "README.md", "DESIGN.md") == []
+
+
+def test_a_delivery_log_is_two_columns_everywhere():
+    # The tuple-list spelling (annotation or default) and the
+    # list(...) copy of one must not grow back beside DeliveryLog.
+    tuple_list = re.compile(
+        r"(List|Sequence)\[Tuple\[float, int\]\]"
+        r"|list\(\s*[\w.]*delivery_log\s*\)"
+        r"|delivery_logs?\b[^=\n]*=\s*(\[\]|field\(default_factory=list\))")
+    assert _grep(tuple_list, "src/repro") == []
+    definitions = _grep(re.compile(r"^class DeliveryLog\b"), "src")
+    assert [hit.split(":")[0] for hit in definitions] == [
+        "src/repro/analysis/throughput.py"]
