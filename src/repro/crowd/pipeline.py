@@ -22,7 +22,7 @@ output equals the serial run too, at O(shard) memory cost.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.errors import ConfigurationError
@@ -46,8 +46,9 @@ __all__ = ["simulate", "run_crowd_shard", "CrowdResult", "DEFAULT_BATCH"]
 DEFAULT_BATCH = 8192
 
 #: Worker-side world cache: CrowdWorld construction includes the
-#: Table-1 Monte-Carlo calibration (~1 s), so pool workers build each
-#: distinct (seed, profile) world once and reuse it across shards.
+#: Table-1 Monte-Carlo calibration (~0.3 s on one slow vCPU), so pool
+#: workers build each distinct (seed, profile) world once and reuse it
+#: across shards.
 _WORLD_CACHE: Dict[str, CrowdWorld] = {}
 
 
@@ -226,7 +227,9 @@ def simulate(
     (default: sized so ~4 shards per worker, never below ``batch``).
     ``sink`` is a sink instance, a kind name (``"sketch"``, ``"csv"``
     — csv needs ``csv_stream``), or ``None`` for the streaming sketch
-    sink.
+    sink.  A ``world`` must share the population's seed; the run is
+    then the one whose population carries ``world.profile_dict()``
+    (and so is ``result.population``).
 
     None of ``batch``, ``shard_users``, ``workers``, or ``executor``
     can change the result — only the wall-clock.
@@ -244,6 +247,15 @@ def simulate(
             "pass heterogeneity either as a CrowdWorld instance or as "
             "population.world_profile, not both"
         )
+    elif world.seed != population.seed:
+        raise ConfigurationError(
+            f"world seed {world.seed} differs from population seed "
+            f"{population.seed}; shards build their world from the latter"
+        )
+    else:
+        # A shard rebuilds its world from (seed, profile) in whatever
+        # process runs it, so the instance travels as its profile.
+        population = replace(population, world_profile=world.profile_dict())
 
     if sink is None:
         sink = SketchSink(world, population, alpha=alpha)

@@ -13,15 +13,16 @@ once per size and a transfer time is one ``bisect`` into that table;
 the round-by-round loop lives on as the oracle in the test module.
 """
 
+import math
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.units import throughput_mbps
 
 __all__ = ["transfer_time_s", "estimate_tcp_throughput_mbps",
-           "probe_link_mbps"]
+           "probe_link_mbps", "count_wins"]
 
 ONE_MBYTE = 1_048_576
 
@@ -114,3 +115,51 @@ def probe_link_mbps(down_mbps: float, up_mbps: float, rtt_ms: float,
         * 8.0 / 1e6,
         app_bytes / _ramp_time_s(app_bytes, down_bps, rtt) * 8.0 / 1e6,
     )
+
+
+def count_wins(rows: Iterable[Tuple[float, float, float, float]],
+               rate_mbps: float, rtt_ms: float, rate_floor: float = 0.0,
+               rtt_floor: float = 0.0, rtt_cap: float = math.inf) -> int:
+    """How many ``(rate_mult, rtt_mult, noise, rival)`` rows a 1-MB flow wins.
+
+    Row by row the flow runs at ``max(rate_floor, rate_mbps * rate_mult)``
+    over ``min(max(rtt_floor, rtt_ms * rtt_mult), rtt_cap)``, measures
+    :func:`estimate_tcp_throughput_mbps` of that times ``noise``, and
+    wins where the measurement exceeds ``rival``.  This is the world
+    calibration's inner loop (hundreds of thousands of rows per world):
+    the ramp table is bound once and ``_ramp_time_s`` and
+    ``throughput_mbps`` are inlined, their floating-point operations in
+    the same order, so every row measures exactly what the estimator
+    would.  Rates must come out positive and RTTs non-negative.
+    """
+    total_segments, cwnds = _ramp(ONE_MBYTE, 1448, 10)
+    # Per slow-start exit round k: the RTTs spent, and the bytes left to
+    # drain at the link rate, as _ramp_time_s writes them.  Integers are
+    # the floats Python would convert them to (all exact), which keeps
+    # the loop on the interpreter's float-float fast path.
+    ramp_rtts = [1.5 + k for k in range(len(cwnds))]
+    drain_bytes = [float((total_segments - (cwnd - cwnds[0])) * 1448)
+                   for cwnd in cwnds]
+    never_exits, all_rtts = len(cwnds), float(1 + len(cwnds))
+    nbytes, bisect = float(ONE_MBYTE), bisect_left
+    wins = 0
+    for rate_mult, rtt_mult, noise, rival in rows:
+        rate = rate_mbps * rate_mult
+        if rate < rate_floor:
+            rate = rate_floor
+        rtt = rtt_ms * rtt_mult
+        if rtt < rtt_floor:
+            rtt = rtt_floor
+        elif rtt > rtt_cap:
+            rtt = rtt_cap
+        rate_bps = rate * 1e6 / 8.0
+        rtt_s = rtt / 1000.0
+        rounds = bisect(cwnds, rate_bps * rtt_s / 1448.0)
+        if rounds == never_exits:
+            elapsed = rtt_s * all_rtts
+        else:
+            elapsed = (rtt_s * ramp_rtts[rounds]
+                       + drain_bytes[rounds] / rate_bps)
+        if nbytes / elapsed * 8.0 / 1e6 * noise > rival:
+            wins += 1
+    return wins

@@ -32,6 +32,7 @@ from repro.crowd.operators import (
     DiurnalCurve,
     OperatorProfile,
 )
+from repro.crowd.tcpmodel import count_wins, estimate_tcp_throughput_mbps
 
 __all__ = [
     "SiteProfile",
@@ -189,39 +190,31 @@ class WorldModel:
         The app measures 1-MB TCP flows, whose throughput is handicapped
         by the technology's RTT (slow start), so calibrating on raw
         link rates would undershoot LTE wins.  We Monte-Carlo the whole
-        measurement pipeline and bisect a log-space multiplier.
+        measurement pipeline and bisect a log-space multiplier.  The
+        WiFi side does not depend on the candidate, so each draw's WiFi
+        measurement is taken once and becomes the LTE side's rival.
         """
-        from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
-
         rng = self._streams.get(f"calibrate.{site.name}")
-        draws = []
+        rows = []
         for _ in range(400):
-            draws.append((
+            w_mult, l_mult, w_rtt_m, l_rtt_m, w_noise, l_noise = (
                 math.exp(self.SIGMA * rng.gauss(0, 1)),
                 math.exp(self.SIGMA * rng.gauss(0, 1)),
                 math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
                 math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
                 math.exp(self.CALIBRATION_NOISE * rng.gauss(0, 1)),
                 math.exp(self.CALIBRATION_NOISE * rng.gauss(0, 1)),
-            ))
-
-        def win_fraction(candidate: float) -> float:
-            wins = 0
-            for w_mult, l_mult, w_rtt_m, l_rtt_m, w_noise, l_noise in draws:
-                wifi_meas = estimate_tcp_throughput_mbps(
-                    wifi_median * w_mult, wifi_rtt_median * w_rtt_m
-                ) * w_noise
-                lte_meas = estimate_tcp_throughput_mbps(
-                    candidate * l_mult, lte_rtt_median * l_rtt_m
-                ) * l_noise
-                if lte_meas > wifi_meas:
-                    wins += 1
-            return wins / len(draws)
+            )
+            wifi_meas = estimate_tcp_throughput_mbps(
+                wifi_median * w_mult, wifi_rtt_median * w_rtt_m
+            ) * w_noise
+            rows.append((l_mult, l_rtt_m, l_noise, wifi_meas))
 
         lo, hi = lte_median * 0.2, lte_median * 8.0
         for _ in range(18):
             mid = math.sqrt(lo * hi)
-            if win_fraction(mid) < site.lte_win_fraction:
+            wins = count_wins(rows, mid, lte_rtt_median)
+            if wins / len(rows) < site.lte_win_fraction:
                 lo = mid
             else:
                 hi = mid
@@ -347,8 +340,6 @@ class CrowdWorld(WorldModel):
         clamps of the sampler — matches Table 1.  Monotone in ``t``
         in both the rate-limited and RTT-limited regimes.
         """
-        from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
-
         wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = (
             self._site_params[site.name]
         )
@@ -356,8 +347,7 @@ class CrowdWorld(WorldModel):
         exp = math.exp
         sigma, rtt_sigma = self.SIGMA, self.RTT_SIGMA
         noise = self.CALIBRATION_NOISE
-        wifi_meas: List[float] = []
-        cell_draws: List[Tuple[float, float, float]] = []
+        rows: List[Tuple[float, float, float, float]] = []
         for _ in range(self.CROWD_CALIBRATION_DRAWS):
             op_idx = self.pick_operator(rng.random())
             hour = rng.random() * 24.0
@@ -368,27 +358,18 @@ class CrowdWorld(WorldModel):
                 5.0, wifi_rtt_med * w_rtt_m * exp(rtt_sigma * rng.gauss(0, 1))
             ), 1200.0)
             cell_rtt_mult = c_rtt_m * exp(rtt_sigma * rng.gauss(0, 1))
-            wifi_meas.append(
+            wifi_meas = (
                 estimate_tcp_throughput_mbps(wifi_rate, wifi_rtt)
                 * exp(noise * rng.gauss(0, 1))
             )
-            cell_draws.append(
-                (cell_mult, cell_rtt_mult, exp(noise * rng.gauss(0, 1)))
-            )
+            rows.append((cell_mult, cell_rtt_mult,
+                         exp(noise * rng.gauss(0, 1)), wifi_meas))
 
         def win_fraction(t: float) -> float:
-            rate_med = lte_med * exp(t)
-            rtt_med = lte_rtt_med * exp(-0.5 * t)
-            wins = 0
-            for i, (cell_mult, rtt_mult, cell_noise) in enumerate(cell_draws):
-                rate = max(0.1, rate_med * cell_mult)
-                rtt = min(max(15.0, rtt_med * rtt_mult), 1200.0)
-                measured = (
-                    estimate_tcp_throughput_mbps(rate, rtt) * cell_noise
-                )
-                if measured > wifi_meas[i]:
-                    wins += 1
-            return wins / len(cell_draws)
+            wins = count_wins(rows, lte_med * exp(t),
+                              lte_rtt_med * exp(-0.5 * t),
+                              rate_floor=0.1, rtt_floor=15.0, rtt_cap=1200.0)
+            return wins / len(rows)
 
         if abs(win_fraction(0.0) - site.lte_win_fraction) <= (
             self.CROWD_CALIBRATION_TOL

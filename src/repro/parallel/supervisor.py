@@ -235,9 +235,22 @@ class FleetSupervisor:
 
     # -- lifecycle ------------------------------------------------------
     def up(self) -> List[Tuple[str, int]]:
-        """Launch every worker; returns the concrete addresses."""
-        for record in self._records:
-            self._launch(record)
+        """Launch every worker; returns the concrete addresses.
+
+        Every worker is started before any banner is read, so the fleet
+        boots in about one worker's start-up time.  If one fails to
+        start, every child already launched is reaped before the error
+        propagates.
+        """
+        try:
+            for record in self._records:
+                self._spawn(record)
+            for record in self._records:
+                self._await_banner(record)
+        except BaseException:
+            for record in self._records:
+                self._reap(record)
+            raise
         self._write_state()
         return self.addresses
 
@@ -254,7 +267,7 @@ class FleetSupervisor:
         )
         return env
 
-    def _launch(self, record: _WorkerRecord) -> None:
+    def _spawn(self, record: _WorkerRecord) -> None:
         listen = f"{record.host}:{record.port}"
         command = [
             arg.format(python=sys.executable, listen=listen,
@@ -267,6 +280,8 @@ class FleetSupervisor:
             text=True, env=self._child_env(record),
         )
         record.launched_at = time.time()
+
+    def _await_banner(self, record: _WorkerRecord) -> None:
         host, port, pid = self._read_banner(record)
         record.host, record.port, record.pid = host, port, pid
         record.start_token = pid_start_token(pid)
@@ -385,7 +400,8 @@ class FleetSupervisor:
                  actions: List[str]) -> None:
         record.restarts += 1
         try:
-            self._launch(record)  # same host:port — addresses stay valid
+            self._spawn(record)  # same host:port — addresses stay valid
+            self._await_banner(record)
         except ExecutorError as exc:
             record.last_error = str(exc)
             self._schedule_restart(record, time.monotonic(), bus, actions,

@@ -1,7 +1,7 @@
 """Shared fixtures for crowd tests.
 
 ``CrowdWorld`` construction runs the Table-1 Monte-Carlo calibration
-(a couple of seconds), so the default-seed world is built once per
+(~0.3 s on a 2-vCPU box), so the default-seed world is built once per
 session through the pipeline's worker-side cache and shared by every
 test that does not need a custom world.
 """

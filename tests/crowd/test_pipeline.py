@@ -7,11 +7,13 @@ bit-identical dict equality, not approximate.
 """
 
 import io
+from dataclasses import replace
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.crowd.aggregate import CrowdSketch, _SinkBase
+from repro.crowd.operators import DEFAULT_OPERATORS
 from repro.crowd.pipeline import (
     DEFAULT_BATCH,
     FleetMetrics,
@@ -20,6 +22,7 @@ from repro.crowd.pipeline import (
     simulate,
 )
 from repro.crowd.sampling import CrowdSampler, PopulationSpec, RunColumns
+from repro.crowd.world import CrowdWorld
 from repro.obs.manifest import RunManifest
 
 USERS = 1500
@@ -55,6 +58,26 @@ class TestDeterminism:
     def test_bit_identical_across_executors(self, baseline):
         result = _simulate(executor="process", workers=2, shard_users=500)
         assert result.sketch == baseline.sketch
+
+    @pytest.mark.parametrize("workers,executor",
+                             [(1, "inprocess"), (2, "process")])
+    def test_shards_sample_a_passed_world(self, baseline, workers, executor):
+        # Every operator a lot faster: a different world, same seed.
+        world = CrowdWorld(operators=tuple(
+            replace(op, tput_log_offset=op.tput_log_offset + 1.5)
+            for op in DEFAULT_OPERATORS
+        ))
+        by_instance = _simulate(world=world, workers=workers,
+                                executor=executor, shard_users=500)
+        by_profile = simulate(
+            population=PopulationSpec(users=USERS,
+                                      world_profile=world.profile_dict()),
+            cache=False, executor=executor, workers=workers,
+            shard_users=500,
+        )
+        assert by_instance.sketch == by_profile.sketch
+        assert by_instance.population == by_profile.population
+        assert by_instance.sketch != baseline.sketch
 
     def test_matches_serial_reference(self, baseline):
         # One worker-call over the whole population, no sweep engine.
@@ -135,6 +158,11 @@ class TestSimulateSurface:
         )
         with pytest.raises(ConfigurationError):
             simulate(world=crowd_world, population=spec)
+
+    def test_rejects_world_of_another_seed(self, crowd_world):
+        with pytest.raises(ConfigurationError, match="seed"):
+            simulate(world=crowd_world,
+                     population=PopulationSpec(users=10, seed=5))
 
     def test_rejects_bad_batch(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro import PathConfig, Scenario
 from repro.core.errors import ConfigurationError
 from repro.crowd.tcpmodel import (
+    count_wins,
     estimate_tcp_throughput_mbps,
     probe_link_mbps,
     transfer_time_s,
@@ -158,6 +159,74 @@ class TestLinkProbe:
         for args in ((0.0, 1.0, 40.0), (1.0, 0.0, 40.0), (1.0, 1.0, -1.0)):
             with pytest.raises(ConfigurationError):
                 probe_link_mbps(*args, MB)
+
+
+def measured(row, rate, rtt, rate_floor=0.0, rtt_floor=0.0,
+             rtt_cap=math.inf):
+    """What one ``count_wins`` row measures, through the public estimator."""
+    rate_mult, rtt_mult, noise = row[:3]
+    return estimate_tcp_throughput_mbps(
+        max(rate_floor, rate * rate_mult),
+        min(max(rtt_floor, rtt * rtt_mult), rtt_cap),
+    ) * noise
+
+
+def oracle_wins(rows, rate, rtt, *bounds):
+    """``count_wins`` spelled as a plain count over the public estimator."""
+    return sum(measured(row, rate, rtt, *bounds) > row[3] for row in rows)
+
+
+def _around(value):
+    """The value and its two neighbouring floats: a tie and both near misses."""
+    return (math.nextafter(value, 0.0), value, math.nextafter(value, math.inf))
+
+
+@st.composite
+def calibration_counts(draw):
+    """``(rows, rate, rtt, bounds)`` with rivals on, next to, or away from
+    what each row measures, so a one-ulp slip in the kernel flips a win."""
+    rate = draw(st.floats(min_value=0.05, max_value=500.0))
+    rtt = draw(st.floats(min_value=0.0, max_value=1200.0))
+    rate_floor = draw(st.sampled_from([0.0, 0.1])
+                      | st.floats(min_value=0.0, max_value=5.0))
+    rtt_floor = draw(st.sampled_from([0.0, 15.0])
+                     | st.floats(min_value=0.0, max_value=50.0))
+    rtt_cap = draw(st.sampled_from([math.inf, 1200.0])
+                   | st.floats(min_value=rtt_floor, max_value=2000.0))
+    bounds = (rate_floor, rtt_floor, rtt_cap)
+    mults = st.floats(min_value=0.01, max_value=100.0)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        row = (draw(mults), draw(mults),
+               draw(st.floats(min_value=0.5, max_value=2.0)))
+        rival = draw(st.sampled_from(_around(measured(row, rate, rtt, *bounds)))
+                     | st.floats(min_value=0.0, max_value=1000.0))
+        rows.append(row + (rival,))
+    return rows, rate, rtt, bounds
+
+
+class TestWinCountKernel:
+    """``count_wins`` is the calibration's inner loop; the public
+    estimator stays its oracle, bit for bit, as for ``probe_link_mbps``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=calibration_counts())
+    def test_equals_a_count_over_the_estimator(self, case):
+        rows, rate, rtt, bounds = case
+        assert count_wins(rows, rate, rtt, *bounds) == (
+            oracle_wins(rows, rate, rtt, *bounds))
+
+    @pytest.mark.parametrize("segments", [10, 20, 40, 80, 160, 320, 640])
+    def test_bdp_exactly_on_a_window(self, segments):
+        # Rate multipliers over a unit median are the rates themselves:
+        # each edge rate meets rivals one ulp under, on, and over what
+        # it measures, so it wins exactly once.
+        rows = [
+            (rate, 80.0, 1.0, rival)
+            for rate in _around(_rate_for_bdp(segments, 80.0))
+            for rival in _around(estimate_tcp_throughput_mbps(rate, 80.0))
+        ]
+        assert count_wins(rows, 1.0, 1.0) == oracle_wins(rows, 1.0, 1.0) == 3
 
 
 class TestThroughputEstimate:

@@ -1,9 +1,28 @@
 """Tests for the synthetic world model behind the crowd dataset."""
 
+import hashlib
+
 import pytest
 
+from repro.core.rng import DEFAULT_SEED
 from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
-from repro.crowd.world import TABLE1_SITES, WorldModel
+from repro.crowd.world import TABLE1_SITES, CrowdWorld, WorldModel
+
+#: sha256 of both calibration passes' medians, every site, to the bit.
+#: A change to how the calibration arithmetic is evaluated must leave
+#: these alone; they read the same on CPython 3.10 to 3.13.
+CALIBRATION_DIGESTS = {
+    DEFAULT_SEED:
+        "246d1c16cbdb1e76f2dd3914ecfa54b355bfca39edcc57421b78dd47fc4df24b",
+    7: "42998687d9858cc8a9fb8e6256b57cb534c2f564dde23bc1a5ca6a26399a0b9d",
+    11: "9f64b1bc2d8e16b71bf07e32a3e12d9d4ddb6d8999c278553506129ff49dedc9",
+}
+
+
+def calibration_digest(world: CrowdWorld) -> str:
+    medians = (sorted(world._site_params.items()),
+               sorted(world._crowd_params.items()))
+    return hashlib.sha256(repr(medians).encode()).hexdigest()
 
 
 class TestTable1Data:
@@ -86,3 +105,10 @@ class TestWorldModel:
         world = WorldModel(seed=3)
         site = TABLE1_SITES[-1]  # Santa Fe: 4 runs
         assert len(world.runs_for(site)) == 4
+
+
+class TestCalibrationDigest:
+    @pytest.mark.parametrize("seed", sorted(CALIBRATION_DIGESTS))
+    def test_medians_are_pinned(self, seed, crowd_world):
+        world = crowd_world if seed == DEFAULT_SEED else CrowdWorld(seed)
+        assert calibration_digest(world) == CALIBRATION_DIGESTS[seed]

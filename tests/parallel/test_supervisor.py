@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.env import CHAOS_INDEX
+from repro.core.errors import ConfigurationError, ExecutorError
 from repro.core.proc import pid_alive
 from repro.obs import telemetry
 from repro.parallel import SimTask, SweepRunner
@@ -113,6 +114,27 @@ class TestLifecycle:
         while any(pid_alive(p) for p in pids) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(pid_alive(p) for p in pids)
+
+    def test_failed_start_reaps_every_launched_worker(self, tmp_path):
+        # Worker 0 prints its banner and lingers; worker 1 exits at once.
+        script = (
+            "import os, sys, time\n"
+            f"if os.environ['{CHAOS_INDEX}'] == '1':\n"
+            "    sys.exit(3)\n"
+            "print('repro-worker listening on ' + sys.argv[1]"
+            " + ' pid=' + str(os.getpid()), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        state_path = str(tmp_path / "fleet.json")
+        supervisor = FleetSupervisor(
+            _fast_spec(command=("{python}", "-c", script, "{listen}")),
+            state_path=state_path)
+        with pytest.raises(ExecutorError, match="worker 1"):
+            supervisor.up()
+        procs = [record.proc for record in supervisor._records]
+        assert all(proc.poll() is not None for proc in procs)
+        assert not any(pid_alive(proc.pid) for proc in procs)
+        assert not os.path.exists(state_path)
 
     def test_crashed_worker_restarts_on_same_port(self, tmp_path):
         bus = telemetry.enable()
