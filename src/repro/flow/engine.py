@@ -628,17 +628,17 @@ class _FlowRun:
                             t_next = t_drain
                 elif inflight_total > _EPS:
                     # Split the remaining bytes along the in-flight
-                    # pipes.  A subflow that joins after this point
-                    # carries nothing, exactly like an MP_JOIN
-                    # completing after the source emptied.
+                    # pipes.  A subflow with nothing in flight owes
+                    # nothing more — in particular one that joins after
+                    # this point carries nothing, exactly like an
+                    # MP_JOIN completing after the source emptied.
                     if remaining < 0.0:
                         remaining = 0.0
                     for i in indices:
                         sf = subflows[i]
-                        sf.drain_target = (
-                            sf.delivered
-                            + remaining * inflight[i] / inflight_total
-                            if inflight[i] > 0.0 else None
+                        sf.drain_target = sf.delivered + (
+                            remaining * inflight[i] / inflight_total
+                            if inflight[i] > 0.0 else 0.0
                         )
                     draining = True
                     continue

@@ -163,16 +163,20 @@ def traced_digests(spec: TransferSpec):
 
 #: label -> digest, recorded at commit 210769c (the parent of the
 #: flow-engine hot-path change); CPython 3.10, 3.11, 3.12 and 3.13
-#: agreed on every one.
+#: agreed on every one.  Re-recorded since, one cause at a time:
+#:
+#: 1. a join completing after the source drained carries nothing (it
+#:    used to deliver phantom bytes): the 12 MPTCP 30 KB specs whose
+#:    second subflow joins after the split.
 GOLDEN = {
     "tcp.fixed.down.30KB":
         "7747c5ae7ed0447a07fe302281be3a26dfe8526deddeb55c1e80f6baa725a6b9",
     "mptcp.fixed.down.30KB.lte.decoupled":
-        "9c870876d0a16981ee511bbb4701c8b5de33717b40d86b27799587600c2e929b",
+        "7ffc56ded4193e86c8ec9a36e1478c2283f07498fa5040376e0605172c555a65",
     "mptcp.fixed.down.30KB.wifi.decoupled":
         "25a81eacd49c2cf2e0fdb67ddd821253d7e3b8e2919a57a667b0d8e7c0bb3b8d",
     "mptcp.fixed.down.30KB.lte.coupled":
-        "165d4557f42a66dda38e48cd24920d5d0500c40f6eef54c22ae3eb6b09ee6923",
+        "b2b4fe9994a8b4dcc9b4a277f85f7153910ab2a076b0f40f26b08250b51d876a",
     "mptcp.fixed.down.30KB.wifi.coupled":
         "2c83c4994d557ee012beece14ee1573eaf7195132132c4a8589d0cd94afde6d1",
     "tcp.fixed.down.1MB":
@@ -198,13 +202,13 @@ GOLDEN = {
     "tcp.fixed.up.30KB":
         "51fb01d25b25cb7a03c04acf7cb949c4f6b823a26e1825388954c0ada2486a55",
     "mptcp.fixed.up.30KB.lte.decoupled":
-        "d63333ae5c609d0faa9fd3462b28f9aee67de2bcca71ab231cdcbde083b8bd0d",
+        "277457c84a752d597ef8aac991b400a2b9350226dd885a4fb97df3425c0c7d59",
     "mptcp.fixed.up.30KB.wifi.decoupled":
-        "e969699656cba785c3047b5ba291e6aa616254fe5ee5970873bf3b91a42248e0",
+        "9b62187671cf20631022d7ca442b51a958a73b7b4ee582ca8c9ea866cb038d4b",
     "mptcp.fixed.up.30KB.lte.coupled":
-        "14a7aba6bc80df49112ffae7c03d5bbd2ff4917ba4c43add48c006a6e23b9e88",
+        "884dde11874447583ceb4cb429697bb1185aafd94d4fb9697414f59518eb680c",
     "mptcp.fixed.up.30KB.wifi.coupled":
-        "e2c68fc72688733e191961912c456bcb255b1b6a2ce804f5bbc6cf215d9f0540",
+        "2a83e7757296610bb05f340f4327dba8415541503a1b572facc354ac3977b183",
     "tcp.fixed.up.1MB":
         "fb7dfff6f103304e7791dcb9fd3099e461ef339b7f9bdc5f8988dd00255d856e",
     "mptcp.fixed.up.1MB.lte.decoupled":
@@ -228,11 +232,11 @@ GOLDEN = {
     "tcp.traced.down.30KB":
         "13b806242fd80cea5e2b86bd59bc9d7eb9c3c146c1ed941e7e54820b8cf1a86b",
     "mptcp.traced.down.30KB.lte.decoupled":
-        "d666508d5e4745a42949fe3b23f2b318079e7a899aa2b1684f5310d713f608d9",
+        "aae88dd01f0d68f4651491893dcc9970e2401533c678e1cff85794e8b786a938",
     "mptcp.traced.down.30KB.wifi.decoupled":
         "4aae26044a70cc6531a1056d44c8c4d95d20ef7931d3bc48e795d7e38d3f7919",
     "mptcp.traced.down.30KB.lte.coupled":
-        "7bc0bb52cc9423e3603b2bcca8ffda37dd5609321fe9165aa0d7f7788e7e6551",
+        "73e22276bde8f33c609f9b828da0ea384f52d1fa4e4f3a25328f2c08a2cc6ee0",
     "mptcp.traced.down.30KB.wifi.coupled":
         "93688b154233a5cf81b77de469d5243253f1a4e6a36155665ef3f0159e6726f1",
     "tcp.traced.down.1MB":
@@ -258,13 +262,13 @@ GOLDEN = {
     "tcp.traced.up.30KB":
         "d208d05fb05ca98216d08bde0e539449ff6f0d0f6e7427da3859cdb17eb7354a",
     "mptcp.traced.up.30KB.lte.decoupled":
-        "185985f203be8a1e106be95e6a6c2d440dbc492eeb9b69ab77abb0c3ef81ed00",
+        "97c4eb5b4a80482623bbb326215ae637f905fad65ea0401bbd99ce34a3afb01e",
     "mptcp.traced.up.30KB.wifi.decoupled":
-        "2dc72c36277f08251b5dd3a9c42d9f1c5c3cf389d67d2aa7480936ab1d74147e",
+        "a29f7fd6ff83530bb5e28421b57e8c3f37cc27f30c0925eb3ebd3fed73b65133",
     "mptcp.traced.up.30KB.lte.coupled":
-        "719bbb55fabc9bcbb6c518c3cd49d5f9d977c9ed22bd476b99f1f42f6417b951",
+        "5d2720ef57879ff28dcdec67c5b545e80378d5c0584feeefb15df2cd89a738a4",
     "mptcp.traced.up.30KB.wifi.coupled":
-        "ba9c98ac6a92e2cb7220314b4eceee5a6c08c3d7d6e181519a53352202c73283",
+        "07fdbfd43f044e0e99949f5531dcde32a5647eaadcc21ab34283a7fc713f8eca",
     "tcp.traced.up.1MB":
         "0a171fb6e1c1aa4791928c1afd785efc39c85b498d6d3adc55d286f48919cc0a",
     "mptcp.traced.up.1MB.lte.decoupled":

@@ -212,10 +212,11 @@ def method_run(run):
                 if inflight_total > _EPS:
                     remaining = max(0.0, remaining)
                     for sf, committed in zip(subflows, inflight):
-                        sf.drain_target = (
-                            sf.delivered
-                            + remaining * committed / inflight_total
-                            if committed > 0.0 else None
+                        # Nothing in flight: owes nothing (a later join
+                        # gets no share).
+                        sf.drain_target = sf.delivered + (
+                            remaining * committed / inflight_total
+                            if committed > 0.0 else 0.0
                         )
                     draining = True
                     continue
