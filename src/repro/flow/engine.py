@@ -254,11 +254,12 @@ class _Subflow:
         target = max(cap * self.state.rtt_s, self.terms.pipe(cap))
         if self.cwnd * self.mss >= target - 0.5:
             # Stay event-driven while the loss transient is still
-            # decaying the cap; go silent once converged.
+            # decaying the cap; go silent once converged, or at once
+            # where capacity or flow control binds and nothing decays.
             transient = loss_transient_factor(
                 self.delivered / self.mss, self.state.loss_rate,
             )
-            if transient > 0.02:
+            if self.terms.decays and transient > 0.02:
                 self.next_ramp_at = now + self.state.rtt_s
             else:
                 self.steady = True

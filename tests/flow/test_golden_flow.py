@@ -168,6 +168,9 @@ def traced_digests(spec: TransferSpec):
 #: 1. a join completing after the source drained carries nothing (it
 #:    used to deliver phantom bytes): the 12 MPTCP 30 KB specs whose
 #:    second subflow joins after the split.
+#: 2. a window that covers a cap which cannot decay goes steady at once
+#:    instead of holding once per RTT: the 15 specs that held there
+#:    (traced uplinks, both three-path specs) and three_paths' events.
 GOLDEN = {
     "tcp.fixed.down.30KB":
         "7747c5ae7ed0447a07fe302281be3a26dfe8526deddeb55c1e80f6baa725a6b9",
@@ -260,35 +263,35 @@ GOLDEN = {
     "mptcp.traced.down.4MB.wifi.coupled":
         "8095808164ef734e5931f50d8f68a9319684b44f1ca9fc5e271c8f88d4dc31a7",
     "tcp.traced.up.30KB":
-        "d208d05fb05ca98216d08bde0e539449ff6f0d0f6e7427da3859cdb17eb7354a",
+        "a3751a2f0a78a8c402193acb825840bb457dc963bf08377df96f1b4a50a69ed4",
     "mptcp.traced.up.30KB.lte.decoupled":
         "97c4eb5b4a80482623bbb326215ae637f905fad65ea0401bbd99ce34a3afb01e",
     "mptcp.traced.up.30KB.wifi.decoupled":
-        "a29f7fd6ff83530bb5e28421b57e8c3f37cc27f30c0925eb3ebd3fed73b65133",
+        "104cc23a0cea03e6a943bebd9d495eecf423e4bf7cce68fee8afbd28888e350b",
     "mptcp.traced.up.30KB.lte.coupled":
         "5d2720ef57879ff28dcdec67c5b545e80378d5c0584feeefb15df2cd89a738a4",
     "mptcp.traced.up.30KB.wifi.coupled":
-        "07fdbfd43f044e0e99949f5531dcde32a5647eaadcc21ab34283a7fc713f8eca",
+        "e2667a8ce1e436b16756ab7bca38c19f4d825399d95822c741f2c203683f629e",
     "tcp.traced.up.1MB":
-        "0a171fb6e1c1aa4791928c1afd785efc39c85b498d6d3adc55d286f48919cc0a",
+        "27800a5d2ac05cdd1fa83161bd2161c5075914cb603ab4661816177554598153",
     "mptcp.traced.up.1MB.lte.decoupled":
-        "5380d1f0dabc068120fbdfb0cd12a622c40fd894c412bf66f0454814ce159ecd",
+        "6d82509b872b4b5adb8ffa400d1dea48317c6827f1a19ec751a4d125d2071dc7",
     "mptcp.traced.up.1MB.wifi.decoupled":
-        "53354a8de5d7611d990adfb9b87b429756729b11de847610182b58a3bf7376e8",
+        "1de4f290030387cc624598277924265ce6fad13788bd5258c6f45669df37428f",
     "mptcp.traced.up.1MB.lte.coupled":
-        "1f25bb6fa2ad34b366be85ae6f20357ad989908859ad5cd2c01d2d0bcfa572ae",
+        "06b371fbc99781ddc6bb2c600d4fde1b80c83a43248e26a414a420c39d939321",
     "mptcp.traced.up.1MB.wifi.coupled":
-        "414017bcf3f7d1d37ab210f18feffa09b4f69b4c3b922a58e5c71b2102f2f4c5",
+        "f452279249c749113c3fe764227e3f15a0494365825462bafb22aae06abd4ad7",
     "tcp.traced.up.4MB":
-        "8f9313c421abe464588158478118503f6a3e384fbe7bbdf7b855dcecba1f0fff",
+        "824438aa88e0ce52c23a7d638063ec0fe2e3986868c7190931b890e3ff3845be",
     "mptcp.traced.up.4MB.lte.decoupled":
-        "0c1e268134af4abbe0de106df14efe803f7a275ded544cfbaaff2648aece0cc4",
+        "f7a2cad508eae1ef03d81b5ef720ec77e92145d0b47a861c8f17ba931c99a5e8",
     "mptcp.traced.up.4MB.wifi.decoupled":
-        "314e30286c0d0cdf4b24a9f2fe32da0e0ff55eade4f57ea57ac6b09722feaf8f",
+        "2cef76fa7f643d18cc385f1558e4038792172820229b5a9bb5373f818cada0a3",
     "mptcp.traced.up.4MB.lte.coupled":
-        "7a00dd2512a9ddfaa9bd7a86ed8c3f9c9f80972c8008deb785b1254e60b81f8b",
+        "f2d984bcc5524a0b82ff426f96a28a9fa7cbd8444cc85abe7bb2075baff9cadc",
     "mptcp.traced.up.4MB.wifi.coupled":
-        "5e9468c9187affa170d7784c82cc6618c76fd37e1b209a7860a2a2efe51bf1a6",
+        "3a76c76aaacf2b21d25fd45a86bdb1565089a33fca3d154e254f603b514fde58",
     "backup.failover":
         "1bfca7f40dabd629219b2d32eec09d02df84fa166bbd311177972f569c6ebc27",
     "singlepath.failover":
@@ -320,9 +323,9 @@ GOLDEN = {
     "deadline":
         "31632518ae3c7e67fb6bff2189d8ae4ffd58dec85a50cf6c4852e273d20505db",
     "three_paths":
-        "c957f55cb0a14283bf802dfd13c850072a28cc0d32be6e0feac9d4e1f0070eb8",
+        "7640b55728c8e2c032b0e70f218379453eb528d9180e70a3e66ce7cd99f543b5",
     "three_paths.up":
-        "49968ec1e124fd4ae9fc458ad9be3bd90c10feee79bb164088c921a433c1c660",
+        "b20c368e3002699f6c160d37c4fd84a109b0ee047482ad486fd9d71100b6de37",
     "singlepath.three_paths.failover":
         "a009d2c7abc273d2c29fc6c2e7551e899675a654d243e5246ad050139df82043",
     "singlepath.three_paths.armed_at_zero":
@@ -340,7 +343,7 @@ GOLDEN_EVENTS = {
     "fault.burst_loss":
         "fe129e5d8eb0d7737adcbfcd8ba89ad278424578019f0bdb2e51afc28e9c93b7",
     "three_paths":
-        "f568008c24b0899c7694729de312b5cf3eb84e0ef31347e2332cc5ba10ff5b99",
+        "5ff058446bbb6710c3d6fcdd206acf9fe99637b6eb386f743dfdb2f549ca79a7",
     "singlepath.three_paths.failover":
         "259fb976fddb8541082c53a0dbcc26d050b739c840dc6b639f62599e3fd9fb58",
 }
