@@ -3,43 +3,37 @@
 Executes one :class:`~repro.workload.spec.TransferSpec` without an
 event loop or packets: each subflow is a bandwidth-share state machine
 (slow-start ramp → steady rate), and simulated time advances straight
-to the next instant at which any share changes — a fault edge, a
-subflow establishing, a congestion-window growth step, or the
-predicted completion itself.  Whenever shares change, the pending
-events are simply regenerated from the new rates (the dt-simulator
-idiom), so a transfer costs tens of iterations instead of one event
-per segment.
+to the next instant at which a share changes — a fault edge, a subflow
+establishing, a window growth step, the source draining or completion.
+A steady share still riding its decaying loss transient follows it in
+closed form (:meth:`~repro.flow.model.ShareTerms.transient_bytes`), so
+it needs no breakpoint of its own.  Whenever shares change, the pending
+events are regenerated from the new rates (the dt-simulator idiom): a
+transfer costs a dozen iterations instead of one event per segment.
 
-The work is split by what can change it.  Everything in a subflow's
-share that only a fault edge can move — capacity, loss limit, queue
-and window bounds — is a :class:`~repro.flow.model.ShareTerms`, derived
-when the subflow is built and again in :meth:`_Subflow.on_path_change`,
-the one notification of a fault edge.  :meth:`_FlowRun.run` is one flat
-loop over locals that evaluates those terms against progress (bytes
-delivered, the live window) at every breakpoint; the ``_Subflow``
+Everything in a share that only a fault edge can move is a
+:class:`~repro.flow.model.ShareTerms`, derived when the subflow is built
+and again in :meth:`_Subflow.on_path_change`.  :meth:`_FlowRun.run` is
+one flat loop over locals that evaluates those terms against progress
+(bytes delivered, the live window) at every breakpoint; the ``_Subflow``
 methods are the cold paths — handshake, ramp steps, fault edges, traced
 ``sched`` events — and the reference the loop is tested against
-(``tests/flow/test_hot_path.py``).  An untraced run pays one
-``recorder is not None`` test per would-be event.
+(``tests/flow/test_hot_path.py``).
 
-The output is the same canonical
-:class:`~repro.workload.report.TransferReport` the packet engine
-produces: a densified delivery log (so ``time_to_bytes`` and the
-figure pipelines work unchanged), per-subflow logs keyed by path name,
-a metrics snapshot that reconciles exactly with the emitted trace
-events, and the fired fault edges in
-:class:`~repro.faults.injector.AppliedFault` form.
-
-Flow runs emit a *reduced* observability stream — ``subflow_add``,
-``sched``, ``send`` (per rate interval, not per segment), and
-``fault_state`` — all schema-valid :mod:`repro.obs.trace` kinds, so
-``obs summarize`` and the fault timeline still render.
+The output is the packet engine's canonical
+:class:`~repro.workload.report.TransferReport`: densified delivery logs
+(so ``time_to_bytes`` and the figure pipelines work unchanged), a
+metrics snapshot that reconciles exactly with the emitted trace, and
+the fired fault edges as :class:`~repro.faults.injector.AppliedFault`.
+The trace is *reduced* — ``subflow_add``, ``sched``, ``send`` (per rate
+interval, not per segment) and ``fault_state`` — and an untraced run
+pays one ``recorder is not None`` test per would-be event.
 
 Determinism: the only randomness is the packet engine's own
 ``jitter.{path}``/``trace.{path}`` streams (consumed identically, see
 :func:`repro.flow.model.path_flow_params`); everything else is pure
-arithmetic on the spec.  Reports are therefore bit-identical for any
-worker count.
+arithmetic on the spec, so reports are bit-identical for any worker
+count.
 """
 
 import math
@@ -57,7 +51,6 @@ from repro.flow.model import (
     LOSS_CONVERGENCE_EVENTS,
     SLOW_START_GROWTH,
     ge_stationary_loss,
-    loss_transient_factor,
     path_flow_params,
     share_terms,
 )
@@ -70,10 +63,6 @@ from repro.workload.spec import KIND_TCP, TransferSpec
 __all__ = ["run_flow_spec"]
 
 _EPS = 1e-9
-#: Loss events (segments × loss rate) past which the slow-start
-#: transient is below float resolution (exp(-50) ≈ 2e-22): from there
-#: on the cap *is* the converged one.
-_TRANSIENT_SPENT = 50.0 * LOSS_CONVERGENCE_EVENTS
 #: Densification step of the delivery logs (matches the packet-side
 #: throughput-series step in :mod:`repro.analysis.throughput`).
 _LOG_STEP_S = 0.05
@@ -107,11 +96,9 @@ class _PathState:
     def apply_edge(self, index: int, event: FaultEvent, edge: str) -> None:
         inject = edge == "inject"
         kind = event.kind
-        if kind == "outage":
+        if kind in ("outage", "blackhole"):
             self.down = inject
-        elif kind == "blackhole":
-            self.down = inject
-            if event.detected:
+            if event.detected:  # a blackhole the kernel noticed
                 self.admin_down = inject
         elif kind == "iface_down":
             self.admin_down = inject
@@ -148,16 +135,9 @@ class _Subflow:
                  "delivered", "drain_target", "log", "sent_bytes_int",
                  "send_events", "handshake_rtt_s", "usable", "terms")
 
-    def __init__(
-        self,
-        subflow_id: int,
-        state: _PathState,
-        config: TcpConfig,
-        cc: str,
-        is_mptcp: bool,
-        established_at: Optional[float],
-        gated: bool = False,
-    ) -> None:
+    def __init__(self, subflow_id: int, state: _PathState, config: TcpConfig,
+                 cc: str, is_mptcp: bool,
+                 established_at: Optional[float]) -> None:
         self.subflow_id = subflow_id
         self.state = state
         self.config = config
@@ -169,7 +149,7 @@ class _Subflow:
         self.established_at = established_at
         self.established = False
         #: Carries no data while gated (backup-mode standby).
-        self.gated = gated
+        self.gated = False
         self.cwnd = float(config.initial_cwnd_segments)
         self.ssthresh = (
             float(config.initial_ssthresh_segments)
@@ -205,13 +185,11 @@ class _Subflow:
         )
 
     def steady_cap(self) -> float:
-        segments = self.delivered / self.mss
-        if segments * self.terms.loss_rate >= _TRANSIENT_SPENT:
-            segments = math.inf
-        return self.terms.goodput(segments)
+        return self.terms.goodput(self.delivered / self.mss)
 
     def rate(self) -> float:
-        """Current goodput share, bytes per second."""
+        """Current goodput share, bytes per second (at this instant: a
+        steady share on a decaying cap falls as the bytes arrive)."""
         if not self.established or self.gated:
             return 0.0
         if (
@@ -251,19 +229,13 @@ class _Subflow:
         # path the excess sits in the bottleneck queue (bufferbloat),
         # and that commitment is what the drain model measures.
         # Delivered rate stays capped throughout (see :meth:`rate`).
+        # Once the window covers it the share is steady: the cap only
+        # falls from here, and the run follows any loss transient left
+        # in closed form, so no further step is due.
         target = max(cap * self.state.rtt_s, self.terms.pipe(cap))
         if self.cwnd * self.mss >= target - 0.5:
-            # Stay event-driven while the loss transient is still
-            # decaying the cap; go silent once converged, or at once
-            # where capacity or flow control binds and nothing decays.
-            transient = loss_transient_factor(
-                self.delivered / self.mss, self.state.loss_rate,
-            )
-            if self.terms.decays and transient > 0.02:
-                self.next_ramp_at = now + self.state.rtt_s
-            else:
-                self.steady = True
-                self.next_ramp_at = None
+            self.steady = True
+            self.next_ramp_at = None
             return
         if self.cwnd < self.ssthresh:
             self.cwnd = min(self.cwnd * SLOW_START_GROWTH, self.ssthresh)
@@ -293,11 +265,9 @@ class _Subflow:
             self.cwnd = float(self.config.loss_cwnd_segments)
             self.interrupted = False
             self._begin_ramp(now)
-        elif self.steady:
+        elif self.steady or (self.next_ramp_at is None and not self.gated):
             # Capacity moved (collapse/restore, loss episode): keep the
             # current window and let the ramp re-approach the new cap.
-            self._begin_ramp(now)
-        elif self.next_ramp_at is None and not self.gated:
             self._begin_ramp(now)
 
     def on_ungated(self, now: float) -> None:
@@ -310,16 +280,10 @@ def _fault_edges(spec: TransferSpec) -> List[Tuple[float, int, int, str, FaultEv
     """Inject/clear edges sorted by (time, arming order), like the
     packet-side injector's event-loop callbacks."""
     edges: List[Tuple[float, int, int, str, FaultEvent]] = []
-    if spec.faults is None:
-        return edges
-    order = 0
-    for index, event in enumerate(spec.faults.events):
-        edges.append((event.at_s, order, index, "inject", event))
-        order += 1
-        clears_at = event.clears_at
-        if clears_at is not None:
-            edges.append((clears_at, order, index, "clear", event))
-            order += 1
+    for index, event in enumerate(spec.faults.events if spec.faults else ()):
+        edges.append((event.at_s, len(edges), index, "inject", event))
+        if event.clears_at is not None:
+            edges.append((event.clears_at, len(edges), index, "clear", event))
     edges.sort(key=lambda edge: (edge[0], edge[1]))
     return edges
 
@@ -395,41 +359,27 @@ class _FlowRun:
     # -- construction ---------------------------------------------------
     def _build_subflows(self) -> List[_Subflow]:
         spec = self.spec
-        if spec.kind == KIND_TCP:
-            state = self.states[spec.path]
-            subflow = _Subflow(
-                0, state, self.config, cc=spec.cc, is_mptcp=False,
-                established_at=1.5 * state.rtt_s,
-            )
-            return [subflow]
-        options = spec.mptcp_options()
-        primary_state = self.states[options.primary]
-        primary = _Subflow(
-            0, primary_state, self.config, spec.cc, is_mptcp=True,
-            established_at=1.5 * primary_state.rtt_s,
-        )
-        subflows = [primary]
+        is_mptcp = spec.kind != KIND_TCP
+        options = spec.mptcp_options() if is_mptcp else None
+        primary = self.states[options.primary if is_mptcp else spec.path]
+        subflows = [_Subflow(0, primary, self.config, spec.cc, is_mptcp,
+                             established_at=1.5 * primary.rtt_s)]
+        if not is_mptcp:
+            return subflows
         join_at = (
             0.0 if options.simultaneous_join
-            else primary_state.rtt_s
-            + options.join_delay_rtts * primary_state.rtt_s
+            else primary.rtt_s + options.join_delay_rtts * primary.rtt_s
             + options.join_delay_s
         )
-        next_id = 1
         for path_spec in spec.condition.paths:
-            if path_spec.name == options.primary:
-                continue
-            state = self.states[path_spec.name]
-            established_at: Optional[float] = join_at + 1.5 * state.rtt_s
-            if options.mode == "singlepath":
-                established_at = None  # standby: opened on failover only
-            subflows.append(
-                _Subflow(
-                    next_id, state, self.config, spec.cc, is_mptcp=True,
-                    established_at=established_at,
-                )
-            )
-            next_id += 1
+            if path_spec.name != options.primary:
+                state = self.states[path_spec.name]
+                subflows.append(_Subflow(
+                    len(subflows), state, self.config, spec.cc, is_mptcp,
+                    # A singlepath standby opens on failover only.
+                    established_at=None if options.mode == "singlepath"
+                    else join_at + 1.5 * state.rtt_s,
+                ))
         return subflows
 
     def _backup_set(self) -> frozenset:
@@ -511,6 +461,49 @@ class _FlowRun:
                 rate_bytes_s=round(subflow.rate(), 3),
             )
 
+    def _drain_root(self, owed, dt, rates, excesses) -> float:
+        """How long the shares take to deliver ``owed`` bytes, some along
+        their decaying caps.  Delivery is increasing and concave in time,
+        and ``dt`` (``owed`` at the current rates) lies below the root, so
+        Newton's iterates climb to it from there and never overshoot."""
+        for _ in range(50):
+            got = slope = 0.0
+            for sf, rate, excess in zip(self.subflows, rates, excesses):
+                if excess > 0.0:
+                    terms = sf.terms
+                    delta = terms.transient_bytes(excess, dt)
+                    got += delta
+                    slope += terms.converged + excess * exp(
+                        -terms.decay_per_byte * delta)
+                elif rate > 0.0:
+                    got += rate * dt
+                    slope += rate
+            if owed - got <= 1e-12 * owed:
+                break
+            dt += (owed - got) / slope
+        return dt
+
+    def _sample_curves(self, now, t_next, delivered, rates, excesses):
+        """Log points on the ``_LOG_STEP_S`` grid through a span in
+        which a share rides its decaying cap: ``_densify`` fills long
+        spans on the same grid, but linearly."""
+        nbytes = self.spec.nbytes
+        for k in range(1, int((t_next - now) / _LOG_STEP_S) + 1):
+            t = now + k * _LOG_STEP_S
+            if t >= t_next - _EPS:
+                break
+            total = delivered
+            for sf, rate, excess in zip(self.subflows, rates, excesses):
+                if rate > 0.0:
+                    delta = (sf.terms.transient_bytes(excess, t - now)
+                             if excess > 0.0 else rate * (t - now))
+                    if sf.drain_target is not None:
+                        delta = min(delta, sf.drain_target - sf.delivered)
+                    total += delta
+                    if excess > 0.0:
+                        sf.log.append((t, sf.delivered + delta))
+            self.log.append((t, total if total < nbytes else nbytes))
+
     def run(self) -> None:
         nbytes = float(self.spec.nbytes)
         deadline = self.spec.deadline_s
@@ -524,6 +517,9 @@ class _FlowRun:
         recorder = self.recorder
         log = self.log
         rates = [0.0] * len(subflows)
+        #: A steady share's part above ``terms.converged`` while the
+        #: loss transient decays it (integrated in closed form), else 0.
+        excesses = [0.0] * len(subflows)
         inflight = [0.0] * len(subflows)
         now = 0.0
         now_eps = _EPS
@@ -547,9 +543,10 @@ class _FlowRun:
                 t_next = next_edge_at if next_edge_at > now else now
             total_rate = 0.0
             inflight_total = 0.0
+            curved = False
             for i in indices:
                 sf = subflows[i]
-                rate = pipe = 0.0
+                rate = pipe = excess = 0.0
                 if not sf.established:
                     transition = sf.established_at
                 else:
@@ -567,26 +564,31 @@ class _FlowRun:
                         terms = sf.terms
                         rate = terms.cap
                         if terms.decays:
-                            segments = sf.delivered / sf.mss
                             rate = terms.converged
-                            if segments * terms.loss_rate < _TRANSIENT_SPENT:
-                                rate += (terms.cap - rate) * exp(
-                                    -segments * terms.loss_rate
-                                    / LOSS_CONVERGENCE_EVENTS
-                                )
+                            excess = (terms.cap - rate) * exp(
+                                -sf.delivered / sf.mss * terms.loss_rate
+                                / LOSS_CONVERGENCE_EVENTS
+                            )
+                            rate += excess
                         if rate <= 0.0:
                             rate = 0.0
                         else:
                             if not sf.steady:
+                                # Ramping: the share holds until the
+                                # next window step, an RTT away at most.
+                                excess = 0.0
                                 window = sf.cwnd * sf.mss
                                 cwnd_rate = window / terms.rtt_s
                                 if cwnd_rate < rate:
                                     rate = cwnd_rate
+                            elif excess > 0.0:
+                                curved = True
                             total_rate += rate
                             if multipath and not draining:
                                 # Committed-but-undelivered bytes: the
-                                # pipe, bounded by the live window
-                                # while the subflow still ramps.
+                                # pipe, bounded by the live window while
+                                # the subflow ramps (``pipe_limit`` binds
+                                # on a decaying cap: a constant there).
                                 pipe = rate * terms.rtt_s + terms.queue_bytes
                                 if terms.pipe_limit < pipe:
                                     pipe = terms.pipe_limit
@@ -599,6 +601,7 @@ class _FlowRun:
                 ):
                     t_next = transition
                 rates[i] = rate
+                excesses[i] = excess
                 inflight[i] = pipe
             finishing = False
             if draining:
@@ -607,9 +610,11 @@ class _FlowRun:
                 for i in indices:
                     sf = subflows[i]
                     if sf.drain_target is not None and rates[i] > _EPS:
+                        owed = sf.drain_target - sf.delivered
                         t_reach = now + (
-                            sf.drain_target - sf.delivered
-                        ) / rates[i]
+                            sf.terms.transient_seconds(excesses[i], owed)
+                            if excesses[i] > 0.0 else owed / rates[i]
+                        )
                         if t_reach <= t_next + _EPS:
                             if t_reach < now:
                                 t_reach = now
@@ -621,7 +626,11 @@ class _FlowRun:
                 # runs ahead of delivery by the in-flight sum.
                 remaining = nbytes - delivered
                 if remaining > inflight_total + 0.5:
-                    t_drain = now + (remaining - inflight_total) / total_rate
+                    owed = remaining - inflight_total
+                    dt = owed / total_rate
+                    if curved and now + dt < t_next:
+                        dt = self._drain_root(owed, dt, rates, excesses)
+                    t_drain = now + dt
                     if t_drain <= t_next + _EPS:
                         if t_drain < now:
                             t_drain = now
@@ -644,17 +653,27 @@ class _FlowRun:
                     draining = True
                     continue
             elif total_rate > _EPS:
-                t_finish = now + (nbytes - delivered) / total_rate
+                owed = nbytes - delivered
+                t_finish = now + (
+                    subflows[0].terms.transient_seconds(excesses[0], owed)
+                    if curved else owed / total_rate
+                )
                 if t_finish <= t_next + _EPS:
                     if t_finish < t_next:
                         t_next = t_finish
                     finishing = True
             dt = t_next - now
             if dt > 0.0:
+                if curved and dt > _LOG_STEP_S:
+                    self._sample_curves(now, t_next, delivered, rates,
+                                        excesses)
                 for i in indices:
                     if rates[i] > 0.0:
                         sf = subflows[i]
-                        delta = rates[i] * dt
+                        if excesses[i] > 0.0:
+                            delta = sf.terms.transient_bytes(excesses[i], dt)
+                        else:
+                            delta = rates[i] * dt
                         if sf.drain_target is not None:
                             room = sf.drain_target - sf.delivered
                             if room < delta:

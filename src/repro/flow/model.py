@@ -5,8 +5,9 @@ A flow-level simulator replaces per-packet dynamics with a per-subflow
 window allows, and what the loss process sustains (the Mathis bound).
 Short transfers are dominated by slow start, so the engine ramps each
 subflow's congestion window geometrically per RTT before handing over
-to the steady-state rate; :mod:`repro.flow.engine` regenerates events
-whenever any of these terms changes.
+to the steady-state rate, whose loss transient it follows in closed form
+(:meth:`ShareTerms.transient_bytes`); :mod:`repro.flow.engine`
+regenerates events whenever any of these terms changes.
 
 All rates in this module are *payload goodput* in bytes per second:
 link capacities are discounted by the TCP/IP header overhead the
@@ -35,11 +36,11 @@ __all__ = [
     "LIA_FACTOR",
     "RENO_RESPONSE_CONSTANT",
     "SLOW_START_GROWTH",
+    "ShareTerms",
     "ge_stationary_loss",
     "loss_limited_bytes_s",
     "path_flow_params",
-    "pipe_capacity_bytes",
-    "steady_goodput_bytes_s",
+    "share_terms",
 ]
 
 #: Coupled congestion control (LIA/OLIA) keeps the *aggregate* no more
@@ -208,8 +209,13 @@ class ShareTerms:
     queue_bytes: float
     #: Window bound on the pipe: ``rwnd`` ∧ ``loss limit * rtt``.
     pipe_limit: float
+    #: λ of the transient ``exp(−λ·bytes delivered)``.
+    decay_per_byte: float
 
-    def goodput(self, segments_delivered: float) -> float:
+    def goodput(self, segments_delivered: float = math.inf) -> float:
+        """Sustainable goodput, bytes per second: the loss limit phased
+        in over the first loss epochs (:data:`LOSS_CONVERGENCE_EVENTS`);
+        the default is the fully converged long-run rate."""
         if not self.decays:
             return max(0.0, self.cap)
         transient = loss_transient_factor(segments_delivered, self.loss_rate)
@@ -217,7 +223,36 @@ class ShareTerms:
             0.0, self.converged + (self.cap - self.converged) * transient
         )
 
+    # A share delivering at its decaying cap obeys dD/dt = a + b·e^(−λD)
+    # (a = converged, a + b the share now): D(t) = ln((e^(λD₀) + b/a)
+    # · e^(λa(t−t₀)) − b/a) / λ, written below relative to D₀ and t₀ so
+    # no exponential can overflow.
+    def transient_bytes(self, excess: float, dt: float) -> float:
+        """Bytes delivered in ``dt`` from a share ``converged + excess``."""
+        lam = self.decay_per_byte
+        y = lam * self.converged * dt
+        return (y + math.log1p(-excess / self.converged * math.expm1(-y))) / lam
+
+    def transient_seconds(self, excess: float, nbytes: float) -> float:
+        """The inverse: how long ``nbytes`` take along the same curve."""
+        lam = self.decay_per_byte
+        ratio = excess / self.converged
+        z = lam * nbytes
+        return (z + math.log1p(ratio * math.expm1(-z) / (1.0 + ratio))) / (
+            lam * self.converged)
+
     def pipe(self, rate_bytes_s: float) -> float:
+        """Bytes the subflow holds *committed* at ``rate_bytes_s``.
+
+        MPTCP's min-RTT scheduler assigns a chunk to any subflow with
+        window space, and the chunk stays there (no reinjection short of
+        failure).  The steady commitment is what the window sustains:
+        the loss response window or ``rwnd`` if either binds, else the
+        BDP plus the DropTail buffer the sawing window keeps (over-)full
+        — bufferbloat.  When the source drains the slowest pipe drains
+        alone: the straggler tail of the paper's Figs. 9/10.  A ramping
+        window commits only itself (the engine bounds this by it).
+        """
         if rate_bytes_s <= 0.0 or self.rtt_s <= 0.0:
             return 0.0
         return min(rate_bytes_s * self.rtt_s + self.queue_bytes,
@@ -250,54 +285,6 @@ def share_terms(
         loss_rate=loss_rate, rtt_s=rtt_s,
         queue_bytes=queue_packets * packet_bytes * DRAIN_QUEUE_FILL,
         pipe_limit=pipe_limit,
+        decay_per_byte=loss_rate / (mss * LOSS_CONVERGENCE_EVENTS),
     )
 
-
-def steady_goodput_bytes_s(
-    wire_bytes_s: float,
-    rtt_s: float,
-    loss_rate: float,
-    config: TcpConfig,
-    cc: str,
-    segments_delivered: float = math.inf,
-) -> float:
-    """Sustainable goodput of one subflow, bytes per second.
-
-    ``min(capacity, flow control, loss limit)`` with the capacity term
-    discounted for header overhead and retransmissions, and the loss
-    limit phased in over the transfer's first loss epochs (see
-    :data:`LOSS_CONVERGENCE_EVENTS`); ``segments_delivered`` defaults
-    to the fully converged long-run rate.
-    """
-    terms = share_terms(wire_bytes_s, rtt_s, loss_rate, config, cc, 0)
-    return terms.goodput(segments_delivered)
-
-
-def pipe_capacity_bytes(
-    rate_bytes_s: float,
-    rtt_s: float,
-    loss_rate: float,
-    config: TcpConfig,
-    cc: str,
-    queue_packets: int,
-) -> float:
-    """Maximum bytes one subflow's pipe can hold *committed* at once.
-
-    MPTCP's min-RTT scheduler assigns a chunk to any subflow with
-    window space, and a chunk, once assigned, stays on that subflow
-    (no reinjection short of failure).  A subflow's steady commitment
-    is whatever its window sustains: the loss response window if
-    losses cap it first, the receive window if flow control does, and
-    otherwise — on a capacity-limited path — the bandwidth-delay
-    product plus the bottleneck DropTail buffer the sawing window
-    keeps (over-)full, i.e. bufferbloat.  When the source drains, the
-    slowest pipe drains alone and sets the transfer's completion
-    time: the straggler tail visible in the paper's Figs. 9/10 and
-    reproduced by the packet engine.
-
-    A still-ramping window commits only itself; the engine bounds this
-    pipe by the live congestion window (see
-    :meth:`repro.flow.engine._FlowRun.run`).
-    """
-    terms = share_terms(0.0, rtt_s, loss_rate, config, cc, queue_packets)
-    return terms.pipe(rate_bytes_s)

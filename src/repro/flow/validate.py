@@ -8,15 +8,10 @@ because individual packet-engine runs have heavy-tailed outliers (an
 unlucky RTO storm can stretch one seed's run 10×) that no rate model
 should be asked to chase.
 
-Two bounds are asserted, both calibrated against the packet engine
-(see DESIGN.md §10 for the measured error table):
-
-* :data:`DEFAULT_ERROR_BOUND` — the mean relative error across
-  conditions for one (workload class, flow size) cell must stay
-  within ±20 %.  Measured class means sit within ±13 %.
-* :data:`PER_CONDITION_ERROR_BOUND` — no single condition may be off
-  by more than ±60 %.  The worst measured cells (deep-buffer
-  slow-start collapse the rate model does not follow) reach ±49 %.
+Two bounds are asserted, both calibrated against the packet engine:
+:data:`DEFAULT_ERROR_BOUND` on one (workload class, flow size) cell's
+mean error across conditions and :data:`PER_CONDITION_ERROR_BOUND` on
+any single condition (DESIGN.md §10 has the measured table).
 
 Run it directly for the full table::
 
@@ -54,7 +49,7 @@ __all__ = [
 ]
 
 #: Bound on the |mean relative error| across conditions for one
-#: (class, size) cell.  Measured maximum: 12.6 % (TCP WiFi 4 MB).
+#: (class, size) cell.  Measured maximum: 12.4 % (TCP WiFi 4 MB).
 DEFAULT_ERROR_BOUND = 0.20
 
 #: Bound on any single condition's |relative error|.  Measured
@@ -69,9 +64,7 @@ VALIDATION_SEEDS: Tuple[int, ...] = (1, 12, 23)
 #: Flow sizes of the §3.4/§3.5 sweeps (Figs. 3, 9, 10; Table 1 uses
 #: the same transfers' durations).
 VALIDATION_SIZES: Dict[str, int] = {
-    "100KB": 100_000,
-    "1MB": 1_000_000,
-    "4MB": 4_000_000,
+    "100KB": 100_000, "1MB": 1_000_000, "4MB": 4_000_000,
 }
 
 

@@ -2,11 +2,14 @@
 
 import json
 
+import pytest
+
 from repro.faults.spec import FaultEvent, FaultSpec
+from repro.flow import engine
 from repro.linkem.conditions import make_conditions
 from repro.obs.summary import summarize_events
 from repro.obs.trace import TraceRecorder
-from repro.workload import Session, TransferSpec
+from repro.workload import ConditionSpec, PathSpec, Session, TransferSpec
 
 #: Event kinds the flow engine is allowed to emit (reduced stream).
 FLOW_EVENT_KINDS = {"send", "sched", "subflow_add", "fault_state"}
@@ -113,6 +116,50 @@ def test_flow_deadline_reports_partial():
     assert report.duration_s is None
     delivered = report.delivery_log[-1][1] if report.delivery_log else 0
     assert 0 < delivered < 50_000_000
+
+
+#: Lossy enough that the loss transient decays the cap for a whole
+#: 4 MB transfer on either path.
+LOSSY = ConditionSpec(condition_id=991, paths=(
+    PathSpec(name="wifi", technology="wifi", down_mbps=20.0, up_mbps=5.0,
+             rtt_ms=40.0, loss_rate=0.01, queue_packets=100),
+    PathSpec(name="lte", technology="lte", down_mbps=12.0, up_mbps=4.0,
+             rtt_ms=70.0, loss_rate=0.005, queue_packets=300),
+))
+
+
+def test_a_steady_share_needs_no_breakpoint_until_completion(monkeypatch):
+    """Once the window covers the decaying cap the share follows it in
+    closed form: slow start's doublings, the steady step and the finish
+    are the only breakpoints (the loop used to re-evaluate every RTT)."""
+    spec = TransferSpec(kind="tcp", condition=LOSSY, path="wifi",
+                        nbytes=4_000_000, seed=1, fidelity="flow")
+    run = engine._FlowRun(spec, spec.seed, None)
+    monkeypatch.setattr(engine, "_MAX_ITERATIONS", 8)
+    run.run()
+    subflow = run.subflows[0]
+    assert run.completed_at is not None
+    assert subflow.steady and subflow.terms.decays
+    assert subflow.rate() < 0.5 * subflow.terms.cap  # it did decay
+    # The curve is logged on the densification grid, never straightened.
+    times = [t for t, _ in subflow.log]
+    assert len(times) > 20
+    assert max(b - a for a, b in zip(times, times[1:])) <= \
+        engine._LOG_STEP_S + 1e-9
+
+
+def test_commitment_root_lands_on_the_owed_bytes():
+    spec = _mptcp_spec(condition=LOSSY, nbytes=4_000_000, cc="decoupled")
+    run = engine._FlowRun(spec, spec.seed, None)
+    wifi, lte = (sf.terms for sf in run.subflows)
+    excess = (wifi.cap - wifi.converged) * 0.7
+    rates, excesses = [wifi.converged + excess, lte.converged], [excess, 0.0]
+    owed = 1_500_000.0
+    start = owed / (rates[0] + rates[1])
+    dt = run._drain_root(owed, start, rates, excesses)
+    assert dt > start
+    assert wifi.transient_bytes(excess, dt) + rates[1] * dt == \
+        pytest.approx(owed, rel=1e-12)
 
 
 def test_flow_trace_observation_is_passive():

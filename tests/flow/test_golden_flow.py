@@ -171,6 +171,10 @@ def traced_digests(spec: TransferSpec):
 #: 2. a window that covers a cap which cannot decay goes steady at once
 #:    instead of holding once per RTT: the 15 specs that held there
 #:    (traced uplinks, both three-path specs) and three_paths' events.
+#: 3. a steady share delivers along its decaying cap in closed form
+#:    instead of one constant-rate RTT at a time: the 21 specs in which
+#:    a share reaches steady on a lossy path, and four event lists.
+#:    No spec without loss on any path has moved at 2 or 3.
 GOLDEN = {
     "tcp.fixed.down.30KB":
         "7747c5ae7ed0447a07fe302281be3a26dfe8526deddeb55c1e80f6baa725a6b9",
@@ -243,25 +247,25 @@ GOLDEN = {
     "mptcp.traced.down.30KB.wifi.coupled":
         "93688b154233a5cf81b77de469d5243253f1a4e6a36155665ef3f0159e6726f1",
     "tcp.traced.down.1MB":
-        "68c9d2075ff342c724bd152657eb5cfd6ce045e605280f0d05a30af4543fa1e3",
+        "a1eea4cf1803af95a7896ebd7de83568a73713b0b367152484a4d192cc279f9e",
     "mptcp.traced.down.1MB.lte.decoupled":
-        "caf809015ed0433a8a9fb29e063e75a5fb34b851bbadb4e2aa0bfb457d05d174",
+        "0cb35670a87f4236224e1d22901325829574738a12d847473dbf506bdbc5cb89",
     "mptcp.traced.down.1MB.wifi.decoupled":
-        "e841f49ab5a7167444a066126ad36566cf8909b14318998cca8485f2e83fe311",
+        "18a01ede458e769f1055e227fbaf41e7dc98c2bc4c812c7e6ff54ccd25dee7c4",
     "mptcp.traced.down.1MB.lte.coupled":
-        "8f93268f98441ba029baa9c036c4ba264745f9403f224ce8a16605869d291407",
+        "b3a94483b286043f36d7652e2ac3e08db23cc9fd491022b9b8868f4a5c10f014",
     "mptcp.traced.down.1MB.wifi.coupled":
-        "e49dbf48f753e7e426004eae326b0ab21f925ed72e2b9e7558f0367698fc63fa",
+        "02da474890908adac57f6c5db26b9e14a0d45a5f9904637e92d3d43a6feea463",
     "tcp.traced.down.4MB":
-        "74684621791532130b31209e0646c4517e1ee891739ba1a23d2797b981bd6d3a",
+        "02a3d4c897d54b60ac16d491d098fcdf8f3beed058afed9a24c9fa091be43141",
     "mptcp.traced.down.4MB.lte.decoupled":
-        "4b6e0a67063808dbabd70ef63ce744f96e0574f5c0af371f4a4b3c902afe9150",
+        "b9fcf760effb49128d72f51997c0609c0fb2e406b65aef77e8784ba7ba412512",
     "mptcp.traced.down.4MB.wifi.decoupled":
-        "d2a08cc1862cc67f1f826280b4e5d4eb8d7a74f1162f1a0cf504e886622e69b2",
+        "ee159d6a57850c5523bbaa121fe8f187268abfc2d989e29c95436de1952b6e11",
     "mptcp.traced.down.4MB.lte.coupled":
-        "2a968bdf35039d887c7aedfbdfdb89923330dd7b77c7c2b1722a0b4d4fec4bba",
+        "a759036e3223f6dc742d1e0e3788eb9ccbfaac9c36c354198bafaff98cb70281",
     "mptcp.traced.down.4MB.wifi.coupled":
-        "8095808164ef734e5931f50d8f68a9319684b44f1ca9fc5e271c8f88d4dc31a7",
+        "b8fa563deb5c82db497f4617e87632424a4f171d3f2f1bf3ddc5e7e312134355",
     "tcp.traced.up.30KB":
         "a3751a2f0a78a8c402193acb825840bb457dc963bf08377df96f1b4a50a69ed4",
     "mptcp.traced.up.30KB.lte.decoupled":
@@ -279,9 +283,9 @@ GOLDEN = {
     "mptcp.traced.up.1MB.wifi.decoupled":
         "1de4f290030387cc624598277924265ce6fad13788bd5258c6f45669df37428f",
     "mptcp.traced.up.1MB.lte.coupled":
-        "06b371fbc99781ddc6bb2c600d4fde1b80c83a43248e26a414a420c39d939321",
+        "8a102b321a5002ecdcf9654d42302500adf617d989dc85e306a681990dcb0ba1",
     "mptcp.traced.up.1MB.wifi.coupled":
-        "f452279249c749113c3fe764227e3f15a0494365825462bafb22aae06abd4ad7",
+        "bb3c1c0caca473afdc2cc99ecf98f6f33bc1ede58a4c23e2748dacb1052a53f7",
     "tcp.traced.up.4MB":
         "824438aa88e0ce52c23a7d638063ec0fe2e3986868c7190931b890e3ff3845be",
     "mptcp.traced.up.4MB.lte.decoupled":
@@ -289,17 +293,17 @@ GOLDEN = {
     "mptcp.traced.up.4MB.wifi.decoupled":
         "2cef76fa7f643d18cc385f1558e4038792172820229b5a9bb5373f818cada0a3",
     "mptcp.traced.up.4MB.lte.coupled":
-        "f2d984bcc5524a0b82ff426f96a28a9fa7cbd8444cc85abe7bb2075baff9cadc",
+        "987be2d6c61d0037c8ad0ea9c5a48b5b9ce743b6edf0372676be80acb27b056f",
     "mptcp.traced.up.4MB.wifi.coupled":
-        "3a76c76aaacf2b21d25fd45a86bdb1565089a33fca3d154e254f603b514fde58",
+        "6eadb615264bf30a8daa7c6ccda84f49deef179d30e11609e7929201d9176290",
     "backup.failover":
         "1bfca7f40dabd629219b2d32eec09d02df84fa166bbd311177972f569c6ebc27",
     "singlepath.failover":
         "155eb0c5fe531f5cf2991bb20348771cb4bf119c12d15d38293c2c02cf434afd",
     "simultaneous_join":
-        "e85f1f519acd570c6c6a11fa5c9b8fc586c01ac0a58fa46492f7e2186b6a268c",
+        "aa8f5570db02fb7a94a9e74a7fdb124d426832b6ca76d021cd8fa1da966ce745",
     "warm_start":
-        "6a54ecb6d46ef33d2b84294c295a65914cf17566015fe304e9115d2964f132eb",
+        "de2a0d267683f50c9d796c249297476f9dbeaf73a560ee63e5a8641c4e525b9c",
     "fault.outage":
         "f4de7a389726eddb52bf33379e518cac11abde9383b80dde4b099216a8691d33",
     "fault.outage.tcp":
@@ -315,7 +319,7 @@ GOLDEN = {
     "fault.delay_spike":
         "e4ba27b14fd6b934f136cd6cdab97e96a983a40abe61c5b5af00c3930f694ea4",
     "fault.burst_loss":
-        "152070930b9afe01d08418af455928e663d9c0f6a11e8d2932ae0d433cf3300e",
+        "aa05c404d73b83998065e9df271c82736939672fbc3b0def1410971ddd598d03",
     "fault.armed_at_zero":
         "eafdeca19192daa27cd07e0e27fdbd513aad9a0f277be23b7a9fa1b1538d3b3d",
     "fault.during_drain":
@@ -323,29 +327,29 @@ GOLDEN = {
     "deadline":
         "31632518ae3c7e67fb6bff2189d8ae4ffd58dec85a50cf6c4852e273d20505db",
     "three_paths":
-        "7640b55728c8e2c032b0e70f218379453eb528d9180e70a3e66ce7cd99f543b5",
+        "e7d50b04a2aa3a1816305849884e4b193b4eab16e8f2535b65d0c80ad0adf0cf",
     "three_paths.up":
         "b20c368e3002699f6c160d37c4fd84a109b0ee047482ad486fd9d71100b6de37",
     "singlepath.three_paths.failover":
-        "a009d2c7abc273d2c29fc6c2e7551e899675a654d243e5246ad050139df82043",
+        "029d58f17d60ecd9b2161296f61cd2edcb6f5d4f6f273dead1b4216c9e333064",
     "singlepath.three_paths.armed_at_zero":
-        "dc264fa4300d2c626a61ffd94bb93c0229cf035b96715d27746ccebf6d5dc202",
+        "0ed98d95208eb9ea87e53d08b4b49998150eb3de742a6e1668481f99decb9899",
     "singlepath.three_paths.recovers":
-        "2c84a8b48d92b35f53b28cc140b5aeab559f9690f2c617cfe26fadd1319c359b",
+        "bcea6516233e0cf501309ec42d4974bd5e3729f1e76738ab763af0054706a0be",
 }
 
 #: label -> digest of the traced run's event list, same commit.
 GOLDEN_EVENTS = {
     "mptcp.traced.down.1MB.wifi.coupled":
-        "0c4779d7ed27e08123982b11a4d05d916e3895d5aef411b12b714bdd7608ae68",
+        "dd0ffbbbe26879a572d18475b59d0e93ddedb0e1874285bc197a3757f5aa2a22",
     "backup.failover":
         "9060af485152b25d7de7be5ee732143f098bd678948b2bf98b37fb195d5c93e3",
     "fault.burst_loss":
-        "fe129e5d8eb0d7737adcbfcd8ba89ad278424578019f0bdb2e51afc28e9c93b7",
+        "4b773473c5c690eafbf230954acdfcb9da34d8f724afcaa5e5f8bcfbbd5711fa",
     "three_paths":
-        "5ff058446bbb6710c3d6fcdd206acf9fe99637b6eb386f743dfdb2f549ca79a7",
+        "f449e1cff63998c19ea0b73925f25714bc335021cb19f2f5ba64852b21d91424",
     "singlepath.three_paths.failover":
-        "259fb976fddb8541082c53a0dbcc26d050b739c840dc6b639f62599e3fd9fb58",
+        "202315601d305126810301393a80c42c7e53d55a9727eda1c1dca7529885fe40",
 }
 
 

@@ -24,8 +24,7 @@ from repro.flow.model import (
     FlowPathParams,
     loss_limited_bytes_s,
     loss_transient_factor,
-    pipe_capacity_bytes,
-    steady_goodput_bytes_s,
+    share_terms,
 )
 from repro.tcp.cc.registry import cc_names
 from repro.tcp.config import TcpConfig
@@ -95,12 +94,14 @@ link = dict(
        rate=_with_zero(100e6 / 8.0), **link)
 def test_model_functions_equal_the_parents_formulas(
         wire, rtt, loss, cc, config, queue, segments, rate):
-    assert steady_goodput_bytes_s(
-        wire, rtt, loss, config, cc, segments_delivered=segments
-    ) == parent_steady_goodput(wire, rtt, loss, config, cc, segments)
-    assert steady_goodput_bytes_s(wire, rtt, loss, config, cc) == \
+    terms = share_terms(wire, rtt, loss, config, cc, queue)
+    assert terms.goodput(segments) == \
+        parent_steady_goodput(wire, rtt, loss, config, cc, segments)
+    assert terms.goodput() == \
         parent_steady_goodput(wire, rtt, loss, config, cc)
-    assert pipe_capacity_bytes(rate, rtt, loss, config, cc, queue) == \
+    # The pipe reads no capacity term: any wire rate gives the same one.
+    assert share_terms(0.0, rtt, loss, config, cc, queue).pipe(rate) == \
+        terms.pipe(rate) == \
         parent_pipe_capacity(rate, rtt, loss, config, cc, queue)
 
 
@@ -178,10 +179,34 @@ def _total(values):
     return total
 
 
+def _excess(sf, rate):
+    """A steady share's part above its converged rate while the loss
+    transient decays it (0.0: the share is constant until an event)."""
+    terms = sf.terms
+    if rate <= 0.0 or not sf.steady or not terms.decays:
+        return 0.0
+    return (terms.cap - terms.converged) * loss_transient_factor(
+        sf.delivered / sf.mss, terms.loss_rate)
+
+
+def _delivers(sf, rate, excess, dt):
+    if excess > 0.0:
+        return sf.terms.transient_bytes(excess, dt)
+    return rate * dt
+
+
+def _takes(sf, rate, excess, nbytes):
+    if excess > 0.0:
+        return sf.terms.transient_seconds(excess, nbytes)
+    return nbytes / rate
+
+
 def method_run(run):
     """Drive ``run`` the way the parent's ``_FlowRun.run`` did: a
     ``rate()`` call per subflow per breakpoint, edges and gating
-    visited at every one."""
+    visited at every one — plus the closed-form transient, each
+    subflow's share advanced along its own curve.  The commitment root
+    and the curve samples are the run's own helpers."""
     nbytes = float(run.spec.nbytes)
     deadline = run.spec.deadline_s
     subflows = run.subflows
@@ -189,6 +214,8 @@ def method_run(run):
     draining = False
     for _ in range(200_000):
         rates = [sf.rate() for sf in subflows]
+        excesses = [_excess(sf, rate) for sf, rate in zip(subflows, rates)]
+        curved = any(excess > 0.0 for excess in excesses)
         total_rate = _total(rates)
         t_next = deadline
         if run.edge_i < len(run.edges):
@@ -199,9 +226,10 @@ def method_run(run):
                 t_next = min(t_next, transition)
         finishing = False
         if draining:
-            for sf, rate in zip(subflows, rates):
+            for sf, rate, excess in zip(subflows, rates, excesses):
                 if sf.drain_target is not None and rate > _EPS:
-                    t_reach = now + (sf.drain_target - sf.delivered) / rate
+                    t_reach = now + _takes(
+                        sf, rate, excess, sf.drain_target - sf.delivered)
                     if t_reach <= t_next + _EPS:
                         t_next = min(t_next, max(now, t_reach))
         elif len(subflows) > 1 and total_rate > _EPS:
@@ -221,19 +249,26 @@ def method_run(run):
                     draining = True
                     continue
             else:
-                t_drain = now + (remaining - inflight_total) / total_rate
+                owed = remaining - inflight_total
+                dt = owed / total_rate
+                if curved and now + dt < t_next:
+                    dt = run._drain_root(owed, dt, rates, excesses)
+                t_drain = now + dt
                 if t_drain <= t_next + _EPS:
                     t_next = min(t_next, max(now, t_drain))
         elif total_rate > _EPS:
-            t_finish = now + (nbytes - delivered) / total_rate
+            t_finish = now + _takes(subflows[0], total_rate, excesses[0],
+                                    nbytes - delivered)
             if t_finish <= t_next + _EPS:
                 t_next = min(t_next, t_finish)
                 finishing = True
         dt = max(0.0, t_next - now)
         if dt > 0.0:
-            for sf, rate in zip(subflows, rates):
+            if curved and dt > engine._LOG_STEP_S:
+                run._sample_curves(now, t_next, delivered, rates, excesses)
+            for sf, rate, excess in zip(subflows, rates, excesses):
                 if rate > 0.0:
-                    delta = rate * dt
+                    delta = _delivers(sf, rate, excess, dt)
                     if sf.drain_target is not None:
                         delta = min(
                             delta, max(0.0, sf.drain_target - sf.delivered)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.flow.model import (
     DRAIN_QUEUE_FILL,
@@ -11,8 +13,7 @@ from repro.flow.model import (
     ge_stationary_loss,
     loss_limited_bytes_s,
     loss_transient_factor,
-    pipe_capacity_bytes,
-    steady_goodput_bytes_s,
+    share_terms,
 )
 from repro.flow.validate import (
     DEFAULT_ERROR_BOUND,
@@ -24,6 +25,14 @@ from repro.flow.validate import (
 from repro.tcp.config import TcpConfig
 
 CONFIG = TcpConfig()
+
+
+def _goodput(wire, rtt, loss, segments=math.inf):
+    return share_terms(wire, rtt, loss, CONFIG, "cubic", 0).goodput(segments)
+
+
+def _pipe(rate, rtt, loss, queue):
+    return share_terms(0.0, rtt, loss, CONFIG, "cubic", queue).pipe(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +56,7 @@ def test_coupled_scales_by_lia_factor():
 
 def test_steady_goodput_below_wire_rate():
     wire = 10e6 / 8.0
-    goodput = steady_goodput_bytes_s(wire, 0.04, 0.0, CONFIG, "cubic")
+    goodput = _goodput(wire, 0.04, 0.0)
     assert 0 < goodput < wire
     # Header overhead alone discounts by mss/(mss+40).
     assert goodput == pytest.approx(
@@ -57,36 +66,63 @@ def test_steady_goodput_below_wire_rate():
 
 def test_loss_transient_phases_in_loss_limit():
     wire = 40e6 / 8.0
-    early = steady_goodput_bytes_s(
-        wire, 0.04, 0.01, CONFIG, "cubic", segments_delivered=0.0
-    )
-    late = steady_goodput_bytes_s(
-        wire, 0.04, 0.01, CONFIG, "cubic", segments_delivered=1e9
-    )
+    early = _goodput(wire, 0.04, 0.01, segments=0.0)
+    late = _goodput(wire, 0.04, 0.01, segments=1e9)
     assert late < early
     assert loss_transient_factor(0.0, 0.01) == pytest.approx(1.0)
     assert loss_transient_factor(1e9, 0.01) == pytest.approx(0.0)
     assert loss_transient_factor(100.0, 0.0) == 0.0
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(loss=st.floats(0.0005, 0.05), rtt=st.floats(0.01, 0.3),
+       wire=st.floats(1e5, 1e7), share=st.floats(0.0, 1.0),
+       dt=st.floats(1e-4, 10.0))
+def test_transient_closed_form_solves_the_share_equation(
+        loss, rtt, wire, share, dt):
+    terms = share_terms(wire, rtt, loss, CONFIG, "cubic", 100)
+    assume(terms.decays)
+    lam = terms.decay_per_byte
+    assert lam == loss / (CONFIG.mss_bytes * 3.0)
+    excess = (terms.cap - terms.converged) * share
+    delivered = terms.transient_bytes(excess, dt)
+    # dD/dt = converged + excess·exp(−λD), by classical Runge–Kutta.
+    rate = lambda d: terms.converged + excess * math.exp(-lam * d)
+    steps = 2000
+    h, reference = dt / steps, 0.0
+    for _ in range(steps):
+        k1 = rate(reference)
+        k2 = rate(reference + h / 2 * k1)
+        k3 = rate(reference + h / 2 * k2)
+        k4 = rate(reference + h * k3)
+        reference += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert delivered == pytest.approx(reference, rel=1e-6)
+    assert terms.transient_seconds(excess, delivered) == \
+        pytest.approx(dt, rel=1e-9)
+    # Restarting from any point of the curve continues it.
+    half = terms.transient_bytes(excess, dt / 2)
+    rest = terms.transient_bytes(excess * math.exp(-lam * half), dt / 2)
+    assert half + rest == pytest.approx(delivered, rel=1e-12)
+
+
 def test_pipe_capacity_includes_bloated_queue():
     rate = 5e6 / 8.0
     bdp = rate * 0.05
-    pipe = pipe_capacity_bytes(rate, 0.05, 0.0, CONFIG, "cubic", 250)
+    pipe = _pipe(rate, 0.05, 0.0, 250)
     assert pipe == pytest.approx(
         bdp + 250 * (CONFIG.mss_bytes + 40) * DRAIN_QUEUE_FILL
     )
-    deeper = pipe_capacity_bytes(rate, 0.05, 0.0, CONFIG, "cubic", 500)
+    deeper = _pipe(rate, 0.05, 0.0, 500)
     assert deeper > pipe
 
 
 def test_pipe_capacity_clamped_by_loss_window():
     rate = 50e6 / 8.0
-    lossy = pipe_capacity_bytes(rate, 0.05, 0.02, CONFIG, "cubic", 250)
+    lossy = _pipe(rate, 0.05, 0.02, 250)
     assert lossy == pytest.approx(
         loss_limited_bytes_s(CONFIG.mss_bytes, 0.05, 0.02, "cubic") * 0.05
     )
-    assert pipe_capacity_bytes(0.0, 0.05, 0.0, CONFIG, "cubic", 250) == 0.0
+    assert _pipe(0.0, 0.05, 0.0, 250) == 0.0
 
 
 def test_ge_stationary_loss_between_states():
