@@ -17,11 +17,13 @@ from repro.flow.model import (
 )
 from repro.flow.validate import (
     DEFAULT_ERROR_BOUND,
+    FIGURE_CLASSES,
     PER_CONDITION_ERROR_BOUND,
     VALIDATION_SIZES,
     validate_fidelity,
     validation_conditions,
 )
+from repro.linkem.conditions import make_conditions
 from repro.tcp.config import TcpConfig
 
 CONFIG = TcpConfig()
@@ -160,3 +162,17 @@ def test_flow_aggregates_track_packet_engine():
     for cls in report.classes:
         for case in cls.cases:
             assert abs(case.duration_error) <= duration_bound
+
+
+def test_flow_tracks_packet_engine_over_every_registry_condition():
+    """The bounds over all 20 Table-2 locations, not the four they were
+    fit on: worst class mean 8.3 %, worst condition 38.6 % when
+    recorded (the 4 MB leg is left to ``python -m repro.flow.validate``)."""
+    conditions = make_conditions()
+    report = validate_fidelity(
+        conditions=conditions, classes=FIGURE_CLASSES,
+        sizes={"100KB": 100_000, "1MB": 1_000_000},
+    )
+    assert report.condition_count == len(conditions) == 20
+    assert len(report.classes) == len(FIGURE_CLASSES) * 2
+    report.assert_ok()
