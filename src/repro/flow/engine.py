@@ -298,27 +298,29 @@ def _densify(points: List[Tuple[float, float]]) -> DeliveryLog:
     record deliveries).
     """
     times, cums = [], []
-    last_bytes = -1
-    for i, (t, cum) in enumerate(points):
-        if i > 0:
-            t0, c0 = points[i - 1]
-            span = t - t0
-            if span > _LOG_STEP_S and cum > c0:
-                steps = int(span / _LOG_STEP_S)
-                for k in range(1, steps + 1):
-                    tk = t0 + k * _LOG_STEP_S
-                    if tk >= t - _EPS:
-                        break
-                    ck = int(round(c0 + (cum - c0) * (tk - t0) / span))
-                    if ck > last_bytes:
-                        times.append(tk)
-                        cums.append(ck)
-                        last_bytes = ck
-        ci = int(round(cum))
-        if ci > last_bytes or not times:
-            times.append(t)
-            cums.append(ci)
+    add_time, add_cum = times.append, cums.append
+    # Sentinels: the first point has no span to fill and is always kept.
+    t0, c0, last_bytes = math.inf, 0.0, -math.inf
+    for t, cum in points:
+        span = t - t0
+        if span > _LOG_STEP_S and cum > c0:
+            rise = cum - c0
+            end = t - _EPS
+            for k in range(1, int(span / _LOG_STEP_S) + 1):
+                tk = t0 + k * _LOG_STEP_S
+                if tk >= end:
+                    break
+                ck = round(c0 + rise * (tk - t0) / span)
+                if ck > last_bytes:
+                    add_time(tk)
+                    add_cum(ck)
+                    last_bytes = ck
+        ci = round(cum)
+        if ci > last_bytes:
+            add_time(t)
+            add_cum(ci)
             last_bytes = ci
+        t0, c0 = t, cum
     return DeliveryLog(times, cums)
 
 
@@ -349,18 +351,16 @@ class _FlowRun:
         # built from the already-spiked path states.
         self.subflows: List[_Subflow] = []
         self._fire_due_edges()
+        self.options = spec.mptcp_options() if spec.kind != KIND_TCP else None
         self.subflows = self._build_subflows()
-        self._mode = (
-            spec.mptcp_options().mode if spec.kind != KIND_TCP else "tcp"
-        )
+        self._mode = self.options.mode if self.options is not None else "tcp"
         self._backup_names = self._backup_set()
         self._refresh_gating()
 
     # -- construction ---------------------------------------------------
     def _build_subflows(self) -> List[_Subflow]:
-        spec = self.spec
-        is_mptcp = spec.kind != KIND_TCP
-        options = spec.mptcp_options() if is_mptcp else None
+        spec, options = self.spec, self.options
+        is_mptcp = options is not None
         primary = self.states[options.primary if is_mptcp else spec.path]
         subflows = [_Subflow(0, primary, self.config, spec.cc, is_mptcp,
                              established_at=1.5 * primary.rtt_s)]
@@ -385,7 +385,7 @@ class _FlowRun:
     def _backup_set(self) -> frozenset:
         if self._mode != "backup":
             return frozenset()
-        options = self.spec.mptcp_options()
+        options = self.options
         if options.backup_paths is not None:
             return frozenset(options.backup_paths)
         return frozenset(

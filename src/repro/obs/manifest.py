@@ -25,7 +25,14 @@ __all__ = ["RunManifest", "diff_manifests", "render_diff"]
 
 @dataclass(slots=True)
 class RunManifest:
-    """Provenance record for one executed (or cache-replayed) task."""
+    """Provenance record for one executed (or cache-replayed) task.
+
+    ``spec_hash`` may be passed as a zero-argument callable instead of
+    the string: the first read calls it and stores the result, so a
+    sweep whose manifests nobody reads never hashes its tasks.  Every
+    reader (the attribute, ``to_dict``/``to_json``, ``==``, pickling)
+    sees the same string either way.
+    """
 
     key: str                    # the task's sweep key (human-oriented)
     spec_hash: str              # content hash of fn + canonical kwargs
@@ -77,6 +84,21 @@ class RunManifest:
     def read(cls, path: str) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
+
+
+def _resolved_on_read(slot):
+    """``slot`` as a property that replaces a stored callable by its
+    result on first read."""
+    def read(manifest: RunManifest) -> Any:
+        value = slot.__get__(manifest, RunManifest)
+        if callable(value):
+            value = value()
+            slot.__set__(manifest, value)
+        return value
+    return property(read, slot.__set__)
+
+
+RunManifest.spec_hash = _resolved_on_read(RunManifest.spec_hash)
 
 
 def write_manifests(manifests: List[RunManifest], path: str) -> None:

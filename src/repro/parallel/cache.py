@@ -140,8 +140,10 @@ def code_fingerprint() -> str:
 def spec_hash(fn: str, kwargs: dict) -> str:
     """Fingerprint-free identity of one task; canonicalises its kwargs.
 
-    Taken once per task per sweep: the manifest carries it and the
-    cache address derives from it (:meth:`ResultCache.key_of`).
+    Taken at most once per task per sweep: the manifest carries it and
+    the cache address derives from it (:meth:`ResultCache.key_of`).  A
+    sweep without a cache takes it only when a manifest's ``spec_hash``
+    is read.
     """
     payload = json.dumps(
         {"fn": fn, "kwargs": canonical_spec(kwargs)},

@@ -38,6 +38,7 @@ can never change (or reorder) the output — only the wall-clock.
 """
 
 import contextlib
+import functools
 import os
 import time
 import warnings
@@ -64,7 +65,8 @@ from repro.obs.manifest import RunManifest
 from repro.obs.progress import SweepProgress, progress_enabled_by_env
 from repro.obs.telemetry import active_bus
 from repro.obs.trace import active_trace_dir
-from repro.parallel.cache import ResultCache, cache_enabled_by_env, spec_hash
+from repro.parallel import cache as result_cache
+from repro.parallel.cache import ResultCache, cache_enabled_by_env
 from repro.parallel.executors import LOCAL_POOL, Executor, make_executor
 from repro.parallel.task import (
     SimTask,
@@ -98,8 +100,14 @@ class _RunState:
         self.fingerprint = cache.fingerprint if cache is not None else ""
         self.results: List[Any] = [None] * len(tasks)
         self.manifests: List[Optional[RunManifest]] = [None] * len(tasks)
-        #: Hashed once: cache key and manifest ``spec_hash`` come from it.
-        self.hashes = [spec_hash(task.fn, task.kwargs) for task in tasks]
+        #: Hashed once when a cache needs the address: cache key and
+        #: manifest ``spec_hash`` both come from it.  Without a cache
+        #: nothing on the run's path reads a task's identity, so each
+        #: manifest hashes its own task on first read (:meth:`identity`).
+        self.hashes: Optional[List[str]] = None
+        if cache is not None:
+            self.hashes = [result_cache.spec_hash(task.fn, task.kwargs)
+                           for task in tasks]
         self.keys: List[Optional[str]] = [None] * len(tasks)
         self.attempts: Dict[int, int] = {}
         self.locked: Set[int] = set()
@@ -107,6 +115,13 @@ class _RunState:
         #: re-runs, and the shard error each one starts from.
         self.needs_isolation: List[int] = []
         self.shard_errors: Dict[int, str] = {}
+
+    def identity(self, index: int) -> Union[str, Callable[[], str]]:
+        """Task ``index``'s spec hash, or the call that takes it."""
+        if self.hashes is not None:
+            return self.hashes[index]
+        task = self.tasks[index]
+        return functools.partial(result_cache.spec_hash, task.fn, task.kwargs)
 
     def unlock(self, index: int) -> None:
         """Release ``index``'s single-flight lock if this run holds it."""
@@ -507,7 +522,7 @@ class SweepRunner:
         state.results[index] = value
         state.manifests[index] = RunManifest(
             key=task.label(),
-            spec_hash=state.hashes[index],
+            spec_hash=state.identity(index),
             seed=task.kwargs.get("seed"),
             cache_hit=cache_hit,
             wall_time_s=wall,

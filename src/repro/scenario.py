@@ -87,9 +87,12 @@ class Scenario:
         """Attach a new named path (e.g. the client's WiFi interface)."""
         if config.name in self._paths:
             raise ConfigurationError(f"duplicate path name: {config.name!r}")
+        # Only a lossy path draws; streams are keyed by name, not by
+        # creation order, so skipping the rest moves no other stream.
         path = Path(
             self.loop, config,
-            loss_rng=self.rng.get(f"loss.{config.name}"),
+            loss_rng=self.rng.get(f"loss.{config.name}")
+            if config.loss_rate > 0 else None,
         )
         attached = AttachedPath(path)
         self._paths[config.name] = attached

@@ -11,18 +11,22 @@ import io
 import os
 import tempfile
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SweepTaskError
+from repro.flow.validate import validation_conditions
 from repro.obs import telemetry
-from repro.obs.manifest import tally
+from repro.obs.manifest import RunManifest, tally, write_manifests
 from repro.obs.progress import SweepProgress
 from repro.obs.top import resilience_line
 from repro.parallel import ResultCache, SimTask, SweepRunner
+from repro.parallel import cache as cache_module
 from repro.parallel.task import SweepStats
+from repro.workload import Session, TransferSpec
 
 _TASKS = "tests.parallel._tasks"
 
@@ -97,6 +101,74 @@ class TestStatsAreAReduction:
         stamps = [m.resolved_s for m in runner.last_manifests]
         assert stamps == sorted(stamps)
         assert 0.0 < stamps[0] and stamps[-1] <= runner.last_stats.elapsed_s
+
+
+class TestTaskIdentityOnDemand:
+    """Only a cache needs a task's identity while the sweep runs.
+
+    Without one, each manifest hashes its task on first read, and every
+    reader sees the string an eager hash would have written.
+    """
+
+    @staticmethod
+    def _specs():
+        condition = validation_conditions(1)[0]
+        return [
+            TransferSpec(kind="mptcp", condition=condition, nbytes=nbytes,
+                         primary="wifi", seed=seed, fidelity="flow")
+            for nbytes, seed in ((30_000, 3), (100_000, 4), (30_000, None))
+        ]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        real = cache_module.spec_hash
+
+        def counting(fn, kwargs):
+            calls.append(fn)
+            return real(fn, kwargs)
+
+        monkeypatch.setattr(cache_module, "spec_hash", counting)
+        return calls, real
+
+    def test_a_cache_off_sweep_hashes_only_what_is_read(self, monkeypatch,
+                                                        tmp_path):
+        calls, real = self._counting(monkeypatch)
+        session, specs = Session(), self._specs()
+        session.run_many(specs, workers=1, executor="inprocess", cache=False)
+        assert calls == []
+        tasks = [session.task_for(spec).seeded(session.seed)
+                 for spec in specs]
+        expected = [real(task.fn, task.kwargs) for task in tasks]
+        lazy = session.last_manifests
+        # The eager form, built without reading the deferred field.
+        eager = [
+            RunManifest(**{f.name: getattr(manifest, f.name)
+                           for f in fields(RunManifest)
+                           if f.name != "spec_hash"}, spec_hash=identity)
+            for manifest, identity in zip(lazy, expected)
+        ]
+        write_manifests(lazy, str(tmp_path / "lazy.json"))
+        write_manifests(eager, str(tmp_path / "eager.json"))
+        assert (tmp_path / "lazy.json").read_bytes() == \
+            (tmp_path / "eager.json").read_bytes()
+        assert len(calls) == len(specs)
+        assert [manifest.spec_hash for manifest in lazy] == expected
+        assert lazy == eager
+        assert len(calls) == len(specs)  # hashed once, then kept
+
+    def test_a_cached_sweep_hashes_each_task_once(self, monkeypatch,
+                                                  tmp_path):
+        calls, real = self._counting(monkeypatch)
+        session, specs = Session(), self._specs()
+        session.run_many(specs, workers=1, executor="inprocess",
+                         cache=ResultCache(str(tmp_path)))
+        assert len(calls) == len(specs)
+        tasks = [session.task_for(spec).seeded(session.seed)
+                 for spec in specs]
+        assert [manifest.spec_hash for manifest in session.last_manifests] \
+            == [real(task.fn, task.kwargs) for task in tasks]
+        assert len(calls) == len(specs)
 
 
 @settings(max_examples=12, deadline=None)
