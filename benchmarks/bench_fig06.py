@@ -6,5 +6,6 @@ from repro.experiments import fig06
 
 def bench_fig06(benchmark, capfd):
     result = run_once(benchmark, fig06.run, capfd=capfd)
-    assert result.metrics["ks_distance_uplink"] < 0.30
-    assert result.metrics["ks_distance_downlink"] < 0.30
+    # EXPERIMENTS.md's "curves are close" claim, quantified.
+    assert result.metrics["ks_distance_uplink"] <= 0.25
+    assert result.metrics["ks_distance_downlink"] <= 0.25

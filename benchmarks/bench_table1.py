@@ -16,3 +16,5 @@ def bench_table1(benchmark, capfd):
     assert result.metrics["total_filtered_runs"] == (
         result.paper_targets["total_filtered_runs"]
     )
+    # k-means (r = 100 km) recovers one location group per Table-1 site.
+    assert result.metrics["cluster_count"] == 22

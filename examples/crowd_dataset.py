@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Generate and analyze the synthetic Cell vs WiFi crowdsourced dataset.
 
-Runs the measurement-app state machine over the world model, applies
-the paper's §2.2 filters, clusters runs geographically (Table 1), and
+Reads the paper's dataset off the front of the synthetic crowd (every
+run walks the app's Fig. 2 flowchart; each site is kept until it has
+its Table-1 count of usable runs), applies the paper's §2.2 filters, clusters runs geographically (Table 1), and
 prints the headline aggregates.  Optionally exports the dataset as CSV
 (the format the paper released its data in).
 
@@ -12,15 +13,14 @@ Run:  python examples/crowd_dataset.py [output.csv]
 import sys
 
 from repro.analysis.report import Table
-from repro.crowd import CellVsWifiApp, cluster_runs
+from repro.crowd import Dataset, cluster_runs, table1_runs
 from repro.crowd.world import TABLE1_SITES
 
 
 def main() -> None:
     print("Collecting crowdsourced measurements "
           f"({len(TABLE1_SITES)} sites)...")
-    app = CellVsWifiApp()
-    dataset = app.collect_all()
+    dataset = Dataset(table1_runs())
     analysis = dataset.analysis_set()
     print(f"  raw uploads:        {len(dataset)}")
     print(f"  after §2.2 filters: {len(analysis)} "

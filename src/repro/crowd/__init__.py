@@ -5,44 +5,37 @@ app across 16 countries.  The dataset itself is not redistributable
 here, so this package provides a *world model*: per-location WiFi/LTE
 condition distributions calibrated against every aggregate the paper
 publishes (Table 1 run counts and LTE-win percentages, the Fig. 3
-throughput-difference CDFs, the Fig. 4 RTT-difference CDF), plus a
-faithful model of the app's measurement-collection state machine
-(Fig. 2) including the filtering steps described in §2.2.
+throughput-difference CDFs, the Fig. 4 RTT-difference CDF), plus one
+generator that walks the app's measurement-collection flowchart
+(Fig. 2) for every run, partial runs included, so the §2.2 filters
+have something to filter.
 
-Crowd-scale extension (the layered pipeline): :class:`CrowdWorld`
-adds operator/diurnal/app heterogeneity on top of the calibrated
-world, :class:`PopulationSpec` describes a synthetic population, and
+The layers: :class:`CrowdWorld` is the calibrated world with
+operator/diurnal/app heterogeneity, :class:`PopulationSpec` describes
+a synthetic population, :class:`CrowdSampler` draws its runs, and
 :func:`simulate` runs it at any size — vectorized sampling into
 streaming sketches, sharded across the sweep engine.
+:func:`table1_runs` reads the paper's 2104-run dataset off the front
+of the default population.
 """
 
 from repro.crowd.geo import GeoPoint, haversine_km
-from repro.crowd.world import CrowdWorld, SiteProfile, TABLE1_SITES, WorldModel
-from repro.crowd.dataset import (
-    Dataset,
-    MeasurementRun,
-    iter_analysis,
-    stream_stats,
-)
-from repro.crowd.app import CellVsWifiApp
+from repro.crowd.world import CrowdWorld, SiteProfile, TABLE1_SITES
+from repro.crowd.dataset import Dataset, MeasurementRun
 from repro.crowd.kmeans import GeoCluster, cluster_runs
 from repro.crowd.operators import AppProfile, DiurnalCurve, OperatorProfile
 from repro.crowd.sampling import CrowdSampler, PopulationSpec, RunColumns
 from repro.crowd.aggregate import CrowdSketch, SketchSink, make_sink
-from repro.crowd.pipeline import CrowdResult, simulate
+from repro.crowd.pipeline import CrowdResult, simulate, table1_runs
 
 __all__ = [
     "GeoPoint",
     "haversine_km",
     "SiteProfile",
     "TABLE1_SITES",
-    "WorldModel",
     "CrowdWorld",
     "MeasurementRun",
     "Dataset",
-    "iter_analysis",
-    "stream_stats",
-    "CellVsWifiApp",
     "GeoCluster",
     "cluster_runs",
     "OperatorProfile",
@@ -56,4 +49,5 @@ __all__ = [
     "make_sink",
     "CrowdResult",
     "simulate",
+    "table1_runs",
 ]

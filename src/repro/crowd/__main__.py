@@ -1,7 +1,8 @@
 """CLI: the Cell vs WiFi app experience (paper Fig. 1), simulated.
 
 The real app measured both networks and told the user which to use.
-This CLI does the same against the synthetic world model::
+This CLI does the same against the synthetic world model, drawing
+``--runs`` runs of a one-site population::
 
     python -m repro.crowd --site "US (Boston, MA)"
     python -m repro.crowd --list-sites
@@ -28,8 +29,8 @@ from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.aggregate import SINK_KINDS
-from repro.crowd.app import CellVsWifiApp
-from repro.crowd.world import TABLE1_SITES
+from repro.crowd.sampling import CrowdSampler, PopulationSpec
+from repro.crowd.world import TABLE1_SITES, CrowdWorld
 
 __all__ = ["main"]
 
@@ -48,7 +49,6 @@ def _find_site(name: str):
 def _scale_main(args: argparse.Namespace) -> int:
     """``--users N``: run the crowd-scale sharded pipeline."""
     from repro.crowd.pipeline import DEFAULT_BATCH, simulate
-    from repro.crowd.sampling import PopulationSpec
 
     try:
         population = PopulationSpec(users=args.users, seed=args.seed)
@@ -176,11 +176,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--runs must be >= 1", file=sys.stderr)
         return 2
 
-    app = CellVsWifiApp(seed=args.seed)
+    population = PopulationSpec(users=args.runs, seed=args.seed,
+                                site_names=(site.name,), site_weights=(1.0,))
+    sampler = CrowdSampler(CrowdWorld(seed=args.seed), population)
     print(f"Measuring at {site.name} "
           f"({site.lat:.1f}, {site.lon:.1f})...\n")
-    for index in range(args.runs):
-        run = app.collect_run(site, index, user_id=0)
+    for index, run in enumerate(
+        sampler.sample_batch(0, args.runs).to_measurement_runs()
+    ):
         print(f"run {index + 1}:")
         if run.measured_wifi:
             print(f"  WiFi:     {run.wifi_down_mbps:6.2f} down / "

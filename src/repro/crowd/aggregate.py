@@ -70,8 +70,8 @@ class CrowdSketch:
         """Fold one batch of columns into sketches and counters.
 
         Only complete, high-speed (LTE/HSPA+) runs enter the paper's
-        analysis series — the same §2.2 filters as the 750-user
-        pipeline; partial and 3G runs are tallied so the filter
+        analysis series — the same §2.2 filters as the Table-1
+        dataset; partial and 3G runs are tallied so the filter
         behavior itself stays observable.
         """
         wifi_ok, cell_ok, tech = cols.wifi_ok, cols.cell_ok, cols.tech

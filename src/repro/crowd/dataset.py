@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from repro.crowd.geo import GeoPoint
 
-__all__ = ["MeasurementRun", "Dataset", "iter_analysis", "stream_stats"]
+__all__ = ["MeasurementRun", "Dataset"]
 
 #: Network types the paper's filter treats as "LTE or an equivalent
 #: high-speed cellular network".
@@ -178,66 +178,6 @@ class Dataset:
                 cell_rtt_ms=_parse(row["cell_rtt_ms"]),
             ))
         return cls(runs)
-
-
-def iter_analysis(runs: Iterable[MeasurementRun]) -> Iterator[MeasurementRun]:
-    """The §2.2 analysis set as a lazy stream (both filters applied).
-
-    The streaming counterpart of :meth:`Dataset.analysis_set`: works on
-    any run iterable — e.g. :meth:`CellVsWifiApp.iter_all` — without
-    materializing the dataset first.
-    """
-    for run in runs:
-        if run.complete and run.is_high_speed_cell:
-            yield run
-
-
-def stream_stats(runs: Iterable[MeasurementRun],
-                 alpha: float = 0.005) -> dict:
-    """One-pass aggregate statistics over a run stream, O(sketch) memory.
-
-    Exact win counts plus quantile sketches of the Fig. 3/4 difference
-    series, computed without ever holding more than one run.  Returns
-    a plain dict so callers do not need the sketch types::
-
-        {"runs": ..., "analysis_runs": ...,
-         "lte_win_fraction_downlink": ..., "lte_win_fraction_uplink": ...,
-         "lte_win_fraction_combined": ..., "lte_rtt_win_fraction": ...,
-         "downlink_diff_sketch": <QuantileSketch>, ...}
-    """
-    from repro.analysis.sketch import QuantileSketch
-
-    total = analysis = wins_down = wins_up = wins_rtt = 0
-    down_sketch = QuantileSketch(alpha)
-    up_sketch = QuantileSketch(alpha)
-    rtt_sketch = QuantileSketch(alpha)
-    for run in runs:
-        total += 1
-        if not (run.complete and run.is_high_speed_cell):
-            continue
-        analysis += 1
-        d_down = run.downlink_diff_mbps()
-        d_up = run.uplink_diff_mbps()
-        d_rtt = run.rtt_diff_ms()
-        down_sketch.add(d_down)
-        up_sketch.add(d_up)
-        rtt_sketch.add(d_rtt)
-        wins_down += d_down < 0
-        wins_up += d_up < 0
-        wins_rtt += d_rtt > 0
-    return {
-        "runs": total,
-        "analysis_runs": analysis,
-        "lte_win_fraction_downlink": wins_down / analysis if analysis else 0.0,
-        "lte_win_fraction_uplink": wins_up / analysis if analysis else 0.0,
-        "lte_win_fraction_combined": (
-            (wins_down + wins_up) / (2 * analysis) if analysis else 0.0
-        ),
-        "lte_rtt_win_fraction": wins_rtt / analysis if analysis else 0.0,
-        "downlink_diff_sketch": down_sketch,
-        "uplink_diff_sketch": up_sketch,
-        "rtt_diff_sketch": rtt_sketch,
-    }
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -23,9 +23,10 @@ output equals the serial run too, at O(shard) memory cost.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.errors import ConfigurationError
+from repro.core.rng import DEFAULT_SEED
 from repro.crowd.aggregate import (
     CrowdSketch,
     DEFAULT_ALPHA,
@@ -33,13 +34,15 @@ from repro.crowd.aggregate import (
     _SinkBase,
     make_sink,
 )
+from repro.crowd.dataset import MeasurementRun
 from repro.crowd.sampling import CrowdSampler, PopulationSpec
-from repro.crowd.world import CrowdWorld
+from repro.crowd.world import TABLE1_SITES, CrowdWorld
 from repro.obs.manifest import RunManifest, outstanding
 from repro.obs.telemetry import active_bus
 from repro.parallel import SimTask, SweepRunner, SweepStats, resolve_workers
 
-__all__ = ["simulate", "run_crowd_shard", "CrowdResult", "DEFAULT_BATCH"]
+__all__ = ["simulate", "run_crowd_shard", "table1_runs", "CrowdResult",
+           "DEFAULT_BATCH"]
 
 #: Default sampling batch: large enough to amortize the Python loop,
 #: small enough that a batch of ~18 columns stays in cache.
@@ -97,6 +100,51 @@ def run_crowd_shard(
     columns = sampler.sample_batch(start, count)
     return {"kind": "columns", "units": count,
             "columns": columns.to_lists()}
+
+
+#: The population the Table-1 prefix is read from.  Its size only
+#: bounds the scan: the default seeds fill every site within ~5k runs.
+TABLE1_POPULATION_USERS = 1 << 20
+#: Batch the prefix is sampled in; it never changes which runs are kept.
+TABLE1_BATCH = 1024
+
+
+def table1_runs(seed: int = DEFAULT_SEED,
+                site_names: Optional[Sequence[str]] = None
+                ) -> List[MeasurementRun]:
+    """The paper's §2 dataset: a quota-thinned prefix of the crowd.
+
+    Walks the runs of the default ``PopulationSpec(seed=seed)`` in
+    index order and keeps each one unless its site is not requested
+    (``site_names``, default all of Table 1) or already holds its
+    Table-1 count of usable runs — complete and LTE/HSPA+, the runs the
+    §2.2 filters keep.  It stops when every requested site is full, so
+    the analysis set has exactly the paper's per-site counts, and the
+    partial and 3G runs drawn on the way stay in for the filters to
+    remove.  A site's quota sees only that site's runs, so any site
+    subset keeps the same runs of its sites as the full list does.
+    """
+    runs_of = {site.name: site.runs for site in TABLE1_SITES}
+    unknown = [name for name in site_names or () if name not in runs_of]
+    if unknown:
+        raise ConfigurationError(f"unknown Table-1 sites: {unknown}")
+    quota = {name: runs_of[name]
+             for name in (runs_of if site_names is None else site_names)}
+    population = PopulationSpec(users=TABLE1_POPULATION_USERS, seed=seed)
+    sampler = CrowdSampler(_world_for(population), population)
+    names = population.site_names
+    kept: List[MeasurementRun] = []
+    for cols in sampler.batches(0, population.total_runs, TABLE1_BATCH):
+        for site, run in zip(cols.site, cols.to_measurement_runs()):
+            name = names[site]
+            if quota.get(name):
+                kept.append(run)
+                quota[name] -= run.complete and run.is_high_speed_cell
+        if not any(quota.values()):
+            return kept
+    raise ConfigurationError(
+        f"Table-1 quotas not filled within {population.total_runs} runs"
+    )
 
 
 @dataclass

@@ -34,12 +34,18 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, checked_kwargs, require
 from repro.core.rng import DEFAULT_SEED, derive_seed
 from repro.crowd.dataset import MeasurementRun
 from repro.crowd.geo import GeoPoint
 from repro.crowd.tcpmodel import ONE_MBYTE, probe_link_mbps
-from repro.crowd.world import CrowdWorld, TABLE1_SITES, _cumulative, _pick
+from repro.crowd.world import (
+    NOISE_SIGMA,
+    TABLE1_SITES,
+    CrowdWorld,
+    _cumulative,
+    _pick,
+)
 
 __all__ = ["PopulationSpec", "RunColumns", "CrowdRun", "CrowdSampler",
            "ONE_MBYTE"]
@@ -67,13 +73,19 @@ class PopulationSpec:
     site_weights: Tuple[float, ...] = tuple(
         float(s.runs) for s in TABLE1_SITES
     )
+    #: Fig. 2's branch probabilities: WiFi association fails, the user
+    #: has cellular data off, the user measures one technology only.
     wifi_failure_p: float = 0.08
     cell_disabled_p: float = 0.06
     single_tech_p: float = 0.06
-    noise_sigma: float = 0.12
+    noise_sigma: float = NOISE_SIGMA
     world_profile: Optional[dict] = None
 
     def __post_init__(self) -> None:
+        for name in ("users", "seed", "runs_per_user"):
+            value = getattr(self, name)
+            require(isinstance(value, int) and not isinstance(value, bool),
+                    f"PopulationSpec.{name}", f"expected an int, got {value!r}")
         if self.users < 1:
             raise ConfigurationError(f"users must be >= 1: {self.users}")
         if self.runs_per_user < 1:
@@ -88,16 +100,24 @@ class PopulationSpec:
             raise ConfigurationError("population needs at least one site")
         known = {site.name for site in TABLE1_SITES}
         for name, weight in zip(self.site_names, self.site_weights):
-            if name not in known:
+            if not (isinstance(name, str) and name in known):
                 raise ConfigurationError(f"site_names: unknown site {name!r}")
-            if not weight >= 0.0:
+            if not (_is_number(weight) and 0.0 <= weight < math.inf):
                 raise ConfigurationError(
                     f"site_weights: {name!r} has weight {weight!r}, need >= 0"
                 )
         for p in (self.wifi_failure_p, self.cell_disabled_p,
                   self.single_tech_p):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigurationError(f"probability out of [0, 1]: {p}")
+            if not (_is_number(p) and 0.0 <= p <= 1.0):
+                raise ConfigurationError(f"probability out of [0, 1]: {p!r}")
+        require(_is_number(self.noise_sigma) and self.noise_sigma >= 0.0
+                and math.isfinite(self.noise_sigma),
+                "PopulationSpec.noise_sigma",
+                f"need a finite value >= 0, got {self.noise_sigma!r}")
+        require(self.world_profile is None
+                or isinstance(self.world_profile, dict),
+                "PopulationSpec.world_profile",
+                f"expected a JSON object, got {self.world_profile!r}")
 
     @property
     def total_runs(self) -> int:
@@ -116,26 +136,30 @@ class PopulationSpec:
         }
         if self.world_profile is not None:
             out["world_profile"] = self.world_profile
-        if self.noise_sigma != 0.12:
+        if self.noise_sigma != NOISE_SIGMA:
             out["noise_sigma"] = self.noise_sigma
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "PopulationSpec":
-        return cls(
-            users=int(data["users"]),
-            seed=int(data.get("seed", DEFAULT_SEED)),
-            runs_per_user=int(data.get("runs_per_user", 1)),
-            site_names=tuple(data.get(
-                "site_names", [s.name for s in TABLE1_SITES])),
-            site_weights=tuple(data.get(
-                "site_weights", [float(s.runs) for s in TABLE1_SITES])),
-            wifi_failure_p=float(data.get("wifi_failure_p", 0.08)),
-            cell_disabled_p=float(data.get("cell_disabled_p", 0.06)),
-            single_tech_p=float(data.get("single_tech_p", 0.06)),
-            noise_sigma=float(data.get("noise_sigma", 0.12)),
-            world_profile=data.get("world_profile"),
-        )
+        """Inverse of :meth:`to_dict`; an absent key takes its default.
+
+        The spec arrives over the wire as sweep-task kwargs, so a
+        missing ``users``, an unknown key or a value of the wrong type
+        raises :class:`ConfigurationError`.
+        """
+        kwargs = checked_kwargs(cls, data, "PopulationSpec")
+        require("users" in kwargs, "PopulationSpec.users", "missing")
+        for name in ("site_names", "site_weights"):
+            if name in kwargs:
+                require(isinstance(kwargs[name], (list, tuple)),
+                        f"PopulationSpec.{name}", "expected a list")
+                kwargs[name] = tuple(kwargs[name])
+        return cls(**kwargs)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 #: Column order of :class:`RunColumns` — frozen; tests and sinks index
@@ -195,10 +219,10 @@ class RunColumns:
             getattr(self, name).extend(getattr(other, name))
 
     def to_measurement_runs(self) -> List[MeasurementRun]:
-        """Materialize app-upload records (the legacy Dataset shape).
+        """Materialize app-upload records, the :class:`Dataset` shape.
 
-        O(len) objects — only for the deprecated dataset sink and for
-        small-N cross-checks against the original 750-user pipeline.
+        O(len) objects — for Table-1-size datasets
+        (:func:`repro.crowd.pipeline.table1_runs`), not for crowds.
         """
         runs = []
         for i in range(len(self)):
@@ -247,8 +271,6 @@ class CrowdRun:
 class CrowdSampler:
     """Draw population runs, batched or one at a time (bit-identical)."""
 
-    #: Non-LTE probability split, as in :class:`WorldModel`.
-    NON_LTE_FRACTION = 0.15
     #: Effective log-sigma of a 10-ping average (0.08 / sqrt(10)).
     PING_AVG_SIGMA = 0.0253
     #: Runs (users) per seeded stream and uniforms each owns in it:
@@ -327,7 +349,7 @@ class CrowdSampler:
         uplink_tilt = math.exp(world.UPLINK_LTE_TILT)
         noise_sigma = pop.noise_sigma
         ping_sigma = self.PING_AVG_SIGMA
-        non_lte = self.NON_LTE_FRACTION
+        non_lte = world.NON_LTE_FRACTION
         single_tech_p = pop.single_tech_p
         wifi_failure_p = pop.wifi_failure_p
         cell_disabled_p = pop.cell_disabled_p

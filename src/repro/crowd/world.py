@@ -2,9 +2,10 @@
 
 Each :class:`SiteProfile` corresponds to one row of the paper's
 Table 1: a geographic anchor, a number of complete measurement runs,
-and the fraction of those runs in which LTE beat WiFi.  The world
-model turns a profile into per-run draws of (WiFi, LTE) × (uplink,
-downlink) throughput and ping RTTs:
+and the fraction of those runs in which LTE beat WiFi.
+:class:`CrowdWorld` turns the profiles into per-site medians of
+(WiFi, LTE) throughput and ping RTT, from which the sampler
+(:mod:`repro.crowd.sampling`) draws every run:
 
 * log-throughputs are jointly normal; the LTE-vs-WiFi log-median gap
   per site is chosen by a probit inversion so the probability that
@@ -17,7 +18,7 @@ downlink) throughput and ping RTTs:
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -34,13 +35,15 @@ from repro.crowd.operators import (
 )
 from repro.crowd.tcpmodel import count_wins, estimate_tcp_throughput_mbps
 
-__all__ = [
-    "SiteProfile",
-    "TABLE1_SITES",
-    "WorldModel",
-    "CrowdWorld",
-    "RunConditions",
-]
+__all__ = ["SiteProfile", "TABLE1_SITES", "CrowdWorld", "NOISE_SIGMA"]
+
+#: Multiplicative measurement noise (log-sigma) on one throughput
+#: probe: the sampler's default and the noise both calibration passes
+#: assume.
+NOISE_SIGMA = 0.12
+
+#: The keys of :meth:`CrowdWorld.profile_dict`, all required.
+_PROFILE_KEYS = ("operators", "wifi_diurnal", "cell_diurnal", "apps")
 
 
 @dataclass(frozen=True)
@@ -124,22 +127,40 @@ def _probit(p: float) -> float:
     )
 
 
-@dataclass
-class RunConditions:
-    """Ground-truth network conditions for one measurement run."""
+class CrowdWorld:
+    """The synthetic world: Table-1 sites, operators, diurnal load, apps.
 
-    point: GeoPoint
-    wifi_down_mbps: float
-    wifi_up_mbps: float
-    lte_down_mbps: float
-    lte_up_mbps: float
-    wifi_rtt_ms: float
-    lte_rtt_ms: float
-    cellular_technology: str  # "LTE", "HSPA+", or "3G"
+    Each site's medians come from two calibration passes, both
+    bisections on a Monte-Carlo'd *measured* LTE-win fraction.  The
+    **base** pass (:meth:`_calibrate_base_site`) fits the LTE rate
+    median to the site's Table-1 win rate under 1-MB TCP probes.  The
+    **crowd** pass re-fits the LTE medians under three axes of
+    heterogeneity layered on top, each designed to be
+    *log-mean-neutral*:
 
+    * **operators** — each user subscribes to one cellular carrier
+      whose log offsets widen the LTE spread (Malandrino et al.);
+    * **diurnal load** — a 24 h capacity/RTT cycle per technology,
+      cellular swinging harder than WiFi;
+    * **apps** — a per-app traffic mix; the experienced throughput of
+      an app's flow size is derived with the same TCP model as the
+      paper's 1-MB probe (MopEye's per-app framing).
 
-class WorldModel:
-    """Draws per-run ground-truth conditions for each Table-1 site."""
+    Log-mean-neutral is necessary but not sufficient: at high-LTE-win
+    sites the base pass parks the LTE median deep in the 1-MB TCP
+    saturation regime, where the measured log-gap over WiFi is small
+    (~0.1) with small effective variance — mean-zero operator and
+    diurnal offsets of comparable size then regress wins toward 0.5
+    (observed: Chiang Mai 0.75 → 0.60).  The crowd pass bisects a
+    joint knob ``t`` that scales the LTE rate median by ``e^t`` and
+    the LTE RTT median by ``e^{-t/2}``.  The RTT half keeps the knob
+    monotone inside saturation (where the measured value tracks 1/RTT,
+    not rate); sites already within MC tolerance of their target keep
+    their base medians verbatim.
+
+    The sampler (:mod:`repro.crowd.sampling`) reads this model through
+    :meth:`site_medians` and the modifier methods.
+    """
 
     #: Per-technology log-throughput spread within one site.
     SIGMA = 0.55
@@ -151,154 +172,6 @@ class WorldModel:
     #: Fraction of cellular runs on a non-LTE technology (filtered out
     #: by the paper's network-type check).
     NON_LTE_FRACTION = 0.15
-    #: Measurement noise used during calibration (must match the app's
-    #: :attr:`~repro.crowd.app.CellVsWifiApp.NOISE_SIGMA`).
-    CALIBRATION_NOISE = 0.12
-
-    def __init__(self, seed: int = DEFAULT_SEED):
-        self.seed = seed
-        self._streams = RngStreams(seed).fork("crowd.world")
-        self._site_params = {}
-        for site in TABLE1_SITES:
-            rng = self._streams.get(f"site.{site.name}")
-            wifi_median = rng.uniform(4.0, 14.0)
-            sigma_diff = math.sqrt(2.0) * self.SIGMA
-            gap = _probit(site.lte_win_fraction) * sigma_diff
-            lte_median = wifi_median * math.exp(gap)
-            # RTT: LTE lower ~20 % overall; per-site jitter around that.
-            rtt_target = min(max(0.24 + rng.uniform(-0.10, 0.10), 0.02), 0.6)
-            wifi_rtt_median = rng.uniform(25.0, 80.0)
-            rtt_gap = -_probit(rtt_target) * math.sqrt(2.0) * self.RTT_SIGMA
-            lte_rtt_median = wifi_rtt_median * math.exp(rtt_gap)
-            lte_median = self._calibrate_lte_median(
-                site, wifi_median, lte_median, wifi_rtt_median, lte_rtt_median
-            )
-            self._site_params[site.name] = (
-                wifi_median, lte_median, wifi_rtt_median, lte_rtt_median
-            )
-
-    def _calibrate_lte_median(
-        self,
-        site: SiteProfile,
-        wifi_median: float,
-        lte_median: float,
-        wifi_rtt_median: float,
-        lte_rtt_median: float,
-    ) -> float:
-        """Adjust the LTE throughput median so *measured* wins match Table 1.
-
-        The app measures 1-MB TCP flows, whose throughput is handicapped
-        by the technology's RTT (slow start), so calibrating on raw
-        link rates would undershoot LTE wins.  We Monte-Carlo the whole
-        measurement pipeline and bisect a log-space multiplier.  The
-        WiFi side does not depend on the candidate, so each draw's WiFi
-        measurement is taken once and becomes the LTE side's rival.
-        """
-        rng = self._streams.get(f"calibrate.{site.name}")
-        rows = []
-        for _ in range(400):
-            w_mult, l_mult, w_rtt_m, l_rtt_m, w_noise, l_noise = (
-                math.exp(self.SIGMA * rng.gauss(0, 1)),
-                math.exp(self.SIGMA * rng.gauss(0, 1)),
-                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
-                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
-                math.exp(self.CALIBRATION_NOISE * rng.gauss(0, 1)),
-                math.exp(self.CALIBRATION_NOISE * rng.gauss(0, 1)),
-            )
-            wifi_meas = estimate_tcp_throughput_mbps(
-                wifi_median * w_mult, wifi_rtt_median * w_rtt_m
-            ) * w_noise
-            rows.append((l_mult, l_rtt_m, l_noise, wifi_meas))
-
-        lo, hi = lte_median * 0.2, lte_median * 8.0
-        for _ in range(18):
-            mid = math.sqrt(lo * hi)
-            wins = count_wins(rows, mid, lte_rtt_median)
-            if wins / len(rows) < site.lte_win_fraction:
-                lo = mid
-            else:
-                hi = mid
-        return math.sqrt(lo * hi)
-
-    def draw_run(self, site: SiteProfile, run_index: int) -> RunConditions:
-        """Ground truth for run ``run_index`` at ``site`` (deterministic)."""
-        rng = self._streams.get(f"run.{site.name}.{run_index}")
-        wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = self._site_params[site.name]
-        wifi_down = wifi_med * math.exp(self.SIGMA * rng.gauss(0, 1))
-        lte_down = lte_med * math.exp(self.SIGMA * rng.gauss(0, 1))
-        wifi_up = wifi_down * rng.uniform(0.35, 0.8)
-        lte_up = (
-            lte_down * rng.uniform(0.3, 0.7) * math.exp(self.UPLINK_LTE_TILT)
-        )
-        wifi_rtt = wifi_rtt_med * math.exp(self.RTT_SIGMA * rng.gauss(0, 1))
-        lte_rtt = lte_rtt_med * math.exp(self.RTT_SIGMA * rng.gauss(0, 1))
-        # GPS jitter: runs cluster within a metro area, not one point.
-        point = GeoPoint(
-            site.lat + rng.gauss(0.0, 0.15), site.lon + rng.gauss(0.0, 0.15)
-        )
-        roll = rng.random()
-        if roll < self.NON_LTE_FRACTION / 2.0:
-            technology = "3G"
-        elif roll < self.NON_LTE_FRACTION:
-            technology = "HSPA+"
-        else:
-            technology = "LTE"
-        if technology == "3G":
-            # Legacy cellular: much slower than LTE.
-            lte_down *= 0.15
-            lte_up *= 0.15
-            lte_rtt *= 2.0
-        return RunConditions(
-            point=point,
-            wifi_down_mbps=max(0.1, wifi_down),
-            wifi_up_mbps=max(0.05, wifi_up),
-            lte_down_mbps=max(0.1, lte_down),
-            lte_up_mbps=max(0.05, lte_up),
-            wifi_rtt_ms=min(max(5.0, wifi_rtt), 1200.0),
-            lte_rtt_ms=min(max(15.0, lte_rtt), 1200.0),
-            cellular_technology=technology,
-        )
-
-    def runs_for(self, site: SiteProfile) -> List[RunConditions]:
-        """All of a site's complete-run ground truths."""
-        return [self.draw_run(site, i) for i in range(site.runs)]
-
-
-class CrowdWorld(WorldModel):
-    """The world model extended for crowd-scale populations.
-
-    Keeps the per-site Table-1 calibration of :class:`WorldModel`
-    untouched (same streams, same medians — the base class is byte-
-    for-byte unaffected) and layers three axes of heterogeneity on
-    top, each designed to be *log-mean-neutral*:
-
-    * **operators** — each user subscribes to one cellular carrier
-      whose log offsets widen the LTE spread (Malandrino et al.);
-    * **diurnal load** — a 24 h capacity/RTT cycle per technology,
-      cellular swinging harder than WiFi;
-    * **apps** — a per-app traffic mix; the experienced throughput of
-      an app's flow size is derived with the same TCP model as the
-      paper's 1-MB probe (MopEye's per-app framing).
-
-    Log-mean-neutral is necessary but not sufficient: at high-LTE-win
-    sites the base calibration parks the LTE median deep in the 1-MB
-    TCP saturation regime, where the *measured* log-gap over WiFi is
-    small (~0.1) with small effective variance — mean-zero operator
-    and diurnal offsets of comparable size then regress wins toward
-    0.5 (observed: Chiang Mai 0.75 → 0.60).  So ``CrowdWorld`` runs a
-    second calibration pass: Monte-Carlo the full heterogeneous
-    measurement pipeline and bisect a joint knob ``t`` that scales the
-    LTE rate median by ``e^t`` and the LTE RTT median by ``e^{-t/2}``.
-    The RTT half keeps the knob monotone inside saturation (where the
-    measured value tracks 1/RTT, not rate); sites already within
-    MC tolerance of their target keep their base medians verbatim.
-
-    The sampling layer (:mod:`repro.crowd.sampling`) consumes this
-    model via :meth:`site_medians` and the modifier methods — it never
-    touches :meth:`draw_run`, whose RNG streams stay reserved for the
-    original 750-user reproduction.
-    """
-
     #: Monte-Carlo draws for the crowd recalibration pass.
     CROWD_CALIBRATION_DRAWS = 800
     #: Sites whose heterogeneous win fraction already lands within
@@ -313,21 +186,76 @@ class CrowdWorld(WorldModel):
         cell_diurnal: DiurnalCurve = DEFAULT_CELL_DIURNAL,
         apps: Tuple[AppProfile, ...] = DEFAULT_APP_MIX,
     ):
-        super().__init__(seed)
         if not operators:
             raise ConfigurationError("need at least one operator")
         if not apps:
             raise ConfigurationError("need at least one app profile")
+        self.seed = seed
+        self._streams = RngStreams(seed).fork("crowd.world")
         self.operators = tuple(operators)
         self.wifi_diurnal = wifi_diurnal
         self.cell_diurnal = cell_diurnal
         self.apps = tuple(apps)
         self._operator_cum = _cumulative([op.share for op in operators])
         self._app_cum = _cumulative([app.weight for app in apps])
+        self._site_params = {
+            site.name: self._calibrate_base_site(site)
+            for site in TABLE1_SITES
+        }
         self._crowd_params = {
             site.name: self._calibrate_crowd_site(site)
             for site in TABLE1_SITES
         }
+
+    def _calibrate_base_site(
+        self, site: SiteProfile
+    ) -> Tuple[float, float, float, float]:
+        """Draw one site's base medians and fit its LTE rate median.
+
+        Raw link rates would undershoot measured LTE wins: the app
+        measures 1-MB TCP flows, handicapped by the technology's RTT.
+        So the whole measurement pipeline is Monte-Carlo'd and a
+        log-space multiplier bisected.  The WiFi side does not depend
+        on the candidate, so each draw's WiFi measurement is taken
+        once and becomes the LTE side's rival.
+        """
+        rng = self._streams.get(f"site.{site.name}")
+        wifi_median = rng.uniform(4.0, 14.0)
+        sigma_diff = math.sqrt(2.0) * self.SIGMA
+        gap = _probit(site.lte_win_fraction) * sigma_diff
+        lte_median = wifi_median * math.exp(gap)
+        # RTT: LTE lower ~20 % overall; per-site jitter around that.
+        rtt_target = min(max(0.24 + rng.uniform(-0.10, 0.10), 0.02), 0.6)
+        wifi_rtt_median = rng.uniform(25.0, 80.0)
+        rtt_gap = -_probit(rtt_target) * math.sqrt(2.0) * self.RTT_SIGMA
+        lte_rtt_median = wifi_rtt_median * math.exp(rtt_gap)
+
+        rng = self._streams.get(f"calibrate.{site.name}")
+        rows = []
+        for _ in range(400):
+            w_mult, l_mult, w_rtt_m, l_rtt_m, w_noise, l_noise = (
+                math.exp(self.SIGMA * rng.gauss(0, 1)),
+                math.exp(self.SIGMA * rng.gauss(0, 1)),
+                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
+                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
+                math.exp(NOISE_SIGMA * rng.gauss(0, 1)),
+                math.exp(NOISE_SIGMA * rng.gauss(0, 1)),
+            )
+            wifi_meas = estimate_tcp_throughput_mbps(
+                wifi_median * w_mult, wifi_rtt_median * w_rtt_m
+            ) * w_noise
+            rows.append((l_mult, l_rtt_m, l_noise, wifi_meas))
+
+        lo, hi = lte_median * 0.2, lte_median * 8.0
+        for _ in range(18):
+            mid = math.sqrt(lo * hi)
+            wins = count_wins(rows, mid, lte_rtt_median)
+            if wins / len(rows) < site.lte_win_fraction:
+                lo = mid
+            else:
+                hi = mid
+        return (wifi_median, math.sqrt(lo * hi), wifi_rtt_median,
+                lte_rtt_median)
 
     def _calibrate_crowd_site(
         self, site: SiteProfile
@@ -346,7 +274,7 @@ class CrowdWorld(WorldModel):
         rng = self._streams.get(f"crowd.calibrate.{site.name}")
         exp = math.exp
         sigma, rtt_sigma = self.SIGMA, self.RTT_SIGMA
-        noise = self.CALIBRATION_NOISE
+        noise = NOISE_SIGMA
         rows: List[Tuple[float, float, float, float]] = []
         for _ in range(self.CROWD_CALIBRATION_DRAWS):
             op_idx = self.pick_operator(rng.random())
@@ -440,17 +368,35 @@ class CrowdWorld(WorldModel):
     def from_profile_dict(
         cls, data: Optional[dict], seed: int = DEFAULT_SEED
     ) -> "CrowdWorld":
+        """Inverse of :meth:`profile_dict`; ``None`` or ``{}`` is the default.
+
+        The profile arrives over the wire inside a population spec, so
+        anything malformed raises :class:`ConfigurationError`.
+        """
+        if data is not None and not isinstance(data, dict):
+            raise ConfigurationError(f"world_profile: not an object: {data!r}")
         if not data:
             return cls(seed=seed)
-        return cls(
-            seed=seed,
-            operators=tuple(
-                OperatorProfile.from_dict(op) for op in data["operators"]
-            ),
-            wifi_diurnal=DiurnalCurve.from_dict(data["wifi_diurnal"]),
-            cell_diurnal=DiurnalCurve.from_dict(data["cell_diurnal"]),
-            apps=tuple(AppProfile.from_dict(app) for app in data["apps"]),
-        )
+        if set(data) != set(_PROFILE_KEYS):
+            raise ConfigurationError(f"world_profile: keys {list(data)}, "
+                                     f"need exactly {list(_PROFILE_KEYS)}")
+        try:
+            parts = {
+                "operators": tuple(
+                    OperatorProfile.from_dict(op) for op in data["operators"]
+                ),
+                "wifi_diurnal": DiurnalCurve.from_dict(data["wifi_diurnal"]),
+                "cell_diurnal": DiurnalCurve.from_dict(data["cell_diurnal"]),
+                "apps": tuple(AppProfile.from_dict(app) for app in data["apps"]),
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"world_profile: malformed: {exc!r}")
+        for part in (*parts["operators"], parts["wifi_diurnal"],
+                     parts["cell_diurnal"], *parts["apps"]):
+            if not all(math.isfinite(value) for value in astuple(part)
+                       if isinstance(value, float)):
+                raise ConfigurationError(f"world_profile: non-finite {part}")
+        return cls(seed=seed, **parts)
 
 
 def _cumulative(weights: List[float]) -> List[float]:

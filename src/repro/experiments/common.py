@@ -25,7 +25,7 @@ __all__ = [
     "tcp_spec",
     "mptcp_spec",
     "configuration_specs",
-    "crowd_dataset",
+    "table1_dataset",
     "TCP_VARIANTS",
     "MPTCP_VARIANTS",
     "FLOW_SIZES",
@@ -225,27 +225,20 @@ def configuration_specs(
     ]
 
 
-def crowd_dataset(sites, seed: int = DEFAULT_SEED):
-    """The crowdsourced dataset for ``sites``, collected site-parallel.
+def table1_dataset(sites, seed: int = DEFAULT_SEED):
+    """The §2 dataset for ``sites``: :func:`repro.crowd.table1_runs`.
 
-    Equivalent to ``CellVsWifiApp(seed=seed).collect_all(sites)``: every
-    RNG stream is named after the site, so per-site collection is
-    independent and concatenating in site order is bit-identical.
+    One cached sweep task, so a warm run reads the runs back without
+    building the world.
     """
     from repro.crowd.dataset import Dataset
 
-    tasks = [
-        SimTask(
-            fn="repro.crowd.app:collect_site_runs",
-            kwargs={"site_name": site.name, "seed": seed},
-            key=f"crowd.{site.name}",
-        )
-        for site in sites
-    ]
-    runs = []
-    for site_runs in SweepRunner(seed=seed).run(tasks):
-        runs.extend(site_runs)
-    return Dataset(runs)
+    task = SimTask(
+        fn="repro.crowd.pipeline:table1_runs",
+        kwargs={"seed": seed, "site_names": [site.name for site in sites]},
+        key="crowd.table1",
+    )
+    return Dataset(SweepRunner(seed=seed).run([task])[0])
 
 
 def config_seed(seed: int, label: str) -> int:

@@ -5,16 +5,18 @@ synthetic population orders of magnitude larger, through the layered
 pipeline (:func:`repro.crowd.pipeline.simulate`): heterogeneous world
 → vectorized sampling → streaming sketches → sharded execution.
 
-Two claims are checked against the original 750-user reproduction:
+One generator draws both sizes, so the two checks are of scale
+invariance:
 
 * **Table 1 recovery** — per-site LTE-win fractions of the crowd
   population match the paper's table (the world is calibrated under
-  full heterogeneity, so this is a consistency check of the sampling
-  and aggregation layers, not a fit).
-* **Fig. 3/4 consistency** — quantiles of the WiFi−LTE throughput and
-  RTT difference distributions, read from the streaming sketches,
-  match the exact CDFs of the small-N reference dataset within a
-  documented tolerance (sketch alpha + finite-sample spread).
+  full heterogeneity, so this checks the sampling and aggregation
+  layers, not a fit).
+* **Fig. 3/4 at two sizes** — quantiles of the WiFi−LTE throughput
+  and RTT difference distributions, read from the streaming sketches,
+  match the exact CDFs of the Table-1-size dataset
+  (:func:`repro.crowd.table1_runs`) within a documented tolerance
+  (sketch alpha + finite-sample spread).
 """
 
 from typing import Dict
@@ -25,7 +27,7 @@ from repro.core.rng import DEFAULT_SEED
 from repro.crowd.pipeline import simulate
 from repro.crowd.sampling import PopulationSpec
 from repro.crowd.world import TABLE1_SITES
-from repro.experiments.common import ExperimentResult, crowd_dataset, register
+from repro.experiments.common import ExperimentResult, register, table1_dataset
 
 __all__ = ["run"]
 
@@ -64,9 +66,9 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
                 worst_site_err, abs(got - site.lte_win_fraction)
             )
 
-    # Fig. 3/4 consistency: sketch quantiles vs the exact CDFs of the
-    # original site-by-site reference pipeline.
-    reference = crowd_dataset(TABLE1_SITES, seed=seed).analysis_set()
+    # Fig. 3/4 at two sizes: sketch quantiles vs the exact CDFs of the
+    # Table-1-size dataset.
+    reference = table1_dataset(TABLE1_SITES, seed=seed).analysis_set()
     ref_down = Cdf(reference.downlink_diffs())
     ref_up = Cdf(reference.uplink_diffs())
     check = Table(

@@ -8,7 +8,7 @@ from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.world import TABLE1_SITES
-from repro.experiments.common import ExperimentResult, crowd_dataset, register
+from repro.experiments.common import ExperimentResult, register, table1_dataset
 
 __all__ = ["run"]
 
@@ -16,7 +16,7 @@ __all__ = ["run"]
 @register("fig03")
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    dataset = crowd_dataset(sites, seed=seed).analysis_set()
+    dataset = table1_dataset(sites, seed=seed).analysis_set()
 
     up = Cdf(dataset.uplink_diffs())
     down = Cdf(dataset.downlink_diffs())

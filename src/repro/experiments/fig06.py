@@ -17,8 +17,8 @@ from repro.crowd.world import TABLE1_SITES
 from repro.experiments.common import (
     ExperimentResult,
     _SESSION,
-    crowd_dataset,
     register,
+    table1_dataset,
     tcp_spec,
 )
 from repro.linkem.conditions import make_conditions
@@ -51,7 +51,7 @@ def location_grid(seed: int, fast: bool = False) -> List[TransferSpec]:
 @register("fig06", flow_capable=True)
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    app_data = crowd_dataset(sites, seed=seed).analysis_set()
+    app_data = table1_dataset(sites, seed=seed).analysis_set()
 
     reports = _SESSION.run_many(location_grid(seed, fast))
     up_diffs = []

@@ -12,7 +12,7 @@ from repro.analysis.report import Table
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.kmeans import cluster_runs
 from repro.crowd.world import TABLE1_SITES
-from repro.experiments.common import ExperimentResult, crowd_dataset, register
+from repro.experiments.common import ExperimentResult, register, table1_dataset
 
 __all__ = ["run"]
 
@@ -27,7 +27,7 @@ def _nearest_site_name(cluster) -> str:
 def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     """Reproduce Table 1.  ``fast`` restricts to the 8 largest sites."""
     sites = TABLE1_SITES[:8] if fast else TABLE1_SITES
-    dataset = crowd_dataset(sites, seed=seed)
+    dataset = table1_dataset(sites, seed=seed)
     analysis = dataset.analysis_set()
     clusters = cluster_runs(analysis.runs, radius_km=100.0)
 

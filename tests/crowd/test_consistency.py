@@ -1,4 +1,4 @@
-"""Subsample consistency: the crowd-scale pipeline recovers the paper.
+"""Scale invariance: the crowd-scale pipeline recovers the paper.
 
 A heterogeneous million-user population is only a faithful scale-up
 if its aggregates still land on the paper's published numbers.  These
@@ -12,20 +12,20 @@ or failed by seed) — and check:
   published column (sites with enough runs to measure), aggregate
   win fractions within 0.06 of the paper's 35 % / 42 % / 40 %;
 * Fig. 3 / Fig. 4 — throughput- and RTT-difference quantiles within
-  tolerance of the exact 750-user reference pipeline
-  (:func:`repro.experiments.common.crowd_dataset`).  The tolerance
-  (1.5 Mbit/s, 20 ms) is dominated by the finite-sample spread of the
-  2104-run reference, not by sketch error (alpha = 0.5 %).
+  tolerance of the exact CDFs of the same generator at Table-1 size
+  (:func:`repro.crowd.table1_runs`).  The tolerance (1.5 Mbit/s,
+  20 ms) is dominated by the finite-sample spread of the 2104-run
+  reference, not by sketch error (alpha = 0.5 %).
 """
 
 import pytest
 
 from repro.analysis.cdf import Cdf
 from repro.core.rng import DEFAULT_SEED
-from repro.crowd.pipeline import simulate
+from repro.crowd.dataset import Dataset
+from repro.crowd.pipeline import simulate, table1_runs
 from repro.crowd.sampling import PopulationSpec
 from repro.crowd.world import TABLE1_SITES
-from repro.experiments.common import crowd_dataset
 
 USERS = 64_000
 
@@ -45,7 +45,7 @@ def sketch(crowd_world):
 
 @pytest.fixture(scope="module")
 def reference():
-    return crowd_dataset(TABLE1_SITES, DEFAULT_SEED).analysis_set()
+    return Dataset(table1_runs(DEFAULT_SEED)).analysis_set()
 
 
 class TestTable1Recovery:
@@ -122,8 +122,8 @@ class TestFigureRecovery:
             )
 
     def test_win_fractions_match_reference_pipeline(self, sketch, reference):
-        # The sketch's sign counters and the legacy per-object
-        # pipeline must tell the same story.
+        # The sketch's sign counters and the Table-1-size dataset's
+        # per-object fractions must tell the same story.
         assert sketch.lte_win_fraction_downlink() == pytest.approx(
             reference.lte_win_fraction_downlink(), abs=0.05
         )

@@ -107,52 +107,3 @@ class TestCsvRoundTrip:
             assert loaded.wifi_down_mbps == pytest.approx(
                 original.wifi_down_mbps, abs=1e-3
             )
-
-
-class TestStreamingHelpers:
-    def _mixed_runs(self):
-        return [
-            _run(wifi_down=10, cell_down=5),          # WiFi wins down
-            _run(wifi_down=3, cell_down=5,            # LTE wins down+up
-                 wifi_up=1.0, cell_up=2.0,
-                 wifi_rtt=90.0, cell_rtt=40.0),       # ...and RTT
-            _run(technology="3G"),                    # filtered
-            _run(complete=False),                     # partial
-        ]
-
-    def test_iter_analysis_is_lazy_and_filtered(self):
-        from repro.crowd.dataset import iter_analysis
-
-        generator = iter_analysis(iter(self._mixed_runs()))
-        assert iter(generator) is generator  # no materialization
-        kept = list(generator)
-        assert len(kept) == 2
-        assert all(r.complete and r.is_high_speed_cell for r in kept)
-
-    def test_stream_stats_matches_dataset(self):
-        from repro.crowd.dataset import stream_stats
-
-        runs = self._mixed_runs()
-        dataset = Dataset(runs).analysis_set()
-        stats = stream_stats(iter(runs))
-        assert stats["runs"] == 4
-        assert stats["analysis_runs"] == len(dataset)
-        assert stats["lte_win_fraction_downlink"] == pytest.approx(
-            dataset.lte_win_fraction_downlink()
-        )
-        assert stats["lte_win_fraction_uplink"] == pytest.approx(
-            dataset.lte_win_fraction_uplink()
-        )
-        assert stats["downlink_diff_sketch"].count == len(dataset)
-        assert stats["downlink_diff_sketch"].median == pytest.approx(
-            sorted(dataset.downlink_diffs())[0], rel=0.02
-        )
-
-    def test_app_iterators_match_collect(self):
-        from repro.crowd.app import CellVsWifiApp
-        from repro.crowd.world import TABLE1_SITES
-
-        sites = TABLE1_SITES[-3:]
-        streamed = list(CellVsWifiApp(seed=5).iter_all(sites))
-        collected = CellVsWifiApp(seed=5).collect_all(sites)
-        assert streamed == list(collected)

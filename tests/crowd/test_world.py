@@ -5,8 +5,9 @@ import hashlib
 import pytest
 
 from repro.core.rng import DEFAULT_SEED
-from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
-from repro.crowd.world import TABLE1_SITES, CrowdWorld, WorldModel
+from repro.crowd.dataset import Dataset
+from repro.crowd.sampling import CrowdSampler, PopulationSpec, RunColumns
+from repro.crowd.world import TABLE1_SITES, CrowdWorld
 
 #: sha256 of both calibration passes' medians, every site, to the bit.
 #: A change to how the calibration arithmetic is evaluated must leave
@@ -43,68 +44,57 @@ class TestTable1Data:
         assert by_name["Thailand (Phichit)"].lte_win_fraction == 0.80
 
 
+def site_runs(world: CrowdWorld, site, count: int) -> RunColumns:
+    """``count`` runs of a population living at ``site`` alone."""
+    population = PopulationSpec(users=count, seed=world.seed,
+                                site_names=(site.name,), site_weights=(1.0,))
+    return CrowdSampler(world, population).sample_batch(0, count)
+
+
 class TestWorldModel:
-    def test_draws_deterministic(self):
-        world_a = WorldModel(seed=11)
-        world_b = WorldModel(seed=11)
+    def test_draws_deterministic(self, crowd_world):
         site = TABLE1_SITES[0]
-        a = world_a.draw_run(site, 3)
-        b = world_b.draw_run(site, 3)
-        assert a.wifi_down_mbps == b.wifi_down_mbps
-        assert a.lte_rtt_ms == b.lte_rtt_ms
+        world_a = CrowdWorld(seed=11)
+        world_b = CrowdWorld(seed=11)
+        assert world_a.site_medians(site.name) == (
+            world_b.site_medians(site.name)
+        )
+        a = site_runs(world_a, site, 5)
+        assert a.to_lists() == site_runs(world_b, site, 5).to_lists()
+        assert a.to_lists() != site_runs(crowd_world, site, 5).to_lists()
 
-    def test_runs_jitter_around_site(self):
-        world = WorldModel(seed=11)
+    def test_runs_jitter_around_site(self, crowd_world):
         site = TABLE1_SITES[0]
-        points = [world.draw_run(site, k).point for k in range(20)]
-        assert all(site.point.distance_km(p) < 100 for p in points)
-        assert len({(p.lat, p.lon) for p in points}) > 1
+        runs = site_runs(crowd_world, site, 500).to_measurement_runs()
+        assert all(site.point.distance_km(r.point) < 100 for r in runs)
+        assert len({(r.point.lat, r.point.lon) for r in runs}) == len(runs)
 
-    def test_calibration_matches_table1_win_rates(self):
+    def test_calibration_matches_table1_win_rates(self, crowd_world):
         """The *measured* (1 MB TCP) LTE-win fraction per site tracks
         Table 1 — the core calibration contract."""
-        world = WorldModel(seed=20141105)
         for site in [s for s in TABLE1_SITES if s.runs >= 100]:
-            wins = 0
-            total = 0
-            for index in range(300):
-                run = world.draw_run(site, index)
-                if run.cellular_technology == "3G":
-                    continue
-                wifi = estimate_tcp_throughput_mbps(
-                    run.wifi_down_mbps, run.wifi_rtt_ms)
-                lte = estimate_tcp_throughput_mbps(
-                    run.lte_down_mbps, run.lte_rtt_ms)
-                total += 1
-                wins += lte > wifi
-            assert wins / total == pytest.approx(
+            runs = Dataset(
+                site_runs(crowd_world, site, 600).to_measurement_runs()
+            ).analysis_set()
+            assert runs.lte_win_fraction_downlink() == pytest.approx(
                 site.lte_win_fraction, abs=0.12
             ), site.name
 
-    def test_non_lte_fraction_roughly_matches(self):
-        world = WorldModel(seed=3)
-        site = TABLE1_SITES[0]
-        technologies = [
-            world.draw_run(site, index).cellular_technology
-            for index in range(500)
-        ]
-        non_lte = sum(1 for t in technologies if t != "LTE") / len(technologies)
-        assert non_lte == pytest.approx(WorldModel.NON_LTE_FRACTION, abs=0.06)
+    def test_non_lte_fraction_roughly_matches(self, crowd_world):
+        tech = site_runs(crowd_world, TABLE1_SITES[0], 2000).tech
+        non_lte = sum(1 for t in tech if t != 0) / len(tech)
+        assert non_lte == pytest.approx(CrowdWorld.NON_LTE_FRACTION,
+                                        abs=0.03)
 
-    def test_3g_is_much_slower(self):
-        world = WorldModel(seed=3)
-        site = TABLE1_SITES[0]
-        runs = [world.draw_run(site, index) for index in range(500)]
-        lte_rates = [r.lte_down_mbps for r in runs
-                     if r.cellular_technology == "LTE"]
-        g3_rates = [r.lte_down_mbps for r in runs
-                    if r.cellular_technology == "3G"]
-        assert sum(g3_rates) / len(g3_rates) < sum(lte_rates) / len(lte_rates) / 2
-
-    def test_runs_for_returns_site_count(self):
-        world = WorldModel(seed=3)
-        site = TABLE1_SITES[-1]  # Santa Fe: 4 runs
-        assert len(world.runs_for(site)) == 4
+    def test_3g_is_much_slower(self, crowd_world):
+        cols = site_runs(crowd_world, TABLE1_SITES[0], 2000)
+        lte = [down for down, tech, ok
+               in zip(cols.cell_down, cols.tech, cols.cell_ok)
+               if ok and tech == 0]
+        g3 = [down for down, tech, ok
+              in zip(cols.cell_down, cols.tech, cols.cell_ok)
+              if ok and tech == 2]
+        assert sum(g3) / len(g3) < sum(lte) / len(lte) / 2
 
 
 class TestCalibrationDigest:

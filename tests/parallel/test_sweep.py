@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import derive_seed
-from repro.experiments.common import crowd_dataset, mptcp_spec, tcp_spec
+from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
 from repro.parallel import (
     ResultCache,
@@ -96,16 +96,6 @@ class TestParallelSerialDeterminism:
         results = SweepRunner(workers=3, cache=False).run(tasks)
         for task, report in zip(tasks, results):
             assert report.total_bytes == task.kwargs["spec"].nbytes
-
-    def test_crowd_dataset_matches_collect_all(self, monkeypatch):
-        from repro.crowd.app import CellVsWifiApp
-        from repro.crowd.world import TABLE1_SITES
-
-        sites = TABLE1_SITES[:3]
-        serial = CellVsWifiApp(seed=11).collect_all(sites)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        sharded = crowd_dataset(sites, seed=11)
-        assert sharded.to_csv() == serial.to_csv()
 
 
 class TestResultCache:
