@@ -6,7 +6,9 @@ redispatch, chaos harness, telemetry:
 
 1. bring up a 2-worker fleet under :class:`FleetSupervisor` and run a
    reference sweep (no chaos);
-2. bring up a second fleet with a chaos schedule armed — worker 0 is
+2. bring up a second fleet whose ``FleetSpec.command`` launches the
+   test-side chaos worker (``tests.parallel.chaos_worker``, handed
+   each worker's ``{index}``) with a schedule armed — worker 0 is
    killed after its first task, worker 1 is SIGSTOP-stalled — run the
    same sweep while a supervision thread heals the fleet, and assert
    the results are **byte-identical** (``pickle.dumps`` equality) to
@@ -61,15 +63,12 @@ def _metric_total(snapshot, name):
 
 def main() -> int:
     os.environ["REPRO_CACHE"] = "0"
-    os.environ.pop("REPRO_CHAOS", None)  # chaos arms in the workers only
+
+    import dataclasses
 
     from repro.obs import telemetry
-    from repro.parallel.chaos import (
-        KILL_EXIT_STATUS,
-        ChaosEvent,
-        ChaosSpec,
-    )
     from repro.parallel.supervisor import FleetSpec, FleetSupervisor
+    from tests.parallel.chaos import KILL_EXIT_STATUS, ChaosEvent, ChaosSpec
 
     spec = FleetSpec(workers=2, heartbeat_s=0.1, max_restarts=3,
                      restart_backoff_s=0.1, restart_backoff_cap_s=0.5,
@@ -99,11 +98,18 @@ def main() -> int:
         chaos_path = os.path.join(tmp, "chaos.json")
         with open(chaos_path, "w") as handle:
             handle.write(chaos_spec.to_json())
+        # Chaos arms in the workers only, through the launch template.
+        attacked = dataclasses.replace(spec, command=(
+            "{python}", "-m", "tests.parallel.chaos_worker",
+            "--spec", chaos_path, "--index", "{index}", "--",
+            "--listen", "{listen}", "--heartbeat-s", "{heartbeat_s}",
+            "--quiet"))
         env = dict(os.environ)
-        env["REPRO_CHAOS"] = chaos_path
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (REPO_ROOT, env.get("PYTHONPATH")) if path)
 
         bus = telemetry.enable()
-        supervisor = FleetSupervisor(spec, env=env)
+        supervisor = FleetSupervisor(attacked, env=env)
         stop = threading.Event()
         try:
             supervisor.up()

@@ -17,15 +17,11 @@ the sweep, created while the command's variables are exported, so every
 flag reaches them.  Socket-fleet workers are children of ``fleet up``
 (:func:`for_child`): they see the environment of the command that
 launched the fleet, not of the command that later submits work to it —
-``--trace`` or ``--chaos`` on ``repro-experiments --executor socket:…``
-act on the coordinator only.
+``--trace`` on ``repro-experiments --executor socket:…`` acts on the
+coordinator only.
 
-Two settings are resolved once per process, then held: the chaos
-controller (``REPRO_CHAOS``; every injection seam on the hot path is a
-single global load) and the telemetry bus (``REPRO_TELEMETRY``; one
-``None`` check per publish site).  :func:`exported` therefore drops the
-held controller when it exports ``REPRO_CHAOS`` and again when it
-restores it.
+One setting is resolved once per process, then held: the telemetry bus
+(``REPRO_TELEMETRY``; one ``None`` check per publish site).
 
 This module holds the only ``os.environ`` access under ``src/repro``
 and imports nothing above :mod:`repro.core.errors`; the resolvers that
@@ -43,10 +39,9 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional
 from repro.core.errors import ConfigurationError
 
 __all__ = [
-    "CACHE", "CACHE_DIR", "CHAOS", "CHAOS_INDEX", "EXECUTOR", "FIDELITY",
-    "FLAGS", "PROGRESS", "TELEMETRY", "TRACE_DIR", "VARIABLES", "WORKERS",
-    "add_flags", "check", "exported", "flag", "for_child", "integer",
-    "text",
+    "CACHE", "CACHE_DIR", "EXECUTOR", "FIDELITY", "FLAGS", "PROGRESS",
+    "TELEMETRY", "TRACE_DIR", "VARIABLES", "WORKERS", "add_flags", "check",
+    "exported", "flag", "for_child", "integer", "text",
 ]
 
 WORKERS = "REPRO_WORKERS"
@@ -57,8 +52,6 @@ CACHE_DIR = "REPRO_CACHE_DIR"
 TRACE_DIR = "REPRO_TRACE_DIR"
 PROGRESS = "REPRO_PROGRESS"
 TELEMETRY = "REPRO_TELEMETRY"
-CHAOS = "REPRO_CHAOS"
-CHAOS_INDEX = "REPRO_CHAOS_INDEX"
 
 _ON = ("1", "true", "yes", "on")
 _OFF = ("0", "false", "no", "off")
@@ -78,9 +71,6 @@ class Variable:
     resolver: str
 
 
-_CHAOS_RESOLVER = "repro.parallel.chaos:active_controller"
-_CHAOS_FORGET = "repro.parallel.chaos:disable"
-
 #: Every variable the package reads, in README order.
 VARIABLES = (
     Variable(WORKERS, "integer ≥ 1",
@@ -98,8 +88,6 @@ VARIABLES = (
              "repro.flow.fidelity:resolve_fidelity"),
     Variable(TELEMETRY, _TOGGLE,
              "repro.obs.telemetry:telemetry_enabled_by_env"),
-    Variable(CHAOS, "path to a `ChaosSpec` JSON file", _CHAOS_RESOLVER),
-    Variable(CHAOS_INDEX, "integer", _CHAOS_RESOLVER),
 )
 
 
@@ -205,12 +193,6 @@ FLAGS: Dict[str, Flag] = {
         PROGRESS,
         "live sweep progress/ETA on stderr (sets REPRO_PROGRESS=1)",
         {"action": "store_true"}, lambda given: "1"),
-    "--chaos": Flag(
-        CHAOS,
-        "inject deterministic infrastructure faults from a ChaosSpec "
-        "JSON file (see examples/chaos.json; sets REPRO_CHAOS for this "
-        "process and its children); results must stay bit-identical",
-        {"metavar": "FILE"}, os.path.abspath),
 }
 
 
@@ -236,7 +218,6 @@ def exported(prog: str, args, *options: str) -> Iterator[None]:
     environment is put back when the body leaves, however it leaves.
     """
     saved = {v.name: os.environ.get(v.name) for v in VARIABLES}
-    chaos_exported = False
     try:
         try:
             for option in options:
@@ -245,9 +226,6 @@ def exported(prog: str, args, *options: str) -> Iterator[None]:
                     continue
                 entry = FLAGS[option]
                 os.environ[entry.variable] = entry.encode(given)
-            chaos_exported = os.environ.get(CHAOS) != saved[CHAOS]
-            if chaos_exported:
-                _call(_CHAOS_FORGET)
             check()
         except (OSError, ConfigurationError) as exc:
             print(f"{prog}: {exc}", file=sys.stderr)
@@ -259,5 +237,3 @@ def exported(prog: str, args, *options: str) -> Iterator[None]:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-        if chaos_exported:
-            _call(_CHAOS_FORGET)

@@ -152,7 +152,7 @@ def flow_size_result(
 #: ``List[TransferSpec]`` (explicit seeds), hands it to
 #: ``_SESSION.run_many(specs)`` and reduces the returned reports — so
 #: each honours every run-level setting of :mod:`repro.core.env`
-#: (worker count, executor, cache, progress, tracing, chaos).
+#: (worker count, executor, cache, progress, tracing).
 #: ``_SESSION.open`` is the seam for the few experiments that need the
 #: live connection.
 _SESSION = Session()

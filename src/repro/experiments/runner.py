@@ -73,7 +73,7 @@ def load_all_experiments() -> None:
 #: The run-level flags both commands take (declared once, in
 #: :data:`repro.core.env.FLAGS`).
 _RUN_FLAGS = ("--workers", "--no-cache", "--fidelity", "--executor",
-              "--trace", "--progress", "--chaos")
+              "--trace", "--progress")
 
 
 def _workload_with_faults(workload, path: str):

@@ -85,8 +85,7 @@ def resilience_line(metrics: dict) -> Optional[str]:
 
     One line covering the fleet layer: supervisor restarts, executor
     redispatches/breaker trips, sweeps degraded to the local
-    pool, tasks that exhausted their retry budget, and chaos
-    injections (non-zero only under ``REPRO_CHAOS``).
+    pool, and tasks that exhausted their retry budget.
     """
     events = [
         ("restarts", _metric_total(metrics, "fleet.restarts")),
@@ -94,7 +93,6 @@ def resilience_line(metrics: dict) -> Optional[str]:
         ("breaker trips", _metric_total(metrics, "executor.breaker_trips")),
         ("degraded sweeps", _metric_total(metrics, "sweep.degraded")),
         ("failed tasks", _metric_total(metrics, "sweep.tasks_failed")),
-        ("chaos injected", _metric_total(metrics, "chaos.injected")),
     ]
     if not any(count for _, count in events):
         return None

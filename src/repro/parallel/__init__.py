@@ -22,9 +22,7 @@ one ``REPRO_CACHE_DIR``), the :mod:`~repro.parallel.service` CLI
 (``python -m repro.parallel submit/serve/cache``), and the
 self-healing fleet layer: :mod:`~repro.parallel.supervisor`
 (:class:`FleetSupervisor` + ``python -m repro.parallel fleet``) keeps
-socket workers alive through crashes and stalls, while
-:mod:`~repro.parallel.chaos` injects deterministic infrastructure
-faults (``REPRO_CHAOS``) so the healing paths stay tested.
+socket workers alive through crashes and stalls.
 
 :class:`SweepRunner` is the one-call surface over all of it.
 Every backend at every worker count produces bit-identical results:
@@ -35,7 +33,6 @@ finished first.
 """
 
 from repro.parallel.cache import ResultCache, code_fingerprint, spec_key
-from repro.parallel.chaos import ChaosController, ChaosEvent, ChaosSpec
 from repro.parallel.executors import (
     Executor,
     InProcessExecutor,
@@ -53,9 +50,6 @@ from repro.parallel.runner import (
 from repro.parallel.supervisor import FleetSpec, FleetSupervisor
 
 __all__ = [
-    "ChaosController",
-    "ChaosEvent",
-    "ChaosSpec",
     "Executor",
     "FleetSpec",
     "FleetSupervisor",

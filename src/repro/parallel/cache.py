@@ -46,7 +46,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core import env
 from repro.core.proc import pid_start_token, same_process
-from repro.parallel import chaos
 
 __all__ = ["ResultCache", "cache_enabled_by_env", "canonical_spec",
            "code_fingerprint", "default_cache_dir", "spec_key"]
@@ -295,11 +294,6 @@ class ResultCache:
                 raise
         except (OSError, pickle.PickleError):
             return False
-        controller = chaos.active_controller()
-        if controller is not None:
-            # Chaos seam: flip a payload byte *after* the atomic rename,
-            # modelling post-write bit rot the checksum must catch.
-            controller.on_cache_put(path, _HEADER_BYTES)
         return True
 
     # ------------------------------------------------------------------

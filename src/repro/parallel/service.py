@@ -242,7 +242,7 @@ def _run_remote(args) -> int:
 
 #: ``--executor``/``--workers`` also travel in the JOB frame as the
 #: client's request when ``--connect`` is given.
-_SUBMIT_FLAGS = ("--executor", "--workers", "--no-cache", "--chaos")
+_SUBMIT_FLAGS = ("--executor", "--workers", "--no-cache")
 
 
 def submit_main(argv: Optional[List[str]] = None) -> int:
@@ -354,7 +354,7 @@ def _serve_connection(conn: socket.socket, args, log) -> None:
     _handle_job(conn, wire.recv_json(payload), args, log)
 
 
-_SERVE_FLAGS = ("--executor", "--workers", "--chaos")
+_SERVE_FLAGS = ("--executor", "--workers")
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
@@ -418,9 +418,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         if telemetry_sink is not None:
             telemetry_sink.start()
 
-    # Nothing above has started anything.  Only --chaos is exported:
+    # Nothing above has started anything.  No flag is exported:
     # --executor/--workers are forced on each job as arguments.
-    with env.exported("serve", args, "--chaos"):
+    with env.exported("serve", args):
         try:
             return wire.serve_connections(
                 (host, port), "repro-serve",

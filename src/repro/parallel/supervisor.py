@@ -17,23 +17,21 @@ startup banner for the kernel-assigned port, hands the resulting
   between shards and are never touched.
 
 The launch command is a template (``command`` in the spec) with
-``{python}``/``{listen}``/``{heartbeat_s}`` placeholders, defaulting to
-a local subprocess — an ``ssh host ...`` template slots in for remote
-fleets without touching the supervisor (the follow-on ROADMAP item).
+``{python}``/``{listen}``/``{heartbeat_s}``/``{index}`` placeholders
+(``{index}`` numbers the workers 0..N-1), defaulting to a local
+subprocess — an ``ssh host ...`` template slots in for remote fleets
+without touching the supervisor.
 
 Fleet state (pid + start-token per worker) persists to a JSON file so
 ``python -m repro.parallel fleet status|down`` works from a different
 process; the start token (see :mod:`repro.core.proc`) keeps ``down``
 from killing an innocent process that recycled a worker's pid.
-
-Workers are numbered 0..N-1 and launched with ``REPRO_CHAOS_INDEX`` set
-accordingly, so a chaos spec (:mod:`repro.parallel.chaos`) can target
-"worker 1" deterministically.
 """
 
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import select
@@ -46,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.env import CHAOS_INDEX, add_flags, exported, for_child
+from repro.core.env import exported, for_child
 from repro.core.errors import (
     ConfigurationError,
     ExecutorError,
@@ -63,9 +61,10 @@ __all__ = ["FLEET_STATE_SCHEMA", "FleetSpec", "FleetSupervisor",
 
 FLEET_STATE_SCHEMA = "repro.parallel.fleet/v1"
 
-#: Launch template; every element is ``str.format``-ed with
-#: ``python`` (this interpreter), ``listen`` (HOST:PORT), and
-#: ``heartbeat_s``.  Replace with e.g. an ssh wrapper for remote hosts.
+#: Launch template; every element is ``str.format``-ed with the
+#: strings ``python`` (this interpreter), ``listen`` (HOST:PORT),
+#: ``heartbeat_s`` and ``index`` (the worker's number, 0..N-1).
+#: Replace with e.g. an ssh wrapper for remote hosts.
 DEFAULT_COMMAND = (
     "{python}", "-m", "repro.parallel", "worker",
     "--listen", "{listen}", "--heartbeat-s", "{heartbeat_s}", "--quiet",
@@ -74,6 +73,18 @@ DEFAULT_COMMAND = (
 _BANNER_RE = re.compile(
     r"repro-worker listening on (\S+):(\d+) pid=(\d+)"
 )
+
+
+def _format_command(command: Tuple[str, ...], listen: str,
+                    heartbeat_s: float, index: int) -> List[str]:
+    return [arg.format(python=sys.executable, listen=listen,
+                       heartbeat_s=f"{heartbeat_s:g}", index=str(index))
+            for arg in command]
+
+
+def _is_number(value: Any, types=(int, float)) -> bool:
+    """A JSON number: ``bool`` is an ``int`` to Python, not here."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def default_state_path() -> str:
@@ -100,43 +111,56 @@ class FleetSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.workers, int) and self.workers >= 1,
+        _require(_is_number(self.workers, int) and self.workers >= 1,
                  "FleetSpec.workers",
                  f"must be an int >= 1, got {self.workers!r}")
         _require(bool(self.host) and isinstance(self.host, str),
                  "FleetSpec.host", f"must be a host name, got {self.host!r}")
+        _require(isinstance(self.ports, (list, tuple)), "FleetSpec.ports",
+                 f"must be a list of ports, got {self.ports!r}")
         object.__setattr__(self, "ports", tuple(self.ports))
         _require(not self.ports or len(self.ports) == self.workers,
                  "FleetSpec.ports",
                  f"must list one port per worker ({self.workers}), "
                  f"got {len(self.ports)}")
         for port in self.ports:
-            _require(isinstance(port, int) and 0 < port < 65536,
+            _require(_is_number(port, int) and 0 < port < 65536,
                      "FleetSpec.ports", f"invalid port {port!r}")
         # Above a third of the executor's silence deadline, a healthy
         # worker would be declared dead between two beats.
-        _require(isinstance(self.heartbeat_s, (int, float))
+        _require(_is_number(self.heartbeat_s)
                  and 0 < self.heartbeat_s <= MAX_HEARTBEAT_INTERVAL_S,
                  "FleetSpec.heartbeat_s",
                  f"must be in (0, {MAX_HEARTBEAT_INTERVAL_S:g}], "
                  f"got {self.heartbeat_s!r}")
-        object.__setattr__(self, "command", tuple(self.command))
-        _require(len(self.command) >= 1
+        _require(isinstance(self.command, (list, tuple))
+                 and len(self.command) >= 1
                  and all(isinstance(arg, str) for arg in self.command),
                  "FleetSpec.command", "must be a list of strings")
+        object.__setattr__(self, "command", tuple(self.command))
         _require(any("{listen}" in arg for arg in self.command),
                  "FleetSpec.command", "must use the {listen} placeholder")
-        _require(isinstance(self.max_restarts, int) and self.max_restarts >= 0,
+        # Formatted once here, so a bad template fails as configuration
+        # rather than inside the first spawn.
+        try:
+            _format_command(self.command, f"{self.host}:0",
+                            self.heartbeat_s, 0)
+        except (AttributeError, IndexError, KeyError, ValueError) as exc:
+            raise ConfigurationError(
+                f"FleetSpec.command: bad placeholder ({exc!r}); known: "
+                f"{{python}} {{listen}} {{heartbeat_s}} {{index}}") from None
+        _require(_is_number(self.max_restarts, int) and self.max_restarts >= 0,
                  "FleetSpec.max_restarts",
                  f"must be an int >= 0, got {self.max_restarts!r}")
-        _require(isinstance(self.restart_backoff_s, (int, float))
-                 and self.restart_backoff_s >= 0,
+        _require(_is_number(self.restart_backoff_s)
+                 and 0 <= self.restart_backoff_s < math.inf,
                  "FleetSpec.restart_backoff_s",
-                 f"must be >= 0, got {self.restart_backoff_s!r}")
-        _require(isinstance(self.restart_backoff_cap_s, (int, float))
-                 and self.restart_backoff_cap_s >= self.restart_backoff_s,
+                 f"must be finite and >= 0, got {self.restart_backoff_s!r}")
+        _require(_is_number(self.restart_backoff_cap_s)
+                 and self.restart_backoff_s <= self.restart_backoff_cap_s
+                 < math.inf,
                  "FleetSpec.restart_backoff_cap_s",
-                 f"must be >= restart_backoff_s, "
+                 f"must be finite and >= restart_backoff_s, "
                  f"got {self.restart_backoff_cap_s!r}")
         _require(isinstance(self.label, str), "FleetSpec.label",
                  f"must be a string, got {self.label!r}")
@@ -156,7 +180,9 @@ class FleetSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FleetSpec":
         # __post_init__ turns the JSON lists back into tuples.
-        return cls(**_checked_kwargs(cls, data, "FleetSpec"))
+        kwargs = _checked_kwargs(cls, data, "FleetSpec")
+        _require("workers" in kwargs, "FleetSpec.workers", "missing")
+        return cls(**kwargs)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -254,30 +280,25 @@ class FleetSupervisor:
         self._write_state()
         return self.addresses
 
-    def _child_env(self, record: _WorkerRecord) -> Dict[str, str]:
-        env = for_child(self._env)
-        env[CHAOS_INDEX] = str(record.index)
+    def _child_env(self) -> Dict[str, str]:
         # The worker must import repro regardless of its cwd.
         import repro
 
+        env = for_child(self._env)
         src_dir = os.path.dirname(os.path.dirname(
             os.path.abspath(repro.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p
-        )
+            p for p in (src_dir, env.get("PYTHONPATH")) if p)
         return env
 
     def _spawn(self, record: _WorkerRecord) -> None:
-        listen = f"{record.host}:{record.port}"
-        command = [
-            arg.format(python=sys.executable, listen=listen,
-                       heartbeat_s=f"{self.spec.heartbeat_s:g}")
-            for arg in self.spec.command
-        ]
+        command = _format_command(self.spec.command,
+                                  f"{record.host}:{record.port}",
+                                  self.spec.heartbeat_s, record.index)
         record.proc = subprocess.Popen(
             command,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True, env=self._child_env(record),
+            text=True, env=self._child_env(),
         )
         record.launched_at = time.time()
 
@@ -523,7 +544,6 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
                          "(default %(default)s)")
     up.add_argument("--state", metavar="FILE", default=default_state_path(),
                     help="fleet state file (default %(default)s)")
-    add_flags(up, "--chaos")
 
     status = sub.add_parser("status", help="probe the recorded fleet")
     status.add_argument("--state", metavar="FILE",
@@ -538,8 +558,8 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.action == "up":
-        # Exported so the children inherit it (see repro.core.env).
-        with exported("fleet up", args, "--chaos"):
+        # Every variable is resolved before a worker inherits it.
+        with exported("fleet up", args):
             try:
                 spec = (FleetSpec.from_file(args.spec) if args.spec
                         else FleetSpec(workers=args.workers))

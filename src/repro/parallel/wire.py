@@ -3,7 +3,7 @@
 Every frame is a 9-byte header — one message-type byte, a 4-byte
 big-endian payload length, and a CRC32 of the payload — followed by
 the payload.  The checksum turns in-transit payload corruption (bit
-rot, a buggy middlebox, the chaos harness's ``frame_garbage`` fault)
+rot, a buggy middlebox, a truncated write from a dying worker)
 into a :class:`WireError` the executor can heal by redispatching,
 instead of silently unpickling damaged data.  Control frames
 (``HELLO``, ``DONE``, job submissions, streamed reports) carry UTF-8
@@ -48,12 +48,10 @@ import os
 import pickle
 import socket
 import struct
-import time
 import zlib
 from typing import Any, Callable, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ReproError
-from repro.parallel import chaos
 
 __all__ = [
     "WIRE_VERSION",
@@ -124,34 +122,10 @@ class WireError(ReproError):
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"",
                lock=None) -> None:
-    """Send one frame; ``lock`` serializes concurrent senders.
-
-    This is the chaos harness's wire seam: with ``REPRO_CHAOS`` armed,
-    an outbound RESULT frame may be truncated mid-payload (then the
-    socket is shut down, so the peer sees EOF inside a frame) or have
-    its payload garbled under an intact header.  The header CRC is
-    computed over the *clean* payload in both cases — the model is
-    corruption in transit, after the sender checksummed a healthy
-    frame — so the receiver always detects the damage.  Chaos off
-    costs one ``None`` check.
-    """
+    """Send one frame; ``lock`` serializes concurrent senders."""
     header = _HEADER.pack(msg_type, len(payload), zlib.crc32(payload))
-    truncate = False
-    controller = chaos.active_controller()
-    if controller is not None:
-        action = controller.frame_action(is_result=(msg_type == MSG_RESULT))
-        if action == "frame_garbage":
-            payload = controller.garble(payload)
-        elif action == "frame_truncate":
-            truncate = True
-            payload = payload[:max(1, len(payload) // 2)]
     with lock if lock is not None else _NO_LOCK:
         sock.sendall(header + payload)
-    if truncate:
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
 
 
 def send_json(sock: socket.socket, msg_type: int, obj: Any,
@@ -261,11 +235,6 @@ def accept_hello(conn: socket.socket, log: Callable[[str], None]) -> bool:
         log(f"refusing client: {problem}")
         send_json(conn, MSG_REFUSED, {"error": problem})
         return False
-    controller = chaos.active_controller()
-    if controller is not None:
-        delay_s = controller.connect_delay_s()
-        if delay_s > 0:
-            time.sleep(delay_s)  # chaos seam: a peer slow to handshake
     send_json(conn, MSG_HELLO, local_hello)
     return True
 
@@ -303,11 +272,17 @@ def dial(address: Tuple[str, int], timeout_s: float,
 
 
 def parse_address(text: str, allow_port_zero: bool = False) -> Tuple[str, int]:
-    """Parse one ``HOST:PORT``; port 0 only where the kernel may pick."""
+    """Parse one ``HOST:PORT``; port 0 only where the kernel may pick.
+
+    The listener is IPv4, so a host with ``:``, ``[]`` or spaces is refused.
+    """
     part = text.strip()
     host, sep, port_text = part.rpartition(":")
-    if not sep or not host or "," in part:
-        raise ConfigurationError(f"address must be one HOST:PORT, got {part!r}")
+    host = host.strip()
+    if (not sep or not host or "," in part
+            or any(c in ":[]" or c.isspace() for c in host)):
+        raise ConfigurationError(f"address must be one HOST:PORT with an "
+                                 f"IPv4 or named host, got {part!r}")
     try:
         port = int(port_text)
     except ValueError:

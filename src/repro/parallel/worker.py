@@ -17,7 +17,6 @@ cross-revision result mixing structurally impossible.
 """
 
 import argparse
-import json
 import os
 import pickle
 import socket
@@ -26,7 +25,7 @@ import threading
 import time
 from typing import List, Optional
 
-from repro.parallel import chaos, wire
+from repro.parallel import wire
 from repro.parallel.task import run_task_timed
 
 __all__ = ["main", "serve_worker"]
@@ -123,17 +122,10 @@ class _Heartbeat:
         self._thread.join(timeout=self._interval_s * 2)
 
     def _beat(self) -> bool:
-        controller = chaos.active_controller()
-        if controller is not None and controller.heartbeats_suppressed():
-            # Chaos seam: the worker keeps computing but its keepalives
-            # vanish — indistinguishable from a stall to the peer.
-            return True
-        payload = json.dumps(
-            self._stats.payload(self._interval_s)
-        ).encode("utf-8")
         try:
-            wire.send_frame(self._sock, wire.MSG_HEARTBEAT, payload,
-                            lock=self._lock)
+            wire.send_json(self._sock, wire.MSG_HEARTBEAT,
+                           self._stats.payload(self._interval_s),
+                           lock=self._lock)
         except OSError:
             return False  # connection gone; the main loop will notice
         return True
@@ -150,7 +142,6 @@ def _handle_connection(conn: socket.socket, heartbeat_s: float,
     if not wire.accept_hello(conn, log):
         return 0
     send_lock = threading.Lock()
-    controller = chaos.active_controller()
     stats = _ShardStats()
     shards_done = 0
     while True:
@@ -185,10 +176,6 @@ def _handle_connection(conn: socket.socket, heartbeat_s: float,
                     stats.start_task()
                     values.append(run_task_timed(task))
                     stats.finish_task()
-                    if controller is not None:
-                        # Chaos seam: kill/stall/heartbeat-drop trigger
-                        # on the completed-task counter.
-                        controller.on_task_done()
             except Exception as exc:
                 stats.finish_shard()
                 wire.send_json(

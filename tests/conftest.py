@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import env
 from repro.obs import telemetry
-from repro.parallel import chaos
 
 _DEFAULT_TIMEOUT_S = 120
 
@@ -45,19 +44,17 @@ def isolated_env(request, monkeypatch):
     """Opt-in: result cache off, every other run-level variable unset.
 
     A module's ``KEEP_ENV`` names variables to leave visible (CI varies
-    ``REPRO_EXECUTOR`` under some).  The two settings a process holds
-    once resolved — chaos controller, telemetry bus — are dropped on
-    the way in and out.
+    ``REPRO_EXECUTOR`` under some).  The one setting a process holds
+    once resolved — the telemetry bus — is dropped on the way in and
+    out.
     """
     keep = (env.CACHE_DIR, *getattr(request.module, "KEEP_ENV", ()))
     for variable in env.VARIABLES:
         if variable.name not in keep:
             monkeypatch.delenv(variable.name, raising=False)
     monkeypatch.setenv(env.CACHE, "0")
-    chaos.disable()
     telemetry.disable()
     yield
-    chaos.disable()
     telemetry.disable()
 
 

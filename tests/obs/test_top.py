@@ -149,10 +149,8 @@ class TestResilienceLine:
         line = resilience_line({
             "fleet.restarts{worker=127.0.0.1:9001}": 2.0,
             "fleet.restarts{worker=127.0.0.1:9002}": 1.0,
-            "chaos.injected{kind=worker_kill}": 1.0,
         })
         assert "restarts 3" in line
-        assert "chaos injected 1" in line
 
     def test_rendered_into_top_frame(self):
         bus = _busy_bus()

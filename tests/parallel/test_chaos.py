@@ -2,36 +2,35 @@
 
 Unit tests pin the deterministic trigger semantics (fake actions, no
 processes); the integration tests arm real chaos specs in real socket
-workers and assert the acceptance criterion of the robustness PR:
-**results stay bit-identical while the fleet is being hurt**.
+workers (:mod:`tests.parallel.chaos_worker`) and assert the acceptance
+criterion of the self-healing plane: **results stay bit-identical while
+the fleet is being hurt**.
 """
 
-import argparse
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
 import time
 
 import pytest
 
-from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.obs import telemetry
-from repro.parallel import SimTask, SweepRunner
-from repro.parallel.chaos import (
+from repro.parallel import SimTask, SweepRunner, task, wire, worker
+from tests.parallel import chaos_worker
+from tests.parallel.chaos import (
     KILL_EXIT_STATUS,
     ChaosController,
     ChaosEvent,
     ChaosSpec,
+    CorruptingCache,
+    arm,
 )
-from repro.parallel import chaos
 
-REPO_ROOT = os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__))
-))
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 
 
 pytestmark = pytest.mark.usefixtures("isolated_env")
@@ -115,6 +114,11 @@ class TestChaosSpec:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             ChaosSpec.from_json("{nope")
+
+    def test_the_sample_schedule_loads(self):
+        spec = ChaosSpec.from_file(os.path.join(HERE, "chaos.json"))
+        assert [event.target for event in spec.events] == [0, 1, 2, 3]
+        assert ChaosSpec.from_json(spec.to_json()) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -224,53 +228,72 @@ class TestCacheCorruptSeam:
     # The once-per-process corruption warning may or may not fire here
     # depending on test order; either way it is expected, not a defect.
     @pytest.mark.filterwarnings("ignore:sweep cache entry")
-    def test_checksum_turns_corruption_into_a_miss(self, tmp_path,
-                                                   monkeypatch):
-        from repro.parallel.cache import ResultCache
-
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        chaos.set_controller(_controller(
-            -1, ChaosEvent(kind="cache_corrupt", nth=1)))
-        cache = ResultCache(str(tmp_path), fingerprint="t")
+    def test_checksum_turns_corruption_into_a_miss(self, tmp_path):
+        controller = _controller(-1, ChaosEvent(kind="cache_corrupt", nth=1))
+        cache = CorruptingCache(controller, str(tmp_path), fingerprint="t")
         assert cache.put("aa" * 32, {"answer": 42})
         hit, value = cache.get("aa" * 32)
         assert (hit, value) == (False, None)  # never garbage, never a crash
 
+    @pytest.mark.filterwarnings("ignore:sweep cache entry")
+    def test_a_sweep_heals_a_corrupted_entry_by_recomputing(self, tmp_path):
+        tasks = [SimTask(fn="tests.parallel._tasks:double",
+                         kwargs={"value": i, "seed": i}, key=f"d{i}")
+                 for i in range(4)]
+        controller = _controller(-1, ChaosEvent(kind="cache_corrupt", nth=2))
+        cache = CorruptingCache(controller, str(tmp_path))
+        results = []
+        for _ in range(2):  # cold (the 2nd write rots), then warm
+            runner = SweepRunner(workers=1, cache=cache, executor="inprocess")
+            results.append(runner.run(tasks))
+        assert results[0] == results[1]
+        assert runner.last_stats.cache_hits == 3
+        assert controller.injected == {"cache_corrupt": 1}
+
 
 # ---------------------------------------------------------------------------
-# Process-wide activation
+# Arming: only a test arms chaos, through seams the product already has
 # ---------------------------------------------------------------------------
 class TestActivation:
     def test_off_by_default(self):
-        assert chaos.active_controller() is None
+        assert worker.run_task_timed is task.run_task_timed
+        assert wire.send_frame.__module__ == "repro.parallel.wire"
 
-    def test_env_resolves_spec_file_once(self, tmp_path, monkeypatch):
+    def test_arm_wraps_both_seams_and_monkeypatch_restores_them(
+            self, monkeypatch):
+        controller = _controller(
+            0, ChaosEvent(kind="worker_kill", after_tasks=2))
+        with monkeypatch.context() as patch:
+            arm(controller, patch.setattr)
+            run = SimTask(fn="tests.parallel._tasks:double",
+                          kwargs={"value": 3, "seed": 1}, key="d")
+            for _ in range(3):
+                assert worker.run_task_timed(run)[0] == {"value": 6,
+                                                         "seed": 1}
+            assert controller._actions.kills == 1
+            assert wire.send_frame.__module__ == "tests.parallel.chaos"
+        self.test_off_by_default()
+
+    def test_worker_entry_arms_its_spec_as_its_index(self, tmp_path,
+                                                     monkeypatch):
         spec = ChaosSpec(
             events=(ChaosEvent(kind="worker_kill", after_tasks=1),),
-            label="from-env",
+            label="from-file",
         )
         path = tmp_path / "chaos.json"
         path.write_text(spec.to_json())
-        monkeypatch.setenv(env.CHAOS, str(path))
-        monkeypatch.setenv(env.CHAOS_INDEX, "3")
-        chaos.disable()
-        controller = chaos.active_controller()
-        assert controller is not None
-        assert controller.spec.label == "from-env"
-        assert controller.index == 3
-        assert chaos.active_controller() is controller  # cached
-
-    def test_set_controller_overrides(self):
-        controller = _controller(
-            0, ChaosEvent(kind="worker_kill", after_tasks=1))
-        chaos.set_controller(controller)
-        assert chaos.active_controller() is controller
-        chaos.set_controller(None)
-        assert chaos.active_controller() is None
+        armed, served = [], []
+        monkeypatch.setattr(chaos_worker, "arm", armed.append)
+        monkeypatch.setattr(worker, "main",
+                            lambda argv: served.append(argv) or 0)
+        assert chaos_worker.main(["--spec", str(path), "--index", "3", "--",
+                                  "--listen", "127.0.0.1:0"]) == 0
+        assert [(c.spec, c.index) for c in armed] == [(spec, 3)]
+        assert served == [["--listen", "127.0.0.1:0"]]
 
 
 # ---------------------------------------------------------------------------
-# ``--chaos FILE``: one helper, validated by every CLI before it starts
+# ``--chaos FILE`` is no option of any CLI: refused before anything starts
 # ---------------------------------------------------------------------------
 def _chaos_clis():
     from repro.experiments.runner import run_spec_main
@@ -308,32 +331,15 @@ class TestChaosFlag:
         # Nothing may be launched: a sweep, a listening socket, a worker.
         for owner, attr in ((subprocess, "Popen"), (SweepRunner, "run")):
             monkeypatch.setattr(owner, attr, lambda *a, **k: pytest.fail(
-                f"{prog} started work before validating --chaos"))
+                f"{prog} started work on a --chaos flag"))
+        before = dict(os.environ)
         with pytest.raises(SystemExit) as excinfo:
             _chaos_clis()[prog](["--chaos", str(path)])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"{prog}: ")
-        assert captured.err.count("\n") == 1  # one line, no traceback
-        assert env.CHAOS not in os.environ
-
-    def test_good_file_is_exported_as_an_absolute_path(self, tmp_path,
-                                                       monkeypatch):
-        monkeypatch.setenv(env.CHAOS, "")
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "chaos.json").write_text(ChaosSpec(events=(
-            ChaosEvent(kind="worker_kill", after_tasks=1),)).to_json())
-        with env.exported("test", argparse.Namespace(chaos=None), "--chaos"):
-            assert os.environ[env.CHAOS] == ""
-        with env.exported("test", argparse.Namespace(chaos="chaos.json"),
-                          "--chaos"):
-            assert os.environ[env.CHAOS] == str(tmp_path / "chaos.json")
-            controller = chaos.active_controller()
-            assert controller.spec.events[0].kind == "worker_kill"
-        # The flag, and the controller held under it, end with the command.
-        assert os.environ[env.CHAOS] == ""
-        assert chaos.active_controller() is None
+        assert "unrecognized arguments: --chaos" in captured.err
+        assert dict(os.environ) == before
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +347,14 @@ class TestChaosFlag:
 # ---------------------------------------------------------------------------
 def _spawn_chaos_worker(chaos_path, index):
     """One loopback worker with the chaos spec armed at role ``index``."""
-    child = env.for_child()
-    child[env.CHAOS] = str(chaos_path)
-    child[env.CHAOS_INDEX] = str(index)
+    child = dict(os.environ)
     child["PYTHONPATH"] = os.pathsep.join(
         path for path in (os.path.join(REPO_ROOT, "src"), REPO_ROOT,
                           child.get("PYTHONPATH")) if path
     )
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.parallel", "worker",
+        [sys.executable, "-m", "tests.parallel.chaos_worker",
+         "--spec", str(chaos_path), "--index", str(index), "--",
          "--listen", "127.0.0.1:0", "--quiet", "--heartbeat-s", "0.05"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, env=child, cwd=REPO_ROOT,
@@ -448,8 +453,3 @@ class TestChaosIntegration:
             assert fleet[0][0].poll() is None
         finally:
             _reap([proc for proc, _ in fleet])
-
-    def test_chaos_off_has_no_controller(self):
-        # The zero-overhead claim rests on this: unset env, one global
-        # load, no controller object anywhere in the hot path.
-        assert chaos.active_controller() is None

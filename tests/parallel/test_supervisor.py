@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro.core.env import CHAOS_INDEX
 from repro.core.errors import ConfigurationError, ExecutorError
 from repro.core.proc import pid_alive
 from repro.obs import telemetry
@@ -85,6 +84,28 @@ class TestFleetSpec:
         with pytest.raises(ConfigurationError, match="unknown fields"):
             FleetSpec.from_json('{"workers": 2, "replicas": 3}')
 
+    @pytest.mark.parametrize("text, field", [
+        ('{}', "workers"),
+        ('{"workers": 2, "ports": 5}', "ports"),
+        ('{"workers": 1, "ports": [true]}', "ports"),
+        ('{"workers": true}', "workers"),
+        ('{"workers": 1, "heartbeat_s": true}', "heartbeat_s"),
+        ('{"workers": 1, "max_restarts": false}', "max_restarts"),
+        ('{"workers": 1, "command": 5}', "command"),
+        ('{"workers": 1, "command": ["{listen}", "{bogus}"]}', "command"),
+        ('{"workers": 1, "command": ["{listen}", "{"]}', "command"),
+        ('{"workers": 1, "command": ["{listen}", "{heartbeat_s:x}"]}',
+         "command"),
+        ('{"workers": 1, "command": ["{listen}", "{0}"]}', "command"),
+        ('{"workers": 1, "restart_backoff_s": Infinity}',
+         "restart_backoff_s"),
+        ('{"workers": 1, "restart_backoff_cap_s": Infinity}',
+         "restart_backoff_cap_s"),
+    ])
+    def test_bad_fleet_json_fails_typed_naming_the_field(self, text, field):
+        with pytest.raises(ConfigurationError, match=f"FleetSpec.{field}:"):
+            FleetSpec.from_json(text)
+
 
 class TestLifecycle:
     def test_up_sweep_down(self, tmp_path):
@@ -119,7 +140,7 @@ class TestLifecycle:
         # Worker 0 prints its banner and lingers; worker 1 exits at once.
         script = (
             "import os, sys, time\n"
-            f"if os.environ['{CHAOS_INDEX}'] == '1':\n"
+            "if sys.argv[2] == '1':\n"
             "    sys.exit(3)\n"
             "print('repro-worker listening on ' + sys.argv[1]"
             " + ' pid=' + str(os.getpid()), flush=True)\n"
@@ -127,7 +148,8 @@ class TestLifecycle:
         )
         state_path = str(tmp_path / "fleet.json")
         supervisor = FleetSupervisor(
-            _fast_spec(command=("{python}", "-c", script, "{listen}")),
+            _fast_spec(command=("{python}", "-c", script, "{listen}",
+                                "{index}")),
             state_path=state_path)
         with pytest.raises(ExecutorError, match="worker 1"):
             supervisor.up()

@@ -1,16 +1,19 @@
 """Wire framing robustness: EOF, truncation, garbage, checksums."""
 
+import argparse
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
-from repro.parallel import chaos, wire
-from repro.parallel.chaos import ChaosController, ChaosEvent, ChaosSpec
+from repro.core.errors import ConfigurationError
+from repro.parallel import resolve_executor_spec, wire
+from tests.parallel.chaos import ChaosController, ChaosEvent, ChaosSpec, arm
 
 
-pytestmark = pytest.mark.usefixtures("isolated_env")  # no ambient chaos
+pytestmark = pytest.mark.usefixtures("isolated_env")
 
 
 @pytest.fixture
@@ -106,32 +109,58 @@ class TestRobustness:
             wire.recv_frame(right)
 
 
-class TestChaosWireSeam:
-    def _arm(self, kind, nth=1, seed=0):
-        spec = ChaosSpec(
-            events=(ChaosEvent(kind=kind, target=0, nth=nth),), seed=seed)
-        chaos.set_controller(ChaosController(spec, index=0,
-                                             actions=object()))
+class TestAddresses:
+    def test_whitespace_around_the_host_is_stripped(self):
+        assert wire.parse_address(" h : 80 ") == ("h", 80)
 
-    def test_truncated_result_frame_raises_at_receiver(self, pair):
+    @pytest.mark.parametrize("text", [
+        "h:80:90",      # host "h:80"
+        "[::1]:80",     # an IPv6 literal; the listener is IPv4 only
+        "[h]:80",
+        "h x:80",       # whitespace inside the host
+    ])
+    def test_a_host_that_can_never_resolve_is_configuration(self, text):
+        # --connect and socket:… specs parse with it, --listen through it.
+        with pytest.raises(ConfigurationError, match="HOST:PORT"):
+            wire.parse_address(text)
+        with pytest.raises(ConfigurationError, match="HOST:PORT"):
+            resolve_executor_spec(f"socket:{text}")
+        with pytest.raises(argparse.ArgumentTypeError, match="HOST:PORT"):
+            wire.listen_address(text)
+
+
+class TestChaosWireSeam:
+    """The harness's wire wrapper, installed in-process."""
+
+    @pytest.fixture
+    def armed(self, monkeypatch):
+        def arm_one(kind, seed=0, **trigger):
+            spec = ChaosSpec(events=(ChaosEvent(kind=kind, **trigger),),
+                             seed=seed)
+            controller = ChaosController(spec, index=0, actions=object())
+            arm(controller, monkeypatch.setattr)
+            return controller
+        return arm_one
+
+    def test_truncated_result_frame_raises_at_receiver(self, pair, armed):
         left, right = pair
-        self._arm("frame_truncate")
+        armed("frame_truncate", nth=1)
         wire.send_pickle(left, wire.MSG_RESULT, (0, [{"v": 1}] * 8))
         with pytest.raises(wire.WireError):
             wire.recv_frame(right)
 
-    def test_garbled_result_frame_fails_its_checksum(self, pair):
+    def test_garbled_result_frame_fails_its_checksum(self, pair, armed):
         left, right = pair
-        self._arm("frame_garbage")
+        armed("frame_garbage", nth=1)
         wire.send_pickle(left, wire.MSG_RESULT, (0, [{"v": 1}] * 8))
         # The CRC was computed over the clean payload, so the flip is
         # always detected — never silently unpickled.
         with pytest.raises(wire.WireError, match="checksum mismatch"):
             wire.recv_frame(right)
 
-    def test_heartbeats_do_not_advance_the_frame_counter(self, pair):
+    def test_heartbeats_do_not_advance_the_frame_counter(self, pair, armed):
         left, right = pair
-        self._arm("frame_garbage", nth=1)
+        armed("frame_garbage", nth=1)
         # Heartbeat cadence is wall-clock-driven; if it advanced the
         # counter, "the 1st RESULT frame" would be nondeterministic.
         wire.send_frame(left, wire.MSG_HEARTBEAT)
@@ -143,9 +172,36 @@ class TestChaosWireSeam:
         with pytest.raises(wire.WireError, match="checksum mismatch"):
             wire.recv_frame(right)
 
+    def test_dropped_heartbeats_vanish_and_results_still_go(self, pair,
+                                                            armed):
+        left, right = pair
+        controller = armed("heartbeat_drop", after_tasks=1, duration_s=30.0)
+        wire.send_frame(left, wire.MSG_HEARTBEAT)  # not suppressed yet
+        controller.on_task_done()
+        wire.send_json(left, wire.MSG_HEARTBEAT, {"pid": 1})
+        wire.send_pickle(left, wire.MSG_RESULT, (0, [{"v": 1}]))
+        assert wire.recv_frame(right) == (wire.MSG_HEARTBEAT, b"")
+        assert wire.recv_frame(right)[0] == wire.MSG_RESULT
+        assert controller.injected == {"heartbeat_drop": 1}
+
+    def test_slow_connect_delays_the_first_hello_reply(self, pair, armed):
+        client, server = pair
+        wire.send_json(client, wire.MSG_HELLO, wire.hello_payload())
+        controller = armed("slow_connect", duration_s=0.3)
+        walls = []
+        for _ in range(2):
+            started = time.monotonic()
+            assert wire.accept_hello(server, log=lambda message: None)
+            walls.append(time.monotonic() - started)
+            assert wire.recv_frame(client)[0] == wire.MSG_HELLO
+            wire.send_json(client, wire.MSG_HELLO, wire.hello_payload())
+        assert walls[0] >= 0.3 > walls[1]
+        assert controller.injected == {"slow_connect": 1}
+
     def test_chaos_off_sends_clean_frames(self, pair):
         left, right = pair
-        assert chaos.active_controller() is None
+        # Nothing is armed unless a test arms it: the seam is wire's own.
+        assert wire.send_frame.__module__ == "repro.parallel.wire"
         wire.send_pickle(left, wire.MSG_RESULT, (0, [{"v": 1}]))
         msg_type, _ = wire.recv_frame(right)
         assert msg_type == wire.MSG_RESULT

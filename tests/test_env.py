@@ -2,7 +2,7 @@
 
 Explicit argument > variable > default; a flag is the variable for the
 length of its command.  One row per variable (``repro.core.env``'s own
-table says there are ten), one command line per CLI.
+table says there are eight), one command line per CLI.
 """
 
 import argparse
@@ -21,13 +21,9 @@ from repro.obs import telemetry
 from repro.obs.progress import progress_enabled_by_env
 from repro.obs.trace import active_trace_dir
 from repro.parallel import (
-    ChaosController,
-    ChaosEvent,
-    ChaosSpec,
     ResultCache,
     SweepRunner,
     TaskFailure,
-    chaos,
     resolve_executor_spec,
     resolve_workers,
 )
@@ -36,19 +32,11 @@ from repro.workload import TransferSpec, WorkloadSpec
 
 pytestmark = pytest.mark.usefixtures("isolated_env")
 
-_SPEC = ChaosSpec(events=(ChaosEvent(kind="worker_kill", after_tasks=1),),
-                  label="from-env")
 _HOME_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "repro-sweep")
 
 
 def _serial(**kwargs):
     return SweepRunner(workers=1, executor="inprocess", **kwargs)
-
-
-def _chaos_label():
-    chaos.disable()  # held per process once resolved
-    controller = chaos.active_controller()
-    return controller and controller.spec.label
 
 
 def _bus_with_plane_enabled():
@@ -60,7 +48,7 @@ def _bus_with_plane_enabled():
 class Row:
     resolve: Callable[[], Any]
     default: Any
-    #: variable text -> resolved value ("{chaos}": a ChaosSpec file).
+    #: variable text -> resolved value.
     from_env: Tuple[str, Any]
     #: Text outside the domain (None: every text is in it).
     garbage: Optional[str] = None
@@ -99,30 +87,22 @@ ROWS = {
     env.TELEMETRY: Row(
         telemetry.telemetry_enabled_by_env, False, ("on", True), "2",
         ("0", _bus_with_plane_enabled, True)),
-    env.CHAOS: Row(
-        _chaos_label, None, ("{chaos}", "from-env"), "/no/such/chaos.json",
-        None, ("--chaos", "{chaos}", "/no/such/chaos.json", "from-env")),
-    env.CHAOS_INDEX: Row(
-        lambda: ChaosController(_SPEC).index, -1, ("3", 3), "three",
-        ("3", lambda: ChaosController(_SPEC, index=7).index, 7)),
 }
 
 
 @pytest.fixture
 def fill(tmp_path):
-    """Substitute the per-test paths into a row's text."""
-    (tmp_path / "chaos.json").write_text(_SPEC.to_json())
-
+    """Substitute the per-test path into a row's text."""
     def substitute(value):
         if not isinstance(value, str):
             return value
-        return value.format(tmp=tmp_path, chaos=tmp_path / "chaos.json")
+        return value.format(tmp=tmp_path)
     return substitute
 
 
-def test_the_table_is_the_ten_variables():
+def test_the_table_is_the_eight_variables():
     assert set(ROWS) == {variable.name for variable in env.VARIABLES}
-    assert len(env.VARIABLES) == 10
+    assert len(env.VARIABLES) == 8
 
 
 @pytest.mark.parametrize("name", ROWS)
@@ -147,14 +127,11 @@ def test_explicit_argument_beats_variable(name, monkeypatch):
 
 @pytest.mark.parametrize("name", [n for n in ROWS if ROWS[n].garbage])
 def test_garbage_is_a_configuration_error_naming_the_variable(
-        name, fill, monkeypatch):
-    if name == env.CHAOS_INDEX:  # only read when chaos is armed
-        monkeypatch.setenv(env.CHAOS, fill("{chaos}"))
+        name, monkeypatch):
     monkeypatch.setenv(name, ROWS[name].garbage)
     with pytest.raises(ConfigurationError, match=name):
         ROWS[name].resolve()
     with pytest.raises(ConfigurationError, match=name):
-        chaos.disable()
         env.check()
 
 
@@ -209,21 +186,17 @@ def _clis(tmp_path):
     workload.write_text(WorkloadSpec(name="env-test", seed=4, transfers=(
         TransferSpec(kind="tcp", condition=condition, nbytes=16 * 1024,
                      path="wifi", seed=1),)).to_json())
-    # Role 0 is a fleet worker: armed here, it fires in none of these.
-    (tmp_path / "chaos.json").write_text(_SPEC.to_json())
     sweep = ["--workers", "2", "--executor", "inprocess"]
-    chaos_flag = ["--chaos", str(tmp_path / "chaos.json")]
-    run = sweep + chaos_flag + ["--no-cache", "--fidelity", "flow",
-                                "--trace", str(tmp_path / "t"), "--progress"]
+    run = sweep + ["--no-cache", "--fidelity", "flow",
+                   "--trace", str(tmp_path / "t"), "--progress"]
     return {
         "repro-experiments": (experiments_main, ["failover", "--fast"], run),
         "run-spec": (experiments_main, ["run-spec", str(workload)], run),
-        "submit": (submit_main, [str(workload)],
-                   sweep + chaos_flag + ["--no-cache"]),
+        "submit": (submit_main, [str(workload)], sweep + ["--no-cache"]),
         "crowd": (crowd_main, ["--users", "300"], sweep + ["--progress"]),
         # These two serve until interrupted: only their refusals run here.
-        "serve": (serve_main, [], sweep + chaos_flag),
-        "fleet up": (fleet_main, ["up"], chaos_flag),
+        "serve": (serve_main, [], sweep),
+        "fleet up": (fleet_main, ["up"], []),
     }
 
 
@@ -262,7 +235,6 @@ def test_a_command_with_every_flag_leaves_no_setting_behind(
     before = _settings()
     assert main(argv + flags) == 0
     assert _settings() == before
-    assert chaos.active_controller() is None
 
     def poisoned(self, tasks):
         raise SweepTaskError([TaskFailure(0, "poison", "boom", 1)])

@@ -8,6 +8,10 @@ types those replaced must not grow back beside them.
 import inspect
 import os
 import re
+import subprocess
+import sys
+
+import pytest
 
 import repro.linkem
 import repro.workload
@@ -51,6 +55,44 @@ def test_replaced_identifiers_appear_nowhere():
     assert _grep(REPLACED, "src", "examples", "docs", "README.md") == []
     assert not os.path.exists(
         os.path.join(REPO_ROOT, "src", "repro", "mptcp", "events.py"))
+
+
+def _chaos_clis():
+    from repro.experiments.runner import main as experiments_main
+    from repro.parallel.service import serve_main, submit_main
+    from repro.parallel.supervisor import fleet_main
+
+    workload = os.path.join(REPO_ROOT, "examples", "workload.json")
+    return {
+        "repro-experiments": lambda flag: experiments_main(["fig08"] + flag),
+        "submit": lambda flag: submit_main([workload] + flag),
+        "serve": lambda flag: serve_main(flag),
+        "fleet up": lambda flag: fleet_main(["up"] + flag),
+    }
+
+
+def test_chaos_appears_nowhere_in_the_product():
+    # The infrastructure chaos harness lives under tests/parallel/.
+    assert _grep(re.compile("chaos", re.IGNORECASE), "src") == []
+
+
+@pytest.mark.parametrize("prog", ["repro-experiments", "submit", "serve",
+                                  "fleet up"])
+def test_no_cli_takes_a_chaos_flag(prog, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        _chaos_clis()[prog](["--chaos", "x"])
+    assert excinfo.value.code == 2
+    assert "--chaos" in capsys.readouterr().err
+
+
+def test_importing_the_plane_loads_no_chaos_module():
+    probe = ("import sys, repro, repro.parallel, repro.parallel.worker\n"
+             "print([name for name in sys.modules if 'chaos' in name])")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.path.join(
+            REPO_ROOT, "src")}).stdout
+    assert out.strip() == "[]"
 
 
 def test_experiments_have_one_way_to_build_a_network_and_run_a_batch():
