@@ -20,25 +20,17 @@ Quickstart
 True
 """
 
-from repro.core.rng import DEFAULT_SEED
-from repro.net.path import PathConfig
-from repro.net.trace import DeliveryTrace
-from repro.tcp.config import TcpConfig
-from repro.tcp.connection import TcpConnection
-from repro.mptcp.connection import MptcpConnection, MptcpOptions
-from repro.scenario import Scenario, TransferResult
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_SEED",
-    "PathConfig",
-    "DeliveryTrace",
-    "TcpConfig",
-    "TcpConnection",
-    "MptcpConnection",
-    "MptcpOptions",
-    "Scenario",
-    "TransferResult",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_SEED": ".core.rng",
+    "PathConfig": ".net.path",
+    "DeliveryTrace": ".net.trace",
+    "TcpConfig": ".tcp.config",
+    "TcpConnection": ".tcp.connection",
+    "MptcpConnection": ".mptcp.connection", "MptcpOptions": ".mptcp.connection",
+    "Scenario": ".scenario", "TransferResult": ".scenario",
+})
+__all__.append("__version__")

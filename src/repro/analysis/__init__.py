@@ -1,45 +1,20 @@
 """Analysis toolkit: CDFs, paper metrics, timelines, and reports."""
 
-from repro.analysis.cdf import Cdf, SketchCdf
-from repro.analysis.sketch import LabeledCounters, QuantileSketch
-from repro.analysis.stats import (
-    median,
-    percentile,
-    relative_difference,
-    relative_ratio,
-    fraction_below,
-    fraction_above,
-)
-from repro.analysis.throughput import (
-    average_throughput_series,
-    instantaneous_throughput_series,
-)
-from repro.analysis.plotting import ascii_cdf, ascii_series, ascii_timeline
-from repro.analysis.report import Table
-from repro.analysis.bootstrap import BootstrapResult, bootstrap_ci, jain_fairness_index
-from repro.analysis.export import write_dat, write_series_files, gnuplot_script
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cdf",
-    "SketchCdf",
-    "QuantileSketch",
-    "LabeledCounters",
-    "median",
-    "percentile",
-    "relative_difference",
-    "relative_ratio",
-    "fraction_below",
-    "fraction_above",
-    "average_throughput_series",
-    "instantaneous_throughput_series",
-    "ascii_cdf",
-    "ascii_series",
-    "ascii_timeline",
-    "Table",
-    "BootstrapResult",
-    "bootstrap_ci",
-    "jain_fairness_index",
-    "write_dat",
-    "write_series_files",
-    "gnuplot_script",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Cdf": ".cdf", "SketchCdf": ".cdf",
+    "QuantileSketch": ".sketch", "LabeledCounters": ".sketch",
+    "median": ".stats", "percentile": ".stats",
+    "relative_difference": ".stats", "relative_ratio": ".stats",
+    "fraction_below": ".stats", "fraction_above": ".stats",
+    "average_throughput_series": ".throughput",
+    "instantaneous_throughput_series": ".throughput",
+    "ascii_cdf": ".plotting", "ascii_series": ".plotting",
+    "ascii_timeline": ".plotting",
+    "Table": ".report",
+    "BootstrapResult": ".bootstrap", "bootstrap_ci": ".bootstrap",
+    "jain_fairness_index": ".bootstrap",
+    "write_dat": ".export", "write_series_files": ".export",
+    "gnuplot_script": ".export",
+})

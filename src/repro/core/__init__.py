@@ -6,28 +6,13 @@ discrete-event scheduler: components register callbacks at absolute or
 relative simulated times, and the loop executes them in timestamp order.
 """
 
-from repro.core.errors import (
-    ReproError,
-    SimulationError,
-    ConfigurationError,
-    TraceFormatError,
-)
-from repro.core.events import EventLoop, Event, Timer
-from repro.core.packet import Packet, PacketFlags
-from repro.core.rng import RngStreams, DEFAULT_SEED
-from repro.core import units
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "SimulationError",
-    "ConfigurationError",
-    "TraceFormatError",
-    "EventLoop",
-    "Event",
-    "Timer",
-    "Packet",
-    "PacketFlags",
-    "RngStreams",
-    "DEFAULT_SEED",
-    "units",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ReproError": ".errors", "SimulationError": ".errors",
+    "ConfigurationError": ".errors", "TraceFormatError": ".errors",
+    "EventLoop": ".events", "Event": ".events", "Timer": ".events",
+    "Packet": ".packet", "PacketFlags": ".packet",
+    "RngStreams": ".rng", "DEFAULT_SEED": ".rng",
+    "units": ".units",
+})

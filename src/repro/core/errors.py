@@ -8,7 +8,7 @@ simulation faults.
 
 import dataclasses
 import json
-from typing import Any, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping
 
 
 class ReproError(Exception):
@@ -49,6 +49,28 @@ def json_object(text: str, what: str) -> Mapping[str, Any]:
             f"{what} must hold a JSON object, got {type(data).__name__}"
         )
     return data
+
+
+_REQUIRED = object()
+
+
+def json_field(data: Mapping[str, Any], name: str,
+               convert: Callable[[Any], Any], where: str,
+               default: Any = _REQUIRED) -> Any:
+    """``convert(data[name])``; ``default`` (converted) when absent.
+
+    A missing required field, or one ``convert`` rejects with
+    ``TypeError``/``ValueError``, raises :class:`ConfigurationError`
+    naming ``where`` and the field.
+    """
+    if name not in data and default is _REQUIRED:
+        raise ConfigurationError(f"{where}: missing field {name!r}")
+    raw = data.get(name, default)
+    try:
+        return convert(raw)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{where}: field {name!r} is malformed: {raw!r}") from None
 
 
 class SimulationError(ReproError):

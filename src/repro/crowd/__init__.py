@@ -19,35 +19,19 @@ streaming sketches, sharded across the sweep engine.
 of the default population.
 """
 
-from repro.crowd.geo import GeoPoint, haversine_km
-from repro.crowd.world import CrowdWorld, SiteProfile, TABLE1_SITES
-from repro.crowd.dataset import Dataset, MeasurementRun
-from repro.crowd.kmeans import GeoCluster, cluster_runs
-from repro.crowd.operators import AppProfile, DiurnalCurve, OperatorProfile
-from repro.crowd.sampling import CrowdSampler, PopulationSpec, RunColumns
-from repro.crowd.aggregate import CrowdSketch, SketchSink, make_sink
-from repro.crowd.pipeline import CrowdResult, simulate, table1_runs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeoPoint",
-    "haversine_km",
-    "SiteProfile",
-    "TABLE1_SITES",
-    "CrowdWorld",
-    "MeasurementRun",
-    "Dataset",
-    "GeoCluster",
-    "cluster_runs",
-    "OperatorProfile",
-    "DiurnalCurve",
-    "AppProfile",
-    "CrowdSampler",
-    "PopulationSpec",
-    "RunColumns",
-    "CrowdSketch",
-    "SketchSink",
-    "make_sink",
-    "CrowdResult",
-    "simulate",
-    "table1_runs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "GeoPoint": ".geo", "haversine_km": ".geo",
+    "SiteProfile": ".world", "TABLE1_SITES": ".world", "CrowdWorld": ".world",
+    "MeasurementRun": ".dataset", "Dataset": ".dataset",
+    "GeoCluster": ".kmeans", "cluster_runs": ".kmeans",
+    "OperatorProfile": ".operators", "DiurnalCurve": ".operators",
+    "AppProfile": ".operators",
+    "CrowdSampler": ".sampling", "PopulationSpec": ".sampling",
+    "RunColumns": ".sampling",
+    "CrowdSketch": ".aggregate", "SketchSink": ".aggregate",
+    "make_sink": ".aggregate",
+    "CrowdResult": ".pipeline", "simulate": ".pipeline",
+    "table1_runs": ".pipeline",
+})

@@ -8,15 +8,11 @@ FIN — which is why Backup mode saves almost no energy for flows
 shorter than 15 s.
 """
 
-from repro.energy.states import RadioPowerModel, LTE_POWER_MODEL, WIFI_POWER_MODEL, BASE_POWER_W
-from repro.energy.monitor import PowerMonitor, InterfaceActivityLog, activity_logs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RadioPowerModel",
-    "LTE_POWER_MODEL",
-    "WIFI_POWER_MODEL",
-    "BASE_POWER_W",
-    "PowerMonitor",
-    "InterfaceActivityLog",
-    "activity_logs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "RadioPowerModel": ".states", "LTE_POWER_MODEL": ".states",
+    "WIFI_POWER_MODEL": ".states", "BASE_POWER_W": ".states",
+    "PowerMonitor": ".monitor", "InterfaceActivityLog": ".monitor",
+    "activity_logs": ".monitor",
+})

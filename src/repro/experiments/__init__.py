@@ -8,6 +8,8 @@ paper in EXPERIMENTS.md.  ``fast=True`` shrinks sweep sizes for the
 test suite; benchmarks run the full versions.
 """
 
-from repro.experiments.common import ExperimentResult, EXPERIMENTS
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentResult", "EXPERIMENTS"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ExperimentResult": ".common", "EXPERIMENTS": ".common",
+})

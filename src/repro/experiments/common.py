@@ -6,11 +6,8 @@ paper's target values for side-by-side comparison.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.analysis.bootstrap import bootstrap_ci
-from repro.analysis.cdf import Cdf
-from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
 from repro.linkem.conditions import ConditionSpec, make_conditions
 from repro.mptcp.connection import MptcpOptions
@@ -18,6 +15,9 @@ from repro.parallel import SimTask, SweepRunner
 from repro.tcp.config import TcpConfig
 from repro.workload import Session, TransferSpec, config_overrides
 from repro.workload.spec import mptcp_option_overrides
+
+if TYPE_CHECKING:
+    from repro.analysis.cdf import Cdf
 
 __all__ = [
     "ExperimentResult",
@@ -110,8 +110,11 @@ class ExperimentResult:
 
 def relative_difference_cdfs(
     samples: Dict[str, List[float]]
-) -> Tuple[Dict[str, Cdf], str]:
+) -> Tuple[Dict[str, "Cdf"], str]:
     """CDFs of the non-empty sample sets, and their overlaid plot."""
+    from repro.analysis.cdf import Cdf
+    from repro.analysis.plotting import ascii_cdf
+
     cdfs = {name: Cdf(values) for name, values in samples.items() if values}
     plot = ascii_cdf(
         {name: cdf.points() for name, cdf in cdfs.items()},
@@ -133,6 +136,8 @@ def flow_size_result(
     ``ordering = (key, larger, smaller)``: whether the ``larger``
     size's median exceeds the ``smaller`` one's.
     """
+    from repro.analysis.bootstrap import bootstrap_ci
+
     cdfs, body = relative_difference_cdfs(samples)
     metrics = {}
     for name, cdf in cdfs.items():

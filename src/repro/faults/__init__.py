@@ -16,13 +16,9 @@ and path, never by wall-clock or worker identity.  Identical
 ``--workers`` count.
 """
 
-from repro.faults.injector import AppliedFault, FaultInjector
-from repro.faults.spec import FAULT_KINDS, FaultEvent, FaultSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AppliedFault",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSpec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AppliedFault": ".injector", "FaultInjector": ".injector",
+    "FAULT_KINDS": ".spec", "FaultEvent": ".spec", "FaultSpec": ".spec",
+})

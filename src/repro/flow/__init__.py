@@ -23,6 +23,8 @@ Submodules (imported lazily to keep the spec layer import-light):
 * :mod:`repro.flow.validate` — cross-fidelity validation harness.
 """
 
-from repro.flow.fidelity import apply_fidelity_override, resolve_fidelity
+from repro._lazy import lazy_exports
 
-__all__ = ["apply_fidelity_override", "resolve_fidelity"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "apply_fidelity_override": ".fidelity", "resolve_fidelity": ".fidelity",
+})

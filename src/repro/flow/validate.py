@@ -20,9 +20,7 @@ Run it directly for the full table::
 or ``--fast`` for the CI-sized subset.
 """
 
-import argparse
 import json
-import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -231,6 +229,8 @@ def validation_conditions(count: int = 4) -> List[ConditionSpec]:
 
 
 def _median(values: Sequence[Optional[float]], what: str) -> float:
+    import statistics
+
     present = [v for v in values if v is not None and v > 0.0]
     if not present:
         raise ConfigurationError(
@@ -322,6 +322,8 @@ def validate_fidelity(
             ClassResult(cls.name, size_label, [], 0.0, 0.0),
         ).cases.append(case)
 
+    import statistics
+
     class_results = []
     for result in results.values():
         errors = [case.throughput_error for case in result.cases]
@@ -341,6 +343,8 @@ def validate_fidelity(
 
 
 def main(argv: Optional[Sequence[int]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.flow.validate",
         description="Validate flow-fidelity aggregates against the "

@@ -16,53 +16,22 @@
   Figs. 19 and 21.
 """
 
-from repro.httpreplay.message import HttpRequest, HttpResponse, TIME_SENSITIVE_HEADERS
-from repro.httpreplay.session import AppSession, RecordedConnection, Transaction
-from repro.httpreplay.recorder import RecordShell, ReplayArchive
-from repro.httpreplay.replayer import ReplayShell
-from repro.httpreplay.patterns import (
-    PATTERN_BUILDERS,
-    cnn_launch,
-    cnn_click,
-    imdb_launch,
-    imdb_click,
-    dropbox_launch,
-    dropbox_click,
-)
-from repro.httpreplay.classify import FlowCategory, classify_session
-from repro.httpreplay.engine import (
-    TransportConfig,
-    STANDARD_CONFIGS,
-    ReplayEngine,
-    AppReplayResult,
-    replay_app,
-)
-from repro.httpreplay.oracles import ORACLES, oracle_response_times
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HttpRequest",
-    "HttpResponse",
-    "TIME_SENSITIVE_HEADERS",
-    "AppSession",
-    "RecordedConnection",
-    "Transaction",
-    "RecordShell",
-    "ReplayArchive",
-    "ReplayShell",
-    "PATTERN_BUILDERS",
-    "cnn_launch",
-    "cnn_click",
-    "imdb_launch",
-    "imdb_click",
-    "dropbox_launch",
-    "dropbox_click",
-    "FlowCategory",
-    "classify_session",
-    "TransportConfig",
-    "STANDARD_CONFIGS",
-    "ReplayEngine",
-    "AppReplayResult",
-    "replay_app",
-    "ORACLES",
-    "oracle_response_times",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "HttpRequest": ".message", "HttpResponse": ".message",
+    "TIME_SENSITIVE_HEADERS": ".message",
+    "AppSession": ".session", "RecordedConnection": ".session",
+    "Transaction": ".session",
+    "RecordShell": ".recorder", "ReplayArchive": ".recorder",
+    "ReplayShell": ".replayer",
+    "PATTERN_BUILDERS": ".patterns", "cnn_launch": ".patterns",
+    "cnn_click": ".patterns", "imdb_launch": ".patterns",
+    "imdb_click": ".patterns", "dropbox_launch": ".patterns",
+    "dropbox_click": ".patterns",
+    "FlowCategory": ".classify", "classify_session": ".classify",
+    "TransportConfig": ".engine", "STANDARD_CONFIGS": ".engine",
+    "ReplayEngine": ".engine", "AppReplayResult": ".engine",
+    "replay_app": ".engine",
+    "ORACLES": ".oracles", "oracle_response_times": ".oracles",
+})

@@ -19,20 +19,11 @@ abstractions in-simulator:
 ['lte', 'wifi']
 """
 
-from repro.linkem.traces import synth_lte_trace, synth_wifi_trace
-from repro.linkem.shells import PathSpec, mpshell
-from repro.linkem.conditions import (
-    ConditionSpec,
-    TABLE2_LOCATIONS,
-    make_conditions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "synth_lte_trace",
-    "synth_wifi_trace",
-    "PathSpec",
-    "mpshell",
-    "ConditionSpec",
-    "TABLE2_LOCATIONS",
-    "make_conditions",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "synth_lte_trace": ".traces", "synth_wifi_trace": ".traces",
+    "PathSpec": ".shells", "mpshell": ".shells",
+    "ConditionSpec": ".conditions", "TABLE2_LOCATIONS": ".conditions",
+    "make_conditions": ".conditions",
+})

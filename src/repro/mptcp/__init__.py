@@ -8,19 +8,10 @@ the primary handshake completes.  Congestion control is either
 and the connection runs in Full-MPTCP, Backup, or Single-Path mode.
 """
 
-from repro.mptcp.scheduler import (
-    Scheduler,
-    MinRttScheduler,
-    RoundRobinScheduler,
-    make_scheduler,
-)
-from repro.mptcp.connection import MptcpConnection, MptcpOptions
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "MinRttScheduler",
-    "RoundRobinScheduler",
-    "make_scheduler",
-    "MptcpConnection",
-    "MptcpOptions",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Scheduler": ".scheduler", "MinRttScheduler": ".scheduler",
+    "RoundRobinScheduler": ".scheduler", "make_scheduler": ".scheduler",
+    "MptcpConnection": ".connection", "MptcpOptions": ".connection",
+})

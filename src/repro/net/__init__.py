@@ -7,23 +7,13 @@ a rate model (fixed-rate or Mahimahi-style delivery-opportunity trace),
 a propagation delay, and an optional stochastic loss model.
 """
 
-from repro.net.queue import DropTailQueue, QueueStats
-from repro.net.loss import LossModel, NoLoss, BernoulliLoss, GilbertElliottLoss
-from repro.net.trace import DeliveryTrace
-from repro.net.link import Link, FixedRateLink, TraceDrivenLink
-from repro.net.path import Path, PathConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DropTailQueue",
-    "QueueStats",
-    "LossModel",
-    "NoLoss",
-    "BernoulliLoss",
-    "GilbertElliottLoss",
-    "DeliveryTrace",
-    "Link",
-    "FixedRateLink",
-    "TraceDrivenLink",
-    "Path",
-    "PathConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DropTailQueue": ".queue", "QueueStats": ".queue",
+    "LossModel": ".loss", "NoLoss": ".loss", "BernoulliLoss": ".loss",
+    "GilbertElliottLoss": ".loss",
+    "DeliveryTrace": ".trace",
+    "Link": ".link", "FixedRateLink": ".link", "TraceDrivenLink": ".link",
+    "Path": ".path", "PathConfig": ".path",
+})

@@ -25,80 +25,25 @@ layer: both accept a ``recorder=`` and feed the same event stream
 (re-exported here for discoverability).
 """
 
-from repro.net.capture import PacketCapture
-from repro.net.telemetry import QueueDepthTracker
-from repro.obs.manifest import RunManifest, diff_manifests, render_diff
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SpanTimer,
-    TimeSeries,
-    collect_transfer_metrics,
-    reconcile,
-)
-from repro.obs.progress import (
-    SweepProgress,
-    progress_enabled_by_env,
-)
-from repro.obs.summary import (
-    SubflowSummary,
-    TraceSummary,
-    render_summary,
-    summarize_events,
-)
-from repro.obs.telemetry import (
-    TelemetryBus,
-    TelemetryServer,
-    TelemetrySink,
-    WorkerHealth,
-    active_bus,
-    load_telemetry_snapshots,
-    render_prometheus,
-    telemetry_enabled_by_env,
-)
-from repro.obs.trace import (
-    EVENT_KINDS,
-    TraceEvent,
-    TraceRecorder,
-    active_trace_dir,
-    load_events,
-    trace_filename,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SpanTimer",
-    "PacketCapture",
-    "QueueDepthTracker",
-    "RunManifest",
-    "SubflowSummary",
-    "SweepProgress",
-    "TelemetryBus",
-    "TelemetryServer",
-    "TelemetrySink",
-    "TimeSeries",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceSummary",
-    "WorkerHealth",
-    "active_bus",
-    "active_trace_dir",
-    "collect_transfer_metrics",
-    "diff_manifests",
-    "load_events",
-    "load_telemetry_snapshots",
-    "render_prometheus",
-    "progress_enabled_by_env",
-    "reconcile",
-    "render_diff",
-    "render_summary",
-    "summarize_events",
-    "telemetry_enabled_by_env",
-    "trace_filename",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "PacketCapture": "..net.capture",
+    "QueueDepthTracker": "..net.telemetry",
+    "RunManifest": ".manifest", "diff_manifests": ".manifest",
+    "render_diff": ".manifest",
+    "Counter": ".metrics", "Gauge": ".metrics", "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics", "SpanTimer": ".metrics",
+    "TimeSeries": ".metrics", "collect_transfer_metrics": ".metrics",
+    "reconcile": ".metrics",
+    "SweepProgress": ".progress", "progress_enabled_by_env": ".progress",
+    "SubflowSummary": ".summary", "TraceSummary": ".summary",
+    "render_summary": ".summary", "summarize_events": ".summary",
+    "TelemetryBus": ".telemetry", "TelemetryServer": ".telemetry",
+    "TelemetrySink": ".telemetry", "WorkerHealth": ".telemetry",
+    "active_bus": ".telemetry", "load_telemetry_snapshots": ".telemetry",
+    "render_prometheus": ".telemetry", "telemetry_enabled_by_env": ".telemetry",
+    "EVENT_KINDS": ".trace", "TraceEvent": ".trace", "TraceRecorder": ".trace",
+    "active_trace_dir": ".trace", "load_events": ".trace",
+    "trace_filename": ".trace",
+})

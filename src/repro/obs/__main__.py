@@ -39,7 +39,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     for load, render in formats:
         try:
             loaded = load(args.trace)
-        except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
+        except (OSError, ReproError) as exc:
             error = exc
             continue
         print(render(loaded))
@@ -57,7 +57,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         a = RunManifest.read(args.a)
         b = RunManifest.read(args.b)
-    except (OSError, ValueError) as exc:
+    except (OSError, ReproError) as exc:
         print(f"diff: cannot read manifest: {exc}", file=sys.stderr)
         return 2
     rendered = render_diff(a, b)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import percentile
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, json_field, json_object, require
 
 __all__ = ["RunManifest", "diff_manifests", "render_diff"]
 
@@ -54,26 +54,29 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
-        try:
-            return cls(
-                key=str(data["key"]),
-                spec_hash=str(data["spec_hash"]),
-                seed=data.get("seed"),
-                cache_hit=bool(data["cache_hit"]),
-                wall_time_s=float(data["wall_time_s"]),
-                worker_pid=int(data["worker_pid"]),
-                workers=int(data["workers"]),
-                package_version=str(data["package_version"]),
-                code_fingerprint=str(data.get("code_fingerprint", "")),
-                resolved_s=float(data.get("resolved_s", 0.0)),
-                extra=dict(data.get("extra", {})),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"manifest missing field: {exc}")
+        require(isinstance(data, dict), "manifest",
+                f"expected a JSON object, got {type(data).__name__}")
+
+        def get(name, convert, *default):
+            return json_field(data, name, convert, "manifest", *default)
+
+        return cls(
+            key=get("key", str),
+            spec_hash=get("spec_hash", str),
+            seed=data.get("seed"),
+            cache_hit=get("cache_hit", bool),
+            wall_time_s=get("wall_time_s", float),
+            worker_pid=get("worker_pid", int),
+            workers=get("workers", int),
+            package_version=get("package_version", str),
+            code_fingerprint=get("code_fingerprint", str, ""),
+            resolved_s=get("resolved_s", float, 0.0),
+            extra=get("extra", dict, {}),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json_object(text, "manifest"))
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -82,7 +85,7 @@ class RunManifest:
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
             return cls.from_json(handle.read())
 
 
@@ -110,11 +113,15 @@ def write_manifests(manifests: List[RunManifest], path: str) -> None:
 
 
 def read_manifests(path: str) -> List[RunManifest]:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        text = handle.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
     if isinstance(data, dict):
         data = [data]
-    if not data:
+    if not isinstance(data, list) or not data:
         raise ConfigurationError(f"{path} holds no manifests")
     return [RunManifest.from_dict(item) for item in data]
 

@@ -33,11 +33,10 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import env
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, json_object
 from repro.obs.metrics import MetricsRegistry, SpanTimer
 
 __all__ = [
@@ -331,8 +330,13 @@ def render_prometheus(bus: TelemetryBus,
 
 # -- HTTP exporter ---------------------------------------------------------
 
-class _TelemetryHandler(BaseHTTPRequestHandler):
-    """GET-only exporter: ``/metrics`` text, ``/healthz`` JSON."""
+class _TelemetryHandler:
+    """GET-only exporter: ``/metrics`` text, ``/healthz`` JSON.
+
+    Mixed into ``http.server.BaseHTTPRequestHandler`` by
+    :meth:`TelemetryServer.start`, so only a serving process imports
+    the HTTP stack.
+    """
 
     bus: TelemetryBus  # set by TelemetryServer on the handler class
 
@@ -377,12 +381,15 @@ class TelemetryServer:
         self.bus = bus
         self.host = host
         self.port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd = None
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> Tuple[str, int]:
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         handler = type(
-            "_BoundTelemetryHandler", (_TelemetryHandler,), {"bus": self.bus}
+            "_BoundTelemetryHandler",
+            (_TelemetryHandler, BaseHTTPRequestHandler), {"bus": self.bus},
         )
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self._httpd.daemon_threads = True
@@ -467,23 +474,20 @@ class TelemetrySink:
 def load_telemetry_snapshots(path: str) -> List[dict]:
     """Parse a sink file back into snapshot dicts (schema-checked)."""
     snapshots: List[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
-            if (
-                not isinstance(data, dict)
-                or data.get("schema") != TELEMETRY_SCHEMA
-            ):
-                raise ValueError(
+            data = json_object(line, f"{path}:{line_no}")
+            if data.get("schema") != TELEMETRY_SCHEMA:
+                raise ConfigurationError(
                     f"{path}:{line_no} is not a telemetry snapshot "
-                    f"(expected schema {TELEMETRY_SCHEMA})"
+                    f"(field 'schema' is not {TELEMETRY_SCHEMA})"
                 )
             snapshots.append(data)
     if not snapshots:
-        raise ValueError(f"{path} holds no telemetry snapshots")
+        raise ConfigurationError(f"{path} holds no telemetry snapshots")
     return snapshots
 
 

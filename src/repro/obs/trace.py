@@ -22,11 +22,17 @@ an untraced one.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.core import env
-from repro.core.errors import ConfigurationError
+from repro.core.errors import (
+    ConfigurationError,
+    json_field,
+    json_object,
+    require,
+)
 
 __all__ = [
     "EVENT_KINDS",
@@ -98,16 +104,31 @@ class TraceEvent:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TraceEvent":
-        payload = dict(data)
+    def from_dict(cls, data: Dict[str, Any],
+                  where: str = "trace event") -> "TraceEvent":
+        """Decode :meth:`to_dict`; a malformed envelope raises
+        :class:`ConfigurationError` naming ``where`` and the field."""
+        require(isinstance(data, dict), where,
+                f"expected a JSON object, got {type(data).__name__}")
         return cls(
-            time=float(payload.pop("t")),
-            kind=str(payload.pop("kind")),
-            path=str(payload.pop("path", "")),
-            flow_id=int(payload.pop("flow", -1)),
-            subflow_id=int(payload.pop("subflow", -1)),
-            fields=payload,
+            time=json_field(data, "t", _finite, where),
+            kind=json_field(data, "kind", str, where),
+            path=json_field(data, "path", str, where, ""),
+            flow_id=json_field(data, "flow", int, where, -1),
+            subflow_id=json_field(data, "subflow", int, where, -1),
+            fields={key: value for key, value in data.items()
+                    if key not in _ENVELOPE},
         )
+
+
+_ENVELOPE = ("t", "kind", "path", "flow", "subflow")
+
+
+def _finite(value: Any) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(number)
+    return number
 
 
 class TraceRecorder:
@@ -192,7 +213,7 @@ class TraceRecorder:
 
 def load_events(path: str) -> List[TraceEvent]:
     """Parse a JSONL trace file back into typed events."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         return list(iter_events(handle))
 
 
@@ -202,10 +223,5 @@ def iter_events(lines: Iterable[str]) -> Iterator[TraceEvent]:
         line = line.strip()
         if not line:
             continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"trace line {lineno} is not valid JSON: {exc}"
-            )
-        yield TraceEvent.from_dict(data)
+        where = f"trace line {lineno}"
+        yield TraceEvent.from_dict(json_object(line, where), where)

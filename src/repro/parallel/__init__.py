@@ -32,37 +32,14 @@ results are reassembled in task-list order regardless of which worker
 finished first.
 """
 
-from repro.parallel.cache import ResultCache, code_fingerprint, spec_key
-from repro.parallel.executors import (
-    Executor,
-    InProcessExecutor,
-    LocalPoolExecutor,
-    make_executor,
-    resolve_executor_spec,
-)
-from repro.parallel.runner import (
-    SimTask,
-    SweepRunner,
-    SweepStats,
-    TaskFailure,
-    resolve_workers,
-)
-from repro.parallel.supervisor import FleetSpec, FleetSupervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Executor",
-    "FleetSpec",
-    "FleetSupervisor",
-    "InProcessExecutor",
-    "LocalPoolExecutor",
-    "ResultCache",
-    "SimTask",
-    "SweepRunner",
-    "SweepStats",
-    "TaskFailure",
-    "code_fingerprint",
-    "make_executor",
-    "resolve_executor_spec",
-    "resolve_workers",
-    "spec_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ResultCache": ".cache", "code_fingerprint": ".cache", "spec_key": ".cache",
+    "Executor": ".executors", "InProcessExecutor": ".executors",
+    "LocalPoolExecutor": ".executors", "make_executor": ".executors",
+    "resolve_executor_spec": ".executors",
+    "SimTask": ".runner", "SweepRunner": ".runner", "SweepStats": ".runner",
+    "TaskFailure": ".runner", "resolve_workers": ".runner",
+    "FleetSpec": ".supervisor", "FleetSupervisor": ".supervisor",
+})

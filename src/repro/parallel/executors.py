@@ -25,19 +25,12 @@ by task index — so any backend at any worker count produces
 bit-identical sweep results.
 """
 
-import multiprocessing
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    TimeoutError as FuturesTimeout,
-    as_completed,
-)
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.parallel.task import SimTask, run_shard, run_task_timed
-from repro.parallel.wire import parse_address
 
 __all__ = [
     "Executor",
@@ -71,6 +64,8 @@ def _normalize_spec(spec: str) -> str:
 
 def parse_socket_addresses(text: str) -> List[Tuple[str, int]]:
     """Parse ``HOST:PORT[,HOST:PORT...]`` into address tuples."""
+    from repro.parallel.wire import parse_address
+
     addresses = [parse_address(part)
                  for part in text.split(",") if part.strip()]
     if not addresses:
@@ -212,6 +207,9 @@ class LocalPoolExecutor(Executor):
     deadline is reported as a failed :class:`ShardOutcome`; the
     coordinator re-runs its tasks through :meth:`run_one`, where the
     per-task budget is exact and a hung worker is terminated.
+
+    ``concurrent.futures`` and ``multiprocessing`` are imported when a
+    pool is built, so a serial process never loads them.
     """
 
     name = "process"
@@ -220,6 +218,12 @@ class LocalPoolExecutor(Executor):
         return min(workers, nmisses)
 
     def run_shards(self, shards, task_timeout_s=None):
+        from concurrent.futures import (
+            ProcessPoolExecutor,
+            TimeoutError as FuturesTimeout,
+            as_completed,
+        )
+
         try:
             pool = ProcessPoolExecutor(max_workers=len(shards),
                                        mp_context=self._mp_context())
@@ -288,6 +292,11 @@ class LocalPoolExecutor(Executor):
         at all, the task runs in-process — losing crash isolation but
         keeping the sweep alive.
         """
+        from concurrent.futures import (
+            ProcessPoolExecutor,
+            TimeoutError as FuturesTimeout,
+        )
+
         try:
             pool = ProcessPoolExecutor(max_workers=1,
                                        mp_context=self._mp_context())
@@ -311,7 +320,7 @@ class LocalPoolExecutor(Executor):
             pool.shutdown(wait=not hung, cancel_futures=True)
 
     @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    def _terminate_pool(pool) -> None:
         """Kill worker processes of a pool with hung tasks."""
         processes = getattr(pool, "_processes", None) or {}
         for process in list(processes.values()):
@@ -323,6 +332,8 @@ class LocalPoolExecutor(Executor):
     @staticmethod
     def _mp_context():
         """Prefer ``fork`` so workers inherit ``sys.path`` untouched."""
+        import multiprocessing
+
         methods = multiprocessing.get_all_start_methods()
         if "fork" in methods:
             return multiprocessing.get_context("fork")

@@ -17,33 +17,14 @@ of the reproduction's substrate:
   the 20 emulated locations and flow sizes.
 """
 
-from repro.policy.probes import PathProbe, ProbeReport
-from repro.policy.estimator import PathEstimate, ConditionEstimator
-from repro.policy.policies import (
-    Decision,
-    SelectionPolicy,
-    AlwaysWifiPolicy,
-    AlwaysMptcpPolicy,
-    BestPathPolicy,
-    PaperAdaptivePolicy,
-    OraclePolicy,
-    STANDARD_POLICIES,
-)
-from repro.policy.evaluation import PolicyEvaluation, evaluate_policies
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PathProbe",
-    "ProbeReport",
-    "PathEstimate",
-    "ConditionEstimator",
-    "Decision",
-    "SelectionPolicy",
-    "AlwaysWifiPolicy",
-    "AlwaysMptcpPolicy",
-    "BestPathPolicy",
-    "PaperAdaptivePolicy",
-    "OraclePolicy",
-    "STANDARD_POLICIES",
-    "PolicyEvaluation",
-    "evaluate_policies",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "PathProbe": ".probes", "ProbeReport": ".probes",
+    "PathEstimate": ".estimator", "ConditionEstimator": ".estimator",
+    "Decision": ".policies", "SelectionPolicy": ".policies",
+    "AlwaysWifiPolicy": ".policies", "AlwaysMptcpPolicy": ".policies",
+    "BestPathPolicy": ".policies", "PaperAdaptivePolicy": ".policies",
+    "OraclePolicy": ".policies", "STANDARD_POLICIES": ".policies",
+    "PolicyEvaluation": ".evaluation", "evaluate_policies": ".evaluation",
+})

@@ -4,24 +4,12 @@ The same machinery backs MPTCP subflows (:mod:`repro.mptcp`); a plain
 TCP connection is the one-subflow special case.
 """
 
-from repro.tcp.config import TcpConfig
-from repro.tcp.rtt import RttEstimator
-from repro.tcp.source import BulkSource
-from repro.tcp.subflow import Subflow, SubflowState
-from repro.tcp.connection import TcpConnection, ConnectionStats
-from repro.tcp.cc import CongestionControl, Reno, Cubic, LiaCoupling, LiaSubflowCc
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TcpConfig",
-    "RttEstimator",
-    "BulkSource",
-    "Subflow",
-    "SubflowState",
-    "TcpConnection",
-    "ConnectionStats",
-    "CongestionControl",
-    "Reno",
-    "Cubic",
-    "LiaCoupling",
-    "LiaSubflowCc",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "TcpConfig": ".config", "RttEstimator": ".rtt", "BulkSource": ".source",
+    "Subflow": ".subflow", "SubflowState": ".subflow",
+    "TcpConnection": ".connection", "ConnectionStats": ".connection",
+    "CongestionControl": ".cc.base", "Reno": ".cc.reno",
+    "Cubic": ".cc.cubic", "LiaCoupling": ".cc.lia", "LiaSubflowCc": ".cc.lia",
+})

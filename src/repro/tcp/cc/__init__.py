@@ -10,36 +10,14 @@
   al., CoNEXT'12), provided as an extension.
 """
 
-from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.reno import Reno
-from repro.tcp.cc.cubic import Cubic
-from repro.tcp.cc.lia import LiaCoupling, LiaSubflowCc
-from repro.tcp.cc.olia import OliaCoupling, OliaSubflowCc
-from repro.tcp.cc.registry import (
-    CC_REGISTRY,
-    CcEntry,
-    cc_entry,
-    cc_names,
-    register_cc,
-    single_path_factory,
-    unknown_cc_error,
-    validate_cc,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CongestionControl",
-    "Reno",
-    "Cubic",
-    "LiaCoupling",
-    "LiaSubflowCc",
-    "OliaCoupling",
-    "OliaSubflowCc",
-    "CC_REGISTRY",
-    "CcEntry",
-    "cc_entry",
-    "cc_names",
-    "register_cc",
-    "single_path_factory",
-    "unknown_cc_error",
-    "validate_cc",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CongestionControl": ".base", "Reno": ".reno", "Cubic": ".cubic",
+    "LiaCoupling": ".lia", "LiaSubflowCc": ".lia",
+    "OliaCoupling": ".olia", "OliaSubflowCc": ".olia",
+    "CC_REGISTRY": ".registry", "CcEntry": ".registry", "cc_entry": ".registry",
+    "cc_names": ".registry", "register_cc": ".registry",
+    "single_path_factory": ".registry", "unknown_cc_error": ".registry",
+    "validate_cc": ".registry",
+})

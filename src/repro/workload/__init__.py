@@ -22,22 +22,10 @@ The workload layer separates *what to measure* from *how it runs*:
 True
 """
 
-from repro.workload.report import TransferReport
-from repro.workload.session import Session
-from repro.workload.spec import (
-    ConditionSpec,
-    PathSpec,
-    TransferSpec,
-    WorkloadSpec,
-    config_overrides,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConditionSpec",
-    "PathSpec",
-    "Session",
-    "TransferReport",
-    "TransferSpec",
-    "WorkloadSpec",
-    "config_overrides",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ConditionSpec": ".spec", "PathSpec": ".spec", "TransferSpec": ".spec",
+    "WorkloadSpec": ".spec", "config_overrides": ".spec",
+    "TransferReport": ".report", "Session": ".session",
+})

@@ -135,6 +135,26 @@ class TestDiffCommand:
         assert main(["diff", str(path), str(path)]) == 0
 
 
+@pytest.mark.parametrize("text", [
+    "{}", "[1, 2]", "not json", '"x"',
+    json.dumps({"key": "k", "spec_hash": "aa", "cache_hit": False,
+                "wall_time_s": "slow", "worker_pid": 1, "workers": 1,
+                "package_version": "1.0.0"}),
+])
+def test_diff_of_a_malformed_manifest_exits_2_with_one_line(
+        tmp_path, capsys, text):
+    good = _manifest_file(tmp_path, "good.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for pair in ([str(bad), good], [good, str(bad)]):
+        assert main(["diff", *pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("diff: cannot read manifest:")
+
+
 class TestSummarizeBadInput:
     """Unknown/missing schema markers exit 2 with one line, no traceback."""
 
@@ -162,6 +182,18 @@ class TestSummarizeBadInput:
         assert main(["summarize", str(target)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe\x00garbage", b'{"t": NaN, "kind": "syn"}\n',
+        b"[1, 2]\n", b'{"t": 1.0}\n',
+    ])
+    def test_undecodable_files_exit_2(self, tmp_path, capsys, content):
+        target = tmp_path / "odd.jsonl"
+        target.write_bytes(content)
+        assert main(["summarize", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("summarize: cannot read")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path / "absent.jsonl")]) == 2

@@ -65,6 +65,42 @@ class TestRoundTrip:
         assert RunManifest.from_json(manifest.to_json()).seed is None
 
 
+#: Malformed manifest documents, and what the error must name.
+MALFORMED = [
+    ("{}", "missing field 'key'"),
+    ("[1, 2]", "JSON object"),
+    ("not json", "not valid JSON"),
+    ('"a string"', "JSON object"),
+    pytest.param(
+        _manifest().to_json().replace('"workers": 4', '"workers": "four"'),
+        "field 'workers'", id="text-workers"),
+    pytest.param(
+        _manifest().to_json().replace('"wall_time_s": 0.125',
+                                      '"wall_time_s": [0.125]'),
+        "field 'wall_time_s'", id="list-wall-time"),
+]
+
+
+class TestMalformedManifests:
+    @pytest.mark.parametrize("text, names", MALFORMED)
+    def test_from_json_fails_typed(self, text, names):
+        with pytest.raises(ConfigurationError, match=names):
+            RunManifest.from_json(text)
+
+    @pytest.mark.parametrize("data", [[1, 2], "x", None, 3])
+    def test_from_dict_rejects_non_objects(self, data):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            RunManifest.from_dict(data)
+
+    @pytest.mark.parametrize("text", ["not json", "7", '"x"', "[[1]]",
+                                      '[{"key": "k"}]'])
+    def test_read_manifests_fails_typed(self, tmp_path, text):
+        target = tmp_path / "bad.json"
+        target.write_text(text)
+        with pytest.raises(ConfigurationError):
+            read_manifests(str(target))
+
+
 class TestBatches:
     def test_write_read_list(self, tmp_path):
         manifests = [_manifest(key="a"), _manifest(key="b", cache_hit=True)]
@@ -89,7 +125,7 @@ class TestBatches:
                            ("scalars.json", "[1, 2, 3]")):
             target = tmp_path / name
             target.write_text(text)
-            with pytest.raises((ConfigurationError, TypeError)):
+            with pytest.raises(ConfigurationError):
                 read_manifests(str(target))
 
 

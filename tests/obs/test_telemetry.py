@@ -8,6 +8,7 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.linkem.conditions import make_conditions
 from repro.obs import telemetry
 from repro.obs.telemetry import (
@@ -448,11 +449,15 @@ class TestSink:
     def test_load_rejects_foreign_files(self, tmp_path):
         foreign = tmp_path / "other.jsonl"
         foreign.write_text('{"schema": "something/else"}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="field 'schema'"):
             load_telemetry_snapshots(str(foreign))
+        for text in ("not json\n", "[1, 2]\n"):
+            foreign.write_text(text)
+            with pytest.raises(ConfigurationError, match="other.jsonl:1"):
+                load_telemetry_snapshots(str(foreign))
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             load_telemetry_snapshots(str(empty))
 
     def test_timeline_renders(self, tmp_path):

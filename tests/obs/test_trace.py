@@ -87,6 +87,22 @@ class TestJsonlRoundTrip:
         with pytest.raises(ConfigurationError, match="line 2"):
             list(iter_events(lines))
 
+    @pytest.mark.parametrize("line, names", [
+        ("[1, 2]", "JSON object"),
+        ('"syn"', "JSON object"),
+        ('{"kind": "syn"}', "missing field 't'"),
+        ('{"t": 0.5}', "missing field 'kind'"),
+        ('{"t": NaN, "kind": "syn"}', "field 't'"),
+        ('{"t": Infinity, "kind": "syn"}', "field 't'"),
+        ('{"t": "soon", "kind": "syn"}', "field 't'"),
+        ('{"t": 0.5, "kind": "syn", "flow": "x"}', "field 'flow'"),
+    ])
+    def test_malformed_event_names_line_and_field(self, line, names):
+        lines = ['{"t": 0.0, "kind": "syn"}', line]
+        with pytest.raises(ConfigurationError, match=names) as excinfo:
+            list(iter_events(lines))
+        assert "trace line 2" in str(excinfo.value)
+
     def test_blank_lines_skipped(self):
         lines = ["", '{"t": 1.0, "kind": "rto"}', "   "]
         events = list(iter_events(lines))

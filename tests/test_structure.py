@@ -5,6 +5,8 @@ A location is a :class:`ConditionSpec`, its network comes out of
 types those replaced must not grow back beside them.
 """
 
+import ast
+import importlib
 import inspect
 import os
 import re
@@ -85,14 +87,94 @@ def test_no_cli_takes_a_chaos_flag(prog, capsys):
     assert "--chaos" in capsys.readouterr().err
 
 
-def test_importing_the_plane_loads_no_chaos_module():
-    probe = ("import sys, repro, repro.parallel, repro.parallel.worker\n"
-             "print([name for name in sys.modules if 'chaos' in name])")
+def _loaded_after(code):
+    """Every module a fresh interpreter holds once it has run ``code``."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": os.path.join(
             REPO_ROOT, "src")}).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def test_importing_the_plane_loads_no_chaos_module():
+    loaded = _loaded_after("import repro, repro.parallel, repro.parallel.worker")
+    assert [name for name in loaded if "chaos" in name] == []
+
+
+SERIAL_TRANSFER = """
+from repro.workload import ConditionSpec, PathSpec, Session, TransferSpec
+condition = ConditionSpec(0, (PathSpec("wifi", "wifi", 10.0, 5.0, 40.0),))
+spec = TransferSpec(kind="tcp", condition=condition, nbytes=10_000,
+                    path="wifi", seed=7)
+assert Session().run(spec).completed
+"""
+
+
+def test_a_serial_transfer_loads_no_server_pool_or_report_module():
+    # Each is imported where it is built or called, never on this path.
+    unused = {"http.server", "multiprocessing", "concurrent.futures",
+              "argparse", "repro.parallel.supervisor",
+              "repro.parallel.service", "repro.parallel.socketexec",
+              "repro.parallel.wire", "repro.obs.summary",
+              "repro.analysis.bootstrap", "repro.analysis.plotting",
+              "repro.analysis.export"}
+    assert sorted(_loaded_after(SERIAL_TRANSFER) & unused) == []
+
+
+def test_the_crowd_pipeline_loads_no_packet_core():
+    loaded = _loaded_after("import repro.crowd.pipeline")
+    packet_core = [name for name in loaded
+                   if name.split(".")[:2] in (["repro", "tcp"],
+                                              ["repro", "mptcp"],
+                                              ["repro", "net"],
+                                              ["repro", "scenario"])]
+    assert packet_core == []
+
+
+def test_a_socket_worker_loads_no_supervisor_or_http_server():
+    loaded = _loaded_after("import repro.parallel.worker")
+    assert sorted(loaded & {"repro.parallel.supervisor", "http.server"}) == []
+
+
+def _packages():
+    src = os.path.join(REPO_ROOT, "src")
+    for directory, _, files in os.walk(os.path.join(src, "repro")):
+        if "__init__.py" in files:
+            package = os.path.relpath(directory, src).replace(os.sep, ".")
+            yield package, os.path.join(directory, "__init__.py")
+
+
+def _export_table(init_path):
+    """The ``{name: module}`` literal an ``__init__`` gives lazy_exports."""
+    with open(init_path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "lazy_exports"):
+            return ast.literal_eval(node.args[1])
+    return None
+
+
+PACKAGES = sorted(_packages())
+
+
+@pytest.mark.parametrize("package, init_path", PACKAGES,
+                         ids=[package for package, _ in PACKAGES])
+def test_package_exports_resolve_to_their_modules_objects(package,
+                                                          init_path):
+    table = _export_table(init_path)
+    assert table, f"{package} does not export through lazy_exports"
+    module = importlib.import_module(package)
+    assert set(module.__all__) - {"__version__"} == set(table)
+    for name, where in table.items():
+        defining = importlib.import_module(where, package)
+        own = defining if where == "." + name else getattr(defining, name)
+        assert getattr(module, name) is own, name
+        assert name in dir(module), name
+    with pytest.raises(AttributeError,
+                       match=re.escape(f"module {package!r} has no")):
+        getattr(module, "no_such_export")
 
 
 def test_experiments_have_one_way_to_build_a_network_and_run_a_batch():
