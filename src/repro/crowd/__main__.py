@@ -68,7 +68,7 @@ def _scale_main(args: argparse.Namespace) -> int:
             result = simulate(
                 population=population,
                 sink=args.sink,
-                batch=args.batch if args.batch else DEFAULT_BATCH,
+                batch=DEFAULT_BATCH if args.batch is None else args.batch,
                 shard_users=args.shard_users,
                 csv_stream=csv_stream,
             )

@@ -21,6 +21,7 @@ from typing import List
 from repro.analysis.stats import median
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
+    Claim,
     ExperimentResult,
     WARM_FLOW_CONFIG,
     _SESSION,
@@ -105,7 +106,7 @@ def run_slowstart_ablation(seed: int = DEFAULT_SEED,
             f"  without (IW=1000):{no_ramp_small:6.1f} {no_ramp_large:6.1f} {no_ramp_gradient:9.1f}"
         ),
         metrics=metrics,
-        paper_targets={"gradient_shrinks_without_ramp": 1.0},
+        claims=[Claim.within("gradient_shrinks_without_ramp", 1.0)],
     )
 
 
@@ -139,7 +140,7 @@ def run_join_ablation(seed: int = DEFAULT_SEED,
             f"  simultaneous join (unreal):  {simultaneous:6.1f} %"
         ),
         metrics=metrics,
-        paper_targets={"effect_shrinks_with_simultaneous_join": 1.0},
+        claims=[Claim.within("effect_shrinks_with_simultaneous_join", 1.0)],
     )
 
 
@@ -170,7 +171,7 @@ def run_scheduler_ablation(seed: int = DEFAULT_SEED,
             f"  {name:10s}: {value:.2f} Mbit/s" for name, value in results.items()
         ),
         metrics=metrics,
-        paper_targets={"minrtt_at_least_as_good": 1.0},
+        claims=[Claim.within("minrtt_at_least_as_good", 1.0)],
     )
 
 
@@ -219,8 +220,8 @@ def run_delack_ablation(seed: int = DEFAULT_SEED,
             for label, values in results.items()
         ),
         metrics=metrics,
-        paper_targets={"delack_halves_ack_traffic": 1.0,
-                       "delack_not_faster": 1.0},
+        claims=[Claim.within("delack_halves_ack_traffic", 1.0),
+                Claim.within("delack_not_faster", 1.0)],
     )
 
 
@@ -247,5 +248,5 @@ def run_coupling_ablation(seed: int = DEFAULT_SEED,
             f"  {name:10s}: {value:.2f} Mbit/s" for name, value in results.items()
         ),
         metrics=metrics,
-        paper_targets={"all_complete": 1.0},
+        claims=[Claim.within("all_complete", 1.0)],
     )

@@ -2,7 +2,8 @@
 
 :class:`ExperimentResult` is the uniform return type: rendered text
 (the figure/table analog), a metrics dict (headline numbers), and the
-paper's target values for side-by-side comparison.
+:class:`Claim` list that says which paper findings those numbers
+reproduce, how closely, and what the paper's own number is.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ if TYPE_CHECKING:
     from repro.analysis.cdf import Cdf
 
 __all__ = [
+    "Claim",
     "ExperimentResult",
     "EXPERIMENTS",
     "tcp_spec",
@@ -86,6 +88,86 @@ MPTCP_VARIANTS = [
 ]
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One finding an experiment asserts about its own metrics.
+
+    ``kind`` says how ``value`` bounds ``metrics[metric]``: "within"
+    (``|metric - value| <= tol``), "at least" / "at most" (``>=`` /
+    ``<=``, ``>`` / ``<`` when ``strict``), "ordering" (``metric >=
+    metrics[value]``, ``>`` when strict), or None: stated only, the
+    paper's number is printed beside the measurement, nothing asserted.
+    At ``fast=True`` a ``fast`` constant replaces ``value`` (a looser
+    bound for the reduced sweep) and a ``full_only`` claim is skipped.
+    """
+
+    metric: str
+    kind: Optional[str] = None
+    value: Union[float, str, None] = None
+    tol: float = 0.0
+    strict: bool = False
+    paper: Optional[float] = None
+    fast: Optional[float] = None
+    full_only: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in (None, "within", "at least", "at most", "ordering"):
+            raise ValueError(f"{self.metric}: unknown claim kind {self.kind!r}")
+
+    @classmethod
+    def within(cls, metric: str, paper: float, tol: float = 0.0,
+               **options) -> "Claim":
+        """``metric`` lies within ``tol`` of the paper's number."""
+        return cls(metric, "within", paper, tol=tol, paper=paper, **options)
+
+    def bound(self, fast: bool = False) -> Union[float, str, None]:
+        """``value`` as asserted in this mode; ``None``: not asserted."""
+        if self.kind is None or (fast and self.full_only):
+            return None
+        return self.value if not fast or self.fast is None else self.fast
+
+    def describe(self, fast: bool = False) -> str:
+        bound = self.bound(fast)
+        if bound is None:
+            return "-"
+        if self.kind == "within":
+            return f"within {self.tol:g} of {bound:g}" if self.tol else f"== {bound:g}"
+        op = ("<" if self.kind == "at most" else ">") + "=" * (not self.strict)
+        return f"{op} {bound if self.kind == 'ordering' else format(bound, 'g')}"
+
+    def holds(self, metrics: Dict[str, float],
+              fast: bool = False) -> Optional[bool]:
+        """Whether the claim holds on ``metrics``; ``None``: not asserted."""
+        bound = self.bound(fast)
+        if bound is None:
+            return None
+        measured = metrics[self.metric]
+        if self.kind == "within":
+            return abs(measured - bound) <= self.tol
+        if self.kind == "ordering":
+            bound = metrics[bound]
+        margin = bound - measured if self.kind == "at most" else measured - bound
+        return margin > 0 if self.strict else margin >= 0
+
+    def failure(self, metrics: Dict[str, float],
+                fast: bool = False) -> Optional[str]:
+        """Why the claim fails on ``metrics``, else ``None``.
+
+        A metric the result lacks fails it (a mistyped name must not
+        pass silently), unless the claim is ``full_only`` at ``fast``.
+        """
+        if fast and self.full_only:
+            return None
+        names = [self.metric] + [self.value] * (self.kind == "ordering")
+        missing = [name for name in names if name not in metrics]
+        if missing:
+            return f"{self.metric}: the result has no metric {missing[0]!r}"
+        if self.holds(metrics, fast) is False:
+            return (f"{self.metric} = {metrics[self.metric]:.4g}, "
+                    f"claimed {self.describe(fast)}")
+        return None
+
+
 @dataclass
 class ExperimentResult:
     """Uniform result shape for every table/figure reproduction."""
@@ -94,18 +176,26 @@ class ExperimentResult:
     title: str
     body: str
     metrics: Dict[str, float] = field(default_factory=dict)
-    paper_targets: Dict[str, float] = field(default_factory=dict)
+    claims: List[Claim] = field(default_factory=list)
 
     def render(self) -> str:
+        paper = {claim.metric: claim.paper for claim in reversed(self.claims)
+                 if claim.paper is not None}
         lines = [f"=== {self.experiment_id}: {self.title} ===", self.body]
         if self.metrics:
             lines.append("")
             lines.append("headline metrics (measured vs paper):")
             for key, value in self.metrics.items():
-                target = self.paper_targets.get(key)
+                target = paper.get(key)
                 target_text = f"   (paper: {target:g})" if target is not None else ""
                 lines.append(f"  {key:42s} = {value:10.4g}{target_text}")
         return "\n".join(lines)
+
+    def failures(self, fast: bool = False) -> List[str]:
+        """One line per claim that does not hold in this mode."""
+        return [reason for reason in (
+            claim.failure(self.metrics, fast) for claim in self.claims
+        ) if reason is not None]
 
 
 def relative_difference_cdfs(
@@ -128,13 +218,14 @@ def flow_size_result(
     title: str,
     samples: Dict[str, List[float]],
     ordering: Tuple[str, str, str],
-    targets: Dict[str, float],
+    claims: List[Claim],
 ) -> ExperimentResult:
     """Figs. 8 and 13: one relative-difference CDF per flow size.
 
     Metrics are each size's median with a bootstrap CI, then
     ``ordering = (key, larger, smaller)``: whether the ``larger``
-    size's median exceeds the ``smaller`` one's.
+    size's median exceeds the ``smaller`` one's, claimed after the
+    figure's own ``claims``.
     """
     from repro.analysis.bootstrap import bootstrap_ci
 
@@ -149,7 +240,7 @@ def flow_size_result(
     metrics[key] = float(cdfs[larger].median > cdfs[smaller].median)
     return ExperimentResult(
         experiment_id=experiment_id, title=title, body=body,
-        metrics=metrics, paper_targets={**targets, key: 1.0},
+        metrics=metrics, claims=claims + [Claim.within(key, 1.0)],
     )
 
 

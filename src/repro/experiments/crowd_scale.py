@@ -27,7 +27,7 @@ from repro.core.rng import DEFAULT_SEED
 from repro.crowd.pipeline import simulate
 from repro.crowd.sampling import PopulationSpec
 from repro.crowd.world import TABLE1_SITES
-from repro.experiments.common import ExperimentResult, register, table1_dataset
+from repro.experiments.common import Claim, ExperimentResult, register, table1_dataset
 
 __all__ = ["run"]
 
@@ -107,17 +107,26 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             s.bucket_count for s in sketch.sketches.values()
         )),
     }
-    targets: Dict[str, float] = {
-        "lte_win_fraction_downlink": 0.35,
-        "lte_win_fraction_uplink": 0.42,
-        "lte_win_fraction_combined": 0.40,
-        "lte_rtt_win_fraction": 0.20,
-        "worst_site_win_error": 0.0,
-    }
+    claims = [
+        # Fig. 3/4's headline fractions, held as tightly as at 2,104 runs.
+        Claim.within("lte_win_fraction_downlink", 0.35, 0.06),
+        Claim.within("lte_win_fraction_uplink", 0.42, 0.06),
+        Claim.within("lte_win_fraction_combined", 0.40, 0.06),
+        Claim.within("lte_rtt_win_fraction", 0.20, 0.06),
+        # Win fractions are exact counts: the error is sample spread
+        # (3 standard errors at the smallest >= 40-run site: 0.023 at
+        # 200k users, 0.07 at 20k) plus the heterogeneous world's
+        # calibration residual (~0.015).
+        Claim("worst_site_win_error", "at most", 0.04, paper=0.0, fast=0.08),
+        # Sketch alpha = 0.5 % (<= 0.05 Mbit/s at these quantiles) plus
+        # the 2,104-run reference's own spread (standard error up to
+        # 0.33 Mbit/s at p10/p90).
+        Claim("worst_quantile_gap_mbps", "at most", 0.5),
+    ]
     return ExperimentResult(
         experiment_id="crowd-scale",
         title="Crowd-scale population study (layered pipeline)",
         body=body,
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

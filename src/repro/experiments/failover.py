@@ -35,6 +35,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
+    Claim,
     ExperimentResult,
     _SESSION,
     mptcp_spec,
@@ -167,21 +168,22 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             (collapse.duration_s or 0.0) - (baseline.duration_s or 0.0)
         ),
     }
-    targets = {
-        "baseline_completed": 1.0,
-        "blackhole_stalled": 1.0,
-        "blackhole_resumes": 1.0,
-        "blackhole_fault_edges": 2.0,
-        "blackhole_failover_completed": 1.0,
-        "iface_down_completed": 1.0,
-        "burst_loss_completed": 1.0,
-        "rate_collapse_completed": 1.0,
-    }
+    claims = [
+        Claim.within(metric, value)
+        for metric, value in (("baseline_completed", 1.0),
+                              ("blackhole_stalled", 1.0),
+                              ("blackhole_resumes", 1.0),
+                              ("blackhole_fault_edges", 2.0),
+                              ("blackhole_failover_completed", 1.0),
+                              ("iface_down_completed", 1.0),
+                              ("burst_loss_completed", 1.0),
+                              ("rate_collapse_completed", 1.0))
+    ]
     body = "\n".join(_outcome_line(report) for report in reports)
     return ExperimentResult(
         experiment_id="failover",
         title="Failover and degradation under declarative fault schedules",
         body=body,
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

@@ -8,7 +8,7 @@ from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.world import TABLE1_SITES
-from repro.experiments.common import ExperimentResult, register, table1_dataset
+from repro.experiments.common import Claim, ExperimentResult, register, table1_dataset
 
 __all__ = ["run"]
 
@@ -37,15 +37,20 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         "uplink_diff_p95_mbps": up.percentile(95),
         "downlink_diff_p95_mbps": down.percentile(95),
     }
-    targets = {
-        "lte_win_fraction_uplink": 0.42,
-        "lte_win_fraction_downlink": 0.35,
-        "lte_win_fraction_combined": 0.40,
-    }
+    claims = [
+        Claim.within("lte_win_fraction_uplink", 0.42, 0.06),
+        Claim.within("lte_win_fraction_downlink", 0.35, 0.06),
+        Claim.within("lte_win_fraction_combined", 0.40, 0.06),
+        Claim("lte_win_fraction_uplink", "ordering",
+              "lte_win_fraction_downlink", strict=True),
+        # The tails span >10 Mbit/s in both directions, as in the figure.
+        Claim("uplink_diff_p5_mbps", "at most", -3.0, strict=True),
+        Claim("downlink_diff_p95_mbps", "at least", 8.0, strict=True),
+    ]
     return ExperimentResult(
         experiment_id="fig03",
         title="CDF of WiFi-vs-LTE throughput difference (up/down)",
         body=body,
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

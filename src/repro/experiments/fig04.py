@@ -8,7 +8,7 @@ from repro.analysis.cdf import Cdf
 from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.world import TABLE1_SITES
-from repro.experiments.common import ExperimentResult, register, table1_dataset
+from repro.experiments.common import Claim, ExperimentResult, register, table1_dataset
 
 __all__ = ["run"]
 
@@ -31,11 +31,15 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         "rtt_diff_p5_ms": cdf.percentile(5),
         "rtt_diff_p95_ms": cdf.percentile(95),
     }
-    targets = {"lte_rtt_lower_fraction": 0.20}
+    claims = [
+        Claim.within("lte_rtt_lower_fraction", 0.20, 0.06),
+        # WiFi is usually faster (negative median difference).
+        Claim("rtt_diff_median_ms", "at most", 0.0, strict=True),
+    ]
     return ExperimentResult(
         experiment_id="fig04",
         title="CDF of average ping-RTT difference (WiFi − LTE)",
         body=body,
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

@@ -15,6 +15,7 @@ from repro.analysis.plotting import ascii_cdf
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.world import TABLE1_SITES
 from repro.experiments.common import (
+    Claim,
     ExperimentResult,
     _SESSION,
     register,
@@ -88,12 +89,16 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         "ks_distance_downlink": ks_distance(app_down, loc_down),
         "20loc_lte_win_downlink": sum(1 for d in down_diffs if d < 0) / len(down_diffs),
     }
-    # The paper claims the curves are "close"; we quantify with KS < 0.25.
-    targets = {"ks_distance_uplink": 0.25, "ks_distance_downlink": 0.25}
+    # The paper claims the curves are "close"; we quantify with KS <= 0.25
+    # (<= 0.40 over the fast sweep's 6 locations).
+    claims = [
+        Claim("ks_distance_uplink", "at most", 0.25, paper=0.25, fast=0.40),
+        Claim("ks_distance_downlink", "at most", 0.25, paper=0.25, fast=0.40),
+    ]
     return ExperimentResult(
         experiment_id="fig06",
         title="20-location TCP CDFs vs crowdsourced app-data CDFs",
         body=body,
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.plotting import ascii_series
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
+    Claim,
     ExperimentResult,
     MPTCP_VARIANTS,
     TCP_VARIANTS,
@@ -129,16 +130,22 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             / max(_best(sweep_b, small_kb, MPTCP_NAMES), 1e-9)
         ),
     }
-    targets = {
-        "a_best_mptcp_over_best_tcp_at_1MB": 0.9,   # < 1: MPTCP loses
-        "b_best_mptcp_over_best_tcp_at_1MB": 1.1,   # > 1: MPTCP wins
-        "a_best_tcp_over_best_mptcp_at_10KB": 1.0,  # >= 1
-        "b_best_tcp_over_best_mptcp_at_10KB": 1.0,  # >= 1
-    }
+    # The "paper" numbers 0.9 and 1.1 are thresholds, not the paper's;
+    # EXPERIMENTS.md ("Claims") lists them for a follow-up.
+    claims = [
+        # 7a: with disparate links, MPTCP never beats the best TCP.
+        Claim("a_best_mptcp_over_best_tcp_at_1MB", "at most", 1.0,
+              strict=True, paper=0.9),
+        # 7b: with comparable links, MPTCP wins at 1 MB.
+        Claim("b_best_mptcp_over_best_tcp_at_1MB", "at least", 1.0, paper=1.1),
+        # Small flows: best single-path TCP at least ties everywhere.
+        Claim("a_best_tcp_over_best_mptcp_at_10KB", "at least", 0.999, paper=1.0),
+        Claim("b_best_tcp_over_best_mptcp_at_10KB", "at least", 0.999, paper=1.0),
+    ]
     return ExperimentResult(
         experiment_id="fig07",
         title="MPTCP vs single-path TCP throughput by flow size",
         body=body,
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

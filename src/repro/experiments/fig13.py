@@ -12,6 +12,7 @@ the two runs second is served from the result cache.
 
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
+    Claim,
     ExperimentResult,
     flow_size_result,
     register,
@@ -28,9 +29,11 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         "Coupled vs decoupled congestion control by flow size",
         measure_dual_cc(seed, fast)["CC"],
         ordering=("ordering_large_gt_small", "1MB", "10KB"),
-        targets={
-            "median_rel_diff[10KB]": 16.0,
-            "median_rel_diff[100KB]": 16.0,
-            "median_rel_diff[1MB]": 34.0,
-        },
+        claims=[
+            # Magnitudes within a quarter of the paper's (1 MB: within
+            # 26 points), over the full 7-site grid.
+            Claim.within("median_rel_diff[10KB]", 16.0, 4.0, full_only=True),
+            Claim.within("median_rel_diff[100KB]", 16.0, 4.0, full_only=True),
+            Claim.within("median_rel_diff[1MB]", 34.0, 26.0),
+        ],
     )

@@ -10,7 +10,7 @@ are short-flow dominated; IMDB click (movie trailer) and Dropbox click
 from typing import Dict
 
 from repro.core.rng import DEFAULT_SEED
-from repro.experiments.common import ExperimentResult, register
+from repro.experiments.common import Claim, ExperimentResult, register
 from repro.httpreplay.classify import FlowCategory, classify_session
 from repro.httpreplay.patterns import PATTERN_BUILDERS
 from repro.httpreplay.session import AppSession
@@ -75,15 +75,15 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             correct += 1
         metrics[f"connections[{name}]"] = float(session.connection_count)
     metrics["correctly_categorized"] = float(correct)
-    targets = {
-        "correctly_categorized": float(len(EXPECTED_CATEGORY)),
-        "connections[imdb_click]": 30.0,
-        "connections[dropbox_click]": 12.0,
-    }
+    claims = [
+        Claim.within("correctly_categorized", float(len(EXPECTED_CATEGORY))),
+        Claim.within("connections[imdb_click]", 30.0),
+        Claim.within("connections[dropbox_click]", 12.0),
+    ]
     return ExperimentResult(
         experiment_id="fig17",
         title="Mobile app traffic patterns (short-flow vs long-flow)",
         body="\n\n".join(parts),
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

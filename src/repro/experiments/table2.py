@@ -7,7 +7,7 @@ assigns (the paper's table lists only city and venue).
 
 from repro.analysis.report import Table
 from repro.core.rng import DEFAULT_SEED
-from repro.experiments.common import ExperimentResult, register
+from repro.experiments.common import Claim, ExperimentResult, register
 from repro.linkem.conditions import DUAL_CC_CONDITION_IDS, make_conditions
 
 __all__ = ["run"]
@@ -41,11 +41,16 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
         "dual_cc_locations": float(len(DUAL_CC_CONDITION_IDS)),
         "lte_nominally_better_count": float(lte_better),
     }
-    targets = {"location_count": 20.0, "dual_cc_locations": 7.0}
+    claims = [
+        Claim.within("location_count", 20.0),
+        Claim.within("dual_cc_locations", 7.0),
+        Claim("lte_nominally_better_count", "at least", 5.0),
+        Claim("lte_nominally_better_count", "at most", 12.0),
+    ]
     return ExperimentResult(
         experiment_id="table2",
         title="Locations where MPTCP measurements were conducted",
         body=table.render(),
         metrics=metrics,
-        paper_targets=targets,
+        claims=claims,
     )

@@ -54,6 +54,7 @@ __all__ = [
     "render_prometheus",
     "render_telemetry_timeline",
     "telemetry_enabled_by_env",
+    "telemetry_snapshot",
 ]
 
 #: Marker key identifying a telemetry-snapshot JSONL document.
@@ -471,21 +472,43 @@ class TelemetrySink:
         self.stop()
 
 
+#: What every snapshot reader indexes without a default.
+_FLEET_FIELDS = ("tasks_total", "tasks_done", "cache_hits", "rate_per_s",
+                 "workers", "workers_degraded")
+
+
+def telemetry_snapshot(text: str, where: str) -> dict:
+    """Parse one snapshot, checked for every field the readers index.
+
+    Not JSON, not an object, another schema, or a missing field raises
+    :class:`ConfigurationError` naming ``where`` and the field.
+    """
+    data = json_object(text, where)
+    if data.get("schema") != TELEMETRY_SCHEMA:
+        raise ConfigurationError(
+            f"{where} is not a telemetry snapshot "
+            f"(field 'schema' is not {TELEMETRY_SCHEMA})"
+        )
+    for name in ("time", "uptime_s", "fleet"):
+        if name not in data:
+            raise ConfigurationError(f"{where}: missing field {name!r}")
+    fleet = data["fleet"]
+    if not isinstance(fleet, dict):
+        raise ConfigurationError(f"{where}: field 'fleet' is not an object")
+    for name in _FLEET_FIELDS:
+        if name not in fleet:
+            raise ConfigurationError(f"{where}: missing field 'fleet.{name}'")
+    return dict(data)
+
+
 def load_telemetry_snapshots(path: str) -> List[dict]:
     """Parse a sink file back into snapshot dicts (schema-checked)."""
     snapshots: List[dict] = []
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            data = json_object(line, f"{path}:{line_no}")
-            if data.get("schema") != TELEMETRY_SCHEMA:
-                raise ConfigurationError(
-                    f"{path}:{line_no} is not a telemetry snapshot "
-                    f"(field 'schema' is not {TELEMETRY_SCHEMA})"
-                )
-            snapshots.append(data)
+            if line:
+                snapshots.append(telemetry_snapshot(line, f"{path}:{line_no}"))
     if not snapshots:
         raise ConfigurationError(f"{path} holds no telemetry snapshots")
     return snapshots

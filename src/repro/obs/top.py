@@ -14,13 +14,13 @@ Purely a consumer: it never touches the bus it reads from.
 """
 
 import argparse
-import json
 import sys
 import time
 from http.client import HTTPConnection
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.obs.telemetry import TELEMETRY_SCHEMA
+from repro.core.errors import ConfigurationError
+from repro.obs.telemetry import telemetry_snapshot
 
 __all__ = ["fetch_http_snapshot", "read_last_snapshot", "render_top",
            "resilience_line", "top_main"]
@@ -43,27 +43,21 @@ def fetch_http_snapshot(host: str, port: int,
             )
     finally:
         conn.close()
-    data = json.loads(body)
-    if not isinstance(data, dict) or data.get("schema") != TELEMETRY_SCHEMA:
-        raise ValueError(
-            f"{host}:{port}/healthz is not a telemetry snapshot"
-        )
-    return data
+    return telemetry_snapshot(
+        body.decode("utf-8", errors="replace"), f"{host}:{port}/healthz"
+    )
 
 
 def read_last_snapshot(path: str) -> dict:
     """The most recent snapshot line of a ``--telemetry-out`` file."""
-    last: Optional[str] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+    last: Optional[Tuple[str, str]] = None
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for line_no, line in enumerate(handle, start=1):
             if line.strip():
-                last = line
+                last = (line, f"{path}:{line_no}")
     if last is None:
-        raise ValueError(f"{path} holds no telemetry snapshots yet")
-    data = json.loads(last)
-    if not isinstance(data, dict) or data.get("schema") != TELEMETRY_SCHEMA:
-        raise ValueError(f"{path} is not a telemetry snapshot file")
-    return data
+        raise ConfigurationError(f"{path} holds no telemetry snapshots yet")
+    return telemetry_snapshot(*last)
 
 
 def _fmt(value, spec: str = ".0f", missing: str = "-") -> str:
@@ -193,7 +187,7 @@ def top_main(argv=None) -> int:
         while True:
             try:
                 snapshot = fetch()
-            except (OSError, ValueError) as exc:
+            except (OSError, ConfigurationError) as exc:
                 print(f"repro.obs top: {exc}", file=sys.stderr)
                 return 2
             frame = render_top(snapshot)

@@ -45,6 +45,7 @@ import warnings
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core import env
+from repro.core.errors import ConfigurationError
 from repro.core.proc import pid_start_token, same_process
 
 __all__ = ["ResultCache", "cache_enabled_by_env", "canonical_spec",
@@ -462,8 +463,13 @@ class ResultCache:
         ``max_age_s`` additionally removes entries not modified within
         that window (``None`` keeps all entries).  Live locks and
         fresh entries are never touched, so gc is safe to run while
-        sweeps are in flight.
+        sweeps are in flight; a negative or non-finite window is a
+        :class:`ConfigurationError`, not "everything is stale".
         """
+        if max_age_s is not None and not 0.0 <= max_age_s < float("inf"):
+            raise ConfigurationError(
+                f"max_age_s must be a finite number >= 0: {max_age_s}"
+            )
         removed = {"entries": 0, "locks": 0, "tmp": 0}
         now = time.time()
         for path in self._walk():

@@ -475,7 +475,11 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
                       f"oldest {stats['oldest_age_s']:.0f}s")
         return 0
     if args.command == "gc":
-        removed = cache.gc(max_age_s=args.max_age_s)
+        try:
+            removed = cache.gc(max_age_s=args.max_age_s)
+        except ConfigurationError as exc:
+            print(f"cache: {exc}", file=sys.stderr)
+            return 2
         if args.json:
             _emit(removed)
         else:

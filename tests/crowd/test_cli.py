@@ -110,3 +110,13 @@ class TestCrowdScaleCli:
     def test_invalid_users_rejected(self, capsys):
         assert main(["--users", "0"] + SCALE_ARGS) == 2
         assert "users" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch", "0"), ("--batch", "-3"), ("--shard-users", "0"),
+    ])
+    def test_invalid_batching_rejected(self, capsys, flag, value):
+        # 0 is a value, not "use the default".
+        assert main(["--users", "300", flag, value] + SCALE_ARGS) == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.strip() == (
+            f"crowd: {name} must be >= 1: {value}")

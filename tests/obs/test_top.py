@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.obs import telemetry
 from repro.obs.telemetry import TelemetryBus, TelemetryServer
 from repro.obs.top import (
@@ -77,8 +78,25 @@ class TestFileSource:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.jsonl"
         path.write_text('{"schema": "not/telemetry"}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             read_last_snapshot(str(path))
+
+    @pytest.mark.parametrize("line, names", [
+        ("not json", "not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"schema": "not/telemetry"}', "field 'schema'"),
+        (json.dumps({"schema": telemetry.TELEMETRY_SCHEMA, "time": 1.0,
+                     "uptime_s": 1.0}), "missing field 'fleet'"),
+    ])
+    def test_rejects_what_is_not_a_snapshot(self, tmp_path, capsys,
+                                            line, names):
+        path = tmp_path / "other.jsonl"
+        path.write_text(json.dumps(_busy_bus().snapshot()) + "\n" + line + "\n")
+        with pytest.raises(ConfigurationError, match=f"other.jsonl:2.*{names}"):
+            read_last_snapshot(str(path))
+        assert top_main([str(path), "--once"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("repro.obs top:"), err
 
     def test_top_main_once_with_file(self, tmp_path, capsys):
         path = tmp_path / "telemetry.jsonl"

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.parallel import SimTask, SweepRunner
 from repro.parallel.cache import ResultCache
 from repro.parallel.service import cache_main
@@ -269,6 +270,19 @@ class TestCacheCli:
         removed = json.loads(capsys.readouterr().out)
         assert removed["entries"] == 1
         assert cache.stats()["entries"] == 2
+
+    @pytest.mark.parametrize("max_age", ["-1", "nan", "inf"])
+    def test_gc_refuses_a_window_that_is_not_an_age(self, tmp_path, capsys,
+                                                    max_age):
+        # -1 would make a fresh entry "stale"; nan would keep every one.
+        cache = self._put_entries(str(tmp_path))
+        assert cache_main(["gc", "--dir", str(tmp_path),
+                           "--max-age-s", max_age]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("cache: max_age_s"), err
+        assert cache.stats()["entries"] == 3
+        with pytest.raises(ConfigurationError):
+            cache.gc(max_age_s=float(max_age))
 
     def test_clear_empties_the_store(self, tmp_path, capsys):
         self._put_entries(str(tmp_path))
