@@ -11,8 +11,10 @@ drives the whole stack over real sockets:
 2. run one ``submit --connect`` job against it;
 3. GET ``/metrics`` and assert well-formed Prometheus text exposition
    (``# TYPE`` lines, ``repro_``-prefixed samples, sweep counters
-   moved by the job);
-4. GET ``/healthz`` and assert the JSON snapshot schema.
+   moved by the job, the queue drained to 0);
+4. GET ``/healthz`` and assert the JSON snapshot schema, and that the
+   fleet counted the job's two transfers exactly once, with no ETA
+   left once nothing remains.
 
 Exit 0 on success, 1 with a diagnostic on any failure::
 
@@ -75,13 +77,18 @@ def _check_metrics(body: str) -> None:
     joined = "\n".join(samples)
     assert "repro_sweep_tasks_done" in joined, \
         "submit job did not move repro_sweep_tasks_done"
+    depth = re.findall(r"^repro_sweep_queue_depth (\S+)$", joined, re.M)
+    assert depth and float(depth[0]) == 0, \
+        f"queue not drained after the job: {depth}"
 
 
 def _check_healthz(body: str) -> None:
     snapshot = json.loads(body)
     assert snapshot.get("ok") is True, "healthz not ok"
     assert snapshot["schema"] == "repro.obs.telemetry/v1", snapshot["schema"]
-    assert snapshot["fleet"]["tasks_done"] >= 2, snapshot["fleet"]
+    fleet = snapshot["fleet"]
+    assert fleet["tasks_done"] == fleet["tasks_total"] == 2, fleet
+    assert fleet["eta_s"] is None, fleet
 
 
 def main() -> int:

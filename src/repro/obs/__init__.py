@@ -11,10 +11,11 @@ One instrumentation pathway for the whole simulator:
   moment the task resolves; sweep stats, the crowd per-shard table and
   ``obs summarize FILE.manifests.json`` are reductions of that list.
 * :mod:`repro.obs.progress` — live sweep progress/ETA
-  (:class:`SweepProgress`), fed from the same emit.
+  (:class:`SweepProgress`), a renderer of the ``SweepTally`` that the
+  same emit feeds.
 * :mod:`repro.obs.telemetry` — the *live* plane: a process-wide
-  :class:`TelemetryBus` fed by worker STATS heartbeats and
-  coordinator/Session/crowd publishers, with a Prometheus-style HTTP
+  :class:`TelemetryBus` fed by worker STATS heartbeats, that same
+  emit, and the fleet's healing counters, with a Prometheus-style HTTP
   exporter, a JSONL snapshot sink, and ``python -m repro.obs top``.
 * :mod:`repro.obs.summary` — offline trace digests backing the
   ``python -m repro.obs`` CLI.
@@ -34,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "render_diff": ".manifest",
     "Counter": ".metrics", "Gauge": ".metrics", "Histogram": ".metrics",
     "MetricsRegistry": ".metrics", "SpanTimer": ".metrics",
-    "TimeSeries": ".metrics", "collect_transfer_metrics": ".metrics",
+    "collect_transfer_metrics": ".metrics",
     "reconcile": ".metrics",
     "SweepProgress": ".progress", "progress_enabled_by_env": ".progress",
     "SubflowSummary": ".summary", "TraceSummary": ".summary",

@@ -9,13 +9,18 @@ attributable.  ``python -m repro.obs diff`` compares two manifests
 
 The manifest list is the one run record of a sweep: every report on it
 (``SweepStats``, the crowd per-shard table, ``python -m repro.obs
-summarize FILE.manifests.json``) is a reduction of that list.
+summarize FILE.manifests.json``) is a reduction of that list, and the
+live views (the progress line, the telemetry bus) read
+:class:`SweepTally`, the same reduction kept one resolution at a time.
 """
 
 import json
+import threading
+import time
 from bisect import bisect_right
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import percentile
 from repro.core.errors import ConfigurationError, json_field, json_object, require
@@ -138,6 +143,78 @@ def tally(manifests: Sequence[RunManifest]) -> Dict[str, int]:
         "flight_waits": sum(1 for m in manifests
                             if "single_flight" in m.extra),
     }
+
+
+class SweepTally:
+    """:func:`tally` kept while sweeps run, for the live views.
+
+    Fed one resolution at a time — the manifest ``SweepRunner._emit``
+    has just written, or the ``cached`` flag of a ``result`` event
+    streamed to ``submit --connect`` — and read by the progress line
+    and the telemetry bus, so neither keeps a count of its own.
+    ``total`` is ``None`` when nobody knows it (a streamed job; such a
+    tally is never begun).  Thread-safe: the bus's tally is fed by every
+    runner in the process.
+    """
+
+    #: Resolutions the rate is measured over.
+    WINDOW = 240
+
+    def __init__(self, total: Optional[int] = 0,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.total, self._clock, self._lock = total, clock, threading.Lock()
+        self.runs = self.done = self.cache_hits = self.failed = self.degraded = 0
+        self._times: Deque[float] = deque(maxlen=self.WINDOW)
+        # ETA reference: the busy spell's start, tasks executed before it.
+        self._since, self._executed_before = clock(), 0
+
+    def begin(self, tasks: int) -> None:
+        """A sweep of ``tasks`` starts; an idle tally restarts its ETA."""
+        with self._lock:
+            if self.done >= self.total:
+                self._since = self._clock()
+                self._executed_before = self.done - self.cache_hits
+            self.runs += 1
+            self.total += tasks
+
+    def add(self, cache_hit: bool, failed: bool = False) -> None:
+        """One task resolved."""
+        with self._lock:
+            self.done += 1
+            self.cache_hits += cache_hit
+            self.failed += failed
+            self._times.append(self._clock())
+
+    def note_degraded(self) -> None:
+        """A sweep lost its fleet and finished on the local pool."""
+        with self._lock:
+            self.degraded += 1
+
+    def read(self) -> Dict[str, Any]:
+        """The counts, rate and ETA at one instant.
+
+        ``rate_per_s``: resolutions per second over the last
+        :data:`WINDOW` (0.0 until two span some time).  ``eta_s``: the
+        busy spell's seconds per *executed* task times those remaining
+        (a cache hit is not work), ``None`` if either count is zero.
+        """
+        with self._lock:
+            now = self._clock()
+            times = self._times
+            span = times[-1] - times[0] if len(times) > 1 else 0.0
+            remaining = None if self.total is None else self.total - self.done
+            executed = self.done - self.cache_hits
+            spell = executed - self._executed_before
+            eta = ((now - self._since) / spell * remaining
+                   if remaining and remaining > 0 and spell > 0 else None)
+            return {
+                "runs": self.runs, "total": self.total, "done": self.done,
+                "cache_hits": self.cache_hits, "failed": self.failed,
+                "executed": executed, "degraded": self.degraded,
+                "remaining": remaining,
+                "rate_per_s": (len(times) - 1) / span if span > 0 else 0.0,
+                "eta_s": eta,
+            }
 
 
 def outstanding(manifests: Sequence[RunManifest]) -> List[int]:

@@ -24,11 +24,12 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SpanTimer",
-    "TimeSeries",
     "collect_transfer_metrics",
 ]
 
 Labels = Tuple[Tuple[str, str], ...]
+#: One flat series: ``(kind, name, labels, value)``.
+Sample = Tuple[str, str, Labels, float]
 
 
 def _labels_key(labels: Dict[str, str]) -> Labels:
@@ -92,95 +93,6 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
-class TimeSeries:
-    """Fixed-capacity ring buffer of wall-clock-stamped samples.
-
-    Where a :class:`Counter` answers "how much, ever", a time series
-    answers "how is it moving *right now*": the telemetry plane
-    (:mod:`repro.obs.telemetry`) records the latest value of every
-    live signal here and reduces the window to ``last``/``minimum``/
-    ``maximum``/``rate`` for exposition.  The buffer never grows —
-    once ``capacity`` samples are held, the oldest is overwritten —
-    so a long-lived ``serve`` process observes for days in O(1)
-    memory.
-    """
-
-    __slots__ = ("capacity", "_times", "_values", "_count", "_next")
-
-    def __init__(self, capacity: int = 240) -> None:
-        if capacity < 2:
-            raise ConfigurationError(
-                f"time series capacity must be >= 2: {capacity}"
-            )
-        self.capacity = capacity
-        self._times: List[float] = [0.0] * capacity
-        self._values: List[float] = [0.0] * capacity
-        self._count = 0
-        self._next = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def record(self, value: float, now: Optional[float] = None) -> None:
-        """Append one sample (``now`` defaults to wall-clock time)."""
-        self._times[self._next] = time.time() if now is None else now
-        self._values[self._next] = float(value)
-        self._next = (self._next + 1) % self.capacity
-        if self._count < self.capacity:
-            self._count += 1
-
-    def samples(self) -> List[Tuple[float, float]]:
-        """The held ``(time, value)`` samples, oldest first."""
-        if self._count < self.capacity:
-            indices = range(self._count)
-        else:
-            indices = (
-                (self._next + offset) % self.capacity
-                for offset in range(self.capacity)
-            )
-        return [(self._times[i], self._values[i]) for i in indices]
-
-    @property
-    def last(self) -> Optional[float]:
-        if not self._count:
-            return None
-        return self._values[(self._next - 1) % self.capacity]
-
-    @property
-    def last_time(self) -> Optional[float]:
-        if not self._count:
-            return None
-        return self._times[(self._next - 1) % self.capacity]
-
-    @property
-    def minimum(self) -> Optional[float]:
-        if not self._count:
-            return None
-        return min(value for _, value in self.samples())
-
-    @property
-    def maximum(self) -> Optional[float]:
-        if not self._count:
-            return None
-        return max(value for _, value in self.samples())
-
-    def rate(self) -> float:
-        """Value change per second across the held window.
-
-        Meaningful for monotone signals (a counter's running total):
-        ``(last - first) / (t_last - t_first)``.  Returns 0.0 when the
-        window holds fewer than two samples or spans no time.
-        """
-        if self._count < 2:
-            return 0.0
-        window = self.samples()
-        (t_first, v_first), (t_last, v_last) = window[0], window[-1]
-        span = t_last - t_first
-        if span <= 0:
-            return 0.0
-        return (v_last - v_first) / span
-
-
 class SpanTimer:
     """Context manager timing one span into a callback.
 
@@ -210,7 +122,6 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
         self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
-        self._timeseries: Dict[Tuple[str, Labels], TimeSeries] = {}
 
     def counter(self, name: str, **labels: str) -> Counter:
         key = (name, _labels_key(labels))
@@ -233,14 +144,6 @@ class MetricsRegistry:
             instrument = self._histograms[key] = Histogram()
         return instrument
 
-    def timeseries(self, name: str, capacity: int = 240,
-                   **labels: str) -> TimeSeries:
-        key = (name, _labels_key(labels))
-        instrument = self._timeseries.get(key)
-        if instrument is None:
-            instrument = self._timeseries[key] = TimeSeries(capacity)
-        return instrument
-
     def timer(self, name: str, **labels: str) -> SpanTimer:
         """A span timer observing into ``<name>_s`` on exit.
 
@@ -256,11 +159,10 @@ class MetricsRegistry:
         histogram = self.histogram(f"{name}_s", **labels)
         return SpanTimer(histogram.observe)
 
-    def iter_samples(self) -> Iterator[Tuple[str, str, Labels, float]]:
+    def iter_samples(self) -> Iterator[Sample]:
         """Flat ``(kind, series_name, labels, value)`` samples.
 
-        Histograms expand to ``_count``/``_sum``/``_min``/``_max``;
-        time series reduce to ``_last``/``_min``/``_max``/``_rate``.
+        Histograms expand to ``_count``/``_sum``/``_min``/``_max``.
         The exposition renderer (:mod:`repro.obs.telemetry`) consumes
         this instead of re-parsing rendered label strings.
         """
@@ -274,13 +176,6 @@ class MetricsRegistry:
             if histogram.count:
                 yield "gauge", f"{name}_min", labels, histogram.minimum
                 yield "gauge", f"{name}_max", labels, histogram.maximum
-        for (name, labels), series in self._timeseries.items():
-            if not len(series):
-                continue
-            yield "gauge", f"{name}_last", labels, series.last
-            yield "gauge", f"{name}_min", labels, series.minimum
-            yield "gauge", f"{name}_max", labels, series.maximum
-            yield "gauge", f"{name}_rate", labels, series.rate()
 
     def snapshot(self) -> Dict[str, float]:
         """Flatten every instrument into ``{name{labels}: value}``.

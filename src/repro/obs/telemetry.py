@@ -1,15 +1,14 @@
 """Live telemetry plane: a process-wide bus, exporters, and sinks.
 
-Everything else in :mod:`repro.obs` is post-hoc — traces and manifests
-are inspected after the sweep ends.  The telemetry plane watches the
-run *while it happens*, the way the paper's
-crowd-sourced backend (§2) could watch millions of measurements
-arrive: workers stream ``STATS`` heartbeats, the coordinator and
-Session publish progress counters, and consumers (``repro.obs top``,
-a Prometheus scrape, a JSONL sink) read a consistent snapshot at any
-moment.
+Traces and manifests are read after a sweep ends; the telemetry plane
+watches it *while it happens*, as the paper's crowd-sourced backend
+(§2) watched measurements arrive.  Workers stream ``STATS`` heartbeats,
+every sweep feeds the bus's :class:`~repro.obs.manifest.SweepTally`
+from the manifests it writes, the fleet layer counts its healing
+events, and consumers (``repro.obs top``, a Prometheus scrape, a JSONL
+sink) read a consistent snapshot at any moment.
 
-Contract (same as tracing, PR 3): **presentation only**.  Telemetry
+Contract (the same as tracing's): **presentation only**.  Telemetry
 on/off is bit-identical in results (``tests/obs/test_telemetry.py``);
 its cost is the ledger leg ``obs.telemetry.overhead_ratio``.  The
 enforcement pattern is the zero-cost guard: every producer does ::
@@ -17,7 +16,7 @@ enforcement pattern is the zero-cost guard: every producer does ::
     bus = active_bus()          # None unless telemetry is enabled
     ...
     if bus is not None:
-        bus.count("sweep.tasks_done")
+        bus.count("executor.redispatches")
 
 so a disabled bus costs one ``None`` check per publish site, and the
 bus itself never feeds values back into the code that computes
@@ -29,6 +28,7 @@ programmatically via :func:`enable`.  ``serve --telemetry-port`` and
 """
 
 import json
+import math
 import re
 import threading
 import time
@@ -37,7 +37,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import env
 from repro.core.errors import ConfigurationError, json_object
-from repro.obs.metrics import MetricsRegistry, SpanTimer
+from repro.obs.manifest import SweepTally
+from repro.obs.metrics import MetricsRegistry, Sample, SpanTimer
 
 __all__ = [
     "STALE_INTERVALS",
@@ -105,8 +106,8 @@ class TelemetryBus:
     """Process-wide, thread-safe aggregation point for live signals.
 
     Producers on any thread publish through :meth:`count` /
-    :meth:`record` / :meth:`observe` / :meth:`timer` /
-    :meth:`publish_worker`; consumers call :meth:`snapshot` for a
+    :meth:`observe` / :meth:`timer` / :meth:`publish_worker`, and every
+    sweep feeds :attr:`sweep`; consumers call :meth:`snapshot` for a
     consistent JSON-able view.  The bus owns its *own*
     :class:`MetricsRegistry` — nothing here ever lands on a
     ``TransferReport``, which is how bit-identity stays trivially
@@ -119,31 +120,15 @@ class TelemetryBus:
         self._clock = clock
         self._lock = threading.RLock()
         self.registry = MetricsRegistry()
+        self.sweep = SweepTally(clock=clock)
         self._workers: Dict[str, WorkerHealth] = {}
         self.started_at = clock()
 
     # -- producer surface -------------------------------------------------
 
     def count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        """Increment a counter and record its running total.
-
-        The time-series copy is what makes ``rate()`` (tasks/sec over
-        the live window) come out of a plain monotone counter.
-        """
         with self._lock:
-            counter = self.registry.counter(name, **labels)
-            counter.inc(amount)
-            self.registry.timeseries(name, **labels).record(
-                counter.value, now=self._clock()
-            )
-
-    def record(self, name: str, value: float, **labels: str) -> None:
-        """Set a gauge and append the sample to its time series."""
-        with self._lock:
-            self.registry.gauge(name, **labels).set(value)
-            self.registry.timeseries(name, **labels).record(
-                value, now=self._clock()
-            )
+            self.registry.counter(name, **labels).inc(amount)
 
     def observe(self, name: str, value: float, **labels: str) -> None:
         with self._lock:
@@ -156,28 +141,25 @@ class TelemetryBus:
         )
 
     def publish_worker(self, worker_id: str, stats: Dict) -> None:
-        """Ingest one STATS heartbeat payload from a remote worker."""
-        now = self._clock()
+        """Ingest one STATS heartbeat payload from a remote worker.
+
+        A beat whose ``pid`` or ``interval_s`` is not a finite number
+        (the interval positive) proves liveness only.
+        """
         with self._lock:
-            health = self._workers.get(worker_id)
-            if health is None:
-                health = self._workers[worker_id] = WorkerHealth(worker_id)
-            health.pid = int(stats.get("pid", health.pid))
-            health.interval_s = float(
-                stats.get("interval_s", health.interval_s)
-            )
-            health.last_seen = now
+            health = self._workers.setdefault(worker_id,
+                                              WorkerHealth(worker_id))
+            health.last_seen = self._clock()
+            pid = stats.get("pid", health.pid)
+            interval_s = stats.get("interval_s", health.interval_s)
+            if not (_finite(pid) and _finite(interval_s) and interval_s > 0):
+                return
+            health.pid, health.interval_s = int(pid), float(interval_s)
             health.stats = {
                 key: value
                 for key, value in stats.items()
-                if key not in ("pid", "interval_s")
-                and isinstance(value, (int, float))
+                if key not in ("pid", "interval_s") and _finite(value)
             }
-            tasks_done = health.stats.get("tasks_done")
-            if tasks_done is not None:
-                self.registry.timeseries(
-                    "worker.tasks_done", worker=worker_id
-                ).record(tasks_done, now=now)
 
     # -- consumer surface -------------------------------------------------
 
@@ -186,44 +168,58 @@ class TelemetryBus:
             return sorted(self._workers.values(),
                           key=lambda h: h.worker_id)
 
+    def _sweep_samples(self, counts: dict) -> List[Sample]:
+        """The ``sweep.*`` series (none before the first sweep)."""
+        if not counts["runs"]:
+            return []
+        return [(kind, "sweep." + name, (), float(value)) for kind, name, value in (
+            ("counter", "runs", counts["runs"]),
+            ("counter", "tasks_done", counts["done"]),
+            ("counter", "cache_hits", counts["cache_hits"]),
+            ("counter", "tasks_failed", counts["failed"]),
+            ("counter", "degraded", counts["degraded"]),
+            ("gauge", "tasks_total", counts["total"]),
+            ("gauge", "queue_depth", max(0, counts["remaining"])),
+        )]
+
     def snapshot(self, now: Optional[float] = None) -> dict:
         """One consistent, JSON-able view of the whole plane."""
         now = self._clock() if now is None else now
         with self._lock:
+            counts = self.sweep.read()
             metrics = self.registry.snapshot()
-            worker_rows = [
-                health.to_dict(now) for health in self.workers()
-            ]
-            degraded = sum(
-                1 for row in worker_rows if row["state"] != "ok"
-            )
-            tasks_total = metrics.get("sweep.tasks_total", 0.0)
-            tasks_done = metrics.get("sweep.tasks_done", 0.0)
-            rate = self.registry.timeseries("sweep.tasks_done").rate()
-            remaining = max(0.0, tasks_total - tasks_done)
-            eta_s = remaining / rate if rate > 0 and remaining else None
+            metrics.update((name, value) for _, name, _, value
+                           in self._sweep_samples(counts))
+            worker_rows = [health.to_dict(now) for health in self.workers()]
             return {
                 "schema": TELEMETRY_SCHEMA,
                 "time": now,
                 "uptime_s": now - self.started_at,
                 "fleet": {
-                    "tasks_total": tasks_total,
-                    "tasks_done": tasks_done,
-                    "cache_hits": metrics.get("sweep.cache_hits", 0.0),
-                    "rate_per_s": rate,
-                    "eta_s": eta_s,
+                    "tasks_total": float(counts["total"]),
+                    "tasks_done": float(counts["done"]),
+                    "cache_hits": float(counts["cache_hits"]),
+                    "rate_per_s": counts["rate_per_s"],
+                    "eta_s": counts["eta_s"],
                     "workers": len(worker_rows),
-                    "workers_degraded": degraded,
+                    "workers_degraded": sum(row["state"] != "ok"
+                                            for row in worker_rows),
                 },
                 "workers": worker_rows,
-                "metrics": metrics,
+                "metrics": dict(sorted(metrics.items())),
             }
 
     def clear(self) -> None:
         with self._lock:
             self.registry = MetricsRegistry()
+            self.sweep = SweepTally(clock=self._clock)
             self._workers.clear()
             self.started_at = self._clock()
+
+
+def _finite(value) -> bool:  # a bool is not a number here
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 # -- process-wide switch ---------------------------------------------------
@@ -291,15 +287,16 @@ def render_prometheus(bus: TelemetryBus,
                       now: Optional[float] = None) -> str:
     """The bus as Prometheus text exposition (``/metrics``).
 
-    Counter/gauge/histogram-reduction series come straight from the
-    registry; per-worker STATS fields become
+    The ``sweep.*`` series are read off the bus's tally, the rest come
+    straight from the registry; per-worker STATS fields become
     ``repro_worker_<field>{worker="host:port"}`` gauges, plus a
     ``repro_worker_up`` 0/1 health flag from staleness.
     """
     with bus._lock:
         lines: List[str] = []
         seen_types: Dict[str, str] = {}
-        for kind, name, labels, value in bus.registry.iter_samples():
+        for kind, name, labels, value in (bus._sweep_samples(bus.sweep.read())
+                                          + list(bus.registry.iter_samples())):
             metric = _metric_name(name)
             if metric not in seen_types:
                 seen_types[metric] = kind

@@ -24,8 +24,9 @@ Execution plan for one ``run(tasks)``:
    ``executor.run_one`` under the retry budget;
 5. awaited keys are collected (or taken over if their owner vanished);
 6. every resolution has by then passed through
-   :meth:`SweepRunner._emit` — manifest written; progress, bus and
-   ``on_result`` told — and ``last_stats`` reduces the manifests; if any
+   :meth:`SweepRunner._emit` — manifest written; the progress line's and
+   the bus's :class:`~repro.obs.manifest.SweepTally` fed, ``on_result``
+   told — and ``last_stats`` reduces the manifests; if any
    task exhausted its budget a
    :class:`~repro.core.errors.SweepTaskError` carries the healthy
    results out.
@@ -240,12 +241,7 @@ class SweepRunner:
         seeded = [task.seeded(self.seed) for task in tasks]
         self._bus = active_bus()
         if self._bus is not None:
-            self._bus.count("sweep.runs")
-            self._bus.record(
-                "sweep.tasks_total",
-                self._bus.registry.gauge("sweep.tasks_total").value
-                + len(seeded),
-            )
+            self._bus.sweep.begin(len(seeded))
 
         # Tracing bypasses the cache: a hit would skip the simulation
         # and silently produce no trace file.
@@ -261,6 +257,8 @@ class SweepRunner:
             if owned:
                 with self._span("coordinator.dispatch"):
                     executor = self._execute(state, owned)
+                if executor is not self.executor and self._bus is not None:
+                    self._bus.sweep.note_degraded()
             if awaited:
                 self._resolve_awaited(state, awaited, executor)
         finally:
@@ -418,8 +416,6 @@ class SweepRunner:
             RuntimeWarning,
             stacklevel=4,
         )
-        if self._bus is not None:
-            self._bus.count("sweep.degraded")
 
     def _isolator(
         self, executor: Executor
@@ -534,20 +530,10 @@ class SweepRunner:
             extra=extra,
         )
         if state.progress is not None:
-            if cache_hit:
-                state.progress.note_cached(1)
-            else:
-                state.progress.advance()
-        bus = self._bus
-        if bus is not None:
-            bus.count("sweep.tasks_done")
-            if cache_hit:
-                bus.count("sweep.cache_hits")
-            if error is not None:
-                bus.count("sweep.tasks_failed")
-            total = bus.registry.gauge("sweep.tasks_total").value
-            done = bus.registry.counter("sweep.tasks_done").value
-            bus.record("sweep.queue_depth", max(0.0, total - done))
+            state.progress.tally.add(cache_hit, error is not None)
+            state.progress.render()
+        if self._bus is not None:
+            self._bus.sweep.add(cache_hit, error is not None)
         if self.on_result is not None and error is None:
             self.on_result(index, task, value, cache_hit)
 

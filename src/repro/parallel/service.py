@@ -214,10 +214,8 @@ def _run_remote(args) -> int:
                 event = wire.recv_json(payload)
                 _emit(event)
                 if progress is not None:
-                    if event.get("cached"):
-                        progress.note_cached(1)
-                    else:
-                        progress.advance(1)
+                    progress.tally.add(bool(event.get("cached")))
+                    progress.render()
             elif msg_type == wire.MSG_DONE:
                 if progress is not None:
                     progress.finish()

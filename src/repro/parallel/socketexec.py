@@ -411,9 +411,8 @@ class SocketExecutor(Executor):
                         try:
                             stats = wire.recv_json(payload)
                         except wire.WireError:
-                            stats = None  # legacy/corrupt beat: liveness only
-                        if isinstance(stats, dict):
-                            bus.publish_worker(worker_id, stats)
+                            continue  # legacy/corrupt beat: liveness only
+                        bus.publish_worker(worker_id, stats)
                     continue
                 if msg_type == wire.MSG_RESULT:
                     try:

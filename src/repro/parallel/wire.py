@@ -182,11 +182,21 @@ def recv_frame(sock: socket.socket,
     return msg_type, payload
 
 
-def recv_json(payload: bytes) -> Any:
+def recv_json(payload: bytes) -> dict:
+    """Decode a JSON frame body; every one on this wire is an object.
+
+    Anything else — undecodable bytes, bad JSON, a list, a string —
+    raises :class:`WireError`, so a malformed reply heals like a broken
+    connection instead of escaping as an ``AttributeError``.
+    """
     try:
-        return json.loads(payload.decode("utf-8"))
+        body = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"malformed JSON payload: {exc}")
+    if not isinstance(body, dict):
+        raise WireError(f"JSON payload is a {type(body).__name__}, "
+                        f"not an object")
+    return body
 
 
 def hello_payload() -> dict:

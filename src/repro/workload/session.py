@@ -22,7 +22,6 @@ spec's :meth:`~repro.workload.spec.TransferSpec.key`.
 """
 
 import os
-import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.rng import DEFAULT_SEED
@@ -30,7 +29,6 @@ from repro.flow.fidelity import apply_fidelity_override
 from repro.linkem.shells import mpshell
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import collect_transfer_metrics
-from repro.obs.telemetry import active_bus
 from repro.obs.trace import TraceRecorder, active_trace_dir, trace_filename
 from repro.parallel.cache import ResultCache
 from repro.parallel.runner import SimTask, SweepRunner, SweepStats
@@ -118,8 +116,6 @@ class Session:
         same canonical report shape from the analytic model.
         """
         spec = apply_fidelity_override(spec)
-        bus = active_bus()
-        transfer_started = time.perf_counter() if bus is not None else 0.0
         trace_dir = None
         if recorder is None:
             trace_dir = active_trace_dir()
@@ -155,15 +151,6 @@ class Session:
                 trace_dir,
                 trace_filename(spec.key(), self._seed_for(spec, seed)),
             ))
-        if bus is not None:
-            # Presentation only: the bus observes the finished report,
-            # it never feeds anything back into it.
-            bus.count("session.transfers", fidelity=spec.fidelity)
-            bus.observe(
-                "session.transfer_wall_s",
-                time.perf_counter() - transfer_started,
-                fidelity=spec.fidelity,
-            )
         return report
 
     def _seed_for(self, spec: TransferSpec, seed: Optional[int]) -> int:

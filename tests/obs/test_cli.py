@@ -205,10 +205,11 @@ class TestSummarizeTelemetry:
         from repro.obs.telemetry import TelemetryBus, TelemetrySink
 
         bus = TelemetryBus()
-        bus.record("sweep.tasks_total", 2)
+        bus.sweep.begin(2)
         path = tmp_path / "telemetry.jsonl"
         with TelemetrySink(bus, str(path), interval_s=30.0):
-            bus.count("sweep.tasks_done", 2)
+            bus.sweep.add(cache_hit=False)
+            bus.sweep.add(cache_hit=True)
         assert main(["summarize", str(path)]) == 0
         out = capsys.readouterr().out
         assert "telemetry timeline" in out

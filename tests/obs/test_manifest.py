@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.obs.manifest import (
     RunManifest,
+    SweepTally,
     diff_manifests,
     outstanding,
     read_manifests,
@@ -163,6 +164,91 @@ class TestReductions:
 
     def test_outstanding_without_resolved_s_is_flat(self):
         assert outstanding([_manifest(), _manifest(), _manifest()]) == [0] * 3
+
+
+class _Clock:
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class TestSweepTally:
+    """The running form of :func:`tally` the live views read."""
+
+    def test_fed_manifest_by_manifest_it_is_the_tally(self):
+        running = SweepTally()
+        running.begin(5)
+        for manifest in _sweep():
+            running.add(manifest.cache_hit, bool(manifest.extra.get("failed")))
+        counts, offline = running.read(), tally(_sweep())
+        assert (counts["done"], counts["cache_hits"], counts["failed"]) == (
+            offline["tasks"], offline["cache_hits"], offline["failed"])
+        assert counts["executed"] == offline["executed"]
+        assert (counts["total"], counts["remaining"]) == (5, 0)
+        assert counts["eta_s"] is None  # nothing remains
+
+    def test_rate_over_window(self):
+        clock = _Clock()
+        running = SweepTally(clock=clock)
+        running.add(False)
+        clock.now += 10.0
+        for _ in range(30):
+            running.add(True)
+        assert running.read()["rate_per_s"] == pytest.approx(3.0)
+
+    def test_rate_degenerate_cases(self):
+        clock = _Clock()
+        running = SweepTally(clock=clock)
+        assert running.read()["rate_per_s"] == 0.0
+        running.add(False)
+        assert running.read()["rate_per_s"] == 0.0  # single resolution
+        running.add(False)
+        assert running.read()["rate_per_s"] == 0.0  # zero time span
+
+    def test_rate_window_keeps_the_last_240(self):
+        clock = _Clock()
+        running = SweepTally(clock=clock)
+        for _ in range(100):  # slow start, then 240 at 10/s
+            running.add(False)
+            clock.now += 1.0
+        for _ in range(SweepTally.WINDOW):
+            running.add(False)
+            clock.now += 0.1
+        assert running.read()["rate_per_s"] == pytest.approx(10.0)
+
+    def test_eta_counts_executed_tasks_only(self):
+        clock = _Clock()
+        running = SweepTally(clock=clock)
+        running.begin(10)
+        for _ in range(4):
+            running.add(True)
+        clock.now += 2.0
+        assert running.read()["eta_s"] is None
+        running.add(False)
+        # 1 executed in 2s, 5 left.
+        assert running.read()["eta_s"] == pytest.approx(10.0)
+
+    def test_an_idle_tally_restarts_its_eta(self):
+        clock = _Clock()
+        running = SweepTally(clock=clock)
+        running.begin(1)
+        running.add(False)
+        clock.now += 3600.0  # idle for an hour
+        running.begin(4)
+        clock.now += 1.0
+        running.add(False)
+        # 1 executed in the 1s since the second sweep began, 3 left.
+        assert running.read()["eta_s"] == pytest.approx(3.0)
+        assert running.read()["runs"] == 2
+
+    def test_unknown_total_never_forecasts(self):
+        running = SweepTally(total=None)
+        running.add(False)
+        counts = running.read()
+        assert (counts["total"], counts["remaining"], counts["eta_s"]) == (
+            None, None, None)
 
 
 class TestRenderManifests:

@@ -252,79 +252,6 @@ class TestReconcile:
         assert "wifi/0 segments_sent" in problems[0]
 
 
-class TestTimeSeries:
-    def test_rejects_tiny_capacity(self):
-        from repro.core.errors import ConfigurationError
-        from repro.obs.metrics import TimeSeries
-
-        with pytest.raises(ConfigurationError):
-            TimeSeries(1)
-
-    def test_records_and_reduces(self):
-        from repro.obs.metrics import TimeSeries
-
-        series = TimeSeries(8)
-        for t, v in ((0.0, 5.0), (1.0, 2.0), (2.0, 9.0)):
-            series.record(v, now=t)
-        assert len(series) == 3
-        assert series.last == 9.0
-        assert series.last_time == 2.0
-        assert series.minimum == 2.0
-        assert series.maximum == 9.0
-
-    def test_ring_overwrites_oldest(self):
-        from repro.obs.metrics import TimeSeries
-
-        series = TimeSeries(3)
-        for t in range(5):
-            series.record(float(t), now=float(t))
-        assert len(series) == 3
-        assert series.samples() == [(2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
-        assert series.minimum == 2.0
-
-    def test_rate_over_window(self):
-        from repro.obs.metrics import TimeSeries
-
-        series = TimeSeries(16)
-        series.record(0.0, now=10.0)
-        series.record(30.0, now=20.0)
-        assert series.rate() == pytest.approx(3.0)
-
-    def test_rate_degenerate_cases(self):
-        from repro.obs.metrics import TimeSeries
-
-        series = TimeSeries(4)
-        assert series.rate() == 0.0
-        series.record(1.0, now=5.0)
-        assert series.rate() == 0.0  # single sample
-        series.record(9.0, now=5.0)
-        assert series.rate() == 0.0  # zero time span
-
-    def test_empty_series_properties_are_none(self):
-        from repro.obs.metrics import TimeSeries
-
-        series = TimeSeries(4)
-        assert series.last is None
-        assert series.minimum is None
-        assert series.maximum is None
-
-    def test_registry_snapshot_flattens_series(self):
-        registry = MetricsRegistry()
-        series = registry.timeseries("depth", worker="w0")
-        series.record(4.0, now=1.0)
-        series.record(2.0, now=2.0)
-        snap = registry.snapshot()
-        assert snap["depth_last{worker=w0}"] == 2.0
-        assert snap["depth_min{worker=w0}"] == 2.0
-        assert snap["depth_max{worker=w0}"] == 4.0
-        assert snap["depth_rate{worker=w0}"] == pytest.approx(-2.0)
-
-    def test_empty_series_absent_from_snapshot(self):
-        registry = MetricsRegistry()
-        registry.timeseries("depth")
-        assert registry.snapshot() == {}
-
-
 class TestSpanTimer:
     def test_timer_observes_elapsed(self):
         registry = MetricsRegistry()

@@ -1,6 +1,7 @@
 """Tests for the sweep progress line (presentation only)."""
 
 import io
+import time
 
 from repro.obs.progress import (
     SweepProgress,
@@ -33,6 +34,13 @@ class TestFormatEta:
         assert _format_eta(-1) == "?"
 
 
+def _feed(progress, count=1, cached=False):
+    """Resolve ``count`` tasks the way the sweep engine does."""
+    for _ in range(count):
+        progress.tally.add(cached)
+        progress.render()
+
+
 class TestSweepProgress:
     def _progress(self, total=10):
         stream = io.StringIO()
@@ -42,13 +50,13 @@ class TestSweepProgress:
     def test_line_shows_done_over_total(self):
         progress, stream = self._progress()
         progress.start()
-        progress.advance(3)
+        _feed(progress, 3)
         assert "sweep: 3/10" in stream.getvalue()
 
     def test_cached_tasks_count_as_done(self):
         progress, stream = self._progress()
         progress.start()
-        progress.note_cached(4)
+        _feed(progress, 4, cached=True)
         text = stream.getvalue()
         assert "sweep: 4/10" in text
         assert "4 cached" in text
@@ -56,7 +64,7 @@ class TestSweepProgress:
     def test_eta_appears_once_executing(self):
         progress, stream = self._progress()
         progress.start()
-        progress.advance(5)
+        _feed(progress, 5)
         assert "eta" in stream.getvalue()
 
     def test_cached_only_progress_shows_no_eta(self):
@@ -64,13 +72,13 @@ class TestSweepProgress:
         # instant and would otherwise forecast zero.
         progress, stream = self._progress()
         progress.start()
-        progress.note_cached(5)
+        _feed(progress, 5, cached=True)
         assert "eta" not in stream.getvalue()
 
     def test_finish_terminates_line(self):
         progress, stream = self._progress(total=1)
         progress.start()
-        progress.advance()
+        _feed(progress)
         progress.finish()
         assert stream.getvalue().endswith("\n")
 
@@ -79,10 +87,18 @@ class TestSweepProgress:
         progress = SweepProgress(100, stream=stream, min_interval_s=3600.0)
         progress.start()
         baseline = stream.getvalue()
-        for _ in range(50):
-            progress.advance()
+        _feed(progress, 50)
         # All 50 renders inside the interval are suppressed.
         assert stream.getvalue() == baseline
+
+    def test_start_opens_a_fresh_tally(self):
+        progress, stream = self._progress(total=2)
+        progress.start()
+        _feed(progress, 2)
+        progress.finish()
+        progress.start()
+        _feed(progress)
+        assert stream.getvalue().rpartition("\r")[2].startswith("sweep: 1/2")
 
 
 class TestUnknownTotal:
@@ -96,7 +112,7 @@ class TestUnknownTotal:
     def test_line_shows_question_mark_total(self):
         progress, stream = self._progress()
         progress.start()
-        progress.advance(3)
+        _feed(progress, 3)
         assert "sweep: 3/?" in stream.getvalue()
 
     def test_no_eta_is_ever_rendered(self):
@@ -104,21 +120,24 @@ class TestUnknownTotal:
         # is the observed completion rate.
         progress, stream = self._progress()
         progress.start()
-        progress.advance(7)
+        _feed(progress, 7)
         progress.finish()
         assert "eta" not in stream.getvalue()
 
     def test_rate_appears_once_measurable(self):
         progress, stream = self._progress()
         progress.start()
-        progress.advance(5)
+        _feed(progress)
+        assert "/s" not in stream.getvalue()  # one resolution spans no time
+        time.sleep(0.01)
+        _feed(progress)
         assert "/s" in stream.getvalue()
 
     def test_cached_counts_still_shown(self):
         progress, stream = self._progress()
         progress.start()
-        progress.note_cached(2)
-        progress.advance(1)
+        _feed(progress, 2, cached=True)
+        _feed(progress, 1)
         text = stream.getvalue()
         assert "sweep: 3/?" in text
         assert "2 cached" in text
@@ -126,7 +145,7 @@ class TestUnknownTotal:
     def test_finish_terminates_line(self):
         progress, stream = self._progress()
         progress.start()
-        progress.advance()
+        _feed(progress)
         progress.finish()
         assert stream.getvalue().endswith("\n")
 
@@ -149,7 +168,6 @@ class TestRedrawThrottle:
         stream = io.StringIO()
         progress = SweepProgress(5000, stream=stream)
         progress.start()
-        for _ in range(5000):
-            progress.note_cached(1)
+        _feed(progress, 5000, cached=True)
         progress.finish()
         assert len(stream.getvalue()) < 1000

@@ -55,26 +55,43 @@ def _double_tasks(n=6):
 # ---------------------------------------------------------------------------
 # Bus basics
 # ---------------------------------------------------------------------------
-class TestBus:
-    def test_count_feeds_counter_and_rate(self):
-        clock = _FakeClock()
-        bus = TelemetryBus(clock=clock)
-        bus.count("sweep.tasks_done")
-        clock.advance(2.0)
-        bus.count("sweep.tasks_done", 3)
-        snap = bus.registry.snapshot()
-        assert snap["sweep.tasks_done"] == 4.0
-        # Counter went 1 -> 4 over 2s: rate is 1.5/s.
-        assert bus.registry.timeseries("sweep.tasks_done").rate() == \
-            pytest.approx(1.5)
+def _resolve(bus, count, cache_hit=False):
+    for _ in range(count):
+        bus.sweep.add(cache_hit)
 
-    def test_record_sets_gauge_and_series(self):
+
+class TestBus:
+    def test_count_feeds_counter(self):
         bus = TelemetryBus(clock=_FakeClock())
-        bus.record("sweep.queue_depth", 7)
-        bus.record("sweep.queue_depth", 3)
-        snap = bus.registry.snapshot()
-        assert snap["sweep.queue_depth"] == 3.0
-        assert snap["sweep.queue_depth_max"] == 7.0
+        bus.count("fleet.restarts", worker="w0")
+        bus.count("fleet.restarts", 2, worker="w0")
+        snap = bus.snapshot()["metrics"]
+        assert snap == {"fleet.restarts{worker=w0}": 3.0}
+        assert "repro_fleet_restarts{worker=\"w0\"} 3.0" in \
+            render_prometheus(bus)
+
+    def test_sweep_series_are_read_off_the_tally(self):
+        bus = TelemetryBus(clock=_FakeClock())
+        assert bus.snapshot()["metrics"] == {}  # no sweep, no series
+        bus.sweep.begin(7)
+        bus.sweep.add(cache_hit=True)
+        bus.sweep.add(cache_hit=False, failed=True)
+        assert bus.snapshot()["metrics"] == {
+            "sweep.runs": 1.0, "sweep.tasks_total": 7.0,
+            "sweep.tasks_done": 2.0, "sweep.cache_hits": 1.0,
+            "sweep.tasks_failed": 1.0, "sweep.degraded": 0.0,
+            "sweep.queue_depth": 5.0,
+        }
+        text = render_prometheus(bus)
+        for name, kind in (("runs", "counter"), ("tasks_done", "counter"),
+                           ("cache_hits", "counter"),
+                           ("tasks_failed", "counter"),
+                           ("degraded", "counter"),
+                           ("tasks_total", "gauge"),
+                           ("queue_depth", "gauge")):
+            assert f"# TYPE repro_sweep_{name} {kind}\n" in text
+        # The time-series expansions are gone for good.
+        assert "_last" not in text and "_rate" not in text
 
     def test_timer_observes_histogram(self):
         bus = TelemetryBus()
@@ -87,31 +104,48 @@ class TestBus:
     def test_snapshot_fleet_totals_and_eta(self):
         clock = _FakeClock()
         bus = TelemetryBus(clock=clock)
-        bus.record("sweep.tasks_total", 10)
-        bus.count("sweep.tasks_done")
+        bus.sweep.begin(10)
+        clock.advance(1.0)
+        _resolve(bus, 1)
         clock.advance(2.0)
-        bus.count("sweep.tasks_done", 3)
+        _resolve(bus, 3)
         snap = bus.snapshot()
         assert snap["schema"] == TELEMETRY_SCHEMA
         fleet = snap["fleet"]
         assert fleet["tasks_total"] == 10.0
         assert fleet["tasks_done"] == 4.0
+        # 4 resolutions, the last 3 of them 2s after the first.
         assert fleet["rate_per_s"] == pytest.approx(1.5)
-        # 6 tasks left at 1.5/s -> 4s.
-        assert fleet["eta_s"] == pytest.approx(4.0)
+        # 4 executed in 3s since the sweep began, 6 left -> 4.5s.
+        assert fleet["eta_s"] == pytest.approx(4.5)
+
+    def test_cache_hits_do_not_forecast_the_eta(self):
+        clock = _FakeClock()
+        bus = TelemetryBus(clock=clock)
+        bus.sweep.begin(10)
+        _resolve(bus, 5, cache_hit=True)
+        clock.advance(1.0)
+        assert bus.snapshot()["fleet"]["eta_s"] is None
+        _resolve(bus, 1)
+        # 1 executed in 1s, 4 left: a warm prefix does not make it ~0s.
+        assert bus.snapshot()["fleet"]["eta_s"] == pytest.approx(4.0)
 
     def test_snapshot_is_json_serializable(self):
         bus = TelemetryBus()
-        bus.count("sweep.tasks_done")
+        bus.sweep.begin(2)
+        _resolve(bus, 1)
         bus.publish_worker("w:1", {"pid": 9, "tasks_done": 1})
         json.dumps(bus.snapshot())
 
     def test_clear_resets_everything(self):
         bus = TelemetryBus()
-        bus.count("sweep.tasks_done")
+        bus.sweep.begin(2)
+        _resolve(bus, 1)
+        bus.count("executor.redispatches")
         bus.publish_worker("w:1", {"pid": 9})
         bus.clear()
-        assert bus.registry.snapshot() == {}
+        assert bus.snapshot()["metrics"] == {}
+        assert bus.snapshot()["fleet"]["tasks_total"] == 0.0
         assert bus.workers() == []
 
     def test_concurrent_publishers_do_not_corrupt(self):
@@ -119,7 +153,8 @@ class TestBus:
 
         def hammer(worker_id):
             for i in range(200):
-                bus.count("sweep.tasks_done")
+                bus.sweep.add(cache_hit=False)
+                bus.count("executor.redispatches")
                 bus.publish_worker(worker_id, {"pid": 1, "tasks_done": i})
 
         threads = [
@@ -130,7 +165,8 @@ class TestBus:
             thread.start()
         for thread in threads:
             thread.join()
-        assert bus.registry.snapshot()["sweep.tasks_done"] == 800.0
+        assert bus.snapshot()["fleet"]["tasks_done"] == 800.0
+        assert bus.snapshot()["metrics"]["executor.redispatches"] == 800.0
         assert len(bus.workers()) == 4
 
 
@@ -256,6 +292,29 @@ class TestStaleness:
 
         json_module.dumps(bus.snapshot())  # snapshot stays serializable
 
+    @pytest.mark.parametrize("beat", [
+        {"pid": "x", "tasks_done": 5},
+        {"pid": 4, "interval_s": float("nan"), "tasks_done": 5},
+        {"pid": 4, "interval_s": float("inf"), "tasks_done": 5},
+        {"pid": 4, "interval_s": 0, "tasks_done": 5},
+        {"pid": 4, "interval_s": "1", "tasks_done": 5},
+        {"pid": float("nan"), "tasks_done": 5},
+    ])
+    def test_malformed_beat_counts_as_liveness_only(self, beat):
+        clock = _FakeClock()
+        bus = TelemetryBus(clock=clock)
+        bus.publish_worker("w", {"pid": 3, "interval_s": 1.0,
+                                 "tasks_done": 1})
+        clock.advance(2.0)
+        bus.publish_worker("w", beat)
+        (health,) = bus.workers()
+        assert (health.pid, health.interval_s, health.stats) == (
+            3, 1.0, {"tasks_done": 1})
+        assert health.last_seen == clock()
+        # A NaN interval would have kept the worker "ok" forever.
+        clock.advance(STALE_INTERVALS * 1.0 + 0.01)
+        assert health.state(clock()) == "degraded"
+
     def test_worker_health_to_dict_merges_stats(self):
         health = WorkerHealth("w", pid=3, interval_s=1.0, last_seen=5.0,
                               stats={"tasks_done": 7.0})
@@ -322,8 +381,8 @@ class TestWireStatsRoundTrip:
 class TestExposition:
     def test_names_sanitized_and_typed(self):
         bus = TelemetryBus()
-        bus.count("sweep.tasks_done")
-        bus.record("sweep.queue_depth", 2)
+        bus.sweep.begin(3)
+        _resolve(bus, 1)
         text = render_prometheus(bus)
         assert "# TYPE repro_sweep_tasks_done counter" in text
         assert "repro_sweep_tasks_done 1.0" in text
@@ -359,8 +418,8 @@ class TestExposition:
 class TestHttpServer:
     def _serve(self):
         bus = TelemetryBus()
-        bus.record("sweep.tasks_total", 4)
-        bus.count("sweep.tasks_done")
+        bus.sweep.begin(4)
+        _resolve(bus, 1)
         server = TelemetryServer(bus)
         host, port = server.start()
         return bus, server, host, port
@@ -418,10 +477,10 @@ class TestHttpServer:
 class TestSink:
     def test_sink_writes_final_snapshot(self, tmp_path):
         bus = TelemetryBus()
-        bus.record("sweep.tasks_total", 2)
+        bus.sweep.begin(2)
         path = str(tmp_path / "telemetry.jsonl")
         with TelemetrySink(bus, path, interval_s=30.0):
-            bus.count("sweep.tasks_done", 2)
+            _resolve(bus, 2)
         snapshots = load_telemetry_snapshots(path)
         assert snapshots[-1]["fleet"]["tasks_done"] == 2.0
 
@@ -463,10 +522,10 @@ class TestSink:
     def test_timeline_renders(self, tmp_path):
         clock = _FakeClock()
         bus = TelemetryBus(clock=clock)
-        bus.record("sweep.tasks_total", 4)
+        bus.sweep.begin(4)
         snaps = []
         for done in (1, 3):
-            bus.count("sweep.tasks_done", done)
+            _resolve(bus, done)
             snaps.append(bus.snapshot())
             clock.advance(1.0)
         text = render_telemetry_timeline(snaps)
@@ -484,7 +543,7 @@ class TestProducers:
         runner = SweepRunner(workers=1, cache=False, executor="inprocess")
         results = runner.run(_double_tasks(6))
         assert [r["value"] for r in results] == [0, 2, 4, 6, 8, 10]
-        snap = bus.registry.snapshot()
+        snap = bus.snapshot()["metrics"]
         assert snap["sweep.tasks_done"] == 6.0
         assert snap["sweep.tasks_total"] == 6.0
         assert snap["sweep.runs"] == 1.0
@@ -512,10 +571,10 @@ class TestProducers:
         assert snap["cache.put_s_count"] == 3.0
         # Second run: all hits, counted on the bus.
         runner.run(_double_tasks(3))
-        assert bus.registry.snapshot()["sweep.cache_hits"] == 3.0
+        assert bus.snapshot()["metrics"]["sweep.cache_hits"] == 3.0
 
-    def test_session_publishes_transfers(self):
-        telemetry.disable()
+    def test_session_publishes_nothing(self):
+        # A transfer is counted once, by the sweep that resolves it.
         spec = TransferSpec(
             kind="tcp",
             condition=make_conditions(seed=5)[1],
@@ -523,9 +582,12 @@ class TestProducers:
         )
         bus = telemetry.enable()
         Session(seed=3).run(spec)
-        snap = bus.registry.snapshot()
-        assert snap["session.transfers{fidelity=flow}"] == 1.0
-        assert snap["session.transfer_wall_s_count{fidelity=flow}"] == 1.0
+        assert bus.snapshot()["metrics"] == {}
+        Session(seed=3).run_many([spec], workers=1, executor="inprocess",
+                                 cache=False)
+        assert bus.snapshot()["metrics"]["sweep.tasks_done"] == 1.0
+        assert not any(name.startswith("session.")
+                       for name in bus.snapshot()["metrics"])
 
     def test_reports_bit_identical_with_telemetry_on(self):
         spec = TransferSpec(
@@ -557,7 +619,7 @@ class TestProducers:
         bus = telemetry.enable()
         on = simulate(population=population, sink="sketch", workers=1,
                       shard_users=50, label="tele-test")
-        snap = bus.registry.snapshot()
+        snap = bus.snapshot()["metrics"]
         assert snap["crowd.users_done"] == 200.0
         assert snap["sweep.queue_depth"] == 0.0
         assert on.value == off.value

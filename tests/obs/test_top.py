@@ -24,8 +24,9 @@ def _clean_plane():
 
 def _busy_bus():
     bus = TelemetryBus()
-    bus.record("sweep.tasks_total", 8)
-    bus.count("sweep.tasks_done", 3)
+    bus.sweep.begin(8)
+    for _ in range(3):
+        bus.sweep.add(cache_hit=False)
     bus.publish_worker("127.0.0.1:41001", {
         "pid": 11, "interval_s": 1.0, "tasks_done": 2, "in_flight": 1,
         "queue_depth": 3, "tasks_per_s": 0.8, "rss_kb": 40960.0,
@@ -59,7 +60,7 @@ class TestRender:
 
     def test_no_workers_renders_hint(self):
         bus = TelemetryBus()
-        bus.record("sweep.tasks_total", 2)
+        bus.sweep.begin(2)
         frame = render_top(bus.snapshot())
         assert "no worker heartbeats" in frame
 
@@ -69,7 +70,7 @@ class TestFileSource:
         bus = _busy_bus()
         path = tmp_path / "telemetry.jsonl"
         first = bus.snapshot()
-        bus.count("sweep.tasks_done")
+        bus.sweep.add(cache_hit=False)
         second = bus.snapshot()
         path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
         snap = read_last_snapshot(str(path))

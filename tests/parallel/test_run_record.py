@@ -2,7 +2,8 @@
 
 ``SweepRunner._emit`` is the only place a resolved task is recorded or
 announced, so the manifest list, ``SweepStats``, the progress line,
-the telemetry bus and ``on_result`` cannot disagree.  These tests pin
+the telemetry bus (both read a ``SweepTally`` that ``_emit`` feeds) and
+``on_result`` cannot disagree.  These tests pin
 that — including for the resolution that used to bypass the emit, a
 task that exhausts its retry budget.
 """
@@ -59,7 +60,7 @@ class TestFailedTaskReachesTheBus:
 
     def test_done_reaches_total_and_the_queue_drains(self):
         bus, runner, _, _ = self._poisoned_sweep()
-        snap = bus.registry.snapshot()
+        snap = bus.snapshot()["metrics"]
         assert snap["sweep.tasks_total"] == 4.0
         assert snap["sweep.tasks_done"] == 4.0
         assert snap["sweep.tasks_failed"] == 1.0
@@ -80,7 +81,7 @@ class TestFailedTaskReachesTheBus:
 
     def test_obs_top_shows_failures_only_when_there_are_some(self):
         bus, _, _, _ = self._poisoned_sweep()
-        assert "failed tasks 1" in resilience_line(bus.registry.snapshot())
+        assert "failed tasks 1" in resilience_line(bus.snapshot()["metrics"])
         assert resilience_line({"sweep.tasks_failed": 0.0}) is None
 
 
@@ -234,7 +235,9 @@ def test_every_view_agrees_for_any_mix_of_outcomes(
             telemetry.disable()
 
     manifests, stats = runner.last_manifests, runner.last_stats
-    snap = bus.registry.snapshot()
+    # The bus as its consumers read it: /healthz, the sink, `obs top`.
+    snapshot = bus.snapshot()
+    fleet, snap = snapshot["fleet"], snapshot["metrics"]
     counts = tally(manifests)
     # What happened, exactly where the mix pins it...
     assert counts["tasks"] == len(tasks)
@@ -244,14 +247,19 @@ def test_every_view_agrees_for_any_mix_of_outcomes(
     assert counts["retried"] >= int(retried)  # shard-mates may retry too
     # ...and every other view is that same count.
     assert {name: getattr(stats, name) for name in counts} == counts
-    assert (progress.done, progress.cached) == (
-        counts["tasks"], counts["cache_hits"])
+    live = progress.tally.read()
+    assert (live["done"], live["cache_hits"], live["failed"]) == (
+        counts["tasks"], counts["cache_hits"], counts["failed"])
+    assert live["executed"] == counts["executed"]
     assert f"sweep: {len(tasks)}/{len(tasks)}" in stream.getvalue()
     assert snap["sweep.tasks_total"] == snap["sweep.tasks_done"] == len(tasks)
-    assert snap.get("sweep.cache_hits", 0.0) == counts["cache_hits"]
-    assert snap.get("sweep.tasks_failed", 0.0) == counts["failed"]
+    assert snap["sweep.cache_hits"] == counts["cache_hits"]
+    assert snap["sweep.tasks_failed"] == counts["failed"]
     assert snap["sweep.queue_depth"] == 0.0
-    assert bus.snapshot()["fleet"]["eta_s"] is None
+    assert snap["sweep.runs"] == 1.0
+    assert fleet["tasks_total"] == fleet["tasks_done"] == len(tasks)
+    assert fleet["cache_hits"] == counts["cache_hits"]
+    assert fleet["eta_s"] is None
     assert [f.index for f in failures] == [
         index for index, m in enumerate(manifests) if m.extra.get("failed")]
     assert sorted(seen) == [

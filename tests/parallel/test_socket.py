@@ -5,13 +5,14 @@ import re
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from repro.core.errors import ExecutorError, SweepTaskError
 from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
-from repro.parallel import SimTask, SweepRunner
+from repro.parallel import SimTask, SweepRunner, wire
 from repro.workload import Session
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -427,6 +428,87 @@ class TestDegradeTelemetry:
                 results = runner.run(_double_tasks())
             assert results == [{"value": i * 2, "seed": i}
                                for i in range(6)]
-            assert bus.registry.snapshot().get("sweep.degraded") == 1.0
+            assert bus.snapshot()["metrics"]["sweep.degraded"] == 1.0
         finally:
             telemetry.disable()
+
+
+class _FakePeer:
+    """A loopback peer that shakes hands like a worker, then answers each
+    SHARD with the frames it was given and hangs up."""
+
+    def __init__(self, *frames):
+        self.frames = frames
+        self.shards = 0
+        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._server.bind(("127.0.0.1", 0))
+        self._server.listen(8)
+        self.address = "127.0.0.1:%d" % self._server.getsockname()[1]
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return  # closed
+            try:
+                if (wire.accept_hello(conn, lambda line: None)
+                        and wire.recv_frame(conn, 10.0)[0] == wire.MSG_SHARD):
+                    self.shards += 1
+                    for msg_type, payload in self.frames:
+                        wire.send_frame(conn, msg_type, payload)
+            except (OSError, wire.WireError):
+                pass
+            finally:
+                wire.close_quietly(conn)
+
+    def close(self):
+        self._server.close()
+
+
+class TestMalformedReplies:
+    """A reply that decodes but is not what the protocol promises heals
+    like a broken connection: the shard is requeued, never stranded."""
+
+    @pytest.fixture
+    def healthy_worker(self):
+        proc, address = _spawn_worker()
+        yield address
+        proc.terminate()
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+
+    @pytest.mark.parametrize("frame, telemetry_on", [
+        ((wire.MSG_SHARD_ERR, b"[1, 2]"), False),
+        ((wire.MSG_REFUSED, b'"go away"'), False),
+        ((wire.MSG_HEARTBEAT, b'{"pid": "x"}'), True),
+    ], ids=["shard-err-list", "refused-string", "stats-bad-pid"])
+    def test_fleet_sweep_finishes_beside_a_malformed_peer(
+            self, healthy_worker, frame, telemetry_on):
+        from repro.obs import telemetry
+
+        fake = _FakePeer(frame)
+        telemetry.disable()
+        if telemetry_on:
+            telemetry.enable()
+        tasks = [SimTask(fn="tests.parallel._tasks:slow_double",
+                         kwargs={"value": i, "seed": i, "duration_s": 0.05},
+                         key=f"s{i}") for i in range(8)]
+        runner = SweepRunner(
+            workers=8, cache=False,
+            executor=f"socket:{fake.address},{healthy_worker}")
+        outcome = []
+        sweep = threading.Thread(
+            target=lambda: outcome.append(runner.run(tasks)), daemon=True)
+        try:
+            sweep.start()
+            sweep.join(timeout=60.0)
+        finally:
+            telemetry.disable()
+            fake.close()
+        assert not sweep.is_alive(), "the sweep hung on a stranded shard"
+        assert fake.shards >= 1  # the malformed reply was really sent
+        assert outcome == [[{"value": i * 2, "seed": i} for i in range(8)]]

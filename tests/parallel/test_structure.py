@@ -103,35 +103,62 @@ def _calls_by_function(tree):
                     yield function.name, node
 
 
-def test_a_resolved_task_is_reported_in_emit_only():
-    """Progress, the per-task bus series and on_result: one call site.
+def _attribute_chain(node):
+    """``a.b.c`` as ``["a", "b", "c"]`` (empty for anything else)."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        names.append(node.id)
+    return names[::-1]
 
-    Per-run announcements (``progress.start/finish``, ``sweep.runs``,
-    ``sweep.tasks_total``), span timers and ``executor.roundtrip_s``
-    are not per-task reports and live where they always did.
+
+def _src_trees():
+    for directory, _, files in os.walk(os.path.join(SRC_ROOT, "repro")):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as f:
+                    yield os.path.relpath(path, SRC_ROOT), ast.parse(f.read())
+
+
+#: What feeds a ``SweepTally``: a resolution, a sweep start, a lost fleet.
+_FEEDS = ("add", "begin", "note_degraded")
+
+
+def test_a_resolved_task_is_reported_in_emit_only():
+    """One count of a sweep: ``_emit`` feeds the tallies every live view
+    reads, ``run`` announces the sweep, and nothing else counts.
+
+    The progress line and the bus both read a ``SweepTally``; the only
+    other feeder is ``submit --connect``, whose tally reads the streamed
+    ``result`` events of a sweep that runs (and is counted) elsewhere.
     """
-    per_task_series = {"sweep.tasks_done", "sweep.tasks_failed",
-                       "sweep.cache_hits", "sweep.queue_depth"}
-    with open(coordinator.__file__, encoding="utf-8") as f:
-        source = f.read()
-    reporters = {"progress": set(), "bus": set(), "on_result": set()}
-    for function, call in _calls_by_function(ast.parse(source)):
-        target = call.func
-        if not isinstance(target, ast.Attribute):
-            continue
-        if target.attr in ("advance", "note_cached"):
-            reporters["progress"].add(function)
-        elif target.attr == "on_result":
-            reporters["on_result"].add(function)
-        elif (target.attr in ("count", "record") and call.args
-              and isinstance(call.args[0], ast.Constant)
-              and call.args[0].value in per_task_series):
-            per_task_series.discard(call.args[0].value)
-            reporters["bus"].add(function)
-    assert reporters == {"progress": {"_emit"}, "bus": {"_emit"},
-                         "on_result": {"_emit"}}
-    assert per_task_series == set()  # every series is really published
-    assert "_build_manifests" not in source
+    feeders, reporters, published = set(), set(), []
+    for path, tree in _src_trees():
+        for function, call in _calls_by_function(tree):
+            chain = _attribute_chain(call.func)
+            if chain[-1:] and chain[-1] in _FEEDS and chain[-2:-1] in (
+                    ["tally"], ["sweep"]):
+                feeders.add((path, function, chain[-1]))
+            if chain[-1:] in (["render"], ["on_result"]):
+                reporters.add((path, function, chain[-1]))
+            if (chain[-1:] and chain[-1] in ("count", "observe", "timer")
+                    and call.args and isinstance(call.args[0], ast.Constant)
+                    and str(call.args[0].value).startswith("sweep.")):
+                published.append((path, function, call.args[0].value))
+            if "registry" in chain[:-1] and path.startswith("repro/parallel"):
+                published.append((path, function, ".".join(chain)))
+    engine = "repro/parallel/coordinator.py"
+    assert feeders == {
+        (engine, "run", "begin"), (engine, "run", "note_degraded"),
+        (engine, "_emit", "add"),
+        ("repro/parallel/service.py", "_run_remote", "add"),
+    }
+    assert {(path, function) for path, function, _ in reporters
+            if path == engine} == {(engine, "_emit")}
+    assert published == []  # no second count of the sweep, anywhere
 
 
 def test_spec_identity_is_canonicalised_once_per_task(tmp_path, monkeypatch):
