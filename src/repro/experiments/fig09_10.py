@@ -156,10 +156,10 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
     body = "\n\n".join(panels)
     # The paper's qualitative claim: using the faster network for the
     # primary subflow yields higher average throughput while the
-    # connection ramps.  1.2 is a threshold rendered as the paper's.
+    # connection ramps.  1.2 is a threshold, not a number of the paper.
     claims = [
         Claim(f"{fig}_tput_ratio_better_primary_at_1s", "at least", 1.2,
-              strict=True, paper=1.2)
+              strict=True)
         for fig in ("fig09", "fig10")
     ]
     return ExperimentResult(
