@@ -152,9 +152,8 @@ class SweepTally:
     has just written, or the ``cached`` flag of a ``result`` event
     streamed to ``submit --connect`` — and read by the progress line
     and the telemetry bus, so neither keeps a count of its own.
-    ``total`` is ``None`` when nobody knows it (a streamed job; such a
-    tally is never begun).  Thread-safe: the bus's tally is fed by every
-    runner in the process.
+    ``total`` is ``None`` for a streamed job (never begun).  Thread-safe:
+    the bus's tally is fed by every runner in the process.
     """
 
     #: Resolutions the rate is measured over.
@@ -177,6 +176,11 @@ class SweepTally:
             self.runs += 1
             self.total += tasks
 
+    def settle(self, unresolved: int) -> None:
+        """A sweep ended (or raised) with ``unresolved`` tasks unresolved."""
+        with self._lock:
+            self.total -= unresolved
+
     def add(self, cache_hit: bool, failed: bool = False) -> None:
         """One task resolved."""
         with self._lock:
@@ -186,7 +190,7 @@ class SweepTally:
             self._times.append(self._clock())
 
     def note_degraded(self) -> None:
-        """A sweep lost its fleet and finished on the local pool."""
+        """A sweep lost its fleet and moved to the local pool."""
         with self._lock:
             self.degraded += 1
 
@@ -211,9 +215,8 @@ class SweepTally:
                 "runs": self.runs, "total": self.total, "done": self.done,
                 "cache_hits": self.cache_hits, "failed": self.failed,
                 "executed": executed, "degraded": self.degraded,
-                "remaining": remaining,
+                "remaining": remaining, "eta_s": eta,
                 "rate_per_s": (len(times) - 1) / span if span > 0 else 0.0,
-                "eta_s": eta,
             }
 
 

@@ -51,10 +51,9 @@ def _format_eta(seconds: float) -> str:
 class SweepProgress:
     """One updating ``label: done/total`` status line with an ETA.
 
-    ``start()`` opens a fresh :attr:`tally` for the run; whoever
-    resolves tasks feeds it, then calls :meth:`render`.  ``total=None``
-    (a job streamed from a live service) renders ``done/?`` with the
-    observed rate instead of inventing an ETA.
+    ``start()`` opens the run's :attr:`tally`; whoever resolves tasks
+    feeds it, then calls :meth:`render`.  ``total=None`` (a streamed
+    job) renders ``done/?`` with the observed rate, not an ETA.
     """
 
     def __init__(
@@ -68,7 +67,7 @@ class SweepProgress:
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval_s = min_interval_s
-        self.tally = SweepTally(total)
+        self.tally: Optional[SweepTally] = None
         self._last_render = 0.0
 
     def start(self) -> None:

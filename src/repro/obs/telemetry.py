@@ -147,8 +147,7 @@ class TelemetryBus:
         (the interval positive) proves liveness only.
         """
         with self._lock:
-            health = self._workers.setdefault(worker_id,
-                                              WorkerHealth(worker_id))
+            health = self._workers.setdefault(worker_id, WorkerHealth(worker_id))
             health.last_seen = self._clock()
             pid = stats.get("pid", health.pid)
             interval_s = stats.get("interval_s", health.interval_s)

@@ -240,8 +240,6 @@ class SweepRunner:
         started = time.perf_counter()
         seeded = [task.seeded(self.seed) for task in tasks]
         self._bus = active_bus()
-        if self._bus is not None:
-            self._bus.sweep.begin(len(seeded))
 
         # Tracing bypasses the cache: a hit would skip the simulation
         # and silently produce no trace file.
@@ -251,14 +249,14 @@ class SweepRunner:
         if progress is not None:
             progress.start()
 
-        owned, awaited = self._scan_cache(state)
         executor = self.executor
+        if self._bus is not None:
+            self._bus.sweep.begin(len(seeded))
         try:
+            owned, awaited = self._scan_cache(state)
             if owned:
                 with self._span("coordinator.dispatch"):
                     executor = self._execute(state, owned)
-                if executor is not self.executor and self._bus is not None:
-                    self._bus.sweep.note_degraded()
             if awaited:
                 self._resolve_awaited(state, awaited, executor)
         finally:
@@ -266,6 +264,10 @@ class SweepRunner:
             # executor blow-up) must not strand concurrent runners.
             for index in sorted(state.locked):
                 state.unlock(index)
+            if self._bus is not None:
+                # A run that raised leaves the bus's total with what it
+                # resolved, so the process tally can go idle again.
+                self._bus.sweep.settle(state.manifests.count(None))
 
         if progress is not None:
             progress.finish()
@@ -416,6 +418,8 @@ class SweepRunner:
             RuntimeWarning,
             stacklevel=4,
         )
+        if self._bus is not None:
+            self._bus.sweep.note_degraded()
 
     def _isolator(
         self, executor: Executor

@@ -550,6 +550,29 @@ class TestProducers:
         assert snap["coordinator.dispatch_s_count"] == 1.0
         assert snap["sweep.queue_depth"] == 0.0
 
+    def test_a_sweep_that_raises_leaves_the_tally_idle(self):
+        clock = _FakeClock()
+        bus = telemetry.enable(TelemetryBus(clock=clock))
+
+        def crash(index, task, value, cache_hit):
+            raise RuntimeError("consumer died")
+
+        with pytest.raises(RuntimeError, match="consumer died"):
+            SweepRunner(workers=1, cache=False, executor="inprocess",
+                        on_result=crash).run(_double_tasks(6))
+        fleet = bus.snapshot()["fleet"]
+        # The one task resolved stays counted; the five never reached
+        # leave the total, so nothing is queued and no ETA is forecast.
+        assert fleet["tasks_done"] == fleet["tasks_total"] == 1.0
+        assert fleet["eta_s"] is None
+        assert bus.snapshot()["metrics"]["sweep.queue_depth"] == 0.0
+        # A day later the next sweep's ETA counts from its own start.
+        clock.advance(86_400.0)
+        bus.sweep.begin(4)
+        clock.advance(1.0)
+        bus.sweep.add(False)
+        assert bus.snapshot()["fleet"]["eta_s"] == pytest.approx(3.0)
+
     def test_sharded_sweep_observes_roundtrips(self):
         bus = telemetry.enable()
         runner = SweepRunner(workers=2, cache=False, executor="process")

@@ -123,13 +123,15 @@ def _src_trees():
                     yield os.path.relpath(path, SRC_ROOT), ast.parse(f.read())
 
 
-#: What feeds a ``SweepTally``: a resolution, a sweep start, a lost fleet.
-_FEEDS = ("add", "begin", "note_degraded")
+#: What feeds a ``SweepTally``: a resolution, a sweep's start and end, a
+#: lost fleet.
+_FEEDS = ("add", "begin", "settle", "note_degraded")
 
 
 def test_a_resolved_task_is_reported_in_emit_only():
     """One count of a sweep: ``_emit`` feeds the tallies every live view
-    reads, ``run`` announces the sweep, and nothing else counts.
+    reads, ``run`` opens and settles the sweep, ``_warn_degraded`` notes
+    a lost fleet, and nothing else counts.
 
     The progress line and the bus both read a ``SweepTally``; the only
     other feeder is ``submit --connect``, whose tally reads the streamed
@@ -152,13 +154,15 @@ def test_a_resolved_task_is_reported_in_emit_only():
                 published.append((path, function, ".".join(chain)))
     engine = "repro/parallel/coordinator.py"
     assert feeders == {
-        (engine, "run", "begin"), (engine, "run", "note_degraded"),
-        (engine, "_emit", "add"),
+        (engine, "run", "begin"), (engine, "run", "settle"),
+        (engine, "_warn_degraded", "note_degraded"), (engine, "_emit", "add"),
         ("repro/parallel/service.py", "_run_remote", "add"),
     }
     assert {(path, function) for path, function, _ in reporters
             if path == engine} == {(engine, "_emit")}
     assert published == []  # no second count of the sweep, anywhere
+    with open(coordinator.__file__, encoding="utf-8") as f:
+        assert "_build_manifests" not in f.read()
 
 
 def test_spec_identity_is_canonicalised_once_per_task(tmp_path, monkeypatch):
