@@ -9,10 +9,11 @@ redispatch, chaos harness, telemetry:
 2. bring up a second fleet whose ``FleetSpec.command`` launches the
    test-side chaos worker (``tests.parallel.chaos_worker``, handed
    each worker's ``{index}``) with a schedule armed — worker 0 is
-   killed after its first task, worker 1 is SIGSTOP-stalled — run the
-   same sweep while a supervision thread heals the fleet, and assert
-   the results are **byte-identical** (``pickle.dumps`` equality) to
-   the reference;
+   killed after its first task, worker 1 is SIGSTOP-stalled, each
+   once — run the same sweep while a supervision thread heals the
+   fleet, and assert the sweep finished on the fleet (no degrade
+   warning) with results **byte-identical** (``pickle.dumps``
+   equality) to the reference;
 3. assert the healing really happened: the killed worker died with the
    chaos exit status, the supervisor restarted it (``fleet.restarts``
    on the bus), and the executor redispatched at least one shard;
@@ -120,7 +121,15 @@ def main() -> int:
                 daemon=True,
             )
             keeper.start()
-            hurt = _sweep(supervisor.executor_spec, tasks)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                hurt = _sweep(supervisor.executor_spec, tasks)
+            # The local pool would match the reference too: a sweep that
+            # degraded proves nothing about healing.
+            degraded = [str(w.message) for w in caught
+                        if "degrading" in str(w.message)]
+            assert not degraded, \
+                f"the fleet degraded instead of healing: {degraded[0]}"
             assert pickle.dumps(hurt) == reference_bytes, \
                 "results diverged under chaos"
             print("chaos run: results byte-identical to the reference")

@@ -1,7 +1,7 @@
 """Discrete-event loop used by every simulated component.
 
 The design is deliberately minimal: a binary heap of ``(time, seq,
-event)`` tuples.  ``seq`` is a monotonically increasing tiebreaker so
+event)`` tuples.  ``seq`` is a monotonically increasing counter so
 that events scheduled at the same instant run in FIFO order, which
 keeps runs fully deterministic.  It is also unique, so heap ordering
 is decided by C tuple comparison on ``(time, seq)`` alone and the

@@ -78,13 +78,12 @@ def resilience_line(metrics: dict) -> Optional[str]:
     """The self-healing event totals, or ``None`` when all quiet.
 
     One line covering the fleet layer: supervisor restarts, executor
-    redispatches/breaker trips, sweeps degraded to the local
-    pool, and tasks that exhausted their retry budget.
+    redispatches, sweeps degraded to the local pool, and tasks that
+    exhausted their retry budget.
     """
     events = [
         ("restarts", _metric_total(metrics, "fleet.restarts")),
         ("redispatches", _metric_total(metrics, "executor.redispatches")),
-        ("breaker trips", _metric_total(metrics, "executor.breaker_trips")),
         ("degraded sweeps", _metric_total(metrics, "sweep.degraded")),
         ("failed tasks", _metric_total(metrics, "sweep.tasks_failed")),
     ]

@@ -3,7 +3,7 @@
 :class:`SweepRunner` owns everything about a sweep that is *not*
 "where code runs": deterministic seeding and sharding, result-cache
 lookups with per-key single-flight, per-task retry/backoff budgets,
-poison-task isolation, timeout policy, progress reporting, and
+poison-task isolation, progress reporting, and
 :class:`~repro.obs.manifest.RunManifest` provenance.  Backends
 (:mod:`repro.parallel.executors`) only execute shards — so every
 backend, including remote socket workers, inherits the same hardening
@@ -56,11 +56,7 @@ from typing import (
 )
 
 from repro import __version__
-from repro.core.errors import (
-    ConfigurationError,
-    ExecutorError,
-    SweepTaskError,
-)
+from repro.core.errors import ExecutorError, SweepTaskError
 from repro.core.rng import DEFAULT_SEED
 from repro.obs.manifest import RunManifest
 from repro.obs.progress import SweepProgress, progress_enabled_by_env
@@ -79,8 +75,14 @@ from repro.parallel.task import (
 
 __all__ = ["SweepRunner"]
 
-#: Fallback single-flight wait budget when no task timeout bounds it.
-DEFAULT_FLIGHT_TIMEOUT_S = 600.0
+#: Extra attempts a task gets after its first failure (crash or
+#: exception); ``0`` would fail fast.
+MAX_RETRIES = 2
+#: Sleep before a task's first retry; doubles per attempt.
+RETRY_BACKOFF_S = 0.05
+#: How long a runner waits on another runner's single-flight lock
+#: before it takes the key over.
+FLIGHT_TIMEOUT_S = 600.0
 
 #: ``on_result`` callback type: ``(index, task, value, cached)``.
 ResultHook = Callable[[int, SimTask, Any, bool], None]
@@ -154,18 +156,6 @@ class SweepRunner:
         Live progress/ETA on stderr: ``True``/``False``, a configured
         :class:`~repro.obs.progress.SweepProgress`, or ``None`` to
         consult the ``REPRO_PROGRESS`` env toggle.
-    max_retries:
-        Extra attempts granted to a task after its first failure
-        (crash, exception, or timeout), with exponential backoff
-        between attempts.  ``0`` fails fast.
-    retry_backoff_s:
-        Wall-clock sleep before the first retry; doubles per attempt.
-    task_timeout_s:
-        Wall-clock budget for a single task.  In the sharded phase the
-        budget scales with shard length; tasks that blow it are
-        re-run individually (where the budget is exact) and their
-        hung worker processes are terminated.  ``None`` disables the
-        timeout.
     executor:
         Backend selection: an :class:`~repro.parallel.executors.Executor`
         instance, a spec string (``"inprocess"``, ``"process"``,
@@ -178,10 +168,10 @@ class SweepRunner:
         it must not raise and cannot influence results.
 
     Failure model (DESIGN.md §15 has the full table): a shard whose
-    worker crashes, raises, or times out does not abort the sweep —
-    its tasks are re-run one-by-one in isolation, so one poison task
-    costs its own retry budget and nothing else, with the provenance
-    in its manifest (``extra.attempts``/``failed``/``error``).
+    worker crashes or raises does not abort the sweep — its tasks are
+    re-run one-by-one in isolation, so one poison task costs its own
+    retry budget (:data:`MAX_RETRIES`) and nothing else, with the
+    provenance in its manifest (``extra.attempts``/``failed``/``error``).
 
     When ``REPRO_TRACE_DIR`` is active, the cache is bypassed for the
     run: a cache hit would skip the simulation and silently produce no
@@ -199,22 +189,9 @@ class SweepRunner:
         cache: Union[ResultCache, bool, None] = None,
         seed: Optional[int] = None,
         progress: Union[SweepProgress, bool, None] = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.05,
-        task_timeout_s: Optional[float] = None,
         executor: Union[Executor, str, None] = None,
         on_result: Optional[ResultHook] = None,
     ) -> None:
-        if max_retries < 0:
-            raise ConfigurationError(f"max_retries must be >= 0: {max_retries}")
-        if retry_backoff_s < 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be >= 0: {retry_backoff_s}"
-            )
-        if task_timeout_s is not None and task_timeout_s <= 0:
-            raise ConfigurationError(
-                f"task_timeout_s must be positive: {task_timeout_s}"
-            )
         self.workers = resolve_workers(workers)
         self.executor = make_executor(executor)
         if cache is None:
@@ -224,9 +201,6 @@ class SweepRunner:
         self.cache: Optional[ResultCache] = cache
         self.seed = seed if seed is not None else DEFAULT_SEED
         self.progress = progress
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.task_timeout_s = task_timeout_s
         self.on_result = on_result
         self.last_stats = SweepStats()
         self.last_manifests: List[RunManifest] = []
@@ -352,11 +326,11 @@ class SweepRunner:
             # The failed shard run counts as an attempt, but never the
             # last one: every casualty gets at least one isolated
             # re-run, so an innocent shard-mate of a poison task
-            # survives even with max_retries=0.
+            # survives even with MAX_RETRIES = 0.
             state.attempts[index] = min(
-                state.attempts.get(index, 0) + 1, self.max_retries
+                state.attempts.get(index, 0) + 1, MAX_RETRIES
             )
-            self._run_with_retries(state, index, self._isolator(executor),
+            self._run_with_retries(state, index, executor.run_one,
                                    state.shard_errors.get(index))
         return executor
 
@@ -386,9 +360,7 @@ class SweepRunner:
         shard_tasks = [[state.tasks[index] for index in shard]
                        for shard in shard_indices]
         dispatched = time.perf_counter()
-        for shard_id, outcome in executor.run_shards(
-            shard_tasks, self.task_timeout_s
-        ):
+        for shard_id, outcome in executor.run_shards(shard_tasks):
             if self._bus is not None:
                 # Executor round-trip: dispatch to this shard's
                 # arrival (completion-order latency profile).
@@ -421,12 +393,6 @@ class SweepRunner:
         if self._bus is not None:
             self._bus.sweep.note_degraded()
 
-    def _isolator(
-        self, executor: Executor
-    ) -> Callable[[SimTask], Tuple[Any, float, int]]:
-        """``executor.run_one`` under this runner's exact task budget."""
-        return lambda task: executor.run_one(task, self.task_timeout_s)
-
     def _run_with_retries(
         self,
         state: _RunState,
@@ -436,8 +402,8 @@ class SweepRunner:
     ) -> None:
         """Drive one task to success or budget exhaustion."""
         task = state.tasks[index]
-        budget = self.max_retries + 1
-        delay = self.retry_backoff_s
+        budget = MAX_RETRIES + 1
+        delay = RETRY_BACKOFF_S
         error_text = initial_error or "unknown error"
         while state.attempts.get(index, 0) < budget:
             state.attempts[index] = state.attempts.get(index, 0) + 1
@@ -474,10 +440,9 @@ class SweepRunner:
     def _resolve_awaited(self, state: _RunState, awaited: List[int],
                          executor: Executor) -> None:
         cache = state.cache
-        timeout_s = self._flight_timeout_s()
         for index in awaited:
             key = state.keys[index]
-            hit, value = cache.wait_for(key, timeout_s=timeout_s)
+            hit, value = cache.wait_for(key, timeout_s=FLIGHT_TIMEOUT_S)
             if not hit:
                 # The owner vanished (crash, poison task) or is too
                 # slow: take over.  The lock may be stale or contested
@@ -490,12 +455,7 @@ class SweepRunner:
                 state.unlock(index)
                 self._emit(state, index, value, cache_hit=True, waited=True)
                 continue
-            self._run_with_retries(state, index, self._isolator(executor))
-
-    def _flight_timeout_s(self) -> float:
-        if self.task_timeout_s is not None:
-            return self.task_timeout_s * (self.max_retries + 2)
-        return DEFAULT_FLIGHT_TIMEOUT_S
+            self._run_with_retries(state, index, executor.run_one)
 
     # ------------------------------------------------------------------
     def _span(self, name: str):

@@ -146,9 +146,7 @@ class Executor:
         raise NotImplementedError
 
     def run_shards(
-        self,
-        shards: List[List[SimTask]],
-        task_timeout_s: Optional[float] = None,
+        self, shards: List[List[SimTask]]
     ) -> Iterator[Tuple[int, ShardOutcome]]:
         """Execute shards, yielding ``(shard_index, outcome)``.
 
@@ -160,13 +158,11 @@ class Executor:
         """
         raise NotImplementedError
 
-    def run_one(
-        self, task: SimTask, task_timeout_s: Optional[float] = None
-    ) -> Tuple[Any, float, int]:
+    def run_one(self, task: SimTask) -> Tuple[Any, float, int]:
         """Run one task with the best isolation the backend offers.
 
-        Used for poison-task isolation re-runs; raises on failure or
-        timeout (the coordinator's retry loop catches).
+        Used for poison-task isolation re-runs; raises on failure (the
+        coordinator's retry loop catches).
         """
         raise NotImplementedError
 
@@ -186,7 +182,7 @@ class InProcessExecutor(Executor):
     def shard_count(self, workers: int, nmisses: int) -> int:
         return 1 if nmisses else 0
 
-    def run_shards(self, shards, task_timeout_s=None):
+    def run_shards(self, shards):
         for shard_index, shard in enumerate(shards):
             try:
                 yield shard_index, ShardOutcome(values=run_shard(shard))
@@ -195,7 +191,7 @@ class InProcessExecutor(Executor):
                     error=f"{type(exc).__name__}: {exc}"
                 )
 
-    def run_one(self, task, task_timeout_s=None):
+    def run_one(self, task):
         return run_task_timed(task)
 
 
@@ -203,10 +199,9 @@ class LocalPoolExecutor(Executor):
     """Shards across a local :class:`ProcessPoolExecutor`.
 
     Failure containment: a shard whose worker crashes
-    (``BrokenProcessPool``), raises, or blows the scaled shard
-    deadline is reported as a failed :class:`ShardOutcome`; the
-    coordinator re-runs its tasks through :meth:`run_one`, where the
-    per-task budget is exact and a hung worker is terminated.
+    (``BrokenProcessPool``) or raises is reported as a failed
+    :class:`ShardOutcome`; the coordinator re-runs its tasks through
+    :meth:`run_one`, one task per pool.
 
     ``concurrent.futures`` and ``multiprocessing`` are imported when a
     pool is built, so a serial process never loads them.
@@ -217,12 +212,8 @@ class LocalPoolExecutor(Executor):
     def shard_count(self, workers: int, nmisses: int) -> int:
         return min(workers, nmisses)
 
-    def run_shards(self, shards, task_timeout_s=None):
-        from concurrent.futures import (
-            ProcessPoolExecutor,
-            TimeoutError as FuturesTimeout,
-            as_completed,
-        )
+    def run_shards(self, shards):
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         try:
             pool = ProcessPoolExecutor(max_workers=len(shards),
@@ -235,44 +226,15 @@ class LocalPoolExecutor(Executor):
             for shard_index in range(len(shards)):
                 yield shard_index, ShardOutcome(error=error)
             return
-        hung = False
         try:
             futures = {
                 pool.submit(run_shard, shard): shard_index
                 for shard_index, shard in enumerate(shards)
             }
-            # The shard phase deadline scales with the longest shard
-            # (tasks run sequentially inside a shard) plus one extra
-            # task budget of slack; the per-task budget is enforced
-            # exactly during isolation re-runs.
-            timeout = None
-            if task_timeout_s is not None:
-                longest = max(len(shard) for shard in shards)
-                timeout = task_timeout_s * (longest + 1)
-            done = set()
-            try:
-                for future in as_completed(futures, timeout=timeout):
-                    done.add(future)
-                    yield futures[future], self._outcome(future)
-            except FuturesTimeout:
-                hung = True
-                for future, shard_index in futures.items():
-                    if future in done:
-                        continue
-                    if future.done():
-                        yield shard_index, self._outcome(future)
-                        continue
-                    future.cancel()
-                    yield shard_index, ShardOutcome(error=(
-                        f"shard timed out after {timeout:g}s "
-                        f"(task_timeout_s={task_timeout_s:g})"
-                    ))
+            for future in as_completed(futures):
+                yield futures[future], self._outcome(future)
         finally:
-            if hung:
-                # Cancelled futures may already be running; reclaim
-                # their workers so shutdown cannot block forever.
-                self._terminate_pool(pool)
-            pool.shutdown(wait=not hung, cancel_futures=True)
+            pool.shutdown(cancel_futures=True)
 
     @staticmethod
     def _outcome(future) -> ShardOutcome:
@@ -284,50 +246,24 @@ class LocalPoolExecutor(Executor):
             # re-run succeeds on the first retry.
             return ShardOutcome(error=f"{type(exc).__name__}: {exc}")
 
-    def run_one(self, task, task_timeout_s=None):
+    def run_one(self, task):
         """Run one task in its own single-worker pool.
 
-        A crash (``BrokenProcessPool``) or timeout is confined to this
-        task; a hung worker is terminated.  If no pool can be spawned
-        at all, the task runs in-process — losing crash isolation but
-        keeping the sweep alive.
+        A crash (``BrokenProcessPool``) is confined to this task.  If
+        no pool can be spawned at all, the task runs in-process —
+        losing crash isolation but keeping the sweep alive.
         """
-        from concurrent.futures import (
-            ProcessPoolExecutor,
-            TimeoutError as FuturesTimeout,
-        )
+        from concurrent.futures import ProcessPoolExecutor
 
         try:
             pool = ProcessPoolExecutor(max_workers=1,
                                        mp_context=self._mp_context())
         except (OSError, ValueError):
             return run_task_timed(task)
-        hung = False
         try:
-            future = pool.submit(run_task_timed, task)
-            try:
-                return future.result(timeout=task_timeout_s)
-            except FuturesTimeout:
-                hung = True
-                future.cancel()
-                raise FuturesTimeout(
-                    f"task {task.label()!r} exceeded "
-                    f"task_timeout_s={task_timeout_s:g}s"
-                )
+            return pool.submit(run_task_timed, task).result()
         finally:
-            if hung:
-                self._terminate_pool(pool)
-            pool.shutdown(wait=not hung, cancel_futures=True)
-
-    @staticmethod
-    def _terminate_pool(pool) -> None:
-        """Kill worker processes of a pool with hung tasks."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
+            pool.shutdown(cancel_futures=True)
 
     @staticmethod
     def _mp_context():

@@ -100,7 +100,9 @@ class _Heartbeat:
 
     One frame goes out immediately on ``__enter__`` so even a shard
     that finishes inside the first interval ships at least one STATS
-    payload to the coordinator's telemetry bus.
+    payload to the coordinator's telemetry bus, and a closing one on
+    ``__exit__``: beats stop between shards, so the last beat seen
+    must say ``in_flight: 0`` or an idle worker reads as stalled.
     """
 
     def __init__(self, sock: socket.socket, send_lock: threading.Lock,
@@ -120,6 +122,8 @@ class _Heartbeat:
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
         self._thread.join(timeout=self._interval_s * 2)
+        self._stats.finish_shard()
+        self._beat()
 
     def _beat(self) -> bool:
         try:
@@ -166,6 +170,7 @@ def _handle_connection(conn: socket.socket, heartbeat_s: float,
             return shards_done
         log(f"shard {shard_id}: {len(tasks)} task(s)")
         stats.start_shard(len(tasks))
+        error = None
         with _Heartbeat(conn, send_lock, heartbeat_s, stats):
             try:
                 # Task-by-task (not run_shard) so a mid-shard crash of
@@ -177,18 +182,16 @@ def _handle_connection(conn: socket.socket, heartbeat_s: float,
                     values.append(run_task_timed(task))
                     stats.finish_task()
             except Exception as exc:
-                stats.finish_shard()
-                wire.send_json(
-                    conn, wire.MSG_SHARD_ERR,
-                    {"shard_id": shard_id,
-                     "error": f"{type(exc).__name__}: {exc}"},
-                    lock=send_lock,
-                )
-                shards_done += 1
-                continue
-            stats.finish_shard()
-        wire.send_pickle(conn, wire.MSG_RESULT, (shard_id, values),
-                         lock=send_lock)
+                error = f"{type(exc).__name__}: {exc}"
+        # The closing beat went out first, so the coordinator reads it
+        # in this dispatch.
+        if error is None:
+            wire.send_pickle(conn, wire.MSG_RESULT, (shard_id, values),
+                             lock=send_lock)
+        else:
+            wire.send_json(conn, wire.MSG_SHARD_ERR,
+                           {"shard_id": shard_id, "error": error},
+                           lock=send_lock)
         shards_done += 1
 
 

@@ -1,11 +1,12 @@
-"""Hardened sweep execution: crashes, retries, timeouts, corruption."""
+"""Hardened sweep execution: crashes, retries, corruption."""
 
 import os
 import pickle
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SweepTaskError
+from repro.core.errors import SweepTaskError
+from repro.parallel import coordinator
 from repro.parallel.cache import ResultCache
 from repro.parallel.runner import SimTask, SweepRunner
 
@@ -15,6 +16,11 @@ _TASKS = "tests.faults._tasks"
 # These tests crash and hang workers on purpose, which only the
 # process-pool backend can contain: the fixture unsets REPRO_EXECUTOR.
 pytestmark = pytest.mark.usefixtures("isolated_env")
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(coordinator, "RETRY_BACKOFF_S", 0.0)
 
 
 def _ok_tasks(count=4):
@@ -33,33 +39,19 @@ def _matches(result, task):
     return {k: result[k] for k in ("value", "seed")} == _expected(task)
 
 
-class TestConstructorValidation:
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(max_retries=-1)
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(retry_backoff_s=-0.1)
-
-    def test_zero_timeout_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(task_timeout_s=0)
-
-
 class TestCrashIsolation:
     def test_worker_crash_does_not_poison_other_tasks(self):
         """One worker-killing task; everything else still computes."""
         okay = _ok_tasks(4)
         poison = SimTask(fn=f"{_TASKS}:crash_task", kwargs={"seed": 0},
                          key="poison")
-        runner = SweepRunner(workers=2, cache=False, retry_backoff_s=0.0)
+        runner = SweepRunner(workers=2, cache=False)
         with pytest.raises(SweepTaskError) as excinfo:
             runner.run(okay + [poison])
         error = excinfo.value
         assert [f.key for f in error.failures] == ["poison"]
-        # Budget = max_retries + 1 total attempts, all recorded.
-        assert error.failures[0].attempts == runner.max_retries + 1
+        # Budget = MAX_RETRIES + 1 total attempts, all recorded.
+        assert error.failures[0].attempts == coordinator.MAX_RETRIES + 1
         for index, task in enumerate(okay):
             assert _matches(error.results[index], task)
         assert runner.last_stats.failed == 1
@@ -68,13 +60,13 @@ class TestCrashIsolation:
         okay = _ok_tasks(2)
         poison = SimTask(fn=f"{_TASKS}:crash_task", kwargs={"seed": 0},
                          key="poison")
-        runner = SweepRunner(workers=2, cache=False, retry_backoff_s=0.0)
+        runner = SweepRunner(workers=2, cache=False)
         with pytest.raises(SweepTaskError):
             runner.run(okay + [poison])
         by_key = {m.key: m for m in runner.last_manifests}
         extra = by_key["poison"].extra
         assert extra["failed"] is True
-        assert extra["attempts"] == runner.max_retries + 1
+        assert extra["attempts"] == coordinator.MAX_RETRIES + 1
         assert "error" in extra
         assert "failed" not in by_key["ok-0"].extra
 
@@ -85,7 +77,7 @@ class TestCrashIsolation:
             fn=f"{_TASKS}:crash_once_task",
             kwargs={"flag_path": flag, "seed": 0}, key="flaky",
         )
-        runner = SweepRunner(workers=2, cache=False, retry_backoff_s=0.0)
+        runner = SweepRunner(workers=2, cache=False)
         results = runner.run(okay + [flaky])
         assert results[2] == "recovered"
         by_key = {m.key: m for m in runner.last_manifests}
@@ -95,23 +87,23 @@ class TestCrashIsolation:
         assert runner.last_stats.retried >= 1
         assert runner.last_stats.failed == 0
 
-    def test_serial_exception_path_exhausts_budget(self):
+    def test_serial_exception_path_exhausts_budget(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "MAX_RETRIES", 1)
         bad = SimTask(fn=f"{_TASKS}:fail_always_task", kwargs={"seed": 0},
                       key="always-bad")
-        runner = SweepRunner(workers=1, cache=False, max_retries=1,
-                             retry_backoff_s=0.0)
+        runner = SweepRunner(workers=1, cache=False)
         with pytest.raises(SweepTaskError) as excinfo:
             runner.run([bad])
         failure = excinfo.value.failures[0]
         assert failure.attempts == 2
         assert "RuntimeError" in failure.error
 
-    def test_failed_results_not_cached(self, tmp_path):
+    def test_failed_results_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coordinator, "MAX_RETRIES", 0)
         cache = ResultCache(root=str(tmp_path))
         poison = SimTask(fn=f"{_TASKS}:crash_task", kwargs={"seed": 0},
                          key="poison")
-        runner = SweepRunner(workers=2, cache=cache, retry_backoff_s=0.0,
-                             max_retries=0)
+        runner = SweepRunner(workers=2, cache=cache)
         with pytest.raises(SweepTaskError):
             runner.run(_ok_tasks(2) + [poison])
         hit, _ = cache.get(cache.key_for(poison.fn, poison.kwargs))
@@ -119,25 +111,6 @@ class TestCrashIsolation:
         for task in _ok_tasks(2):
             hit, value = cache.get(cache.key_for(task.fn, task.kwargs))
             assert hit and _matches(value, task)
-
-
-class TestTaskTimeout:
-    def test_hung_task_fails_fast_and_others_complete(self):
-        okay = _ok_tasks(2)
-        hung = SimTask(fn=f"{_TASKS}:sleep_task",
-                       kwargs={"duration_s": 60.0, "seed": 0}, key="hung")
-        runner = SweepRunner(workers=2, cache=False, max_retries=0,
-                             retry_backoff_s=0.0, task_timeout_s=1.0)
-        with pytest.raises(SweepTaskError) as excinfo:
-            runner.run(okay + [hung])
-        failure = excinfo.value.failures[0]
-        assert failure.key == "hung"
-        # The shard timeout marks the task; the exact per-task budget
-        # is enforced (and reported) by the isolated re-run.
-        assert "task_timeout_s" in failure.error
-        assert failure.attempts == 1
-        for index, task in enumerate(okay):
-            assert _matches(excinfo.value.results[index], task)
 
 
 class TestCorruptCacheRecovery:
@@ -224,7 +197,7 @@ class TestAcceptanceScenario:
             handle.write(b"bit rot")
         poison = SimTask(fn=f"{_TASKS}:crash_task", kwargs={"seed": 9},
                          key="poison")
-        runner = SweepRunner(workers=2, cache=cache, retry_backoff_s=0.0)
+        runner = SweepRunner(workers=2, cache=cache)
         try:
             cache_module._corruption_warned = False
             with pytest.warns(RuntimeWarning, match="corrupt"):
@@ -240,7 +213,7 @@ class TestAcceptanceScenario:
         assert [f.key for f in excinfo.value.failures] == ["poison"]
         by_key = {m.key: m for m in runner.last_manifests}
         assert by_key["poison"].extra["failed"] is True
-        assert by_key["poison"].extra["attempts"] == runner.max_retries + 1
+        assert by_key["poison"].extra["attempts"] == coordinator.MAX_RETRIES + 1
         assert by_key["ok-1"].cache_hit is False  # recomputed
         assert by_key["ok-0"].cache_hit is True
         assert runner.last_stats.failed == 1

@@ -8,14 +8,32 @@ repository root on the children's ``PYTHONPATH``::
 
 Everything after ``--`` goes to ``repro.parallel.worker.main``
 unchanged; the controller is armed first, as fleet role ``--index``.
+Each role is armed once per spec file: a supervisor-restarted
+incarnation of the role runs clean, so a soak shows the fleet healing
+rather than being hurt again on every restart.
 """
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 from repro.parallel import worker
 from tests.parallel.chaos import ChaosController, ChaosSpec, arm
+
+
+def first_incarnation(spec_path: str, index: int) -> bool:
+    """Claim role ``index`` of ``spec_path``; False once it was claimed.
+
+    The claim is a marker file beside the spec, created with
+    ``O_EXCL``, so it holds across the processes a restart spawns.
+    """
+    marker = f"{spec_path}.armed.{index}"
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -27,7 +45,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--index", type=int, required=True,
                         help="this worker's fleet role")
     args = parser.parse_args(argv[:split])
-    arm(ChaosController(ChaosSpec.from_file(args.spec), args.index))
+    if first_incarnation(args.spec, args.index):
+        arm(ChaosController(ChaosSpec.from_file(args.spec), args.index))
     return worker.main(argv[split + 1:])
 
 

@@ -290,6 +290,10 @@ class TestActivation:
                                   "--listen", "127.0.0.1:0"]) == 0
         assert [(c.spec, c.index) for c in armed] == [(spec, 3)]
         assert served == [["--listen", "127.0.0.1:0"]]
+        # A restarted incarnation of the same role serves unarmed.
+        assert chaos_worker.main(["--spec", str(path), "--index", "3", "--",
+                                  "--listen", "127.0.0.1:0"]) == 0
+        assert len(armed) == 1 and len(served) == 2
 
 
 # ---------------------------------------------------------------------------

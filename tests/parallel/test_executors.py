@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import ConfigurationError, SweepTaskError
 from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
-from repro.parallel import SimTask, SweepRunner
+from repro.parallel import SimTask, SweepRunner, coordinator
 from repro.parallel.executors import (
     Executor,
     InProcessExecutor,
@@ -163,15 +163,16 @@ class TestBitIdentity:
 
 
 class TestInProcessFailureSemantics:
-    def test_failing_task_reports_sweep_task_error(self):
+    def test_failing_task_reports_sweep_task_error(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "MAX_RETRIES", 1)
+        monkeypatch.setattr(coordinator, "RETRY_BACKOFF_S", 0.0)
         tasks = [
             SimTask(fn="tests.parallel._tasks:double",
                     kwargs={"value": 1, "seed": 0}, key="ok"),
             SimTask(fn="tests.faults._tasks:fail_always_task",
                     kwargs={"seed": 0}, key="bad"),
         ]
-        runner = SweepRunner(workers=1, cache=False, executor="inprocess",
-                             max_retries=1, retry_backoff_s=0.0)
+        runner = SweepRunner(workers=1, cache=False, executor="inprocess")
         with pytest.raises(SweepTaskError) as excinfo:
             runner.run(tasks)
         assert excinfo.value.results[0] == {"value": 2, "seed": 0}

@@ -26,6 +26,7 @@ from repro.obs.progress import SweepProgress
 from repro.obs.top import resilience_line
 from repro.parallel import ResultCache, SimTask, SweepRunner
 from repro.parallel import cache as cache_module
+from repro.parallel import coordinator
 from repro.parallel.task import SweepStats
 from repro.workload import Session, TransferSpec
 
@@ -51,10 +52,12 @@ class TestFailedTaskReachesTheBus:
         bus = telemetry.enable(telemetry.TelemetryBus())
         stream = io.StringIO()
         runner = SweepRunner(
-            workers=1, cache=False, executor="inprocess", max_retries=0,
+            workers=1, cache=False, executor="inprocess",
             progress=SweepProgress(4, stream=stream, min_interval_s=0.0),
         )
-        with pytest.raises(SweepTaskError) as excinfo:
+        with pytest.MonkeyPatch.context() as patch, \
+                pytest.raises(SweepTaskError) as excinfo:
+            patch.setattr(coordinator, "MAX_RETRIES", 0)
             runner.run([_double(0), _POISON, _double(1), _double(2)])
         return bus, runner, stream, excinfo.value
 
@@ -217,11 +220,14 @@ def test_every_view_agrees_for_any_mix_of_outcomes(
         bus = telemetry.enable(telemetry.TelemetryBus())
         runner = SweepRunner(
             workers=workers, cache=cache, executor=executor,
-            max_retries=1, retry_backoff_s=0.0, progress=progress,
+            progress=progress,
             on_result=lambda index, task, value, cached: seen.append(
                 (index, cached)),
         )
         failures = []
+        patch = pytest.MonkeyPatch()
+        patch.setattr(coordinator, "MAX_RETRIES", 1)
+        patch.setattr(coordinator, "RETRY_BACKOFF_S", 0.0)
         try:
             if publisher is not None:
                 publisher.start()
@@ -229,6 +235,7 @@ def test_every_view_agrees_for_any_mix_of_outcomes(
         except SweepTaskError as error:
             failures = error.failures
         finally:
+            patch.undo()
             if publisher is not None:
                 publisher.join()
                 cache.release(key)

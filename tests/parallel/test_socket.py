@@ -6,13 +6,14 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.errors import ExecutorError, SweepTaskError
 from repro.experiments.common import mptcp_spec, tcp_spec
 from repro.linkem.conditions import make_conditions
-from repro.parallel import SimTask, SweepRunner, wire
+from repro.parallel import SimTask, SweepRunner, coordinator, wire
 from repro.workload import Session
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -155,8 +156,7 @@ class TestSocketExecutor:
     def test_unreachable_fleet_raises_at_executor_level(self):
         from repro.parallel.socketexec import SocketExecutor
 
-        executor = SocketExecutor([("127.0.0.1", _free_port())],
-                                  connect_timeout_s=1.0)
+        executor = SocketExecutor([("127.0.0.1", _free_port())])
         with pytest.raises(ExecutorError, match="no socket worker"):
             list(executor.run_shards([_double_tasks()[:2]]))
 
@@ -168,6 +168,36 @@ class TestSocketExecutor:
         expected = [{"value": i * 2, "seed": i} for i in range(6)]
         assert first.run(_double_tasks()) == expected
         assert second.run(_double_tasks()) == expected
+
+    def test_abandoned_run_stops_feeding_the_fleet(self, two_workers,
+                                                   monkeypatch):
+        # A caller that stops reading (its sweep raised) must not leave
+        # the dispatch threads running every remaining shard.
+        from repro.parallel.socketexec import SocketExecutor
+
+        executor = SocketExecutor([
+            (addr.rsplit(":", 1)[0], int(addr.rsplit(":", 1)[1]))
+            for _, addr in two_workers
+        ])
+        dispatched = []
+        real = executor._dispatch
+
+        def counting(conn, shard_index, *args, **kwargs):
+            dispatched.append(shard_index)
+            return real(conn, shard_index, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "_dispatch", counting)
+        shards = [[SimTask(fn="tests.parallel._tasks:slow_double",
+                           kwargs={"value": i, "seed": i,
+                                   "duration_s": 0.3},
+                           key=f"s{i}")] for i in range(6)]
+        outcomes = executor.run_shards(shards)
+        next(outcomes)
+        outcomes.close()
+        time.sleep(0.1)  # a claim racing the close may still land
+        at_close = len(dispatched)
+        time.sleep(1.5)
+        assert len(dispatched) == at_close < len(shards)
 
 
 class TestHeartbeatStats:
@@ -265,68 +295,6 @@ class TestHeartbeatStats:
         assert on == off
 
 
-class TestCircuitBreaker:
-    """Per-address dispatch gate, driven by an injected clock."""
-
-    def _breaker(self, threshold=3, cooldown_s=5.0):
-        from repro.parallel.socketexec import CircuitBreaker
-
-        clock = {"now": 100.0}
-        breaker = CircuitBreaker(threshold=threshold, cooldown_s=cooldown_s,
-                                 clock=lambda: clock["now"])
-        return breaker, clock
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker, _ = self._breaker(threshold=3)
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
-        assert breaker.allows()
-        assert breaker.record_failure() is True  # the tripping failure
-        assert not breaker.allows()
-        assert breaker.open
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, _ = self._breaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        assert breaker.record_failure() is False  # streak restarted
-        assert breaker.allows()
-
-    def test_cooldown_grants_a_half_open_probe(self):
-        breaker, clock = self._breaker(threshold=1, cooldown_s=5.0)
-        breaker.record_failure()
-        assert not breaker.allows()
-        clock["now"] += 5.0
-        assert breaker.allows()  # half-open probe
-        breaker.record_success()
-        assert breaker.allows() and not breaker.open
-
-    def test_failed_probe_rearms_the_cooldown(self):
-        breaker, clock = self._breaker(threshold=1, cooldown_s=5.0)
-        breaker.record_failure()
-        clock["now"] += 5.0
-        assert breaker.allows()
-        # The probe fails: cooldown restarts from now, no new trip.
-        assert breaker.record_failure() is False
-        assert not breaker.allows()
-        assert breaker.trips == 1
-        clock["now"] += 5.0
-        assert breaker.allows()
-
-    def test_breaker_accessor_exposes_fleet_state(self, two_workers):
-        from repro.parallel.socketexec import SocketExecutor
-
-        addrs = [addr for _, addr in two_workers]
-        executor = SocketExecutor([
-            (addr.rsplit(":", 1)[0], int(addr.rsplit(":", 1)[1]))
-            for addr in addrs
-        ])
-        for addr in addrs:
-            assert executor.breaker(addr).allows()
-            assert not executor.breaker(addr).open
-
-
 class TestFleetRun:
     """Dispatch-state bookkeeping: budgets and duplicates."""
 
@@ -367,8 +335,8 @@ class TestFleetRun:
 
 
 class TestDispatchVerdicts:
-    """Task errors and blown deadlines end in local isolation — neither
-    is an infrastructure failure, so neither is ever redispatched."""
+    """A task error ends in local isolation — it is not an
+    infrastructure failure, so it is never redispatched."""
 
     @pytest.fixture
     def bus(self):
@@ -379,12 +347,13 @@ class TestDispatchVerdicts:
         telemetry.disable()
 
     def test_task_error_on_a_worker_is_isolated_then_retried(
-            self, two_workers, bus):
+            self, two_workers, bus, monkeypatch):
+        monkeypatch.setattr(coordinator, "MAX_RETRIES", 1)
+        monkeypatch.setattr(coordinator, "RETRY_BACKOFF_S", 0.0)
         spec = "socket:" + ",".join(addr for _, addr in two_workers)
         bad = SimTask(fn="tests.faults._tasks:fail_always_task",
                       kwargs={"seed": 0}, key="bad")
-        runner = SweepRunner(workers=3, cache=False, executor=spec,
-                             max_retries=1, retry_backoff_s=0.0)
+        runner = SweepRunner(workers=3, cache=False, executor=spec)
         with pytest.raises(SweepTaskError) as excinfo:
             runner.run(_double_tasks(2) + [bad])
         assert excinfo.value.results[:2] == [
@@ -394,22 +363,6 @@ class TestDispatchVerdicts:
         assert "this task always fails" in failure.error
         # The SHARD_ERR dispatch was attempt 1, the isolated re-run 2.
         assert failure.attempts == 2
-        assert "executor.redispatches" not in bus.registry.snapshot()
-
-    def test_blown_shard_deadline_goes_to_isolation_not_a_peer(
-            self, two_workers, bus):
-        spec = "socket:" + ",".join(addr for _, addr in two_workers)
-        hung = SimTask(fn="tests.faults._tasks:sleep_task",
-                       kwargs={"duration_s": 4.0, "seed": 0}, key="hung")
-        runner = SweepRunner(workers=2, cache=False, executor=spec,
-                             max_retries=0, task_timeout_s=0.5)
-        with pytest.raises(SweepTaskError) as excinfo:
-            runner.run(_double_tasks(1) + [hung])
-        assert excinfo.value.results[0] == {"value": 0, "seed": 0}
-        (failure,) = excinfo.value.failures
-        assert failure.key == "hung"
-        # Reported by the isolated re-run, where the budget is exact.
-        assert "task_timeout_s=0.5" in failure.error
         assert "executor.redispatches" not in bus.registry.snapshot()
 
 

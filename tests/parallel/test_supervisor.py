@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -239,6 +240,42 @@ class TestLifecycle:
             assert record.state == "running"
             assert record.restarts == 1
         finally:
+            supervisor.down()
+
+    def test_idle_worker_after_a_sweep_is_not_killed(self, tmp_path):
+        # Beats stop between shards.  The last one a worker sent must
+        # not show a task in flight, or the supervisor reads the idle
+        # worker as wedged and SIGKILLs it.
+        telemetry.enable()
+        supervisor = FleetSupervisor(
+            _fast_spec(heartbeat_s=0.1),
+            state_path=str(tmp_path / "fleet.json"))
+        stop = threading.Event()
+        actions = []
+        try:
+            supervisor.up()
+            pids = [record.pid for record in supervisor._records]
+            keeper = threading.Thread(
+                target=supervisor.supervise,
+                kwargs={"stop": stop, "poll_interval_s": 0.05,
+                        "on_action": actions.append},
+                daemon=True)
+            keeper.start()
+            tasks = [SimTask(fn="tests.parallel._tasks:slow_double",
+                             kwargs={"value": i, "seed": i,
+                                     "duration_s": 0.25},
+                             key=f"s{i}") for i in range(4)]
+            SweepRunner(workers=2, cache=False,
+                        executor=supervisor.executor_spec).run(tasks)
+            time.sleep(1.5)
+            stop.set()
+            keeper.join(timeout=5)
+            assert actions == []
+            assert [record.pid for record in supervisor._records] == pids
+            assert all(record.restarts == 0
+                       for record in supervisor._records)
+        finally:
+            stop.set()
             supervisor.down()
 
 
