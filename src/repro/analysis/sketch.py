@@ -31,7 +31,7 @@ same way.
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, json_field, require
 
 __all__ = ["QuantileSketch", "LabeledCounters"]
 
@@ -74,8 +74,9 @@ class QuantileSketch:
 
     def add_many(self, values: Iterable[float], count: int = 1) -> None:
         """Fold ``count`` occurrences of every value (the one ingest loop)."""
-        if count <= 0:
-            raise ConfigurationError(f"count must be positive: {count}")
+        if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
+            # Counts are integers so merges are exact and from_dict reads them.
+            raise ConfigurationError(f"count must be a positive int: {count!r}")
         pos, neg, log_gamma = self._pos, self._neg, self._log_gamma
         log, ceil = math.log, math.ceil
         zero = total = 0
@@ -97,7 +98,9 @@ class QuantileSketch:
                     low = value
                 if value > high:
                     high = value
-        finally:  # a NaN leaves everything before it folded in
+        except OverflowError:  # ceil(log(inf)), before the inf is folded in
+            raise ConfigurationError("cannot sketch inf") from None
+        finally:  # a NaN or an inf leaves everything before it folded in
             self._zero += zero
             self._count += total
             self._min, self._max = low, high
@@ -246,14 +249,31 @@ class QuantileSketch:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "QuantileSketch":
-        sketch = cls(alpha=float(data["alpha"]))
-        sketch._pos = {int(k): int(v) for k, v in data["pos"].items()}
-        sketch._neg = {int(k): int(v) for k, v in data["neg"].items()}
-        sketch._zero = int(data["zero"])
-        sketch._count = int(data["count"])
+        """Inverse of :meth:`to_dict`.
+
+        Shard partials come back over the wire and out of the cache: a
+        missing or malformed field, a negative or boolean count, or a
+        ``count`` the buckets do not add up to raises
+        :class:`ConfigurationError` naming the field.
+        """
+        where = "QuantileSketch"
+        require(isinstance(data, dict), where,
+                f"expected a JSON object, got {type(data).__name__}")
+        alpha = json_field(data, "alpha", float, where)
+        require(0.0 < alpha < 1.0, where, f"field 'alpha' is not in (0, 1): {alpha}")
+        sketch = cls(alpha)
+        sketch._pos = json_field(data, "pos", _buckets, where)
+        sketch._neg = json_field(data, "neg", _buckets, where)
+        sketch._zero = json_field(data, "zero", _tally, where)
+        sketch._count = json_field(data, "count", _tally, where)
+        held = sketch._zero + sum(sketch._pos.values()) + sum(sketch._neg.values())
+        require(sketch._count == held, where,
+                f"field 'count' is {sketch._count}, the buckets hold {held}")
         if sketch._count:
-            sketch._min = float(data["min"])
-            sketch._max = float(data["max"])
+            sketch._min = json_field(data, "min", _finite, where)
+            sketch._max = json_field(data, "max", _finite, where)
+            require(sketch._min <= sketch._max, where,
+                    f"field 'min' {sketch._min} exceeds 'max' {sketch._max}")
         return sketch
 
     def __eq__(self, other: object) -> bool:
@@ -317,7 +337,12 @@ class LabeledCounters:
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "LabeledCounters":
-        return cls({str(k): int(v) for k, v in data.items()})
+        """Inverse of :meth:`to_dict`; a count that is not an int >= 0
+        raises :class:`ConfigurationError` naming its key."""
+        require(isinstance(data, dict), "LabeledCounters",
+                f"expected a JSON object, got {type(data).__name__}")
+        return cls({str(key): json_field(data, key, _tally, "LabeledCounters")
+                    for key in data})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledCounters):
@@ -326,3 +351,29 @@ class LabeledCounters:
 
     def __repr__(self) -> str:
         return f"LabeledCounters({len(self._counts)} keys)"
+
+
+def _tally(value: object) -> int:
+    """A decoded count: an int >= 0 (a bool is not a count)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(value)
+    return value
+
+
+def _buckets(value: object) -> Dict[int, int]:
+    """Decoded buckets: integer keys, each holding a count >= 1."""
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    buckets = {int(key): count for key, count in value.items()}
+    if any(type(count) is not int or count < 1 for count in buckets.values()):
+        raise ValueError(value)
+    return buckets
+
+
+def _finite(value: object) -> float:
+    """A decoded ``min``/``max``: a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return float(value)

@@ -32,6 +32,7 @@ are named here by import path.
 import contextlib
 import importlib
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional
@@ -214,10 +215,13 @@ def exported(prog: str, args, *options: str) -> Iterator[None]:
     Exports each flag of ``options`` that ``args`` carries, then
     resolves *every* variable (:func:`check`) — a bad flag or a bad
     pre-set ``$REPRO_…`` ends the command here with one ``prog:
-    message`` line and exit status 2, before any work starts.  The
-    environment is put back when the body leaves, however it leaves.
+    message`` line and exit status 2, before any work starts; the
+    message names the flag where a flag supplied the value and the
+    variable where the environment did.  The environment is put back
+    when the body leaves, however it leaves.
     """
     saved = {v.name: os.environ.get(v.name) for v in VARIABLES}
+    given_by = {}  # variable -> the flag that set it
     try:
         try:
             for option in options:
@@ -226,9 +230,13 @@ def exported(prog: str, args, *options: str) -> Iterator[None]:
                     continue
                 entry = FLAGS[option]
                 os.environ[entry.variable] = entry.encode(given)
+                given_by[entry.variable] = option
             check()
         except (OSError, ConfigurationError) as exc:
-            print(f"{prog}: {exc}", file=sys.stderr)
+            message = str(exc)
+            for variable, option in given_by.items():
+                message = re.sub(rf"\b{variable}\b", option, message)
+            print(f"{prog}: {message}", file=sys.stderr)
             raise SystemExit(2)
         yield
     finally:

@@ -55,6 +55,9 @@ def _scale_main(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"crowd: {exc}", file=sys.stderr)
         return 2
+    if args.csv_out and args.sink != "csv":
+        print("crowd: --csv-out needs --sink csv", file=sys.stderr)
+        return 2
     csv_stream = None
     try:
         if args.sink == "csv":

@@ -26,7 +26,7 @@ from collections import Counter
 from typing import Dict, List, Optional, TextIO
 
 from repro.analysis.sketch import LabeledCounters, QuantileSketch
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, json_field, require
 from repro.crowd.sampling import PopulationSpec, RunColumns, TECHNOLOGIES
 from repro.crowd.world import CrowdWorld
 
@@ -168,12 +168,18 @@ class CrowdSketch:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrowdSketch":
-        out = cls(alpha=float(data["alpha"]))
-        out.sketches = {
-            name: QuantileSketch.from_dict(payload)
-            for name, payload in data["sketches"].items()
-        }
-        out.counters = LabeledCounters.from_dict(data["counters"])
+        """Inverse of :meth:`to_dict`; a malformed partial raises
+        :class:`ConfigurationError` naming the field."""
+        require(isinstance(data, dict), "CrowdSketch",
+                f"expected a JSON object, got {type(data).__name__}")
+        out = cls(alpha=json_field(data, "alpha", float, "CrowdSketch"))
+        sketches = json_field(data, "sketches", dict, "CrowdSketch")
+        require(sorted(sketches) == sorted(SKETCH_NAMES), "CrowdSketch",
+                f"field 'sketches' holds {sorted(sketches)}")
+        out.sketches = {name: QuantileSketch.from_dict(payload)
+                        for name, payload in sketches.items()}
+        out.counters = LabeledCounters.from_dict(
+            json_field(data, "counters", dict, "CrowdSketch"))
         return out
 
     def __eq__(self, other: object) -> bool:

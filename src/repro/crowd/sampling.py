@@ -31,6 +31,7 @@ layout are never served.
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -38,14 +39,8 @@ from repro.core.errors import ConfigurationError, checked_kwargs, require
 from repro.core.rng import DEFAULT_SEED, derive_seed
 from repro.crowd.dataset import MeasurementRun
 from repro.crowd.geo import GeoPoint
-from repro.crowd.tcpmodel import ONE_MBYTE, probe_link_mbps
-from repro.crowd.world import (
-    NOISE_SIGMA,
-    TABLE1_SITES,
-    CrowdWorld,
-    _cumulative,
-    _pick,
-)
+from repro.crowd.tcpmodel import ONE_MBYTE, ramp_table
+from repro.crowd.world import NOISE_SIGMA, TABLE1_SITES, CrowdWorld, _cumulative
 
 __all__ = ["PopulationSpec", "RunColumns", "CrowdRun", "CrowdSampler",
            "ONE_MBYTE"]
@@ -330,20 +325,23 @@ class CrowdSampler:
     def _sample_into(self, cols: RunColumns, start: int, count: int) -> None:
         """The single frozen draw path both surfaces share.
 
-        One hot loop, local bindings for everything.  Every run draws
-        its ``RUN_SLOTS`` uniforms up front, used or not, and every
-        user its ``USER_SLOTS``; the slot order below is part of the
-        determinism contract — never reorder it.  A Box-Muller pair
-        takes two slots (``u_*`` the radius, ``v_*`` the angle).
+        One kernel on tables bound once: the weighted picks, the
+        world's :meth:`~CrowdWorld.modifiers` and the TCP probes
+        (:func:`~repro.crowd.tcpmodel.estimate_tcp_throughput_mbps`)
+        are inlined with their floating-point operations in the same
+        order, so every column is what the calls would give, to the
+        bit.  Every run draws its ``RUN_SLOTS`` uniforms up front, used
+        or not, and every user its ``USER_SLOTS``; the slot order below
+        is part of the determinism contract — never reorder it.  A
+        Box-Muller pair takes two slots (``u_*`` the radius, ``v_*``
+        the angle).
         """
         pop = self.population
         world = self.world
         block = self.BLOCK
         runs_per_user = pop.runs_per_user
-        site_cum = self._site_cum
         sites = self._sites
         medians = self._medians
-        apps = world.apps
         sigma = world.SIGMA
         rtt_sigma = world.RTT_SIGMA
         uplink_tilt = math.exp(world.UPLINK_LTE_TILT)
@@ -356,7 +354,20 @@ class CrowdSampler:
         exp, log, sqrt = math.exp, math.log, math.sqrt
         cos, sin = math.cos, math.sin
         two_pi = 2.0 * math.pi
-        probe = probe_link_mbps
+        # Weighted picks: bisect_right, clamped to the last entry.
+        site_cum, op_cum, app_cum = self._site_cum, world._operator_cum, world._app_cum
+        last_site, last_op, last_app = (
+            len(site_cum) - 1, len(op_cum) - 1, len(app_cum) - 1)
+        op_exps = world._operator_exps
+        wifi_curve, cell_curve = world.wifi_diurnal, world.cell_diurnal
+        wifi_amp, wifi_peak, wifi_coupling = (
+            wifi_curve.amplitude, wifi_curve.peak_hour, wifi_curve.rtt_coupling)
+        cell_amp, cell_peak, cell_coupling = (
+            cell_curve.amplitude, cell_curve.peak_hour, cell_curve.rtt_coupling)
+        # Probe tables: 1 MB for both directions, the app's flow size down.
+        (mb_cwnds, mb_rtts, mb_drain), mb_bytes = ramp_table(ONE_MBYTE), float(ONE_MBYTE)
+        app_tables = [(ramp_table(app.down_bytes), float(app.down_bytes))
+                      for app in world.apps]
 
         columns = [getattr(cols, name) for name in COLUMN_NAMES]
         rows: List[tuple] = []
@@ -383,19 +394,23 @@ class CrowdSampler:
                     if user % block == 0 or current_user < 0:
                         user_rand = self._stream("users", user, self.USER_SLOTS)
                     current_user = user
-                    site_idx = _pick(site_cum, user_rand())
-                    op_idx = world.pick_operator(user_rand())
-                    app_idx = world.pick_app(user_rand())
+                    site_idx = min(bisect_right(site_cum, user_rand()), last_site)
+                    op_idx = min(bisect_right(op_cum, user_rand()), last_op)
+                    app_idx = min(bisect_right(app_cum, user_rand()), last_app)
                     hour_base = user_rand() * 24.0
                     site = sites[site_idx]
                     wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = medians[site_idx]
-                    app_bytes = apps[app_idx].down_bytes
+                    op_tput, op_rtt = op_exps[op_idx]
+                    (app_cwnds, app_rtts, app_drain), app_bytes = app_tables[app_idx]
 
-                # -- run-level ground truth -------------------------------
+                # -- run-level ground truth; world.modifiers inline (a zero
+                # amplitude gives a load of +-0.0, and exp(+-0.0) is 1.0)
                 hour = (hour_base + 5.0 * run_of_user + 3.0 * u_hour - 1.5) % 24.0
-                wifi_cap, cell_cap, wifi_rtt_m, cell_rtt_m = world.modifiers(
-                    op_idx, hour
-                )
+                wifi_load = wifi_amp * cos(two_pi * (hour - wifi_peak) / 24.0)
+                cell_load = cell_amp * cos(two_pi * (hour - cell_peak) / 24.0)
+                wifi_cap, cell_cap = exp(-wifi_load), op_tput * exp(-cell_load)
+                wifi_rtt_m = exp(wifi_coupling * wifi_load)
+                cell_rtt_m = op_rtt * exp(cell_coupling * cell_load)
                 radius = 0.15 * sqrt(-2.0 * log(1.0 - u_geo))
                 lat = site.lat + radius * cos(two_pi * v_geo)
                 lon = site.lon + radius * sin(two_pi * v_geo)
@@ -438,8 +453,20 @@ class CrowdSampler:
                 # way and the app's flow size, same ground truth) with
                 # noise; the ping average is one lognormal draw of the mean
                 radius = ping_sigma * sqrt(-2.0 * log(1.0 - u_ping))
+                # Each probe is estimate_tcp_throughput_mbps inline; the
+                # clamps above keep rates and RTTs positive, so its input
+                # checks cannot fire.
                 if wifi_ok:
-                    down, up, app_wifi = probe(wifi_down, wifi_up, wifi_rtt, app_bytes)
+                    rtt_s = wifi_rtt / 1000.0
+                    rate = wifi_down * 1e6 / 8.0
+                    bdp = rate * rtt_s / 1448.0
+                    k = bisect_left(mb_cwnds, bdp)
+                    down = mb_bytes / (rtt_s * mb_rtts[k] + mb_drain[k] / rate) * 8.0 / 1e6
+                    k = bisect_left(app_cwnds, bdp)
+                    app_wifi = app_bytes / (rtt_s * app_rtts[k] + app_drain[k] / rate) * 8.0 / 1e6
+                    rate = wifi_up * 1e6 / 8.0
+                    k = bisect_left(mb_cwnds, rate * rtt_s / 1448.0)
+                    up = mb_bytes / (rtt_s * mb_rtts[k] + mb_drain[k] / rate) * 8.0 / 1e6
                     noise = noise_sigma * sqrt(-2.0 * log(1.0 - u_wifi))
                     meas_wifi_down = down * exp(noise * cos(two_pi * v_wifi))
                     meas_wifi_up = up * exp(noise * sin(two_pi * v_wifi))
@@ -447,7 +474,16 @@ class CrowdSampler:
                 else:
                     meas_wifi_down = meas_wifi_up = meas_wifi_rtt = app_wifi = 0.0
                 if cell_ok:
-                    down, up, app_cell = probe(cell_down, cell_up, cell_rtt, app_bytes)
+                    rtt_s = cell_rtt / 1000.0
+                    rate = cell_down * 1e6 / 8.0
+                    bdp = rate * rtt_s / 1448.0
+                    k = bisect_left(mb_cwnds, bdp)
+                    down = mb_bytes / (rtt_s * mb_rtts[k] + mb_drain[k] / rate) * 8.0 / 1e6
+                    k = bisect_left(app_cwnds, bdp)
+                    app_cell = app_bytes / (rtt_s * app_rtts[k] + app_drain[k] / rate) * 8.0 / 1e6
+                    rate = cell_up * 1e6 / 8.0
+                    k = bisect_left(mb_cwnds, rate * rtt_s / 1448.0)
+                    up = mb_bytes / (rtt_s * mb_rtts[k] + mb_drain[k] / rate) * 8.0 / 1e6
                     noise = noise_sigma * sqrt(-2.0 * log(1.0 - u_cell))
                     meas_cell_down = down * exp(noise * cos(two_pi * v_cell))
                     meas_cell_up = up * exp(noise * sin(two_pi * v_cell))

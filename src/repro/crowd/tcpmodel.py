@@ -22,24 +22,34 @@ from repro.core.errors import ConfigurationError
 from repro.core.units import throughput_mbps
 
 __all__ = ["transfer_time_s", "estimate_tcp_throughput_mbps",
-           "probe_link_mbps", "count_wins"]
+           "ramp_table", "count_wins"]
 
 ONE_MBYTE = 1_048_576
 
 
 @lru_cache(maxsize=256)
-def _ramp(nbytes: int, mss_bytes: int,
-          initial_cwnd: int) -> Tuple[int, Tuple[int, ...]]:
-    """``(total_segments, cwnds)``: ``cwnds[k]`` opens slow-start round
-    ``k``, before which ``cwnds[k] - cwnds[0]`` segments have left; the
-    table ends with the round that would finish the flow."""
+def ramp_table(nbytes: int, mss_bytes: int = 1448, initial_cwnd: int = 10,
+               ) -> Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...]]:
+    """``(cwnds, ramp_rtts, drain_bytes)`` of an ``nbytes`` flow.
+
+    ``cwnds[k]`` opens slow-start round ``k``; the table ends with the
+    round that would finish the flow.  Slow start leaving at round
+    ``k = bisect_left(cwnds, bdp)`` costs ``ramp_rtts[k]`` RTTs plus
+    ``drain_bytes[k]`` at the link rate; the last row, a ramp that
+    outlasts the flow, drains 0 bytes (and ``x + 0.0`` is ``x``).
+    Bytes are floats (all exact), which keeps a kernel reading the
+    table on the interpreter's float-float fast path.
+    """
     if initial_cwnd < 1:  # the ramp would never grow
         raise ConfigurationError(f"initial cwnd must be >= 1: {initial_cwnd}")
     total_segments = max(1, (nbytes + mss_bytes - 1) // mss_bytes)
     cwnds = [initial_cwnd]
     while 2 * cwnds[-1] - initial_cwnd < total_segments:
         cwnds.append(2 * cwnds[-1])
-    return total_segments, tuple(cwnds)
+    return (tuple(cwnds),
+            tuple(1.5 + k for k in range(len(cwnds))) + (float(1 + len(cwnds)),),
+            tuple(float((total_segments - (cwnd - initial_cwnd)) * mss_bytes)
+                  for cwnd in cwnds) + (0.0,))
 
 
 def _ramp_time_s(nbytes: int, rate_bps: float, rtt: float,
@@ -50,13 +60,9 @@ def _ramp_time_s(nbytes: int, rate_bps: float, rtt: float,
     product: if that outlasts the flow, it took one RTT per round;
     otherwise the remainder drains at the link rate.
     """
-    total_segments, cwnds = _ramp(nbytes, mss_bytes, initial_cwnd)
+    cwnds, ramp_rtts, drain_bytes = ramp_table(nbytes, mss_bytes, initial_cwnd)
     rounds = bisect_left(cwnds, rate_bps * rtt / mss_bytes)
-    if rounds == len(cwnds):
-        return rtt * (1 + rounds)
-    return rtt * (1.5 + rounds) + (
-        total_segments - (cwnds[rounds] - cwnds[0])
-    ) * mss_bytes / rate_bps
+    return rtt * ramp_rtts[rounds] + drain_bytes[rounds] / rate_bps
 
 
 def transfer_time_s(
@@ -95,28 +101,6 @@ def estimate_tcp_throughput_mbps(
     return throughput_mbps(nbytes, elapsed)
 
 
-def probe_link_mbps(down_mbps: float, up_mbps: float, rtt_ms: float,
-                    app_bytes: int) -> Tuple[float, float, float]:
-    """``(1 MB down, 1 MB up, app_bytes down)`` in Mbit/s over one link.
-
-    Each equals :func:`estimate_tcp_throughput_mbps` on the same
-    inputs; the crowd sampler's per-link probe in one call.
-    """
-    if down_mbps <= 0 or up_mbps <= 0 or rtt_ms < 0:
-        raise ConfigurationError(
-            f"need positive rates and RTT >= 0: {down_mbps}, {up_mbps}, {rtt_ms}"
-        )
-    rtt = rtt_ms / 1000.0
-    down_bps = down_mbps * 1e6 / 8.0
-    # throughput_mbps() inline: a positive rate makes every time positive.
-    return (
-        ONE_MBYTE / _ramp_time_s(ONE_MBYTE, down_bps, rtt) * 8.0 / 1e6,
-        ONE_MBYTE / _ramp_time_s(ONE_MBYTE, up_mbps * 1e6 / 8.0, rtt)
-        * 8.0 / 1e6,
-        app_bytes / _ramp_time_s(app_bytes, down_bps, rtt) * 8.0 / 1e6,
-    )
-
-
 def count_wins(rows: Iterable[Tuple[float, float, float, float]],
                rate_mbps: float, rtt_ms: float, rate_floor: float = 0.0,
                rtt_floor: float = 0.0, rtt_cap: float = math.inf) -> int:
@@ -132,15 +116,7 @@ def count_wins(rows: Iterable[Tuple[float, float, float, float]],
     the same order, so every row measures exactly what the estimator
     would.  Rates must come out positive and RTTs non-negative.
     """
-    total_segments, cwnds = _ramp(ONE_MBYTE, 1448, 10)
-    # Per slow-start exit round k: the RTTs spent, and the bytes left to
-    # drain at the link rate, as _ramp_time_s writes them.  Integers are
-    # the floats Python would convert them to (all exact), which keeps
-    # the loop on the interpreter's float-float fast path.
-    ramp_rtts = [1.5 + k for k in range(len(cwnds))]
-    drain_bytes = [float((total_segments - (cwnd - cwnds[0])) * 1448)
-                   for cwnd in cwnds]
-    never_exits, all_rtts = len(cwnds), float(1 + len(cwnds))
+    cwnds, ramp_rtts, drain_bytes = ramp_table(ONE_MBYTE)
     nbytes, bisect = float(ONE_MBYTE), bisect_left
     wins = 0
     for rate_mult, rtt_mult, noise, rival in rows:
@@ -155,11 +131,7 @@ def count_wins(rows: Iterable[Tuple[float, float, float, float]],
         rate_bps = rate * 1e6 / 8.0
         rtt_s = rtt / 1000.0
         rounds = bisect(cwnds, rate_bps * rtt_s / 1448.0)
-        if rounds == never_exits:
-            elapsed = rtt_s * all_rtts
-        else:
-            elapsed = (rtt_s * ramp_rtts[rounds]
-                       + drain_bytes[rounds] / rate_bps)
+        elapsed = rtt_s * ramp_rtts[rounds] + drain_bytes[rounds] / rate_bps
         if nbytes / elapsed * 8.0 / 1e6 * noise > rival:
             wins += 1
     return wins

@@ -159,7 +159,8 @@ class CrowdWorld:
     their base medians verbatim.
 
     The sampler (:mod:`repro.crowd.sampling`) reads this model through
-    :meth:`site_medians` and the modifier methods.
+    :meth:`site_medians` and inlines :meth:`modifiers` and
+    :meth:`pick_operator` over the same tables.
     """
 
     #: Per-technology log-throughput spread within one site.
@@ -197,6 +198,11 @@ class CrowdWorld:
         self.cell_diurnal = cell_diurnal
         self.apps = tuple(apps)
         self._operator_cum = _cumulative([op.share for op in operators])
+        #: Per operator, ``(exp(tput_log_offset), exp(rtt_log_offset))``.
+        self._operator_exps = [
+            (math.exp(op.tput_log_offset), math.exp(op.rtt_log_offset))
+            for op in self.operators
+        ]
         self._app_cum = _cumulative([app.weight for app in apps])
         self._site_params = {
             site.name: self._calibrate_base_site(site)
@@ -330,29 +336,24 @@ class CrowdWorld:
         """Operator index for a uniform draw ``u`` (share-weighted)."""
         return _pick(self._operator_cum, u)
 
-    def pick_app(self, u: float) -> int:
-        """App index for a uniform draw ``u`` (mix-weighted)."""
-        return _pick(self._app_cum, u)
-
     def modifiers(
         self, operator_index: int, hour: float
     ) -> Tuple[float, float, float, float]:
         """Multipliers (wifi_cap, cell_cap, wifi_rtt, cell_rtt).
 
         Composes the operator's log offsets with both diurnal curves
-        at local ``hour``.  Pure and deterministic — the sampler calls
-        this once per run.
+        at local ``hour``.  Pure and deterministic — the sampler inlines
+        the same operations in the same order, once per run.
         """
-        operator = self.operators[operator_index]
+        tput_mult, rtt_mult = self._operator_exps[operator_index]
         exp = math.exp
         wifi_load = self.wifi_diurnal.log_load(hour)
         cell_load = self.cell_diurnal.log_load(hour)
         return (
             exp(-wifi_load),
-            exp(operator.tput_log_offset) * exp(-cell_load),
+            tput_mult * exp(-cell_load),
             exp(self.wifi_diurnal.rtt_coupling * wifi_load),
-            exp(operator.rtt_log_offset)
-            * exp(self.cell_diurnal.rtt_coupling * cell_load),
+            rtt_mult * exp(self.cell_diurnal.rtt_coupling * cell_load),
         )
 
     def profile_dict(self) -> dict:

@@ -149,17 +149,20 @@ class TestAddMany:
             one_by_one.add(value, 3)
         batched.add_many(self.SAMPLES[:200], 3)
         assert batched.to_dict() == one_by_one.to_dict()
-        for bad in (0, -1):
+        for bad in (0, -1, 1.5, True):
             with pytest.raises(ConfigurationError):
                 batched.add_many([1.0], bad)
             with pytest.raises(ConfigurationError):
                 batched.add(1.0, bad)
         assert batched.to_dict() == one_by_one.to_dict()
 
-    def test_nan_raises_and_keeps_what_came_before(self):
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_raises_and_keeps_what_came_before(self, bad):
         batched = QuantileSketch()
         with pytest.raises(ConfigurationError):
-            batched.add_many([1.0, -2.0, 0.0, float("nan"), 3.0])
+            batched.add_many([1.0, -2.0, 0.0, float(bad), 3.0])
+        with pytest.raises(ConfigurationError):
+            batched.add(float(bad))
         one_by_one = QuantileSketch()
         for value in (1.0, -2.0, 0.0):
             one_by_one.add(value)
@@ -215,6 +218,24 @@ class TestSerialization:
         sketch = QuantileSketch()
         assert QuantileSketch.from_dict(sketch.to_dict()) == sketch
 
+    @pytest.mark.parametrize("change", [
+        None, [], {"alpha": None}, {"alpha": 1.5}, {"count": -5},
+        {"count": 2}, {"count": True}, {"zero": -1}, {"zero": 1.0},
+        {"pos": [1]}, {"pos": {"x": 1}}, {"pos": {"0": 0}}, {"neg": {"3": -2}},
+        {"min": "nan"}, {"min": float("nan")}, {"max": float("inf")},
+        {"min": 9.0}, {"max": None},
+    ], ids=repr)
+    def test_corrupt_partial_fails_typed(self, change):
+        # Partials come back over the wire and out of the cache.
+        payload = _sketch_of([1.0, -2.0, 0.0, 5.0]).to_dict()
+        if isinstance(change, dict):
+            payload.update(change)
+            payload = {k: v for k, v in payload.items() if v is not None}
+        else:
+            payload = change
+        with pytest.raises(ConfigurationError, match="QuantileSketch"):
+            QuantileSketch.from_dict(payload)
+
 
 class TestSketchCdf:
     def test_matches_sketch(self):
@@ -256,3 +277,10 @@ class TestLabeledCounters:
             json.loads(json.dumps(merged.to_dict()))
         )
         assert restored == merged
+
+    @pytest.mark.parametrize("payload", [
+        {"a": -3}, {"a": True}, {"a": 1.5}, {"a": "2"}, ["a"], None,
+    ], ids=repr)
+    def test_corrupt_counters_fail_typed(self, payload):
+        with pytest.raises(ConfigurationError, match="LabeledCounters"):
+            LabeledCounters.from_dict(payload)

@@ -101,6 +101,14 @@ class TestCrowdScaleCli:
         assert main(["--users", "100", "--sink", "csv"] + SCALE_ARGS) == 2
         assert "--csv-out" in capsys.readouterr().err
 
+    def test_csv_out_requires_csv_sink(self, capsys, tmp_path):
+        target = tmp_path / "runs.csv"
+        assert main(["--users", "100", "--csv-out", str(target)]
+                    + SCALE_ARGS) == 2
+        assert capsys.readouterr().err.strip() == (
+            "crowd: --csv-out needs --sink csv")
+        assert not target.exists()
+
     def test_dataset_sink_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--users", "300", "--sink", "dataset"] + SCALE_ARGS)

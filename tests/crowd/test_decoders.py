@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.crowd.aggregate import CrowdSketch
 from repro.crowd.operators import (
     DEFAULT_APP_MIX,
     DEFAULT_CELL_DIURNAL,
@@ -96,3 +97,29 @@ def test_to_dict_bytes_are_pinned(spec, digest):
     encoded = json.dumps(spec.to_dict()).encode()
     assert hashlib.sha256(encoded).hexdigest() == digest
     assert PopulationSpec.from_dict(spec.to_dict()) == spec
+
+
+def _partial(**changes) -> dict:
+    """An empty shard partial with ``changes`` applied."""
+    return {**CrowdSketch().to_dict(), **changes}
+
+
+BAD_PARTIALS = {
+    "empty": {},
+    "not-an-object": [["alpha", 0.005]],
+    "alpha-a-string": _partial(alpha="fine"),
+    "no-sketches": {"alpha": 0.005, "counters": {}},
+    "sketch-missing": _partial(sketches={}),
+    "sketch-not-an-object": _partial(sketches=["up_diff"]),
+    "sketch-corrupt": _partial(sketches={
+        **_partial()["sketches"], "up_diff": {"alpha": 0.005, "count": -5}}),
+    "counters-a-list": _partial(counters=[1]),
+    "counter-negative": _partial(counters={"runs": -3}),
+}
+
+
+@pytest.mark.parametrize("data", BAD_PARTIALS.values(),
+                         ids=BAD_PARTIALS.keys())
+def test_shard_partial_decoder_fails_typed_and_closed(data):
+    with pytest.raises(ConfigurationError):
+        CrowdSketch.from_dict(data)

@@ -1,15 +1,23 @@
 """Tests for the vectorized sampling layer (layer 2)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.crowd.operators import DiurnalCurve, OperatorProfile
 from repro.crowd.sampling import (
     COLUMN_NAMES,
+    CrowdRun,
     CrowdSampler,
     PopulationSpec,
     RunColumns,
 )
-from repro.crowd.world import TABLE1_SITES
+from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
+from repro.crowd.world import TABLE1_SITES, CrowdWorld, _pick
+from tests.crowd.test_tcpmodel import _around, _rate_for_bdp
 
 
 def _window(whole: RunColumns, start: int, count: int) -> dict:
@@ -223,3 +231,130 @@ class TestRunColumns:
         # Both failure branches must actually occur at this size.
         assert any(not ok for ok in cols.wifi_ok)
         assert any(not ok for ok in cols.cell_ok)
+
+
+def reference_run(sampler: CrowdSampler, user_u, run_u) -> CrowdRun:
+    """Run 0 of ``sampler`` from the given uniforms, composed of the
+    calls the kernel inlines: the weighted picks, ``world.modifiers``
+    and one ``estimate_tcp_throughput_mbps`` per probe."""
+    world, pop = sampler.world, sampler.population
+    (u_hour, u_geo, v_geo, u_rate, v_rate, u_wifi_up, u_cell_up, u_rtt,
+     v_rtt, u_tech, u_single, u_which, u_wifi_fail, u_cell_off, u_wifi,
+     v_wifi, u_cell, v_cell, u_ping, v_ping) = run_u
+    exp, log, sqrt, cos, sin = math.exp, math.log, math.sqrt, math.cos, math.sin
+    two_pi = 2.0 * math.pi
+
+    def normal_pair(scale, u, v):
+        radius = scale * sqrt(-2.0 * log(1.0 - u))
+        return radius * cos(two_pi * v), radius * sin(two_pi * v)
+
+    site_idx = _pick(sampler._site_cum, user_u[0])
+    op_idx = world.pick_operator(user_u[1])
+    app_idx = _pick(world._app_cum, user_u[2])
+    hour = (user_u[3] * 24.0 + 5.0 * 0 + 3.0 * u_hour - 1.5) % 24.0
+    wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = sampler._medians[site_idx]
+    wifi_cap, cell_cap, wifi_rtt_m, cell_rtt_m = world.modifiers(op_idx, hour)
+    site = sampler._sites[site_idx]
+    geo = normal_pair(0.15, u_geo, v_geo)
+    rate = normal_pair(world.SIGMA, u_rate, v_rate)
+    wifi_down = wifi_med * wifi_cap * exp(rate[0])
+    cell_down = lte_med * cell_cap * exp(rate[1])
+    wifi_up = wifi_down * (0.35 + 0.45 * u_wifi_up)
+    cell_up = (cell_down * (0.3 + 0.4 * u_cell_up)
+               * math.exp(world.UPLINK_LTE_TILT))
+    rtt = normal_pair(world.RTT_SIGMA, u_rtt, v_rtt)
+    wifi_rtt = wifi_rtt_med * wifi_rtt_m * exp(rtt[0])
+    cell_rtt = lte_rtt_med * cell_rtt_m * exp(rtt[1])
+    tech = 0 if u_tech >= world.NON_LTE_FRACTION else (
+        1 if u_tech >= world.NON_LTE_FRACTION / 2.0 else 2)
+    if tech == 2:
+        cell_down, cell_up, cell_rtt = cell_down * 0.15, cell_up * 0.15, cell_rtt * 2.0
+    wifi_down, wifi_up = max(wifi_down, 0.1), max(wifi_up, 0.05)
+    cell_down, cell_up = max(cell_down, 0.1), max(cell_up, 0.05)
+    wifi_rtt = min(max(5.0, wifi_rtt), 1200.0)
+    cell_rtt = min(max(15.0, cell_rtt), 1200.0)
+    single = u_single < pop.single_tech_p
+    single_cell = single and u_which < 0.5
+    wifi_ok = not single_cell and u_wifi_fail >= pop.wifi_failure_p
+    cell_ok = (single_cell or not single) and u_cell_off >= pop.cell_disabled_p
+    ping = normal_pair(CrowdSampler.PING_AVG_SIGMA, u_ping, v_ping)
+    app_bytes = world.apps[app_idx].down_bytes
+
+    def measured(ok, down, up, rtt_ms, u, v, ping_z):
+        if not ok:
+            return 0.0, 0.0, 0.0, 0.0
+        noise = normal_pair(pop.noise_sigma, u, v)
+        return (estimate_tcp_throughput_mbps(down, rtt_ms) * exp(noise[0]),
+                estimate_tcp_throughput_mbps(up, rtt_ms) * exp(noise[1]),
+                rtt_ms * exp(ping_z),
+                estimate_tcp_throughput_mbps(down, rtt_ms, app_bytes))
+
+    wifi = measured(wifi_ok, wifi_down, wifi_up, wifi_rtt, u_wifi, v_wifi, ping[0])
+    cell = measured(cell_ok, cell_down, cell_up, cell_rtt, u_cell, v_cell, ping[1])
+    return CrowdRun(0, site_idx, op_idx, app_idx, hour,
+                    site.lat + geo[0], site.lon + geo[1], tech, wifi_ok, cell_ok,
+                    wifi[0], wifi[1], cell[0], cell[1], wifi[2], cell[2],
+                    wifi[3], cell[3])
+
+
+def kernel_run(sampler: CrowdSampler, user_u, run_u) -> CrowdRun:
+    """Run 0 of ``sampler`` with its block streams replaced by the given
+    uniforms."""
+    def stream(kind, index, slots):
+        return iter(user_u if kind == "users" else run_u).__next__
+    sampler._stream = stream
+    return sampler.sample_run(0)
+
+
+@pytest.fixture(scope="module")
+def flat_world():
+    """One operator with no offsets, no diurnal load: the probe sees the
+    site medians themselves when the rate and RTT draws are zero."""
+    return CrowdWorld(operators=(OperatorProfile("flat", 1.0),),
+                      wifi_diurnal=DiurnalCurve(), cell_diurnal=DiurnalCurve())
+
+
+UNIFORM = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestInlinedKernel:
+    """The sampler's kernel inlines the weighted picks, the world's
+    modifiers and the TCP probes; the calls stay its oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat=st.booleans(),
+           user_u=st.lists(UNIFORM, min_size=4, max_size=4),
+           run_u=st.lists(UNIFORM, min_size=20, max_size=20),
+           medians=st.none() | st.tuples(
+               st.floats(0.05, 500.0), st.floats(0.05, 500.0),
+               st.floats(1.0, 1500.0), st.floats(1.0, 1500.0)))
+    def test_run_equals_the_public_calls(self, crowd_world, flat_world, flat,
+                                         user_u, run_u, medians):
+        sampler = CrowdSampler(flat_world if flat else crowd_world,
+                               PopulationSpec(users=1))
+        if medians is not None:
+            sampler._medians = [medians] * len(sampler._medians)
+        assert kernel_run(sampler, user_u, run_u) == (
+            reference_run(sampler, user_u, run_u))
+
+    @pytest.mark.parametrize("segments", [10, 20, 40, 80, 160, 320, 640])
+    def test_bdp_exactly_on_a_window(self, flat_world, segments):
+        # Zero rate and RTT draws, no noise: every link probes its
+        # site medians, here a rate one ulp under, on and over the
+        # bandwidth-delay product of a window, for every app's size.
+        sampler = CrowdSampler(flat_world, PopulationSpec(users=1))
+        app_starts = [0.0] + flat_world._app_cum[:-1]
+        run_u = [0.5] * 20
+        run_u[3] = run_u[7] = run_u[14] = run_u[16] = run_u[18] = 0.0
+        for rate in _around(_rate_for_bdp(segments, 80.0)):
+            sampler._medians = [(rate, rate, 80.0, 80.0)] * len(sampler._medians)
+            for app_idx, u_app in enumerate(app_starts):
+                user_u = [0.0, 0.0, u_app, 0.0]
+                run = kernel_run(sampler, user_u, run_u)
+                assert run == reference_run(sampler, user_u, run_u)
+                assert run.app == app_idx and run.wifi_ok and run.cell_ok
+                assert run.wifi_down == run.cell_down == (
+                    estimate_tcp_throughput_mbps(rate, 80.0))
+                assert run.app_wifi_down == run.app_cell_down == (
+                    estimate_tcp_throughput_mbps(
+                        rate, 80.0, flat_world.apps[app_idx].down_bytes))

@@ -12,7 +12,6 @@ from repro.core.errors import ConfigurationError
 from repro.crowd.tcpmodel import (
     count_wins,
     estimate_tcp_throughput_mbps,
-    probe_link_mbps,
     transfer_time_s,
 )
 
@@ -138,29 +137,6 @@ class TestClosedFormMatchesLoop:
             transfer_time_s(10.0, 40.0, 1000, initial_cwnd=0)
 
 
-class TestLinkProbe:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        down=st.floats(min_value=0.1, max_value=500.0),
-        up=st.floats(min_value=0.05, max_value=500.0),
-        rtt=st.floats(min_value=5.0, max_value=1200.0),
-        app_bytes=st.sampled_from([64 * 1024, 256 * 1024, MB, 4 * MB]),
-    )
-    def test_is_three_estimates_bit_for_bit(self, down, up, rtt, app_bytes):
-        # One model: the sampler's per-link probe is the public
-        # estimator three times over, not an approximation of it.
-        assert probe_link_mbps(down, up, rtt, app_bytes) == (
-            estimate_tcp_throughput_mbps(down, rtt),
-            estimate_tcp_throughput_mbps(up, rtt),
-            estimate_tcp_throughput_mbps(down, rtt, app_bytes),
-        )
-
-    def test_rejects_what_the_estimator_rejects(self):
-        for args in ((0.0, 1.0, 40.0), (1.0, 0.0, 40.0), (1.0, 1.0, -1.0)):
-            with pytest.raises(ConfigurationError):
-                probe_link_mbps(*args, MB)
-
-
 def measured(row, rate, rtt, rate_floor=0.0, rtt_floor=0.0,
              rtt_cap=math.inf):
     """What one ``count_wins`` row measures, through the public estimator."""
@@ -207,7 +183,8 @@ def calibration_counts(draw):
 
 class TestWinCountKernel:
     """``count_wins`` is the calibration's inner loop; the public
-    estimator stays its oracle, bit for bit, as for ``probe_link_mbps``."""
+    estimator stays its oracle, bit for bit, as for the crowd sampler's
+    inlined probes (``tests/crowd/test_sampling.py``)."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=calibration_counts())

@@ -1,12 +1,13 @@
 """Tests for the synthetic world model behind the crowd dataset."""
 
+import functools
 import hashlib
 
 import pytest
 
 from repro.core.rng import DEFAULT_SEED
 from repro.crowd.dataset import Dataset
-from repro.crowd.sampling import CrowdSampler, PopulationSpec, RunColumns
+from repro.crowd.sampling import COLUMN_NAMES, CrowdSampler, PopulationSpec, RunColumns
 from repro.crowd.world import TABLE1_SITES, CrowdWorld
 
 #: sha256 of both calibration passes' medians, every site, to the bit.
@@ -20,10 +21,34 @@ CALIBRATION_DIGESTS = {
 }
 
 
+#: sha256 of all 18 sampler columns of the first 20000 runs of a
+#: 20000-user population at the world's seed.  The crowd digests CI
+#: takes are over sketches with 0.5 % buckets, blind to a one-ulp drift
+#: in a column; these are not.
+COLUMN_DIGESTS = {
+    DEFAULT_SEED:
+        "0ec9ff4299d2c0f68fa253677c3d3e2f198332e240806a00f424d88b8edbb475",
+    7: "7eb25a3f5c6be6ea4b65585c813a59e911c4dd181c011d485229fb85d69b3bed",
+    11: "b0b4a9f384e4ab3a9c2b80c1d4d8bf02e75244ef55ecbed64df0fb9ea4241713",
+}
+
+
 def calibration_digest(world: CrowdWorld) -> str:
     medians = (sorted(world._site_params.items()),
                sorted(world._crowd_params.items()))
     return hashlib.sha256(repr(medians).encode()).hexdigest()
+
+
+def column_digest(world: CrowdWorld) -> str:
+    population = PopulationSpec(users=20000, seed=world.seed)
+    columns = CrowdSampler(world, population).sample_batch(0, 20000)
+    return hashlib.sha256(repr(
+        [getattr(columns, name) for name in COLUMN_NAMES]).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_world(seed: int) -> CrowdWorld:
+    return CrowdWorld(seed)
 
 
 class TestTable1Data:
@@ -100,5 +125,10 @@ class TestWorldModel:
 class TestCalibrationDigest:
     @pytest.mark.parametrize("seed", sorted(CALIBRATION_DIGESTS))
     def test_medians_are_pinned(self, seed, crowd_world):
-        world = crowd_world if seed == DEFAULT_SEED else CrowdWorld(seed)
+        world = crowd_world if seed == DEFAULT_SEED else _seeded_world(seed)
         assert calibration_digest(world) == CALIBRATION_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(COLUMN_DIGESTS))
+    def test_sampler_columns_are_pinned(self, seed, crowd_world):
+        world = crowd_world if seed == DEFAULT_SEED else _seeded_world(seed)
+        assert column_digest(world) == COLUMN_DIGESTS[seed]

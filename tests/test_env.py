@@ -226,6 +226,29 @@ def test_bad_variable_exits_2_in_one_line_before_any_work(
     assert _settings()[0] == before
 
 
+@pytest.mark.parametrize("prog, argv, environ, named", [
+    ("repro-experiments", ["--workers", "0"], {}, "--workers must be >= 1: 0"),
+    ("repro-experiments", ["--executor", "bogus"], {}, "--executor: unknown"),
+    ("repro-experiments", ["--fidelity", "bogus"], {}, "--fidelity: must be"),
+    ("crowd", ["--workers", "0"], {}, "--workers must be >= 1: 0"),
+    ("crowd", ["--executor", "bogus"], {}, "--executor: unknown"),
+    ("crowd", [], {env.WORKERS: "0"}, f"{env.WORKERS} must be >= 1: 0"),
+])
+def test_a_bad_value_is_named_where_it_came_from(
+        prog, argv, environ, named, tmp_path, capsys, monkeypatch):
+    # The flag when a flag supplied it, the variable when the
+    # environment did.
+    main, job, _ = _clis(tmp_path)[prog]
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as excinfo:
+        main(job + argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prog}: {named}")
+    assert err.count("REPRO_") == (1 if environ else 0)
+
+
 @pytest.mark.parametrize("prog", ["repro-experiments", "run-spec", "submit",
                                   "crowd"])
 def test_a_command_with_every_flag_leaves_no_setting_behind(
