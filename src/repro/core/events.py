@@ -32,10 +32,15 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import EventBudgetExceeded, SimulationError
 
-__all__ = ["Event", "EventLoop", "Timer", "Periodic"]
+__all__ = ["Event", "EventLoop", "Timer", "Periodic", "noop"]
 
 #: Below this heap size compaction is pointless bookkeeping.
 _COMPACT_MIN_HEAP = 64
+
+
+def noop(*_args) -> None:
+    """A released callback slot's value: unlike a bound method or a
+    closure it refers to no owner, so it closes no reference cycle."""
 
 
 class Event:
@@ -68,11 +73,6 @@ class Event:
         if self._loop is not None:
             self._loop._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Off the run path (heap entries are tuples); orders the
-        # ``nsmallest`` listing in EventLoop.diagnostics().
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -93,6 +93,7 @@ class EventLoop:
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._running = False
         self._stop_requested = False
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -108,6 +109,8 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule event in the past: {when:.6f} < {self._now:.6f}"
             )
+        if self._closed:
+            raise SimulationError("cannot schedule on a closed event loop")
         self._seq = seq = self._seq + 1
         event = Event(when, seq, callback, self)
         heapq.heappush(self._heap, (when, seq, event))
@@ -137,6 +140,16 @@ class EventLoop:
         """
         self._stop_requested = True
 
+    def close(self) -> None:
+        """Cancel, detach and drop every pending event; refuse new ones."""
+        self._closed = True
+        for _, _, event in self._heap:
+            event.cancelled = True
+            event._loop = None
+            event.callback = noop
+        self._heap.clear()
+        self._cancelled = 0
+
     def _note_cancelled(self) -> None:
         """Bookkeeping callback from :meth:`Event.cancel`."""
         self._cancelled += 1
@@ -155,12 +168,12 @@ class EventLoop:
         ``limit`` scheduled callbacks, so an exhausted event budget
         points at the code that keeps rescheduling itself.
         """
-        live = [event for _, _, event in self._heap if not event.cancelled]
+        live = [entry for entry in self._heap if not entry[2].cancelled]
         lines = [
             f"loop: t={self._now:.6f}s, {len(live)} live events "
             f"({len(self._heap)} heaped, {self._cancelled} cancelled)"
         ]
-        for event in heapq.nsmallest(limit, live):
+        for _, _, event in heapq.nsmallest(limit, live):
             callback = event.callback
             name = getattr(callback, "__qualname__", None) or repr(callback)
             lines.append(f"  next: t={event.time:.6f}s seq={event.seq} -> {name}")
@@ -270,6 +283,11 @@ class Timer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
+
+    def release(self) -> None:
+        """Disarm and drop the callback (its owner is torn down)."""
+        self.stop()
+        self._callback = noop
 
     def _fire(self) -> None:
         self._event = None

@@ -22,6 +22,7 @@ size; ``--sink csv`` streams one row per run to ``--csv-out``.
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -123,6 +124,18 @@ def _scale_main(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``): send what is left to
+        # devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.crowd",
         description="Simulate Cell vs WiFi measurement runs — one "

@@ -198,6 +198,7 @@ def run_delack_ablation(seed: int = DEFAULT_SEED,
             "duration_s": run.duration_s or 0.0,
             "acks": connection.subflow.receiver.acks_sent,
         }
+        scenario.close()
     metrics = {
         "quickack_duration_s": results["quickack"]["duration_s"],
         "delack_duration_s": results["delack"]["duration_s"],

@@ -122,12 +122,14 @@ def run_panel(
     connection.start()
     connection.close()
     scenario.run(until=horizon_s)
-    return PanelResult(
+    result = PanelResult(
         panel=panel, description=description, logs=logs, horizon_s=horizon_s,
         completed_at=connection.completed_at,
         delivery_log=connection.delivery_log.copy(),
         applied_faults=scenario.applied_faults(),
     )
+    scenario.close()
+    return result
 
 
 #: §3.6's two ways of disabling an interface, as fault schedules:

@@ -190,27 +190,32 @@ class ReplayEngine:
                 # ``deadline_s``.
                 scenario.loop.stop()
 
-        for recorded in session.connections:
-            if not recorded.transactions:
-                continue
-            transport = self._make_transport(scenario, config)
-            one_way = scenario.path(config.path).config.rtt_ms / 2000.0
-            driver = _ConnectionDriver(
-                scenario, recorded, transport, replay, one_way, finished,
-                upload_path=config.path,
-            )
-            unfinished.append(driver)
-            scenario.loop.call_at(recorded.open_offset_s, driver.start)
+        try:
+            for recorded in session.connections:
+                if not recorded.transactions:
+                    continue
+                transport = self._make_transport(scenario, config)
+                one_way = scenario.path(config.path).config.rtt_ms / 2000.0
+                driver = _ConnectionDriver(
+                    scenario, recorded, transport, replay, one_way, finished,
+                    upload_path=config.path,
+                )
+                unfinished.append(driver)
+                scenario.loop.call_at(recorded.open_offset_s, driver.start)
 
-        if not unfinished:
-            # Nothing would ever finish: a deadline-sized response time
-            # must not enter an oracle mean as a success.
-            raise ConfigurationError(
-                f"session {session.name!r} has no transactions to replay"
-            )
-        scenario.loop.run(until=deadline_s)
+            if not unfinished:
+                # Nothing would ever finish: a deadline-sized response
+                # time must not enter an oracle mean as a success.
+                raise ConfigurationError(
+                    f"session {session.name!r} has no transactions to replay"
+                )
+            scenario.loop.run(until=deadline_s)
+        finally:
+            scenario.close()
 
         completed = not unfinished
+        # Each driver's ``on_finished`` closes over this list.
+        unfinished.clear()
         return AppReplayResult(
             session_name=session.name,
             config_name=config.name,

@@ -346,15 +346,9 @@ class MptcpConnection(ConnectionBase):
             )
         chunks = subflow.sender.fail()
         self._reinject(chunks)
-        self._detach_cc(subflow)
+        subflow.sender.cc.detach()
         self._activate_fallbacks()
         self._pump()
-
-    def _detach_cc(self, subflow: Subflow) -> None:
-        cc = subflow.sender.cc
-        detach = getattr(cc, "detach", None)
-        if callable(detach):
-            detach()
 
     def _reinject(self, chunks: List[Chunk]) -> None:
         surviving = self._live_reinjection_filter(chunks)

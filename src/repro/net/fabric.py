@@ -76,9 +76,16 @@ class AttachedPath:
         self.client_rx.register(flow_id, subflow_id, client_handler)
         self.server_rx.register(flow_id, subflow_id, server_handler)
 
-    def unregister(self, flow_id: int, subflow_id: int) -> None:
-        self.client_rx.unregister(flow_id, subflow_id)
-        self.server_rx.unregister(flow_id, subflow_id)
+    def close(self) -> None:
+        """Unwire the path: handlers, link sinks and every observer."""
+        self.client_rx._handlers.clear()
+        self.server_rx._handlers.clear()
+        self.path.on_admin_change.clear()
+        for link in (self.path.uplink, self.path.downlink):
+            link._sink = None
+            for observers in (link.on_transmit, link.on_deliver,
+                              link.on_drop, link.on_state_change):
+                observers.clear()
 
     def __repr__(self) -> str:
         return f"AttachedPath({self.path!r})"

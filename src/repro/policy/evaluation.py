@@ -76,9 +76,12 @@ def probe_condition(
     probe = probe if probe is not None else PathProbe()
     estimator = ConditionEstimator()
     scenario = mpshell(condition, seed=seed)
-    for path_name in ("wifi", "lte"):
-        report = probe.run(scenario, path_name)
-        estimator.observe(report, now=scenario.loop.now)
+    try:
+        for path_name in ("wifi", "lte"):
+            report = probe.run(scenario, path_name)
+            estimator.observe(report, now=scenario.loop.now)
+    finally:
+        scenario.close()
     return estimator
 
 

@@ -79,6 +79,8 @@ class Scenario:
         #: Armed :class:`~repro.faults.injector.FaultInjector` objects,
         #: in :meth:`inject_faults` order.
         self.fault_injectors: List = []
+        #: Every connection :meth:`tcp`/:meth:`mptcp` built (for :meth:`close`).
+        self._connections: List[ConnectionBase] = []
 
     # ------------------------------------------------------------------
     # Topology
@@ -167,6 +169,7 @@ class Scenario:
         )
         if self.recorder is not None:
             connection.attach_recorder(self.recorder)
+        self._connections.append(connection)
         return connection
 
     def mptcp(
@@ -188,6 +191,7 @@ class Scenario:
         )
         if self.recorder is not None:
             connection.attach_recorder(self.recorder)
+        self._connections.append(connection)
         return connection
 
     def add_background_flow(
@@ -259,6 +263,17 @@ class Scenario:
                 result=self.result_of(connection),
             )
         return self.result_of(connection)
+
+    def close(self) -> None:
+        """Unwire loop, paths and connections once results are read, so
+        the graph is freed by reference counting (DESIGN §4); the
+        connections keep their state for queries."""
+        self.loop.close()
+        for attached in self._paths.values():
+            attached.close()
+        self.fault_injectors.clear()
+        for connection in self._connections:
+            connection.release()
 
     def result_of(self, connection: ConnectionBase) -> TransferResult:
         """Snapshot a connection's outcome."""

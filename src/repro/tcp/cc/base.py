@@ -8,14 +8,37 @@ fits.
 
 import math
 from abc import ABC, abstractmethod
+from typing import List, Optional
 
 from repro.tcp.config import TcpConfig
 
-__all__ = ["CongestionControl"]
+__all__ = ["CongestionControl", "Coupling"]
+
+
+class Coupling:
+    """Shared state linking the subflow controllers of one connection."""
+
+    def __init__(self) -> None:
+        self._members: List["CongestionControl"] = []
+
+    def register(self, member: "CongestionControl") -> None:
+        self._members.append(member)
+
+    def unregister(self, member: "CongestionControl") -> None:
+        if member in self._members:
+            self._members.remove(member)
+
+    @property
+    def members(self) -> List["CongestionControl"]:
+        return list(self._members)
 
 
 class CongestionControl(ABC):
     """Window-evolution policy for one (sub)flow."""
+
+    #: Set by coupled algorithms (LIA, OLIA) to their connection's
+    #: :class:`Coupling`.
+    coupling: Optional[Coupling] = None
 
     def __init__(self, config: TcpConfig):
         self.config = config
@@ -36,6 +59,11 @@ class CongestionControl(ABC):
     @abstractmethod
     def on_ack(self, newly_acked_segments: float) -> None:
         """Grow the window after a cumulative ACK covering new data."""
+
+    def detach(self) -> None:
+        """Leave the coupled increase computation, if in one."""
+        if self.coupling is not None:
+            self.coupling.unregister(self)
 
     def on_rtt_sample(self, rtt: float) -> None:
         """Observe a raw RTT sample (HyStart-style algorithms use this)."""

@@ -15,30 +15,14 @@ Slow start and the multiplicative decrease stay per-subflow, exactly as
 in the Linux implementation the paper measured.
 """
 
-from typing import List
-
-from repro.tcp.cc.base import CongestionControl
+from repro.tcp.cc.base import CongestionControl, Coupling
 from repro.tcp.config import TcpConfig
 
 __all__ = ["LiaCoupling", "LiaSubflowCc"]
 
 
-class LiaCoupling:
-    """Shared state linking the subflow controllers of one connection."""
-
-    def __init__(self) -> None:
-        self._members: List["LiaSubflowCc"] = []
-
-    def register(self, member: "LiaSubflowCc") -> None:
-        self._members.append(member)
-
-    def unregister(self, member: "LiaSubflowCc") -> None:
-        if member in self._members:
-            self._members.remove(member)
-
-    @property
-    def members(self) -> List["LiaSubflowCc"]:
-        return list(self._members)
+class LiaCoupling(Coupling):
+    """The LIA controllers of one connection."""
 
     def total_cwnd(self) -> float:
         return sum(member.cwnd for member in self._members)
@@ -66,10 +50,6 @@ class LiaSubflowCc(CongestionControl):
         super().__init__(config)
         self.coupling = coupling
         coupling.register(self)
-
-    def detach(self) -> None:
-        """Remove this subflow from the coupled increase computation."""
-        self.coupling.unregister(self)
 
     def on_ack(self, newly_acked_segments: float) -> None:
         remainder = self.slow_start_increase(newly_acked_segments)

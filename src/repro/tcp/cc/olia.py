@@ -16,28 +16,14 @@ the highest estimated delivery rate since the last loss).
 
 from typing import List
 
-from repro.tcp.cc.base import CongestionControl
+from repro.tcp.cc.base import CongestionControl, Coupling
 from repro.tcp.config import TcpConfig
 
 __all__ = ["OliaCoupling", "OliaSubflowCc"]
 
 
-class OliaCoupling:
+class OliaCoupling(Coupling):
     """Shared OLIA state for one MPTCP connection."""
-
-    def __init__(self) -> None:
-        self._members: List["OliaSubflowCc"] = []
-
-    def register(self, member: "OliaSubflowCc") -> None:
-        self._members.append(member)
-
-    def unregister(self, member: "OliaSubflowCc") -> None:
-        if member in self._members:
-            self._members.remove(member)
-
-    @property
-    def members(self) -> List["OliaSubflowCc"]:
-        return list(self._members)
 
     def rtt_weighted_sum(self) -> float:
         return sum(
@@ -70,9 +56,6 @@ class OliaSubflowCc(CongestionControl):
         self.coupling = coupling
         self.bytes_since_loss = 0.0
         coupling.register(self)
-
-    def detach(self) -> None:
-        self.coupling.unregister(self)
 
     def _epsilon(self) -> float:
         members = self.coupling.members

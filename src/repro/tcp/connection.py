@@ -162,6 +162,14 @@ class ConnectionBase:
         self._closed_by_app = True
         self._maybe_close_subflows()
 
+    def release(self) -> None:
+        """Drop every callback that points back into this connection
+        (:meth:`repro.scenario.Scenario.close`); queries still work."""
+        self.on_complete.clear()
+        self._progress_thresholds.clear()
+        for subflow in self.subflows:
+            subflow.release()
+
     # -- plumbing shared with subclasses --------------------------------
     def _handle_data(self, subflow: Subflow, data_seq: int, length: int) -> None:
         new_bytes = self._received.add(data_seq, data_seq + length)

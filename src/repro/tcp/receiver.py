@@ -9,7 +9,7 @@ SACK blocks.
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.events import EventLoop, Timer
+from repro.core.events import EventLoop, Timer, noop
 from repro.core.intervals import IntervalSet
 from repro.core.packet import Packet
 
@@ -57,6 +57,12 @@ class SubflowReceiver:
         if self._delayed:
             assert loop is not None
             self._delack_timer = Timer(loop, self._flush_delayed_ack)
+
+    def release(self) -> None:
+        """See :meth:`~repro.tcp.subflow.Subflow.release`."""
+        self._send_ack = self._on_data = noop
+        if self._delack_timer is not None:
+            self._delack_timer.release()
 
     @property
     def out_of_order_segments(self) -> int:

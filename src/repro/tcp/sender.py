@@ -33,7 +33,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.events import EventLoop, Timer
+from repro.core.events import EventLoop, Timer, noop
 from repro.core.packet import Packet, PacketFlags
 from repro.tcp.cc.base import CongestionControl
 from repro.tcp.config import TcpConfig
@@ -132,14 +132,23 @@ class SubflowSender:
         self._rto_timer = Timer(loop, self._on_rto)
 
         # Connection-level callbacks (wired by the Subflow).
-        self.on_data_acked: Callable[[List[Chunk]], None] = lambda chunks: None
-        self.on_window_open: Callable[[], None] = lambda: None
-        self.on_dead: Callable[[], None] = lambda: None
-        self.on_rto_event: Callable[[], None] = lambda: None
+        self.on_data_acked = self.on_window_open = noop
+        self.on_dead = self.on_rto_event = noop
 
         cc.srtt_getter = lambda: self.rtt.smoothed_rtt
         if hasattr(cc, "now_getter"):
             cc.now_getter = lambda: self.loop.now
+
+    def release(self) -> None:
+        """See :meth:`~repro.tcp.subflow.Subflow.release`."""
+        self.on_data_acked = self.on_window_open = noop
+        self.on_dead = self.on_rto_event = noop
+        self._rto_timer.release()
+        cc = self.cc
+        cc.srtt_getter = noop
+        if hasattr(cc, "now_getter"):
+            cc.now_getter = noop
+        cc.detach()
 
     # ------------------------------------------------------------------
     # Queries

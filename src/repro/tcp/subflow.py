@@ -9,9 +9,9 @@ server).  ``direction`` selects which side sources the data:
 """
 
 import enum
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.core.events import EventLoop, Timer
+from repro.core.events import EventLoop, Timer, noop
 from repro.core.packet import Packet, PacketFlags
 from repro.net.fabric import AttachedPath
 from repro.tcp.cc.base import CongestionControl
@@ -106,27 +106,33 @@ class Subflow:
         self._fin_sent = False
         self._peer_fin_seen = False
 
-        # Connection-level callbacks.
-        self.on_established: Callable[["Subflow"], None] = lambda sf: None
-        self.on_data_arrived: Callable[["Subflow", int, int], None] = (
-            lambda sf, dseq, length: None
-        )
-        self.on_data_acked: Callable[["Subflow", List[Chunk]], None] = (
-            lambda sf, chunks: None
-        )
-        self.on_window_open: Callable[["Subflow"], None] = lambda sf: None
-        self.on_dead: Callable[["Subflow"], None] = lambda sf: None
-        self.on_closed: Callable[["Subflow"], None] = lambda sf: None
-        self.on_rto: Callable[["Subflow"], None] = lambda sf: None
+        # Connection-level callbacks, called with this subflow (and the
+        # data range or acked chunks for on_data_arrived/on_data_acked).
+        self._reset_callbacks()
 
         self.sender.on_data_acked = lambda chunks: self.on_data_acked(self, chunks)
         self.sender.on_window_open = lambda: self.on_window_open(self)
-        self.sender.on_dead = self._sender_died
+        self.sender.on_dead = self._die
         self.sender.on_rto_event = lambda: self.on_rto(self)
 
         attached.register(
             flow_id, subflow_id, self._client_receive, self._server_receive
         )
+
+    def _reset_callbacks(self) -> None:
+        self.on_established = self.on_data_arrived = self.on_data_acked = noop
+        self.on_window_open = self.on_dead = self.on_closed = noop
+        self.on_rto = noop
+
+    def release(self) -> None:
+        """Put every callback slot that points back at an owner (here,
+        in the sender, receiver, controller and timers) back on
+        :func:`~repro.core.events.noop`."""
+        self._reset_callbacks()
+        self._syn_timer.release()
+        self._synack_timer.release()
+        self.sender.release()
+        self.receiver.release()
 
     def attach_recorder(self, recorder) -> None:
         """Route this subflow's (and its sender's) events to ``recorder``."""
@@ -381,9 +387,6 @@ class Subflow:
     # ------------------------------------------------------------------
     # Failure
     # ------------------------------------------------------------------
-    def _sender_died(self) -> None:
-        self._die()
-
     def _die(self) -> None:
         if self.state == SubflowState.DEAD:
             return

@@ -81,7 +81,8 @@ class Session:
         monitors, inject link events mid-transfer, or drive the loop
         themselves — while still describing the workload as data.
         Pass a :class:`~repro.obs.trace.TraceRecorder` to observe the
-        run.
+        run.  The scenario stays live until the caller's
+        :meth:`~repro.scenario.Scenario.close`, which is optional.
         """
         scenario = self.scenario_for(spec, seed=seed, recorder=recorder)
         if spec.faults is not None:
@@ -131,20 +132,23 @@ class Session:
             scenario, connection = self.open(
                 spec, seed=seed, recorder=recorder
             )
-            # A spec-driven run reports deadline expiry as data
-            # (``report.completed``) rather than raising: batch sweeps
-            # must deliver every report, and fault schedules time
-            # transfers out on purpose.
-            result = scenario.run_transfer(
-                connection, deadline_s=spec.deadline_s, partial_ok=True
-            )
-            report = TransferReport.from_result(
-                result, label=spec.key(),
-                metrics_snapshot=collect_transfer_metrics(
-                    connection, scenario.paths
-                ),
-                faults=scenario.applied_faults(),
-            )
+            try:
+                # A spec-driven run reports deadline expiry as data
+                # (``report.completed``) rather than raising: batch
+                # sweeps must deliver every report, and fault schedules
+                # time transfers out on purpose.
+                result = scenario.run_transfer(
+                    connection, deadline_s=spec.deadline_s, partial_ok=True
+                )
+                report = TransferReport.from_result(
+                    result, label=spec.key(),
+                    metrics_snapshot=collect_transfer_metrics(
+                        connection, scenario.paths
+                    ),
+                    faults=scenario.applied_faults(),
+                )
+            finally:
+                scenario.close()
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
             recorder.save(os.path.join(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.core.events import EventLoop, Periodic, Timer
+from repro.core.events import EventLoop, Periodic, Timer, noop
 
 
 class TestEventLoop:
@@ -285,6 +285,50 @@ class TestTimer:
         timer.start(1.0)
         loop.run()
         assert fired == [1.0, 2.0]
+
+
+class TestClose:
+    def test_scheduling_on_a_closed_loop_raises(self):
+        loop = EventLoop()
+        loop.call_at(1.0, lambda: None)
+        loop.close()
+        assert loop.pending() == 0
+        for schedule in (lambda: loop.call_at(2.0, lambda: None),
+                         lambda: loop.call_later(0.0, lambda: None)):
+            with pytest.raises(SimulationError, match="closed"):
+                schedule()
+
+    def test_pending_events_never_fire_and_drop_their_callbacks(self):
+        loop = EventLoop()
+        fired = []
+        event = loop.call_at(1.0, lambda: fired.append(1))
+        loop.close()
+        loop.run()
+        event.cancel()  # detached: no bookkeeping on the closed loop
+        assert fired == [] and event.cancelled
+        assert event.callback is noop
+        assert loop.now == 0.0
+
+    def test_closed_timer_reports_not_running(self):
+        loop = EventLoop()
+        timer = Timer(loop, lambda: None)
+        timer.start(3.0)
+        loop.close()
+        assert not timer.running
+        assert timer.expiry is None
+        with pytest.raises(SimulationError, match="closed"):
+            timer.start(1.0)
+
+    def test_released_timer_drops_its_callback(self):
+        loop = EventLoop()
+        fired = []
+        timer = Timer(loop, lambda: fired.append(loop.now))
+        timer.start(1.0)
+        timer.release()
+        assert not timer.running and loop.pending() == 0
+        timer.start(1.0)
+        loop.run()
+        assert fired == []
 
 
 class TestPeriodic:

@@ -1,10 +1,16 @@
 """Tests for the Cell vs WiFi CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.crowd.__main__ import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
 
 
 class TestCellVsWifiCli:
@@ -128,3 +134,22 @@ class TestCrowdScaleCli:
         name = flag[2:].replace("-", "_")
         assert capsys.readouterr().err.strip() == (
             f"crowd: {name} must be >= 1: {value}")
+
+    def test_reader_that_closes_early_gets_no_traceback(self, tmp_path):
+        # ``python -m repro.crowd --users N | head -1``: the summary's
+        # second line meets a closed pipe.
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (SRC, env.get("PYTHONPATH")) if path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.crowd", "--users", "20000",
+             "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert b"20,000 users" in proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 0
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
