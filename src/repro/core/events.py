@@ -93,7 +93,7 @@ class EventLoop:
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._running = False
         self._stop_requested = False
-        self._closed = False
+        self.closed = False  # set by close(); call_at refuses then
 
     @property
     def now(self) -> float:
@@ -109,7 +109,7 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule event in the past: {when:.6f} < {self._now:.6f}"
             )
-        if self._closed:
+        if self.closed:
             raise SimulationError("cannot schedule on a closed event loop")
         self._seq = seq = self._seq + 1
         event = Event(when, seq, callback, self)
@@ -142,7 +142,7 @@ class EventLoop:
 
     def close(self) -> None:
         """Cancel, detach and drop every pending event; refuse new ones."""
-        self._closed = True
+        self.closed = True
         for _, _, event in self._heap:
             event.cancelled = True
             event._loop = None

@@ -193,12 +193,12 @@ def run_delack_ablation(seed: int = DEFAULT_SEED,
             condition, "wifi", ONE_MBYTE, seed=seed,
             config=TcpConfig(delayed_acks=delayed),
         ))
-        run = scenario.run_transfer(connection)
+        with scenario:
+            run = scenario.run_transfer(connection)
         results[label] = {
             "duration_s": run.duration_s or 0.0,
             "acks": connection.subflow.receiver.acks_sent,
         }
-        scenario.close()
     metrics = {
         "quickack_duration_s": results["quickack"]["duration_s"],
         "delack_duration_s": results["delack"]["duration_s"],

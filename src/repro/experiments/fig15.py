@@ -118,18 +118,17 @@ def run_panel(
         options={"mode": mode}, config=RTO_CLAMP,
     ).with_faults(faults)
     scenario, connection = _SESSION.open(spec)
-    logs = activity_logs(scenario)
-    connection.start()
-    connection.close()
-    scenario.run(until=horizon_s)
-    result = PanelResult(
-        panel=panel, description=description, logs=logs, horizon_s=horizon_s,
-        completed_at=connection.completed_at,
-        delivery_log=connection.delivery_log.copy(),
-        applied_faults=scenario.applied_faults(),
-    )
-    scenario.close()
-    return result
+    with scenario:
+        logs = activity_logs(scenario)
+        connection.start()
+        connection.close()
+        scenario.run(until=horizon_s)
+        return PanelResult(
+            panel=panel, description=description, logs=logs,
+            horizon_s=horizon_s, completed_at=connection.completed_at,
+            delivery_log=connection.delivery_log.copy(),
+            applied_faults=scenario.applied_faults(),
+        )
 
 
 #: §3.6's two ways of disabling an interface, as fault schedules:

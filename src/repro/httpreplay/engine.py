@@ -19,10 +19,10 @@ from repro.httpreplay.recorder import RecordShell
 from repro.httpreplay.replayer import ReplayShell
 from repro.httpreplay.session import AppSession, RecordedConnection
 from repro.linkem.conditions import ConditionSpec
-from repro.linkem.shells import mpshell
 from repro.mptcp.connection import MptcpOptions
 from repro.scenario import Scenario
 from repro.tcp.connection import ConnectionBase
+from repro.workload.session import Session
 
 __all__ = ["TransportConfig", "STANDARD_CONFIGS", "AppReplayResult",
            "ReplayEngine", "replay_app"]
@@ -178,7 +178,6 @@ class ReplayEngine:
         recorder = RecordShell()
         recorder.record(session)
         replay = ReplayShell(recorder.archive)
-        scenario = mpshell(self.condition, seed=seed)
         unfinished: List[_ConnectionDriver] = []
         finish_times: Dict[int, float] = {}
 
@@ -190,7 +189,9 @@ class ReplayEngine:
                 # ``deadline_s``.
                 scenario.loop.stop()
 
-        try:
+        # The sweep key of :func:`replay_app`'s task names the trace.
+        key = f"replay.{session.name}.{self.condition.condition_id}.{config.name}"
+        with Session().network(self.condition, seed, key) as scenario:
             for recorded in session.connections:
                 if not recorded.transactions:
                     continue
@@ -210,8 +211,6 @@ class ReplayEngine:
                     f"session {session.name!r} has no transactions to replay"
                 )
             scenario.loop.run(until=deadline_s)
-        finally:
-            scenario.close()
 
         completed = not unfinished
         # Each driver's ``on_finished`` closes over this list.

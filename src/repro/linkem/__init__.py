@@ -8,14 +8,15 @@ abstractions in-simulator:
   traces (Mahimahi file format compatible);
 * :mod:`repro.linkem.shells` — :class:`PathSpec` (one emulated
   interface: LinkShell + DelayShell as data) and :func:`mpshell`, the
-  MpShell equivalent that assembles a :class:`~repro.scenario.Scenario`;
+  MpShell analog; :class:`~repro.workload.Session` is its one caller;
 * :mod:`repro.linkem.conditions` — :class:`ConditionSpec` (one
   location's interfaces) and the registry of 20 emulated network
   conditions standing in for the paper's Table 2 locations.
 
->>> from repro.linkem import make_conditions, mpshell
->>> scenario = mpshell(make_conditions()[0], seed=7)
->>> sorted(scenario.path_names)
+>>> from repro.linkem import make_conditions
+>>> from repro.workload import Session
+>>> with Session().network(make_conditions()[0], 7, "demo") as scenario:
+...     sorted(scenario.path_names)
 ['lte', 'wifi']
 """
 

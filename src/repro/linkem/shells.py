@@ -119,7 +119,8 @@ def mpshell(condition, seed: Optional[int] = None, recorder=None) -> Scenario:
 
     New event loop, new links, one path per interface of the
     :class:`~repro.linkem.conditions.ConditionSpec` — the one place a
-    location becomes a network.  Path order follows the spec; every RNG
+    location becomes a network, called by :class:`~repro.workload.Session`
+    alone, which also closes it.  Path order follows the spec; every RNG
     stream (loss, jitter, trace synthesis) is keyed by path *name*, so
     the realization depends on ``seed`` alone.
     """

@@ -18,7 +18,6 @@ from repro.experiments.common import (
     configuration_specs,
 )
 from repro.linkem.conditions import ConditionSpec, make_conditions
-from repro.linkem.shells import mpshell
 from repro.policy.estimator import ConditionEstimator
 from repro.policy.policies import Decision, OraclePolicy, SelectionPolicy
 from repro.policy.probes import PathProbe
@@ -75,13 +74,10 @@ def probe_condition(
     """Run client-style probes at a location, building estimates."""
     probe = probe if probe is not None else PathProbe()
     estimator = ConditionEstimator()
-    scenario = mpshell(condition, seed=seed)
-    try:
+    with Session().network(condition, seed, f"probe.{condition.condition_id}") as scenario:
         for path_name in ("wifi", "lte"):
             report = probe.run(scenario, path_name)
             estimator.observe(report, now=scenario.loop.now)
-    finally:
-        scenario.close()
     return estimator
 
 

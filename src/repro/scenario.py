@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis import throughput as metrics
-from repro.core.errors import ConfigurationError, TransferDeadlineExceeded
+from repro.core.errors import ConfigurationError, SimulationError, TransferDeadlineExceeded
 from repro.core.events import EventLoop
 from repro.core.rng import DEFAULT_SEED, RngStreams
 from repro.net.fabric import AttachedPath
@@ -67,7 +67,7 @@ class TransferResult:
 
 
 class Scenario:
-    """An event loop plus the client's attached paths."""
+    """An event loop plus the client's attached paths (``with`` closes it)."""
 
     def __init__(self, seed: int = DEFAULT_SEED, recorder=None):
         self.loop = EventLoop()
@@ -92,7 +92,7 @@ class Scenario:
         # Only a lossy path draws; streams are keyed by name, not by
         # creation order, so skipping the rest moves no other stream.
         path = Path(
-            self.loop, config,
+            self._live_loop(), config,
             loss_rng=self.rng.get(f"loss.{config.name}")
             if config.loss_rate > 0 else None,
         )
@@ -163,7 +163,7 @@ class Scenario:
     ) -> TcpConnection:
         """Create (but don't start) a single-path TCP transfer."""
         connection = TcpConnection(
-            self.loop, self.attached(path_name), total_bytes,
+            self._live_loop(), self.attached(path_name), total_bytes,
             direction=direction, cc_factory=single_path_factory(cc),
             config=config,
         )
@@ -186,7 +186,7 @@ class Scenario:
         if len(attached) < 1:
             raise ConfigurationError("MPTCP needs at least one path")
         connection = MptcpConnection(
-            self.loop, attached, total_bytes,
+            self._live_loop(), attached, total_bytes,
             direction=direction, options=options, config=config,
         )
         if self.recorder is not None:
@@ -263,6 +263,17 @@ class Scenario:
                 result=self.result_of(connection),
             )
         return self.result_of(connection)
+
+    def _live_loop(self) -> EventLoop:
+        if self.loop.closed:
+            raise SimulationError("scenario is closed: build a new one")
+        return self.loop
+
+    def __enter__(self) -> "Scenario":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def close(self) -> None:
         """Unwire loop, paths and connections once results are read, so

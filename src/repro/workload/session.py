@@ -13,6 +13,10 @@ turns each spec into a :class:`~repro.parallel.SimTask` executing
 process), so workloads inherit the sweep engine's result
 cache and its bit-identical ``workers=N`` determinism.
 
+This module is the one caller of :func:`~repro.linkem.shells.mpshell`:
+every simulated network comes from :meth:`Session.open` or the scoped
+:meth:`Session.network`, and its owner closes it with ``with scenario:``.
+
 Reproducibility contract: for a spec with an explicit ``seed``,
 ``Session.run`` is exactly :func:`~repro.linkem.shells.mpshell` →
 ``scenario.tcp``/``scenario.mptcp`` → ``run_transfer`` driven inline
@@ -22,7 +26,8 @@ spec's :meth:`~repro.workload.spec.TransferSpec.key`.
 """
 
 import os
-from typing import List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.rng import DEFAULT_SEED
 from repro.flow.fidelity import apply_fidelity_override
@@ -64,12 +69,12 @@ class Session:
     # ------------------------------------------------------------------
     # Single spec
     # ------------------------------------------------------------------
-    def scenario_for(
-        self, spec: TransferSpec, seed: Optional[int] = None,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> Scenario:
-        """The spec's condition inside a fresh MpShell."""
-        return mpshell(spec.condition, self._seed_for(spec, seed), recorder)
+    @contextmanager
+    def network(self, condition, seed: Optional[int], key: str) -> Iterator[Scenario]:
+        """``condition`` in a fresh MpShell, for callers that drive the
+        loop themselves; traced as ``key``, closed on exit."""
+        with _tracing(None, key, seed) as rec, mpshell(condition, seed, rec) as scenario:
+            yield scenario
 
     def open(
         self, spec: TransferSpec, seed: Optional[int] = None,
@@ -81,10 +86,10 @@ class Session:
         monitors, inject link events mid-transfer, or drive the loop
         themselves — while still describing the workload as data.
         Pass a :class:`~repro.obs.trace.TraceRecorder` to observe the
-        run.  The scenario stays live until the caller's
-        :meth:`~repro.scenario.Scenario.close`, which is optional.
+        run.  The scenario stays live until the caller closes it,
+        best with ``with scenario:``.
         """
-        scenario = self.scenario_for(spec, seed=seed, recorder=recorder)
+        scenario = mpshell(spec.condition, self._seed_for(spec, seed), recorder)
         if spec.faults is not None:
             scenario.inject_faults(spec.faults)
         if spec.kind == "tcp":
@@ -105,10 +110,8 @@ class Session:
     ) -> TransferReport:
         """Execute one spec to completion (or deadline).
 
-        With ``REPRO_TRACE_DIR`` set (and no explicit ``recorder``), a
-        recorder is attached automatically and the trace saved as JSONL
-        under that directory.  Observation is passive: the report is
-        identical with tracing on or off.
+        With ``REPRO_TRACE_DIR`` set and no ``recorder``, the run is
+        traced (passively: the report is the same) and saved as JSONL.
 
         The spec's ``fidelity`` (after any run-level override, see
         :mod:`repro.flow.fidelity`) selects the engine: ``"packet"``
@@ -117,22 +120,16 @@ class Session:
         same canonical report shape from the analytic model.
         """
         spec = apply_fidelity_override(spec)
-        trace_dir = None
-        if recorder is None:
-            trace_dir = active_trace_dir()
-            if trace_dir is not None:
-                recorder = TraceRecorder()
-        if spec.fidelity == "flow":
-            from repro.flow.engine import run_flow_spec
+        key, seed = spec.key(), self._seed_for(spec, seed)
+        with _tracing(recorder, key, seed) as recorder:
+            if spec.fidelity == "flow":
+                from repro.flow.engine import run_flow_spec
 
-            report = run_flow_spec(
-                spec, seed=self._seed_for(spec, seed), recorder=recorder
-            )
-        else:
+                return run_flow_spec(spec, seed=seed, recorder=recorder)
             scenario, connection = self.open(
                 spec, seed=seed, recorder=recorder
             )
-            try:
+            with scenario:
                 # A spec-driven run reports deadline expiry as data
                 # (``report.completed``) rather than raising: batch
                 # sweeps must deliver every report, and fault schedules
@@ -140,22 +137,13 @@ class Session:
                 result = scenario.run_transfer(
                     connection, deadline_s=spec.deadline_s, partial_ok=True
                 )
-                report = TransferReport.from_result(
-                    result, label=spec.key(),
+                return TransferReport.from_result(
+                    result, label=key,
                     metrics_snapshot=collect_transfer_metrics(
                         connection, scenario.paths
                     ),
                     faults=scenario.applied_faults(),
                 )
-            finally:
-                scenario.close()
-        if trace_dir is not None:
-            os.makedirs(trace_dir, exist_ok=True)
-            recorder.save(os.path.join(
-                trace_dir,
-                trace_filename(spec.key(), self._seed_for(spec, seed)),
-            ))
-        return report
 
     def _seed_for(self, spec: TransferSpec, seed: Optional[int]) -> int:
         if spec.seed is not None:
@@ -229,6 +217,20 @@ class Session:
             workload.transfers, workers=workers, cache=cache,
             seed=workload.seed, executor=executor, on_result=on_result,
         )
+
+
+@contextmanager
+def _tracing(recorder, key: str, seed: Optional[int]) -> Iterator:
+    """``recorder``, or with none given and ``REPRO_TRACE_DIR`` set, a
+    fresh one saved as ``trace_filename(key, seed)`` after the run."""
+    trace_dir = active_trace_dir() if recorder is None else None
+    if trace_dir is None:
+        yield recorder
+        return
+    recorder = TraceRecorder()
+    yield recorder
+    os.makedirs(trace_dir, exist_ok=True)
+    recorder.save(os.path.join(trace_dir, trace_filename(key, seed)))
 
 
 def run_transfer_spec(

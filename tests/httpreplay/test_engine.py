@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import env
 from repro.core.errors import ConfigurationError
 from repro.httpreplay.engine import (
     ReplayEngine,
@@ -13,6 +14,7 @@ from repro.httpreplay.message import HttpRequest, HttpResponse
 from repro.httpreplay.patterns import dropbox_launch
 from repro.httpreplay.session import AppSession, RecordedConnection, Transaction
 from repro.linkem import ConditionSpec, PathSpec
+from repro.obs.trace import load_events, trace_filename
 
 
 def _condition(wifi_down=10.0, lte_down=8.0):
@@ -162,16 +164,16 @@ class TestReturnsAtTheFinishInstant:
 
     @pytest.fixture
     def scenarios(self, monkeypatch):
-        from repro.httpreplay import engine
+        from repro.workload import session
 
         built = []
 
         def recording_mpshell(*args, **kwargs):
-            built.append(engine_mpshell(*args, **kwargs))
+            built.append(session_mpshell(*args, **kwargs))
             return built[-1]
 
-        engine_mpshell = engine.mpshell
-        monkeypatch.setattr(engine, "mpshell", recording_mpshell)
+        session_mpshell = session.mpshell
+        monkeypatch.setattr(session, "mpshell", recording_mpshell)
         return built
 
     def test_short_session_leaves_the_clock_at_its_finish(self, scenarios):
@@ -203,3 +205,22 @@ class TestConditionWithoutTheConfiguredPath:
             with pytest.raises(ConfigurationError, match=r"lte.*lte2"):
                 engine.run(_tiny_session(), config)
         assert engine.run(_tiny_session(), STANDARD_CONFIGS[1]).completed
+
+
+class TestTracedReplay:
+    """With ``REPRO_TRACE_DIR`` set, a replay is traced like a transfer:
+    one JSONL file named for its sweep key, and the same result."""
+
+    def test_one_trace_named_for_the_sweep_key(self, monkeypatch, tmp_path):
+        def replay():
+            return replay_app("dropbox_launch", 7, _condition(),
+                              "MPTCP-Coupled-LTE", seed=11)
+
+        monkeypatch.delenv(env.TRACE_DIR, raising=False)
+        untraced = replay()
+        monkeypatch.setenv(env.TRACE_DIR, str(tmp_path))
+        assert replay() == untraced
+        name = trace_filename("replay.dropbox_launch.1.MPTCP-Coupled-LTE", 11)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        kinds = {event.kind for event in load_events(str(tmp_path / name))}
+        assert "handshake" in kinds

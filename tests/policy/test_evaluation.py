@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.core import env
 from repro.linkem.conditions import make_conditions
+from repro.obs.trace import load_events, trace_filename
 from repro.policy import STANDARD_POLICIES, evaluate_policies
-from repro.policy.evaluation import STRATEGIES, measure_strategies
+from repro.policy.evaluation import (
+    STRATEGIES,
+    measure_strategies,
+    probe_condition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +33,19 @@ class TestMeasureStrategies:
         measured = measure_strategies(condition, 50 * 1024, seed=1)
         assert set(measured) == set(STRATEGIES)
         assert all(duration > 0 for duration in measured.values())
+
+
+class TestTracedProbe:
+    def test_one_trace_and_the_same_estimates(self, monkeypatch, tmp_path):
+        condition = make_conditions()[2]
+        monkeypatch.delenv(env.TRACE_DIR, raising=False)
+        untraced = probe_condition(condition, seed=3).paths
+        monkeypatch.setenv(env.TRACE_DIR, str(tmp_path))
+        assert probe_condition(condition, seed=3).paths == untraced
+        name = trace_filename(f"probe.{condition.condition_id}", 3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        kinds = {event.kind for event in load_events(str(tmp_path / name))}
+        assert "handshake" in kinds
 
 
 class TestEvaluation:

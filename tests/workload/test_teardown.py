@@ -6,8 +6,14 @@ once its report exists, so the whole graph is freed by reference
 counting: with the cycle collector disabled, weak references to the
 scenario and the connection are dead as soon as the run returns, and a
 collection under ``DEBUG_SAVEALL`` finds no object of a ``repro`` type.
+Every owner — ``Session.run``, a §5 replay, a policy probe, a §3.6
+panel and the delayed-ACK ablation — opens its scenario through
+``Session`` and closes it with ``with scenario:``, so a raise inside
+the loop still closes it, and a closed scenario refuses new paths and
+connections.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -89,6 +95,14 @@ def _repro_garbage(run):
         gc.garbage.clear()
 
 
+class Boom(Exception):
+    pass
+
+
+def _boom():
+    raise Boom
+
+
 def _collector_off(run):
     enabled = gc.isenabled()
     gc.disable()
@@ -129,9 +143,6 @@ class TestSessionRun:
             lambda: Session().run(spec, recorder=TraceRecorder())) == []
 
     def test_a_run_that_raises_still_closes(self, monkeypatch):
-        class Boom(Exception):
-            pass
-
         class FailingRecorder(TraceRecorder):
             def emit(self, kind, *args, **kwargs):
                 if kind == "handshake":
@@ -158,46 +169,127 @@ class TestSessionRun:
             assert subflow.sender.cc.coupling.members == []
 
 
+def _replay(deadline_s=300.0):
+    from repro.httpreplay.engine import replay_app
+
+    return replay_app("cnn_click", 1, FIXED, "MPTCP-Coupled-LTE", seed=3,
+                      deadline_s=deadline_s)
+
+
+def _probe():
+    from repro.policy.evaluation import probe_condition
+
+    return probe_condition(FIXED, seed=3)
+
+
+def _panel():
+    from repro.experiments.fig15 import run_panel
+
+    return run_panel("t", seed=3, nbytes=100_000, horizon_s=2.0,
+                     condition=FIXED)
+
+
+def _delack():
+    from repro.experiments.ablations import run_delack_ablation
+
+    return run_delack_ablation(seed=3, fast=True)
+
+
+#: The owners besides ``Session.run`` (whose raise case is above), each
+#: opening its scenario through ``Session``.
+OWNERS = {
+    "replay": _replay,
+    "policy.probe": _probe,
+    "fig15.run_panel": _panel,
+    "ablation_delack": _delack,
+}
+
+
 class TestOtherOwners:
-    def _capture(self, monkeypatch, module):
-        refs = []
-        real = module.mpshell
+    def _capture(self, monkeypatch, keep=False, boom_at=None):
+        """Every scenario the one builder makes: weak references, or the
+        scenarios themselves with ``keep``.  With ``boom_at``, each
+        scenario's loop raises :class:`Boom` at that simulated time."""
+        from repro.workload import session
+
+        built = []
+        real = session.mpshell
 
         def mpshell(*args, **kwargs):
             scenario = real(*args, **kwargs)
-            refs.append(weakref.ref(scenario))
+            if boom_at is not None:
+                scenario.loop.call_at(boom_at, _boom)
+            built.append(scenario if keep else weakref.ref(scenario))
             return scenario
 
-        monkeypatch.setattr(module, "mpshell", mpshell)
-        return refs
+        monkeypatch.setattr(session, "mpshell", mpshell)
+        return built
 
     @pytest.mark.parametrize("deadline_s", [300.0, 0.3])
     def test_app_replay(self, monkeypatch, deadline_s):
-        from repro.httpreplay import engine
-
-        refs = self._capture(monkeypatch, engine)
-
-        def replay():
-            return engine.replay_app("cnn_click", 1, FIXED,
-                                     "MPTCP-Coupled-LTE", seed=3,
-                                     deadline_s=deadline_s)
-
-        result = _collector_off(replay)
+        refs = self._capture(monkeypatch)
+        result = _collector_off(lambda: _replay(deadline_s))
         assert result.completed == (deadline_s > 1.0)
         assert [ref() for ref in refs] == [None]
-        assert _repro_garbage(replay) == []
+        assert _repro_garbage(lambda: _replay(deadline_s)) == []
 
     def test_policy_probe(self, monkeypatch):
-        from repro.policy import evaluation
-
-        refs = self._capture(monkeypatch, evaluation)
-
-        def probe():
-            return evaluation.probe_condition(FIXED, seed=3)
-
-        _collector_off(probe)
+        refs = self._capture(monkeypatch)
+        _collector_off(_probe)
         assert [ref() for ref in refs] == [None]
-        assert _repro_garbage(probe) == []
+        assert _repro_garbage(_probe) == []
+
+    def test_fig15_panel(self, monkeypatch):
+        refs = self._capture(monkeypatch)
+        panel = _collector_off(_panel)
+        assert panel.completed_at is not None
+        assert [ref() for ref in refs] == [None]
+        assert _repro_garbage(_panel) == []
+
+    def test_delack_ablation(self, monkeypatch):
+        refs = self._capture(monkeypatch)
+        result = _collector_off(_delack)
+        assert result.metrics["delack_halves_ack_traffic"] == 1.0
+        assert [ref() for ref in refs] == [None, None]
+        assert _repro_garbage(_delack) == []
+
+    @pytest.mark.parametrize("owner", sorted(OWNERS))
+    def test_a_raise_in_the_loop_still_closes(self, monkeypatch, owner):
+        scenarios = self._capture(monkeypatch, keep=True, boom_at=0.05)
+        with pytest.raises(Boom):
+            OWNERS[owner]()
+        (scenario,) = scenarios
+        assert scenario.loop.pending() == 0
+        with pytest.raises(SimulationError, match="closed"):
+            scenario.loop.call_later(1.0, noop)
+
+
+class TestClosedScenarioRefusesUse:
+    """A closed scenario's links have no sink: building on it raises
+    at once rather than when the transfer first sends."""
+
+    @pytest.fixture
+    def closed(self):
+        scenario, _ = Session().open(CASES["tcp.cubic"])
+        scenario.close()
+        return scenario
+
+    def test_tcp(self, closed):
+        with pytest.raises(SimulationError, match="scenario is closed"):
+            closed.tcp("wifi", 1000)
+
+    def test_mptcp(self, closed):
+        with pytest.raises(SimulationError, match="scenario is closed"):
+            closed.mptcp(1000)
+
+    def test_add_path(self, closed):
+        config = FIXED.paths[0].to_path_config(closed.rng)
+        with pytest.raises(SimulationError, match="scenario is closed"):
+            closed.add_path(dataclasses.replace(config, name="wifi2"))
+
+    def test_add_background_flow(self, closed):
+        with pytest.raises(SimulationError, match="scenario is closed"):
+            closed.add_background_flow("lte")
 
 
 class TestClosingBreaksNothing:
