@@ -13,7 +13,9 @@ adds nothing to the simulation hot path.
 """
 
 import math
+import sys
 import time
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -41,6 +43,12 @@ def _render_labels(labels: Labels) -> str:
         return ""
     inner = ",".join(f"{key}={value}" for key, value in labels)
     return "{" + inner + "}"
+
+
+@lru_cache(maxsize=None)
+def _series_keys(names: str, rendered: str) -> Tuple[str, ...]:
+    """``name + rendered`` per space-separated name, interned (DESIGN §8)."""
+    return tuple(sys.intern(name + rendered) for name in names.split())
 
 
 class Counter:
@@ -201,7 +209,7 @@ def subflow_series(rows: Iterable[tuple]) -> Dict[str, float]:
     sort).
     """
     # Runs after every transfer, so the flat dict is filled directly:
-    # one rendered label set per subflow, where a MetricsRegistry would
+    # one shared key tuple per subflow, where a MetricsRegistry would
     # build a labels dict, a sorted key and two renderings per series.
     # The result is part of every report digest and must equal the
     # registry's snapshot in keys and value types (counters float,
@@ -210,24 +218,28 @@ def subflow_series(rows: Iterable[tuple]) -> Dict[str, float]:
     handshakes: Dict[str, List[float]] = {}
     for (path, subflow_id, segments_sent, bytes_sent, retransmits,
          fast_retransmits, timeouts, handshake_rtt) in rows:
-        rendered = f"{{path={path},subflow={subflow_id}}}"
-        out["segments_sent" + rendered] = float(segments_sent)
-        out["bytes_sent" + rendered] = float(bytes_sent)
-        out["retransmits" + rendered] = float(retransmits)
-        out["fast_retransmits" + rendered] = float(fast_retransmits)
-        out["timeouts" + rendered] = float(timeouts)
+        segments, sent, retx, fast, rto = _series_keys(
+            "segments_sent bytes_sent retransmits fast_retransmits timeouts",
+            f"{{path={path},subflow={subflow_id}}}")
+        out[segments] = float(segments_sent)
+        out[sent] = float(bytes_sent)
+        out[retx] = float(retransmits)
+        out[fast] = float(fast_retransmits)
+        out[rto] = float(timeouts)
         if handshake_rtt is not None:
             handshakes.setdefault(path, []).append(handshake_rtt)
     # One histogram per path: subflows sharing a path share it.
     for name, samples in handshakes.items():
-        rendered = f"{{path={name}}}"
+        count, sum_key, min_key, max_key = _series_keys(
+            "handshake_rtt_s_count handshake_rtt_s_sum handshake_rtt_s_min "
+            "handshake_rtt_s_max", f"{{path={name}}}")
         total = 0.0
         for sample in samples:  # not sum(): 3.12+ compensates, 3.11 does not
             total += sample
-        out["handshake_rtt_s_count" + rendered] = float(len(samples))
-        out["handshake_rtt_s_sum" + rendered] = total
-        out["handshake_rtt_s_min" + rendered] = min(samples)
-        out["handshake_rtt_s_max" + rendered] = max(samples)
+        out[count] = float(len(samples))
+        out[sum_key] = total
+        out[min_key] = min(samples)
+        out[max_key] = max(samples)
     return out
 
 
@@ -251,17 +263,15 @@ def collect_transfer_metrics(connection, paths: Iterable) -> Dict[str, float]:
     out = subflow_series(rows)
     for path in paths:
         for direction, link in (("up", path.uplink), ("down", path.downlink)):
-            rendered = f"{{dir={direction},path={path.name}}}"
-            qstats = link.queue.stats
-            out["queue_drops" + rendered] = float(qstats.dropped)
-            out["queue_max_depth_packets" + rendered] = (
-                qstats.max_depth_packets
-            )
-            out["queue_max_depth_bytes" + rendered] = qstats.max_depth_bytes
-            out["link_delivered_bytes" + rendered] = float(
-                link.delivered_bytes
-            )
-            out["link_channel_drops" + rendered] = float(link.channel_drops)
+            drops, packets, depth, delivered, channel = _series_keys(
+                "queue_drops queue_max_depth_packets queue_max_depth_bytes "
+                "link_delivered_bytes link_channel_drops",
+                f"{{dir={direction},path={path.name}}}")
+            out[drops] = float(link.queue.stats.dropped)
+            out[packets] = link.queue.stats.max_depth_packets
+            out[depth] = link.queue.stats.max_depth_bytes
+            out[delivered] = float(link.delivered_bytes)
+            out[channel] = float(link.channel_drops)
     return dict(sorted(out.items()))
 
 

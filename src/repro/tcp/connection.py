@@ -213,8 +213,11 @@ class ConnectionBase:
             return
         if self.source.has_data():
             return
+        # Runs on every ACK of the FIN drain: a subflow whose FIN is out
+        # (``_fin_sent`` never resets) is skipped before the checks.
         for subflow in self.subflows:
-            if subflow.alive and subflow.sender.done and subflow.sender_established:
+            if (not subflow._fin_sent and subflow.alive
+                    and subflow.sender.done and subflow.sender_established):
                 subflow.start_close()
 
     def _live_reinjection_filter(self, chunks: List[Chunk]) -> List[Chunk]:

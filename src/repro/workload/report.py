@@ -12,6 +12,7 @@ and the figures all compute durations and flow-size throughputs the
 same way.
 """
 
+import sys
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
@@ -43,6 +44,18 @@ def _log_from_rows(name: str, rows: Any) -> DeliveryLog:
     return log
 
 
+def _metrics_from(snapshot: Any) -> Dict[str, float]:
+    """A decoded snapshot keyed by the interned label strings the
+    builders share (DESIGN §8), or a typed error."""
+    out: Dict[str, float] = {}
+    for key, value in snapshot.items():
+        if type(key) is not str or type(value) not in (int, float):
+            raise ConfigurationError(
+                f"metrics[{key!r}]: not a name and a number ({value!r})")
+        out[sys.intern(key)] = value
+    return out
+
+
 @dataclass
 class TransferReport:
     """Plain-data outcome of one bulk transfer (picklable/cacheable)."""
@@ -60,7 +73,8 @@ class TransferReport:
     #: Flat observability snapshot (see
     #: :func:`repro.obs.metrics.collect_transfer_metrics`): per-subflow
     #: send/retransmit counters, queue drops and depths, handshake
-    #: latency — keyed ``name{label=value,...}``.
+    #: latency — keyed ``name{label=value,...}`` by interned strings that
+    #: every report shares (DESIGN §8), so treat the dict as read-only.
     metrics: Dict[str, float] = field(default_factory=dict)
     #: Fault edges that fired during the transfer, chronological (see
     #: :meth:`repro.faults.injector.AppliedFault.to_dict`); empty when
@@ -136,7 +150,7 @@ class TransferReport:
                 retransmits=int(data.get("retransmits", 0)),
                 timeouts=int(data.get("timeouts", 0)),
                 label=data.get("label"),
-                metrics=dict(data.get("metrics", {})),
+                metrics=_metrics_from(data.get("metrics", {})),
                 faults=list(data.get("faults", [])),
             )
         except (AttributeError, KeyError, OverflowError, TypeError,

@@ -309,6 +309,20 @@ class TestFromDictRows:
         assert log == [(0.0, -2 ** 63), (1.0, 2 ** 63 - 1)]
 
 
+class TestFromDictMetrics:
+    """A snapshot decodes to ``str`` names and ``int``/``float`` values,
+    or fails typed, not later inside ``reconcile`` or ``summarize``."""
+
+    @pytest.mark.parametrize("metrics", [
+        {"a": "x"}, {1: 2.0}, {"a": None}, {"a": True},
+    ], ids=["str-value", "int-key", "none-value", "bool-value"])
+    def test_bad_metrics_raise(self, metrics):
+        data = _tiny_dict()
+        data["metrics"] = metrics
+        with pytest.raises(ConfigurationError, match="metrics"):
+            TransferReport.from_dict(data)
+
+
 _JSON = st.recursive(
     st.one_of(
         st.none(), st.booleans(), st.text(max_size=4),

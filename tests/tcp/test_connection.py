@@ -165,3 +165,29 @@ class TestWarmStart:
             "wifi", 1 * MB, config=TcpConfig(initial_ssthresh_segments=16),
         ))
         assert warm.duration_s > cold.duration_s
+
+
+class TestCloseCheck:
+    """The close check runs on every ACK of the FIN drain; a subflow
+    whose FIN is already out is skipped before ``start_close``."""
+
+    @pytest.mark.parametrize("kind", ["tcp", "mptcp"])
+    def test_no_start_close_once_the_fin_is_out(self, kind, monkeypatch):
+        from repro.tcp.subflow import Subflow
+
+        calls = {"fresh": 0, "fin_out": 0}
+        start_close = Subflow.start_close
+
+        def counting(subflow):
+            calls["fin_out" if subflow._fin_sent else "fresh"] += 1
+            start_close(subflow)
+
+        monkeypatch.setattr(Subflow, "start_close", counting)
+        scenario = _scenario()
+        scenario.add_path(PathConfig(name="lte", down_mbps=8.0, up_mbps=4.0,
+                                     rtt_ms=70.0, queue_packets=250))
+        connection = (scenario.tcp("wifi", 10 * KB) if kind == "tcp"
+                      else scenario.mptcp(10 * KB))
+        assert scenario.run_transfer(connection).completed
+        assert calls["fresh"] == len(connection.subflows)
+        assert calls["fin_out"] == 0
