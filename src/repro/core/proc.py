@@ -1,10 +1,10 @@
 """Process-identity helpers: is PID *p* still the process we launched?
 
 A bare ``os.kill(pid, 0)`` probe answers "is some process alive with
-this PID" — which is the wrong question for lock files and fleet state
-files that outlive their writers.  PIDs are recycled; on a busy host a
-crashed lock owner's PID can belong to an unrelated process minutes
-later, and a liveness probe would then keep a stale lock alive forever.
+this PID" — which is the wrong question for fleet state files that
+outlive their writers.  PIDs are recycled; on a busy host a crashed
+worker's PID can belong to an unrelated process minutes later, and a
+liveness probe would then have ``fleet down`` signal that process.
 
 The fix is the classic (pid, start-token) pair: capture a token that is
 unique per *incarnation* of a PID at record time, and require both to

@@ -140,8 +140,6 @@ def tally(manifests: Sequence[RunManifest]) -> Dict[str, int]:
         "executed": len(manifests) - hits,
         "retried": sum(1 for m in manifests if m.extra.get("retried")),
         "failed": sum(1 for m in manifests if m.extra.get("failed")),
-        "flight_waits": sum(1 for m in manifests
-                            if "single_flight" in m.extra),
     }
 
 

@@ -13,12 +13,12 @@ across three separated layers:
   ``socket:HOST:PORT,...`` (remote workers started with ``python -m
   repro.parallel worker``);
 * :mod:`repro.parallel.coordinator` — the executor-agnostic
-  :class:`SweepRunner` engine owning caching, single-flight, retries,
-  poison-task isolation, timeouts, progress, and manifests;
+  :class:`SweepRunner` engine owning caching, retries, poison-task
+  isolation, timeouts, progress, and manifests;
 
 plus the shared :mod:`~repro.parallel.cache` result store (atomic
-writes, per-key single-flight — safe for many concurrent runners on
-one ``REPRO_CACHE_DIR``), the :mod:`~repro.parallel.service` CLI
+writes of deterministic results — safe for concurrent runners on one
+``REPRO_CACHE_DIR`` with no locking), the :mod:`~repro.parallel.service` CLI
 (``python -m repro.parallel submit/serve/cache``), and the
 self-healing fleet layer: :mod:`~repro.parallel.supervisor`
 (:class:`FleetSupervisor` + ``python -m repro.parallel fleet``) keeps

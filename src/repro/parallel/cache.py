@@ -7,20 +7,18 @@ source file therefore invalidates the whole cache — the conservative
 choice, since a change to the event loop or a congestion controller
 can perturb any simulation output.
 
-The store is safe for **concurrent runners sharing one directory**
-(the distributed-sweep case: many coordinators, one
-``REPRO_CACHE_DIR`` on shared storage):
+Runners may share one directory (one ``REPRO_CACHE_DIR`` on shared
+storage) with no locking, because:
 
 * writes are atomic — payload to a tempfile in the destination
   directory, ``fsync``, then ``os.replace`` — so a reader can never
   observe a torn entry, and a crashed writer leaves at most a
   ``.tmp`` orphan that ``gc()`` sweeps up;
-* per-key **single-flight**: :meth:`ResultCache.acquire` hands the
-  key's computation to exactly one runner via an ``O_EXCL`` lock
-  file; everyone else :meth:`ResultCache.wait_for` the published
-  entry instead of burning CPU on a duplicate simulation.  Stale
-  locks (dead owner pid, or older than ``stale_lock_s``) are broken
-  by waiters, so a SIGKILLed runner cannot strand the fleet.
+* reads are checksummed, so a damaged entry is a miss, never a
+  wrong answer;
+* every result is deterministic, so two runners that compute one key
+  write the same value — a duplicate computation costs time, not
+  correctness, and there is no lock to wait on or to strand.
 
 ``python -m repro.parallel cache stats|gc|clear`` administers the
 store from the command line.
@@ -46,7 +44,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core import env
 from repro.core.errors import ConfigurationError
-from repro.core.proc import pid_start_token, same_process
 
 __all__ = ["ResultCache", "cache_enabled_by_env", "canonical_spec",
            "code_fingerprint", "default_cache_dir", "spec_key"]
@@ -171,6 +168,10 @@ _ENTRY_MAGIC = b"RSC1"
 _DIGEST_BYTES = hashlib.sha256().digest_size
 _HEADER_BYTES = len(_ENTRY_MAGIC) + _DIGEST_BYTES
 
+#: Files no entry owns: a crashed writer's ``.tmp``, and the per-key
+#: ``.lock`` that older versions of this store took before computing.
+_ORPHANS = (".tmp", ".lock")
+
 _corruption_warned = False
 
 
@@ -203,11 +204,6 @@ class ResultCache:
     surfacing as ``EOFError``/``UnpicklingError`` or, worse, silently
     deserializing garbage.
     """
-
-    #: A single-flight lock whose owner pid is dead — or, when pids
-    #: are unverifiable (another host on shared storage), older than
-    #: this — is considered abandoned and may be broken by a waiter.
-    stale_lock_s = 3600.0
 
     def __init__(self, root: Optional[str] = None,
                  fingerprint: Optional[str] = None) -> None:
@@ -298,134 +294,12 @@ class ResultCache:
         return True
 
     # ------------------------------------------------------------------
-    # Per-key single-flight
-    # ------------------------------------------------------------------
-    def _lock_path(self, key: str) -> str:
-        return self._path(key) + ".lock"
-
-    def acquire(self, key: str) -> bool:
-        """Claim the right to compute ``key``.
-
-        Returns ``True`` when this process now owns the computation
-        (including when locking is impossible, e.g. a read-only cache
-        directory — computing twice is always safe, blocking is not).
-        ``False`` means another live runner is already computing it;
-        use :meth:`wait_for` to collect their result.
-        """
-        lock_path = self._lock_path(key)
-        # The (pid, start-token) pair closes the PID-reuse race: a
-        # kill-0 probe alone can mistake an unrelated process that
-        # recycled the dead owner's pid for a live owner.
-        body = json.dumps(
-            {"pid": os.getpid(), "start": pid_start_token(os.getpid()),
-             "time": time.time()}
-        ).encode("utf-8")
-        try:
-            os.makedirs(os.path.dirname(lock_path), exist_ok=True)
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if self._lock_is_stale(lock_path):
-                self._break_lock(lock_path)
-                return self.acquire(key)
-            return False
-        except OSError:
-            return True  # cannot lock here; compute rather than deadlock
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(body)
-        except OSError:
-            pass
-        return True
-
-    def release(self, key: str) -> None:
-        """Drop this process's claim on ``key`` (idempotent)."""
-        try:
-            os.unlink(self._lock_path(key))
-        except OSError:
-            pass
-
-    def wait_for(self, key: str, timeout_s: float = 600.0,
-                 poll_s: float = 0.05) -> Tuple[bool, Any]:
-        """Wait for another runner to publish ``key``.
-
-        Returns ``(True, value)`` as soon as the entry lands.  Returns
-        ``(False, None)`` when the wait is off: the owner released its
-        lock without publishing (poison task), the lock went stale
-        (owner died), or ``timeout_s`` ran out — in every case the
-        caller should take over the computation.
-        """
-        deadline = time.monotonic() + timeout_s
-        lock_path = self._lock_path(key)
-        while True:
-            hit, value = self.get(key)
-            if hit:
-                return True, value
-            if not os.path.exists(lock_path):
-                # Owner finished without publishing, or released and
-                # the entry write failed: one final read closes the
-                # release-then-publish race, then the caller owns it.
-                hit, value = self.get(key)
-                return (hit, value if hit else None)
-            if self._lock_is_stale(lock_path):
-                self._break_lock(lock_path)
-                return False, None
-            if time.monotonic() >= deadline:
-                return False, None
-            time.sleep(poll_s)
-
-    def _lock_is_stale(self, lock_path: str) -> bool:
-        """A lock whose owner is provably dead (or far too old).
-
-        "Provably dead" checks the recorded (pid, start-token) pair,
-        not bare pid liveness: an unrelated process that recycled the
-        dead owner's pid has a different start token, so the lock is
-        still broken instead of stranding waiters for ``stale_lock_s``.
-        """
-        try:
-            with open(lock_path, "rb") as handle:
-                body = json.loads(handle.read().decode("utf-8"))
-            pid = int(body["pid"])
-            stamped = float(body["time"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            # Unreadable/torn lock: fall back to its file age.
-            try:
-                return (time.time() - os.path.getmtime(lock_path)
-                        > self.stale_lock_s)
-            except OSError:
-                return False  # vanished: not stale, just gone
-        if pid == os.getpid():
-            return False
-        start = body.get("start")
-        if isinstance(start, str) and not same_process(pid, start):
-            return True  # owner (this exact incarnation) is gone
-        if not isinstance(start, str):
-            # Old-format lock (no token): bare liveness probe only.
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True  # owner pid is gone on this host
-            except PermissionError:
-                pass  # pid exists (another user's process)
-            except OSError:
-                pass  # cannot probe (another host's pid): age decides
-        return time.time() - stamped > self.stale_lock_s
-
-    @staticmethod
-    def _break_lock(lock_path: str) -> None:
-        try:
-            os.unlink(lock_path)
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
     # Administration (python -m repro.parallel cache ...)
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """Counts and sizes of the store's current contents."""
         entries = 0
         total_bytes = 0
-        locks = 0
-        stale_locks = 0
         orphan_tmp = 0
         oldest: Optional[float] = None
         newest: Optional[float] = None
@@ -437,32 +311,31 @@ class ResultCache:
                     continue
                 entries += 1
                 total_bytes += info.st_size
-                oldest = min(oldest, info.st_mtime) if oldest else info.st_mtime
-                newest = max(newest, info.st_mtime) if newest else info.st_mtime
-            elif path.endswith(".lock"):
-                locks += 1
-                if self._lock_is_stale(path):
-                    stale_locks += 1
-            elif path.endswith(".tmp"):
+                mtime = info.st_mtime
+                # An mtime of 0 (an archive restored with normalised
+                # times) is an entry, not "none seen yet".
+                oldest = mtime if oldest is None else min(oldest, mtime)
+                newest = mtime if newest is None else max(newest, mtime)
+            elif path.endswith(_ORPHANS):
                 orphan_tmp += 1
         now = time.time()
         return {
             "root": self.root,
             "entries": entries,
             "total_bytes": total_bytes,
-            "locks": locks,
-            "stale_locks": stale_locks,
             "orphan_tmp": orphan_tmp,
-            "oldest_age_s": round(now - oldest, 1) if oldest else None,
-            "newest_age_s": round(now - newest, 1) if newest else None,
+            "oldest_age_s": None if oldest is None else round(now - oldest, 1),
+            "newest_age_s": None if newest is None else round(now - newest, 1),
         }
 
     def gc(self, max_age_s: Optional[float] = None) -> Dict[str, int]:
-        """Collect garbage: stale locks, orphan tempfiles, old entries.
+        """Collect garbage: orphan files, then (optionally) old entries.
 
-        ``max_age_s`` additionally removes entries not modified within
-        that window (``None`` keeps all entries).  Live locks and
-        fresh entries are never touched, so gc is safe to run while
+        An orphan (see ``_ORPHANS``) goes once it is a minute old: by
+        then it is a crashed writer's tempfile, not a ``put`` in
+        progress.  ``max_age_s`` additionally removes entries not
+        modified within that window (``None`` keeps all entries).
+        Fresh files are never touched, so gc is safe to run while
         sweeps are in flight; a negative or non-finite window is a
         :class:`ConfigurationError`, not "everything is stale".
         """
@@ -470,17 +343,11 @@ class ResultCache:
             raise ConfigurationError(
                 f"max_age_s must be a finite number >= 0: {max_age_s}"
             )
-        removed = {"entries": 0, "locks": 0, "tmp": 0}
+        removed = {"entries": 0, "tmp": 0}
         now = time.time()
         for path in self._walk():
             try:
-                if path.endswith(".lock"):
-                    if self._lock_is_stale(path):
-                        os.unlink(path)
-                        removed["locks"] += 1
-                elif path.endswith(".tmp"):
-                    # A tempfile a minute old is a crashed writer, not
-                    # a put() in progress.
+                if path.endswith(_ORPHANS):
                     if now - os.path.getmtime(path) > 60.0:
                         os.unlink(path)
                         removed["tmp"] += 1

@@ -2,9 +2,9 @@
 
 :class:`SweepRunner` owns everything about a sweep that is *not*
 "where code runs": deterministic seeding and sharding, result-cache
-lookups with per-key single-flight, per-task retry/backoff budgets,
-poison-task isolation, progress reporting, and
-:class:`~repro.obs.manifest.RunManifest` provenance.  Backends
+lookups, per-task retry/backoff budgets, poison-task isolation,
+progress reporting, and :class:`~repro.obs.manifest.RunManifest`
+provenance.  Backends
 (:mod:`repro.parallel.executors`) only execute shards — so every
 backend, including remote socket workers, inherits the same hardening
 with zero per-backend code.
@@ -12,18 +12,14 @@ with zero per-backend code.
 Execution plan for one ``run(tasks)``:
 
 1. every task gets its derived seed, then its cache key;
-2. hits resolve immediately; each miss is either *owned* (this runner
-   won the per-key single-flight lock and will compute it) or
-   *awaited* (another runner sharing the cache directory is already
-   computing it);
-3. owned misses shard deterministically — miss ``j`` goes to shard
+2. hits resolve immediately;
+3. misses shard deterministically — miss ``j`` goes to shard
    ``j % nshards`` — and run on the executor; each result is published
-   to the cache (and its lock released) the moment it lands, so
-   concurrent runners unblock as early as possible;
+   to the cache the moment it lands, so a runner sharing the cache
+   directory can hit it as early as possible;
 4. failed shards degrade to per-task isolation re-runs through
    ``executor.run_one`` under the retry budget;
-5. awaited keys are collected (or taken over if their owner vanished);
-6. every resolution has by then passed through
+5. every resolution has by then passed through
    :meth:`SweepRunner._emit` — manifest written; the progress line's and
    the bus's :class:`~repro.obs.manifest.SweepTally` fed, ``on_result``
    told — and ``last_stats`` reduces the manifests; if any
@@ -34,8 +30,9 @@ Execution plan for one ``run(tasks)``:
 Because each simulation derives all randomness from seeds carried in
 its task spec (see :func:`repro.core.rng.derive_seed`) and shares no
 process state, and results are reassembled by task index, executor
-choice, worker count, shard scheduling, and single-flight interleaving
-can never change (or reorder) the output — only the wall-clock.
+choice, worker count, shard scheduling, and another runner computing
+the same key can never change (or reorder) the output — only the
+wall-clock.
 """
 
 import contextlib
@@ -50,7 +47,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -80,9 +76,6 @@ __all__ = ["SweepRunner"]
 MAX_RETRIES = 2
 #: Sleep before a task's first retry; doubles per attempt.
 RETRY_BACKOFF_S = 0.05
-#: How long a runner waits on another runner's single-flight lock
-#: before it takes the key over.
-FLIGHT_TIMEOUT_S = 600.0
 
 #: ``on_result`` callback type: ``(index, task, value, cached)``.
 ResultHook = Callable[[int, SimTask, Any, bool], None]
@@ -113,7 +106,6 @@ class _RunState:
                            for task in tasks]
         self.keys: List[Optional[str]] = [None] * len(tasks)
         self.attempts: Dict[int, int] = {}
-        self.locked: Set[int] = set()
         #: Tasks of failed shards, awaiting one-by-one isolation
         #: re-runs, and the shard error each one starts from.
         self.needs_isolation: List[int] = []
@@ -125,12 +117,6 @@ class _RunState:
             return self.hashes[index]
         task = self.tasks[index]
         return functools.partial(result_cache.spec_hash, task.fn, task.kwargs)
-
-    def unlock(self, index: int) -> None:
-        """Release ``index``'s single-flight lock if this run holds it."""
-        if index in self.locked:
-            self.cache.release(self.keys[index])
-            self.locked.discard(index)
 
 
 class SweepRunner:
@@ -147,8 +133,9 @@ class SweepRunner:
         ``None`` uses the default on-disk cache (subject to the
         ``REPRO_CACHE`` env toggle); ``False`` disables caching; a
         :class:`ResultCache` instance is used as given.  The cache is
-        safe to share between concurrent runners: atomic writes plus
-        per-key single-flight mean no key is ever computed twice.
+        safe to share between concurrent runners: writes are atomic and
+        results deterministic, so a key two runners both compute is
+        written twice with the same value.
     seed:
         Master seed for :meth:`SimTask.seeded` derivation of tasks
         that do not carry an explicit ``seed`` kwarg.
@@ -163,9 +150,9 @@ class SweepRunner:
         ``REPRO_EXECUTOR``, else the ``process`` default.
     on_result:
         Streaming hook ``(index, task, value, cached)`` invoked the
-        moment each task resolves (cache hit, fresh execution, or
-        single-flight wait), in completion order.  Presentation only —
-        it must not raise and cannot influence results.
+        moment each task resolves (cache hit or fresh execution), in
+        completion order.  Presentation only — it must not raise and
+        cannot influence results.
 
     Failure model (DESIGN.md §15 has the full table): a shard whose
     worker crashes or raises does not abort the sweep — its tasks are
@@ -227,17 +214,11 @@ class SweepRunner:
         if self._bus is not None:
             self._bus.sweep.begin(len(seeded))
         try:
-            owned, awaited = self._scan_cache(state)
-            if owned:
+            misses = self._scan_cache(state)
+            if misses:
                 with self._span("coordinator.dispatch"):
-                    executor = self._execute(state, owned)
-            if awaited:
-                self._resolve_awaited(state, awaited, executor)
+                    executor = self._execute(state, misses)
         finally:
-            # Locks of tasks that never published (poison tasks, an
-            # executor blow-up) must not strand concurrent runners.
-            for index in sorted(state.locked):
-                state.unlock(index)
             if self._bus is not None:
                 # A run that raised leaves the bus's total with what it
                 # resolved, so the process tally can go idle again.
@@ -265,42 +246,28 @@ class SweepRunner:
         return state.results
 
     # ------------------------------------------------------------------
-    # Cache scan: hits, owned misses, awaited misses
+    # Cache scan: hits resolve, misses are returned
     # ------------------------------------------------------------------
-    def _scan_cache(self, state: _RunState) -> Tuple[List[int], List[int]]:
+    def _scan_cache(self, state: _RunState) -> List[int]:
         cache = state.cache
         if cache is None:
-            return list(range(len(state.tasks))), []
-        owned: List[int] = []
-        awaited: List[int] = []
+            return list(range(len(state.tasks)))
+        misses: List[int] = []
         for index, identity in enumerate(state.hashes):
             key = state.keys[index] = cache.key_of(identity)
-            if self._try_hit(state, index):
-                continue
-            if cache.acquire(key):
-                state.locked.add(index)
-                # Re-check: a concurrent runner may have published
-                # between our miss and our lock grab.
-                if self._try_hit(state, index):
-                    state.unlock(index)
-                else:
-                    owned.append(index)
+            with self._span("cache.get"):
+                hit, value = cache.get(key)
+            if hit:
+                self._emit(state, index, value, cache_hit=True)
             else:
-                awaited.append(index)
-        return owned, awaited
-
-    def _try_hit(self, state: _RunState, index: int) -> bool:
-        with self._span("cache.get"):
-            hit, value = state.cache.get(state.keys[index])
-        if hit:
-            self._emit(state, index, value, cache_hit=True)
-        return hit
+                misses.append(index)
+        return misses
 
     # ------------------------------------------------------------------
     # Execution: deterministic shards + isolation re-runs
     # ------------------------------------------------------------------
     def _execute(self, state: _RunState, misses: List[int]) -> Executor:
-        """Run the owned misses; returns the executor the run ended on.
+        """Run the misses; returns the executor the run ended on.
 
         That is ``self.executor`` unless the fleet was lost, in which
         case the rest of *this* run (isolation re-runs included) lands
@@ -417,45 +384,17 @@ class SweepRunner:
                 continue
             self._resolve_executed(state, index, value, wall, pid)
             return
-        # Never cache a failure placeholder — but do free the key so a
-        # concurrent runner can try its own luck.
-        state.unlock(index)
+        # Never cache a failure placeholder.
         self._emit(state, index, None, error=error_text)
 
     def _resolve_executed(self, state: _RunState, index: int, value: Any,
                           wall: float, pid: int) -> None:
         """Record one freshly computed result and publish it."""
         if state.cache is not None and state.keys[index] is not None:
-            # Publish immediately (atomic replace), then release the
-            # single-flight lock so awaiting runners unblock now, not
-            # at sweep end.
+            # Publish immediately (atomic replace), not at sweep end.
             with self._span("cache.put"):
                 state.cache.put(state.keys[index], value)
-            state.unlock(index)
         self._emit(state, index, value, wall=wall, pid=pid)
-
-    # ------------------------------------------------------------------
-    # Awaited keys: collect another runner's results (or take over)
-    # ------------------------------------------------------------------
-    def _resolve_awaited(self, state: _RunState, awaited: List[int],
-                         executor: Executor) -> None:
-        cache = state.cache
-        for index in awaited:
-            key = state.keys[index]
-            hit, value = cache.wait_for(key, timeout_s=FLIGHT_TIMEOUT_S)
-            if not hit:
-                # The owner vanished (crash, poison task) or is too
-                # slow: take over.  The lock may be stale or contested
-                # — acquire is best-effort; determinism makes a rare
-                # double computation harmless.
-                if cache.acquire(key):
-                    state.locked.add(index)
-                hit, value = cache.get(key)
-            if hit:
-                state.unlock(index)
-                self._emit(state, index, value, cache_hit=True, waited=True)
-                continue
-            self._run_with_retries(state, index, executor.run_one)
 
     # ------------------------------------------------------------------
     def _span(self, name: str):
@@ -466,8 +405,8 @@ class SweepRunner:
 
     def _emit(self, state: _RunState, index: int, value: Any, *,
               cache_hit: bool = False, wall: float = 0.0,
-              pid: Optional[int] = None, error: Optional[str] = None,
-              waited: bool = False) -> None:
+              pid: Optional[int] = None,
+              error: Optional[str] = None) -> None:
         """Resolve one task: write its manifest, then report it — the
         only place either happens, so no two views can disagree."""
         task = state.tasks[index]
@@ -477,8 +416,6 @@ class SweepRunner:
             extra = {"attempts": attempts, "failed": True, "error": error}
         elif attempts > 1:
             extra = {"attempts": attempts, "retried": True}
-        if waited:
-            extra["single_flight"] = "waited"
         state.results[index] = value
         state.manifests[index] = RunManifest(
             key=task.label(),

@@ -443,9 +443,9 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
         description="Inspect and maintain the shared sweep result store.",
     )
     parser.add_argument("command", choices=("stats", "gc", "clear"),
-                        help="stats: entry/lock/size summary; gc: drop "
-                             "stale locks, orphan tempfiles, and aged "
-                             "entries; clear: remove every entry")
+                        help="stats: entry/size summary; gc: drop "
+                             "orphan files and aged entries; "
+                             "clear: remove every entry")
     parser.add_argument("--dir", default=None,
                         help="cache directory (default: $REPRO_CACHE_DIR, "
                              "else ~/.cache/repro-sweep)")
@@ -465,9 +465,7 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
             print(f"cache dir : {cache.root}")
             print(f"entries   : {stats['entries']} "
                   f"({stats['total_bytes']} bytes)")
-            print(f"locks     : {stats['locks']} "
-                  f"({stats['stale_locks']} stale)")
-            print(f"tempfiles : {stats['orphan_tmp']} orphaned")
+            print(f"orphans   : {stats['orphan_tmp']} (.tmp/.lock)")
             if stats["entries"]:
                 print(f"age       : newest {stats['newest_age_s']:.0f}s, "
                       f"oldest {stats['oldest_age_s']:.0f}s")
@@ -483,8 +481,7 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"removed {removed['entries']} entr"
                   f"{'y' if removed['entries'] == 1 else 'ies'}, "
-                  f"{removed['locks']} stale lock(s), "
-                  f"{removed['tmp']} orphan tempfile(s)")
+                  f"{removed['tmp']} orphan file(s)")
         return 0
     removed_count = cache.clear()
     if args.json:

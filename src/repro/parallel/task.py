@@ -136,9 +136,6 @@ class SweepStats:
     failed: int = 0
     #: Executor backend the sweep *ended* on (``"process"`` once degraded).
     executor: str = "process"
-    #: Cache hits resolved by waiting on another runner's computation
-    #: (single-flight; subset of ``cache_hits``).
-    flight_waits: int = 0
 
     @classmethod
     def from_manifests(cls, manifests: Sequence[RunManifest], workers: int,
@@ -155,8 +152,6 @@ class SweepStats:
         )
         if self.executor != "process":
             text += f" [{self.executor}]"
-        if self.flight_waits:
-            text += f", {self.flight_waits} awaited"
         if self.retried:
             text += f", {self.retried} retried"
         if self.failed:

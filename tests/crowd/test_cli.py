@@ -136,20 +136,24 @@ class TestCrowdScaleCli:
             f"crowd: {name} must be >= 1: {value}")
 
     def test_reader_that_closes_early_gets_no_traceback(self, tmp_path):
-        # ``python -m repro.crowd --users N | head -1``: the summary's
-        # second line meets a closed pipe.
+        # ``python -m repro.crowd --users N | head -1`` once ``head`` has
+        # gone: the child's stdout is a pipe whose read end is already
+        # closed, so its first write fails whatever the machine's load.
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
         env["PYTHONPATH"] = os.pathsep.join(
             path for path in (SRC, env.get("PYTHONPATH")) if path)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.crowd", "--users", "20000",
-             "--workers", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert b"20,000 users" in proc.stdout.readline()
-        proc.stdout.close()
-        stderr = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert proc.wait(timeout=120) != 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.crowd", "--users", "20000",
+                 "--workers", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        _, stderr = proc.communicate(timeout=120)
+        stderr = stderr.decode()
+        assert proc.returncode == 1, stderr
         assert "Traceback" not in stderr
         assert "BrokenPipeError" not in stderr

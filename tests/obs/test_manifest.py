@@ -131,7 +131,7 @@ class TestBatches:
 
 
 def _sweep(units=False):
-    """A five-task sweep resolved out of order, one of every outcome."""
+    """A five-task sweep resolved out of order: every outcome, two hits."""
     def extra(**stamped):
         return {**stamped, **({"units": 500} if units else {})}
 
@@ -145,8 +145,8 @@ def _sweep(units=False):
         _manifest(key="poison", wall_time_s=0.0, resolved_s=0.7,
                   extra=extra(attempts=3, failed=True,
                               error="RuntimeError: boom")),
-        _manifest(key="awaited", cache_hit=True, wall_time_s=0.0,
-                  resolved_s=0.3, extra=extra(single_flight="waited")),
+        _manifest(key="late-hit", cache_hit=True, wall_time_s=0.0,
+                  resolved_s=0.3, extra=extra()),
     ]
 
 
@@ -154,12 +154,12 @@ class TestReductions:
     def test_tally_uses_the_sweep_stats_vocabulary(self):
         assert tally(_sweep()) == {
             "tasks": 5, "cache_hits": 2, "executed": 3,
-            "retried": 1, "failed": 1, "flight_waits": 1,
+            "retried": 1, "failed": 1,
         }
         assert tally([])["tasks"] == 0
 
     def test_outstanding_is_the_rank_of_resolved_s(self):
-        # hit first (4 left), awaited, flaky, poison, slow last.
+        # hit first (4 left), late-hit, flaky, poison, slow last.
         assert outstanding(_sweep()) == [4, 0, 2, 1, 3]
 
     def test_outstanding_without_resolved_s_is_flat(self):
@@ -255,7 +255,7 @@ class TestRenderManifests:
     def test_header_totals_and_percentiles(self):
         text = render_manifests(_sweep())
         assert ("manifests: tasks 5   cache_hits 2   executed 3   "
-                "retried 1   failed 1   flight_waits 1") in text
+                "retried 1   failed 1\n") in text
         # Executed walls only (0.4, 0.2, 0.0): hits never dilute them.
         assert "compute: 0.60s in 0.90s elapsed" in text
         assert "p50/p95: 0.20s / 0.38s" in text
@@ -269,7 +269,6 @@ class TestRenderManifests:
         assert "attempts=2  retried=True" in by_key["flaky"]
         assert "failed=True" in by_key["poison"]
         assert "error=RuntimeError: boom" in by_key["poison"]
-        assert "single_flight=waited" in by_key["awaited"]
         assert by_key["slow"].endswith("slow")
 
     def test_units_columns_only_when_stamped(self):

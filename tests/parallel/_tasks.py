@@ -28,7 +28,7 @@ def logged_task(log_path: str = "", value: int = 0, seed: int = 0) -> dict:
 
     ``O_APPEND`` writes of a short line are atomic on POSIX, so two
     racing runner processes can share one log file.  The sleep widens
-    the window in which a second runner sees the single-flight lock.
+    the window in which both runners miss the same key.
     """
     with open(log_path, "a", encoding="utf-8") as handle:
         handle.write(f"{value} pid={os.getpid()}\n")
