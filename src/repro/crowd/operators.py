@@ -25,7 +25,7 @@ site calibration:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Tuple
 
 from repro.core.errors import ConfigurationError
@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+def _require_finite(profile) -> None:
+    """Refuse a profile with a NaN or infinite float field."""
+    if not all(math.isfinite(value) for value in astuple(profile)
+               if isinstance(value, float)):
+        raise ConfigurationError(f"non-finite field in {profile}")
+
+
 @dataclass(frozen=True)
 class OperatorProfile:
     """One cellular operator: market share and log-space offsets."""
@@ -53,6 +60,7 @@ class OperatorProfile:
     rtt_log_offset: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.share <= 1.0:
             raise ConfigurationError(
                 f"operator share out of (0, 1]: {self.name}={self.share}"
@@ -106,6 +114,7 @@ class DiurnalCurve:
     rtt_coupling: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.amplitude < 0:
             raise ConfigurationError(
                 f"diurnal amplitude negative: {self.amplitude}"
@@ -161,6 +170,7 @@ class AppProfile:
     up_bytes: int
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.weight <= 0:
             raise ConfigurationError(
                 f"app weight must be positive: {self.name}={self.weight}"

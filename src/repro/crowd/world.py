@@ -17,8 +17,9 @@ and the fraction of those runs in which LTE beat WiFi.
 """
 
 import math
-from bisect import bisect_right
-from dataclasses import astuple, dataclass
+import random
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -33,7 +34,7 @@ from repro.crowd.operators import (
     DiurnalCurve,
     OperatorProfile,
 )
-from repro.crowd.tcpmodel import count_wins, estimate_tcp_throughput_mbps
+from repro.crowd.tcpmodel import ONE_MBYTE, count_wins, ramp_table
 
 __all__ = ["SiteProfile", "TABLE1_SITES", "CrowdWorld", "NOISE_SIGMA"]
 
@@ -236,22 +237,9 @@ class CrowdWorld:
         rtt_gap = -_probit(rtt_target) * math.sqrt(2.0) * self.RTT_SIGMA
         lte_rtt_median = wifi_rtt_median * math.exp(rtt_gap)
 
-        rng = self._streams.get(f"calibrate.{site.name}")
-        rows = []
-        for _ in range(400):
-            w_mult, l_mult, w_rtt_m, l_rtt_m, w_noise, l_noise = (
-                math.exp(self.SIGMA * rng.gauss(0, 1)),
-                math.exp(self.SIGMA * rng.gauss(0, 1)),
-                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
-                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
-                math.exp(NOISE_SIGMA * rng.gauss(0, 1)),
-                math.exp(NOISE_SIGMA * rng.gauss(0, 1)),
-            )
-            wifi_meas = estimate_tcp_throughput_mbps(
-                wifi_median * w_mult, wifi_rtt_median * w_rtt_m
-            ) * w_noise
-            rows.append((l_mult, l_rtt_m, l_noise, wifi_meas))
-
+        rows = self._calibration_rows(
+            self._streams.get(f"calibrate.{site.name}"), 400, wifi_median,
+            wifi_rtt_median, crowd=False)
         lo, hi = lte_median * 0.2, lte_median * 8.0
         for _ in range(18):
             mid = math.sqrt(lo * hi)
@@ -277,27 +265,10 @@ class CrowdWorld:
         wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = (
             self._site_params[site.name]
         )
-        rng = self._streams.get(f"crowd.calibrate.{site.name}")
+        rows = self._calibration_rows(
+            self._streams.get(f"crowd.calibrate.{site.name}"),
+            self.CROWD_CALIBRATION_DRAWS, wifi_med, wifi_rtt_med, crowd=True)
         exp = math.exp
-        sigma, rtt_sigma = self.SIGMA, self.RTT_SIGMA
-        noise = NOISE_SIGMA
-        rows: List[Tuple[float, float, float, float]] = []
-        for _ in range(self.CROWD_CALIBRATION_DRAWS):
-            op_idx = self.pick_operator(rng.random())
-            hour = rng.random() * 24.0
-            w_cap, c_cap, w_rtt_m, c_rtt_m = self.modifiers(op_idx, hour)
-            wifi_rate = max(0.1, wifi_med * w_cap * exp(sigma * rng.gauss(0, 1)))
-            cell_mult = c_cap * exp(sigma * rng.gauss(0, 1))
-            wifi_rtt = min(max(
-                5.0, wifi_rtt_med * w_rtt_m * exp(rtt_sigma * rng.gauss(0, 1))
-            ), 1200.0)
-            cell_rtt_mult = c_rtt_m * exp(rtt_sigma * rng.gauss(0, 1))
-            wifi_meas = (
-                estimate_tcp_throughput_mbps(wifi_rate, wifi_rtt)
-                * exp(noise * rng.gauss(0, 1))
-            )
-            rows.append((cell_mult, cell_rtt_mult,
-                         exp(noise * rng.gauss(0, 1)), wifi_meas))
 
         def win_fraction(t: float) -> float:
             wins = count_wins(rows, lte_med * exp(t),
@@ -323,6 +294,68 @@ class CrowdWorld:
             wifi_rtt_med,
             lte_rtt_med * math.exp(-0.5 * t),
         )
+
+    def _calibration_rows(
+        self, rng: random.Random, draws: int, wifi_med: float,
+        wifi_rtt_med: float, crowd: bool,
+    ) -> List[Tuple[float, float, float, float]]:
+        """``draws`` :func:`count_wins` rows for one site's calibration.
+
+        A row is the LTE side's rate, RTT and noise multipliers and the
+        WiFi draw's measured 1-MB throughput, its rival; a ``crowd`` row
+        also draws an operator and an hour and clamps WiFi as the sampler
+        does.  ``rng.gauss(0, 1)`` ×6, :meth:`pick_operator`,
+        :meth:`modifiers` and :func:`estimate_tcp_throughput_mbps` are
+        inlined with their floating-point operations in the same order,
+        so every row is what the calls would give, to the bit.  A normal
+        is CPython's ``gauss`` pair off ``rng.random`` (angle, then
+        radius; cos term, then sin term): six are three whole pairs, so
+        no ``gauss_next`` carries across rows, and ``gauss``'s ``0 + z*1``
+        only turns ``-0.0`` into ``0.0``, which ``exp`` cannot tell.
+        """
+        rand = rng.random
+        exp, log, sqrt, cos, sin = math.exp, math.log, math.sqrt, math.cos, math.sin
+        two_pi = 2.0 * math.pi
+        sigma, rtt_sigma, noise = self.SIGMA, self.RTT_SIGMA, NOISE_SIGMA
+        op_cum, op_exps = self._operator_cum, self._operator_exps
+        last_op = len(op_cum) - 1
+        wifi, cell = self.wifi_diurnal, self.cell_diurnal
+        wifi_amp, wifi_peak, wifi_coupling = wifi.amplitude, wifi.peak_hour, wifi.rtt_coupling
+        cell_amp, cell_peak, cell_coupling = cell.amplitude, cell.peak_hour, cell.rtt_coupling
+        rate_floor, rtt_floor, rtt_cap = (
+            (0.1, 5.0, 1200.0) if crowd else (0.0, 0.0, math.inf))
+        w_cap = c_cap = w_rtt_m = c_rtt_m = 1.0
+        (cwnds, ramp_rtts, drain), nbytes = ramp_table(ONE_MBYTE), float(ONE_MBYTE)
+        rows = []
+        for _ in range(draws):
+            if crowd:
+                # A zero amplitude's load is +-0.0 here, 0.0 in log_load: exp gives 1.0.
+                op_tput, op_rtt = op_exps[min(bisect_right(op_cum, rand()), last_op)]
+                hour = rand() * 24.0
+                wifi_load = wifi_amp * cos(two_pi * (hour - wifi_peak) / 24.0)
+                cell_load = cell_amp * cos(two_pi * (hour - cell_peak) / 24.0)
+                w_cap, c_cap = exp(-wifi_load), op_tput * exp(-cell_load)
+                w_rtt_m = exp(wifi_coupling * wifi_load)
+                c_rtt_m = op_rtt * exp(cell_coupling * cell_load)
+            angle, radius = rand() * two_pi, sqrt(-2.0 * log(1.0 - rand()))
+            rate = wifi_med * w_cap * exp(sigma * (cos(angle) * radius))
+            rate_mult = c_cap * exp(sigma * (sin(angle) * radius))
+            angle, radius = rand() * two_pi, sqrt(-2.0 * log(1.0 - rand()))
+            rtt = wifi_rtt_med * w_rtt_m * exp(rtt_sigma * (cos(angle) * radius))
+            rtt_mult = c_rtt_m * exp(rtt_sigma * (sin(angle) * radius))
+            if rate < rate_floor:
+                rate = rate_floor
+            if rtt < rtt_floor:
+                rtt = rtt_floor
+            elif rtt > rtt_cap:
+                rtt = rtt_cap
+            rate_bps, rtt_s = rate * 1e6 / 8.0, rtt / 1000.0
+            k = bisect_left(cwnds, rate_bps * rtt_s / 1448.0)
+            angle, radius = rand() * two_pi, sqrt(-2.0 * log(1.0 - rand()))
+            rows.append((rate_mult, rtt_mult, exp(noise * (sin(angle) * radius)),
+                         nbytes / (rtt_s * ramp_rtts[k] + drain[k] / rate_bps)
+                         * 8.0 / 1e6 * exp(noise * (cos(angle) * radius))))
+        return rows
 
     # -- lookups used by the vectorized sampler ------------------------
     def site_medians(self, site_name: str) -> Tuple[float, float, float, float]:
@@ -358,12 +391,8 @@ class CrowdWorld:
 
     def profile_dict(self) -> dict:
         """JSON-safe description of the heterogeneity axes."""
-        return {
-            "operators": [op.to_dict() for op in self.operators],
-            "wifi_diurnal": self.wifi_diurnal.to_dict(),
-            "cell_diurnal": self.cell_diurnal.to_dict(),
-            "apps": [app.to_dict() for app in self.apps],
-        }
+        return _profile_dict(self.operators, self.wifi_diurnal,
+                             self.cell_diurnal, self.apps)
 
     @classmethod
     def from_profile_dict(
@@ -392,12 +421,21 @@ class CrowdWorld:
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"world_profile: malformed: {exc!r}")
-        for part in (*parts["operators"], parts["wifi_diurnal"],
-                     parts["cell_diurnal"], *parts["apps"]):
-            if not all(math.isfinite(value) for value in astuple(part)
-                       if isinstance(value, float)):
-                raise ConfigurationError(f"world_profile: non-finite {part}")
         return cls(seed=seed, **parts)
+
+
+def _profile_dict(operators, wifi_diurnal, cell_diurnal, apps) -> dict:
+    return {
+        "operators": [op.to_dict() for op in operators],
+        "wifi_diurnal": wifi_diurnal.to_dict(),
+        "cell_diurnal": cell_diurnal.to_dict(),
+        "apps": [app.to_dict() for app in apps],
+    }
+
+
+#: The default world's :meth:`CrowdWorld.profile_dict`.
+_DEFAULT_PROFILE = _profile_dict(DEFAULT_OPERATORS, DEFAULT_WIFI_DIURNAL,
+                                 DEFAULT_CELL_DIURNAL, DEFAULT_APP_MIX)
 
 
 def _cumulative(weights: List[float]) -> List[float]:

@@ -1,6 +1,7 @@
 """Tests for the heterogeneity axes (layer 1: operators, diurnal, apps)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,28 @@ class TestAppProfiles:
     def test_round_trip(self):
         app = AppProfile("game", 0.1, 65536, 4096)
         assert AppProfile.from_dict(app.to_dict()) == app
+
+
+#: A valid profile of each kind and its float fields.
+FLOAT_FIELDS = [
+    (OperatorProfile("op-X", 0.5, 0.1, -0.05),
+     ("share", "tput_log_offset", "rtt_log_offset")),
+    (DiurnalCurve(amplitude=0.3, peak_hour=12.0, rtt_coupling=0.7),
+     ("amplitude", "peak_hour", "rtt_coupling")),
+    (AppProfile("game", 0.1, 65536, 4096), ("weight",)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("profile, field", [
+    (profile, field) for profile, fields in FLOAT_FIELDS for field in fields
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_profiles_refuse_non_finite_fields(profile, field, value):
+    # Constructed directly, not only through CrowdWorld.from_profile_dict:
+    # a NaN operator offset once calibrated Israel's LTE to 583 Mbit/s.
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        replace(profile, **{field: value})
 
 
 class TestCrowdWorld:

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.crowd import pipeline
 from repro.crowd.aggregate import CrowdSketch, _SinkBase
 from repro.crowd.operators import DEFAULT_OPERATORS
 from repro.crowd.pipeline import (
@@ -163,6 +164,27 @@ class TestSimulateSurface:
         with pytest.raises(ConfigurationError, match="seed"):
             simulate(world=crowd_world,
                      population=PopulationSpec(users=10, seed=5))
+
+    def test_one_world_per_seed_and_profile(self, monkeypatch):
+        # The caller's world serves its in-process shards and a later
+        # call naming the same seed and (default) profile by population.
+        monkeypatch.setattr(pipeline, "_WORLD_CACHE", {})
+        built, init = [], CrowdWorld.__init__
+
+        def counting_init(world, *args, **kwargs):
+            built.append(world)
+            init(world, *args, **kwargs)
+
+        monkeypatch.setattr(CrowdWorld, "__init__", counting_init)
+        world = CrowdWorld(seed=13)
+        by_world = simulate(world=world,
+                            population=PopulationSpec(users=200, seed=13),
+                            cache=False, executor="inprocess", workers=1)
+        by_population = simulate(population=PopulationSpec(users=200, seed=13),
+                                 cache=False, executor="inprocess", workers=1)
+        assert built == [world]
+        assert by_world.sketch == by_population.sketch
+        assert by_world.population.world_profile == world.profile_dict()
 
     def test_rejects_bad_batch(self):
         with pytest.raises(ConfigurationError):

@@ -2,13 +2,21 @@
 
 import functools
 import hashlib
+import math
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rng import DEFAULT_SEED
+from repro.crowd import world as world_module
 from repro.crowd.dataset import Dataset
+from repro.crowd.operators import AppProfile, DiurnalCurve, OperatorProfile
 from repro.crowd.sampling import COLUMN_NAMES, CrowdSampler, PopulationSpec, RunColumns
-from repro.crowd.world import TABLE1_SITES, CrowdWorld
+from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
+from repro.crowd.world import NOISE_SIGMA, TABLE1_SITES, CrowdWorld
 
 #: sha256 of both calibration passes' medians, every site, to the bit.
 #: A change to how the calibration arithmetic is evaluated must leave
@@ -19,6 +27,23 @@ CALIBRATION_DIGESTS = {
     7: "42998687d9858cc8a9fb8e6256b57cb534c2f564dde23bc1a5ca6a26399a0b9d",
     11: "9f64b1bc2d8e16b71bf07e32a3e12d9d4ddb6d8999c278553506129ff49dedc9",
 }
+
+
+#: sha256 of the medians of a non-default profile: two operators, a
+#: two-app mix and a zero-amplitude WiFi curve (``DiurnalCurve.log_load``
+#: returns ``0.0`` for it; no default-profile digest has one), taken
+#: while the calibration still called ``log_load``.
+PROFILE_WORLD = dict(
+    seed=5,
+    operators=(OperatorProfile("op-X", 0.6, 0.1, -0.05),
+               OperatorProfile("op-Y", 0.4, -0.15, 0.08)),
+    wifi_diurnal=DiurnalCurve(amplitude=0.0),
+    cell_diurnal=DiurnalCurve(amplitude=0.25, peak_hour=18.0, rtt_coupling=0.7),
+    apps=(AppProfile("web", 0.7, 256 * 1024, 16 * 1024),
+          AppProfile("video", 0.3, 8 * 1024 * 1024, 64 * 1024)),
+)
+PROFILE_DIGEST = (
+    "4d9115aebca69e739b58e1baba831b73fd276524e53fdc1f53a08fc6a4e496ea")
 
 
 #: sha256 of all 18 sampler columns of the first 20000 runs of a
@@ -128,7 +153,91 @@ class TestCalibrationDigest:
         world = crowd_world if seed == DEFAULT_SEED else _seeded_world(seed)
         assert calibration_digest(world) == CALIBRATION_DIGESTS[seed]
 
+    def test_non_default_profile_medians_are_pinned(self):
+        assert calibration_digest(CrowdWorld(**PROFILE_WORLD)) == PROFILE_DIGEST
+
     @pytest.mark.parametrize("seed", sorted(COLUMN_DIGESTS))
     def test_sampler_columns_are_pinned(self, seed, crowd_world):
         world = crowd_world if seed == DEFAULT_SEED else _seeded_world(seed)
         assert column_digest(world) == COLUMN_DIGESTS[seed]
+
+
+def bare_world(**profile) -> CrowdWorld:
+    """A world's tables for ``profile``, with no site to calibrate."""
+    with mock.patch.object(world_module, "TABLE1_SITES", []):
+        return CrowdWorld(**profile)
+
+
+# The row builders the inlined ones replaced, kept as their oracle:
+# rng.gauss, pick_operator, modifiers and the public TCP estimator.
+def reference_base_rows(world, rng, draws, wifi_median, wifi_rtt_median):
+    rows = []
+    for _ in range(draws):
+        w_mult, l_mult, w_rtt_m, l_rtt_m, w_noise, l_noise = (
+            math.exp(world.SIGMA * rng.gauss(0, 1)),
+            math.exp(world.SIGMA * rng.gauss(0, 1)),
+            math.exp(world.RTT_SIGMA * rng.gauss(0, 1)),
+            math.exp(world.RTT_SIGMA * rng.gauss(0, 1)),
+            math.exp(NOISE_SIGMA * rng.gauss(0, 1)),
+            math.exp(NOISE_SIGMA * rng.gauss(0, 1)),
+        )
+        wifi_meas = estimate_tcp_throughput_mbps(
+            wifi_median * w_mult, wifi_rtt_median * w_rtt_m
+        ) * w_noise
+        rows.append((l_mult, l_rtt_m, l_noise, wifi_meas))
+    return rows
+
+
+def reference_crowd_rows(world, rng, draws, wifi_med, wifi_rtt_med):
+    exp = math.exp
+    sigma, rtt_sigma = world.SIGMA, world.RTT_SIGMA
+    noise = NOISE_SIGMA
+    rows = []
+    for _ in range(draws):
+        op_idx = world.pick_operator(rng.random())
+        hour = rng.random() * 24.0
+        w_cap, c_cap, w_rtt_m, c_rtt_m = world.modifiers(op_idx, hour)
+        wifi_rate = max(0.1, wifi_med * w_cap * exp(sigma * rng.gauss(0, 1)))
+        cell_mult = c_cap * exp(sigma * rng.gauss(0, 1))
+        wifi_rtt = min(max(
+            5.0, wifi_rtt_med * w_rtt_m * exp(rtt_sigma * rng.gauss(0, 1))
+        ), 1200.0)
+        cell_rtt_mult = c_rtt_m * exp(rtt_sigma * rng.gauss(0, 1))
+        wifi_meas = (
+            estimate_tcp_throughput_mbps(wifi_rate, wifi_rtt)
+            * exp(noise * rng.gauss(0, 1))
+        )
+        rows.append((cell_mult, cell_rtt_mult,
+                     exp(noise * rng.gauss(0, 1)), wifi_meas))
+    return rows
+
+
+OPERATORS = st.lists(
+    st.builds(OperatorProfile, name=st.just("op"),
+              share=st.floats(0.01, 1.0),
+              tput_log_offset=st.floats(-1.0, 1.0),
+              rtt_log_offset=st.floats(-1.0, 1.0)),
+    min_size=1, max_size=4).map(tuple)
+CURVES = st.builds(
+    DiurnalCurve, amplitude=st.just(0.0) | st.floats(0.0, 1.0),
+    peak_hour=st.floats(0.0, 24.0, exclude_max=True),
+    rtt_coupling=st.floats(-2.0, 2.0))
+
+
+class TestInlinedRows:
+    """Both calibration passes build their rows inline; the calls they
+    stand for stay the oracle, value for value and to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64), crowd=st.booleans(),
+           operators=OPERATORS, wifi_diurnal=CURVES, cell_diurnal=CURVES,
+           wifi_med=st.floats(0.05, 500.0), wifi_rtt_med=st.floats(1.0, 2000.0))
+    def test_rows_equal_the_calls(self, seed, crowd, operators, wifi_diurnal,
+                                  cell_diurnal, wifi_med, wifi_rtt_med):
+        world = bare_world(operators=operators, wifi_diurnal=wifi_diurnal,
+                           cell_diurnal=cell_diurnal)
+        reference = reference_crowd_rows if crowd else reference_base_rows
+        inline = world._calibration_rows(random.Random(seed), 40, wifi_med,
+                                         wifi_rtt_med, crowd)
+        assert repr(inline) == repr(reference(
+            world, random.Random(seed), 40, wifi_med, wifi_rtt_med))
