@@ -36,7 +36,7 @@ from repro.crowd.aggregate import (
 )
 from repro.crowd.dataset import MeasurementRun
 from repro.crowd.sampling import CrowdSampler, PopulationSpec
-from repro.crowd.world import _DEFAULT_PROFILE, TABLE1_SITES, CrowdWorld
+from repro.crowd.world import TABLE1_SITES, CrowdWorld
 from repro.obs.manifest import RunManifest, outstanding
 from repro.obs.telemetry import active_bus
 from repro.parallel import SimTask, SweepRunner, SweepStats, resolve_workers
@@ -49,24 +49,19 @@ __all__ = ["simulate", "run_crowd_shard", "table1_runs", "CrowdResult",
 DEFAULT_BATCH = 8192
 
 #: Worker-side world cache: CrowdWorld construction includes the
-#: Table-1 Monte-Carlo calibration (0.2–0.4 s on one slow vCPU), so a
-#: process builds each distinct (seed, profile) world once and reuses
-#: it across shards and calls; ``simulate(world=...)`` registers the
-#: caller's world.
+#: Table-1 Monte-Carlo calibration (0.2–0.4 s on one slow vCPU), so pool
+#: workers build each distinct (seed, profile) world once and reuse it
+#: across shards.
 _WORLD_CACHE: Dict[str, CrowdWorld] = {}
 
 
-def _world_key(seed: int, profile: Optional[dict]) -> str:
-    """The cache key; the default profile, spelt out or not, is ``None``."""
+def _world_for(population: PopulationSpec) -> CrowdWorld:
     import json
 
-    if not profile or profile == _DEFAULT_PROFILE:
-        profile = None
-    return json.dumps({"seed": seed, "profile": profile}, sort_keys=True)
-
-
-def _world_for(population: PopulationSpec) -> CrowdWorld:
-    key = _world_key(population.seed, population.world_profile)
+    key = json.dumps(
+        {"seed": population.seed, "profile": population.world_profile},
+        sort_keys=True,
+    )
     world = _WORLD_CACHE.get(key)
     if world is None:
         world = CrowdWorld.from_profile_dict(
@@ -309,8 +304,6 @@ def simulate(
         # A shard rebuilds its world from (seed, profile) in whatever
         # process runs it, so the instance travels as its profile.
         population = replace(population, world_profile=world.profile_dict())
-        _WORLD_CACHE.setdefault(
-            _world_key(world.seed, population.world_profile), world)
 
     if sink is None:
         sink = SketchSink(world, population, alpha=alpha)

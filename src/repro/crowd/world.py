@@ -312,6 +312,12 @@ class CrowdWorld:
         radius; cos term, then sin term): six are three whole pairs, so
         no ``gauss_next`` carries across rows, and ``gauss``'s ``0 + z*1``
         only turns ``-0.0`` into ``0.0``, which ``exp`` cannot tell.
+
+        A base row (``crowd=False``) is a crowd row with unit modifiers
+        and clamps that never fire (floors 0.0, cap ``inf``) and without
+        the operator/hour draws: ``x * 1.0 == x`` and a lognormal draw is
+        never below 0.0 or above ``inf``, so the base pass is bit-equal
+        to its own loop.  An edit to either branch must keep that true.
         """
         rand = rng.random
         exp, log, sqrt, cos, sin = math.exp, math.log, math.sqrt, math.cos, math.sin
@@ -391,8 +397,12 @@ class CrowdWorld:
 
     def profile_dict(self) -> dict:
         """JSON-safe description of the heterogeneity axes."""
-        return _profile_dict(self.operators, self.wifi_diurnal,
-                             self.cell_diurnal, self.apps)
+        return {
+            "operators": [op.to_dict() for op in self.operators],
+            "wifi_diurnal": self.wifi_diurnal.to_dict(),
+            "cell_diurnal": self.cell_diurnal.to_dict(),
+            "apps": [app.to_dict() for app in self.apps],
+        }
 
     @classmethod
     def from_profile_dict(
@@ -419,23 +429,10 @@ class CrowdWorld:
                 "cell_diurnal": DiurnalCurve.from_dict(data["cell_diurnal"]),
                 "apps": tuple(AppProfile.from_dict(app) for app in data["apps"]),
             }
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                ConfigurationError) as exc:
             raise ConfigurationError(f"world_profile: malformed: {exc!r}")
         return cls(seed=seed, **parts)
-
-
-def _profile_dict(operators, wifi_diurnal, cell_diurnal, apps) -> dict:
-    return {
-        "operators": [op.to_dict() for op in operators],
-        "wifi_diurnal": wifi_diurnal.to_dict(),
-        "cell_diurnal": cell_diurnal.to_dict(),
-        "apps": [app.to_dict() for app in apps],
-    }
-
-
-#: The default world's :meth:`CrowdWorld.profile_dict`.
-_DEFAULT_PROFILE = _profile_dict(DEFAULT_OPERATORS, DEFAULT_WIFI_DIURNAL,
-                                 DEFAULT_CELL_DIURNAL, DEFAULT_APP_MIX)
 
 
 def _cumulative(weights: List[float]) -> List[float]:

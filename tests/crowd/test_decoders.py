@@ -77,6 +77,13 @@ def test_world_profile_decoder_fails_typed_and_closed(data):
         CrowdWorld.from_profile_dict(data)
 
 
+def test_a_non_finite_wire_profile_names_its_source():
+    curve = {**DEFAULT_CELL_DIURNAL.to_dict(), "amplitude": float("nan")}
+    with pytest.raises(ConfigurationError,
+                       match="^world_profile: malformed: .*non-finite"):
+        CrowdWorld.from_profile_dict(_profile(cell_diurnal=curve))
+
+
 def test_default_profile_round_trips(crowd_world):
     assert crowd_world.profile_dict() == _profile()
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.crowd import pipeline
-from repro.crowd.aggregate import CrowdSketch, _SinkBase
+from repro.crowd.aggregate import CrowdSketch, SketchSink, _SinkBase
 from repro.crowd.operators import DEFAULT_OPERATORS
 from repro.crowd.pipeline import (
     DEFAULT_BATCH,
@@ -79,6 +79,25 @@ class TestDeterminism:
         assert by_instance.sketch == by_profile.sketch
         assert by_instance.population == by_profile.population
         assert by_instance.sketch != baseline.sketch
+
+    def test_a_shard_rebuilds_a_passed_world_from_its_profile(
+            self, monkeypatch):
+        # What a socket worker does: an empty cache, the world known only
+        # by (seed, profile).  Its shard must sample as the instance does.
+        world = CrowdWorld(seed=11, operators=tuple(
+            replace(op, tput_log_offset=op.tput_log_offset + 1.5)
+            for op in DEFAULT_OPERATORS
+        ))
+        population = PopulationSpec(users=600, seed=11,
+                                    world_profile=world.profile_dict())
+        on_instance = SketchSink(world, population)
+        for cols in CrowdSampler(world, population).batches(0, 600, 256):
+            on_instance.consume(cols)
+        monkeypatch.setattr(pipeline, "_WORLD_CACHE", {})
+        partial = run_crowd_shard(population.to_dict(), 0, 600, batch=256)
+        assert pipeline._WORLD_CACHE
+        assert next(iter(pipeline._WORLD_CACHE.values())) is not world
+        assert partial["sketch"] == on_instance.partial()
 
     def test_matches_serial_reference(self, baseline):
         # One worker-call over the whole population, no sweep engine.
@@ -164,27 +183,6 @@ class TestSimulateSurface:
         with pytest.raises(ConfigurationError, match="seed"):
             simulate(world=crowd_world,
                      population=PopulationSpec(users=10, seed=5))
-
-    def test_one_world_per_seed_and_profile(self, monkeypatch):
-        # The caller's world serves its in-process shards and a later
-        # call naming the same seed and (default) profile by population.
-        monkeypatch.setattr(pipeline, "_WORLD_CACHE", {})
-        built, init = [], CrowdWorld.__init__
-
-        def counting_init(world, *args, **kwargs):
-            built.append(world)
-            init(world, *args, **kwargs)
-
-        monkeypatch.setattr(CrowdWorld, "__init__", counting_init)
-        world = CrowdWorld(seed=13)
-        by_world = simulate(world=world,
-                            population=PopulationSpec(users=200, seed=13),
-                            cache=False, executor="inprocess", workers=1)
-        by_population = simulate(population=PopulationSpec(users=200, seed=13),
-                                 cache=False, executor="inprocess", workers=1)
-        assert built == [world]
-        assert by_world.sketch == by_population.sketch
-        assert by_world.population.world_profile == world.profile_dict()
 
     def test_rejects_bad_batch(self):
         with pytest.raises(ConfigurationError):
